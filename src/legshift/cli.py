@@ -155,7 +155,8 @@ def _cmd_eval(args) -> int:
         "mu_re": params["mu"].real, "mu_im": params["mu"].imag,
         "z_re": params["z"].real, "z_im": params["z"].imag,
         "value_re": value.real, "value_im": value.imag,
-        "err_estimate": 0.0,
+        # direct evaluation computes no error bound; null says so
+        "err_estimate": None,
         "region": region,
     }
     if args.fn == "jacobi-P":
@@ -317,7 +318,7 @@ def _cmd_sweep(args) -> int:
             params[axis] = x
             value = complex(_FUNCTIONS[args.fn](params))
             writer.writerow(
-                [repr(x.real), repr(value.real), repr(value.imag), repr(0.0)]
+                [repr(x.real), repr(value.real), repr(value.imag), ""]
             )
     else:
         entry = get_identity(args.identity)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
+    "check_finite",
     "sin_pi",
     "cos_pi",
     "ln_gamma",
@@ -57,6 +58,16 @@ _POLE_TOL = 1e-9
 
 def _as_complex(z) -> complex:
     return complex(z)
+
+
+def check_finite(*values) -> None:
+    """Raise DomainError unless every value is a finite real or complex number.
+
+    Called once at each public entry point, never inside per-node loops.
+    """
+    for v in values:
+        if not cmath.isfinite(v):
+            raise DomainError(f"non-finite argument {v!r}")
 
 
 def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:

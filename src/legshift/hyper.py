@@ -8,6 +8,13 @@ admissible one is used.  Degenerate connection coefficients (integer c-a-b or
 a-b) are handled by evaluating at parameter +/- i*eps and averaging.  Near the
 two exceptional points w = exp(+/- i pi/3), where no image is small, the
 hypergeometric ODE is Taylor-stepped along a straight path from the origin.
+
+``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
+termination and c-pole tests, the degeneracy flags of each image, the
+connection-coefficient gamma ratios (on first use of each image), the
+sub-evaluators of the Pfaff image and of the +/- i*eps averages, and the
+series term ratios.  Calling it then does only w-dependent work; ``hyp2f1``
+builds one and calls it once.
 """
 
 from __future__ import annotations
@@ -18,11 +25,11 @@ import math
 import numpy as np
 
 from .complexfn import (
+    check_finite,
     cpow,
     gamma_ratio,
     is_nonpositive_integer,
     ln_gamma,
-    rgamma,
     sin_pi,
 )
 from .errors import (
@@ -32,11 +39,12 @@ from .errors import (
     PoleError,
 )
 
-__all__ = ["hyp2f1", "hyp3f2_series", "hyp3f2_barnes"]
+__all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_barnes"]
 
 _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
+_MAX_SERIES_TERMS = 3000
 
 
 def _is_int(x, tol=1e-9) -> bool:
@@ -44,12 +52,12 @@ def _is_int(x, tol=1e-9) -> bool:
     return abs(x.imag) <= tol and abs(x.real - round(x.real)) <= tol
 
 
-def _series_2f1(a, b, c, w, max_terms=3000):
+def _series_2f1(a, b, c, w):
     """Defining Gauss series; stops after 3 consecutive negligible terms."""
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small = 0
-    for k in range(max_terms):
+    for k in range(_MAX_SERIES_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
         total += term
         if abs(term) <= 1e-16 * abs(total):
@@ -61,6 +69,67 @@ def _series_2f1(a, b, c, w, max_terms=3000):
     raise ConvergenceError(
         f"2F1 series did not converge for |w| = {abs(w):.3f}"
     )
+
+
+class _Series:
+    """Defining Gauss series of 2F1(a, b; c; w) for fixed (a, b, c).
+
+    From the second sum on, the term ratios r_k = (a+k)(b+k)/((c+k)(1+k))
+    are kept and grown on demand, so repeated sums at new w reuse them.  The
+    first sum keeps nothing: a one-shot evaluation costs what the plain
+    series does.  Both give the same floating-point sequence.
+    """
+
+    __slots__ = ("a", "b", "c", "_ratios")
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+        self._ratios = None
+
+    def sum(self, w):
+        """The series at w; stops after 3 consecutive negligible terms."""
+        a, b, c = self.a, self.b, self.c
+        ratios = self._ratios
+        if ratios is None:
+            self._ratios = []
+            return _series_2f1(a, b, c, w)
+        n = len(ratios)
+        total = 1.0 + 0.0j
+        term = 1.0 + 0.0j
+        small = 0
+        for k in range(_MAX_SERIES_TERMS):
+            if k < n:
+                r = ratios[k]
+            else:
+                r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+                ratios.append(r)
+            term *= r * w
+            total += term
+            if abs(term) <= 1e-16 * abs(total):
+                small += 1
+                if small >= 3:
+                    return total
+            else:
+                small = 0
+        raise ConvergenceError(
+            f"2F1 series did not converge for |w| = {abs(w):.3f}"
+        )
+
+    def polynomial(self, w, n):
+        """The first n+1 terms: the whole sum when the series terminates at w**n."""
+        a, b, c = self.a, self.b, self.c
+        if self._ratios is None:
+            self._ratios = []
+        ratios = self._ratios
+        ratios.extend(
+            (a + k) * (b + k) / ((c + k) * (1.0 + k)) for k in range(len(ratios), n)
+        )
+        total = 1.0 + 0.0j
+        term = 1.0 + 0.0j
+        for r in ratios[:n]:
+            term *= r * w
+            total += term
+        return total
 
 
 def _terminating_index(a, b, c):
@@ -76,15 +145,6 @@ def _terminating_index(a, b, c):
     if is_nonpositive_integer(c) and round(-complex(c).real) < best:
         return None  # c pole strikes first
     return best
-
-
-def _series_terminating(a, b, c, w, n):
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(n):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
-        total += term
-    return total
 
 
 def _ode_taylor_step(a, b, c, w0, f0, f1, h, n_terms=30):
@@ -110,12 +170,13 @@ def _ode_taylor_step(a, b, c, w0, f0, f1, h, n_terms=30):
     return val, der
 
 
-def _ode_continue(a, b, c, w_target):
+def _ode_continue(series, w_target):
     """Continue 2F1 from the origin to w_target by Taylor-stepping the ODE."""
+    a, b, c = series.a, series.b, series.c
     direction = w_target / abs(w_target)
     w = 0.45 * direction
-    f = _series_2f1(a, b, c, w)
-    fp = a * b / c * _series_2f1(a + 1.0, b + 1.0, c + 1.0, w)
+    f = series.sum(w)
+    fp = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0).sum(w)
     for _ in range(400):
         remaining = w_target - w
         if abs(remaining) < 1e-15:
@@ -128,119 +189,170 @@ def _ode_continue(a, b, c, w_target):
     raise ConvergenceError("ODE continuation of 2F1 did not reach the target")
 
 
-def _eps_average(fn, eps=_EPS_NUDGE):
-    """Limit of fn(delta) for delta -> 0 along +/- i*eps (linear extrapolation)."""
-    return 0.5 * (fn(1j * eps) + fn(-1j * eps))
+# the two series of each linear image: (a, b, c) of the first and second term
+_IMAGE_SERIES = {
+    "one_minus": lambda a, b, c: (
+        (a, b, a + b - c + 1.0), (c - a, c - b, c - a - b + 1.0)
+    ),
+    "recip": lambda a, b, c: (
+        (a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)
+    ),
+    "recip_one_minus": lambda a, b, c: (
+        (a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)
+    ),
+    "one_minus_recip": lambda a, b, c: (
+        (a, a - c + 1.0, a + b - c + 1.0), (c - a, 1.0 - a, c - a - b + 1.0)
+    ),
+}
 
 
-def _hyp2f1_core(a, b, c, w):
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    w = complex(w)
+class _Gauss(_Series):
+    """2F1(a, b; c; w) as a function of w, for (a, b, c) in the given order.
 
-    if w == 0:
-        return 1.0 + 0.0j
+    Everything that depends on the parameters alone is settled here or on
+    first use and kept; each call does only w-dependent work.
+    """
 
-    n_term = _terminating_index(a, b, c)
-    if n_term is not None:
-        return _series_terminating(a, b, c, w, n_term)
+    __slots__ = ("_n_term", "_c_pole", "_degenerate", "_images", "_pfaff", "_nudged")
 
-    if is_nonpositive_integer(c):
-        raise DegenerateParameterError(
-            f"2F1 undefined: c = {c} is a nonpositive integer and the series "
-            "does not terminate"
-        )
+    def __init__(self, a, b, c):
+        super().__init__(a, b, c)
+        self._n_term = _terminating_index(a, b, c)
+        self._c_pole = self._n_term is None and is_nonpositive_integer(c)
+        # built on first use
+        self._degenerate = None  # image key -> degenerate coefficients
+        self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
+        self._pfaff = None
+        self._nudged = None  # "a" or "c" -> evaluators at that parameter +/- i*eps
 
-    if abs(w) <= _SERIES_RADIUS:
-        return _series_2f1(a, b, c, w)
+    def series(self, w):
+        """The defining series, or the polynomial when it terminates."""
+        if self._n_term is not None:
+            return self.polynomial(w, self._n_term)
+        return self.sum(w)
 
-    candidates = []  # (modulus, key)
-    candidates.append((abs(w / (w - 1.0)), "pfaff"))
-    candidates.append((abs(1.0 - w), "one_minus"))
-    if w != 0:
+    def __call__(self, w):
+        w = complex(w)
+        if w == 0:
+            return 1.0 + 0.0j
+        if self._n_term is None:
+            if self._c_pole:
+                raise DegenerateParameterError(
+                    f"2F1 undefined: c = {self.c} is a nonpositive integer and "
+                    "the series does not terminate"
+                )
+            if abs(w) > _SERIES_RADIUS:
+                return self._continue(w)
+            return self.sum(w)
+        return self.polynomial(w, self._n_term)
+
+    def _image(self, key):
+        if self._images is None:
+            self._images = {}
+        img = self._images.get(key)
+        if img is None:
+            a, b, c = self.a, self.b, self.c
+            if key in ("one_minus", "one_minus_recip"):
+                g1 = gamma_ratio([c, c - a - b], [c - a, c - b])
+                g2 = gamma_ratio([c, a + b - c], [a, b])
+            else:
+                g1 = gamma_ratio([c, b - a], [b, c - a])
+                g2 = gamma_ratio([c, a - b], [a, c - b])
+            s1, s2 = _IMAGE_SERIES[key](a, b, c)
+            img = self._images[key] = (g1, _Series(*s1), g2, _Series(*s2))
+        return img
+
+    def _nudge(self, axis):
+        if self._nudged is None:
+            self._nudged = {}
+        pair = self._nudged.get(axis)
+        if pair is None:
+            a, b, c = self.a, self.b, self.c
+            pair = self._nudged[axis] = tuple(
+                _Gauss(a, b, c + d) if axis == "c" else _Gauss(a + d, b, c)
+                for d in (1j * _EPS_NUDGE, -1j * _EPS_NUDGE)
+            )
+        return pair
+
+    def _continue(self, w):
+        a, b, c = self.a, self.b, self.c
+        candidates = []  # (modulus, key)
+        candidates.append((abs(w / (w - 1.0)), "pfaff"))
+        candidates.append((abs(1.0 - w), "one_minus"))
         candidates.append((abs(1.0 / w), "recip"))
         candidates.append((abs(1.0 - 1.0 / w), "one_minus_recip"))
-    if w != 1.0:
-        candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
-    # penalize images whose connection coefficients are degenerate so that a
-    # clean image of comparable size wins
-    degenerate = {
-        "one_minus": _is_int(c - a - b),
-        "recip": _is_int(a - b),
-        "recip_one_minus": _is_int(a - b),
-        "one_minus_recip": _is_int(c - a - b),
-        "pfaff": False,
-    }
-    ranked = sorted(candidates, key=lambda t: (t[0] + (0.05 if degenerate[t[1]] else 0.0)))
-    mod, key = ranked[0]
-    if mod > _IMAGE_RADIUS:
-        return _ode_continue(a, b, c, w)
-
-    if key == "pfaff":
-        return cpow(1.0 - w, -a) * _hyp2f1_core(a, c - b, c, w / (w - 1.0))
-
-    if degenerate[key]:
-        if key in ("one_minus", "one_minus_recip"):
-            # shift c off the integer lattice of c-a-b
-            return _eps_average(lambda d: _hyp2f1_core(a, b, c + d, w))
-        # integer a-b: shift a
-        return _eps_average(lambda d: _hyp2f1_core(a + d, b, c, w))
-
-    if key == "one_minus":
-        u = 1.0 - w
-        t1 = gamma_ratio([c, c - a - b], [c - a, c - b]) * _series_2f1(
-            a, b, a + b - c + 1.0, u
+        if w != 1.0:
+            candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
+        degenerate = self._degenerate
+        if degenerate is None:
+            cab_int = _is_int(c - a - b)
+            ab_int = _is_int(a - b)
+            degenerate = self._degenerate = {
+                "one_minus": cab_int,
+                "recip": ab_int,
+                "recip_one_minus": ab_int,
+                "one_minus_recip": cab_int,
+                "pfaff": False,
+            }
+        # penalize images whose connection coefficients are degenerate so that
+        # a clean image of comparable size wins
+        mod, key = min(
+            candidates, key=lambda t: t[0] + (0.05 if degenerate[t[1]] else 0.0)
         )
-        t2 = (
-            gamma_ratio([c, a + b - c], [a, b])
-            * cpow(u, c - a - b)
-            * _series_2f1(c - a, c - b, c - a - b + 1.0, u)
-        )
-        return t1 + t2
+        if mod > _IMAGE_RADIUS:
+            return _ode_continue(self, w)
 
-    if key == "recip":
-        u = 1.0 / w
-        t1 = (
-            gamma_ratio([c, b - a], [b, c - a])
-            * cpow(-w, -a)
-            * _series_2f1(a, a - c + 1.0, a - b + 1.0, u)
-        )
-        t2 = (
-            gamma_ratio([c, a - b], [a, c - b])
-            * cpow(-w, -b)
-            * _series_2f1(b, b - c + 1.0, b - a + 1.0, u)
-        )
-        return t1 + t2
+        if key == "pfaff":
+            # the image lies inside the unit disk: sum its series directly,
+            # since ranking the images of w/(w-1) again could map back to w
+            if self._pfaff is None:
+                self._pfaff = _Gauss(a, c - b, c)
+            return cpow(1.0 - w, -a) * self._pfaff.series(w / (w - 1.0))
 
-    if key == "recip_one_minus":
-        u = 1.0 / (1.0 - w)
-        t1 = (
-            gamma_ratio([c, b - a], [b, c - a])
-            * cpow(1.0 - w, -a)
-            * _series_2f1(a, c - b, a - b + 1.0, u)
-        )
-        t2 = (
-            gamma_ratio([c, a - b], [a, c - b])
-            * cpow(1.0 - w, -b)
-            * _series_2f1(b, c - a, b - a + 1.0, u)
-        )
-        return t1 + t2
+        if degenerate[key]:
+            # integer c-a-b: shift c off the lattice; integer a-b: shift a
+            plus, minus = self._nudge(
+                "c" if key in ("one_minus", "one_minus_recip") else "a"
+            )
+            return 0.5 * (plus(w) + minus(w))
 
-    # key == "one_minus_recip"
-    u = 1.0 - 1.0 / w
-    t1 = (
-        gamma_ratio([c, c - a - b], [c - a, c - b])
-        * cpow(w, -a)
-        * _series_2f1(a, a - c + 1.0, a + b - c + 1.0, u)
-    )
-    t2 = (
-        gamma_ratio([c, a + b - c], [a, b])
-        * cpow(w, a - c)
-        * cpow(1.0 - w, c - a - b)
-        * _series_2f1(c - a, 1.0 - a, c - a - b + 1.0, u)
-    )
-    return t1 + t2
+        g1, s1, g2, s2 = self._image(key)
+        if key == "one_minus":
+            u = 1.0 - w
+            return g1 * s1.sum(u) + g2 * cpow(u, c - a - b) * s2.sum(u)
+        if key == "recip":
+            u = 1.0 / w
+            return g1 * cpow(-w, -a) * s1.sum(u) + g2 * cpow(-w, -b) * s2.sum(u)
+        if key == "recip_one_minus":
+            u = 1.0 / (1.0 - w)
+            return (
+                g1 * cpow(1.0 - w, -a) * s1.sum(u)
+                + g2 * cpow(1.0 - w, -b) * s2.sum(u)
+            )
+        # key == "one_minus_recip"
+        u = 1.0 - 1.0 / w
+        return (
+            g1 * cpow(w, -a) * s1.sum(u)
+            + g2 * cpow(w, a - c) * cpow(1.0 - w, c - a - b) * s2.sum(u)
+        )
+
+
+def _canonical(a, b, c):
+    """_Gauss in the canonical (a, b) order, so results are exactly symmetric."""
+    a, b, c = complex(a), complex(b), complex(c)
+    if (a.real, a.imag) > (b.real, b.imag):
+        a, b = b, a
+    return _Gauss(a, b, c)
+
+
+def hyp2f1_evaluator(a, b, c):
+    """w -> 2F1(a, b; c; w) for fixed parameters, continued off |w| < 1.
+
+    The parameter-only work is done once, so reusing the evaluator over many
+    w costs only the w-dependent part; values equal ``hyp2f1``'s exactly.
+    """
+    check_finite(a, b, c)
+    return _canonical(a, b, c)
 
 
 def hyp2f1(a, b, c, w) -> complex:
@@ -249,11 +361,8 @@ def hyp2f1(a, b, c, w) -> complex:
     Symmetric in (a, b); the argument must lie off the cut [1, inf) unless it
     carries an explicit imaginary part supplied by the caller.
     """
-    # canonical (a, b) order so the result is exactly symmetric
-    aa, bb = complex(a), complex(b)
-    if (aa.real, aa.imag) > (bb.real, bb.imag):
-        aa, bb = bb, aa
-    return _hyp2f1_core(aa, bb, complex(c), complex(w))
+    check_finite(a, b, c, w)
+    return _canonical(a, b, c)(w)
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:

@@ -20,6 +20,13 @@ Every representation is a short sum of terms
 makes first and second derivatives a product-rule exercise; degenerate
 parameter combinations (integer order and friends) are resolved by averaging
 the two evaluations at parameter +/- i*eps.
+
+``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
+do the parameter-only work once per evaluator: the term coefficients, the
+prepared 2F1 of each term, and the +/- i*eps sub-evaluators; for Q, the
+near (w = (1-z)/2) and far (w = 2/(1-z)) term lists are each built on first
+use.  Calls then do only z-dependent work.  The public one-shot functions
+build one evaluator and call it once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .complexfn import (
+    check_finite,
     cos_pi,
     cpow,
     gamma,
@@ -38,7 +46,7 @@ from .complexfn import (
     sin_pi,
 )
 from .errors import DomainError
-from .hyper import hyp2f1
+from .hyper import _canonical as _prepared_2f1
 
 __all__ = [
     "legendre_p",
@@ -47,6 +55,8 @@ __all__ = [
     "ferrers_q",
     "jacobi_p",
     "legendre_deriv",
+    "legendre_evaluator",
+    "jacobi_evaluator",
     "whipple_p_to_q",
     "whipple_q_to_p",
 ]
@@ -71,47 +81,94 @@ class _Term:
     wmap: str  # "half": w=(1-z)/2;  "far": w=2/(1-z)
 
 
-def _term_derivs(term: _Term, z: complex, order: int, ferrers: bool):
-    """(T, T', T'') of K*(z-1)^p(z+1)^q F(w) truncated at the given order."""
-    if ferrers:
-        pf = cpow(1.0 - z, term.p) * cpow(1.0 + z, term.q)
-        L = -term.p / (1.0 - z) + term.q / (1.0 + z)
-        Lp = -term.p / (1.0 - z) ** 2 - term.q / (1.0 + z) ** 2
-    else:
-        pf = cpow(z - 1.0, term.p) * cpow(z + 1.0, term.q)
-        L = term.p / (z - 1.0) + term.q / (z + 1.0)
-        Lp = -term.p / (z - 1.0) ** 2 - term.q / (z + 1.0) ** 2
-    if term.wmap == "half":
-        w = (1.0 - z) / 2.0
-        w1 = -0.5
-        w2 = 0.0
-    else:
-        w = 2.0 / (1.0 - z)
-        w1 = 2.0 / (1.0 - z) ** 2
-        w2 = 4.0 / (1.0 - z) ** 3
-    a, b, c = term.a, term.b, term.c
-    F0 = hyp2f1(a, b, c, w)
-    out = [term.K * pf * F0, 0.0, 0.0]
-    if order >= 1:
-        F1 = a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, w)
+class _TermSum:
+    """Sum of _Term values and their first two derivatives at z.
+
+    Each term's 2F1 is prepared once; the evaluators of its first and second
+    w-derivatives are built only when a derivative order asks for them.
+    """
+
+    __slots__ = ("_terms", "_ferrers", "_hyp")
+
+    def __init__(self, terms, ferrers):
+        self._terms = terms
+        self._ferrers = ferrers
+        # per term: [F, (coef, F'), (coef, F'')], grown on demand
+        self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
+
+    def _derivative(self, i, n):
+        """(coefficient, evaluator) of the n-th w-derivative of term i's 2F1."""
+        hyp = self._hyp[i]
+        while len(hyp) <= n:
+            t = self._terms[i]
+            a, b, c = t.a, t.b, t.c
+            if len(hyp) == 1:
+                coef = a * b / c
+                ev = _prepared_2f1(a + 1.0, b + 1.0, c + 1.0)
+            else:
+                coef = a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0))
+                ev = _prepared_2f1(a + 2.0, b + 2.0, c + 2.0)
+            hyp.append((coef, ev))
+        return hyp[n]
+
+    def __call__(self, z, order):
+        """[S, S', S''] at z; entries above ``order`` stay 0."""
+        acc = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
+        for i, term in enumerate(self._terms):
+            d = self._term_derivs(i, term, z, order)
+            for j in range(order + 1):
+                acc[j] += d[j]
+        return acc
+
+    def _term_derivs(self, i, term, z, order):
+        """(T, T', T'') of K*(z-1)^p(z+1)^q F(w) truncated at the given order."""
+        if self._ferrers:
+            pf = cpow(1.0 - z, term.p) * cpow(1.0 + z, term.q)
+        else:
+            pf = cpow(z - 1.0, term.p) * cpow(z + 1.0, term.q)
+        half = term.wmap == "half"
+        w = (1.0 - z) / 2.0 if half else 2.0 / (1.0 - z)
+        F0 = self._hyp[i][0](w)
+        out = [term.K * pf * F0, 0.0, 0.0]
+        if order == 0:
+            return out
+        if self._ferrers:
+            L = -term.p / (1.0 - z) + term.q / (1.0 + z)
+            Lp = -term.p / (1.0 - z) ** 2 - term.q / (1.0 + z) ** 2
+        else:
+            L = term.p / (z - 1.0) + term.q / (z + 1.0)
+            Lp = -term.p / (z - 1.0) ** 2 - term.q / (z + 1.0) ** 2
+        if half:
+            w1 = -0.5
+            w2 = 0.0
+        else:
+            w1 = 2.0 / (1.0 - z) ** 2
+            w2 = 4.0 / (1.0 - z) ** 3
+        coef1, hyp1 = self._derivative(i, 1)
+        F1 = coef1 * hyp1(w)
         out[1] = term.K * pf * (L * F0 + F1 * w1)
         if order >= 2:
-            F2 = (
-                a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0))
-            ) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, w)
+            coef2, hyp2 = self._derivative(i, 2)
+            F2 = coef2 * hyp2(w)
             out[2] = term.K * pf * (
                 (Lp + L * L) * F0 + 2.0 * L * F1 * w1 + F2 * w1 * w1 + F1 * w2
             )
-    return out
+        return out
 
 
-def _eval_terms(terms, z, order, ferrers=False):
-    acc = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
-    for t in terms:
-        d = _term_derivs(t, z, order, ferrers)
-        for i in range(order + 1):
-            acc[i] += d[i]
-    return acc
+class _EpsAverage:
+    """Limit at a degenerate parameter: the mean of the two evaluations at
+    parameter +/- i*eps."""
+
+    __slots__ = ("_up", "_down")
+
+    def __init__(self, up, down):
+        self._up, self._down = up, down
+
+    def __call__(self, z, order):
+        up = self._up(z, order)
+        dn = self._down(z, order)
+        return [0.5 * (u + v) for u, v in zip(up, dn)]
 
 
 # --- representations ---------------------------------------------------------
@@ -143,10 +200,6 @@ def _q_near_terms(nu, mu):
         "half",
     )
     return [t1, t2]
-
-
-def _ferrers_p_terms(nu, mu):
-    return [_Term(rgamma(1.0 - mu), -mu / 2.0, mu / 2.0, -nu, nu + 1.0, 1.0 - mu, "half")]
 
 
 def _ferrers_q_terms(nu, mu):
@@ -187,32 +240,110 @@ def _use_far(z: complex) -> bool:
     return abs(2.0 / (1.0 - z)) <= 0.75
 
 
-# --- public evaluators -------------------------------------------------------
+# --- evaluators ----------------------------------------------------------------
+
+_KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 
 
-def _legendre_p_derivs(nu, mu, z, order):
-    if is_nonpositive_integer(1.0 - mu):
-        d = 1j * _EPS
-        up = _legendre_p_derivs(nu, mu + d, z, order)
-        dn = _legendre_p_derivs(nu, mu - d, z, order)
-        return [0.5 * (u + v) for u, v in zip(up, dn)]
-    return _eval_terms(_p_terms(nu, mu), z, order)
+def _representation(kind, nu, mu, far=False):
+    """(z, order) -> [F, F', F''] for one representation of the function.
 
-
-def _legendre_q_derivs(nu, mu, z, order):
-    if _use_far(z):
+    Degenerate parameters are resolved here, once, by averaging the
+    representations at parameter +/- i*eps.
+    """
+    d = 1j * _EPS
+    if kind in ("p", "ferrers_p"):
+        if is_nonpositive_integer(1.0 - mu):
+            return _EpsAverage(
+                _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
+            )
+        return _TermSum(_p_terms(nu, mu), ferrers=kind == "ferrers_p")
+    if kind == "ferrers_q":
+        if _is_int(mu):
+            return _EpsAverage(
+                _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
+            )
+        return _TermSum(_ferrers_q_terms(nu, mu), ferrers=True)
+    if far:
         if is_nonpositive_integer(2.0 * nu + 2.0):
-            d = 1j * _EPS
-            up = _legendre_q_derivs(nu + d, mu, z, order)
-            dn = _legendre_q_derivs(nu - d, mu, z, order)
-            return [0.5 * (u + v) for u, v in zip(up, dn)]
-        return _eval_terms(_q_far_terms(nu, mu), z, order)
+            return _EpsAverage(
+                _representation(kind, nu + d, mu, far=True),
+                _representation(kind, nu - d, mu, far=True),
+            )
+        return _TermSum(_q_far_terms(nu, mu), ferrers=False)
     if _is_int(mu):
-        d = 1j * _EPS
-        up = _legendre_q_derivs(nu, mu + d, z, order)
-        dn = _legendre_q_derivs(nu, mu - d, z, order)
-        return [0.5 * (u + v) for u, v in zip(up, dn)]
-    return _eval_terms(_q_near_terms(nu, mu), z, order)
+        return _EpsAverage(
+            _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
+        )
+    return _TermSum(_q_near_terms(nu, mu), ferrers=False)
+
+
+class _Legendre:
+    """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu); see
+    ``legendre_evaluator``."""
+
+    __slots__ = ("kind", "nu", "mu", "_ferrers", "_near", "_far")
+
+    def __init__(self, kind, nu, mu):
+        self.kind, self.nu, self.mu = kind, complex(nu), complex(mu)
+        self._ferrers = kind.startswith("ferrers")
+        self._near = None  # the only representation of P and the Ferrers kinds
+        self._far = None  # Q for |2/(1-z)| <= 0.75
+
+    def derivs(self, z, order):
+        """[F, F', F''] at an already prepared z; entries above ``order`` are 0."""
+        if self.kind == "q" and _use_far(z):
+            if self._far is None:
+                self._far = _representation("q", self.nu, self.mu, far=True)
+            return self._far(z, order)
+        if self._near is None:
+            self._near = _representation(self.kind, self.nu, self.mu)
+        return self._near(z, order)
+
+    def __call__(self, z, order=0, boundary_side=None):
+        """The order-th derivative (0, 1 or 2) at z.
+
+        ``boundary_side`` selects the side of the cut for P and Q at real
+        z <= 1; Ferrers kinds take real x in (-1, 1) and ignore it.
+        """
+        if order not in (0, 1, 2):
+            raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
+        if self._ferrers:
+            z = _ferrers_x(z)
+        else:
+            z = _prepare_z(z, boundary_side)
+        return self.derivs(z, order)[order]
+
+
+def legendre_evaluator(kind, nu, mu):
+    """Evaluator of one function at fixed degree and order.
+
+    ``kind``: "p", "q" (cut-plane functions, complex z) or "ferrers_p",
+    "ferrers_q" (real x in (-1, 1)).  The result is called as
+    ``ev(z, order=0, boundary_side=None)`` and returns exactly what the
+    matching public function returns; reuse it over many z to do the
+    parameter-only work once.
+    """
+    if kind not in _KINDS:
+        raise DomainError(f"unknown kind {kind!r}")
+    check_finite(nu, mu)
+    return _Legendre(kind, nu, mu)
+
+
+def jacobi_evaluator(nu, alpha, beta):
+    """z -> jacobi_p(nu, alpha, beta, z) with the parameter-only work done once."""
+    check_finite(nu, alpha, beta)
+    nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
+    K = gamma_ratio([nu + alpha + 1.0], [nu + 1.0, alpha + 1.0])
+    F = _prepared_2f1(-nu, nu + alpha + beta + 1.0, alpha + 1.0)
+
+    def jacobi(z):
+        return K * F((1.0 - complex(z)) / 2.0)
+
+    return jacobi
+
+
+# --- public functions ----------------------------------------------------------
 
 
 def legendre_p(nu, mu, z, boundary_side=None) -> complex:
@@ -221,9 +352,8 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
     nu, mu may be any complex numbers; boundary_side "+"/"-" selects the
     limit from above/below when z is real and <= 1.
     """
-    nu, mu = complex(nu), complex(mu)
-    z = _prepare_z(z, boundary_side)
-    return _legendre_p_derivs(nu, mu, z, 0)[0]
+    check_finite(nu, mu, z)
+    return _Legendre("p", nu, mu)(z, boundary_side=boundary_side)
 
 
 def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
@@ -232,20 +362,18 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     ``olver=True`` returns exp(-i pi mu) Q_nu^mu(z) / Gamma(nu+mu+1), which
     stays finite when nu+mu is a negative integer.
     """
-    nu, mu = complex(nu), complex(mu)
+    check_finite(nu, mu, z)
+    ev = _Legendre("q", nu, mu)
+    if not olver:
+        return ev(z, boundary_side=boundary_side)
+    nu, mu = ev.nu, ev.mu
     z = _prepare_z(z, boundary_side)
-    if olver:
-        if is_nonpositive_integer(nu + mu + 1.0):
-            d = 1j * _EPS
-            up = legendre_q(nu + d, mu, z, olver=True)
-            dn = legendre_q(nu - d, mu, z, olver=True)
-            return 0.5 * (up + dn)
-        return (
-            cmath.exp(-1j * math.pi * mu)
-            * rgamma(nu + mu + 1.0)
-            * _legendre_q_derivs(nu, mu, z, 0)[0]
-        )
-    return _legendre_q_derivs(nu, mu, z, 0)[0]
+    if is_nonpositive_integer(nu + mu + 1.0):
+        d = 1j * _EPS
+        up = legendre_q(nu + d, mu, z, olver=True)
+        dn = legendre_q(nu - d, mu, z, olver=True)
+        return 0.5 * (up + dn)
+    return cmath.exp(-1j * math.pi * mu) * rgamma(nu + mu + 1.0) * ev.derivs(z, 0)[0]
 
 
 def _ferrers_x(x) -> float:
@@ -257,32 +385,16 @@ def _ferrers_x(x) -> float:
     return x.real
 
 
-def _ferrers_p_derivs(nu, mu, x, order):
-    if is_nonpositive_integer(1.0 - mu):
-        d = 1j * _EPS
-        up = _ferrers_p_derivs(nu, mu + d, x, order)
-        dn = _ferrers_p_derivs(nu, mu - d, x, order)
-        return [0.5 * (u + v) for u, v in zip(up, dn)]
-    return _eval_terms(_ferrers_p_terms(nu, mu), x, order, ferrers=True)
-
-
-def _ferrers_q_derivs(nu, mu, x, order):
-    if _is_int(mu):
-        d = 1j * _EPS
-        up = _ferrers_q_derivs(nu, mu + d, x, order)
-        dn = _ferrers_q_derivs(nu, mu - d, x, order)
-        return [0.5 * (u + v) for u, v in zip(up, dn)]
-    return _eval_terms(_ferrers_q_terms(nu, mu), x, order, ferrers=True)
-
-
 def ferrers_p(nu, mu, x) -> complex:
     """Ferrers function of the first kind on (-1, 1)."""
-    return _ferrers_p_derivs(complex(nu), complex(mu), _ferrers_x(x), 0)[0]
+    check_finite(nu, mu, x)
+    return _Legendre("ferrers_p", nu, mu)(x)
 
 
 def ferrers_q(nu, mu, x) -> complex:
     """Ferrers function of the second kind on (-1, 1)."""
-    return _ferrers_q_derivs(complex(nu), complex(mu), _ferrers_x(x), 0)[0]
+    check_finite(nu, mu, x)
+    return _Legendre("ferrers_q", nu, mu)(x)
 
 
 def jacobi_p(nu, alpha, beta, z) -> complex:
@@ -293,10 +405,8 @@ def jacobi_p(nu, alpha, beta, z) -> complex:
 
     reducing to the Jacobi polynomial at nonnegative integer nu.
     """
-    nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
-    z = complex(z)
-    K = gamma_ratio([nu + alpha + 1.0], [nu + 1.0, alpha + 1.0])
-    return K * hyp2f1(-nu, nu + alpha + beta + 1.0, alpha + 1.0, (1.0 - z) / 2.0)
+    check_finite(z)
+    return jacobi_evaluator(nu, alpha, beta)(z)
 
 
 def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
@@ -307,18 +417,8 @@ def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
     """
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    nu, mu = complex(nu), complex(mu)
-    if kind == "p":
-        zz = _prepare_z(z, boundary_side)
-        return _legendre_p_derivs(nu, mu, zz, order)[order]
-    if kind == "q":
-        zz = _prepare_z(z, boundary_side)
-        return _legendre_q_derivs(nu, mu, zz, order)[order]
-    if kind == "ferrers_p":
-        return _ferrers_p_derivs(nu, mu, _ferrers_x(z), order)[order]
-    if kind == "ferrers_q":
-        return _ferrers_q_derivs(nu, mu, _ferrers_x(z), order)[order]
-    raise DomainError(f"unknown kind {kind!r}")
+    check_finite(z)
+    return legendre_evaluator(kind, nu, mu)(z, order, boundary_side)
 
 
 def whipple_p_to_q(nu, mu, y) -> complex:

@@ -309,11 +309,13 @@ def _taylor_coefficients(
     samples = [
         g(radius * cmath.exp(2j * math.pi * j / n_samples)) for j in range(n_samples)
     ]
+    # exp(-2 pi i jk/N) is periodic in jk with period N: look it up
+    roots = [cmath.exp(-2j * math.pi * m / n_samples) for m in range(n_samples)]
     coeffs = []
     for k in range(count):
         s = 0.0 + 0.0j
         for j, gj in enumerate(samples):
-            s += gj * cmath.exp(-2j * math.pi * j * k / n_samples)
+            s += gj * roots[j * k % n_samples]
         coeffs.append(s / (n_samples * radius**k))
     return coeffs, n_samples
 

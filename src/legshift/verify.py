@@ -37,12 +37,12 @@ from .complexfn import (
     zsq_minus_one_pow,
 )
 from .errors import ConvergenceError, DomainError
-from .hyper import hyp2f1, hyp3f2_series
+from .hyper import hyp2f1_evaluator
 from .legendre import (
     ferrers_p,
-    ferrers_q,
-    jacobi_p,
+    jacobi_evaluator,
     legendre_deriv,
+    legendre_evaluator,
     legendre_p,
     legendre_q,
 )
@@ -80,91 +80,116 @@ _REL_FLOOR = 1e-300
 #
 # Each helper evaluates a weighted Legendre function in a form analytic
 # through the branch point of the raw product, so loop-contour Taylor
-# sampling and near-endpoint nodes stay finite.
+# sampling and near-endpoint nodes stay finite.  The ``_*_fn(nu, mu)``
+# builders do the parameter-only work once and return the function of the
+# argument; the public three-argument helpers build one and call it once.
+
+def _p_lower_fn(nu, mu):
+    """v -> (v^2-1)^(mu/2) P_nu^mu(v), analytic through v = 1; with v = u in
+    (-1, 1) it is also (1-u^2)^(mu/2) FerrersP_nu^mu(u)."""
+    k = rgamma(1.0 - mu)
+    f = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
+    return lambda v: cpow(v + 1.0, mu) * k * f((1.0 - v) / 2.0)
+
+
+def _p_upper_fn(nu, mu):
+    k = rgamma(1.0 - mu)
+    f = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
+    return lambda v: cpow(v - 1.0, -mu) * k * f((1.0 - v) / 2.0)
+
+
+def _q_upper_fn(nu, mu):
+    k1 = gamma(mu)
+    k2 = gamma_ratio([nu + mu + 1.0, -mu], [nu - mu + 1.0])
+    ph = 0.5 * cmath.exp(1j * math.pi * mu)
+    f1 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
+    f2 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 + mu)
+
+    def q_upper(v):
+        w = (1.0 - v) / 2.0
+        t1 = k1 * cpow(v - 1.0, -mu) * f1(w)
+        t2 = k2 * cpow(v + 1.0, -mu) * f2(w)
+        return ph * (t1 + t2)
+
+    return q_upper
+
+
+def _deg_fn(nu, mu, kind, upper):
+    """s -> (s^2-1)^(-(nu+1)/2) F_nu^mu(s/sqrt(s^2-1)) (upper) or
+    (s^2-1)^(nu/2) F_nu^mu(s/sqrt(s^2-1)) (lower), for F = P or Q."""
+    if kind == "q":
+        k = (
+            cmath.exp(1j * math.pi * mu)
+            * math.sqrt(math.pi / 2.0)
+            * gamma_ratio([nu + mu + 1.0], [nu + 1.5])
+        )
+        f = hyp2f1_evaluator(mu + 0.5, 0.5 - mu, nu + 1.5)
+        if upper:
+            return lambda s: k * cpow(s + 1.0, -nu - 0.5) * f((1.0 - s) / 2.0)
+        return lambda s: k * cpow(s - 1.0, nu + 0.5) * f((1.0 - s) / 2.0)
+    k = (
+        cmath.exp(1j * math.pi * (nu + 0.5))
+        * math.sqrt(2.0 / math.pi)
+        * rgamma(-nu - mu)
+    )
+    q = legendre_evaluator("q", -mu - 0.5, -nu - 0.5)
+    e = -nu / 2.0 - 0.25 if upper else nu / 2.0 + 0.25
+    return lambda s: k * zsq_minus_one_pow(s, e) * q(s)
+
+
+def _ferrers_upper_fn(nu, mu, kind):
+    k1 = rgamma(1.0 - mu)
+    f1 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
+    if kind == "p":
+        return lambda u: cpow(1.0 - u, -mu) * k1 * f1((1.0 - u) / 2.0)
+    k2 = rgamma(1.0 + mu)
+    f2 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 + mu)
+    pre = math.pi / (2.0 * sin_pi(mu))
+    cm = cos_pi(mu)
+    gr = gamma_ratio([nu + mu + 1.0], [nu - mu + 1.0])
+
+    def ferrers_upper(u):
+        w = (1.0 - u) / 2.0
+        p1 = cpow(1.0 - u, -mu) * k1 * f1(w)
+        p2 = cpow(1.0 + u, -mu) * k2 * f2(w)
+        return pre * (cm * p1 - gr * p2)
+
+    return ferrers_upper
+
 
 def weighted_p_lower(nu, mu, v):
     """(v^2-1)^(mu/2) P_nu^mu(v), analytic through v = 1."""
-    return cpow(v + 1.0, mu) * rgamma(1.0 - mu) * hyp2f1(
-        -nu, nu + 1.0, 1.0 - mu, (1.0 - v) / 2.0
-    )
+    return _p_lower_fn(nu, mu)(v)
 
 
 def weighted_p_upper(nu, mu, v):
     """(v^2-1)^(-mu/2) P_nu^mu(v) as (v-1)^(-mu) times an analytic factor."""
-    return cpow(v - 1.0, -mu) * rgamma(1.0 - mu) * hyp2f1(
-        -nu, nu + 1.0, 1.0 - mu, (1.0 - v) / 2.0
-    )
+    return _p_upper_fn(nu, mu)(v)
 
 
 def weighted_q_upper(nu, mu, v):
     """(v^2-1)^(-mu/2) Q_nu^mu(v) split into its two endpoint behaviors."""
-    w = (1.0 - v) / 2.0
-    t1 = gamma(mu) * cpow(v - 1.0, -mu) * hyp2f1(-nu, nu + 1.0, 1.0 - mu, w)
-    t2 = (
-        gamma_ratio([nu + mu + 1.0, -mu], [nu - mu + 1.0])
-        * cpow(v + 1.0, -mu)
-        * hyp2f1(-nu, nu + 1.0, 1.0 + mu, w)
-    )
-    return 0.5 * cmath.exp(1j * math.pi * mu) * (t1 + t2)
+    return _q_upper_fn(nu, mu)(v)
 
 
 def weighted_deg_upper(nu, mu, s, kind):
     """(s^2-1)^(-(nu+1)/2) F_nu^mu(s/sqrt(s^2-1)), analytic for s > 1."""
-    if kind == "q":
-        return (
-            cmath.exp(1j * math.pi * mu)
-            * math.sqrt(math.pi / 2.0)
-            * gamma_ratio([nu + mu + 1.0], [nu + 1.5])
-            * cpow(s + 1.0, -nu - 0.5)
-            * hyp2f1(mu + 0.5, 0.5 - mu, nu + 1.5, (1.0 - s) / 2.0)
-        )
-    return (
-        cmath.exp(1j * math.pi * (nu + 0.5))
-        * math.sqrt(2.0 / math.pi)
-        * rgamma(-nu - mu)
-        * zsq_minus_one_pow(s, -nu / 2.0 - 0.25)
-        * legendre_q(-mu - 0.5, -nu - 0.5, s)
-    )
+    return _deg_fn(nu, mu, kind, upper=True)(s)
 
 
 def weighted_deg_lower(nu, mu, s, kind):
     """(s^2-1)^(nu/2) F_nu^mu(s/sqrt(s^2-1)), analytic through s = 1 for Q."""
-    if kind == "q":
-        return (
-            cmath.exp(1j * math.pi * mu)
-            * math.sqrt(math.pi / 2.0)
-            * gamma_ratio([nu + mu + 1.0], [nu + 1.5])
-            * cpow(s - 1.0, nu + 0.5)
-            * hyp2f1(mu + 0.5, 0.5 - mu, nu + 1.5, (1.0 - s) / 2.0)
-        )
-    return (
-        cmath.exp(1j * math.pi * (nu + 0.5))
-        * math.sqrt(2.0 / math.pi)
-        * rgamma(-nu - mu)
-        * zsq_minus_one_pow(s, nu / 2.0 + 0.25)
-        * legendre_q(-mu - 0.5, -nu - 0.5, s)
-    )
+    return _deg_fn(nu, mu, kind, upper=False)(s)
 
 
 def weighted_ferrers_upper(nu, mu, u, kind="p"):
     """(1-u^2)^(-mu/2) FerrersF_nu^mu(u), continued off (-1, 1)."""
-    w = (1.0 - u) / 2.0
-    f1 = cpow(1.0 - u, -mu) * rgamma(1.0 - mu) * hyp2f1(-nu, nu + 1.0, 1.0 - mu, w)
-    if kind == "p":
-        return f1
-    f2 = cpow(1.0 + u, -mu) * rgamma(1.0 + mu) * hyp2f1(-nu, nu + 1.0, 1.0 + mu, w)
-    return (
-        math.pi
-        / (2.0 * sin_pi(mu))
-        * (cos_pi(mu) * f1 - gamma_ratio([nu + mu + 1.0], [nu - mu + 1.0]) * f2)
-    )
+    return _ferrers_upper_fn(nu, mu, kind)(u)
 
 
 def weighted_ferrers_lower(nu, mu, u):
     """(1-u^2)^(mu/2) FerrersP_nu^mu(u), analytic through u = 1."""
-    return cpow(1.0 + u, mu) * rgamma(1.0 - mu) * hyp2f1(
-        -nu, nu + 1.0, 1.0 - mu, (1.0 - u) / 2.0
-    )
+    return _p_lower_fn(nu, mu)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +285,8 @@ def _check_fold(lam):
 # --- left-hand sides --------------------------------------------------------
 
 def _lhs_weyl_mplus_q(nu, mu, lam, z, target):
-    f = lambda t: cpow(t, lam - 1.0) * zsq_minus_one_pow(z + t, -mu / 2.0) * legendre_q(
-        nu, mu, z + t
-    )
+    q = legendre_evaluator("q", nu, mu)
+    f = lambda t: cpow(t, lam - 1.0) * zsq_minus_one_pow(z + t, -mu / 2.0) * q(z + t)
     res = integrate_semi_infinite(
         f,
         0.0,
@@ -274,7 +298,8 @@ def _lhs_weyl_mplus_q(nu, mu, lam, z, target):
 
 
 def _lhs_weyl_mplus_p(nu, mu, lam, z, target):
-    g = lambda t: zsq_minus_one_pow(z + t, -mu / 2.0) * legendre_p(nu, mu, z + t)
+    p = legendre_evaluator("p", nu, mu)
+    g = lambda t: zsq_minus_one_pow(z + t, -mu / 2.0) * p(z + t)
     return integrate_weyl(
         g,
         lam,
@@ -286,7 +311,8 @@ def _lhs_weyl_mplus_p(nu, mu, lam, z, target):
 
 
 def _lhs_weyl_mminus_q(nu, mu, lam, z, target):
-    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * legendre_q(nu, mu, z + t)
+    q = legendre_evaluator("q", nu, mu)
+    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * q(z + t)
     res = integrate_weyl(
         g,
         lam,
@@ -299,7 +325,8 @@ def _lhs_weyl_mminus_q(nu, mu, lam, z, target):
 
 
 def _lhs_weyl_mminus_p(nu, mu, lam, z, target):
-    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * legendre_p(nu, mu, z + t)
+    p = legendre_evaluator("p", nu, mu)
+    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * p(z + t)
     res = integrate_weyl(
         g,
         lam,
@@ -313,7 +340,8 @@ def _lhs_weyl_mminus_p(nu, mu, lam, z, target):
 
 def _lhs_riemann_mplus_p(nu, mu, lam, z, target):
     c = (complex(z) - 1.0).real
-    g = lambda t: weighted_p_upper(nu, mu, z - t)
+    p_upper = _p_upper_fn(nu, mu)
+    g = lambda t: p_upper(z - t)
     res = integrate_loop(
         g, c, lam, analyticity_radius=c,
         basepoint_exponent=-complex(mu).real, target=target,
@@ -323,7 +351,8 @@ def _lhs_riemann_mplus_p(nu, mu, lam, z, target):
 
 def _lhs_riemann_mplus_q(nu, mu, lam, z, target):
     c = (complex(z) - 1.0).real
-    g = lambda t: weighted_q_upper(nu, mu, z - t)
+    q_upper = _q_upper_fn(nu, mu)
+    g = lambda t: q_upper(z - t)
     res = integrate_loop(
         g, c, lam, analyticity_radius=c,
         basepoint_exponent=min(-complex(mu).real, 0.0), target=target,
@@ -332,21 +361,24 @@ def _lhs_riemann_mplus_q(nu, mu, lam, z, target):
 
 
 def _lhs_riemann_mminus_p(nu, mu, lam, z, target):
-    g = lambda v: weighted_p_lower(nu, mu, z - (z - 1.0) * v)
+    p_lower = _p_lower_fn(nu, mu)
+    g = lambda v: p_lower(z - (z - 1.0) * v)
     res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
     return res.scaled(gamma(complex(lam) + 1.0) * cpow(complex(z) - 1.0, -lam))
 
 
 def _lhs_multi_mplus(nu, mu, lam, z, target):
     n = _check_fold(lam)
-    f = lambda u: zsq_minus_one_pow(u, -mu / 2.0) * legendre_q(nu, mu, u)
+    q = legendre_evaluator("q", nu, mu)
+    f = lambda u: zsq_minus_one_pow(u, -mu / 2.0) * q(u)
     res = repeated_integral(f, z, n, "to_infinity", target=target)
     return res.scaled((-1.0) ** n)
 
 
 def _lhs_multi_mminus(nu, mu, lam, z, target):
     n = _check_fold(lam)
-    f = lambda u: zsq_minus_one_pow(u, mu / 2.0) * legendre_q(nu, mu, u)
+    q = legendre_evaluator("q", nu, mu)
+    f = lambda u: zsq_minus_one_pow(u, mu / 2.0) * q(u)
     coef = gamma_ratio(
         [complex(nu) - mu + 1.0, complex(nu) + mu + n + 1.0],
         [complex(nu) - mu - n + 1.0, complex(nu) + mu + 1.0],
@@ -357,7 +389,7 @@ def _lhs_multi_mminus(nu, mu, lam, z, target):
 
 def _lhs_multi_k3(nu, mu, lam, z, target):
     n = _check_fold(lam)
-    f = lambda u: weighted_deg_upper(complex(nu) + n, mu, u, "q")
+    f = _deg_fn(complex(nu) + n, mu, "q", upper=True)
     coef = gamma_ratio([complex(nu) + n - mu + 1.0], [complex(nu) - mu + 1.0])
     res = repeated_integral(f, z, n, "to_infinity", target=target)
     return res.scaled(coef)
@@ -365,7 +397,7 @@ def _lhs_multi_k3(nu, mu, lam, z, target):
 
 def _lhs_multi_p3(nu, mu, lam, z, target):
     n = _check_fold(lam)
-    f = lambda u: weighted_deg_lower(nu, mu, u, "q")
+    f = _deg_fn(nu, mu, "q", upper=False)
     return repeated_integral(
         f, z, n, "from_one", endpoint_exponent=complex(nu).real + 0.5, target=target
     )
@@ -374,7 +406,8 @@ def _lhs_multi_p3(nu, mu, lam, z, target):
 def _lhs_multi_lplus(nu, mu, lam, z, target):
     n = _check_fold(lam)
     x = complex(z).real
-    f = lambda u: (1.0 - u * u) ** (-complex(mu) / 2.0) * ferrers_p(nu, mu, u)
+    fp = legendre_evaluator("ferrers_p", nu, mu)
+    f = lambda u: (1.0 - u * u) ** (-complex(mu) / 2.0) * fp(u)
     return repeated_integral(
         f, x, n, "to_one", endpoint_exponent=-complex(mu).real, target=target
     )
@@ -383,7 +416,8 @@ def _lhs_multi_lplus(nu, mu, lam, z, target):
 def _lhs_multi_rodrigues(nu, mu, lam, z, target):
     n = _check_fold(nu)
     alpha, beta = mu, lam
-    f = lambda t: cpow(1.0 - t, alpha) * cpow(1.0 + t, beta) * jacobi_p(n, alpha, beta, t)
+    jac = jacobi_evaluator(n, alpha, beta)
+    f = lambda t: cpow(1.0 - t, alpha) * cpow(1.0 + t, beta) * jac(t)
     return repeated_integral(
         f, z, n, "to_one", endpoint_exponent=complex(alpha).real, target=target
     )
@@ -391,7 +425,8 @@ def _lhs_multi_rodrigues(nu, mu, lam, z, target):
 
 def _lhs_k3_weyl(kind):
     def lhs(nu, mu, lam, z, target):
-        g = lambda t: weighted_deg_upper(nu, mu, z + t, kind)
+        deg_upper = _deg_fn(nu, mu, kind, upper=True)
+        g = lambda t: deg_upper(z + t)
         res = integrate_weyl(
             g,
             lam,
@@ -406,13 +441,15 @@ def _lhs_k3_weyl(kind):
 
 
 def _lhs_k3_riemann_q(nu, mu, lam, z, target):
-    g = lambda u: weighted_deg_upper(nu, mu, z - (z - 1.0) * u, "q")
+    deg_upper = _deg_fn(nu, mu, "q", upper=True)
+    g = lambda u: deg_upper(z - (z - 1.0) * u)
     res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
     return res.scaled(gamma(complex(lam) + 1.0) * cpow(complex(z) - 1.0, -lam))
 
 
 def _lhs_p3_weyl_p(nu, mu, lam, z, target):
-    g = lambda t: weighted_deg_lower(nu, mu, z + t, "p")
+    deg_lower = _deg_fn(nu, mu, "p", upper=False)
+    g = lambda t: deg_lower(z + t)
     res = integrate_weyl(
         g,
         lam,
@@ -425,7 +462,8 @@ def _lhs_p3_weyl_p(nu, mu, lam, z, target):
 
 
 def _lhs_p3_riemann_q(nu, mu, lam, z, target):
-    g = lambda u: weighted_deg_lower(nu, mu, z - (z - 1.0) * u, "q")
+    deg_lower = _deg_fn(nu, mu, "q", upper=False)
+    g = lambda u: deg_lower(z - (z - 1.0) * u)
     res = integrate_loop(
         g, 1.0, lam, analyticity_radius=1.0,
         basepoint_exponent=complex(nu).real + 0.5, target=target,
@@ -436,7 +474,8 @@ def _lhs_p3_riemann_q(nu, mu, lam, z, target):
 def _lhs_ferrers_lplus(kind):
     def lhs(nu, mu, lam, z, target):
         x = complex(z).real
-        g = lambda t: weighted_ferrers_upper(nu, mu, x + t, kind)
+        ferrers_upper = _ferrers_upper_fn(nu, mu, kind)
+        g = lambda t: ferrers_upper(x + t)
         res = integrate_loop(
             g, 1.0 - x, lam, analyticity_radius=min(1.0 - x, 1.0 + x),
             basepoint_exponent=-complex(mu).real, target=target,
@@ -448,7 +487,8 @@ def _lhs_ferrers_lplus(kind):
 
 def _lhs_ferrers_lminus(nu, mu, lam, z, target):
     x = complex(z).real
-    g = lambda v: weighted_ferrers_lower(nu, mu, x + (1.0 - x) * v)
+    p_lower = _p_lower_fn(nu, mu)
+    g = lambda v: p_lower(x + (1.0 - x) * v)
     res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
     return res.scaled(gamma(complex(lam) + 1.0) * cpow(1.0 - x, -lam))
 
@@ -471,10 +511,11 @@ def _lhs_rodrigues_frac(nu, mu, lam, z, target):
 def _lhs_rodrigues_inverse(nu, mu, lam, z, target):
     alpha, beta = mu, lam
     z = complex(z)
+    jac = jacobi_evaluator(nu, alpha, beta)
     g = lambda w: (
         cpow(1.0 - (z + (1.0 - z) * w), alpha)
         * cpow(1.0 + (z + (1.0 - z) * w), beta)
-        * jacobi_p(nu, alpha, beta, z + (1.0 - z) * w)
+        * jac(z + (1.0 - z) * w)
     )
     res = integrate_loop(
         g, 1.0, -complex(nu), analyticity_radius=1.0,

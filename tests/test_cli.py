@@ -25,6 +25,8 @@ def test_eval_q_oracle():
     assert abs(rec["value_re"] - 0.5 * math.log(3.0)) < 1e-9
     assert abs(rec["value_im"]) < 1e-9
     assert rec["region"] == "off-cut"
+    # direct evaluation computes no error bound
+    assert rec["err_estimate"] is None
 
 
 def test_eval_on_cut_without_side_is_domain_error():
@@ -39,6 +41,22 @@ def test_eval_on_cut_with_side():
     )
     assert code == EXIT_OK
     assert json.loads(out)["region"] == "on-cut"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "P", "--nu", "0.5", "--mu", "0.2", "--z", "nan"],
+        ["eval", "--fn", "P", "--nu", "0.5", "--mu", "0.2", "--z", "inf"],
+        ["eval", "--fn", "Q", "--nu", "nan", "--mu", "0.2", "--z", "2"],
+    ],
+)
+def test_eval_non_finite_argument_is_domain_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_eval_complex_parameters_as_re_im():
@@ -114,6 +132,7 @@ def test_sweep_fn_row_count_and_consistency():
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["parameter", "re(value)", "im(value)", "err_estimate"]
     assert len(rows) == 6
+    assert all(r[3] == "" for r in rows[1:])
     # middle row must agree bit-exactly with a single eval at the same point
     z = float(rows[3][0])
     _code, eval_out, _ = run_cli(

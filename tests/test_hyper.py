@@ -7,8 +7,8 @@ import mpmath
 import pytest
 
 from legshift.complexfn import gamma_ratio
-from legshift.errors import PoleError
-from legshift.hyper import hyp2f1, hyp3f2_barnes, hyp3f2_series
+from legshift.errors import DomainError, PoleError
+from legshift.hyper import hyp2f1, hyp2f1_evaluator, hyp3f2_barnes, hyp3f2_series
 
 
 def _mp_2f1(a, b, c, w):
@@ -37,6 +37,57 @@ def test_hyp2f1_outside_disk_vs_mpmath():
         ref = complex(mpmath.hyp2f1(a, b, c, complex(w)))
         val = hyp2f1(a, b, c, w)
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
+def test_hyp2f1_pfaff_image_outside_series_radius():
+    # |w/(w-1)| = 0.825 is the smallest image modulus and exceeds the series
+    # radius 0.8; ranking the images of w/(w-1) again would map back to w
+    w = 0.342 + 0.747j
+    cases = [
+        (0.5, 1.5, 2.5),
+        (-0.7, 1.2, 0.9),
+        (0.3 + 0.2j, 1.1, 2.0 - 0.3j),
+        (1.25, -0.4, 0.65),
+    ]
+    for a, b, c in cases:
+        ref = _mp_2f1(a, b, c, w)
+        assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref)
+
+
+def test_hyp2f1_rejects_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    for args in ((0.5, 0.2, 1.3, nan), (0.5, 0.2, 1.3, inf), (nan, 0.2, 1.3, 0.5),
+                 (0.5, complex(0.2, inf), 1.3, 0.5), (0.5, 0.2, nan, 0.5)):
+        with pytest.raises(DomainError):
+            hyp2f1(*args)
+
+
+def test_hyp2f1_evaluator_reuse_equals_one_shot():
+    # one prepared evaluator per parameter set, reused over w values that
+    # reach every path; each value must equal a fresh hyp2f1 call exactly
+    paths = {
+        (0.3, 0.7, 1.45): [
+            0.5 + 0.2j,  # series
+            -0.9,  # Pfaff image
+            0.342 + 0.747j,  # Pfaff image outside the series radius
+            0.9 + 0.05j,  # 1 - w
+            5.0 + 0.1j,  # 1/w
+            -5.0,  # 1/(1-w)
+            1.1 + 0.1j,  # 1 - 1/w
+            0.5 + 0.8660254j,  # ODE continuation near exp(i pi/3)
+            -0.3 + 0.1j,  # series again, after the images grew state
+        ],
+        (0.3, 0.7, 2.0): [0.9 + 0.05j, 1.1 + 0.1j, 0.4],  # integer c-a-b: eps average
+        (0.3, 2.3, 1.45): [5.0 + 0.1j, -5.0, 0.4],  # integer a-b: eps average
+        (-3.0, 0.7, 1.45): [5.0 + 0.1j, 0.5, -0.9],  # terminating polynomial
+        (1.7, 0.2 + 0.3j, 0.9 - 0.1j): [0.95 + 0.1j, 0.6 - 0.3j, -7.0 + 1.0j],
+    }
+    for (a, b, c), ws in paths.items():
+        ev = hyp2f1_evaluator(a, b, c)
+        for _ in range(2):
+            for w in ws:
+                assert ev(w) == hyp2f1(a, b, c, w)
+                assert ev(w) == hyp2f1(b, a, c, w)
 
 
 def test_hyp2f1_euler_transformation():

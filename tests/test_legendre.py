@@ -10,8 +10,10 @@ from legshift.errors import DomainError
 from legshift.legendre import (
     ferrers_p,
     ferrers_q,
+    jacobi_evaluator,
     jacobi_p,
     legendre_deriv,
+    legendre_evaluator,
     legendre_p,
     legendre_q,
     whipple_p_to_q,
@@ -170,3 +172,63 @@ def test_whipple_round_trip():
         assert abs(p_img - legendre_p(nu, mu, arg)) <= 1e-10 * abs(p_img)
         q_img = whipple_q_to_p(nu, mu, y)
         assert abs(q_img - legendre_q(nu, mu, arg)) <= 1e-10 * abs(q_img)
+
+
+def _public(kind, nu, mu, z, order):
+    if order:
+        return legendre_deriv(nu, mu, z, order=order, kind=kind)
+    fn = {"p": legendre_p, "q": legendre_q, "ferrers_p": ferrers_p, "ferrers_q": ferrers_q}
+    return fn[kind](nu, mu, z)
+
+
+def test_evaluator_reuse_equals_one_shot():
+    # |2/(1-z)| <= 0.75 selects the far representation of Q: z >= 11/3 on the
+    # real axis; the cut-plane z list crosses it both ways
+    zs = [1.2 + 0.37 * k + (0.3j if k % 3 == 0 else 0.0) for k in range(20)]
+    zs[7], zs[15] = 9.0 - 2.0j, 1.05
+    xs = [-0.95 + 0.097 * k for k in range(20)]
+    cases = [
+        ("p", 0.7, 0.3, zs),
+        ("q", 1.3, 0.4, zs),
+        ("q", 0.6 + 0.2j, -0.35, zs),
+        ("p", 0.6, 2.0, zs),  # integer mu: eps average
+        ("q", 0.6, 1.0, zs),  # integer mu: eps average on the near side
+        ("q", -1.5, 0.3, zs),  # integer 2nu+2: eps average on the far side
+        ("ferrers_p", 0.45, 0.3, xs),
+        ("ferrers_q", 1.3, -0.4, xs),
+        ("ferrers_p", 0.45, 1.0, xs),  # integer mu
+        ("ferrers_q", 0.45, -2.0, xs),  # integer mu
+    ]
+    for kind, nu, mu, points in cases:
+        ev = legendre_evaluator(kind, nu, mu)
+        for order in (0, 1, 2):
+            for z in points:
+                assert ev(z, order) == _public(kind, nu, mu, z, order), (kind, nu, mu, z)
+
+
+def test_jacobi_evaluator_reuse_equals_one_shot():
+    for nu, alpha, beta in ((0.6, 0.3, -0.2), (2, -0.35, 0.45), (1.4 + 0.3j, 0.2, 0.1)):
+        ev = jacobi_evaluator(nu, alpha, beta)
+        for k in range(20):
+            z = -0.95 + 0.1 * k + (0.5j if k % 4 == 0 else 0.0)
+            assert ev(z) == jacobi_p(nu, alpha, beta, z)
+
+
+def test_public_functions_reject_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    calls = [
+        lambda: legendre_p(0.5, 0.2, nan),
+        lambda: legendre_p(0.5, 0.2, inf),
+        lambda: legendre_p(0.5, complex(0.2, nan), 2.0),
+        lambda: legendre_q(nan, 0.2, 2.0),
+        lambda: legendre_q(0.5, 0.2, complex(2.0, -inf), olver=True),
+        lambda: ferrers_p(0.5, inf, 0.3),
+        lambda: ferrers_q(0.5, 0.2, nan),
+        lambda: jacobi_p(0.5, 0.3, nan, 0.2),
+        lambda: jacobi_p(0.5, 0.3, 0.2, inf),
+        lambda: legendre_deriv(0.5, 0.2, nan, order=1, kind="q"),
+        lambda: legendre_deriv(nan, 0.2, 0.3, order=2, kind="ferrers_p"),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

@@ -13,7 +13,42 @@ from legshift.quadrature import (
     integrate_semi_infinite,
     integrate_weyl,
     repeated_integral,
+    _taylor_coefficients,
 )
+from legshift.verify import weighted_p_upper
+
+
+def _taylor_reference(g, radius, count, n_samples=128):
+    # the plain DFT with one complex exponential per (sample, coefficient) pair
+    samples = [
+        g(radius * cmath.exp(2j * math.pi * j / n_samples)) for j in range(n_samples)
+    ]
+    coeffs = []
+    for k in range(count):
+        s = 0.0 + 0.0j
+        for j, gj in enumerate(samples):
+            s += gj * cmath.exp(-2j * math.pi * j * k / n_samples)
+        coeffs.append(s / (n_samples * radius**k))
+    return coeffs
+
+
+def test_taylor_coefficients_match_direct_dft():
+    cases = [
+        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40),
+        (lambda t: weighted_p_upper(0.6, 0.3, 2.4 - t), 0.35, 40),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9),
+    ]
+    for g, radius, count in cases:
+        ref = _taylor_reference(g, radius, count)
+        coeffs, n_eval = _taylor_coefficients(g, radius, count)
+        assert n_eval == 128
+        # compare the trapezoid sums c_k radius**k: the rounding of each sum
+        # is ~1e-16 of the largest one, and dividing by radius**k amplifies
+        # it equally in both computations
+        scaled = [c * radius**k for k, c in enumerate(coeffs)]
+        scaled_ref = [c * radius**k for k, c in enumerate(ref)]
+        tol = 1e-13 * max(abs(c) for c in scaled_ref)
+        assert all(abs(c - r) <= tol for c, r in zip(scaled, scaled_ref))
 
 
 def test_segment_polynomial():

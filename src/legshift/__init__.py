@@ -32,7 +32,6 @@ from .quadrature import (
     QuadratureResult,
 )
 from .shifts import (
-    ShiftRequest,
     Prediction,
     predict_order_shift,
     predict_degree_shift,
@@ -72,7 +71,6 @@ __all__ = [
     "integrate_loop",
     "repeated_integral",
     "QuadratureResult",
-    "ShiftRequest",
     "Prediction",
     "predict_order_shift",
     "predict_degree_shift",

@@ -27,6 +27,7 @@ __all__ = [
     "gamma_ratio",
     "cpow",
     "zsq_minus_one_pow",
+    "is_integer",
     "is_nonpositive_integer",
 ]
 
@@ -70,8 +71,16 @@ def check_finite(*values) -> None:
             raise DomainError(f"non-finite argument {v!r}")
 
 
+def is_integer(z, tol: float = _POLE_TOL) -> bool:
+    """True when z is within tol of an integer on each axis:
+    |Im z| <= tol and |Re z - round(Re z)| <= tol."""
+    z = _as_complex(z)
+    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
+
+
 def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
-    """True when z is within tol of 0, -1, -2, ..."""
+    """True when z is within tol of 0, -1, -2, ... (the test of ``is_integer``;
+    spelled out because the gamma functions call it on every argument)."""
     z = _as_complex(z)
     if abs(z.imag) > tol:
         return False
@@ -187,8 +196,6 @@ def gamma_ratio(numerators, denominators) -> complex:
 
 def cpow(w, s) -> complex:
     """Principal-branch power w**s = exp(s * Log w)."""
-    w = _as_complex(w)
-    s = _as_complex(s)
     if s == 0:
         return 1.0 + 0.0j
     if w == 0:

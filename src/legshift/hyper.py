@@ -22,12 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .complexfn import (
     check_finite,
     cpow,
     gamma_ratio,
+    is_integer,
     is_nonpositive_integer,
     ln_gamma,
     sin_pi,
@@ -35,6 +34,7 @@ from .complexfn import (
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
+    DomainError,
     NumericalError,
     PoleError,
 )
@@ -45,11 +45,6 @@ _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
 _MAX_SERIES_TERMS = 3000
-
-
-def _is_int(x, tol=1e-9) -> bool:
-    x = complex(x)
-    return abs(x.imag) <= tol and abs(x.real - round(x.real)) <= tol
 
 
 def _series_2f1(a, b, c, w):
@@ -285,8 +280,8 @@ class _Gauss(_Series):
             candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
         degenerate = self._degenerate
         if degenerate is None:
-            cab_int = _is_int(c - a - b)
-            ab_int = _is_int(a - b)
+            cab_int = is_integer(c - a - b)
+            ab_int = is_integer(a - b)
             degenerate = self._degenerate = {
                 "one_minus": cab_int,
                 "recip": ab_int,
@@ -409,6 +404,29 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
     return total
 
 
+def _gauss_legendre(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], n even, by Newton's method on the three-term recurrence."""
+    upper = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x  # P_{k-1}(x), P_k(x)
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (p0 - x * p1) / (1.0 - x * x)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    rule = [(-x, w) for x, w in upper] + [(x, w) for x, w in reversed(upper)]
+    return tuple(x for x, _w in rule), tuple(w for _x, w in rule)
+
+
+_GAUSS16 = _gauss_legendre(16)
+
+
 def _barnes_integrand_parts(nu, mu, lam):
     """Gamma-factor ratio of the vertical-line integrand as a function of s."""
 
@@ -437,12 +455,12 @@ def hyp3f2_barnes(a1, a2, a3, b1, b2, z, _depth=0) -> complex:
     b1, b2 = complex(b1), complex(b2)
     z = complex(z)
     if abs(a3 - 1.0) > 1e-12:
-        raise ValueError("third numerator parameter must be 1")
+        raise DomainError("third numerator parameter must be 1")
     mu = 1.0 - b1
     nu = a1 + mu - 1.0
     lam = 1.0 - b2
     if abs((-nu - mu) - a2) > 1e-9:
-        raise ValueError("parameters are not of the form (nu-mu+1, -nu-mu, 1; 1-mu, 1-lam)")
+        raise DomainError("parameters are not of the form (nu-mu+1, -nu-mu, 1; 1-mu, 1-lam)")
     if is_nonpositive_integer(a1) or is_nonpositive_integer(a2):
         raise PoleError(
             "normalized 3F2 has a gamma-prefactor pole "
@@ -451,9 +469,9 @@ def hyp3f2_barnes(a1, a2, a3, b1, b2, z, _depth=0) -> complex:
 
     half = (z - 1.0) / 2.0
     if half == 0 or abs(cmath.phase(z - 1.0)) >= math.pi - 1e-12:
-        raise ValueError("argument must satisfy |arg(z-1)| < pi")
+        raise DomainError("argument must satisfy |arg(z-1)| < pi")
 
-    if _is_int(2.0 * nu + 1.0, tol=1e-7):
+    if is_integer(2.0 * nu + 1.0, tol=1e-7):
         # half-integer nu makes the two pole sequences collide into double
         # poles; split them by averaging over nu +/- i*eps
         if _depth > 3:
@@ -507,7 +525,7 @@ def hyp3f2_barnes(a1, a2, a3, b1, b2, z, _depth=0) -> complex:
         raise NumericalError("Barnes integrand decays too slowly (arg(z-1) near pi)")
     alpha = (lam - mu - 1.0).real  # polynomial growth exponent of the gamma ratio
     T = (42.0 + 8.0 * max(0.0, alpha)) / rate + 8.0
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _GAUSS16
 
     # graded panels: fine near tau = 0 where the integrand varies on the scale
     # of the distance to the nearest pole, coarse in the exponential tail

@@ -27,6 +27,12 @@ prepared 2F1 of each term, and the +/- i*eps sub-evaluators; for Q, the
 near (w = (1-z)/2) and far (w = 2/(1-z)) term lists are each built on first
 use.  Calls then do only z-dependent work.  The public one-shot functions
 build one evaluator and call it once.
+
+``weighted_evaluator(kind, nu, mu, s)`` is the same term list times
+(z**2-1)**s, or (1-x**2)**s for Ferrers: s joins the exponents p and q of
+every term.  ``whipple_evaluator(kind, nu, mu, s)`` gives the weighted
+functions of y/sqrt(y**2-1) as weighted evaluators at the Whipple image
+parameters; ``whipple_p_to_q`` and ``whipple_q_to_p`` are its s = 0 values.
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ from .complexfn import (
     cpow,
     gamma,
     gamma_ratio,
+    is_integer,
     is_nonpositive_integer,
     rgamma,
-    sin_pi,
 )
 from .errors import DomainError
 from .hyper import _canonical as _prepared_2f1
@@ -56,6 +62,8 @@ __all__ = [
     "jacobi_p",
     "legendre_deriv",
     "legendre_evaluator",
+    "weighted_evaluator",
+    "whipple_evaluator",
     "jacobi_evaluator",
     "whipple_p_to_q",
     "whipple_q_to_p",
@@ -63,11 +71,6 @@ __all__ = [
 
 _EPS = 1e-6
 _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
-
-
-def _is_int(x, tol=1e-9) -> bool:
-    x = complex(x)
-    return abs(x.imag) <= tol and abs(x.real - round(x.real)) <= tol
 
 
 @dataclass(frozen=True)
@@ -114,46 +117,32 @@ class _TermSum:
     def __call__(self, z, order):
         """[S, S', S''] at z; entries above ``order`` stay 0."""
         acc = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
+        if self._ferrers:
+            zm, zp, sign = 1.0 - z, 1.0 + z, -1.0
+        else:
+            zm, zp, sign = z - 1.0, z + 1.0, 1.0
         for i, term in enumerate(self._terms):
-            d = self._term_derivs(i, term, z, order)
-            for j in range(order + 1):
-                acc[j] += d[j]
+            pf = cpow(zm, term.p) * cpow(zp, term.q)
+            half = term.wmap == "half"
+            w = (1.0 - z) / 2.0 if half else 2.0 / (1.0 - z)
+            F0 = self._hyp[i][0](w)
+            acc[0] += term.K * pf * F0
+            if order == 0:
+                continue
+            # the product rule: L = (log of the power prefactor)', w1 = w', w2 = w''
+            L = sign * term.p / zm + term.q / zp
+            Lp = -term.p / zm**2 - term.q / zp**2
+            w1, w2 = (-0.5, 0.0) if half else (2.0 / (1.0 - z) ** 2, 4.0 / (1.0 - z) ** 3)
+            coef1, hyp1 = self._derivative(i, 1)
+            F1 = coef1 * hyp1(w)
+            acc[1] += term.K * pf * (L * F0 + F1 * w1)
+            if order >= 2:
+                coef2, hyp2 = self._derivative(i, 2)
+                F2 = coef2 * hyp2(w)
+                acc[2] += term.K * pf * (
+                    (Lp + L * L) * F0 + 2.0 * L * F1 * w1 + F2 * w1 * w1 + F1 * w2
+                )
         return acc
-
-    def _term_derivs(self, i, term, z, order):
-        """(T, T', T'') of K*(z-1)^p(z+1)^q F(w) truncated at the given order."""
-        if self._ferrers:
-            pf = cpow(1.0 - z, term.p) * cpow(1.0 + z, term.q)
-        else:
-            pf = cpow(z - 1.0, term.p) * cpow(z + 1.0, term.q)
-        half = term.wmap == "half"
-        w = (1.0 - z) / 2.0 if half else 2.0 / (1.0 - z)
-        F0 = self._hyp[i][0](w)
-        out = [term.K * pf * F0, 0.0, 0.0]
-        if order == 0:
-            return out
-        if self._ferrers:
-            L = -term.p / (1.0 - z) + term.q / (1.0 + z)
-            Lp = -term.p / (1.0 - z) ** 2 - term.q / (1.0 + z) ** 2
-        else:
-            L = term.p / (z - 1.0) + term.q / (z + 1.0)
-            Lp = -term.p / (z - 1.0) ** 2 - term.q / (z + 1.0) ** 2
-        if half:
-            w1 = -0.5
-            w2 = 0.0
-        else:
-            w1 = 2.0 / (1.0 - z) ** 2
-            w2 = 4.0 / (1.0 - z) ** 3
-        coef1, hyp1 = self._derivative(i, 1)
-        F1 = coef1 * hyp1(w)
-        out[1] = term.K * pf * (L * F0 + F1 * w1)
-        if order >= 2:
-            coef2, hyp2 = self._derivative(i, 2)
-            F2 = coef2 * hyp2(w)
-            out[2] = term.K * pf * (
-                (Lp + L * L) * F0 + 2.0 * L * F1 * w1 + F2 * w1 * w1 + F1 * w2
-            )
-        return out
 
 
 class _EpsAverage:
@@ -218,6 +207,13 @@ def _ferrers_q_terms(nu, mu):
     return [t1, t2]
 
 
+def _weighted(terms, s):
+    """The terms times (z-1)**s (z+1)**s: s joins both exponents."""
+    if s == 0:
+        return terms
+    return [_Term(t.K, t.p + s, t.q + s, t.a, t.b, t.c, t.wmap) for t in terms]
+
+
 # --- argument preparation ----------------------------------------------------
 
 
@@ -245,47 +241,44 @@ def _use_far(z: complex) -> bool:
 _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 
 
-def _representation(kind, nu, mu, far=False):
-    """(z, order) -> [F, F', F''] for one representation of the function.
+def _representation(kind, nu, mu, s=0.0, far=False):
+    """(z, order) -> [F, F', F''] for one representation of the function
+    times the weight (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.
 
     Degenerate parameters are resolved here, once, by averaging the
-    representations at parameter +/- i*eps.
+    representations at parameter +/- i*eps; the weight stays at s.
     """
     d = 1j * _EPS
-    if kind in ("p", "ferrers_p"):
-        if is_nonpositive_integer(1.0 - mu):
-            return _EpsAverage(
-                _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
-            )
-        return _TermSum(_p_terms(nu, mu), ferrers=kind == "ferrers_p")
-    if kind == "ferrers_q":
-        if _is_int(mu):
-            return _EpsAverage(
-                _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
-            )
-        return _TermSum(_ferrers_q_terms(nu, mu), ferrers=True)
-    if far:
+    if far:  # Q only
         if is_nonpositive_integer(2.0 * nu + 2.0):
             return _EpsAverage(
-                _representation(kind, nu + d, mu, far=True),
-                _representation(kind, nu - d, mu, far=True),
+                _representation(kind, nu + d, mu, s, far=True),
+                _representation(kind, nu - d, mu, s, far=True),
             )
-        return _TermSum(_q_far_terms(nu, mu), ferrers=False)
-    if _is_int(mu):
+        return _TermSum(_weighted(_q_far_terms(nu, mu), s), ferrers=False)
+    if kind in ("p", "ferrers_p"):
+        terms, degenerate = _p_terms, is_nonpositive_integer(1.0 - mu)
+    else:
+        terms = _ferrers_q_terms if kind == "ferrers_q" else _q_near_terms
+        degenerate = is_integer(mu)
+    if degenerate:
         return _EpsAverage(
-            _representation(kind, nu, mu + d), _representation(kind, nu, mu - d)
+            _representation(kind, nu, mu + d, s), _representation(kind, nu, mu - d, s)
         )
-    return _TermSum(_q_near_terms(nu, mu), ferrers=False)
+    return _TermSum(_weighted(terms(nu, mu), s), ferrers=kind.startswith("ferrers"))
 
 
 class _Legendre:
-    """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu); see
-    ``legendre_evaluator``."""
+    """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
+    of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
 
-    __slots__ = ("kind", "nu", "mu", "_ferrers", "_near", "_far")
+    __slots__ = ("kind", "nu", "mu", "s", "_ferrers", "_near", "_far")
 
-    def __init__(self, kind, nu, mu):
-        self.kind, self.nu, self.mu = kind, complex(nu), complex(mu)
+    def __init__(self, kind, nu, mu, s=0.0):
+        if kind not in _KINDS:
+            raise DomainError(f"unknown kind {kind!r}")
+        check_finite(nu, mu, s)
+        self.kind, self.nu, self.mu, self.s = kind, complex(nu), complex(mu), s
         self._ferrers = kind.startswith("ferrers")
         self._near = None  # the only representation of P and the Ferrers kinds
         self._far = None  # Q for |2/(1-z)| <= 0.75
@@ -294,10 +287,10 @@ class _Legendre:
         """[F, F', F''] at an already prepared z; entries above ``order`` are 0."""
         if self.kind == "q" and _use_far(z):
             if self._far is None:
-                self._far = _representation("q", self.nu, self.mu, far=True)
+                self._far = _representation("q", self.nu, self.mu, self.s, far=True)
             return self._far(z, order)
         if self._near is None:
-            self._near = _representation(self.kind, self.nu, self.mu)
+            self._near = _representation(self.kind, self.nu, self.mu, self.s)
         return self._near(z, order)
 
     def __call__(self, z, order=0, boundary_side=None):
@@ -324,10 +317,45 @@ def legendre_evaluator(kind, nu, mu):
     matching public function returns; reuse it over many z to do the
     parameter-only work once.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown kind {kind!r}")
-    check_finite(nu, mu)
     return _Legendre(kind, nu, mu)
+
+
+def weighted_evaluator(kind, nu, mu, s):
+    """v -> (v**2-1)**s F_nu^mu(v), or (1-v**2)**s F_nu^mu(v) for the Ferrers
+    kinds, for the ``legendre_evaluator`` kinds.
+
+    The weight is carried by the term exponents, so v may be any complex
+    point where the term list converges; there is no cut or range check.
+    With s = mu/2 the P forms are analytic through v = 1; with s = -mu/2
+    each term has the single power (v-1)**(-mu) or (v+1)**(-mu).
+    """
+    derivs = _Legendre(kind, nu, mu, s).derivs
+    return lambda v: derivs(v, 0)[0]
+
+
+def whipple_evaluator(kind, nu, mu, s):
+    """y -> (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)) for F = P ("p") or Q ("q"),
+    from the Whipple image at degree -mu-1/2 and order -nu-1/2:
+
+        P_nu^mu(y/sqrt(y**2-1)) = exp(i pi (nu+1/2)) sqrt(2/pi) / Gamma(-nu-mu)
+                                      * (y**2-1)**(1/4) Q_{-mu-1/2}^{-nu-1/2}(y),
+        Q_nu^mu(y/sqrt(y**2-1)) = exp(i pi mu) sqrt(pi/2) Gamma(nu+mu+1)
+                                      * (y**2-1)**(1/4) P_{-mu-1/2}^{-nu-1/2}(y),
+
+    that is, the image's weighted evaluator at s + 1/4.  For Re y > 0; no
+    cut check.  The degree weights s = -(nu+1)/2 and nu/2 are the image's
+    order weights, so the Q form is analytic through y = 1 at the first.
+    """
+    check_finite(nu, mu, s)
+    nu, mu = complex(nu), complex(mu)
+    if kind == "p":
+        K = cmath.exp(1j * math.pi * (nu + 0.5)) * math.sqrt(2.0 / math.pi) * rgamma(-nu - mu)
+    elif kind == "q":
+        K = cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0) * gamma(nu + mu + 1.0)
+    else:
+        raise DomainError(f"Whipple images exist for kinds 'p' and 'q', not {kind!r}")
+    f = weighted_evaluator("q" if kind == "p" else "p", -mu - 0.5, -nu - 0.5, s + 0.25)
+    return lambda y: K * f(y)
 
 
 def jacobi_evaluator(nu, alpha, beta):
@@ -352,7 +380,7 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
     nu, mu may be any complex numbers; boundary_side "+"/"-" selects the
     limit from above/below when z is real and <= 1.
     """
-    check_finite(nu, mu, z)
+    check_finite(z)
     return _Legendre("p", nu, mu)(z, boundary_side=boundary_side)
 
 
@@ -362,7 +390,7 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     ``olver=True`` returns exp(-i pi mu) Q_nu^mu(z) / Gamma(nu+mu+1), which
     stays finite when nu+mu is a negative integer.
     """
-    check_finite(nu, mu, z)
+    check_finite(z)
     ev = _Legendre("q", nu, mu)
     if not olver:
         return ev(z, boundary_side=boundary_side)
@@ -387,13 +415,13 @@ def _ferrers_x(x) -> float:
 
 def ferrers_p(nu, mu, x) -> complex:
     """Ferrers function of the first kind on (-1, 1)."""
-    check_finite(nu, mu, x)
+    check_finite(x)
     return _Legendre("ferrers_p", nu, mu)(x)
 
 
 def ferrers_q(nu, mu, x) -> complex:
     """Ferrers function of the second kind on (-1, 1)."""
-    check_finite(nu, mu, x)
+    check_finite(x)
     return _Legendre("ferrers_q", nu, mu)(x)
 
 
@@ -422,32 +450,14 @@ def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
 
 
 def whipple_p_to_q(nu, mu, y) -> complex:
-    """P_nu^mu(y/sqrt(y**2-1)) computed from Q at Whipple-image parameters:
-
-        exp(i pi (nu+1/2)) sqrt(2/pi) / Gamma(-nu-mu)
-            * (y**2-1)**(1/4) * Q_{-mu-1/2}^{-nu-1/2}(y),
-
-    valid for y with Re y > 0 off the cut.
-    """
-    nu, mu = complex(nu), complex(mu)
-    y = complex(y)
-    K = (
-        cmath.exp(1j * math.pi * (nu + 0.5))
-        * math.sqrt(2.0 / math.pi)
-        * rgamma(-nu - mu)
-    )
-    q = legendre_q(-mu - 0.5, -nu - 0.5, y)
-    return K * cpow(y - 1.0, 0.25) * cpow(y + 1.0, 0.25) * q
+    """P_nu^mu(y/sqrt(y**2-1)) computed from Q at Whipple-image parameters
+    (``whipple_evaluator``), for y with Re y > 0 off the cut."""
+    check_finite(y)
+    return whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None))
 
 
 def whipple_q_to_p(nu, mu, y) -> complex:
-    """Q_nu^mu(y/sqrt(y**2-1)) computed from P at Whipple-image parameters:
-
-        exp(i pi mu) sqrt(pi/2) Gamma(nu+mu+1)
-            * (y**2-1)**(1/4) * P_{-mu-1/2}^{-nu-1/2}(y).
-    """
-    nu, mu = complex(nu), complex(mu)
-    y = complex(y)
-    K = cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0) * gamma(nu + mu + 1.0)
-    p = legendre_p(-mu - 0.5, -nu - 0.5, y)
-    return K * cpow(y - 1.0, 0.25) * cpow(y + 1.0, 0.25) * p
+    """Q_nu^mu(y/sqrt(y**2-1)) computed from P at Whipple-image parameters
+    (``whipple_evaluator``), for y with Re y > 0 off the cut."""
+    check_finite(y)
+    return whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None))

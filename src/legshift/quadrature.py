@@ -27,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexfn import cpow, rgamma, sin_pi
+from .complexfn import cpow, is_integer, rgamma, sin_pi
 from .errors import ConvergenceError, DomainError
 from typing import Callable
 
@@ -408,7 +408,7 @@ def integrate_loop(
         raise DomainError("analyticity radius must be positive")
     radius = 0.25 * min(c, rho)
 
-    if abs(lam.imag) < 1e-12 and abs(lam.real - round(lam.real)) < 1e-12:
+    if is_integer(lam, 1e-12):
         n = round(lam.real)
         if n < 0:
             return _exact_result(0.0)
@@ -451,7 +451,7 @@ def integrate_weyl(
     decaying fast enough that t**(-Re lam - 1) g(t) is integrable at infinity.
     """
     lam = complex(lam)
-    if abs(lam.imag) < 1e-12 and abs(lam.real - round(lam.real)) < 1e-12:
+    if is_integer(lam, 1e-12):
         raise DomainError(
             "integer-order Weyl loop degenerates to a derivative; "
             "use the one-step recurrences instead"

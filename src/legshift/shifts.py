@@ -22,13 +22,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .complexfn import cos_pi, cpow, gamma_ratio, rgamma, sin_pi, zsq_minus_one_pow
+from .complexfn import cos_pi, cpow, gamma_ratio, is_integer, rgamma, sin_pi, zsq_minus_one_pow
 from .errors import DomainError
 from .hyper import hyp3f2_barnes, hyp3f2_series
 from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
 
 __all__ = [
-    "ShiftRequest",
     "Prediction",
     "predict_order_shift",
     "predict_degree_shift",
@@ -52,34 +51,8 @@ class Prediction:
         return all(ok for _desc, ok in self.conditions)
 
 
-@dataclass(frozen=True)
-class ShiftRequest:
-    """A shift problem: which family/variant, parameters, and where."""
-
-    family: str  # "order" | "degree" | "ferrers"
-    variant: str
-    nu: complex
-    mu: complex
-    lam: complex
-    z: complex
-
-    def predict(self) -> Prediction:
-        if self.family == "order":
-            return predict_order_shift(self.nu, self.mu, self.lam, self.z, self.variant)
-        if self.family == "degree":
-            return predict_degree_shift(self.nu, self.mu, self.lam, self.z, self.variant)
-        if self.family == "ferrers":
-            return predict_ferrers_shift(self.nu, self.mu, self.lam, self.z, self.variant)
-        raise DomainError(f"unknown shift family {self.family!r}")
-
-
 def _cond(desc: str, ok: bool):
     return (desc, bool(ok))
-
-
-def _near_integer(w, tol=1e-9) -> bool:
-    w = complex(w)
-    return abs(w.imag) < tol and abs(w.real - round(w.real)) < tol
 
 
 def hyp3f2_family(nu, mu, lam, z) -> complex:
@@ -198,7 +171,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             {"p_term": t1, "hyp3f2_term": t2},
             (
                 _cond("Re mu < 1", mu.real < 1),
-                _cond("mu not an integer", abs(mu - round(mu.real)) > 1e-9 or abs(mu.imag) > 1e-9),
+                _cond("mu not an integer", not is_integer(mu)),
                 _cond("|1-z| < 2", abs(1.0 - z) < 2.0),
             ),
         )
@@ -249,7 +222,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             (
                 _cond("|1-z| > 2", abs(1.0 - z) > 2.0),
                 _cond("cos(pi nu) != 0", abs(cos_pi(nu)) > 1e-9),
-                _cond("nu - mu not an integer", not _near_integer(nu - mu)),
+                _cond("nu - mu not an integer", not is_integer(nu - mu)),
             ),
         )
 
@@ -359,7 +332,7 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
             {"p_term": t1, "hyp3f2_term": t2},
             (
                 _cond("Re mu < 1", mu.real < 1),
-                _cond("mu not an integer", abs(mu - round(mu.real)) > 1e-9 or abs(mu.imag) > 1e-9),
+                _cond("mu not an integer", not is_integer(mu)),
             ),
         )
 

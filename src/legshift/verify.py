@@ -8,9 +8,14 @@ parameter point; ``verify_grid`` aggregates a whole grid deterministically.
 function, in both the homogeneous and the inhomogeneous (lowered-order
 Riemann) variants.
 
-Integrands are written in hypergeometric form wherever the raw weighted
-Legendre product has a removable branch point inside the integration range;
-this keeps every quadrature node finite without special-casing endpoints.
+The quadrature sides are data over five contour recipes, each applied to an
+entry's weighted integrand W: the Weyl loop of W(z+t) around t = 0 and out to
+infinity; the semi-infinite Weyl integral of t**(lam-1) W(z+t); the loop
+toward the branch point, of W(z + sign(1-z) t) over (0, |1-z|); the rescaled
+loop, of W(z + (1-z) v) over (0, 1); and the n-fold repeated integral.  The
+Legendre and Ferrers integrands are ``legendre.weighted_evaluator`` and
+``legendre.whipple_evaluator`` term lists, analytic through the branch point
+of the raw weighted product, so every quadrature node is finite.
 
 Parameter conventions: every entry takes (nu, mu, lam, z).  For the degree
 shifts z is the variable usually called y (argument y/sqrt(y^2-1) inside the
@@ -23,28 +28,30 @@ is unused.  Multi-integral entries read the fold count n from lam.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .complexfn import (
-    cos_pi,
     cpow,
     gamma,
     gamma_ratio,
+    is_integer,
     ln_gamma,
     rgamma,
     sin_pi,
     zsq_minus_one_pow,
 )
 from .errors import ConvergenceError, DomainError
-from .hyper import hyp2f1_evaluator
 from .legendre import (
     ferrers_p,
     jacobi_evaluator,
     legendre_deriv,
-    legendre_evaluator,
     legendre_p,
     legendre_q,
+    weighted_evaluator,
+    whipple_evaluator,
 )
 from .quadrature import (
     QuadratureResult,
@@ -73,123 +80,6 @@ __all__ = [
 ]
 
 _REL_FLOOR = 1e-300
-
-
-# ---------------------------------------------------------------------------
-# smooth weighted integrands
-#
-# Each helper evaluates a weighted Legendre function in a form analytic
-# through the branch point of the raw product, so loop-contour Taylor
-# sampling and near-endpoint nodes stay finite.  The ``_*_fn(nu, mu)``
-# builders do the parameter-only work once and return the function of the
-# argument; the public three-argument helpers build one and call it once.
-
-def _p_lower_fn(nu, mu):
-    """v -> (v^2-1)^(mu/2) P_nu^mu(v), analytic through v = 1; with v = u in
-    (-1, 1) it is also (1-u^2)^(mu/2) FerrersP_nu^mu(u)."""
-    k = rgamma(1.0 - mu)
-    f = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
-    return lambda v: cpow(v + 1.0, mu) * k * f((1.0 - v) / 2.0)
-
-
-def _p_upper_fn(nu, mu):
-    k = rgamma(1.0 - mu)
-    f = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
-    return lambda v: cpow(v - 1.0, -mu) * k * f((1.0 - v) / 2.0)
-
-
-def _q_upper_fn(nu, mu):
-    k1 = gamma(mu)
-    k2 = gamma_ratio([nu + mu + 1.0, -mu], [nu - mu + 1.0])
-    ph = 0.5 * cmath.exp(1j * math.pi * mu)
-    f1 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
-    f2 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 + mu)
-
-    def q_upper(v):
-        w = (1.0 - v) / 2.0
-        t1 = k1 * cpow(v - 1.0, -mu) * f1(w)
-        t2 = k2 * cpow(v + 1.0, -mu) * f2(w)
-        return ph * (t1 + t2)
-
-    return q_upper
-
-
-def _deg_fn(nu, mu, kind, upper):
-    """s -> (s^2-1)^(-(nu+1)/2) F_nu^mu(s/sqrt(s^2-1)) (upper) or
-    (s^2-1)^(nu/2) F_nu^mu(s/sqrt(s^2-1)) (lower), for F = P or Q."""
-    if kind == "q":
-        k = (
-            cmath.exp(1j * math.pi * mu)
-            * math.sqrt(math.pi / 2.0)
-            * gamma_ratio([nu + mu + 1.0], [nu + 1.5])
-        )
-        f = hyp2f1_evaluator(mu + 0.5, 0.5 - mu, nu + 1.5)
-        if upper:
-            return lambda s: k * cpow(s + 1.0, -nu - 0.5) * f((1.0 - s) / 2.0)
-        return lambda s: k * cpow(s - 1.0, nu + 0.5) * f((1.0 - s) / 2.0)
-    k = (
-        cmath.exp(1j * math.pi * (nu + 0.5))
-        * math.sqrt(2.0 / math.pi)
-        * rgamma(-nu - mu)
-    )
-    q = legendre_evaluator("q", -mu - 0.5, -nu - 0.5)
-    e = -nu / 2.0 - 0.25 if upper else nu / 2.0 + 0.25
-    return lambda s: k * zsq_minus_one_pow(s, e) * q(s)
-
-
-def _ferrers_upper_fn(nu, mu, kind):
-    k1 = rgamma(1.0 - mu)
-    f1 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 - mu)
-    if kind == "p":
-        return lambda u: cpow(1.0 - u, -mu) * k1 * f1((1.0 - u) / 2.0)
-    k2 = rgamma(1.0 + mu)
-    f2 = hyp2f1_evaluator(-nu, nu + 1.0, 1.0 + mu)
-    pre = math.pi / (2.0 * sin_pi(mu))
-    cm = cos_pi(mu)
-    gr = gamma_ratio([nu + mu + 1.0], [nu - mu + 1.0])
-
-    def ferrers_upper(u):
-        w = (1.0 - u) / 2.0
-        p1 = cpow(1.0 - u, -mu) * k1 * f1(w)
-        p2 = cpow(1.0 + u, -mu) * k2 * f2(w)
-        return pre * (cm * p1 - gr * p2)
-
-    return ferrers_upper
-
-
-def weighted_p_lower(nu, mu, v):
-    """(v^2-1)^(mu/2) P_nu^mu(v), analytic through v = 1."""
-    return _p_lower_fn(nu, mu)(v)
-
-
-def weighted_p_upper(nu, mu, v):
-    """(v^2-1)^(-mu/2) P_nu^mu(v) as (v-1)^(-mu) times an analytic factor."""
-    return _p_upper_fn(nu, mu)(v)
-
-
-def weighted_q_upper(nu, mu, v):
-    """(v^2-1)^(-mu/2) Q_nu^mu(v) split into its two endpoint behaviors."""
-    return _q_upper_fn(nu, mu)(v)
-
-
-def weighted_deg_upper(nu, mu, s, kind):
-    """(s^2-1)^(-(nu+1)/2) F_nu^mu(s/sqrt(s^2-1)), analytic for s > 1."""
-    return _deg_fn(nu, mu, kind, upper=True)(s)
-
-
-def weighted_deg_lower(nu, mu, s, kind):
-    """(s^2-1)^(nu/2) F_nu^mu(s/sqrt(s^2-1)), analytic through s = 1 for Q."""
-    return _deg_fn(nu, mu, kind, upper=False)(s)
-
-
-def weighted_ferrers_upper(nu, mu, u, kind="p"):
-    """(1-u^2)^(-mu/2) FerrersF_nu^mu(u), continued off (-1, 1)."""
-    return _ferrers_upper_fn(nu, mu, kind)(u)
-
-
-def weighted_ferrers_lower(nu, mu, u):
-    """(1-u^2)^(mu/2) FerrersP_nu^mu(u), analytic through u = 1."""
-    return _p_lower_fn(nu, mu)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -251,286 +141,189 @@ class GridSummary:
         return self.n_passed == self.n_valid and self.n_valid > 0
 
 
-def _cyc(values, i):
-    return values[i % len(values)]
-
-
 def _grid(nus, mus, lams, zs):
-    pts = []
-    i = 0
-    for nu in nus:
-        for mu in mus:
-            for lam in lams:
-                pts.append({"nu": nu, "mu": mu, "lam": lam, "z": _cyc(zs, i)})
-                i += 1
-    return tuple(pts)
-
-
-def _with_conditions(pred: Prediction, extra) -> Prediction:
-    if not extra:
-        return pred
-    return Prediction(pred.value, pred.terms, pred.conditions + tuple(extra))
+    """The (nu, mu, lam) product grid, with z cycling through ``zs``."""
+    points = enumerate(itertools.product(nus, mus, lams))
+    return tuple(
+        {"nu": nu, "mu": mu, "lam": lam, "z": zs[i % len(zs)]} for i, (nu, mu, lam) in points
+    )
 
 
 def _check_fold(lam):
-    n = complex(lam)
-    if abs(n.imag) > 1e-12 or abs(n.real - round(n.real)) > 1e-12:
+    if not is_integer(lam, 1e-12):
         raise DomainError(f"fold count must be an integer, got {lam}")
-    n = int(round(n.real))
+    n = round(complex(lam).real)
     if not 1 <= n <= 8:
         raise DomainError(f"fold count must be in [1, 8], got {n}")
     return n
 
 
-# --- left-hand sides --------------------------------------------------------
+# --- left-hand sides: five contour recipes ----------------------------------
+#
+# A recipe integrates an entry's weighted integrand W at the point
+# p = _Point(nu, mu, lam, z), whose fields are complex; ``_recipe`` turns it
+# into the factory each catalog entry calls with its integrand and numbers.
 
-def _lhs_weyl_mplus_q(nu, mu, lam, z, target):
-    q = legendre_evaluator("q", nu, mu)
-    f = lambda t: cpow(t, lam - 1.0) * zsq_minus_one_pow(z + t, -mu / 2.0) * q(z + t)
-    res = integrate_semi_infinite(
-        f,
-        0.0,
-        endpoint_exponent=(complex(lam).real - 1.0),
-        decay_exponent=(complex(nu) + complex(mu) + 1.0 - (complex(lam) - 1.0)).real,
-        target=target,
-    )
-    return res.scaled(rgamma(lam))
+_Point = namedtuple("_Point", "nu mu lam z")
 
 
-def _lhs_weyl_mplus_p(nu, mu, lam, z, target):
-    p = legendre_evaluator("p", nu, mu)
-    g = lambda t: zsq_minus_one_pow(z + t, -mu / 2.0) * p(z + t)
+def _recipe(integrate):
+    """Factory of quadrature sides from ``integrate(p, W, target, **numbers)``.
+
+    ``recipe(integrand, scale=None, **numbers)`` returns lhs(nu, mu, lam, z,
+    target), which builds W = integrand(p) once per point, passes each
+    number as is or, when it is a function, as its value f(p), and
+    multiplies the result by scale(p).
+    """
+
+    def factory(integrand, scale=None, **numbers):
+        def lhs(nu, mu, lam, z, target):
+            p = _Point(complex(nu), complex(mu), complex(lam), complex(z))
+            values = {k: f(p) if callable(f) else f for k, f in numbers.items()}
+            res = integrate(p, integrand(p), target, **values)
+            return res if scale is None else res.scaled(scale(p))
+
+        return lhs
+
+    return factory
+
+
+@_recipe
+def _weyl_loop(p, W, target, decay):
+    """Weyl loop of g(t) = W(z+t), split at t = 0.3 into its regularized
+    part and its tail, analytic for |t| < Re(z-1); |W| ~ t**(-decay) at
+    infinity."""
+    z = p.z
     return integrate_weyl(
-        g,
-        lam,
+        lambda t: W(z + t),
+        p.lam,
         c=0.3,
-        analyticity_radius=(complex(z) - 1.0).real,
-        decay_exponent=-(complex(nu) - complex(mu)).real,
+        analyticity_radius=(z - 1.0).real,
+        decay_exponent=decay,
         target=target,
     )
 
 
-def _lhs_weyl_mminus_q(nu, mu, lam, z, target):
-    q = legendre_evaluator("q", nu, mu)
-    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * q(z + t)
-    res = integrate_weyl(
-        g,
-        lam,
-        c=0.3,
-        analyticity_radius=(complex(z) - 1.0).real,
-        decay_exponent=(complex(nu) - complex(mu) + 1.0).real,
+@_recipe
+def _semi_infinite_weyl(p, W, target, decay):
+    """Integral over (0, inf) of t**(lam-1) W(z+t), whose modulus falls
+    like t**(-decay) at infinity."""
+    z, e = p.z, p.lam - 1.0
+    return integrate_semi_infinite(
+        lambda t: cpow(t, e) * W(z + t),
+        0.0,
+        endpoint_exponent=p.lam.real - 1.0,
+        decay_exponent=decay,
         target=target,
     )
-    return res.scaled(cmath.exp(-1j * math.pi * complex(lam)))
 
 
-def _lhs_weyl_mminus_p(nu, mu, lam, z, target):
-    p = legendre_evaluator("p", nu, mu)
-    g = lambda t: zsq_minus_one_pow(z + t, mu / 2.0) * p(z + t)
-    res = integrate_weyl(
-        g,
-        lam,
-        c=0.3,
-        analyticity_radius=(complex(z) - 1.0).real,
-        decay_exponent=-(complex(nu) + complex(mu)).real,
-        target=target,
-    )
-    return res.scaled(cmath.exp(-1j * math.pi * complex(lam)))
-
-
-def _lhs_riemann_mplus_p(nu, mu, lam, z, target):
-    c = (complex(z) - 1.0).real
-    p_upper = _p_upper_fn(nu, mu)
-    g = lambda t: p_upper(z - t)
-    res = integrate_loop(
-        g, c, lam, analyticity_radius=c,
-        basepoint_exponent=-complex(mu).real, target=target,
-    )
-    return res.scaled(gamma(complex(lam) + 1.0))
-
-
-def _lhs_riemann_mplus_q(nu, mu, lam, z, target):
-    c = (complex(z) - 1.0).real
-    q_upper = _q_upper_fn(nu, mu)
-    g = lambda t: q_upper(z - t)
-    res = integrate_loop(
-        g, c, lam, analyticity_radius=c,
-        basepoint_exponent=min(-complex(mu).real, 0.0), target=target,
-    )
-    return res.scaled(gamma(complex(lam) + 1.0))
-
-
-def _lhs_riemann_mminus_p(nu, mu, lam, z, target):
-    p_lower = _p_lower_fn(nu, mu)
-    g = lambda v: p_lower(z - (z - 1.0) * v)
-    res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
-    return res.scaled(gamma(complex(lam) + 1.0) * cpow(complex(z) - 1.0, -lam))
-
-
-def _lhs_multi_mplus(nu, mu, lam, z, target):
-    n = _check_fold(lam)
-    q = legendre_evaluator("q", nu, mu)
-    f = lambda u: zsq_minus_one_pow(u, -mu / 2.0) * q(u)
-    res = repeated_integral(f, z, n, "to_infinity", target=target)
-    return res.scaled((-1.0) ** n)
-
-
-def _lhs_multi_mminus(nu, mu, lam, z, target):
-    n = _check_fold(lam)
-    q = legendre_evaluator("q", nu, mu)
-    f = lambda u: zsq_minus_one_pow(u, mu / 2.0) * q(u)
-    coef = gamma_ratio(
-        [complex(nu) - mu + 1.0, complex(nu) + mu + n + 1.0],
-        [complex(nu) - mu - n + 1.0, complex(nu) + mu + 1.0],
-    )
-    res = repeated_integral(f, z, n, "to_infinity", target=target)
-    return res.scaled((-1.0) ** n * coef)
-
-
-def _lhs_multi_k3(nu, mu, lam, z, target):
-    n = _check_fold(lam)
-    f = _deg_fn(complex(nu) + n, mu, "q", upper=True)
-    coef = gamma_ratio([complex(nu) + n - mu + 1.0], [complex(nu) - mu + 1.0])
-    res = repeated_integral(f, z, n, "to_infinity", target=target)
-    return res.scaled(coef)
-
-
-def _lhs_multi_p3(nu, mu, lam, z, target):
-    n = _check_fold(lam)
-    f = _deg_fn(nu, mu, "q", upper=False)
-    return repeated_integral(
-        f, z, n, "from_one", endpoint_exponent=complex(nu).real + 0.5, target=target
-    )
-
-
-def _lhs_multi_lplus(nu, mu, lam, z, target):
-    n = _check_fold(lam)
-    x = complex(z).real
-    fp = legendre_evaluator("ferrers_p", nu, mu)
-    f = lambda u: (1.0 - u * u) ** (-complex(mu) / 2.0) * fp(u)
-    return repeated_integral(
-        f, x, n, "to_one", endpoint_exponent=-complex(mu).real, target=target
-    )
-
-
-def _lhs_multi_rodrigues(nu, mu, lam, z, target):
-    n = _check_fold(nu)
-    alpha, beta = mu, lam
-    jac = jacobi_evaluator(n, alpha, beta)
-    f = lambda t: cpow(1.0 - t, alpha) * cpow(1.0 + t, beta) * jac(t)
-    return repeated_integral(
-        f, z, n, "to_one", endpoint_exponent=complex(alpha).real, target=target
-    )
-
-
-def _lhs_k3_weyl(kind):
-    def lhs(nu, mu, lam, z, target):
-        deg_upper = _deg_fn(nu, mu, kind, upper=True)
-        g = lambda t: deg_upper(z + t)
-        res = integrate_weyl(
-            g,
-            lam,
-            c=0.3,
-            analyticity_radius=(complex(z) - 1.0).real,
-            decay_exponent=(complex(nu) + 1.0).real - abs(complex(mu).real),
-            target=target,
-        )
-        return res.scaled(cmath.exp(-1j * math.pi * complex(lam)))
-
-    return lhs
-
-
-def _lhs_k3_riemann_q(nu, mu, lam, z, target):
-    deg_upper = _deg_fn(nu, mu, "q", upper=True)
-    g = lambda u: deg_upper(z - (z - 1.0) * u)
-    res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
-    return res.scaled(gamma(complex(lam) + 1.0) * cpow(complex(z) - 1.0, -lam))
-
-
-def _lhs_p3_weyl_p(nu, mu, lam, z, target):
-    deg_lower = _deg_fn(nu, mu, "p", upper=False)
-    g = lambda t: deg_lower(z + t)
-    res = integrate_weyl(
-        g,
-        lam,
-        c=0.3,
-        analyticity_radius=(complex(z) - 1.0).real,
-        decay_exponent=-(complex(nu).real + abs(complex(mu).real)),
-        target=target,
-    )
-    return res.scaled(cmath.exp(-1j * math.pi * complex(lam)))
-
-
-def _lhs_p3_riemann_q(nu, mu, lam, z, target):
-    deg_lower = _deg_fn(nu, mu, "q", upper=False)
-    g = lambda u: deg_lower(z - (z - 1.0) * u)
-    res = integrate_loop(
-        g, 1.0, lam, analyticity_radius=1.0,
-        basepoint_exponent=complex(nu).real + 0.5, target=target,
-    )
-    return res.scaled(gamma(complex(lam) + 1.0) * cpow(complex(z) - 1.0, -lam))
-
-
-def _lhs_ferrers_lplus(kind):
-    def lhs(nu, mu, lam, z, target):
-        x = complex(z).real
-        ferrers_upper = _ferrers_upper_fn(nu, mu, kind)
-        g = lambda t: ferrers_upper(x + t)
-        res = integrate_loop(
-            g, 1.0 - x, lam, analyticity_radius=min(1.0 - x, 1.0 + x),
-            basepoint_exponent=-complex(mu).real, target=target,
-        )
-        return res.scaled(gamma(complex(lam) + 1.0))
-
-    return lhs
-
-
-def _lhs_ferrers_lminus(nu, mu, lam, z, target):
-    x = complex(z).real
-    p_lower = _p_lower_fn(nu, mu)
-    g = lambda v: p_lower(x + (1.0 - x) * v)
-    res = integrate_loop(g, 1.0, lam, analyticity_radius=1.0, target=target)
-    return res.scaled(gamma(complex(lam) + 1.0) * cpow(1.0 - x, -lam))
-
-
-def _lhs_rodrigues_frac(nu, mu, lam, z, target):
-    alpha, beta = complex(mu), complex(lam)
-    z = complex(z)
-    g = lambda t: cpow(1.0 - z - t, nu + alpha) * cpow(1.0 + z + t, nu + beta)
-    res = integrate_loop(
-        g,
-        (1.0 - z).real,
-        nu,
-        analyticity_radius=min((1.0 - z).real, (1.0 + z).real),
-        basepoint_exponent=(complex(nu) + alpha).real,
-        target=target,
-    )
-    return res.scaled(cpow(2.0, -complex(nu)))
-
-
-def _lhs_rodrigues_inverse(nu, mu, lam, z, target):
-    alpha, beta = mu, lam
-    z = complex(z)
-    jac = jacobi_evaluator(nu, alpha, beta)
-    g = lambda w: (
-        cpow(1.0 - (z + (1.0 - z) * w), alpha)
-        * cpow(1.0 + (z + (1.0 - z) * w), beta)
-        * jac(z + (1.0 - z) * w)
-    )
-    res = integrate_loop(
-        g, 1.0, -complex(nu), analyticity_radius=1.0,
-        basepoint_exponent=complex(alpha).real, target=target,
-    )
-    return res.scaled(gamma(1.0 - complex(nu)) * cpow(1.0 - z, nu))
-
-
-def _lhs_beta_contour(nu, mu, lam, z, target):
-    sigma = complex(mu)
-    g = lambda v: cpow(1.0 - v, sigma - 1.0)
+@_recipe
+def _toward_branch_point(p, W, target, basepoint, order=None):
+    """Loop of order ``order`` (lam when None) of g(t) = W(z + sign(1-z) t),
+    based at t = |1-z| where W has the power ``basepoint``; g is analytic out
+    to the nearer of z = +/-1."""
+    z = p.z
+    sign = 1.0 if z.real < 1.0 else -1.0
+    c = abs((1.0 - z).real)
     return integrate_loop(
-        g, 1.0, lam, analyticity_radius=1.0,
-        basepoint_exponent=sigma.real - 1.0, target=target,
+        lambda t: W(z + sign * t),
+        c,
+        p.lam if order is None else order,
+        analyticity_radius=min(c, abs((1.0 + z).real)),
+        basepoint_exponent=basepoint,
+        target=target,
     )
+
+
+@_recipe
+def _rescaled_loop(p, W, target, basepoint=0.0, order=None):
+    """Loop of order ``order`` (lam when None) of g(v) = W(z + (1-z) v),
+    based at v = 1 where W has the power ``basepoint``, analytic for |v| < 1."""
+    z, d = p.z, 1.0 - p.z
+    return integrate_loop(
+        lambda v: W(z + d * v),
+        1.0,
+        p.lam if order is None else order,
+        analyticity_radius=1.0,
+        basepoint_exponent=basepoint,
+        target=target,
+    )
+
+
+@_recipe
+def _repeated(p, W, target, variant, fold=None, endpoint=0.0):
+    """n-fold repeated integral of W over the ``variant`` interval (see
+    ``quadrature.repeated_integral``), n = ``fold`` or else the fold count
+    carried by lam; W has the power ``endpoint`` at the fixed endpoint."""
+    n = _check_fold(p.lam) if fold is None else fold
+    return repeated_integral(W, p.z, n, variant, endpoint_exponent=endpoint, target=target)
+
+
+def _on_cut(lhs):
+    """The quadrature side at x = Re z, the point the Ferrers closed forms use."""
+    return lambda nu, mu, lam, z, target: lhs(nu, mu, lam, complex(z).real, target)
+
+
+# the weighted integrands W of the weight conventions in ``shifts``, as
+# builders p -> W; the Ferrers kinds carry (1-v^2) in place of (v^2-1)
+
+def _mplus(kind):
+    """W(v) = (v^2-1)^(-mu/2) F_nu^mu(v)."""
+    return lambda p: weighted_evaluator(kind, p.nu, p.mu, -p.mu / 2.0)
+
+
+def _mminus(kind):
+    """W(v) = (v^2-1)^(mu/2) F_nu^mu(v)."""
+    return lambda p: weighted_evaluator(kind, p.nu, p.mu, p.mu / 2.0)
+
+
+def _k3(kind):
+    """W(y) = (y^2-1)^(-(nu+1)/2) F_nu^mu(y/sqrt(y^2-1))."""
+    return lambda p: whipple_evaluator(kind, p.nu, p.mu, -(p.nu + 1.0) / 2.0)
+
+
+def _p3(kind):
+    """W(y) = (y^2-1)^(nu/2) F_nu^mu(y/sqrt(y^2-1))."""
+    return lambda p: whipple_evaluator(kind, p.nu, p.mu, p.nu / 2.0)
+
+
+def _jacobi_weighted(p):
+    """W(v) = (1-v)^alpha (1+v)^beta P_nu^(alpha,beta)(v), (alpha, beta) = (mu, lam)."""
+    alpha, beta, jac = p.mu, p.lam, jacobi_evaluator(p.nu, p.mu, p.lam)
+    return lambda v: cpow(1.0 - v, alpha) * cpow(1.0 + v, beta) * jac(v)
+
+
+def _rodrigues_kernel(p):
+    """W(v) = (1-v)^(nu+alpha) (1+v)^(nu+beta), (alpha, beta) = (mu, lam)."""
+    a, b = p.nu + p.mu, p.nu + p.lam
+    return lambda v: cpow(1.0 - v, a) * cpow(1.0 + v, b)
+
+
+def _beta_kernel(p):
+    """W(v) = (1-v)^(sigma-1), sigma = mu."""
+    e = p.mu - 1.0
+    return lambda v: cpow(1.0 - v, e)
+
+
+def _rotation(p):
+    return cmath.exp(-1j * math.pi * p.lam)
+
+
+def _riemann_scale(p):
+    return gamma(p.lam + 1.0)
+
+
+def _rescaled_riemann_scale(p):
+    return gamma(p.lam + 1.0) * cpow(p.z - 1.0, -p.lam)
+
+
+def _k3_decay(p):
+    return (p.nu + 1.0).real - abs(p.mu.real)
+
+
+def _minus_re_mu(p):
+    return -p.mu.real
 
 
 # --- right-hand sides -------------------------------------------------------
@@ -539,186 +332,127 @@ def _pos(desc, value):
     return (desc, complex(value).real > 0.0)
 
 
-def _noninteger(desc, value):
-    w = complex(value)
-    return (desc, abs(w.imag) > 1e-9 or abs(w.real - round(w.real)) > 1e-9)
+def _shift(family, variant, extra=None):
+    """``shifts.predict_<family>_shift`` at ``variant`` (looked up per call, so
+    wrappers on this module's names apply), plus the ``extra`` conditions."""
 
-
-def _rhs_order(variant, extra=None):
     def rhs(nu, mu, lam, z):
-        pred = predict_order_shift(nu, mu, lam, z, variant)
-        return _with_conditions(pred, extra(nu, mu, lam, z) if extra else ())
+        predict = {
+            "order": predict_order_shift,
+            "degree": predict_degree_shift,
+            "ferrers": predict_ferrers_shift,
+        }[family]
+        pred = predict(nu, mu, lam, z, variant)
+        if not extra:
+            return pred
+        return Prediction(pred.value, pred.terms, pred.conditions + extra(nu, mu, lam, z))
 
     return rhs
 
 
-def _rhs_degree(variant, extra=None):
-    def rhs(nu, mu, lam, z):
-        pred = predict_degree_shift(nu, mu, lam, z, variant)
-        return _with_conditions(pred, extra(nu, mu, lam, z) if extra else ())
-
-    return rhs
-
-
-def _rhs_ferrers(variant, extra=None):
-    def rhs(nu, mu, lam, z):
-        pred = predict_ferrers_shift(nu, mu, lam, z, variant)
-        return _with_conditions(pred, extra(nu, mu, lam, z) if extra else ())
-
-    return rhs
+def _closed_form(value, name, *conditions):
+    """A one-term closed form named ``name``, valid under ``conditions``."""
+    return Prediction(value, {name: value}, conditions)
 
 
 def _rhs_multi_mplus(nu, mu, lam, z):
     n = _check_fold(lam)
-    val = zsq_minus_one_pow(z, -(complex(mu) - n) / 2.0) * legendre_q(
-        nu, complex(mu) - n, z
-    )
-    return Prediction(
-        val,
-        {"shifted_term": val},
-        (
-            _pos("Re(nu+mu+1-n) > 0", complex(nu) + complex(mu) + 1.0 - n),
-            ("z > 1", complex(z).real > 1.0),
-        ),
+    m = complex(mu) - n
+    return _closed_form(
+        zsq_minus_one_pow(z, -m / 2.0) * legendre_q(nu, m, z),
+        "shifted_term",
+        _pos("Re(nu+mu+1-n) > 0", complex(nu) + complex(mu) + 1.0 - n),
+        ("z > 1", complex(z).real > 1.0),
     )
 
 
 def _rhs_multi_mminus(nu, mu, lam, z):
     n = _check_fold(lam)
-    val = zsq_minus_one_pow(z, (complex(mu) + n) / 2.0) * legendre_q(
-        nu, complex(mu) + n, z
-    )
-    return Prediction(
-        val,
-        {"shifted_term": val},
-        (
-            _pos("Re(nu-mu+1-n) > 0", complex(nu) - complex(mu) + 1.0 - n),
-            ("z > 1", complex(z).real > 1.0),
-        ),
+    m = complex(mu) + n
+    return _closed_form(
+        zsq_minus_one_pow(z, m / 2.0) * legendre_q(nu, m, z),
+        "shifted_term",
+        _pos("Re(nu-mu+1-n) > 0", complex(nu) - complex(mu) + 1.0 - n),
+        ("z > 1", complex(z).real > 1.0),
     )
 
 
 def _rhs_multi_k3(nu, mu, lam, z):
     _check_fold(lam)
-    val = weighted_deg_upper(nu, mu, complex(z), "q")
-    return Prediction(
-        val,
-        {"shifted_term": val},
-        (
-            _pos(
-                "Re(nu+2-|Re mu|) > 1",
-                complex(nu) + 1.0 - abs(complex(mu).real),
-            ),
-            ("z > 1", complex(z).real > 1.0),
-        ),
+    return _closed_form(
+        whipple_evaluator("q", nu, mu, -(complex(nu) + 1.0) / 2.0)(complex(z)),
+        "shifted_term",
+        _pos("Re(nu+2-|Re mu|) > 1", complex(nu) + 1.0 - abs(complex(mu).real)),
+        ("z > 1", complex(z).real > 1.0),
     )
 
 
 def _rhs_multi_p3(nu, mu, lam, z):
     n = _check_fold(lam)
     coef = gamma_ratio([complex(nu) + mu + 1.0], [complex(nu) + n + mu + 1.0])
-    val = coef * weighted_deg_lower(complex(nu) + n, mu, complex(z), "q")
-    return Prediction(
-        val,
-        {"shifted_term": val},
-        (
-            ("Re nu > -3/2", complex(nu).real > -1.5),
-            ("z > 1", complex(z).real > 1.0),
-        ),
+    nu_n = complex(nu) + n
+    return _closed_form(
+        coef * whipple_evaluator("q", nu_n, mu, nu_n / 2.0)(complex(z)),
+        "shifted_term",
+        ("Re nu > -3/2", complex(nu).real > -1.5),
+        ("z > 1", complex(z).real > 1.0),
     )
 
 
 def _rhs_multi_lplus(nu, mu, lam, z):
     n = _check_fold(lam)
     x = complex(z).real
-    val = (1.0 - x * x) ** (-(complex(mu) - n) / 2.0) * ferrers_p(
-        nu, complex(mu) - n, x
-    )
-    return Prediction(
-        val,
-        {"shifted_term": val},
-        (
-            ("Re mu < 1", complex(mu).real < 1.0),
-            ("-1 < x < 1", -1.0 < x < 1.0),
-        ),
+    m = complex(mu) - n
+    return _closed_form(
+        (1.0 - x * x) ** (-m / 2.0) * ferrers_p(nu, m, x),
+        "shifted_term",
+        ("Re mu < 1", complex(mu).real < 1.0),
+        ("-1 < x < 1", -1.0 < x < 1.0),
     )
 
 
 def _rhs_multi_rodrigues(nu, mu, lam, z):
     n = _check_fold(nu)
-    _weighted, primitive = rodrigues_pair(n, mu, lam, z)
-    return Prediction(
-        primitive,
-        {"primitive": primitive},
-        (
-            _pos("Re(n+alpha+1) > 0", n + complex(mu) + 1.0),
-            ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-        ),
+    return _closed_form(
+        rodrigues_pair(n, mu, lam, z)[1],
+        "primitive",
+        _pos("Re(n+alpha+1) > 0", n + complex(mu) + 1.0),
+        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
     )
 
 
 def _rhs_rodrigues_frac(nu, mu, lam, z):
-    weighted, _primitive = rodrigues_pair(nu, mu, lam, z)
-    return Prediction(
-        weighted,
-        {"weighted": weighted},
-        (
-            _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
-            ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-        ),
+    return _closed_form(
+        rodrigues_pair(nu, mu, lam, z)[0],
+        "weighted",
+        _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
+        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
     )
 
 
 def _rhs_rodrigues_inverse(nu, mu, lam, z):
-    _weighted, primitive = rodrigues_pair(nu, mu, lam, z)
-    return Prediction(
-        primitive,
-        {"primitive": primitive},
-        (
-            _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
-            ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-            _noninteger("nu not an integer", nu),
-        ),
+    return _closed_form(
+        rodrigues_pair(nu, mu, lam, z)[1],
+        "primitive",
+        _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
+        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
+        ("nu not an integer", not is_integer(nu)),
     )
 
 
 def _rhs_beta_contour(nu, mu, lam, z):
     sigma, lam = complex(mu), complex(lam)
-    val = (
+    return _closed_form(
         sin_pi(lam + 1.0)
         / math.pi
-        * cmath.exp(ln_gamma(-lam) + ln_gamma(sigma) - ln_gamma(sigma - lam))
-    )
-    return Prediction(
-        val,
-        {"beta_term": val},
-        (
-            _pos("Re sigma > 0", sigma),
-            _noninteger("lam not an integer", lam),
-        ),
+        * cmath.exp(ln_gamma(-lam) + ln_gamma(sigma) - ln_gamma(sigma - lam)),
+        "beta_term",
+        _pos("Re sigma > 0", sigma),
+        ("lam not an integer", not is_integer(lam)),
     )
 
 
-# --- convergence side conditions for the integral sides ---------------------
-
-def _conv_weyl_mplus_q(nu, mu, lam, z):
-    return (
-        _pos("Re lam > 0", lam),
-        _pos("Re(nu+mu-lam+1) > 0", complex(nu) + complex(mu) - complex(lam) + 1.0),
-    )
-
-
-def _conv_weyl_mplus_p(nu, mu, lam, z):
-    return (_pos("Re(lam+mu-nu) > 0", complex(lam) + complex(mu) - complex(nu)),)
-
-
-def _conv_weyl_mminus_q(nu, mu, lam, z):
-    return (_pos("Re(lam+nu-mu+1) > 0", complex(lam) + complex(nu) - complex(mu) + 1.0),)
-
-
-def _conv_weyl_mminus_p(nu, mu, lam, z):
-    return (_pos("Re(lam-nu-mu) > 0", complex(lam) - complex(nu) - complex(mu)),)
-
+# --- convergence conditions of integral sides the closed forms do not state
 
 def _conv_k3_weyl(nu, mu, lam, z):
     return (
@@ -736,6 +470,21 @@ def _conv_p3_weyl(nu, mu, lam, z):
 # ---------------------------------------------------------------------------
 # the catalog
 
+# grids shared by the P and Q entries of one relation
+_K3_WEYL_GRID = (
+    {"nu": 0.35, "mu": 0.15, "lam": 0.55, "z": 1.7},
+    {"nu": 0.8, "mu": -0.3, "lam": 1.35, "z": 2.3},
+    {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
+    {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.3},
+)
+_FERRERS_LPLUS_GRID = (
+    {"nu": 0.45, "mu": 0.3, "lam": 0.6, "z": 0.25},
+    {"nu": 1.3, "mu": -0.4, "lam": 1.55, "z": -0.35},
+    {"nu": 0.45, "mu": -0.4, "lam": 1.55, "z": 0.25},
+    {"nu": 1.3, "mu": 0.3, "lam": 0.6, "z": -0.35},
+)
+
+
 def _build_catalog():
     entries = [
         IdentityEntry(
@@ -750,8 +499,12 @@ def _build_catalog():
                 "Q_nu^mu(z+t) = e^(i pi lam) (z^2-1)^(-(mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_lhs_weyl_mplus_q,
-            rhs=_rhs_order("weyl_q_down", _conv_weyl_mplus_q),
+            lhs=_semi_infinite_weyl(
+                _mplus("q"),
+                decay=lambda p: (p.nu + p.mu + 1.0 - (p.lam - 1.0)).real,
+                scale=lambda p: rgamma(p.lam),
+            ),
+            rhs=_shift("order", "weyl_q_down"),
         ),
         IdentityEntry(
             id="WEYL_MPLUS_P",
@@ -765,8 +518,8 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2)"
             ),
             default_grid=_grid((0.35, 0.85), (0.15, -0.2), (1.3, 1.8), (1.6, 2.4)),
-            lhs=_lhs_weyl_mplus_p,
-            rhs=_rhs_order("weyl_p_up", _conv_weyl_mplus_p),
+            lhs=_weyl_loop(_mplus("p"), decay=lambda p: -(p.nu - p.mu).real),
+            rhs=_shift("order", "weyl_p_up"),
         ),
         IdentityEntry(
             id="WEYL_MMINUS_Q",
@@ -782,8 +535,8 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_lhs_weyl_mminus_q,
-            rhs=_rhs_order("weyl_minus_q", _conv_weyl_mminus_q),
+            lhs=_weyl_loop(_mminus("q"), decay=lambda p: (p.nu - p.mu + 1.0).real, scale=_rotation),
+            rhs=_shift("order", "weyl_minus_q"),
         ),
         IdentityEntry(
             id="WEYL_MMINUS_P",
@@ -799,8 +552,8 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) P_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.35, 0.75), (-0.45, 0.15), (1.4, 2.3), (1.5, 2.6)),
-            lhs=_lhs_weyl_mminus_p,
-            rhs=_rhs_order("weyl_minus_p", _conv_weyl_mminus_p),
+            lhs=_weyl_loop(_mminus("p"), decay=lambda p: -(p.nu + p.mu).real, scale=_rotation),
+            rhs=_shift("order", "weyl_minus_p"),
         ),
         IdentityEntry(
             id="RIEMANN_MPLUS_P",
@@ -815,8 +568,10 @@ def _build_catalog():
                 "(z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z)"
             ),
             default_grid=_grid((0.6, 1.3), (0.3, -0.4), (0.7, 1.6), (1.4, 2.2)),
-            lhs=_lhs_riemann_mplus_p,
-            rhs=_rhs_order("riemann_p_up"),
+            lhs=_toward_branch_point(
+                _mplus("p"), basepoint=_minus_re_mu, scale=_riemann_scale
+            ),
+            rhs=_shift("order", "riemann_p_up"),
         ),
         IdentityEntry(
             id="RIEMANN_MPLUS_Q",
@@ -831,8 +586,12 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z) + 3F2-term"
             ),
             default_grid=_grid((0.55, 1.2), (0.35, -0.25), (0.6, 1.45), (1.5, 2.0)),
-            lhs=_lhs_riemann_mplus_q,
-            rhs=_rhs_order("riemann_q_up"),
+            lhs=_toward_branch_point(
+                _mplus("q"),
+                basepoint=lambda p: min(-p.mu.real, 0.0),
+                scale=_riemann_scale,
+            ),
+            rhs=_shift("order", "riemann_q_up"),
         ),
         IdentityEntry(
             id="RIEMANN_MMINUS_P",
@@ -849,8 +608,8 @@ def _build_catalog():
                 "3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2)"
             ),
             default_grid=_grid((0.35, 0.8), (0.15, 0.45), (0.7, 1.3), (1.6, 2.2)),
-            lhs=_lhs_riemann_mminus_p,
-            rhs=_rhs_order("riemann_p_down_near"),
+            lhs=_rescaled_loop(_mminus("p"), scale=_rescaled_riemann_scale),
+            rhs=_shift("order", "riemann_p_down_near"),
         ),
         IdentityEntry(
             id="MULTI_INT_MPLUS",
@@ -869,7 +628,7 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.2, "mu": 0.5, "lam": 2, "z": 2.4},
             ),
-            lhs=_lhs_multi_mplus,
+            lhs=_repeated(_mplus("q"), variant="to_infinity", scale=lambda p: (-1.0) ** p.lam.real),
             rhs=_rhs_multi_mplus,
         ),
         IdentityEntry(
@@ -890,7 +649,14 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.4, "mu": -0.2, "lam": 2, "z": 2.0},
             ),
-            lhs=_lhs_multi_mminus,
+            lhs=_repeated(
+                _mminus("q"),
+                variant="to_infinity",
+                scale=lambda p: (-1.0) ** p.lam.real * gamma_ratio(
+                    [p.nu - p.mu + 1.0, p.nu + p.mu + p.lam + 1.0],
+                    [p.nu - p.mu - p.lam + 1.0, p.nu + p.mu + 1.0],
+                ),
+            ),
             rhs=_rhs_multi_mminus,
         ),
         IdentityEntry(
@@ -911,7 +677,11 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 0.8, "mu": -0.25, "lam": 2, "z": 2.2},
             ),
-            lhs=_lhs_multi_k3,
+            lhs=_repeated(
+                lambda p: whipple_evaluator("q", p.nu + p.lam, p.mu, -(p.nu + p.lam + 1.0) / 2.0),
+                variant="to_infinity",
+                scale=lambda p: gamma_ratio([p.nu + p.lam - p.mu + 1.0], [p.nu - p.mu + 1.0]),
+            ),
             rhs=_rhs_multi_k3,
         ),
         IdentityEntry(
@@ -932,7 +702,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": 0.15, "lam": 2, "z": 1.7},
                 {"nu": 0.6, "mu": -0.3, "lam": 2, "z": 2.1},
             ),
-            lhs=_lhs_multi_p3,
+            lhs=_repeated(_p3("q"), variant="from_one", endpoint=lambda p: p.nu.real + 0.5),
             rhs=_rhs_multi_p3,
         ),
         IdentityEntry(
@@ -952,7 +722,7 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.3, "lam": 2, "z": 0.3},
                 {"nu": 1.3, "mu": -0.4, "lam": 2, "z": -0.2},
             ),
-            lhs=_lhs_multi_lplus,
+            lhs=_on_cut(_repeated(_mplus("ferrers_p"), variant="to_one", endpoint=_minus_re_mu)),
             rhs=_rhs_multi_lplus,
         ),
         IdentityEntry(
@@ -973,7 +743,12 @@ def _build_catalog():
                 {"nu": 2, "mu": 0.3, "lam": -0.2, "z": 0.35},
                 {"nu": 2, "mu": -0.35, "lam": 0.45, "z": -0.3},
             ),
-            lhs=_lhs_multi_rodrigues,
+            lhs=_repeated(
+                _jacobi_weighted,
+                variant="to_one",
+                fold=lambda p: _check_fold(p.nu),
+                endpoint=lambda p: p.mu.real,
+            ),
             rhs=_rhs_multi_rodrigues,
         ),
         IdentityEntry(
@@ -989,14 +764,9 @@ def _build_catalog():
                 "e^(-i pi lam) [Gamma(nu+lam-mu+1)/Gamma(nu-mu+1)] "
                 "(y^2-1)^(-(nu+lam+1)/2) P_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
-            default_grid=(
-                {"nu": 0.35, "mu": 0.15, "lam": 0.55, "z": 1.7},
-                {"nu": 0.8, "mu": -0.3, "lam": 1.35, "z": 2.3},
-                {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
-                {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.3},
-            ),
-            lhs=_lhs_k3_weyl("p"),
-            rhs=_rhs_degree("k3_up_p", _conv_k3_weyl),
+            default_grid=_K3_WEYL_GRID,
+            lhs=_weyl_loop(_k3("p"), decay=_k3_decay, scale=_rotation),
+            rhs=_shift("degree", "k3_up_p", _conv_k3_weyl),
         ),
         IdentityEntry(
             id="K3_WEYL_Q",
@@ -1009,14 +779,9 @@ def _build_catalog():
                 "e^(-i pi lam) [Gamma(nu+lam-mu+1)/Gamma(nu-mu+1)] "
                 "(y^2-1)^(-(nu+lam+1)/2) Q_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
-            default_grid=(
-                {"nu": 0.35, "mu": 0.15, "lam": 0.55, "z": 1.7},
-                {"nu": 0.8, "mu": -0.3, "lam": 1.35, "z": 2.3},
-                {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
-                {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.3},
-            ),
-            lhs=_lhs_k3_weyl("q"),
-            rhs=_rhs_degree("k3_up_q", _conv_k3_weyl),
+            default_grid=_K3_WEYL_GRID,
+            lhs=_weyl_loop(_k3("q"), decay=_k3_decay, scale=_rotation),
+            rhs=_shift("degree", "k3_up_q", _conv_k3_weyl),
         ),
         IdentityEntry(
             id="K3_RIEMANN_Q_3F2",
@@ -1038,8 +803,8 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.6},
                 {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_lhs_k3_riemann_q,
-            rhs=_rhs_degree("k3_riemann_q"),
+            lhs=_rescaled_loop(_k3("q"), scale=_rescaled_riemann_scale),
+            rhs=_shift("degree", "k3_riemann_q"),
         ),
         IdentityEntry(
             id="P3_WEYL_P",
@@ -1059,8 +824,10 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.25, "lam": 1.9, "z": 1.7},
                 {"nu": 0.6, "mu": 0.15, "lam": 1.3, "z": 2.2},
             ),
-            lhs=_lhs_p3_weyl_p,
-            rhs=_rhs_degree("p3_down_p", _conv_p3_weyl),
+            lhs=_weyl_loop(
+                _p3("p"), decay=lambda p: -(p.nu.real + abs(p.mu.real)), scale=_rotation
+            ),
+            rhs=_shift("degree", "p3_down_p", _conv_p3_weyl),
         ),
         IdentityEntry(
             id="P3_RIEMANN_Q",
@@ -1081,8 +848,12 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
                 {"nu": 0.7, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_lhs_p3_riemann_q,
-            rhs=_rhs_degree("p3_riemann_q"),
+            lhs=_rescaled_loop(
+                _p3("q"),
+                scale=_rescaled_riemann_scale,
+                basepoint=lambda p: p.nu.real + 0.5,
+            ),
+            rhs=_shift("degree", "p3_riemann_q"),
         ),
         IdentityEntry(
             id="FERRERS_LPLUS_P",
@@ -1095,14 +866,13 @@ def _build_catalog():
                 "(1-(x+t)^2)^(-mu/2) FerrersP_nu^mu(x+t) = "
                 "(1-x^2)^(-(mu+lam)/2) FerrersP_nu^(mu+lam)(x)"
             ),
-            default_grid=(
-                {"nu": 0.45, "mu": 0.3, "lam": 0.6, "z": 0.25},
-                {"nu": 1.3, "mu": -0.4, "lam": 1.55, "z": -0.35},
-                {"nu": 0.45, "mu": -0.4, "lam": 1.55, "z": 0.25},
-                {"nu": 1.3, "mu": 0.3, "lam": 0.6, "z": -0.35},
+            default_grid=_FERRERS_LPLUS_GRID,
+            lhs=_on_cut(
+                _toward_branch_point(
+                    _mplus("ferrers_p"), basepoint=_minus_re_mu, scale=_riemann_scale
+                )
             ),
-            lhs=_lhs_ferrers_lplus("p"),
-            rhs=_rhs_ferrers("lplus_p"),
+            rhs=_shift("ferrers", "lplus_p"),
         ),
         IdentityEntry(
             id="FERRERS_LPLUS_Q_3F2",
@@ -1119,14 +889,13 @@ def _build_catalog():
                 "[Gamma(-mu)Gamma(nu+mu+1)/(Gamma(1-lam)Gamma(nu-mu+1))] "
                 "3F2(-nu+mu, nu+mu+1, 1; 1-lam, mu+1; (1-x)/2)"
             ),
-            default_grid=(
-                {"nu": 0.45, "mu": 0.3, "lam": 0.6, "z": 0.25},
-                {"nu": 1.3, "mu": -0.4, "lam": 1.55, "z": -0.35},
-                {"nu": 0.45, "mu": -0.4, "lam": 1.55, "z": 0.25},
-                {"nu": 1.3, "mu": 0.3, "lam": 0.6, "z": -0.35},
+            default_grid=_FERRERS_LPLUS_GRID,
+            lhs=_on_cut(
+                _toward_branch_point(
+                    _mplus("ferrers_q"), basepoint=_minus_re_mu, scale=_riemann_scale
+                )
             ),
-            lhs=_lhs_ferrers_lplus("q"),
-            rhs=_rhs_ferrers("lplus_q"),
+            rhs=_shift("ferrers", "lplus_q"),
         ),
         IdentityEntry(
             id="FERRERS_LMINUS_P_3F2",
@@ -1147,8 +916,13 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.35, "lam": 1.55, "z": 0.25},
                 {"nu": 1.3, "mu": -0.4, "lam": 0.6, "z": -0.3},
             ),
-            lhs=_lhs_ferrers_lminus,
-            rhs=_rhs_ferrers("lminus_p"),
+            lhs=_on_cut(
+                _rescaled_loop(
+                    _mminus("ferrers_p"),
+                    scale=lambda p: gamma(p.lam + 1.0) * cpow(1.0 - p.z, -p.lam),
+                )
+            ),
+            rhs=_shift("ferrers", "lminus_p"),
         ),
         IdentityEntry(
             id="RODRIGUES_FRAC",
@@ -1169,7 +943,12 @@ def _build_catalog():
                 {"nu": 0.6, "mu": -0.35, "lam": 0.45, "z": 0.35},
                 {"nu": 1.4, "mu": 0.3, "lam": -0.2, "z": -0.3},
             ),
-            lhs=_lhs_rodrigues_frac,
+            lhs=_toward_branch_point(
+                _rodrigues_kernel,
+                order=lambda p: p.nu,
+                basepoint=lambda p: (p.nu + p.mu).real,
+                scale=lambda p: cpow(2.0, -p.nu),
+            ),
             rhs=_rhs_rodrigues_frac,
         ),
         IdentityEntry(
@@ -1190,7 +969,12 @@ def _build_catalog():
                 {"nu": 0.6, "mu": -0.35, "lam": 0.45, "z": 0.3},
                 {"nu": 0.35, "mu": 0.3, "lam": -0.2, "z": -0.25},
             ),
-            lhs=_lhs_rodrigues_inverse,
+            lhs=_rescaled_loop(
+                _jacobi_weighted,
+                order=lambda p: -p.nu,
+                scale=lambda p: gamma(1.0 - p.nu) * cpow(1.0 - p.z, p.nu),
+                basepoint=lambda p: p.mu.real,
+            ),
             rhs=_rhs_rodrigues_inverse,
         ),
         IdentityEntry(
@@ -1210,7 +994,10 @@ def _build_catalog():
                 {"nu": 0.0, "mu": 0.45, "lam": -0.7, "z": 0.0},
                 {"nu": 0.0, "mu": 2.2, "lam": 3.7, "z": 0.0},
             ),
-            lhs=_lhs_beta_contour,
+            lhs=_rescaled_loop(
+                _beta_kernel,
+                basepoint=lambda p: p.mu.real - 1.0,
+            ),
             rhs=_rhs_beta_contour,
         ),
     ]

@@ -20,6 +20,7 @@ from legshift.legendre import (
     legendre_deriv,
     legendre_p,
     legendre_q,
+    weighted_evaluator,
     whipple_p_to_q,
     whipple_q_to_p,
 )
@@ -31,9 +32,6 @@ from legshift.verify import (
     ode_residual,
     verify_grid,
     verify_identity,
-    weighted_ferrers_upper,
-    weighted_p_lower,
-    weighted_p_upper,
 )
 
 
@@ -94,10 +92,11 @@ def test_04_riemann_fractional_integral_on_p():
     # finite-segment fractional integral, negative order, Re mu < 1
     for nu in (0.7, 1.5):
         for mu in (0.2, -0.6):
+            p_upper = weighted_evaluator("p", nu, mu, -mu / 2.0)
             for lam in (-0.4, -0.7, -1.3):
                 for z in (1.8, 2.6):
                     lhs = integrate_segment(
-                        lambda t: cpow(t, -lam - 1.0) * weighted_p_upper(nu, mu, z - t),
+                        lambda t: cpow(t, -lam - 1.0) * p_upper(z - t),
                         0.0,
                         z - 1.0,
                         endpoint_exponent_a=-lam - 1.0,
@@ -115,9 +114,7 @@ def test_05_riemann_lowering_3f2_and_nested_integral():
     # terminating-denominator 3F2 with the integer second lower parameter
     nu, mu, z, n = 0.7, 0.4, 2.3, 2
     near = predict_order_shift(nu, mu, -float(n), z, "riemann_p_down_near").value
-    nest = repeated_integral(
-        lambda u: weighted_p_lower(nu, mu, u), z, n, "from_one"
-    ).value
+    nest = repeated_integral(weighted_evaluator("p", nu, mu, mu / 2.0), z, n, "from_one").value
     assert abs(near - nest) <= 1e-6 * abs(near)
     direct = (
         cpow(2.0, mu)
@@ -190,11 +187,12 @@ def test_09_ferrers_suite():
     # differentiation of the analytic weighted form vs. the raised function
     nu, mu, x = 0.7, 0.4, 0.35
     m, r = 64, 0.3
+    ferrers_upper = weighted_evaluator("ferrers_p", nu, mu, -mu / 2.0)
     for n in (1, 2, 3):
         tot = 0.0 + 0.0j
         for j in range(m):
             w = cmath.exp(2j * math.pi * j / m)
-            tot += weighted_ferrers_upper(nu, mu, x + r * w) * cmath.exp(
+            tot += ferrers_upper(x + r * w) * cmath.exp(
                 -2j * math.pi * j * n / m
             )
         der = math.factorial(n) / (m * r**n) * tot

@@ -29,6 +29,22 @@ def test_eval_q_oracle():
     assert rec["err_estimate"] is None
 
 
+@pytest.mark.parametrize(
+    "identity,nu,mu,lam",
+    [("RIEMANN_MMINUS_P", "0.35", "0.15", "0.7"), ("K3_RIEMANN_Q_3F2", "0.35", "0.15", "0.55")],
+)
+def test_verify_3f2_continuation_on_its_cut_is_domain_error(identity, nu, mu, lam):
+    # the closed form's Barnes continuation needs |arg(z-1)| < pi; z = -1.5
+    # violates it before the entry's own condition is checked
+    code, out, err = run_cli(
+        ["verify", "--id", identity, "--nu", nu, "--mu", mu, "--lam", lam, "--z=-1.5"]
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_eval_on_cut_without_side_is_domain_error():
     code, _out, err = run_cli(["eval", "--fn", "P", "--nu", "0.5", "--mu", "0.3", "--z", "0.4"])
     assert code == EXIT_DOMAIN

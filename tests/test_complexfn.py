@@ -10,6 +10,7 @@ from legshift.complexfn import (
     cpow,
     gamma,
     gamma_ratio,
+    is_integer,
     is_nonpositive_integer,
     ln_gamma,
     rgamma,
@@ -100,6 +101,14 @@ def test_zsq_minus_one_pow_factored_branches():
 
 def test_zsq_minus_one_pow_real_axis():
     assert abs(zsq_minus_one_pow(3.0, 0.5) - math.sqrt(8.0)) < 1e-14
+
+
+def test_is_integer_tests_each_axis():
+    assert is_integer(3.0) and is_integer(-2.0 + 5e-10j)
+    assert not is_integer(2.5) and not is_integer(1.0 + 1e-6j)
+    # the tolerance bounds each axis, not the modulus
+    assert is_integer(complex(1.0 + 0.9e-9, 0.9e-9))
+    assert not is_integer(1.0 + 2e-12, 1e-12)
 
 
 def test_is_nonpositive_integer():

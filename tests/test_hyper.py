@@ -8,7 +8,13 @@ import pytest
 
 from legshift.complexfn import gamma_ratio
 from legshift.errors import DomainError, PoleError
-from legshift.hyper import hyp2f1, hyp2f1_evaluator, hyp3f2_barnes, hyp3f2_series
+from legshift.hyper import (
+    _gauss_legendre,
+    hyp2f1,
+    hyp2f1_evaluator,
+    hyp3f2_barnes,
+    hyp3f2_series,
+)
 
 
 def _mp_2f1(a, b, c, w):
@@ -137,10 +143,26 @@ def test_hyp3f2_barnes_matches_series_in_overlap():
 
 
 def test_hyp3f2_barnes_rejects_wrong_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         hyp3f2_barnes(0.5, 1.5, 2.0, 2.0, 2.5, 4.0)  # a3 != 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         hyp3f2_barnes(0.5, 1.5, 1.0, 2.0, 2.5, 4.0)  # not (nu-mu+1, -nu-mu)
+
+
+def test_hyp3f2_barnes_rejects_argument_on_its_cut():
+    nu, mu, lam = 0.35, 0.15, 0.7
+    with pytest.raises(DomainError):
+        hyp3f2_barnes(nu - mu + 1.0, -nu - mu, 1.0, 1.0 - mu, 1.0 - lam, -1.5)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    np = pytest.importorskip("numpy")
+    nodes, weights = _gauss_legendre(16)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    assert len(nodes) == len(weights) == 16
+    assert all(abs(x - r) <= 1e-15 for x, r in zip(nodes, ref_nodes))
+    assert all(abs(w - r) <= 1e-15 for w, r in zip(weights, ref_weights))
+    assert abs(sum(weights) - 2.0) <= 1e-14
 
 
 def test_hyp3f2_barnes_prefactor_pole():

@@ -1,5 +1,6 @@
 """Cut-plane Legendre, Ferrers, Jacobi evaluators and Whipple images."""
 
+import cmath
 import math
 
 import mpmath
@@ -16,6 +17,8 @@ from legshift.legendre import (
     legendre_evaluator,
     legendre_p,
     legendre_q,
+    weighted_evaluator,
+    whipple_evaluator,
     whipple_p_to_q,
     whipple_q_to_p,
 )
@@ -172,6 +175,69 @@ def test_whipple_round_trip():
         assert abs(p_img - legendre_p(nu, mu, arg)) <= 1e-10 * abs(p_img)
         q_img = whipple_q_to_p(nu, mu, y)
         assert abs(q_img - legendre_q(nu, mu, arg)) <= 1e-10 * abs(q_img)
+
+
+def _weight(kind, v, s):
+    # (v^2-1)^s split at the branch points, (1-v^2)^s for the Ferrers kinds
+    if kind.startswith("ferrers"):
+        return cmath.exp(s * cmath.log(1.0 - v)) * cmath.exp(s * cmath.log(1.0 + v))
+    return cmath.exp(s * cmath.log(v - 1.0)) * cmath.exp(s * cmath.log(v + 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind,nu,mu,v",
+    [
+        ("p", 0.7, 0.3, 1.5),
+        ("q", 1.3, 0.4, 1.5),  # near representation
+        ("q", 1.3, 0.4, 5.0),  # far representation
+        ("ferrers_p", 0.45, 0.3, 0.35),
+        ("ferrers_q", 1.3, -0.4, -0.2),
+        ("p", 0.6, 2.0, 2.2),  # integer mu: +/- i*eps average
+    ],
+)
+def test_weighted_evaluator_is_weight_times_function(kind, nu, mu, v):
+    for s in (mu / 2.0, -mu / 2.0):
+        ref = _weight(kind, v, s) * _public(kind, nu, mu, v, 0)
+        val = weighted_evaluator(kind, nu, mu, s)(v)
+        assert abs(val - ref) <= 1e-13 * abs(ref), (kind, nu, mu, v, s)
+
+
+def test_weighted_q_at_integer_order():
+    # at integer mu both sides average Q at mu +/- i*eps, whose two near
+    # terms carry Gamma(-mu) ~ 1/eps and cancel: the averages agree only to
+    # that cancellation, 4e-11 here, not to the last digit
+    nu, mu, v = 0.6, 1.0, 1.7
+    for s in (mu / 2.0, -mu / 2.0):
+        ref = _weight("q", v, s) * legendre_q(nu, mu, v)
+        val = weighted_evaluator("q", nu, mu, s)(v)
+        assert abs(val - ref) <= 1e-9 * abs(ref), s
+
+
+def test_weighted_p_lower_smooth_through_branch_point():
+    # the weighted form is analytic at v = 1 where the raw product is not
+    p_lower = weighted_evaluator("p", 0.7, 0.4, 0.2)
+    a = p_lower(1.0 + 1e-8)
+    b = p_lower(1.0 - 1e-8)
+    assert abs(a - b) <= 1e-6 * abs(a)
+
+
+def test_weighted_evaluator_rejects_bad_input():
+    with pytest.raises(DomainError):
+        weighted_evaluator("x", 0.5, 0.3, 0.1)
+    with pytest.raises(DomainError):
+        weighted_evaluator("p", 0.5, 0.3, float("nan"))
+    with pytest.raises(DomainError):
+        whipple_evaluator("ferrers_p", 0.5, 0.3, 0.1)
+
+
+def test_whipple_evaluator_is_weight_times_function():
+    for nu, mu, y in ((0.35, 0.15, 1.7), (0.8, -0.3, 2.3), (1.6, 0.3, 1.2)):
+        arg = y / math.sqrt(y * y - 1.0)
+        for kind, fn in (("p", legendre_p), ("q", legendre_q)):
+            for s in (-(nu + 1.0) / 2.0, nu / 2.0, 0.0):
+                ref = (y * y - 1.0) ** s * fn(nu, mu, arg)
+                val = whipple_evaluator(kind, nu, mu, s)(y)
+                assert abs(val - ref) <= 1e-10 * abs(ref), (kind, nu, mu, y, s)
 
 
 def _public(kind, nu, mu, z, order):

@@ -15,7 +15,7 @@ from legshift.quadrature import (
     repeated_integral,
     _taylor_coefficients,
 )
-from legshift.verify import weighted_p_upper
+from legshift.legendre import weighted_evaluator
 
 
 def _taylor_reference(g, radius, count, n_samples=128):
@@ -33,9 +33,10 @@ def _taylor_reference(g, radius, count, n_samples=128):
 
 
 def test_taylor_coefficients_match_direct_dft():
+    p_upper = weighted_evaluator("p", 0.6, 0.3, -0.15)
     cases = [
         (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40),
-        (lambda t: weighted_p_upper(0.6, 0.3, 2.4 - t), 0.35, 40),
+        (lambda t: p_upper(2.4 - t), 0.35, 40),
         (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9),
     ]
     for g, radius, count in cases:

@@ -11,7 +11,6 @@ from legshift.errors import DomainError
 from legshift.legendre import ferrers_p, legendre_p, legendre_q
 from legshift.shifts import (
     Prediction,
-    ShiftRequest,
     apply_integer_recurrence,
     hyp3f2_family,
     predict_degree_shift,
@@ -26,14 +25,6 @@ def test_prediction_valid_property():
     bad = Prediction(1.0 + 0j, {}, (("a", True), ("b", False)))
     assert ok.valid and not bad.valid
     assert Prediction(0j).valid  # vacuous
-
-
-def test_shift_request_dispatch():
-    req = ShiftRequest("order", "weyl_minus_q", 0.6, 0.3, 0.7, 2.0)
-    direct = predict_order_shift(0.6, 0.3, 0.7, 2.0, "weyl_minus_q")
-    assert req.predict().value == direct.value
-    with pytest.raises(DomainError):
-        ShiftRequest("spin", "x", 0.6, 0.3, 0.7, 2.0).predict()
 
 
 def test_unknown_variants_raise():

@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from legshift.complexfn import cpow, zsq_minus_one_pow
 from legshift.errors import DomainError
-from legshift.legendre import ferrers_p, legendre_p
+from legshift.legendre import legendre_p
+from legshift.shifts import predict_order_shift
 from legshift.verify import (
     GridSummary,
     get_identity,
@@ -15,9 +15,6 @@ from legshift.verify import (
     ode_residual,
     verify_grid,
     verify_identity,
-    weighted_ferrers_upper,
-    weighted_p_lower,
-    weighted_p_upper,
 )
 
 
@@ -105,21 +102,24 @@ def test_grid_summary_all_passed_property():
     assert not GridSummary("X", 0, 0, 0, 0.0).all_passed
 
 
-def test_weighted_helpers_match_direct_product():
-    nu, mu = 0.7, 0.4
-    v = 1.5
-    ref = zsq_minus_one_pow(v, -mu / 2.0) * legendre_p(nu, mu, v)
-    assert abs(weighted_p_upper(nu, mu, v) - ref) <= 1e-12 * abs(ref)
-    u = 0.35
-    ref = cpow(1.0 - u * u, -mu / 2.0) * ferrers_p(nu, mu, u)
-    assert abs(weighted_ferrers_upper(nu, mu, u) - ref) <= 1e-12 * abs(ref)
-
-
-def test_weighted_helper_smooth_through_branch_point():
-    # the weighted form is analytic at v = 1 where the raw product is not
-    a = weighted_p_lower(0.7, 0.4, 1.0 + 1e-8)
-    b = weighted_p_lower(0.7, 0.4, 1.0 - 1e-8)
-    assert abs(a - b) <= 1e-6 * abs(a)
+@pytest.mark.parametrize(
+    "identity,variant",
+    [
+        ("WEYL_MPLUS_Q", "weyl_q_down"),
+        ("WEYL_MPLUS_P", "weyl_p_up"),
+        ("WEYL_MMINUS_Q", "weyl_minus_q"),
+        ("WEYL_MMINUS_P", "weyl_minus_p"),
+    ],
+)
+def test_weyl_conditions_are_the_closed_form_conditions(identity, variant):
+    # the Weyl integrals converge exactly where the closed forms hold, so
+    # each condition is listed once, as predict_order_shift states it
+    entry = get_identity(identity)
+    for p in entry.default_grid + ({"nu": 0.6, "mu": 0.3, "lam": -2.0, "z": 2.0},):
+        expected = predict_order_shift(p["nu"], p["mu"], p["lam"], p["z"], variant).conditions
+        assert entry.conditions_at(**p) == expected
+    listed = entry.to_dict()["conditions"]
+    assert len(set(listed)) == len(listed)
 
 
 def test_ode_residual_homogeneous():

@@ -184,8 +184,9 @@ def _report_record(rep) -> dict:
         lhs = complex(rep.lhs.value)
         rec["lhs_re"], rec["lhs_im"] = lhs.real, lhs.imag
         rec["quad_err"] = rep.lhs.err_estimate
+        rec["evaluations"] = rep.lhs.evaluations
     else:
-        rec["lhs_re"] = rec["lhs_im"] = rec["quad_err"] = None
+        rec["lhs_re"] = rec["lhs_im"] = rec["quad_err"] = rec["evaluations"] = None
     rhs = complex(rep.rhs.value)
     rec["rhs_re"], rec["rhs_im"] = rhs.real, rhs.imag
     rec["rel_err"] = rep.rel_err if rep.validity else None
@@ -203,6 +204,15 @@ def _emit_table_line(rec):
             v = ";".join(v)
         parts.append(f"{k}={v}")
     print(" ".join(parts))
+
+
+def _budget(summary, target):
+    """Integrand evaluations over a grid summary's points, and how many of
+    them report err_estimate > target * |lhs|."""
+    sides = [rep.lhs for rep in summary.reports if rep.lhs is not None]
+    evaluations = sum(q.evaluations for q in sides)
+    unconverged = sum(q.err_estimate > target * abs(q.value) for q in sides)
+    return evaluations, unconverged
 
 
 def _verify_one_identity(entry, args, records):
@@ -255,6 +265,7 @@ def _cmd_verify(args) -> int:
         summaries.append(_verify_one_identity(entry, args, records))
 
     all_ok = all(s.all_passed and not s.failures for s in summaries)
+    budgets = [_budget(s, args.target) for s in summaries]
     if args.format == "json":
         payload = {
             "reports": records,
@@ -265,11 +276,13 @@ def _cmd_verify(args) -> int:
                     "valid": s.n_valid,
                     "passed": s.n_passed,
                     "worst_rel_err": s.worst_rel_err,
+                    "evaluations": evaluations,
+                    "unconverged": unconverged,
                     "failures": [
                         {"params": p, "reason": r} for p, r in s.failures
                     ],
                 }
-                for s in summaries
+                for s, (evaluations, unconverged) in zip(summaries, budgets)
             ],
             "all_passed": all_ok,
         }
@@ -277,11 +290,12 @@ def _cmd_verify(args) -> int:
     else:
         for rec in records:
             _emit_table_line(rec)
-        for s in summaries:
+        for s, (evaluations, unconverged) in zip(summaries, budgets):
             print(
                 f"summary identity={s.identity} points={s.n_points} "
                 f"valid={s.n_valid} passed={s.n_passed} "
-                f"worst_rel_err={s.worst_rel_err}"
+                f"worst_rel_err={s.worst_rel_err} "
+                f"evaluations={evaluations} unconverged={unconverged}"
             )
             for p, reason in s.failures:
                 print(f"failure identity={s.identity} params={p} reason={reason}")

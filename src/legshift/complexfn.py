@@ -71,6 +71,14 @@ def check_finite(*values) -> None:
             raise DomainError(f"non-finite argument {v!r}")
 
 
+def real_argument(x, what: str) -> float:
+    """Re x for a real x; DomainError naming ``what`` when Im x != 0."""
+    x = _as_complex(x)
+    if x.imag != 0.0:
+        raise DomainError(f"{what} take a real argument, got {x}")
+    return x.real
+
+
 def is_integer(z, tol: float = _POLE_TOL) -> bool:
     """True when z is within tol of an integer on each axis:
     |Im z| <= tol and |Re z - round(Re z)| <= tol."""

@@ -49,6 +49,7 @@ from .complexfn import (
     gamma_ratio,
     is_integer,
     is_nonpositive_integer,
+    real_argument,
     rgamma,
 )
 from .errors import DomainError
@@ -114,6 +115,25 @@ class _TermSum:
             hyp.append((coef, ev))
         return hyp[n]
 
+    def value(self, z):
+        """S at z: the order-0 sum, skipping the power of an exponent that
+        the weight left at exactly 0."""
+        if self._ferrers:
+            zm, zp = 1.0 - z, 1.0 + z
+        else:
+            zm, zp = z - 1.0, z + 1.0
+        total = 0.0 + 0.0j
+        for term, hyp in zip(self._terms, self._hyp):
+            if term.q == 0:
+                pf = cpow(zm, term.p)
+            elif term.p == 0:
+                pf = cpow(zp, term.q)
+            else:
+                pf = cpow(zm, term.p) * cpow(zp, term.q)
+            w = (1.0 - z) / 2.0 if term.wmap == "half" else 2.0 / (1.0 - z)
+            total += term.K * pf * hyp[0](w)
+        return total
+
     def __call__(self, z, order):
         """[S, S', S''] at z; entries above ``order`` stay 0."""
         acc = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
@@ -153,6 +173,9 @@ class _EpsAverage:
 
     def __init__(self, up, down):
         self._up, self._down = up, down
+
+    def value(self, z):
+        return 0.5 * (self._up.value(z) + self._down.value(z))
 
     def __call__(self, z, order):
         up = self._up(z, order)
@@ -283,15 +306,19 @@ class _Legendre:
         self._near = None  # the only representation of P and the Ferrers kinds
         self._far = None  # Q for |2/(1-z)| <= 0.75
 
-    def derivs(self, z, order):
-        """[F, F', F''] at an already prepared z; entries above ``order`` are 0."""
+    def _at(self, z):
+        """The representation that serves an already prepared z."""
         if self.kind == "q" and _use_far(z):
             if self._far is None:
                 self._far = _representation("q", self.nu, self.mu, self.s, far=True)
-            return self._far(z, order)
+            return self._far
         if self._near is None:
             self._near = _representation(self.kind, self.nu, self.mu, self.s)
-        return self._near(z, order)
+        return self._near
+
+    def value(self, z):
+        """F at an already prepared z."""
+        return self._at(z).value(z)
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
@@ -305,7 +332,9 @@ class _Legendre:
             z = _ferrers_x(z)
         else:
             z = _prepare_z(z, boundary_side)
-        return self.derivs(z, order)[order]
+        if order == 0:
+            return self._at(z).value(z)
+        return self._at(z)(z, order)[order]
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -329,8 +358,7 @@ def weighted_evaluator(kind, nu, mu, s):
     With s = mu/2 the P forms are analytic through v = 1; with s = -mu/2
     each term has the single power (v-1)**(-mu) or (v+1)**(-mu).
     """
-    derivs = _Legendre(kind, nu, mu, s).derivs
-    return lambda v: derivs(v, 0)[0]
+    return _Legendre(kind, nu, mu, s).value
 
 
 def whipple_evaluator(kind, nu, mu, s):
@@ -401,16 +429,14 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
         up = legendre_q(nu + d, mu, z, olver=True)
         dn = legendre_q(nu - d, mu, z, olver=True)
         return 0.5 * (up + dn)
-    return cmath.exp(-1j * math.pi * mu) * rgamma(nu + mu + 1.0) * ev.derivs(z, 0)[0]
+    return cmath.exp(-1j * math.pi * mu) * rgamma(nu + mu + 1.0) * ev.value(z)
 
 
 def _ferrers_x(x) -> float:
-    x = complex(x)
-    if x.imag != 0.0:
-        raise DomainError("Ferrers functions take a real argument in (-1, 1)")
-    if not -1.0 < x.real < 1.0:
-        raise DomainError(f"Ferrers argument must lie in (-1, 1), got {x.real}")
-    return x.real
+    x = real_argument(x, "Ferrers functions")
+    if not -1.0 < x < 1.0:
+        raise DomainError(f"Ferrers argument must lie in (-1, 1), got {x}")
+    return x
 
 
 def ferrers_p(nu, mu, x) -> complex:

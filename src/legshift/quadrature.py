@@ -3,7 +3,11 @@
 Three primitives drive every numeric evaluation in the identity layer:
 
 * ``integrate_segment``: tanh-sinh rule on a finite segment, tolerant of
-  integrable endpoint singularities (declared exponent > -1);
+  integrable endpoint singularities (declared exponent > -1).  Nodes whose
+  position rounds to within 64 ulp of an endpoint are not evaluated: they
+  take the declared power law through the closest evaluated sample, which
+  keeps the trapezoid sums converging double-exponentially, and 5% of
+  their mass joins the error estimate;
 * ``integrate_semi_infinite``: exp-sinh rule on (a, inf) for integrands with
   an integrable singularity at ``a`` and algebraic decay faster than 1/t;
 * ``integrate_loop``: the collapsed small-loop contour around t = 0,
@@ -18,7 +22,9 @@ Three primitives drive every numeric evaluation in the identity layer:
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
-trapezoid rule on a circle inside the analyticity disk of g.
+trapezoid rule on a circle of at most a quarter of g's analyticity radius,
+with N = the smallest power of two >= max(64, coefficient count) samples, so
+aliasing stays below 4**-N relative.
 """
 
 from __future__ import annotations
@@ -83,13 +89,20 @@ def integrate_segment(
     """tanh-sinh integral of f over the straight segment from a to b.
 
     ``endpoint_exponent_*`` declares the power-law behavior of f at each
-    endpoint; exponents must exceed -1 (integrable).  Nodes that round onto
-    an endpoint are skipped, so f is never called exactly at a or b; the
-    sliver lost to that skip is added back analytically from the declared
-    power law, since for a mildly singular exponent sigma its mass
-    ulp^(1+sigma) is far above target accuracy.  ``absolute_floor`` states
-    the magnitude of the quantity this piece contributes to, so a negligible
-    piece is not forced to converge in its own relative terms.
+    endpoint; exponents must exceed -1 (integrable).  Node positions are
+    quantized to the ulp grid of the endpoint, so f is not called at a node
+    within 64 ulp of an endpoint (nor exactly at a or b).  Such a node takes
+    the value f_ref (frac/frac_ref)**sigma of the declared power law through
+    the closest evaluated sample on its side, frac being the distance to the
+    endpoint as a fraction of the segment; it is not counted in
+    ``evaluations``, and 5% of its weighted mass is added to
+    ``err_estimate``.  Dropping it instead would cut the rule at a fixed
+    distance, where the sums converge only like the step times the integrand
+    there.  A side with no evaluated sample yet drops its rounded nodes and
+    adds their sliver back from the power law, with 5% of its mass in the
+    estimate.  ``absolute_floor`` states the magnitude of the quantity this
+    piece contributes to, so a negligible piece is not forced to converge in
+    its own relative terms.
     """
     if endpoint_exponent_a <= -1.0 or endpoint_exponent_b <= -1.0:
         raise DomainError(
@@ -109,13 +122,12 @@ def integrate_segment(
     u_max = math.asinh(sinh_max)
 
     evaluations = 0
-    # per endpoint side (0: a, 1: b): largest skipped frac, and the kept
-    # sample closest to the endpoint for the power-law tail estimate
-    skipped_frac = [0.0, 0.0]
+    sigmas = (endpoint_exponent_a, endpoint_exponent_b)
+    # per endpoint side (0: a, 1: b): the kept sample closest to the
+    # endpoint, and the largest frac dropped while the side had none
     closest = [None, None]  # (frac, fx)
-    # node positions are quantized to the ulp grid of the endpoint, which
-    # ruins singular samples whose distance to the endpoint is comparable;
-    # such nodes are dropped and their mass restored by skipped_sliver()
+    skipped_frac = [0.0, 0.0]
+    # a position error of an ulp ruins singular samples this close
     quant = (
         64.0 * 2.3e-16 * abs(a) / abs(span),
         64.0 * 2.3e-16 * abs(b) / abs(span),
@@ -132,9 +144,6 @@ def integrate_segment(
             x = b - span * frac
         else:
             x = a + span * frac
-        if x == a or x == b or frac <= quant[side]:
-            skipped_frac[side] = max(skipped_frac[side], frac)
-            return None
         w = 4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2
         return x, w, frac, side
 
@@ -142,27 +151,38 @@ def integrate_segment(
         nonlocal evaluations
         total = 0.0 + 0.0j
         total_abs = 0.0
+        modelled_abs = 0.0
         j = 1 if odd_only else 0
         step = 2 if odd_only else 1
         while j * h <= u_max:
             for sgn in ((1,) if j == 0 else (1, -1)):
                 nd = node(sgn * j * h)
-                if nd is not None:
-                    x, w, frac, side = nd
+                if nd is None:
+                    continue
+                x, w, frac, side = nd
+                if x == a or x == b or frac <= quant[side]:
+                    ref = closest[side]
+                    if ref is None or frac <= skipped_frac[side]:
+                        skipped_frac[side] = max(skipped_frac[side], frac)
+                        continue
+                    wf = w * ref[1] * (frac / ref[0]) ** sigmas[side]
+                    modelled_abs += abs(wf)
+                else:
                     fx = f(x)
-                    total += w * fx
-                    total_abs += abs(w * fx)
+                    wf = w * fx
                     evaluations += 1
                     if closest[side] is None or frac < closest[side][0]:
                         closest[side] = (frac, fx)
+                total += wf
+                total_abs += abs(wf)
             j += step
-        return total, total_abs
+        return total, total_abs, modelled_abs
 
     def skipped_sliver():
-        # mass of the node-rounding gap next to each endpoint, extrapolated
-        # from the declared exponent and the closest evaluated sample
+        # mass of the gap dropped next to an endpoint before that side had a
+        # kept sample, extrapolated from the declared exponent
         total = 0.0 + 0.0j
-        for side, sigma in ((0, endpoint_exponent_a), (1, endpoint_exponent_b)):
+        for side, sigma in enumerate(sigmas):
             if skipped_frac[side] <= 0.0 or closest[side] is None:
                 continue
             frac_ref, f_ref = closest[side]
@@ -174,34 +194,36 @@ def integrate_segment(
 
     rad = 0.5 * span
     h = 1.0
-    acc, acc_abs = eval_level(h, odd_only=False)
+    acc, acc_abs, modelled_abs = eval_level(h, odd_only=False)
     best = acc * h * rad
     err = abs(best) + 1.0
     for _level in range(1, max_level + 1):
         h *= 0.5
-        part, part_abs = eval_level(h, odd_only=True)
+        part, part_abs, part_modelled = eval_level(h, odd_only=True)
         acc += part
         acc_abs += part_abs
+        modelled_abs += part_modelled
         cur = acc * h * rad
         noise_floor = 1e-14 * acc_abs * h * abs(rad)
         err = abs(cur - best)
         best = cur
         if err <= target * max(abs(cur), absolute_floor, 1e-30) + noise_floor + 1e-300:
-            sliver = skipped_sliver()
-            return QuadratureResult(
-                best + sliver,
-                max(err, noise_floor) + 0.05 * abs(sliver),
-                evaluations,
+            err = max(err, noise_floor)
+            break
+    else:
+        # sub-ulp intervals cannot converge in relative terms; the achievable
+        # accuracy is bounded by the rounding of the node positions themselves
+        pos_noise = 2.3e-16 * max(abs(a), abs(b)) / abs(span)
+        if err > max(math.sqrt(target), pos_noise) * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
+            raise ConvergenceError(
+                f"segment quadrature stalled: err ~ {err:.2e} after level {max_level}"
             )
-    # sub-ulp intervals cannot converge in relative terms; the achievable
-    # accuracy is bounded by the rounding of the node positions themselves
-    pos_noise = 2.3e-16 * max(abs(a), abs(b)) / abs(span)
-    if err > max(math.sqrt(target), pos_noise) * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
-        raise ConvergenceError(
-            f"segment quadrature stalled: err ~ {err:.2e} after level {max_level}"
-        )
+    # the modelled nodes and the sliver are trusted to 5% of their mass
     sliver = skipped_sliver()
-    return QuadratureResult(best + sliver, err + 0.05 * abs(sliver), evaluations)
+    modelled = modelled_abs * h * abs(rad)
+    return QuadratureResult(
+        best + sliver, err + 0.05 * (modelled + abs(sliver)), evaluations
+    )
 
 
 def integrate_semi_infinite(
@@ -302,22 +324,28 @@ def integrate_semi_infinite(
     )
 
 
-def _taylor_coefficients(
-    g: Callable[[complex], complex], radius: float, count: int, n_samples: int = 128
-):
-    """Taylor coefficients of g at 0 by the trapezoid rule on |t| = radius."""
-    samples = [
-        g(radius * cmath.exp(2j * math.pi * j / n_samples)) for j in range(n_samples)
-    ]
+def _taylor_coefficients(g: Callable[[complex], complex], radius: float, count: int):
+    """Taylor coefficients c_0..c_{count-1} of g at 0 by the trapezoid rule
+    on |t| = radius, with N = the smallest power of two >= max(64, count)
+    samples; returns (coefficients, N).
+
+    Every caller puts the circle at a quarter of g's analyticity radius, so
+    the aliased terms c_{k+N} radius**(k+N) are below 4**-N relative, and
+    N >= count keeps the returned coefficients from aliasing onto each other.
+    """
+    n = 64
+    while n < count:
+        n *= 2
+    samples = [g(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)]
     # exp(-2 pi i jk/N) is periodic in jk with period N: look it up
-    roots = [cmath.exp(-2j * math.pi * m / n_samples) for m in range(n_samples)]
+    roots = [cmath.exp(-2j * math.pi * m / n) for m in range(n)]
     coeffs = []
     for k in range(count):
         s = 0.0 + 0.0j
         for j, gj in enumerate(samples):
-            s += gj * roots[j * k % n_samples]
-        coeffs.append(s / (n_samples * radius**k))
-    return coeffs, n_samples
+            s += gj * roots[j * k % n]
+        coeffs.append(s / (n * radius**k))
+    return coeffs, n
 
 
 def _poly_eval(coeffs, t):

@@ -22,7 +22,16 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .complexfn import cos_pi, cpow, gamma_ratio, is_integer, rgamma, sin_pi, zsq_minus_one_pow
+from .complexfn import (
+    cos_pi,
+    cpow,
+    gamma_ratio,
+    is_integer,
+    real_argument,
+    rgamma,
+    sin_pi,
+    zsq_minus_one_pow,
+)
 from .errors import DomainError
 from .hyper import hyp3f2_barnes, hyp3f2_series
 from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
@@ -297,7 +306,7 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
     Variants: "lplus_p", "lplus_q", "lminus_p".
     """
     nu, mu, lam = complex(nu), complex(mu), complex(lam)
-    x = complex(x).real
+    x = real_argument(x, "Ferrers shifts")
 
     if variant == "lplus_p":
         val = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(

@@ -39,6 +39,7 @@ from .complexfn import (
     gamma_ratio,
     is_integer,
     ln_gamma,
+    real_argument,
     rgamma,
     sin_pi,
     zsq_minus_one_pow,
@@ -261,8 +262,11 @@ def _repeated(p, W, target, variant, fold=None, endpoint=0.0):
 
 
 def _on_cut(lhs):
-    """The quadrature side at x = Re z, the point the Ferrers closed forms use."""
-    return lambda nu, mu, lam, z, target: lhs(nu, mu, lam, complex(z).real, target)
+    """The quadrature side at a real x, the only points the Ferrers closed
+    forms take."""
+    return lambda nu, mu, lam, z, target: lhs(
+        nu, mu, lam, real_argument(z, "Ferrers identities"), target
+    )
 
 
 # the weighted integrands W of the weight conventions in ``shifts``, as
@@ -401,7 +405,7 @@ def _rhs_multi_p3(nu, mu, lam, z):
 
 def _rhs_multi_lplus(nu, mu, lam, z):
     n = _check_fold(lam)
-    x = complex(z).real
+    x = real_argument(z, "Ferrers identities")
     m = complex(mu) - n
     return _closed_form(
         (1.0 - x * x) ** (-m / 2.0) * ferrers_p(nu, m, x),

@@ -45,6 +45,26 @@ def test_verify_3f2_continuation_on_its_cut_is_domain_error(identity, nu, mu, la
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "identity,lam,z",
+    [
+        ("FERRERS_LPLUS_P", "0.6", "0.25+0.3j"),
+        ("FERRERS_LPLUS_Q_3F2", "0.6", "0.25+0.3j"),
+        ("FERRERS_LMINUS_P_3F2", "0.6", "0.25-0.1j"),
+        ("MULTI_INT_LPLUS", "1", "0.3+0.1j"),
+    ],
+)
+def test_verify_ferrers_identity_at_complex_x_is_domain_error(identity, lam, z):
+    # the Ferrers identities hold on the real segment (-1, 1) only
+    code, out, err = run_cli(
+        ["verify", "--id", identity, "--nu", "0.45", "--mu", "0.3", "--lam", lam, "--z", z]
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_eval_on_cut_without_side_is_domain_error():
     code, _out, err = run_cli(["eval", "--fn", "P", "--nu", "0.5", "--mu", "0.3", "--z", "0.4"])
     assert code == EXIT_DOMAIN
@@ -106,6 +126,13 @@ def test_verify_single_point():
     assert lines[0].startswith("identity=WEYL_MMINUS_Q")
     assert "pass=True" in lines[0]
     assert lines[-1].startswith("summary identity=WEYL_MMINUS_Q points=1")
+    point = dict(kv.split("=", 1) for kv in lines[0].split())
+    summary = dict(kv.split("=", 1) for kv in lines[-1].split()[1:])
+    assert int(point["evaluations"]) > 0
+    assert summary["evaluations"] == point["evaluations"]
+    # unconverged counts points with quad_err > target * |lhs|
+    lhs = abs(complex(float(point["lhs_re"]), float(point["lhs_im"])))
+    assert summary["unconverged"] == str(int(float(point["quad_err"]) > 1e-9 * lhs))
 
 
 def test_verify_defaults_json_format():
@@ -115,7 +142,12 @@ def test_verify_defaults_json_format():
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["all_passed"]
-    assert payload["summaries"][0]["points"] == 8
+    summary = payload["summaries"][0]
+    assert summary["points"] == 8
+    assert summary["evaluations"] == sum(r["evaluations"] for r in payload["reports"])
+    assert summary["unconverged"] == sum(
+        r["quad_err"] > 1e-9 * math.hypot(r["lhs_re"], r["lhs_im"]) for r in payload["reports"]
+    )
 
 
 def test_verify_canary_exits_nonzero():

@@ -35,14 +35,18 @@ def _taylor_reference(g, radius, count, n_samples=128):
 def test_taylor_coefficients_match_direct_dft():
     p_upper = weighted_evaluator("p", 0.6, 0.3, -0.15)
     cases = [
-        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40),
-        (lambda t: p_upper(2.4 - t), 0.35, 40),
-        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9),
+        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40, 64),
+        (lambda t: p_upper(2.4 - t), 0.35, 40, 64),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9, 64),
+        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 64, 64),
+        (lambda t: p_upper(2.4 - t), 0.35, 70, 128),
     ]
-    for g, radius, count in cases:
+    for g, radius, count, n_samples in cases:
         ref = _taylor_reference(g, radius, count)
         coeffs, n_eval = _taylor_coefficients(g, radius, count)
-        assert n_eval == 128
+        # the rule takes the smallest power of two >= max(64, count) samples
+        assert n_eval == n_samples
+        assert len(coeffs) == count
         # compare the trapezoid sums c_k radius**k: the rounding of each sum
         # is ~1e-16 of the largest one, and dividing by radius**k amplifies
         # it equally in both computations
@@ -50,6 +54,7 @@ def test_taylor_coefficients_match_direct_dft():
         scaled_ref = [c * radius**k for k, c in enumerate(ref)]
         tol = 1e-13 * max(abs(c) for c in scaled_ref)
         assert all(abs(c - r) <= tol for c, r in zip(scaled, scaled_ref))
+    assert _taylor_coefficients(lambda t: 1.0, 0.5, 129)[1] == 256
 
 
 def test_segment_polynomial():
@@ -77,6 +82,24 @@ def test_segment_both_singular_endpoints():
     )
     ref = gamma(0.3) * gamma(0.6) / gamma(0.9)
     assert abs(res.value - ref) <= 1e-9 * abs(ref)
+
+
+def test_segment_models_nodes_rounded_onto_an_endpoint():
+    # B(0.3, 0.45): nodes within 64 ulp of t = 1 take the declared power
+    # law through the closest evaluated sample instead of being dropped,
+    # so the rule converges on a few levels and its estimate still bounds
+    # the actual error
+    res = integrate_segment(
+        lambda t: cpow(t, -0.7) * cpow(1.0 - t, -0.55),
+        0.0,
+        1.0,
+        endpoint_exponent_a=-0.7,
+        endpoint_exponent_b=-0.55,
+    )
+    ref = gamma(0.3) * gamma(0.45) / gamma(0.75)
+    assert abs(res.value - ref) <= res.err_estimate
+    assert res.err_estimate <= 1e-7 * abs(ref)
+    assert res.evaluations <= 200
 
 
 def test_segment_rejects_nonintegrable_exponent():

@@ -100,9 +100,11 @@ def integrate_segment(
     distance, where the sums converge only like the step times the integrand
     there.  A side with no evaluated sample yet drops its rounded nodes and
     adds their sliver back from the power law, with 5% of its mass in the
-    estimate.  ``absolute_floor`` states the magnitude of the quantity this
-    piece contributes to, so a negligible piece is not forced to converge in
-    its own relative terms.
+    estimate.  Once that 5% exceeds the accuracy accepted after
+    ``max_level`` (sqrt(target) relative), no level can meet the target and
+    the rule raises ConvergenceError at once.  ``absolute_floor`` states the
+    magnitude of the quantity this piece contributes to, so a negligible
+    piece is not forced to converge in its own relative terms.
     """
     if endpoint_exponent_a <= -1.0 or endpoint_exponent_b <= -1.0:
         raise DomainError(
@@ -192,6 +194,9 @@ def integrate_segment(
             ) * span
         return total
 
+    # the accuracy accepted after max_level: sub-ulp intervals cannot converge
+    # in relative terms, being bounded by the rounding of the node positions
+    fallback = max(math.sqrt(target), 2.3e-16 * max(abs(a), abs(b)) / abs(span))
     rad = 0.5 * span
     h = 1.0
     acc, acc_abs, modelled_abs = eval_level(h, odd_only=False)
@@ -204,6 +209,13 @@ def integrate_segment(
         acc_abs += part_abs
         modelled_abs += part_modelled
         cur = acc * h * rad
+        # 5% of the modelled mass is error that no further level removes
+        capped = 0.05 * (modelled_abs * h * abs(rad) + abs(skipped_sliver()))
+        if capped > fallback * max(abs(cur), absolute_floor, 1e-30):
+            raise ConvergenceError(
+                "segment quadrature capped by the modelled endpoint mass: "
+                f"err >= {capped:.2e} at level {_level}"
+            )
         noise_floor = 1e-14 * acc_abs * h * abs(rad)
         err = abs(cur - best)
         best = cur
@@ -211,10 +223,7 @@ def integrate_segment(
             err = max(err, noise_floor)
             break
     else:
-        # sub-ulp intervals cannot converge in relative terms; the achievable
-        # accuracy is bounded by the rounding of the node positions themselves
-        pos_noise = 2.3e-16 * max(abs(a), abs(b)) / abs(span)
-        if err > max(math.sqrt(target), pos_noise) * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
+        if err > fallback * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
             raise ConvergenceError(
                 f"segment quadrature stalled: err ~ {err:.2e} after level {max_level}"
             )

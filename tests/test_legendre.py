@@ -190,8 +190,9 @@ def _weight(kind, v, s):
     "kind,nu,mu,v",
     [
         ("p", 0.7, 0.3, 1.5),
-        ("q", 1.3, 0.4, 1.5),  # near representation
-        ("q", 1.3, 0.4, 5.0),  # far representation
+        ("q", 1.3, 0.4, 1.2),  # near representation
+        ("q", 1.3, 0.4, 1.5),  # 1/z**2 representation, next to the switch
+        ("q", 1.3, 0.4, 5.0),  # 1/z**2 representation
         ("ferrers_p", 0.45, 0.3, 0.35),
         ("ferrers_q", 1.3, -0.4, -0.2),
         ("p", 0.6, 2.0, 2.2),  # integer mu: +/- i*eps average
@@ -207,12 +208,21 @@ def test_weighted_evaluator_is_weight_times_function(kind, nu, mu, v):
 def test_weighted_q_at_integer_order():
     # at integer mu both sides average Q at mu +/- i*eps, whose two near
     # terms carry Gamma(-mu) ~ 1/eps and cancel: the averages agree only to
-    # that cancellation, 4e-11 here, not to the last digit
-    nu, mu, v = 0.6, 1.0, 1.7
+    # that cancellation, 2e-11 here, not to the last digit
+    nu, mu, v = 0.6, 1.0, 1.2
     for s in (mu / 2.0, -mu / 2.0):
         ref = _weight("q", v, s) * legendre_q(nu, mu, v)
         val = weighted_evaluator("q", nu, mu, s)(v)
         assert abs(val - ref) <= 1e-9 * abs(ref), s
+
+
+def test_weighted_q_at_integer_order_inverse_side():
+    # the 1/z**2 form has no degeneracy at integer mu: one term, no average
+    nu, mu, v = 0.6, 1.0, 1.7
+    for s in (mu / 2.0, -mu / 2.0):
+        ref = _weight("q", v, s) * legendre_q(nu, mu, v)
+        val = weighted_evaluator("q", nu, mu, s)(v)
+        assert abs(val - ref) <= 1e-13 * abs(ref), s
 
 
 def test_weighted_p_lower_smooth_through_branch_point():
@@ -250,8 +260,8 @@ def _public(kind, nu, mu, z, order):
 
 
 def test_evaluator_reuse_equals_one_shot():
-    # |2/(1-z)| <= 0.75 selects the far representation of Q: z >= 11/3 on the
-    # real axis; the cut-plane z list crosses it both ways
+    # |(1-z)/2| |z|**4 > 1 selects the 1/z**2 representation of Q: z > 1.451
+    # on the real axis; the cut-plane z list crosses it both ways
     zs = [1.2 + 0.37 * k + (0.3j if k % 3 == 0 else 0.0) for k in range(20)]
     zs[7], zs[15] = 9.0 - 2.0j, 1.05
     xs = [-0.95 + 0.097 * k for k in range(20)]
@@ -261,7 +271,7 @@ def test_evaluator_reuse_equals_one_shot():
         ("q", 0.6 + 0.2j, -0.35, zs),
         ("p", 0.6, 2.0, zs),  # integer mu: eps average
         ("q", 0.6, 1.0, zs),  # integer mu: eps average on the near side
-        ("q", -1.5, 0.3, zs),  # integer 2nu+2: eps average on the far side
+        ("q", -1.5, 0.3, zs),  # nu+3/2 = 0: the 1/z**2 series' c = -m limit
         ("ferrers_p", 0.45, 0.3, xs),
         ("ferrers_q", 1.3, -0.4, xs),
         ("ferrers_p", 0.45, 1.0, xs),  # integer mu

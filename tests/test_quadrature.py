@@ -102,6 +102,21 @@ def test_segment_models_nodes_rounded_onto_an_endpoint():
     assert res.evaluations <= 200
 
 
+def test_segment_gives_up_when_the_modelled_mass_caps_accuracy():
+    # B(0.05, 0.05): nodes within 64 ulp of t = 1 hold ~10% of the integral,
+    # so 5% of their modelled mass exceeds the sqrt(target) fallback bound
+    # and no level can help: the rule raises at once
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return cpow(t, -0.95) * cpow(1.0 - t, -0.95)
+
+    with pytest.raises(ConvergenceError):
+        integrate_segment(f, 0.0, 1.0, endpoint_exponent_a=-0.95, endpoint_exponent_b=-0.95)
+    assert calls[0] <= 2000
+
+
 def test_segment_rejects_nonintegrable_exponent():
     with pytest.raises(DomainError):
         integrate_segment(lambda t: t, 0.0, 1.0, endpoint_exponent_a=-1.2)

@@ -130,14 +130,6 @@ def default_grid_reports():
 # the default-grid points whose actual |lhs - rhs| exceeds the quadrature's
 # err_estimate, as (identity, (nu, mu, lam, z)); the set may shrink, not grow
 _ESTIMATE_EXCEEDED = {
-    ("WEYL_MPLUS_Q", (1.5, 0.2, 0.4, 1.5)),
-    ("WEYL_MPLUS_Q", (1.5, 0.2, 1.3, 3.0)),
-    ("WEYL_MPLUS_Q", (1.5, 0.6, 0.4, 1.5)),
-    ("WEYL_MPLUS_Q", (2.3, 0.2, 0.4, 1.5)),
-    ("WEYL_MPLUS_Q", (2.3, 0.6, 0.4, 1.5)),
-    ("WEYL_MMINUS_Q", (1.5, 0.2, 1.3, 3.0)),
-    ("WEYL_MMINUS_Q", (1.5, 0.6, 0.4, 1.5)),
-    ("WEYL_MMINUS_Q", (1.5, 0.6, 1.3, 3.0)),
     ("BETA_CONTOUR", (0.0, 2.2, 3.7, 0.0)),
 }
 

@@ -12,6 +12,8 @@ The package has three layers:
   against direct contour quadrature).
 """
 
+import importlib
+
 from .complexfn import ln_gamma, rgamma, gamma_ratio, sin_pi, cos_pi
 from .hyper import hyp2f1, hyp3f2_series, hyp3f2_barnes
 from .legendre import (
@@ -24,28 +26,43 @@ from .legendre import (
     whipple_p_to_q,
     whipple_q_to_p,
 )
-from .quadrature import (
-    integrate_segment,
-    integrate_semi_infinite,
-    integrate_loop,
-    repeated_integral,
-    QuadratureResult,
-)
-from .shifts import (
-    Prediction,
-    predict_order_shift,
-    predict_degree_shift,
-    predict_ferrers_shift,
-    apply_integer_recurrence,
-    rodrigues_pair,
-)
-from .verify import (
-    list_identities,
-    verify_identity,
-    verify_grid,
-    ode_residual,
-    VerificationReport,
-)
+
+# The quadrature and shift-identity layers load on first use (PEP 562), so a
+# caller that only evaluates functions, such as ``legshift eval``, never
+# imports them.
+_LAZY = {
+    "integrate_segment": "quadrature",
+    "integrate_semi_infinite": "quadrature",
+    "integrate_loop": "quadrature",
+    "repeated_integral": "quadrature",
+    "QuadratureResult": "quadrature",
+    "Prediction": "shifts",
+    "predict_order_shift": "shifts",
+    "predict_degree_shift": "shifts",
+    "predict_ferrers_shift": "shifts",
+    "apply_integer_recurrence": "shifts",
+    "rodrigues_pair": "shifts",
+    "list_identities": "verify",
+    "verify_identity": "verify",
+    "verify_grid": "verify",
+    "ode_residual": "verify",
+    "VerificationReport": "verify",
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | _LAZY_MODULES)
+
 
 __version__ = "0.1.0"
 

@@ -4,19 +4,20 @@ Exit codes are the scripting contract: 0 success, 1 numerical failure or
 verification mismatch, 2 argument/parse error, 3 domain error.  Complex
 values are always serialized as separate re/im fields, never as formatted
 complex strings.
+
+The identity commands import ``verify``, and with it the quadrature and shift
+layers, when they run, so ``eval`` loads only the function kernels.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 
 from .errors import DomainError, NumericalError
 from .legendre import ferrers_p, ferrers_q, jacobi_p, legendre_p, legendre_q
-from .verify import get_identity, list_identities, verify_grid, verify_identity
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -216,6 +217,8 @@ def _budget(summary, target):
 
 
 def _verify_one_identity(entry, args, records):
+    from .verify import verify_grid
+
     grid = None
     if args.grid_file:
         with open(args.grid_file) as fh:
@@ -245,6 +248,8 @@ def _verify_one_identity(entry, args, records):
 
 
 def _cmd_verify(args) -> int:
+    from .verify import get_identity, list_identities
+
     if args.far_field and (args.all or args.identity != "RIEMANN_MMINUS_P"):
         raise DomainError("--far-field only applies to --id RIEMANN_MMINUS_P")
     if args.all:
@@ -315,6 +320,8 @@ def _sweep_axis(args, names):
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out)
     if args.fn:
@@ -335,6 +342,8 @@ def _cmd_sweep(args) -> int:
                 [repr(x.real), repr(value.real), repr(value.imag), ""]
             )
     else:
+        from .verify import get_identity, verify_identity
+
         entry = get_identity(args.identity)
         axis = _sweep_axis(args, ("nu", "mu", "lam", "z"))
         writer.writerow(
@@ -370,6 +379,8 @@ def _cmd_sweep(args) -> int:
 # catalog
 
 def _cmd_catalog(args) -> int:
+    from .verify import list_identities
+
     entries = [e.to_dict() for e in list_identities()]
     if args.format == "json":
         print(json.dumps(entries, indent=2))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericalError, PoleError
 
 __all__ = [
     "check_finite",
@@ -203,12 +203,16 @@ def gamma_ratio(numerators, denominators) -> complex:
 
 
 def cpow(w, s) -> complex:
-    """Principal-branch power w**s = exp(s * Log w)."""
+    """Principal-branch power w**s = exp(s * Log w); NumericalError when
+    |w**s| is beyond double range."""
     if s == 0:
         return 1.0 + 0.0j
     if w == 0:
         return complex(0.0, 0.0)
-    return cmath.exp(s * cmath.log(w))
+    try:
+        return cmath.exp(s * cmath.log(w))
+    except OverflowError:
+        raise NumericalError(f"{w}**{s} overflows double range") from None
 
 
 def zsq_minus_one_pow(z, s) -> complex:

@@ -124,6 +124,10 @@ class _Series:
         for r in ratios[:n]:
             term *= r * w
             total += term
+        if not cmath.isfinite(total):
+            raise NumericalError(
+                f"terminating 2F1 polynomial of degree {n} overflows at |w| = {abs(w):.3g}"
+            )
         return total
 
 

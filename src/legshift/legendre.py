@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexfn import (
     check_finite,
@@ -70,7 +70,7 @@ from .complexfn import (
     real_argument,
     rgamma,
 )
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .hyper import _canonical as _prepared_2f1
 
 __all__ = [
@@ -92,16 +92,10 @@ _EPS = 1e-6
 _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
 
 
-@dataclass(frozen=True)
-class _Term:
-    K: complex
-    p: complex  # exponent of (z-1), or of (1-x) for Ferrers
-    q: complex  # exponent of (z+1), or of (1+x)
-    a: complex
-    b: complex
-    c: complex
-    wmap: str  # "half": w=(1-z)/2;  "inv": w=1/z**2
-    r: complex = 0.0  # exponent of z; "inv" terms only
+# K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w), with (1-x)**p (1+x)**q
+# for Ferrers; wmap "half": w = (1-z)/2, "inv": w = 1/z**2 (r is 0 for "half").
+# The per-node loops of _TermSum unpack it: a field read by name costs more.
+_Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 
 
 class _TermSum:
@@ -142,19 +136,19 @@ class _TermSum:
         else:
             zm, zp = z - 1.0, z + 1.0
         total = 0.0 + 0.0j
-        for term, hyp in zip(self._terms, self._hyp):
-            if term.q == 0:
-                pf = cpow(zm, term.p)
-            elif term.p == 0:
-                pf = cpow(zp, term.q)
+        for (K, p, q, _a, _b, _c, wmap, r), hyp in zip(self._terms, self._hyp):
+            if q == 0:
+                pf = cpow(zm, p)
+            elif p == 0:
+                pf = cpow(zp, q)
             else:
-                pf = cpow(zm, term.p) * cpow(zp, term.q)
-            if term.wmap == "half":
+                pf = cpow(zm, p) * cpow(zp, q)
+            if wmap == "half":
                 w = (1.0 - z) / 2.0
             else:
-                pf *= cpow(z, term.r)
+                pf *= cpow(z, r)
                 w = 1.0 / (z * z)
-            total += term.K * pf * hyp[0](w)
+            total += K * pf * hyp[0](w)
         return total
 
     def __call__(self, z, order):
@@ -164,34 +158,34 @@ class _TermSum:
             zm, zp, sign = 1.0 - z, 1.0 + z, -1.0
         else:
             zm, zp, sign = z - 1.0, z + 1.0, 1.0
-        for i, term in enumerate(self._terms):
-            pf = cpow(zm, term.p) * cpow(zp, term.q)
-            half = term.wmap == "half"
+        for i, (K, p, q, _a, _b, _c, wmap, r) in enumerate(self._terms):
+            pf = cpow(zm, p) * cpow(zp, q)
+            half = wmap == "half"
             if half:
                 w = (1.0 - z) / 2.0
             else:
-                pf *= cpow(z, term.r)
+                pf *= cpow(z, r)
                 w = 1.0 / (z * z)
             F0 = self._hyp[i][0](w)
-            acc[0] += term.K * pf * F0
+            acc[0] += K * pf * F0
             if order == 0:
                 continue
             # the product rule: L = (log of the power prefactor)', w1 = w', w2 = w''
-            L = sign * term.p / zm + term.q / zp
-            Lp = -term.p / zm**2 - term.q / zp**2
+            L = sign * p / zm + q / zp
+            Lp = -p / zm**2 - q / zp**2
             if half:
                 w1, w2 = -0.5, 0.0
             else:
-                L += term.r / z
-                Lp -= term.r / (z * z)
+                L += r / z
+                Lp -= r / (z * z)
                 w1, w2 = -2.0 * w / z, 6.0 * w * w
             coef1, hyp1 = self._derivative(i, 1)
             F1 = coef1 * hyp1(w)
-            acc[1] += term.K * pf * (L * F0 + F1 * w1)
+            acc[1] += K * pf * (L * F0 + F1 * w1)
             if order >= 2:
                 coef2, hyp2 = self._derivative(i, 2)
                 F2 = coef2 * hyp2(w)
-                acc[2] += term.K * pf * (
+                acc[2] += K * pf * (
                     (Lp + L * L) * F0 + 2.0 * L * F1 * w1 + F2 * w1 * w1 + F1 * w2
                 )
         return acc
@@ -337,6 +331,10 @@ class _Legendre:
             raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
         self.kind, self.nu, self.mu, self.s = kind, complex(nu), complex(mu), s
+        if kind == "q" and is_integer(mu) and is_nonpositive_integer(nu + mu + 1.0):
+            # a pole of Gamma(nu+mu+1) that no other factor cancels; tested
+            # here because the near form's average at mu +/- i*eps is finite
+            raise PoleError(f"Q has a pole at nu + mu + 1 = {round((nu + mu).real) + 1}")
         self._ferrers = kind.startswith("ferrers")
         self._near = None  # the only representation of P and the Ferrers kinds
         self._inv = None  # Q where _use_inv(z)
@@ -442,10 +440,11 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
     """P_nu^mu(z) on the cut plane C \\ (-inf, 1].
 
     nu, mu may be any complex numbers; boundary_side "+"/"-" selects the
-    limit from above/below when z is real and <= 1.  The one series in
-    (1-z)/2 needs about |nu| terms or more, so the degree is bounded by the
-    2F1 series cap of 3,000 terms: ``legendre_p(1000.5, 0.2, 1.5)`` raises
-    ConvergenceError.
+    limit from above/below when z is real and <= 1.  The degree is bounded
+    by double range, not by the series: |P_1000.5^0.2(1.5)| is about 1.2e417,
+    so the series terms overflow and ``legendre_p(1000.5, 0.2, 1.5)`` raises
+    ConvergenceError, while ``legendre_p(2000.5, 0.2, 1.01)`` (about 6.8e121)
+    is accurate.
     """
     check_finite(z)
     return _Legendre("p", nu, mu)(z, boundary_side=boundary_side)
@@ -463,20 +462,24 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     worse beyond (2e-4 at nu = 20.5, z = 1.2); at integer mu it is the
     average at mu +/- i*eps.
 
+    At integer mu with nu+mu+1 in {0, -1, ...}, Gamma(nu+mu+1) makes Q
+    infinite, and it raises PoleError whichever form serves z.
+
     ``olver=True`` returns exp(-i pi mu) Q_nu^mu(z) / Gamma(nu+mu+1), which
     stays finite when nu+mu is a negative integer.
     """
     check_finite(z)
-    ev = _Legendre("q", nu, mu)
     if not olver:
-        return ev(z, boundary_side=boundary_side)
-    nu, mu = ev.nu, ev.mu
+        return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
+    check_finite(nu, mu)
+    nu, mu = complex(nu), complex(mu)
     z = _prepare_z(z, boundary_side)
     if is_nonpositive_integer(nu + mu + 1.0):
         d = 1j * _EPS
         up = legendre_q(nu + d, mu, z, olver=True)
         dn = legendre_q(nu - d, mu, z, olver=True)
         return 0.5 * (up + dn)
+    ev = _Legendre("q", nu, mu)
     return cmath.exp(-1j * math.pi * mu) * rgamma(nu + mu + 1.0) * ev.value(z)
 
 

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import legshift
 from legshift.cli import EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, main
 
 
@@ -63,6 +67,46 @@ def test_verify_ferrers_identity_at_complex_x_is_domain_error(identity, lam, z):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+_EVAL_PROBE = """
+import json, sys
+from legshift.cli import main
+main(["eval", "--fn", "Q", "--nu", "2.3", "--mu", "0.4", "--z", "1.7"])
+loaded = sorted(sys.modules)
+import legshift
+listed = sorted(dir(legshift))
+namespace = {}
+exec("from legshift import *", namespace)
+print(json.dumps({"loaded": loaded, "dir": listed, "star": sorted(namespace),
+                  "verify": legshift.verify_identity.__module__}))
+"""
+
+
+def _run_python(code):
+    """The last stdout line of a fresh interpreter running code, with this
+    legshift first on its path."""
+    env = dict(os.environ)
+    src = os.path.dirname(legshift.__path__[0])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_eval_imports_only_the_function_kernels():
+    # a site hook may load some of these in every interpreter
+    bare = set(json.loads(_run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")))
+    probe = json.loads(_run_python(_EVAL_PROBE))
+    loaded = set(probe["loaded"]) - bare
+    for name in ("legshift.verify", "legshift.shifts", "legshift.quadrature", "dataclasses"):
+        assert name not in loaded, name
+    assert "legshift.legendre" in loaded
+    # the lazily loaded names are still listed, star-imported and resolved
+    assert len(legshift.__all__) == 32
+    assert set(legshift.__all__) <= set(probe["dir"])
+    assert set(legshift.__all__) <= set(probe["star"])
+    assert probe["verify"] == "legshift.verify"
 
 
 def test_eval_on_cut_without_side_is_domain_error():

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from legshift.complexfn import gamma_ratio
-from legshift.errors import DomainError, PoleError
+from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.hyper import (
     _gauss_legendre,
     hyp2f1,
@@ -66,6 +66,12 @@ def test_hyp2f1_rejects_non_finite_input():
                  (0.5, complex(0.2, inf), 1.3, 0.5), (0.5, 0.2, nan, 0.5)):
         with pytest.raises(DomainError):
             hyp2f1(*args)
+
+
+def test_hyp2f1_terminating_polynomial_overflow_raises():
+    # the degree-60 polynomial at w = 1e8 passes double range: its sum is not finite
+    with pytest.raises(NumericalError):
+        hyp2f1(-60, 1, 1.5, 1e8)
 
 
 def test_hyp2f1_evaluator_reuse_equals_one_shot():

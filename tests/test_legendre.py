@@ -8,7 +8,7 @@ import mpmath
 import pytest
 import scipy.special
 
-from legshift.errors import DomainError
+from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.legendre import (
     _Legendre,
     ferrers_p,
@@ -108,6 +108,32 @@ def test_legendre_q_olver_finite_at_pole():
         / complex(mpmath.gamma(nu + mu + 1.0))
     )
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize(
+    "nu,mu,z", [(-2, 1, 1.3), (-3, 1, 1.2), (-3, 2, 1.2), (-2, 1, 3.0), (-3, -1, 1.8 + 0.5j)]
+)
+def test_legendre_q_pole_at_integer_order_raises_on_both_sides(nu, mu, z):
+    # nu + mu + 1 in {0, -1, ...} at integer mu: a pole of Gamma(nu+mu+1) that
+    # the near form's mu +/- i*eps average would turn into a finite value
+    with pytest.raises(PoleError):
+        legendre_q(nu, mu, z)
+    with pytest.raises(PoleError):
+        legendre_deriv(nu, mu, z, order=1, kind="q")
+    with pytest.raises(ValueError):  # mpmath finds no finite limit either
+        mpmath.legenq(nu, mu, z, type=3)
+    # the Olver form is entire; its own nu +/- i*eps average still runs
+    # (|z| > 2: the 1/z**2 form serves)
+    if abs(z) > 2.0:
+        assert cmath.isfinite(legendre_q(nu, mu, z, olver=True))
+
+
+def test_overflow_raises_numerical_error():
+    # |P| is beyond double range: the power prefactor overflows in cpow
+    with pytest.raises(NumericalError):
+        jacobi_p(50.5, 0.2, 0.3, 1e8)
+    with pytest.raises(NumericalError):
+        legendre_deriv(50.5, 0.2, 1e8)
 
 
 def test_ferrers_frozen_oracles():

@@ -69,8 +69,8 @@ _FUNCTIONS = {
     "Q": lambda a: legendre_q(
         a["nu"], a["mu"], a["z"], boundary_side=a["side"], olver=a["olver"]
     ),
-    "ferrers-P": lambda a: ferrers_p(a["nu"], a["mu"], a["z"].real),
-    "ferrers-Q": lambda a: ferrers_q(a["nu"], a["mu"], a["z"].real),
+    "ferrers-P": lambda a: ferrers_p(a["nu"], a["mu"], a["z"]),
+    "ferrers-Q": lambda a: ferrers_q(a["nu"], a["mu"], a["z"]),
     "jacobi-P": lambda a: jacobi_p(a["nu"], a["alpha"], a["beta"], a["z"]),
 }
 

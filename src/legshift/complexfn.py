@@ -97,21 +97,22 @@ def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
 
 
 def sin_pi(z) -> complex:
-    """sin(pi*z) with argument reduction; exact 0 at integers."""
+    """sin(pi*z) with argument reduction; exact 0 at integers, exact +/-1 at
+    half-integers."""
     z = _as_complex(z)
-    # reduce the real part modulo 2 to keep the reduction exact
-    n = math.floor(z.real)
-    r = z.real - n  # r in [0, 1)
+    # reduce to the nearest integer: r = Re z - n is exact and in [-1/2, 1/2],
+    # so a point just off an integer keeps its relative accuracy
+    n = round(z.real)
+    r = z.real - n
     # sin(pi*(n + r + iy)) = (-1)^n sin(pi*(r + iy))
     sign = -1.0 if n % 2 else 1.0
+    if abs(r) == 0.5:
+        s, c = math.copysign(1.0, r), 0.0
+    else:
+        s, c = math.sin(math.pi * r), math.cos(math.pi * r)
     if z.imag == 0.0:
-        if r == 0.0:
-            return complex(0.0, 0.0)
-        if r == 0.5:
-            return complex(sign, 0.0)
-        return complex(sign * math.sin(math.pi * r), 0.0)
+        return complex(sign * s if r else 0.0, 0.0)
     y = math.pi * z.imag
-    s, c = math.sin(math.pi * r), math.cos(math.pi * r)
     return complex(sign * s * math.cosh(y), sign * c * math.sinh(y))
 
 

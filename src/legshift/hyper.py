@@ -47,6 +47,17 @@ _IMAGE_RADIUS = 0.92
 _MAX_SERIES_TERMS = 3000
 
 
+def _series_reach(a, b, c):
+    """Largest |w| <= 1 where the series of 2F1(a, b; c; w) stops within
+    N = 2000 terms: its terms behave like C k**(s-1) |w|**k with
+    C = Gamma(c)/(Gamma(a) Gamma(b)) and s = Re(a+b-c).  The rest of the
+    cap absorbs a sum much smaller than C, as where the terms alternate."""
+    n = 2 * _MAX_SERIES_TERMS // 3
+    scale = max((ln_gamma(c) - ln_gamma(a) - ln_gamma(b)).real, 0.0)
+    s = (a + b - c).real
+    return min(math.exp((math.log(1e-16) - scale - (s - 1.0) * math.log(n)) / n), 1.0)
+
+
 def _series_2f1(a, b, c, w):
     """Defining Gauss series; stops after 3 consecutive negligible terms."""
     total = 1.0 + 0.0j
@@ -188,19 +199,21 @@ def _ode_continue(series, w_target):
     raise ConvergenceError("ODE continuation of 2F1 did not reach the target")
 
 
-# the two series of each linear image: (a, b, c) of the first and second term
+# the two series of each linear image: (a, b, c) of the first and second term;
+# d = c-a-b is computed once, since a+b-c rounds differently from -d and the
+# +/- i*eps average at integer d amplifies the difference by 1/eps
 _IMAGE_SERIES = {
-    "one_minus": lambda a, b, c: (
-        (a, b, a + b - c + 1.0), (c - a, c - b, c - a - b + 1.0)
+    "one_minus": lambda a, b, c, d: (
+        (a, b, 1.0 - d), (c - a, c - b, 1.0 + d)
     ),
-    "recip": lambda a, b, c: (
+    "recip": lambda a, b, c, d: (
         (a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)
     ),
-    "recip_one_minus": lambda a, b, c: (
+    "recip_one_minus": lambda a, b, c, d: (
         (a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)
     ),
-    "one_minus_recip": lambda a, b, c: (
-        (a, a - c + 1.0, a + b - c + 1.0), (c - a, 1.0 - a, c - a - b + 1.0)
+    "one_minus_recip": lambda a, b, c, d: (
+        (a, a - c + 1.0, 1.0 - d), (c - a, 1.0 - a, 1.0 + d)
     ),
 }
 
@@ -212,13 +225,14 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_n_term", "_c_pole", "_degenerate", "_images", "_pfaff", "_nudged")
+    __slots__ = ("_n_term", "_c_pole", "_reach", "_degenerate", "_images", "_pfaff", "_nudged")
 
     def __init__(self, a, b, c):
         super().__init__(a, b, c)
         self._n_term = _terminating_index(a, b, c)
         self._c_pole = self._n_term is None and is_nonpositive_integer(c)
         # built on first use
+        self._reach = None  # _series_reach of the parameters
         self._degenerate = None  # image key -> degenerate coefficients
         self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
         self._pfaff = None
@@ -229,6 +243,18 @@ class _Gauss(_Series):
         if self._n_term is not None:
             return self.polynomial(w, self._n_term)
         return self.sum(w)
+
+    def direct(self, w):
+        """The defining series wherever it stops within the term cap
+        (``_series_reach``), __call__ beyond: for arguments near w = 1 where
+        the two terms of the 1-w image would cancel."""
+        if abs(w) <= _SERIES_RADIUS:
+            return self(w)
+        if self._reach is None:
+            # a polynomial or a c-pole goes to __call__, which handles both
+            plain = self._n_term is None and not self._c_pole
+            self._reach = _series_reach(self.a, self.b, self.c) if plain else 0.0
+        return self.series(w) if abs(w) <= self._reach else self(w)
 
     def __call__(self, w):
         w = complex(w)
@@ -251,13 +277,14 @@ class _Gauss(_Series):
         img = self._images.get(key)
         if img is None:
             a, b, c = self.a, self.b, self.c
+            d = c - a - b
             if key in ("one_minus", "one_minus_recip"):
-                g1 = gamma_ratio([c, c - a - b], [c - a, c - b])
-                g2 = gamma_ratio([c, a + b - c], [a, b])
+                g1 = gamma_ratio([c, d], [c - a, c - b])
+                g2 = gamma_ratio([c, -d], [a, b])
             else:
                 g1 = gamma_ratio([c, b - a], [b, c - a])
                 g2 = gamma_ratio([c, a - b], [a, c - b])
-            s1, s2 = _IMAGE_SERIES[key](a, b, c)
+            s1, s2 = _IMAGE_SERIES[key](a, b, c, d)
             img = self._images[key] = (g1, _Series(*s1), g2, _Series(*s2))
         return img
 

@@ -19,32 +19,29 @@ Every representation is a short sum of terms
 (or (1-x)**p (1+x)**q for Ferrers) with w either (1-z)/2 ("half", r = 0) or
 1/z**2 ("inv"), which makes first and second derivatives a product-rule
 exercise.  P and the Ferrers functions have one representation in
-w = (1-z)/2.  Q has two:
+w = (1-z)/2.  Q is one term in w = 1/z**2 on the whole cut plane, with no
+subtraction (DLMF 14.3.7):
 
-* the near form, two terms in w = (1-z)/2: Q as its combination of P^mu and
-  P^-mu, each one 2F1 (DLMF 14.3.6); at integer mu their Gamma(+/-mu) poles
-  cancel and the limit is the average of the evaluations at mu +/- i*eps;
-* the 1/z**2 form, one term with no subtraction (DLMF 14.3.7):
+    Q_nu^mu(z) = exp(i pi mu) Gamma(nu+mu+1) * sqrt(pi) / 2**(nu+1)
+                 * (z**2-1)**(mu/2) * z**(-nu-mu-1)
+                 * 2F1((nu+mu+2)/2, (nu+mu+1)/2; nu+3/2; 1/z**2) / Gamma(nu+3/2).
 
-      Q_nu^mu(z) = exp(i pi mu) sqrt(pi) Gamma(nu+mu+1)
-                   / (2**(nu+1) Gamma(nu+3/2)) * (z**2-1)**(mu/2)
-                   * z**(-nu-mu-1) * 2F1((nu+mu+2)/2, (nu+mu+1)/2; nu+3/2; 1/z**2).
-
-  At nu+3/2 = -m the term takes its regularized limit, still one term:
-  2F1/Gamma(c) -> (a)_{m+1} (b)_{m+1}/(m+1)! * w**(m+1)
-  * 2F1(a+m+1, b+m+1; m+2; w).
-
-Q takes the 1/z**2 form where |(1-z)/2| * |z|**4 > 1, that is, where
-|1/z**2|**2 < |(1-z)/2|: there its one series needs at most half the terms
-of each near series, so no more than the two together, and the near terms,
-which grow apart with the degree while their sum does not, are not summed.
+Olver's Q is the same term without exp(i pi mu) Gamma(nu+mu+1); Hobson's Q
+has a pole wherever that Gamma does.  At nu+3/2 = -m the term takes its
+regularized limit, still one term:
+2F1/Gamma(c) -> (a)_{m+1} (b)_{m+1}/(m+1)! * w**(m+1)
+* 2F1(a+m+1, b+m+1; m+2; w).  Q needs no +/- i*eps average anywhere.  Its
+series and their two derivative series are summed directly out to the
+radius where they stop within the term cap (``hyper._Gauss.direct``): near
+z = 1 the 1-w image the continuation would take is the cancelling pair of
+the two-term form of Q in (1-z)/2.  They are continued only for |z| < 1 and
+for 1 < |z| < 1.004 to 1.017 (nu <= 25, |mu| <= 2).
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
 do the parameter-only work once per evaluator: the term coefficients, the
-prepared 2F1 of each term, and the +/- i*eps sub-evaluators; for Q, the near
-and 1/z**2 term lists are each built on first use.  Calls then do only
-z-dependent work.  The public one-shot functions build one evaluator and call
-it once.
+prepared 2F1 of each term, and the +/- i*eps sub-evaluators of P and the
+Ferrers functions.  Calls then do only z-dependent work.  The public
+one-shot functions build one evaluator and call it once.
 
 ``weighted_evaluator(kind, nu, mu, s)`` is the same term list times
 (z**2-1)**s, or (1-x**2)**s for Ferrers: s joins the exponents p and q of
@@ -98,6 +95,13 @@ _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
 _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 
 
+def _series_of(wmap, a, b, c):
+    """w -> 2F1(a, b; c; w) for a term with this wmap; the 1/z**2 series is
+    summed directly (see the module docstring)."""
+    ev = _prepared_2f1(a, b, c)
+    return ev if wmap == "half" else ev.direct
+
+
 class _TermSum:
     """Sum of _Term values and their first two derivatives at z.
 
@@ -111,7 +115,7 @@ class _TermSum:
         self._terms = terms
         self._ferrers = ferrers
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
-        self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
+        self._hyp = [[_series_of(t.wmap, t.a, t.b, t.c)] for t in terms]
 
     def _derivative(self, i, n):
         """(coefficient, evaluator) of the n-th w-derivative of term i's 2F1."""
@@ -121,10 +125,10 @@ class _TermSum:
             a, b, c = t.a, t.b, t.c
             if len(hyp) == 1:
                 coef = a * b / c
-                ev = _prepared_2f1(a + 1.0, b + 1.0, c + 1.0)
+                ev = _series_of(t.wmap, a + 1.0, b + 1.0, c + 1.0)
             else:
                 coef = a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0))
-                ev = _prepared_2f1(a + 2.0, b + 2.0, c + 2.0)
+                ev = _series_of(t.wmap, a + 2.0, b + 2.0, c + 2.0)
             hyp.append((coef, ev))
         return hyp[n]
 
@@ -148,7 +152,7 @@ class _TermSum:
             else:
                 pf *= cpow(z, r)
                 w = 1.0 / (z * z)
-            total += K * pf * hyp[0](w)
+            total += K * (pf * hyp[0](w))
         return total
 
     def __call__(self, z, order):
@@ -167,7 +171,7 @@ class _TermSum:
                 pf *= cpow(z, r)
                 w = 1.0 / (z * z)
             F0 = self._hyp[i][0](w)
-            acc[0] += K * pf * F0
+            acc[0] += K * (pf * F0)
             if order == 0:
                 continue
             # the product rule: L = (log of the power prefactor)', w1 = w', w2 = w''
@@ -216,35 +220,29 @@ def _p_terms(nu, mu):
     return [_Term(rgamma(1.0 - mu), -mu / 2.0, mu / 2.0, -nu, nu + 1.0, 1.0 - mu, "half")]
 
 
-def _q_inv_terms(nu, mu):
-    """Q as the one 1/z**2 term of DLMF 14.3.7; see the module docstring."""
+def _q_inv_terms(nu, mu, olver=False):
+    """Q as the one 1/z**2 term of DLMF 14.3.7 (see the module docstring):
+    Olver's Q with ``olver``, else Hobson's, which is Olver's times
+    exp(i pi mu) Gamma(nu+mu+1) and has a pole wherever that Gamma does."""
     a, b, c = (nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5
-    ph = cmath.exp(1j * math.pi * mu)
-    if is_nonpositive_integer(c):
-        # 2F1/Gamma(c) at c = -m: the series starts at w**n, n = m+1, and
-        # Gamma(nu+mu+1) (a)_n (b)_n = 2**(nu+mu) Gamma(a+n) Gamma(b+n) / sqrt(pi)
-        # by the duplication formula, a pole only where Q has one
-        n = 1.0 - round(c.real)
-        K = ph * cpow(2.0, mu - 1.0) * gamma_ratio([a + n, b + n], [n + 1.0])
-        r = -nu - mu - 1.0 - 2.0 * n
-        return [_Term(K, mu / 2.0, mu / 2.0, a + n, b + n, n + 1.0, "inv", r)]
-    K = ph * math.sqrt(math.pi) * cpow(2.0, -nu - 1.0) * gamma_ratio([nu + mu + 1.0], [c])
-    return [_Term(K, mu / 2.0, mu / 2.0, a, b, c, "inv", -nu - mu - 1.0)]
-
-
-def _q_near_terms(nu, mu):
-    ph = cmath.exp(1j * math.pi * mu)
-    t1 = _Term(0.5 * ph * gamma(mu), -mu / 2.0, mu / 2.0, -nu, nu + 1.0, 1.0 - mu, "half")
-    t2 = _Term(
-        0.5 * ph * gamma_ratio([nu + mu + 1.0, -mu], [nu - mu + 1.0]),
-        mu / 2.0,
-        -mu / 2.0,
-        -nu,
-        nu + 1.0,
-        1.0 + mu,
-        "half",
-    )
-    return [t1, t2]
+    r = -nu - mu - 1.0
+    K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
+    if olver:
+        gammas = []
+    elif is_nonpositive_integer(-r):
+        raise PoleError(f"Q has a pole at nu + mu + 1 = {round(-r.real)}")
+    else:
+        gammas = [-r]
+        K *= cmath.exp(1j * math.pi * mu)
+    n = 1 - round(c.real) if is_nonpositive_integer(c) else 0
+    K *= gamma_ratio(gammas, [] if n else [c])
+    if n:
+        # 2F1/Gamma(c) at c = -m: the series starts at w**n, n = m+1, with
+        # coefficient (a)_n (b)_n / n!, a polynomial in the parameters
+        for k in range(n):
+            K *= (a + k) * (b + k) / (k + 1.0)
+        a, b, c, r = a + n, b + n, n + 1.0, r - 2.0 * n
+    return [_Term(K, mu / 2.0, mu / 2.0, a, b, c, "inv", r)]
 
 
 def _ferrers_q_terms(nu, mu):
@@ -288,30 +286,25 @@ def _prepare_z(z, boundary_side):
     return z
 
 
-def _use_inv(z: complex) -> bool:
-    """True where Q takes its 1/z**2 form: |(1-z)/2| * |z|**4 > 1, which
-    |z| > 2 implies (tested first, so the product cannot overflow)."""
-    az = abs(z)
-    return az > 2.0 or abs(1.0 - z) * az**4 > 2.0
-
-
 # --- evaluators ----------------------------------------------------------------
 
 _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 
 
 def _representation(kind, nu, mu, s=0.0):
-    """(z, order) -> [F, F', F''] for the near form of the function times the
-    weight (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.
+    """(z, order) -> [F, F', F''] for the function times the weight
+    (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.
 
-    Degenerate parameters are resolved here, once, by averaging the
-    representations at parameter +/- i*eps; the weight stays at s.
+    Q is its one 1/z**2 term.  For the other kinds, degenerate parameters
+    are resolved here, once, by averaging the representations at parameter
+    +/- i*eps; the weight stays at s.
     """
+    if kind == "q":
+        return _TermSum(_weighted(_q_inv_terms(nu, mu), s), ferrers=False)
     if kind in ("p", "ferrers_p"):
         terms, degenerate = _p_terms, is_nonpositive_integer(1.0 - mu)
     else:
-        terms = _ferrers_q_terms if kind == "ferrers_q" else _q_near_terms
-        degenerate = is_integer(mu)
+        terms, degenerate = _ferrers_q_terms, is_integer(mu)
     d = 1j * _EPS
     if degenerate:
         return _EpsAverage(
@@ -324,35 +317,18 @@ class _Legendre:
     """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
     of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
 
-    __slots__ = ("kind", "nu", "mu", "s", "_ferrers", "_near", "_inv")
+    __slots__ = ("_ferrers", "_rep")
 
     def __init__(self, kind, nu, mu, s=0.0):
         if kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
-        self.kind, self.nu, self.mu, self.s = kind, complex(nu), complex(mu), s
-        if kind == "q" and is_integer(mu) and is_nonpositive_integer(nu + mu + 1.0):
-            # a pole of Gamma(nu+mu+1) that no other factor cancels; tested
-            # here because the near form's average at mu +/- i*eps is finite
-            raise PoleError(f"Q has a pole at nu + mu + 1 = {round((nu + mu).real) + 1}")
         self._ferrers = kind.startswith("ferrers")
-        self._near = None  # the only representation of P and the Ferrers kinds
-        self._inv = None  # Q where _use_inv(z)
-
-    def _at(self, z):
-        """The representation that serves an already prepared z."""
-        if self.kind == "q" and _use_inv(z):
-            if self._inv is None:
-                terms = _weighted(_q_inv_terms(self.nu, self.mu), self.s)
-                self._inv = _TermSum(terms, ferrers=False)
-            return self._inv
-        if self._near is None:
-            self._near = _representation(self.kind, self.nu, self.mu, self.s)
-        return self._near
+        self._rep = _representation(kind, complex(nu), complex(mu), s)
 
     def value(self, z):
         """F at an already prepared z."""
-        return self._at(z).value(z)
+        return self._rep.value(z)
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
@@ -367,8 +343,8 @@ class _Legendre:
         else:
             z = _prepare_z(z, boundary_side)
         if order == 0:
-            return self._at(z).value(z)
-        return self._at(z)(z, order)[order]
+            return self._rep.value(z)
+        return self._rep(z, order)[order]
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -453,34 +429,26 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
 def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     """Q_nu^mu(z) with the exp(i pi mu) normalization.
 
-    Where |(1-z)/2| * |z|**4 > 1 (every z with |z| > 2, real z > 1.451) Q
-    is the single 1/z**2 term of DLMF 14.3.7, which has no subtraction: to
-    ~1e-14 relative against mpmath for nu in [-3, 25], at integer mu too.
-    At nu = -m - 3/2 that term takes its regularized limit rather than a
-    +/- i*eps average.  Inside that region Q is the two-term near form in
-    (1-z)/2, whose terms cancel as the degree grows: ~1e-11 for nu <= 5,
-    worse beyond (2e-4 at nu = 20.5, z = 1.2); at integer mu it is the
-    average at mu +/- i*eps.
+    Q is the single 1/z**2 term of DLMF 14.3.7 on the whole cut plane (see
+    the module docstring), with no subtraction and no +/- i*eps average.
+    For nu in [-3, 25] and Re z > 1 with |z-1| > 0.02 it is within 1.3e-10
+    relative of mpmath, at integer and near-integer mu alike, and mostly
+    within 1e-14; for |z| < 1.02 the continued series lose digits as the
+    degree grows.  Inside the unit circle it is ~1e-10 for nu <= 5.
 
-    At integer mu with nu+mu+1 in {0, -1, ...}, Gamma(nu+mu+1) makes Q
-    infinite, and it raises PoleError whichever form serves z.
+    Where nu+mu+1 is in {0, -1, ...}, Gamma(nu+mu+1) makes Q infinite (or,
+    where Olver's Q vanishes, its limit depends on the direction of
+    approach), and it raises PoleError.
 
     ``olver=True`` returns exp(-i pi mu) Q_nu^mu(z) / Gamma(nu+mu+1), which
-    stays finite when nu+mu is a negative integer.
+    is entire in both parameters.
     """
     check_finite(z)
     if not olver:
         return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
     check_finite(nu, mu)
-    nu, mu = complex(nu), complex(mu)
-    z = _prepare_z(z, boundary_side)
-    if is_nonpositive_integer(nu + mu + 1.0):
-        d = 1j * _EPS
-        up = legendre_q(nu + d, mu, z, olver=True)
-        dn = legendre_q(nu - d, mu, z, olver=True)
-        return 0.5 * (up + dn)
-    ev = _Legendre("q", nu, mu)
-    return cmath.exp(-1j * math.pi * mu) * rgamma(nu + mu + 1.0) * ev.value(z)
+    terms = _q_inv_terms(complex(nu), complex(mu), olver=True)
+    return _TermSum(terms, ferrers=False).value(_prepare_z(z, boundary_side))
 
 
 def _ferrers_x(x) -> float:

@@ -401,13 +401,13 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
         coef = sign * gamma_ratio([nu + n - mu + 1.0], [nu - mu + 1.0])
         val = coef * zsq_minus_one_pow(z, -(nu + n + 1.0) / 2.0) * fn(nu + n, mu, arg)
     elif op_id == "LPLUS":
-        x = z.real
+        x = real_argument(z, "Ferrers recurrences")
         coef = 1.0 + 0.0j
         val = coef * cpow(1.0 - x, -(mu + n) / 2.0) * cpow(
             1.0 + x, -(mu + n) / 2.0
         ) * ferrers_p(nu, mu + n, x)
     else:  # LMINUS
-        x = z.real
+        x = real_argument(z, "Ferrers recurrences")
         coef = gamma_ratio(
             [nu + mu + 1.0, nu - mu + n + 1.0], [nu + mu - n + 1.0, nu - mu + 1.0]
         )

@@ -139,6 +139,16 @@ def test_eval_non_finite_argument_is_domain_error(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fn", ["ferrers-P", "ferrers-Q"])
+def test_eval_ferrers_at_complex_x_is_domain_error(fn):
+    # the Ferrers functions take a real x in (-1, 1); Im x is not dropped
+    code, out, err = run_cli(["eval", "--fn", fn, "--nu", "0.5", "--mu", "0.2", "--z", "0.3+0.4j"])
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_eval_complex_parameters_as_re_im():
     code, out, _ = run_cli(
         ["eval", "--fn", "P", "--nu", "0.5+0.3j", "--mu", "0.1", "--z", "2.0"]

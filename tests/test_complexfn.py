@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from legshift.complexfn import (
@@ -117,3 +118,15 @@ def test_is_nonpositive_integer():
     assert not is_nonpositive_integer(0.5)
     assert not is_nonpositive_integer(1.0 + 1e-6j)
     assert not is_nonpositive_integer(2.0)
+
+
+def test_sin_pi_keeps_relative_accuracy_next_to_integers():
+    # the reduction is to the nearest integer, so n +/- 1e-10 loses nothing
+    # to the subtraction; rgamma near a pole goes through sin_pi
+    for n in range(-3, 4):
+        for x in (n - 1e-10, n + 1e-10):
+            ref = complex(mpmath.sinpi(x))
+            assert abs(sin_pi(x) - ref) <= 1e-15 * abs(ref), x
+        assert sin_pi(n + 0.5) == (-1.0) ** n
+    ref = complex(mpmath.rgamma(-1e-8))
+    assert abs(rgamma(-1e-8) - ref) <= 1e-15 * abs(ref)

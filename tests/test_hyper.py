@@ -60,6 +60,22 @@ def test_hyp2f1_pfaff_image_outside_series_radius():
         assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref)
 
 
+def test_hyp2f1_integer_c_minus_a_minus_b_next_to_one():
+    # the 1-w image at integer d = c-a-b averages c +/- i*eps; its two terms
+    # must see exactly d and -d, or Gamma(+/-i*eps) amplifies the rounding
+    w = 0.9882552891907892 + 0.0019081697160337199j
+    a, b, c = 4.086751855247355, 3.5867518552473547, 7.6735037104947095
+    ref = _mp_2f1(a, b, c, w)
+    assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-9 * abs(ref)
+    rng = random.Random(1)
+    for _ in range(40):
+        a, b = rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0)
+        c = a + b + rng.randint(-2, 2)
+        w = 1.0 - rng.uniform(0.0, 0.016) * complex(mpmath.expj(rng.uniform(-3.1, 3.1)))
+        ref = _mp_2f1(a, b, c, w)
+        assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-9 * abs(ref), (a, b, c, w)
+
+
 def test_hyp2f1_rejects_non_finite_input():
     nan, inf = float("nan"), float("inf")
     for args in ((0.5, 0.2, 1.3, nan), (0.5, 0.2, 1.3, inf), (nan, 0.2, 1.3, 0.5),

@@ -40,7 +40,7 @@ def test_legendre_q_frozen_oracle():
 
 
 def test_legendre_q_integer_limit():
-    # Q_0(2) = (1/2) log 3; integer parameters go through the averaged limit
+    # Q_0(2) = (1/2) log 3
     val = legendre_q(0.0, 0.0, 2.0)
     assert abs(val - 0.5 * math.log(3.0)) < 1e-9
 
@@ -99,6 +99,10 @@ def test_legendre_q_olver_finite_at_pole():
     # nu + mu = -2: plain Q has a Gamma(nu+mu+1) pole, Olver form stays finite
     val = legendre_q(-1.3, -0.7, 2.0, olver=True)
     assert abs(val) < 1e3
+    # at (-2, 1) Olver's 1/z**2 series is 1 and its coefficient -1
+    for z in (1.3, 3.0, 1.8 + 0.5j):
+        ref = -cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
+        assert abs(legendre_q(-2, 1, z, olver=True) - ref) <= 1e-14 * abs(ref)
     # away from poles: olver = exp(-i pi mu) Q / Gamma(nu+mu+1)
     nu, mu, z = 0.6, 0.3, 2.0
     lhs = legendre_q(nu, mu, z, olver=True)
@@ -115,17 +119,24 @@ def test_legendre_q_olver_finite_at_pole():
 )
 def test_legendre_q_pole_at_integer_order_raises_on_both_sides(nu, mu, z):
     # nu + mu + 1 in {0, -1, ...} at integer mu: a pole of Gamma(nu+mu+1) that
-    # the near form's mu +/- i*eps average would turn into a finite value
+    # no other factor cancels
     with pytest.raises(PoleError):
         legendre_q(nu, mu, z)
     with pytest.raises(PoleError):
         legendre_deriv(nu, mu, z, order=1, kind="q")
     with pytest.raises(ValueError):  # mpmath finds no finite limit either
         mpmath.legenq(nu, mu, z, type=3)
-    # the Olver form is entire; its own nu +/- i*eps average still runs
-    # (|z| > 2: the 1/z**2 form serves)
-    if abs(z) > 2.0:
-        assert cmath.isfinite(legendre_q(nu, mu, z, olver=True))
+    # the Olver form is entire
+    assert cmath.isfinite(legendre_q(nu, mu, z, olver=True))
+
+
+@pytest.mark.parametrize("z", [1.3, 3.0, 1.8 + 0.5j])
+def test_legendre_q_pole_at_half_integer_order_raises(z):
+    # (nu, mu) = (-2.5, 1.5): Olver's Q vanishes (its series' (b)_n is 0),
+    # so Hobson's Gamma(nu+mu+1) * 0 has a direction-dependent limit
+    with pytest.raises(PoleError, match="nu \\+ mu \\+ 1 = 0"):
+        legendre_q(-2.5, 1.5, z)
+    assert legendre_q(-2.5, 1.5, z, olver=True) == 0.0
 
 
 def test_overflow_raises_numerical_error():
@@ -216,9 +227,9 @@ def _weight(kind, v, s):
     "kind,nu,mu,v",
     [
         ("p", 0.7, 0.3, 1.5),
-        ("q", 1.3, 0.4, 1.2),  # near representation
-        ("q", 1.3, 0.4, 1.5),  # 1/z**2 representation, next to the switch
-        ("q", 1.3, 0.4, 5.0),  # 1/z**2 representation
+        ("q", 1.3, 0.4, 1.2),
+        ("q", 1.3, 0.4, 1.5),
+        ("q", 1.3, 0.4, 5.0),
         ("ferrers_p", 0.45, 0.3, 0.35),
         ("ferrers_q", 1.3, -0.4, -0.2),
         ("p", 0.6, 2.0, 2.2),  # integer mu: +/- i*eps average
@@ -232,23 +243,13 @@ def test_weighted_evaluator_is_weight_times_function(kind, nu, mu, v):
 
 
 def test_weighted_q_at_integer_order():
-    # at integer mu both sides average Q at mu +/- i*eps, whose two near
-    # terms carry Gamma(-mu) ~ 1/eps and cancel: the averages agree only to
-    # that cancellation, 2e-11 here, not to the last digit
-    nu, mu, v = 0.6, 1.0, 1.2
-    for s in (mu / 2.0, -mu / 2.0):
-        ref = _weight("q", v, s) * legendre_q(nu, mu, v)
-        val = weighted_evaluator("q", nu, mu, s)(v)
-        assert abs(val - ref) <= 1e-9 * abs(ref), s
-
-
-def test_weighted_q_at_integer_order_inverse_side():
-    # the 1/z**2 form has no degeneracy at integer mu: one term, no average
-    nu, mu, v = 0.6, 1.0, 1.7
-    for s in (mu / 2.0, -mu / 2.0):
-        ref = _weight("q", v, s) * legendre_q(nu, mu, v)
-        val = weighted_evaluator("q", nu, mu, s)(v)
-        assert abs(val - ref) <= 1e-13 * abs(ref), s
+    # Q's 1/z**2 term has no degeneracy at integer mu: one term, no average
+    nu, mu = 0.6, 1.0
+    for v in (1.2, 1.7):
+        for s in (mu / 2.0, -mu / 2.0):
+            ref = _weight("q", v, s) * legendre_q(nu, mu, v)
+            val = weighted_evaluator("q", nu, mu, s)(v)
+            assert abs(val - ref) <= 1e-13 * abs(ref), (v, s)
 
 
 def test_weighted_p_lower_smooth_through_branch_point():
@@ -286,8 +287,8 @@ def _public(kind, nu, mu, z, order):
 
 
 def test_evaluator_reuse_equals_one_shot():
-    # |(1-z)/2| |z|**4 > 1 selects the 1/z**2 representation of Q: z > 1.451
-    # on the real axis; the cut-plane z list crosses it both ways
+    # z = 1.05 puts Q's 1/z**2 series at w = 0.91, summed directly beyond
+    # the radius where hyp2f1 would continue it
     zs = [1.2 + 0.37 * k + (0.3j if k % 3 == 0 else 0.0) for k in range(20)]
     zs[7], zs[15] = 9.0 - 2.0j, 1.05
     xs = [-0.95 + 0.097 * k for k in range(20)]
@@ -296,7 +297,7 @@ def test_evaluator_reuse_equals_one_shot():
         ("q", 1.3, 0.4, zs),
         ("q", 0.6 + 0.2j, -0.35, zs),
         ("p", 0.6, 2.0, zs),  # integer mu: eps average
-        ("q", 0.6, 1.0, zs),  # integer mu: eps average on the near side
+        ("q", 0.6, 1.0, zs),  # integer mu: one term, no average
         ("q", -1.5, 0.3, zs),  # nu+3/2 = 0: the 1/z**2 series' c = -m limit
         ("ferrers_p", 0.45, 0.3, xs),
         ("ferrers_q", 1.3, -0.4, xs),
@@ -323,7 +324,7 @@ def test_order_zero_sum_is_bitwise_the_derivative_sum_value():
             z = complex(rng.uniform(-0.99, 0.99))
         else:
             z = complex(rng.uniform(1.05, 9.0), rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
-        rep = _Legendre(kind, nu, mu, s)._at(z)
+        rep = _Legendre(kind, nu, mu, s)._rep
         assert repr(rep.value(z)) == repr(rep(z, 0)[0]), (kind, nu, mu, s, z)
 
 

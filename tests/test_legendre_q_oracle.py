@@ -1,6 +1,7 @@
-"""Q_nu^mu and its first two derivatives against 30-digit mpmath on the side
-served by the 1/z**2 form, at seeded points over nu in [-3, 25]: degrees
-at which the near form's two terms would cancel."""
+"""Q_nu^mu and its first two derivatives against 30-digit mpmath at seeded
+points over nu in [-3, 25], off and on the disc |(1-z)/2| |z|**4 <= 1 next
+to z = 1 where a two-term form in (1-z)/2 would cancel, and inside the unit
+disc."""
 
 import random
 
@@ -47,6 +48,57 @@ def _references(nu, mu, z, side):
         d1 = ((nu - mu + 1) * q_up - (nu + 1) * z * q) / (z * z - 1)
         d2 = (2 * z * d1 - (nu * (nu + 1) - mu * mu / (1 - z * z)) * q) / (1 - z * z)
         return [complex(q), complex(d1), complex(d2)]
+
+
+def _near_points():
+    """(nu, mu, z, boundary_side): 18 points of the disc above with
+    Re z > 1 and |z-1| >= 0.05, in turn at integer, near-integer (1e-8 to
+    1e-4 off) and other mu; then, for nu in [-3, 5], 6 points with
+    |z| < 0.95 and |Im z| >= 0.05 and 6 on both sides of (-0.95, 0.95)."""
+    rng = random.Random(20261018)
+    points = []
+    for k in range(30):
+        if k < 18:
+            nu, mu = rng.uniform(-3.0, 25.0), float(rng.randint(-2, 2))
+            if k % 3 == 1:
+                mu += rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -4.0)
+            elif k % 3 == 2:
+                mu = rng.uniform(-2.0, 2.0)
+            z, side = 1.0, None
+            while abs(z - 1.0) < 0.05 or abs(1.0 - z) / 2.0 * abs(z) ** 4 > 1.0:
+                z = complex(rng.uniform(1.0, 1.46), rng.uniform(-0.6, 0.6))
+        else:
+            nu, mu = rng.uniform(-3.0, 5.0), rng.uniform(-2.0, 2.0)
+            if k < 24:
+                z, side = 1.0, None
+                while abs(z) >= 0.95 or abs(z.imag) < 0.05:
+                    z = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
+            else:
+                z, side = rng.uniform(-0.95, 0.95), "+-"[k % 2]
+        points.append((nu, mu, z, side))
+    return points
+
+
+def _near_tolerance(nu, z):
+    """Measured over eight seeds of _near_points, with a margin: worst
+    2.6e-14 for nu <= 12 and 8.2e-13 above on the disc next to z = 1;
+    5e-11 inside the unit disc, where the series of the continued 1/z**2
+    term lose digits as the degree grows."""
+    if abs(z) < 1.0:
+        return 1e-10
+    return 1e-13 if nu <= 12.0 else 1e-11
+
+
+@pytest.mark.parametrize("nu,mu,z,side", _near_points())
+def test_q_and_derivatives_match_mpmath_near_one_and_inside_the_unit_disc(nu, mu, z, side):
+    tol = _near_tolerance(nu, z)
+    values = [
+        legendre_q(nu, mu, z, boundary_side=side),
+        legendre_deriv(nu, mu, z, order=1, kind="q", boundary_side=side),
+        legendre_deriv(nu, mu, z, order=2, kind="q", boundary_side=side),
+    ]
+    for order, (val, ref) in enumerate(zip(values, _references(nu, mu, z, side))):
+        assert abs(val - ref) <= tol * abs(ref), (order, val, ref)
 
 
 @pytest.mark.parametrize("nu,mu,z,side", _points())

@@ -157,6 +157,9 @@ def test_recurrence_rejects_bad_input():
         apply_integer_recurrence("MPLUS", 0.7, 0.4, 2.3, n=1.5)
     with pytest.raises(DomainError):
         apply_integer_recurrence("MPLUS", 0.7, 0.4, 2.3, kind="r")
+    for op_id in ("LPLUS", "LMINUS"):  # Ferrers operators take a real x
+        with pytest.raises(DomainError):
+            apply_integer_recurrence(op_id, 0.7, 0.4, 0.3 + 0.4j)
 
 
 def test_rodrigues_pair_derivative_link():

@@ -45,6 +45,11 @@ _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
 _MAX_SERIES_TERMS = 3000
+_ULP = 2.2e-16
+# a terminating polynomial raises once its running rounding bound
+# n * ulp * sum|term| / |sum| passes this; measured errors of Ferrers
+# polynomials with n <= 12 sit 10 to 300 times below the bound
+_POLYNOMIAL_REL_BOUND = 1e-6
 
 
 def _series_reach(a, b, c):
@@ -122,7 +127,9 @@ class _Series:
         )
 
     def polynomial(self, w, n):
-        """The first n+1 terms: the whole sum when the series terminates at w**n."""
+        """The first n+1 terms: the whole sum when the series terminates at
+        w**n.  NumericalError when the sum overflows or cancels past
+        ``_POLYNOMIAL_REL_BOUND``."""
         a, b, c = self.a, self.b, self.c
         if self._ratios is None:
             self._ratios = []
@@ -132,12 +139,20 @@ class _Series:
         )
         total = 1.0 + 0.0j
         term = 1.0 + 0.0j
+        size = 1.0  # sum of |term|
         for r in ratios[:n]:
             term *= r * w
             total += term
+            size += abs(term)
         if not cmath.isfinite(total):
             raise NumericalError(
                 f"terminating 2F1 polynomial of degree {n} overflows at |w| = {abs(w):.3g}"
+            )
+        bound = n * _ULP * size
+        if bound > _POLYNOMIAL_REL_BOUND * abs(total):
+            raise NumericalError(
+                f"terminating 2F1 polynomial of degree {n} cancels at |w| = {abs(w):.3g}: "
+                f"rounding bound {bound:.3g} against a sum of size {abs(total):.3g}"
             )
         return total
 

@@ -16,32 +16,36 @@ Every representation is a short sum of terms
 
     K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w(z))
 
-(or (1-x)**p (1+x)**q for Ferrers) with w either (1-z)/2 ("half", r = 0) or
-1/z**2 ("inv"), which makes first and second derivatives a product-rule
-exercise.  P and the Ferrers functions have one representation in
-w = (1-z)/2.  Q is one term in w = 1/z**2 on the whole cut plane, with no
-subtraction (DLMF 14.3.7):
+(or (1-x)**p (1+x)**q for Ferrers) with w either (1-z)/2 ("half", r = 0),
+1/z**2 ("inv") or x**2 ("sq", r = 0 or 1), which makes first and second
+derivatives a product-rule exercise.  P is one term in w = (1-z)/2.  Q is
+one term in w = 1/z**2 on the whole cut plane, with no subtraction (DLMF
+14.3.7):
 
     Q_nu^mu(z) = exp(i pi mu) Gamma(nu+mu+1) * sqrt(pi) / 2**(nu+1)
                  * (z**2-1)**(mu/2) * z**(-nu-mu-1)
                  * 2F1((nu+mu+2)/2, (nu+mu+1)/2; nu+3/2; 1/z**2) / Gamma(nu+3/2).
 
 Olver's Q is the same term without exp(i pi mu) Gamma(nu+mu+1); Hobson's Q
-has a pole wherever that Gamma does.  At nu+3/2 = -m the term takes its
-regularized limit, still one term:
-2F1/Gamma(c) -> (a)_{m+1} (b)_{m+1}/(m+1)! * w**(m+1)
-* 2F1(a+m+1, b+m+1; m+2; w).  Q needs no +/- i*eps average anywhere.  Its
-series and their two derivative series are summed directly out to the
-radius where they stop within the term cap (``hyper._Gauss.direct``): near
-z = 1 the 1-w image the continuation would take is the cancelling pair of
-the two-term form of Q in (1-z)/2.  They are continued only for |z| < 1 and
-for 1 < |z| < 1.004 to 1.017 (nu <= 25, |mu| <= 2).
+has a pole wherever that Gamma does.  Q's series and their two derivative
+series are summed directly out to the radius where they stop within the
+term cap (``hyper._Gauss.direct``): near z = 1 the 1-w image the
+continuation would take is a cancelling pair of terms in (1-z)/2.  They are
+continued only for |z| < 1 and for 1 < |z| < 1.004 to 1.017 (nu <= 25,
+|mu| <= 2).
+
+Both Ferrers kinds are the same two series in w = x**2 (DLMF 14.3.11-12,
+Euler-transformed to Q's a, b, c): (1-x**2)**(mu/2) times
+K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
+degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu and Q's
+c = nu+3/2 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF 15.2.3_5)
+2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w), still one
+term.  No representation needs a +/- i*eps average.
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
-do the parameter-only work once per evaluator: the term coefficients, the
-prepared 2F1 of each term, and the +/- i*eps sub-evaluators of P and the
-Ferrers functions.  Calls then do only z-dependent work.  The public
-one-shot functions build one evaluator and call it once.
+do the parameter-only work once per evaluator: the term coefficients and
+the prepared 2F1 of each term.  Calls then do only z-dependent work.  The
+public one-shot functions build one evaluator and call it once.
 
 ``weighted_evaluator(kind, nu, mu, s)`` is the same term list times
 (z**2-1)**s, or (1-x**2)**s for Ferrers: s joins the exponents p and q of
@@ -62,7 +66,6 @@ from .complexfn import (
     cpow,
     gamma,
     gamma_ratio,
-    is_integer,
     is_nonpositive_integer,
     real_argument,
     rgamma,
@@ -85,12 +88,12 @@ __all__ = [
     "whipple_q_to_p",
 ]
 
-_EPS = 1e-6
 _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
 
 
 # K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w), with (1-x)**p (1+x)**q
-# for Ferrers; wmap "half": w = (1-z)/2, "inv": w = 1/z**2 (r is 0 for "half").
+# for Ferrers, whose terms are the "sq" ones; wmap "half": w = (1-z)/2 (r = 0),
+# "inv": w = 1/z**2, "sq": w = x**2 (r = 0 or 1).
 # The per-node loops of _TermSum unpack it: a field read by name costs more.
 _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 
@@ -99,7 +102,7 @@ def _series_of(wmap, a, b, c):
     """w -> 2F1(a, b; c; w) for a term with this wmap; the 1/z**2 series is
     summed directly (see the module docstring)."""
     ev = _prepared_2f1(a, b, c)
-    return ev if wmap == "half" else ev.direct
+    return ev.direct if wmap == "inv" else ev
 
 
 class _TermSum:
@@ -111,9 +114,9 @@ class _TermSum:
 
     __slots__ = ("_terms", "_ferrers", "_hyp")
 
-    def __init__(self, terms, ferrers):
+    def __init__(self, terms):
         self._terms = terms
-        self._ferrers = ferrers
+        self._ferrers = terms[0].wmap == "sq"
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
         self._hyp = [[_series_of(t.wmap, t.a, t.b, t.c)] for t in terms]
 
@@ -149,6 +152,10 @@ class _TermSum:
                 pf = cpow(zm, p) * cpow(zp, q)
             if wmap == "half":
                 w = (1.0 - z) / 2.0
+            elif wmap == "sq":
+                if r:
+                    pf *= z
+                w = z * z
             else:
                 pf *= cpow(z, r)
                 w = 1.0 / (z * z)
@@ -164,67 +171,70 @@ class _TermSum:
             zm, zp, sign = z - 1.0, z + 1.0, 1.0
         for i, (K, p, q, _a, _b, _c, wmap, r) in enumerate(self._terms):
             pf = cpow(zm, p) * cpow(zp, q)
-            half = wmap == "half"
-            if half:
-                w = (1.0 - z) / 2.0
+            # u = pf * h with h = z**r; h1, h2 = h', h'' by the power rule
+            # (not h'/h, which is r/z); w1 = w', w2 = w''
+            h0, h1, h2, u = 1.0, 0.0, 0.0, pf
+            if wmap == "half":
+                w, w1, w2 = (1.0 - z) / 2.0, -0.5, 0.0
+            elif wmap == "sq":
+                if r:
+                    h0, h1, u = z, 1.0, pf * z
+                w, w1, w2 = z * z, 2.0 * z, 2.0
             else:
-                pf *= cpow(z, r)
+                h0 = cpow(z, r)
+                h1 = r * h0 / z
+                h2 = (r - 1.0) * h1 / z
+                u = pf * h0
                 w = 1.0 / (z * z)
+                w1, w2 = -2.0 * w / z, 6.0 * w * w
             F0 = self._hyp[i][0](w)
-            acc[0] += K * (pf * F0)
+            acc[0] += K * (u * F0)
             if order == 0:
                 continue
-            # the product rule: L = (log of the power prefactor)', w1 = w', w2 = w''
+            # the product rule for pf * g with g = h F(w); L = pf'/pf
             L = sign * p / zm + q / zp
             Lp = -p / zm**2 - q / zp**2
-            if half:
-                w1, w2 = -0.5, 0.0
-            else:
-                L += r / z
-                Lp -= r / (z * z)
-                w1, w2 = -2.0 * w / z, 6.0 * w * w
             coef1, hyp1 = self._derivative(i, 1)
             F1 = coef1 * hyp1(w)
-            acc[1] += K * pf * (L * F0 + F1 * w1)
+            g0 = h0 * F0
+            g1 = h1 * F0 + h0 * F1 * w1
+            acc[1] += K * pf * (L * g0 + g1)
             if order >= 2:
                 coef2, hyp2 = self._derivative(i, 2)
                 F2 = coef2 * hyp2(w)
-                acc[2] += K * pf * (
-                    (Lp + L * L) * F0 + 2.0 * L * F1 * w1 + F2 * w1 * w1 + F1 * w2
-                )
+                g2 = h2 * F0 + 2.0 * h1 * F1 * w1 + h0 * (F2 * w1 * w1 + F1 * w2)
+                acc[2] += K * pf * ((Lp + L * L) * g0 + 2.0 * L * g1 + g2)
         return acc
-
-
-class _EpsAverage:
-    """Limit at a degenerate parameter: the mean of the two evaluations at
-    parameter +/- i*eps."""
-
-    __slots__ = ("_up", "_down")
-
-    def __init__(self, up, down):
-        self._up, self._down = up, down
-
-    def value(self, z):
-        return 0.5 * (self._up.value(z) + self._down.value(z))
-
-    def __call__(self, z, order):
-        up = self._up(z, order)
-        dn = self._down(z, order)
-        return [0.5 * (u + v) for u, v in zip(up, dn)]
 
 
 # --- representations ---------------------------------------------------------
 
 
+def _c_limit(a, b, c):
+    """(n, C, a', b', c') with 2F1(a, b; c; w)/Gamma(c) = C w**n 2F1(a', b'; c'; w)
+    at c = 1-n, n >= 1: C = (a)_n (b)_n / n! (DLMF 15.2.3_5).  Elsewhere
+    n = 0, C = 1 and the parameters are unchanged: 1/Gamma(c) stays with the
+    caller."""
+    if not is_nonpositive_integer(c):
+        return 0, 1.0, a, b, c
+    n = 1 - round(c.real)
+    C = 1.0
+    for k in range(n):
+        C *= (a + k) * (b + k) / (k + 1.0)
+    return n, C, a + n, b + n, n + 1.0
+
+
 def _p_terms(nu, mu):
-    return [_Term(rgamma(1.0 - mu), -mu / 2.0, mu / 2.0, -nu, nu + 1.0, 1.0 - mu, "half")]
+    """P as one term in w = (1-z)/2; at mu = n = 1, 2, ... w**n = (-1/2)**n (z-1)**n."""
+    n, C, a, b, c = _c_limit(-nu, nu + 1.0, 1.0 - mu)
+    K = C * (-0.5) ** n if n else rgamma(c)
+    return [_Term(K, n - mu / 2.0, mu / 2.0, a, b, c, "half")]
 
 
-def _q_inv_terms(nu, mu, olver=False):
+def _q_terms(nu, mu, olver=False):
     """Q as the one 1/z**2 term of DLMF 14.3.7 (see the module docstring):
     Olver's Q with ``olver``, else Hobson's, which is Olver's times
     exp(i pi mu) Gamma(nu+mu+1) and has a pole wherever that Gamma does."""
-    a, b, c = (nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5
     r = -nu - mu - 1.0
     K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
     if olver:
@@ -234,38 +244,29 @@ def _q_inv_terms(nu, mu, olver=False):
     else:
         gammas = [-r]
         K *= cmath.exp(1j * math.pi * mu)
-    n = 1 - round(c.real) if is_nonpositive_integer(c) else 0
-    K *= gamma_ratio(gammas, [] if n else [c])
-    if n:
-        # 2F1/Gamma(c) at c = -m: the series starts at w**n, n = m+1, with
-        # coefficient (a)_n (b)_n / n!, a polynomial in the parameters
-        for k in range(n):
-            K *= (a + k) * (b + k) / (k + 1.0)
-        a, b, c, r = a + n, b + n, n + 1.0, r - 2.0 * n
-    return [_Term(K, mu / 2.0, mu / 2.0, a, b, c, "inv", r)]
+    n, C, a, b, c = _c_limit((nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5)
+    K *= C * gamma_ratio(gammas, [] if n else [c])
+    return [_Term(K, mu / 2.0, mu / 2.0, a, b, c, "inv", r - 2.0 * n)]
 
 
-def _ferrers_q_terms(nu, mu):
-    t1 = _Term(
-        0.5 * gamma_ratio([nu + mu + 1.0, -mu], [nu - mu + 1.0]),
-        mu / 2.0,
-        -mu / 2.0,
-        -nu,
-        nu + 1.0,
-        1.0 + mu,
-        "half",
-    )
-    t2 = _Term(
-        0.5 * gamma(mu) * cos_pi(mu), -mu / 2.0, mu / 2.0, -nu, nu + 1.0, 1.0 - mu, "half"
-    )
-    return [t1, t2]
-
-
-def _weighted(terms, s):
-    """The terms times (z-1)**s (z+1)**s: s joins both exponents."""
-    if s == 0:
-        return terms
-    return [_Term(t.K, t.p + s, t.q + s, t.a, t.b, t.c, t.wmap, t.r) for t in terms]
+def _ferrers_terms(kind, nu, mu):
+    """Ferrers P or Q as the even and odd series in w = x**2 (module docstring)."""
+    a, b, c = (nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5
+    if kind == "ferrers_p":
+        K = cpow(2.0, mu) * math.sqrt(math.pi)
+        K0 = K * rgamma(1.0 - b) * rgamma(c - b)
+        K1 = -2.0 * K * rgamma(1.0 - a) * rgamma(c - a)
+    elif is_nonpositive_integer(nu + mu + 1.0):
+        # infinite, or at half-integer mu a limit that depends on the direction
+        raise PoleError(f"Ferrers Q has a pole at nu + mu + 1 = {round((nu + mu + 1.0).real)}")
+    else:
+        K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
+        K0 = K * gamma_ratio([nu + mu + 1.0, 0.5], [a, c - b]) * cos_pi(b)
+        K1 = K * gamma_ratio([nu + mu + 1.0, -0.5], [b, c - a]) * cos_pi(a)
+    return [
+        _Term(K0, mu / 2.0, mu / 2.0, b, b - c + 1.0, 0.5, "sq", 0.0),
+        _Term(K1, mu / 2.0, mu / 2.0, a, a - c + 1.0, 1.5, "sq", 1.0),
+    ]
 
 
 # --- argument preparation ----------------------------------------------------
@@ -293,24 +294,17 @@ _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 
 def _representation(kind, nu, mu, s=0.0):
     """(z, order) -> [F, F', F''] for the function times the weight
-    (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.
-
-    Q is its one 1/z**2 term.  For the other kinds, degenerate parameters
-    are resolved here, once, by averaging the representations at parameter
-    +/- i*eps; the weight stays at s.
-    """
-    if kind == "q":
-        return _TermSum(_weighted(_q_inv_terms(nu, mu), s), ferrers=False)
-    if kind in ("p", "ferrers_p"):
-        terms, degenerate = _p_terms, is_nonpositive_integer(1.0 - mu)
+    (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds: the kind's one term
+    list, exact at degenerate parameters, with s joining its exponents."""
+    if kind == "p":
+        terms = _p_terms(nu, mu)
+    elif kind == "q":
+        terms = _q_terms(nu, mu)
     else:
-        terms, degenerate = _ferrers_q_terms, is_integer(mu)
-    d = 1j * _EPS
-    if degenerate:
-        return _EpsAverage(
-            _representation(kind, nu, mu + d, s), _representation(kind, nu, mu - d, s)
-        )
-    return _TermSum(_weighted(terms(nu, mu), s), ferrers=kind.startswith("ferrers"))
+        terms = _ferrers_terms(kind, nu, mu)
+    if s != 0:
+        terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
+    return _TermSum(terms)
 
 
 class _Legendre:
@@ -365,8 +359,8 @@ def weighted_evaluator(kind, nu, mu, s):
 
     The weight is carried by the term exponents, so v may be any complex
     point where the term list converges; there is no cut or range check.
-    With s = mu/2 the P forms are analytic through v = 1; with s = -mu/2
-    each term has the single power (v-1)**(-mu) or (v+1)**(-mu).
+    With s = mu/2 the P form is analytic through v = 1; with s = -mu/2 it
+    has the single power (v-1)**(-mu), and the Ferrers terms none.
     """
     return _Legendre(kind, nu, mu, s).value
 
@@ -447,8 +441,8 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     if not olver:
         return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
     check_finite(nu, mu)
-    terms = _q_inv_terms(complex(nu), complex(mu), olver=True)
-    return _TermSum(terms, ferrers=False).value(_prepare_z(z, boundary_side))
+    terms = _q_terms(complex(nu), complex(mu), olver=True)
+    return _TermSum(terms).value(_prepare_z(z, boundary_side))
 
 
 def _ferrers_x(x) -> float:
@@ -459,13 +453,15 @@ def _ferrers_x(x) -> float:
 
 
 def ferrers_p(nu, mu, x) -> complex:
-    """Ferrers function of the first kind on (-1, 1)."""
+    """Ferrers function of the first kind on (-1, 1), from two series in
+    x**2 (module docstring); README states their accuracy."""
     check_finite(x)
     return _Legendre("ferrers_p", nu, mu)(x)
 
 
 def ferrers_q(nu, mu, x) -> complex:
-    """Ferrers function of the second kind on (-1, 1)."""
+    """Ferrers function of the second kind on (-1, 1), from the series of
+    ``ferrers_p``; PoleError where nu+mu+1 is in {0, -1, ...}."""
     check_finite(x)
     return _Legendre("ferrers_q", nu, mu)(x)
 

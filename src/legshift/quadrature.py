@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# rounding of the loop's subtract-and-add-back, in units of the add-back and
+# tail terms: 64 samples' worth of ulp (the Cauchy rule's sample count)
+_ADDBACK_ROUNDING = 64 * 2.2e-16
 
 
 @dataclass(frozen=True)
@@ -403,8 +406,11 @@ def _regularized_lower(
         return (g(t) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
 
     addback = 0.0 + 0.0j
+    addback_abs = 0.0
     for k in range(m_sub):
-        addback += coeffs[k] * cpow(c, k - lam) / (k - lam)
+        term = coeffs[k] * cpow(c, k - lam) / (k - lam)
+        addback += term
+        addback_abs += abs(term)
 
     seg = integrate_segment(
         integrand,
@@ -415,8 +421,13 @@ def _regularized_lower(
         absolute_floor=abs(tail0 + addback),
     )
 
+    # the Cauchy-rule coefficients carry rounding noise that the subtraction
+    # cancels only to a few ulp of the add-back and tail terms
+    rounding = _ADDBACK_ROUNDING * (addback_abs + abs(tail0))
     return QuadratureResult(
-        seg.value + tail0 + addback, seg.err_estimate, seg.evaluations + n_eval
+        seg.value + tail0 + addback,
+        seg.err_estimate + rounding,
+        seg.evaluations + n_eval,
     )
 
 

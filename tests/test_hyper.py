@@ -90,6 +90,20 @@ def test_hyp2f1_terminating_polynomial_overflow_raises():
         hyp2f1(-60, 1, 1.5, 1e8)
 
 
+def test_hyp2f1_cancelling_polynomial_raises():
+    # the degree-60 sum at w = 2 cancels to ~1e-17 of its terms; summed
+    # plainly it gave -4.1e10 where 2F1 is 0.0845
+    with pytest.raises(NumericalError):
+        hyp2f1(-60, 1, 1.5, 2.0)
+
+
+def test_hyp2f1_low_degree_polynomials_keep_their_values():
+    # the degree <= 2 polynomials of P at nu = -2, -3 raise no cancellation
+    for a, b, c, w in ((-1.0, 2.0, 0.7, -3.5), (-2.0, 3.0, 1.6, -4.0 + 1.0j), (-2.0, 3.0, 2.9, 0.45)):
+        ref = complex(mpmath.hyp2f1(a, b, c, w))
+        assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-14 * abs(ref)
+
+
 def test_hyp2f1_evaluator_reuse_equals_one_shot():
     # one prepared evaluator per parameter set, reused over w values that
     # reach every path; each value must equal a fresh hyp2f1 call exactly

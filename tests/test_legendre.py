@@ -161,6 +161,46 @@ def test_ferrers_vs_mpmath():
         assert abs(ferrers_q(nu, mu, x) - ref_q) <= 1e-9 * max(abs(ref_q), 1.0)
 
 
+@pytest.mark.parametrize("kind", ["ferrers_p", "ferrers_q"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_ferrers_derivatives_at_zero(kind, order):
+    # the odd series' factor x takes the power rule, not x'/x
+    for nu, mu in ((1.3, 0.4), (2.3, 1.0), (0.7 + 0.2j, -0.3)):
+        f = mpmath.legenp if kind == "ferrers_p" else mpmath.legenq
+        with mpmath.workdps(20):
+            ref = complex(mpmath.diff(lambda t: f(nu, mu, t, type=2), 0, order))
+        val = legendre_deriv(nu, mu, 0.0, order=order, kind=kind)
+        assert abs(val - ref) <= 1e-13 * abs(ref), (nu, mu, val, ref)
+
+
+def test_legendre_p_at_integer_order():
+    # the regularized c = 1-mu term; a +/- i*eps average missed by ~1e-10
+    for nu, mu, z in ((0.6, 1.0, 1.4), (1.3, 1.0, 1.4), (2.7, 2.0, 3.1 + 0.8j), (-0.4, 2.0, 1.9)):
+        ref = complex(mpmath.legenp(nu, mu, z, type=3))
+        assert abs(legendre_p(nu, mu, z) - ref) <= 1e-13 * abs(ref), (nu, mu, z)
+    # P_nu^m vanishes for integer m > nu >= 0
+    assert legendre_p(1.0, 2.0, 1.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "nu,mu", [(-1.0, 0.0), (-2.0, 0.0), (-3.0, 1.0), (0.3, -2.3), (-1.2, 0.2), (-1.5, -0.5)]
+)
+def test_ferrers_q_pole_raises(nu, mu):
+    # nu+mu+1 in {0, -1, ...}; at (-1.5, -0.5) the limits along nu and
+    # along mu differ in sign, so no value is right
+    with pytest.raises(PoleError):
+        ferrers_q(nu, mu, 0.3)
+
+
+def test_cancelling_jacobi_polynomial_raises():
+    # degree 40 at w = 1.25: the terms reach ~1e17 times the sum, which a
+    # plain sum returned with the wrong sign (-3.2e15 against +1.08e16)
+    with pytest.raises(NumericalError):
+        jacobi_p(40, 0.5, 0.5, -1.5)
+    with pytest.raises(NumericalError):
+        legendre_p(60.0, 0.0, -2.7 + 0.5j)
+
+
 def test_ferrers_rejects_bad_argument():
     with pytest.raises(DomainError):
         ferrers_p(0.5, 0.3, 1.4)
@@ -232,7 +272,7 @@ def _weight(kind, v, s):
         ("q", 1.3, 0.4, 5.0),
         ("ferrers_p", 0.45, 0.3, 0.35),
         ("ferrers_q", 1.3, -0.4, -0.2),
-        ("p", 0.6, 2.0, 2.2),  # integer mu: +/- i*eps average
+        ("p", 0.6, 2.0, 2.2),  # integer mu: the regularized c = 1-mu term
     ],
 )
 def test_weighted_evaluator_is_weight_times_function(kind, nu, mu, v):
@@ -296,13 +336,14 @@ def test_evaluator_reuse_equals_one_shot():
         ("p", 0.7, 0.3, zs),
         ("q", 1.3, 0.4, zs),
         ("q", 0.6 + 0.2j, -0.35, zs),
-        ("p", 0.6, 2.0, zs),  # integer mu: eps average
+        ("p", 0.6, 2.0, zs),  # integer mu: the regularized c = 1-mu term
         ("q", 0.6, 1.0, zs),  # integer mu: one term, no average
         ("q", -1.5, 0.3, zs),  # nu+3/2 = 0: the 1/z**2 series' c = -m limit
         ("ferrers_p", 0.45, 0.3, xs),
         ("ferrers_q", 1.3, -0.4, xs),
         ("ferrers_p", 0.45, 1.0, xs),  # integer mu
         ("ferrers_q", 0.45, -2.0, xs),  # integer mu
+        ("ferrers_p", 4.0, 0.0, xs),  # the even series is a polynomial
     ]
     for kind, nu, mu, points in cases:
         ev = legendre_evaluator(kind, nu, mu)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .complexfn import (
     check_finite,
@@ -45,10 +46,10 @@ _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
 _MAX_SERIES_TERMS = 3000
-_ULP = 2.2e-16
 # a terminating polynomial raises once its running rounding bound
-# n * ulp * sum|term| / |sum| passes this; measured errors of Ferrers
-# polynomials with n <= 12 sit 10 to 300 times below the bound
+# n * eps * sum|term| passes this times max(|sum|, 1), 1 being F(0): a sum
+# at its zero is right to that absolute precision.  Measured errors of
+# Ferrers polynomials with n <= 12 sit 10 to 300 times below the bound
 _POLYNOMIAL_REL_BOUND = 1e-6
 
 
@@ -148,8 +149,8 @@ class _Series:
             raise NumericalError(
                 f"terminating 2F1 polynomial of degree {n} overflows at |w| = {abs(w):.3g}"
             )
-        bound = n * _ULP * size
-        if bound > _POLYNOMIAL_REL_BOUND * abs(total):
+        bound = n * sys.float_info.epsilon * size
+        if bound > _POLYNOMIAL_REL_BOUND * max(abs(total), 1.0):
             raise NumericalError(
                 f"terminating 2F1 polynomial of degree {n} cancels at |w| = {abs(w):.3g}: "
                 f"rounding bound {bound:.3g} against a sum of size {abs(total):.3g}"

@@ -40,7 +40,9 @@ K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
 degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu and Q's
 c = nu+3/2 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF 15.2.3_5)
 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w), still one
-term.  No representation needs a +/- i*eps average.
+term.  No representation needs a +/- i*eps average.  The two series cancel like
+(|x|+sqrt(1+x**2))**|nu+1/2|, so past |nu+1/2| = 27.8 a Ferrers call raises
+NumericalError at |x| >= sinh(24.5/|nu+1/2|), where eps times that passes 1e-5.
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
 do the parameter-only work once per evaluator: the term coefficients and
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .complexfn import (
@@ -70,7 +73,7 @@ from .complexfn import (
     real_argument,
     rgamma,
 )
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericalError, PoleError
 from .hyper import _canonical as _prepared_2f1
 
 __all__ = [
@@ -89,6 +92,9 @@ __all__ = [
 ]
 
 _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
+# the x**2 series cancel like (|x| + sqrt(1+x**2))**|nu+1/2|; a Ferrers call
+# raises where eps times that passes 1e-5, at asinh|x| >= this / |nu+1/2|
+_FERRERS_REACH = math.log(1e-5 / sys.float_info.epsilon)
 
 
 # K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w), with (1-x)**p (1+x)**q
@@ -115,6 +121,8 @@ class _TermSum:
     __slots__ = ("_terms", "_ferrers", "_hyp")
 
     def __init__(self, terms):
+        # a term with K = 0 adds nothing but the cost and rounding of its series
+        terms = [t for t in terms if t.K != 0] or terms[:1]
         self._terms = terms
         self._ferrers = terms[0].wmap == "sq"
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
@@ -136,20 +144,14 @@ class _TermSum:
         return hyp[n]
 
     def value(self, z):
-        """S at z: the order-0 sum, skipping the power of an exponent that
-        the weight left at exactly 0."""
+        """S at z: the order-0 sum."""
         if self._ferrers:
             zm, zp = 1.0 - z, 1.0 + z
         else:
             zm, zp = z - 1.0, z + 1.0
         total = 0.0 + 0.0j
         for (K, p, q, _a, _b, _c, wmap, r), hyp in zip(self._terms, self._hyp):
-            if q == 0:
-                pf = cpow(zm, p)
-            elif p == 0:
-                pf = cpow(zp, q)
-            else:
-                pf = cpow(zm, p) * cpow(zp, q)
+            pf = cpow(zm, p) * cpow(zp, q)
             if wmap == "half":
                 w = (1.0 - z) / 2.0
             elif wmap == "sq":
@@ -311,18 +313,16 @@ class _Legendre:
     """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
     of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
 
-    __slots__ = ("_ferrers", "_rep")
+    __slots__ = ("_ferrers", "_rep", "_x_max")
 
     def __init__(self, kind, nu, mu, s=0.0):
         if kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
         self._ferrers = kind.startswith("ferrers")
+        # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
+        self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
         self._rep = _representation(kind, complex(nu), complex(mu), s)
-
-    def value(self, z):
-        """F at an already prepared z."""
-        return self._rep.value(z)
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
@@ -334,6 +334,8 @@ class _Legendre:
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         if self._ferrers:
             z = _ferrers_x(z)
+            if abs(z) >= self._x_max:
+                raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
         else:
             z = _prepare_z(z, boundary_side)
         if order == 0:
@@ -362,7 +364,7 @@ def weighted_evaluator(kind, nu, mu, s):
     With s = mu/2 the P form is analytic through v = 1; with s = -mu/2 it
     has the single power (v-1)**(-mu), and the Ferrers terms none.
     """
-    return _Legendre(kind, nu, mu, s).value
+    return _Legendre(kind, nu, mu, s)._rep.value
 
 
 def whipple_evaluator(kind, nu, mu, s):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .complexfn import cpow, is_integer, rgamma, sin_pi
@@ -49,7 +50,7 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 # rounding of the loop's subtract-and-add-back, in units of the add-back and
 # tail terms: 64 samples' worth of ulp (the Cauchy rule's sample count)
-_ADDBACK_ROUNDING = 64 * 2.2e-16
+_ADDBACK_ROUNDING = 64 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)

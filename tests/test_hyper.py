@@ -104,6 +104,15 @@ def test_hyp2f1_low_degree_polynomials_keep_their_values():
         assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-14 * abs(ref)
 
 
+def test_hyp2f1_polynomial_at_its_zero_returns_it():
+    # 1 - w and (1 - w)**2 at w = 1: the bound is held against max(|sum|, 1)
+    assert hyp2f1(-1, 1, 1, 1) == 0.0
+    assert hyp2f1(-2, 1, 1, 1) == 0.0
+    # and at the nearest double to a simple zero of 1 - 3.75w + 2.88w**2
+    w0 = float(mpmath.findroot(lambda w: mpmath.hyp2f1(-2, 3, 1.6, w), 0.4))
+    assert abs(hyp2f1(-2.0, 3.0, 1.6, w0)) <= 1e-15
+
+
 def test_hyp2f1_evaluator_reuse_equals_one_shot():
     # one prepared evaluator per parameter set, reused over w values that
     # reach every path; each value must equal a fresh hyp2f1 call exactly

@@ -201,6 +201,44 @@ def test_cancelling_jacobi_polynomial_raises():
         legendre_p(60.0, 0.0, -2.7 + 0.5j)
 
 
+def test_terminating_series_at_its_zero_returns_it():
+    # the rounding bound is held against max(|sum|, 1), 1 being F(0), so a
+    # polynomial at its zero returns a sum that is right to that scale
+    assert jacobi_p(1, 0, 0, 0.0) == 0.0
+    assert abs(ferrers_p(2, 0, 3**-0.5)) <= 1e-15
+    assert abs(legendre_deriv(2, 0, 3**-0.5, kind="ferrers_p") - 3**0.5) <= 1e-14
+    # the Gauss-Legendre nodes of degree n are the zeros of P_n
+    for n in range(1, 13):
+        for x in scipy.special.roots_legendre(n)[0]:
+            assert abs(ferrers_p(n, 0, x)) <= 1e-13, (n, x)
+            assert abs(jacobi_p(n, 0, 0, x)) <= (1e-14 if n <= 4 else 1e-8), (n, x)
+    # a zero-weight series is left out: here K0 = 1/Gamma(0) and the even
+    # series 1 - 2x**2 sits at its zero; the odd term carries the value
+    x = 0.5**0.5
+    ref = complex(mpmath.legenp(1.5, -0.5, x, type=2))
+    assert abs(ferrers_p(1.5, -0.5, x) - ref) <= 1e-14 * abs(ref)
+
+
+def test_ferrers_past_the_series_reach_raises():
+    # past |nu+1/2| = 27.8 the x**2 series lose eps*(|x|+sqrt(1+x**2))**|nu+1/2|;
+    # summed silently, Ferrers P at (40.5, 0.3, 0.85) was 2.1e-4 off and
+    # Ferrers Q at (60.3, 1, 0.85) 2.3e4
+    with pytest.raises(NumericalError):
+        ferrers_p(40.5, 0.3, 0.85)
+    with pytest.raises(NumericalError):
+        ferrers_q(60.3, 1.0, -0.85)
+    with pytest.raises(NumericalError):
+        legendre_deriv(40.5, 0.3, 0.7, kind="ferrers_q")
+    # below |x| = sinh(24.5/|nu+1/2|) the calls return; the tolerance is
+    # relative to the larger of |P| and |Q|, as either may sit near a zero
+    for nu, mu, x in ((27.0, 0.4, 0.97), (27.0, 0.4, -0.999), (40.5, 0.3, 0.6), (60.5, -1.0, 0.4)):
+        ref_p = complex(mpmath.legenp(nu, mu, x, type=2))
+        ref_q = complex(mpmath.legenq(nu, mu, x, type=2))
+        scale = max(abs(ref_p), abs(ref_q))
+        assert abs(ferrers_p(nu, mu, x) - ref_p) <= 1e-6 * scale, (nu, mu, x)
+        assert abs(ferrers_q(nu, mu, x) - ref_q) <= 1e-6 * scale, (nu, mu, x)
+
+
 def test_ferrers_rejects_bad_argument():
     with pytest.raises(DomainError):
         ferrers_p(0.5, 0.3, 1.4)

@@ -30,6 +30,7 @@ from .complexfn import (
     is_integer,
     is_nonpositive_integer,
     ln_gamma,
+    rgamma,
     sin_pi,
 )
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     PoleError,
 )
 
-__all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_barnes"]
+__all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_regularized", "hyp3f2_barnes"]
 
 _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
@@ -411,6 +412,8 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
     """3F2(a1, a2, a3; b1, b2; w) by its defining series.
 
     Requires |w| < 1 - 1e-3 unless a numerator parameter terminates the sum.
+    DegenerateParameterError when the sum reaches a nonpositive-integer lower
+    parameter first; ``hyp3f2_regularized`` has the limit there.
     """
     a1, a2, a3 = complex(a1), complex(a2), complex(a3)
     b1, b2 = complex(b1), complex(b2)
@@ -422,6 +425,12 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
             n = round(-p.real)
             if n_term is None or n < n_term:
                 n_term = n
+    for b in (b1, b2):
+        if is_nonpositive_integer(b) and (n_term is None or round(-b.real) < n_term):
+            raise DegenerateParameterError(
+                f"3F2 undefined: lower parameter {b} is a nonpositive integer "
+                "that the sum reaches before any numerator ends it"
+            )
     if n_term is None and abs(w) >= 1.0 - 1e-3:
         raise ConvergenceError(
             f"3F2 series diverges: |w| = {abs(w):.4f} and no terminating "
@@ -449,6 +458,41 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
     if n_term is None:
         raise ConvergenceError("3F2 series did not meet the tail bound")
     return total
+
+
+def _c_limit(a, b, c):
+    """(n, C, a', b', c') with 2F1(a, b; c; w)/Gamma(c) = C w**n 2F1(a', b'; c'; w)
+    at c = 1-n, n >= 1: C = (a)_n (b)_n / n! (DLMF 15.2.3_5).  Elsewhere
+    n = 0, C = 1 and the parameters are unchanged: 1/Gamma(c) stays with the
+    caller."""
+    if not is_nonpositive_integer(c):
+        return 0, 1.0, a, b, c
+    n = 1 - round(c.real)
+    C = 1.0
+    for k in range(n):
+        C *= (a + k) * (b + k) / (k + 1.0)
+    return n, C, a + n, b + n, n + 1.0
+
+
+def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
+    """R = 3F2(a1, a2, 1; b1, b2; w) / (Gamma(b1) Gamma(b2)), entire in b1
+    and b2, by the series of ``hyp3f2_series``.
+
+    Where b1 or b2 is 1-n, n >= 1, the terms below w**n vanish.  With n the
+    largest such and b1 its parameter, R = (a1)_n (a2)_n w**n
+    R(a1+n, a2+n; 1, b2+n; w): the shift of ``_c_limit``, whose C is
+    (a1)_n (a2)_n / n!, and the shifted 3F2 has b1+n = 1 over its third
+    numerator.
+    """
+    # the lower parameter with the most vanishing terms first
+    b1, b2 = sorted(
+        (complex(b1), complex(b2)),
+        key=lambda b: b.real if is_nonpositive_integer(b) else math.inf,
+    )
+    n, C, a1, a2, c = _c_limit(complex(a1), complex(a2), b1)
+    if n:
+        return C * gamma_ratio([c], [b2 + n]) * w**n * hyp3f2_series(a1, a2, 1.0, 1.0, b2 + n, w)
+    return hyp3f2_series(a1, a2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
 
 
 def _gauss_legendre(n):

@@ -74,7 +74,7 @@ from .complexfn import (
     rgamma,
 )
 from .errors import DomainError, NumericalError, PoleError
-from .hyper import _canonical as _prepared_2f1
+from .hyper import _c_limit, _canonical as _prepared_2f1
 
 __all__ = [
     "legendre_p",
@@ -210,20 +210,6 @@ class _TermSum:
 
 
 # --- representations ---------------------------------------------------------
-
-
-def _c_limit(a, b, c):
-    """(n, C, a', b', c') with 2F1(a, b; c; w)/Gamma(c) = C w**n 2F1(a', b'; c'; w)
-    at c = 1-n, n >= 1: C = (a)_n (b)_n / n! (DLMF 15.2.3_5).  Elsewhere
-    n = 0, C = 1 and the parameters are unchanged: 1/Gamma(c) stays with the
-    caller."""
-    if not is_nonpositive_integer(c):
-        return 0, 1.0, a, b, c
-    n = 1 - round(c.real)
-    C = 1.0
-    for k in range(n):
-        C *= (a + k) * (b + k) / (k + 1.0)
-    return n, C, a + n, b + n, n + 1.0
 
 
 def _p_terms(nu, mu):

@@ -432,6 +432,33 @@ def _regularized_lower(
     )
 
 
+def _cauchy_radius(c: float, analyticity_radius: float | None) -> float:
+    """Radius of the Cauchy circle for the Taylor coefficients of g at 0: a
+    quarter of the nearer of c and g's analyticity radius (c when None),
+    counting that radius as at most 4c."""
+    rho = c if analyticity_radius is None else min(analyticity_radius, 4.0 * c)
+    if rho <= 0:
+        raise DomainError("analyticity radius must be positive")
+    return 0.25 * min(c, rho)
+
+
+def _lower(g, c, lam, analyticity_radius, target, basepoint_exponent=0.0) -> QuadratureResult:
+    """Regularized integral of t**(-lam-1) g(t) over (0, c) at non-integer
+    lam: tanh-sinh directly for Re lam < -1/2, else ``_regularized_lower``
+    on the circle of ``_cauchy_radius``."""
+    radius = _cauchy_radius(c, analyticity_radius)
+    if lam.real < -0.5:
+        return integrate_segment(
+            lambda t: cpow(t, -lam - 1.0) * g(t),
+            0.0,
+            c,
+            endpoint_exponent_a=-lam.real - 1.0,
+            endpoint_exponent_b=basepoint_exponent,
+            target=target,
+        )
+    return _regularized_lower(g, c, lam, radius, target, basepoint_exponent=basepoint_exponent)
+
+
 def integrate_loop(
     g: Callable[[complex], complex],
     c: float,
@@ -452,34 +479,15 @@ def integrate_loop(
     lam = complex(lam)
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
-    rho = c if analyticity_radius is None else min(analyticity_radius, 4.0 * c)
-    if rho <= 0:
-        raise DomainError("analyticity radius must be positive")
-    radius = 0.25 * min(c, rho)
-
     if is_integer(lam, 1e-12):
         n = round(lam.real)
         if n < 0:
             return _exact_result(0.0)
-        coeffs, n_eval = _taylor_coefficients(g, radius, n + 1)
+        coeffs, n_eval = _taylor_coefficients(g, _cauchy_radius(c, analyticity_radius), n + 1)
         sign = -1.0 if n % 2 else 1.0
         return QuadratureResult(sign * coeffs[n], 0.0, n_eval)
-
-    if lam.real < -0.5:
-        seg = integrate_segment(
-            lambda t: cpow(t, -lam - 1.0) * g(t),
-            0.0,
-            c,
-            endpoint_exponent_a=-lam.real - 1.0,
-            endpoint_exponent_b=basepoint_exponent,
-            target=target,
-        )
-        return seg.scaled(sin_pi(lam + 1.0) / math.pi)
-
-    reg = _regularized_lower(
-        g, c, lam, radius, target, basepoint_exponent=basepoint_exponent
-    )
-    return reg.scaled(sin_pi(lam + 1.0) / math.pi)
+    lower = _lower(g, c, lam, analyticity_radius, target, basepoint_exponent)
+    return lower.scaled(sin_pi(lam + 1.0) / math.pi)
 
 
 def integrate_weyl(
@@ -507,20 +515,7 @@ def integrate_weyl(
         )
     if c <= 0:
         raise DomainError(f"split point must be positive, got {c}")
-    rho = c if analyticity_radius is None else min(analyticity_radius, 4.0 * c)
-    radius = 0.25 * min(c, rho)
-
-    if lam.real < -0.5:
-        lower = integrate_segment(
-            lambda t: cpow(t, -lam - 1.0) * g(t),
-            0.0,
-            c,
-            endpoint_exponent_a=-lam.real - 1.0,
-            target=target,
-        )
-    else:
-        lower = _regularized_lower(g, c, lam, radius, target)
-
+    lower = _lower(g, c, lam, analyticity_radius, target)
     tail_decay = None
     if decay_exponent is not None:
         tail_decay = decay_exponent + lam.real + 1.0

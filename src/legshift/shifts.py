@@ -33,7 +33,7 @@ from .complexfn import (
     zsq_minus_one_pow,
 )
 from .errors import DomainError
-from .hyper import hyp3f2_barnes, hyp3f2_series
+from .hyper import hyp3f2_barnes, hyp3f2_regularized, hyp3f2_series
 from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
 
 __all__ = [
@@ -65,7 +65,8 @@ def _cond(desc: str, ok: bool):
 
 
 def hyp3f2_family(nu, mu, lam, z) -> complex:
-    """3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2), continued in z.
+    """3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2) / (Gamma(1-mu) Gamma(1-lam)),
+    entire in mu and lam (``hyper.hyp3f2_regularized``), continued in z.
 
     Series inside |1-z| < 1.8; outside, the vertical-line continuation.
     """
@@ -74,9 +75,21 @@ def hyp3f2_family(nu, mu, lam, z) -> complex:
     a1, a2 = nu - mu + 1.0, -nu - mu
     b1, b2 = 1.0 - mu, 1.0 - lam
     if abs(w) <= 0.9:
-        return hyp3f2_series(a1, a2, 1.0, b1, b2, w)
-    norm = hyp3f2_barnes(a1, a2, 1.0, b1, b2, z)
-    return norm * gamma_ratio([b1, b2], [a1, a2])
+        return hyp3f2_regularized(a1, a2, b1, b2, w)
+    return hyp3f2_barnes(a1, a2, 1.0, b1, b2, z) * rgamma(a1) * rgamma(a2)
+
+
+def _q_3f2_term(nu, mu, lam, w):
+    """2**(-mu-1) Gamma(-mu) Gamma(nu+mu+1) / (Gamma(1-lam) Gamma(nu-mu+1))
+    3F2(-nu+mu, nu+mu+1, 1; 1-lam, mu+1; w), the 3F2 term of "riemann_q_up"
+    and "lplus_q" without its phase and power of z-1 or 1-x.  With the
+    regularized 3F2 the gammas are Gamma(-mu) Gamma(nu+mu+1) Gamma(mu+1) /
+    Gamma(nu-mu+1), so integer lam needs no limit."""
+    return (
+        cpow(2.0, -mu - 1.0)
+        * gamma_ratio([-mu, nu + mu + 1.0, mu + 1.0], [nu - mu + 1.0])
+        * hyp3f2_regularized(-nu + mu, nu + mu + 1.0, 1.0 - lam, mu + 1.0, w)
+    )
 
 
 def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
@@ -157,6 +170,15 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "riemann_q_up":
+        conditions = (
+            _cond("Re mu < 1", mu.real < 1),
+            _cond("mu not an integer", not is_integer(mu)),
+            _cond("|1-z| < 2", abs(1.0 - z) < 2.0),
+        )
+        if is_integer(mu):
+            # the two terms' poles, pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu),
+            # cancel in a limit this form does not take
+            return Prediction(complex("nan"), {}, conditions)
         ph = cmath.exp(1j * math.pi * mu)
         t1 = (
             0.5
@@ -166,33 +188,11 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             * zsq_minus_one_pow(z, -(mu + lam) / 2.0)
             * legendre_p(nu, mu + lam, z)
         )
-        t2 = (
-            cpow(2.0, -mu - 1.0)
-            * ph
-            * cpow(z - 1.0, -lam)
-            * gamma_ratio([-mu, nu + mu + 1.0], [1.0 - lam, nu - mu + 1.0])
-            * hyp3f2_series(
-                -nu + mu, nu + mu + 1.0, 1.0, 1.0 - lam, mu + 1.0, (1.0 - z) / 2.0
-            )
-        )
-        return Prediction(
-            t1 + t2,
-            {"p_term": t1, "hyp3f2_term": t2},
-            (
-                _cond("Re mu < 1", mu.real < 1),
-                _cond("mu not an integer", not is_integer(mu)),
-                _cond("|1-z| < 2", abs(1.0 - z) < 2.0),
-            ),
-        )
+        t2 = ph * cpow(z - 1.0, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - z) / 2.0)
+        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
 
     if variant == "riemann_p_down_near":
-        val = (
-            cpow(2.0, mu)
-            * cpow(z - 1.0, -lam)
-            * rgamma(1.0 - mu)
-            * rgamma(1.0 - lam)
-            * hyp3f2_family(nu, mu, lam, z)
-        )
+        val = cpow(2.0, mu) * cpow(z - 1.0, -lam) * hyp3f2_family(nu, mu, lam, z)
         return Prediction(
             val,
             {"hyp3f2_term": val},
@@ -200,6 +200,13 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "riemann_p_down_far":
+        conditions = (
+            _cond("|1-z| > 2", abs(1.0 - z) > 2.0),
+            _cond("cos(pi nu) != 0", abs(cos_pi(nu)) > 1e-9),
+            _cond("nu - mu not an integer", not is_integer(nu - mu)),
+        )
+        if not (conditions[1][1] and conditions[2][1]):
+            return Prediction(complex("nan"), {}, conditions)  # a denominator vanishes
         # P-coefficient fixed by the residue series even in nu; the Q-coefficient
         # follows from the odd series via the nu -> -nu-1 symmetry.
         wgt = zsq_minus_one_pow(z, (mu - lam) / 2.0)
@@ -226,13 +233,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             )
         )
         return Prediction(
-            t1 + t2 + t3,
-            {"p_term": t1, "q_term": t2, "hyp3f2_term": t3},
-            (
-                _cond("|1-z| > 2", abs(1.0 - z) > 2.0),
-                _cond("cos(pi nu) != 0", abs(cos_pi(nu)) > 1e-9),
-                _cond("nu - mu not an integer", not is_integer(nu - mu)),
-            ),
+            t1 + t2 + t3, {"p_term": t1, "q_term": t2, "hyp3f2_term": t3}, conditions
         )
 
     raise DomainError(f"unknown order-shift variant {variant!r}")
@@ -264,7 +265,7 @@ def predict_degree_shift(nu, mu, lam, y, variant) -> Prediction:
             cmath.exp(1j * math.pi * mu)
             * math.sqrt(math.pi / 2.0)
             * cpow(2.0, -nu - 0.5)
-            * gamma_ratio([nu + mu + 1.0], [nu + 1.5, 1.0 - lam])
+            * gamma_ratio([nu + mu + 1.0], [])
             * cpow(y - 1.0, -lam)
             * hyp3f2_family(-mu - 0.5, -nu - 0.5, lam, y)
         )
@@ -319,6 +320,12 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
         )
 
     if variant == "lplus_q":
+        conditions = (
+            _cond("Re mu < 1", mu.real < 1),
+            _cond("mu not an integer", not is_integer(mu)),
+        )
+        if is_integer(mu):
+            return Prediction(complex("nan"), {}, conditions)  # as in riemann_q_up
         wgt = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(1.0 + x, -(mu + lam) / 2.0)
         t1 = (
             0.5
@@ -328,32 +335,14 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
             * wgt
             * ferrers_p(nu, mu + lam, x)
         )
-        t2 = (
-            cpow(2.0, -mu - 1.0)
-            * cpow(1.0 - x, -lam)
-            * gamma_ratio([-mu, nu + mu + 1.0], [1.0 - lam, nu - mu + 1.0])
-            * hyp3f2_series(
-                -nu + mu, nu + mu + 1.0, 1.0, 1.0 - lam, mu + 1.0, (1.0 - x) / 2.0
-            )
-        )
-        return Prediction(
-            t1 + t2,
-            {"p_term": t1, "hyp3f2_term": t2},
-            (
-                _cond("Re mu < 1", mu.real < 1),
-                _cond("mu not an integer", not is_integer(mu)),
-            ),
-        )
+        t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
+        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
 
     if variant == "lminus_p":
         val = (
             cpow(2.0, mu)
             * cpow(1.0 - x, -lam)
-            * rgamma(1.0 - mu)
-            * rgamma(1.0 - lam)
-            * hyp3f2_series(
-                nu - mu + 1.0, -nu - mu, 1.0, 1.0 - mu, 1.0 - lam, (1.0 - x) / 2.0
-            )
+            * hyp3f2_regularized(nu - mu + 1.0, -nu - mu, 1.0 - mu, 1.0 - lam, (1.0 - x) / 2.0)
         )
         return Prediction(val, {"hyp3f2_term": val}, ())
 

@@ -44,7 +44,7 @@ from .complexfn import (
     sin_pi,
     zsq_minus_one_pow,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .legendre import (
     ferrers_p,
     jacobi_evaluator,
@@ -56,6 +56,7 @@ from .legendre import (
 )
 from .quadrature import (
     QuadratureResult,
+    _taylor_coefficients,
     integrate_loop,
     integrate_semi_infinite,
     integrate_weyl,
@@ -1141,7 +1142,7 @@ def verify_grid(
                 use_far_field=use_far_field,
             )
         except ArithmeticError as exc:
-            failures.append((dict(point), f"quadrature failure: {exc}"))
+            failures.append((dict(point), f"numerical failure: {type(exc).__name__}: {exc}"))
             continue
         reports.append(rep)
         if not rep.validity:
@@ -1168,34 +1169,6 @@ def verify_grid(
 
 # ---------------------------------------------------------------------------
 # differential-equation defects
-
-def _hyp3f2_with_derivs(a1, a2, b1, b2, w):
-    """rgamma(b2) * 3F2(a1, a2, 1; b1, b2; w) and two w-derivatives.
-
-    Summed in the b2-regularized form sum_k (a1)_k (a2)_k / (b1)_k *
-    rgamma(b2+k) w^k, which stays entire when b2 is a nonpositive integer;
-    derivatives are taken term-wise.
-    """
-    if abs(w) > 0.95:
-        raise ConvergenceError(f"3F2 series argument too large: |w| = {abs(w):.3f}")
-    f0 = f1 = f2 = 0.0 + 0.0j
-    poch = 1.0 + 0.0j  # (a1)_k (a2)_k / (b1)_k
-    wk = 1.0 + 0.0j
-    for k in range(800):
-        t = poch * rgamma(b2 + k)
-        f0 += t * wk
-        if k >= 1:
-            f1 += k * t * wk / w if w != 0 else (t if k == 1 else 0.0)
-        if k >= 2:
-            f2 += k * (k - 1) * t * wk / (w * w) if w != 0 else (
-                2.0 * t if k == 2 else 0.0
-            )
-        if k > 8 and abs(t * wk) < 1e-18 * (abs(f0) + 1e-30):
-            return f0, f1, f2
-        poch *= (a1 + k) * (a2 + k) / (b1 + k)
-        wk *= w
-    raise ConvergenceError("regularized 3F2 series did not converge")
-
 
 def ode_residual(mode, nu, mu, lam=None, z=2.0, kind="p") -> complex:
     """Differential-equation defect of a computed function.
@@ -1225,22 +1198,15 @@ def ode_residual(mode, nu, mu, lam=None, z=2.0, kind="p") -> complex:
         if lam is None:
             raise DomainError("inhomogeneous mode needs lam")
         lam = complex(lam)
-        w = (1.0 - z) / 2.0
-        a1, a2 = nu - mu + 1.0, -nu - mu
-        b1, b2 = 1.0 - mu, 1.0 - lam
-        f0, f1w, f2w = _hyp3f2_with_derivs(a1, a2, b1, b2, w)
-        # d/dz = -(1/2) d/dw; rgamma(1-lam) already lives in the series
-        coef = cpow(2.0, mu) * rgamma(1.0 - mu)
-        pw = cpow(z - 1.0, -lam)
-        g0 = coef * pw * f0
-        g1 = coef * (-lam * cpow(z - 1.0, -lam - 1.0) * f0 + pw * (-0.5) * f1w)
-        g2 = coef * (
-            lam * (lam + 1.0) * cpow(z - 1.0, -lam - 2.0) * f0
-            + lam * cpow(z - 1.0, -lam - 1.0) * f1w
-            + pw * 0.25 * f2w
-        )
+        # G, G' and G''/2 by the Cauchy rule the loops use, on a quarter of
+        # the distance to the branch point z = 1
+        g0, g1, g2 = _taylor_coefficients(
+            lambda t: predict_order_shift(nu, mu, lam, z + t, "riemann_p_down_near").value,
+            0.25 * abs(z - 1.0),
+            3,
+        )[0]
         lhs = (
-            (z * z - 1.0) * g2
+            (z * z - 1.0) * 2.0 * g2
             - 2.0 * (mu - lam - 1.0) * z * g1
             - (nu + mu - lam) * (nu - mu + lam + 1.0) * g0
         )

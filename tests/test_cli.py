@@ -261,6 +261,17 @@ def test_sweep_identity_columns(tmp_path):
         assert repr(float(r[1])) == r[1]
 
 
+def test_sweep_identity_through_integer_order():
+    # lam = 1 is the integer-step relation, reached by the regularized 3F2
+    code, out, err = run_cli(
+        ["sweep", "--id", "RIEMANN_MMINUS_P", "--nu", "0.7", "--mu", "0.4",
+         "--lam", "0.5:1.5:3", "--z", "1.8"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["True"] * 3
+
+
 def test_sweep_requires_exactly_one_axis():
     code, _out, _err = run_cli(
         ["sweep", "--fn", "P", "--nu", "0.1:0.9:3", "--mu", "0.1:0.9:3", "--z", "2.0"]

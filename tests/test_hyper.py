@@ -7,12 +7,13 @@ import mpmath
 import pytest
 
 from legshift.complexfn import gamma_ratio
-from legshift.errors import DomainError, NumericalError, PoleError
+from legshift.errors import DegenerateParameterError, DomainError, NumericalError, PoleError
 from legshift.hyper import (
     _gauss_legendre,
     hyp2f1,
     hyp2f1_evaluator,
     hyp3f2_barnes,
+    hyp3f2_regularized,
     hyp3f2_series,
 )
 
@@ -172,6 +173,34 @@ def test_hyp3f2_series_terminating():
     val = hyp3f2_series(1.4, -2.0, 1.0, 0.9, 1.7, 5.0)
     ref = complex(mpmath.hyp3f2(1.4, -2.0, 1.0, 0.9, 1.7, 5.0))
     assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_hyp3f2_series_at_a_lower_parameter_pole_raises():
+    with pytest.raises(DegenerateParameterError):
+        hyp3f2_series(0.5, 1.5, 1.0, 0.0, 2.5, 0.3)
+    with pytest.raises(DegenerateParameterError):
+        hyp3f2_series(-3.0, 1.5, 1.0, 1.2, -1.0, 0.3)  # b2 = -1 before a1 = -3 ends it
+    # a numerator that ends the sum first leaves a polynomial
+    val = hyp3f2_series(-1.0, 1.5, 1.0, -1.0, 2.5, 0.3)
+    assert abs(val - complex(mpmath.hyp3f2(-1, 1.5, 1, -1, 2.5, 0.3))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "b1,b2",
+    [(0.7, 0.45), (0.0, 0.45), (0.7, -1.0), (-2.0, 0.45), (-1.0, -2.0), (0.0, 0.0)],
+)
+def test_hyp3f2_regularized_vs_mpmath(b1, b2):
+    # the defining sum of 3F2(a1, a2, 1; b1, b2; w) / (Gamma(b1) Gamma(b2)),
+    # whose terms below w**n vanish at a lower parameter 1-n
+    a1, a2 = 1.3, -1.1
+    for w in (-0.4, 0.3 + 0.2j, 0.6):
+        ref = mpmath.nsum(
+            lambda k: mpmath.rf(a1, k) * mpmath.rf(a2, k) * mpmath.mpc(w) ** k
+            * mpmath.rgamma(b1 + k) * mpmath.rgamma(b2 + k),
+            [0, mpmath.inf],
+        )
+        val = hyp3f2_regularized(a1, a2, b1, b2, w)
+        assert abs(val - complex(ref)) <= 1e-14 * abs(complex(ref)), w
 
 
 def test_hyp3f2_barnes_matches_series_in_overlap():

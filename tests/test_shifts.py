@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from legshift.complexfn import cpow, gamma, zsq_minus_one_pow
-from legshift.errors import DomainError
+from legshift.errors import DomainError, NumericalError
 from legshift.legendre import ferrers_p, legendre_p, legendre_q
 from legshift.shifts import (
     Prediction,
@@ -37,13 +37,25 @@ def test_unknown_variants_raise():
 
 
 def test_hyp3f2_family_vs_mpmath_both_regimes():
-    nu, mu, lam = 0.6, 0.3, 0.7
-    a = (nu - mu + 1.0, -nu - mu, 1.0)
-    b = (1.0 - mu, 1.0 - lam)
-    for z in (2.6, 3.4):  # series regime and continued regime
-        ref = complex(mpmath.hyp3f2(*a, *b, (1.0 - z) / 2.0))
-        val = hyp3f2_family(nu, mu, lam, z)
-        assert abs(val - ref) <= 1e-9 * abs(ref), z
+    # the family is 3F2 / (Gamma(b1) Gamma(b2)); at lam = n its first n terms
+    # vanish and it is (a1)_n (a2)_n w**n 2F1(a1+n, a2+n; b1+n; w) / Gamma(b1+n)
+    nu, mu = 0.6, 0.3
+    a1, a2, b1 = nu - mu + 1.0, -nu - mu, 1.0 - mu
+    for lam in (0.7, 1.0, 2.0):
+        for z in (2.6, 3.4, 3.0 + 1.0j):  # series regime and continued regime
+            w = (1.0 - z) / 2.0
+            if lam == round(lam):
+                n = round(lam)
+                ref = (
+                    mpmath.rf(a1, n) * mpmath.rf(a2, n) * mpmath.mpc(w) ** n
+                    * mpmath.hyp2f1(a1 + n, a2 + n, b1 + n, w) * mpmath.rgamma(b1 + n)
+                )
+            else:
+                b2 = 1.0 - lam
+                ref = mpmath.hyp3f2(a1, a2, 1.0, b1, b2, w) * mpmath.rgamma(b1) * mpmath.rgamma(b2)
+            ref = complex(ref)
+            val = hyp3f2_family(nu, mu, lam, z)
+            assert abs(val - ref) <= 1e-13 * abs(ref), (lam, z)
 
 
 def test_conditions_name_failing_predicate():
@@ -172,3 +184,28 @@ def test_rodrigues_pair_derivative_link():
         - rodrigues_pair(1, alpha, beta, z - h)[1]
     ) / (2.0 * h)
     assert abs(fd - w) <= 1e-7 * abs(w)
+
+
+@pytest.mark.parametrize(
+    "predict,variant,zs",
+    [
+        (predict_order_shift, "riemann_q_up", (1.5, 2.9)),
+        (predict_order_shift, "riemann_p_down_near", (1.6, 4.0, 3.0 + 1.0j)),
+        (predict_order_shift, "riemann_p_down_far", (4.0, 6.0)),
+        (predict_degree_shift, "k3_riemann_q", (1.6, 4.0)),
+        (predict_ferrers_shift, "lplus_q", (0.25, -0.9)),
+        (predict_ferrers_shift, "lminus_p", (0.25, -0.9)),
+    ],
+)
+def test_3f2_closed_forms_at_integer_order_raise_only_library_errors(predict, variant, zs):
+    # integer lam or mu, and nu = mu or half-integer nu where the far form's
+    # denominators vanish: a value, an invalid prediction or a legshift error
+    points = [(0.35, 0.15, lam) for lam in (1.0, 2.0, 3.0)]
+    points += [(nu, mu, 0.7) for nu in (0.35, 0.5, 2.0) for mu in (1.0, 2.0)]
+    for nu, mu, lam in points:
+        for z in zs:
+            try:
+                pred = predict(nu, mu, lam, z, variant)
+            except (DomainError, NumericalError):
+                continue
+            assert not pred.valid or cmath.isfinite(pred.value), (nu, mu, lam, z)

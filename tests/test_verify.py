@@ -88,6 +88,37 @@ def test_verify_grid_collects_invalid_points():
     assert s.failures[0][1].startswith("invalid:")
 
 
+def test_verify_grid_names_the_exception_of_a_numerical_failure(monkeypatch):
+    def division_by_zero(*args):
+        raise ZeroDivisionError("complex division by zero")
+
+    # the closed form, not the quadrature, raises
+    monkeypatch.setattr("legshift.verify.predict_order_shift", division_by_zero)
+    s = verify_grid("RIEMANN_MMINUS_P", [get_identity("RIEMANN_MMINUS_P").default_grid[0]])
+    assert s.failures[0][1] == "numerical failure: ZeroDivisionError: complex division by zero"
+
+
+_3F2_IDENTITIES = (
+    "RIEMANN_MMINUS_P",
+    "FERRERS_LMINUS_P_3F2",
+    "RIEMANN_MPLUS_Q",
+    "FERRERS_LPLUS_Q_3F2",
+    "K3_RIEMANN_Q_3F2",
+)
+
+
+@pytest.mark.parametrize("identity", _3F2_IDENTITIES)
+def test_3f2_identities_at_integer_order(identity):
+    # the regularized 3F2 takes the integer-step limit of each closed form:
+    # lam = n everywhere, and mu = 1 for the two order-lowering forms
+    points = [dict(p, lam=n) for p in get_identity(identity).default_grid[:2] for n in (1.0, 2.0)]
+    if identity in ("RIEMANN_MMINUS_P", "FERRERS_LMINUS_P_3F2"):
+        points += [dict(p, mu=1.0) for p in get_identity(identity).default_grid[:2]]
+    for p in points:
+        rep = verify_identity(identity, **p)
+        assert rep.passed, (p, rep.rel_err, rep.failed_conditions)
+
+
 def test_use_far_field_guard_and_agreement():
     with pytest.raises(DomainError):
         verify_identity("WEYL_MPLUS_Q", 0.6, 0.3, 0.7, 2.0, use_far_field=True)
@@ -161,9 +192,12 @@ def test_ode_residual_homogeneous():
 
 
 def test_ode_residual_inhomogeneous():
-    for lam in (0.6, -0.4, 1.0, 2.0):
-        r = ode_residual("inhomogeneous_mminus", 0.7, 0.4, lam=lam, z=1.8)
-        assert abs(r) <= 1e-10, lam
+    points = [(lam, 1.8) for lam in (0.6, -0.4, 1.0, 2.0)]
+    # past |1-z| = 1.8 the closed form is the vertical-line continuation
+    points += [(lam, z) for lam in (0.6, 1.0) for z in (3.0, 4.0, 6.0)]
+    for lam, z in points:
+        r = ode_residual("inhomogeneous_mminus", 0.7, 0.4, lam=lam, z=z)
+        assert abs(r) <= 1e-10, (lam, z)
 
 
 def test_ode_residual_bad_input():

@@ -66,14 +66,21 @@ def _series_reach(a, b, c):
 
 
 def _series_2f1(a, b, c, w):
-    """Defining Gauss series; stops after 3 consecutive negligible terms."""
+    """Defining Gauss series; stops after 3 consecutive negligible terms.
+
+    A term is negligible when |term| <= 1e-16 |total|.  Since |total| <=
+    sum|term|, the running sum of |term| rules most terms out first and
+    |total| is taken only for the rest: the same decision, one add a term."""
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
+    size = 1.0  # sum of |term|
     small = 0
     for k in range(_MAX_SERIES_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
         total += term
-        if abs(term) <= 1e-16 * abs(total):
+        t = abs(term)
+        size += t
+        if t <= 1e-16 * size and t <= 1e-16 * abs(total):
             small += 1
             if small >= 3:
                 return total
@@ -109,6 +116,7 @@ class _Series:
         n = len(ratios)
         total = 1.0 + 0.0j
         term = 1.0 + 0.0j
+        size = 1.0  # sum of |term|, as in _series_2f1
         small = 0
         for k in range(_MAX_SERIES_TERMS):
             if k < n:
@@ -118,7 +126,9 @@ class _Series:
                 ratios.append(r)
             term *= r * w
             total += term
-            if abs(term) <= 1e-16 * abs(total):
+            t = abs(term)
+            size += t
+            if t <= 1e-16 * size and t <= 1e-16 * abs(total):
                 small += 1
                 if small >= 3:
                     return total

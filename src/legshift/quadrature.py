@@ -23,8 +23,10 @@ Three primitives drive every numeric evaluation in the identity layer:
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
 trapezoid rule on a circle of at most a quarter of g's analyticity radius,
-with N = the smallest power of two >= max(64, coefficient count) samples, so
-aliasing stays below 4**-N relative.
+with N = the smallest power of two >= max(32, coefficient count) samples, so
+aliasing stays below 4**-N relative (5e-20 at N = 32).  A radix-2 FFT turns
+the samples into coefficients.  The declared analyticity radius must be the
+true one: a singularity inside it aliases into every coefficient.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-# rounding of the loop's subtract-and-add-back, in units of the add-back and
-# tail terms: 64 samples' worth of ulp (the Cauchy rule's sample count)
+# rounding of the Cauchy rule's coefficients, in units of the terms built
+# from them (the loop's add-back and tail, or the sample mean |g_j| at
+# integer order): 64 ulp, conservative for the FFT over 32 samples, whose
+# rounding grows like log2(N) ulp
 _ADDBACK_ROUNDING = 64 * sys.float_info.epsilon
 
 
@@ -337,28 +341,50 @@ def integrate_semi_infinite(
     )
 
 
+def _fft(x):
+    """sum_j x_j exp(-2 pi i jk/n) for k < n = len(x), a power of two: the
+    radix-2 butterflies, in place on x in bit-reversed order."""
+    n = len(x)
+    a = list(x)
+    j = 0
+    for i in range(1, n):
+        bit = n >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        if i < j:
+            a[i], a[j] = a[j], a[i]
+    roots = [cmath.exp(-2j * math.pi * k / n) for k in range(n // 2)]
+    half = 1
+    while half < n:
+        step = n // (2 * half)
+        for start in range(0, n, 2 * half):
+            for k in range(half):
+                u = a[start + k]
+                v = a[start + k + half] * roots[k * step]
+                a[start + k] = u + v
+                a[start + k + half] = u - v
+        half *= 2
+    return a
+
+
 def _taylor_coefficients(g: Callable[[complex], complex], radius: float, count: int):
     """Taylor coefficients c_0..c_{count-1} of g at 0 by the trapezoid rule
-    on |t| = radius, with N = the smallest power of two >= max(64, count)
-    samples; returns (coefficients, N).
+    on |t| = radius, with N = the smallest power of two >= max(32, count)
+    samples g_j; returns (coefficients, N, mean |g_j|).
 
     Every caller puts the circle at a quarter of g's analyticity radius, so
     the aliased terms c_{k+N} radius**(k+N) are below 4**-N relative, and
     N >= count keeps the returned coefficients from aliasing onto each other.
     """
-    n = 64
+    n = 32
     while n < count:
         n *= 2
     samples = [g(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)]
-    # exp(-2 pi i jk/N) is periodic in jk with period N: look it up
-    roots = [cmath.exp(-2j * math.pi * m / n) for m in range(n)]
-    coeffs = []
-    for k in range(count):
-        s = 0.0 + 0.0j
-        for j, gj in enumerate(samples):
-            s += gj * roots[j * k % n]
-        coeffs.append(s / (n * radius**k))
-    return coeffs, n
+    sums = _fft(samples)
+    coeffs = [sums[k] / (n * radius**k) for k in range(count)]
+    return coeffs, n, sum(map(abs, samples)) / n
 
 
 def _poly_eval(coeffs, t):
@@ -383,8 +409,10 @@ def _regularized_lower(
     polynomial part from Re lam < 0.
     """
     m_sub = max(int(math.ceil(lam.real)) + 1, 8)
-    k_tail = 32
-    coeffs, n_eval = _taylor_coefficients(g, radius, m_sub + k_tail)
+    # at t_cut = radius/2 the terms fall like 8**-k: the first one left out
+    # is below 8**-32 of the leading one
+    k_tail = 24
+    coeffs, n_eval, _ = _taylor_coefficients(g, radius, m_sub + k_tail)
     t_cut = 0.5 * radius
 
     # analytic integral of the subtracted remainder over (0, t_cut)
@@ -473,8 +501,9 @@ def integrate_loop(
     ``analyticity_radius`` bounds the disk around 0 where g is analytic
     (defaults to c).  ``basepoint_exponent`` declares a power-law of g at
     t = c.  Integer lam >= 0 gives (-1)**lam times the lam-th Taylor
-    coefficient of g; negative integer lam gives 0; otherwise the contour
-    collapses onto (0, c) with coefficient sin(pi (lam+1))/pi.
+    coefficient of g, with the Cauchy rule's rounding as its estimate;
+    negative integer lam gives 0; otherwise the contour collapses onto
+    (0, c) with coefficient sin(pi (lam+1))/pi.
     """
     lam = complex(lam)
     if c <= 0:
@@ -483,9 +512,11 @@ def integrate_loop(
         n = round(lam.real)
         if n < 0:
             return _exact_result(0.0)
-        coeffs, n_eval = _taylor_coefficients(g, _cauchy_radius(c, analyticity_radius), n + 1)
+        radius = _cauchy_radius(c, analyticity_radius)
+        coeffs, n_eval, size = _taylor_coefficients(g, radius, n + 1)
         sign = -1.0 if n % 2 else 1.0
-        return QuadratureResult(sign * coeffs[n], 0.0, n_eval)
+        rounding = _ADDBACK_ROUNDING * size / radius**n
+        return QuadratureResult(sign * coeffs[n], rounding, n_eval)
     lower = _lower(g, c, lam, analyticity_radius, target, basepoint_exponent)
     return lower.scaled(sin_pi(lam + 1.0) / math.pi)
 

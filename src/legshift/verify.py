@@ -241,13 +241,15 @@ def _toward_branch_point(p, W, target, basepoint, order=None):
 @_recipe
 def _rescaled_loop(p, W, target, basepoint=0.0, order=None):
     """Loop of order ``order`` (lam when None) of g(v) = W(z + (1-z) v),
-    based at v = 1 where W has the power ``basepoint``, analytic for |v| < 1."""
+    based at v = 1 where W has the power ``basepoint``.  W is singular at
+    V = +/-1, so g is analytic for |v| < min(1, |1+z|/|1-z|): inside the
+    unit disc when Re z < 0."""
     z, d = p.z, 1.0 - p.z
     return integrate_loop(
         lambda v: W(z + d * v),
         1.0,
         p.lam if order is None else order,
-        analyticity_radius=1.0,
+        analyticity_radius=1.0 if abs(1.0 + z) >= abs(d) else abs(1.0 + z) / abs(d),
         basepoint_exponent=basepoint,
         target=target,
     )

@@ -37,14 +37,16 @@ def test_taylor_coefficients_match_direct_dft():
     cases = [
         (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40, 64),
         (lambda t: p_upper(2.4 - t), 0.35, 40, 64),
-        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9, 64),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9, 32),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 24, 32),
+        (lambda t: p_upper(2.4 - t), 0.35, 32, 32),
         (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 64, 64),
         (lambda t: p_upper(2.4 - t), 0.35, 70, 128),
     ]
     for g, radius, count, n_samples in cases:
         ref = _taylor_reference(g, radius, count)
-        coeffs, n_eval = _taylor_coefficients(g, radius, count)
-        # the rule takes the smallest power of two >= max(64, count) samples
+        coeffs, n_eval, size = _taylor_coefficients(g, radius, count)
+        # the rule takes the smallest power of two >= max(32, count) samples
         assert n_eval == n_samples
         assert len(coeffs) == count
         # compare the trapezoid sums c_k radius**k: the rounding of each sum
@@ -54,6 +56,8 @@ def test_taylor_coefficients_match_direct_dft():
         scaled_ref = [c * radius**k for k, c in enumerate(ref)]
         tol = 1e-13 * max(abs(c) for c in scaled_ref)
         assert all(abs(c - r) <= tol for c, r in zip(scaled, scaled_ref))
+        # mean |g| over the samples bounds |c_k| radius**k
+        assert max(abs(c) for c in scaled) <= size * (1.0 + 1e-12)
     assert _taylor_coefficients(lambda t: 1.0, 0.5, 129)[1] == 256
 
 
@@ -162,6 +166,10 @@ def test_loop_integer_order_picks_taylor_coefficient():
     assert abs(res.value - (2.0 ** 2 / 2.0)) < 1e-12
     res1 = integrate_loop(g, 1.0, 3)
     assert abs(res1.value + 8.0 / 6.0) < 1e-12
+    # the estimate is the Cauchy rule's rounding, not 0
+    for r, exact in ((res, 2.0), (res1, -8.0 / 6.0)):
+        assert 0.0 < r.err_estimate < 1e-11
+        assert abs(r.value - exact) <= r.err_estimate
 
 
 def test_loop_negative_integer_is_zero():

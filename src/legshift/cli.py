@@ -58,6 +58,17 @@ def _parse_param(text: str):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _complex_fields(values, names=("nu", "mu", "lam", "z")) -> dict:
+    """``<name>_re`` and ``<name>_im`` of each named value, by default a
+    verify point's: JSON has no complex numbers."""
+    fields = {}
+    for name in names:
+        w = complex(values[name])
+        fields[f"{name}_re"] = w.real
+        fields[f"{name}_im"] = w.imag
+    return fields
+
+
 def _scalar(name, value):
     if isinstance(value, _Range):
         raise DomainError(f"--{name} must be a single value here, not a grid")
@@ -152,19 +163,14 @@ def _cmd_eval(args) -> int:
     )
     record = {
         "fn": args.fn,
-        "nu_re": params["nu"].real, "nu_im": params["nu"].imag,
-        "mu_re": params["mu"].real, "mu_im": params["mu"].imag,
-        "z_re": params["z"].real, "z_im": params["z"].imag,
+        **_complex_fields(params, ("nu", "mu", "z")),
         "value_re": value.real, "value_im": value.imag,
         # direct evaluation computes no error bound; null says so
         "err_estimate": None,
         "region": region,
     }
     if args.fn == "jacobi-P":
-        record["alpha_re"] = params["alpha"].real
-        record["alpha_im"] = params["alpha"].imag
-        record["beta_re"] = params["beta"].real
-        record["beta_im"] = params["beta"].imag
+        record.update(_complex_fields(params, ("alpha", "beta")))
     if args.format == "json":
         print(json.dumps(record))
     else:
@@ -176,11 +182,7 @@ def _cmd_eval(args) -> int:
 # verify
 
 def _report_record(rep) -> dict:
-    rec = {"identity": rep.identity}
-    for name in ("nu", "mu", "lam", "z"):
-        w = complex(rep.params[name])
-        rec[f"{name}_re"] = w.real
-        rec[f"{name}_im"] = w.imag
+    rec = {"identity": rep.identity, **_complex_fields(rep.params)}
     if rep.lhs is not None:
         lhs = complex(rep.lhs.value)
         rec["lhs_re"], rec["lhs_im"] = lhs.real, lhs.imag
@@ -284,7 +286,8 @@ def _cmd_verify(args) -> int:
                     "evaluations": evaluations,
                     "unconverged": unconverged,
                     "failures": [
-                        {"params": p, "reason": r} for p, r in s.failures
+                        {"params": _complex_fields(p), "reason": r}
+                        for p, r in s.failures
                     ],
                 }
                 for s, (evaluations, unconverged) in zip(summaries, budgets)

@@ -205,10 +205,12 @@ def gamma_ratio(numerators, denominators) -> complex:
 
 def cpow(w, s) -> complex:
     """Principal-branch power w**s = exp(s * Log w); NumericalError when
-    |w**s| is beyond double range."""
+    |w**s| is beyond double range, PoleError at w = 0 with Re s <= 0."""
     if s == 0:
         return 1.0 + 0.0j
     if w == 0:
+        if complex(s).real <= 0.0:
+            raise PoleError(f"0**{s} is singular")
         return complex(0.0, 0.0)
     try:
         return cmath.exp(s * cmath.log(w))

@@ -1,5 +1,5 @@
-"""Gauss 2F1 with full-plane continuation, 3F2 series, and the Barnes-type
-vertical-line continuation of the 3F2 family appearing in the fractional
+"""Gauss 2F1 with full-plane continuation, and the 3F2 series with its
+continuation off the unit disc, as the regularized 3F2 of the fractional
 order-lowering results.
 
 Continuation strategy for 2F1: the six fractional-linear argument images
@@ -8,6 +8,8 @@ admissible one is used.  Degenerate connection coefficients (integer c-a-b or
 a-b) are handled by evaluating at parameter +/- i*eps and averaging.  Near the
 two exceptional points w = exp(+/- i pi/3), where no image is small, the
 hypergeometric ODE is Taylor-stepped along a straight path from the origin.
+The regularized 3F2 is continued past |w| = 0.9 by the same Taylor walker
+on its own third-order equation, with no +/- i*eps average.
 
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
 termination and c-pole tests, the degeneracy flags of each image, the
@@ -31,14 +33,12 @@ from .complexfn import (
     is_nonpositive_integer,
     ln_gamma,
     rgamma,
-    sin_pi,
 )
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
     DomainError,
     NumericalError,
-    PoleError,
 )
 
 __all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_regularized", "hyp3f2_barnes"]
@@ -47,6 +47,9 @@ _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
 _MAX_SERIES_TERMS = 3000
+_MAX_3F2_TERMS = 100000
+# hyp3f2_regularized sums the series up to this |w| and continues it beyond
+_3F2_SERIES_RADIUS = 0.9
 # a terminating polynomial raises once its running rounding bound
 # n * eps * sum|term| passes this times max(|sum|, 1), 1 being F(0): a sum
 # at its zero is right to that absolute precision.  Measured errors of
@@ -184,46 +187,109 @@ def _terminating_index(a, b, c):
     return best
 
 
-def _ode_taylor_step(a, b, c, w0, f0, f1, h, n_terms=30):
-    """One Taylor step of the hypergeometric ODE from w0 with values (F, F')."""
-    A = w0 * (1.0 - w0)
-    B = 1.0 - 2.0 * w0
-    C = -1.0
-    D = c - (a + b + 1.0) * w0
-    E = -(a + b + 1.0)
-    G = -a * b
-    coef = [f0, f1]
-    for k in range(n_terms - 2):
-        fk = coef[k]
-        fk1 = coef[k + 1]
-        rhs = (B * (k + 1) * k + D * (k + 1)) * fk1 + (C * k * (k - 1) + E * k + G) * fk
-        coef.append(-rhs / (A * (k + 2) * (k + 1)))
-    val = 0.0 + 0.0j
-    der = 0.0 + 0.0j
-    for k in range(n_terms - 1, -1, -1):
-        val = val * h + coef[k]
-    for k in range(n_terms - 1, 0, -1):
-        der = der * h + k * coef[k]
-    return val, der
+def _ode_continue(w_target, p, lead, n, recurrence):
+    """Continue S(w) = lead w**n + O(w**(n+1)), a solution of a linear
+    equation of order p with singular points 0, 1 and infinity, from the
+    origin to w_target.
 
-
-def _ode_continue(series, w_target):
-    """Continue 2F1 from the origin to w_target by Taylor-stepping the ODE."""
-    a, b, c = series.a, series.b, series.c
-    direction = w_target / abs(w_target)
-    w = 0.45 * direction
-    f = series.sum(w)
-    fp = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0).sum(w)
+    ``recurrence(w0)`` is the equation's own: it returns ``next(k, f)``, the
+    Taylor coefficient f[k] about w0 from f[0], ..., f[k-1]; about 0 that is
+    the series' term ratio.  The first step sums the series at |w| = 0.45
+    on the ray to w_target, the others go along it, each 0.30 of the way to
+    the nearer of 0 and 1.  A step's Taylor sum stops after 3 terms in a row
+    with |f_k h**k| k**(p-1) <= 1e-17 sum_j |f_j h**j|; k**(p-1) stands for
+    the derivatives carried on.  A ray passing 1 closer than 0.5 before
+    w_target gives way to the path through 1 +/- 0.5i: the solution's
+    singular part at 1 would carry rounding hundreds of times its value.
+    """
+    legs = [w_target]
+    ray = w_target / abs(w_target)
+    if abs(ray.imag) < 0.5 and 0.45 < ray.real < abs(w_target):
+        legs.insert(0, complex(1.0, math.copysign(0.5, w_target.imag)))
+    w = 0j
+    f = [0j] * n + [complex(lead)]  # Taylor coefficients about w
+    step = 0.45 * legs[0] / abs(legs[0])
     for _ in range(400):
-        remaining = w_target - w
-        if abs(remaining) < 1e-15:
-            return f
-        dist = min(abs(w), abs(w - 1.0))
-        h = min(0.30 * dist, abs(remaining))
-        step = h * remaining / abs(remaining)
-        f, fp = _ode_taylor_step(a, b, c, w, f, fp, step)
+        h = abs(step)
+        size = sum(abs(fj) * h**j for j, fj in enumerate(f))  # of |f_j h**j|
+        hk = h ** len(f)
+        small = 0
+        nxt, append = recurrence(w), f.append
+        for k in range(len(f), _MAX_SERIES_TERMS):
+            fk = nxt(k, f)
+            append(fk)
+            t = abs(fk) * hk
+            size += t
+            hk *= h
+            # the unweighted test first, as the cheaper: k**(p-1) >= 1
+            if t <= 1e-17 * size and t * k ** (p - 1) <= 1e-17 * size:
+                small += 1
+                if small == 3:
+                    break
+            else:
+                small = 0
+        else:
+            raise ConvergenceError(f"Taylor series did not converge at |w| = {abs(w):.3f}")
+        # the Taylor polynomial and its derivatives / j! at step, by repeated
+        # synthetic division
+        coef, f = f, []
+        for j in range(p):
+            acc = 0j
+            for i in range(len(coef) - 1, j - 1, -1):
+                acc = coef[i] = acc * step + coef[i]
+            f.append(acc)
         w = w + step
-    raise ConvergenceError("ODE continuation of 2F1 did not reach the target")
+        while abs(legs[0] - w) < 1e-15:
+            legs.pop(0)
+            if not legs:
+                return f[0]
+        remaining = legs[0] - w
+        h = min(0.30 * min(abs(w), abs(w - 1.0)), abs(remaining))
+        step = h * remaining / abs(remaining)
+    raise ConvergenceError("ODE continuation did not reach the target")
+
+
+def _gauss_recurrence(a, b, c):
+    """Taylor recurrence about w0 of w(1-w)F'' + [c-(a+b+1)w]F' - abF = 0."""
+    s = a + b + 1.0
+
+    def about(w0):
+        if w0 == 0:  # the series' term ratio
+            return lambda k, f: (a + k - 1) * (b + k - 1) / ((c + k - 1) * k) * f[k - 1]
+        A, B, D = w0 * (1.0 - w0), 1.0 - 2.0 * w0, c - s * w0
+        return lambda k, f: (
+            (a + k - 2) * (b + k - 2) * f[k - 2] - (B * (k - 2) + D) * (k - 1) * f[k - 1]
+        ) / (A * k * (k - 1))
+
+    return about
+
+
+def _hyp3f2_recurrence(a1, a2, a3, b1, b2):
+    """Taylor recurrence about w0 of the 3F2 equation (DLMF 16.8.3)
+
+        w^2(1-w)F''' + [(b1+b2+1)w - (a1+a2+a3+3)w^2]F''
+        + [b1 b2 - (1+a1+a2+a3+a1 a2+a1 a3+a2 a3)w]F' - a1 a2 a3 F = 0.
+    """
+    beta = b1 + b2 + 1.0
+    gamma = a1 + a2 + a3 + 3.0
+    delta = 1.0 + a1 + a2 + a3 + a1 * a2 + a1 * a3 + a2 * a3
+
+    def about(w0):
+        if w0 == 0:  # the series' term ratio
+            return lambda k, f: (
+                (a1 + k - 1) * (a2 + k - 1) * (a3 + k - 1) / ((b1 + k - 1) * (b2 + k - 1) * k)
+            ) * f[k - 1]
+        # the equation's coefficients as polynomials in w - w0
+        A0, A1, A2 = w0 * w0 * (1.0 - w0), w0 * (2.0 - 3.0 * w0), 1.0 - 3.0 * w0
+        B0, B1 = w0 * (beta - gamma * w0), beta - 2.0 * gamma * w0
+        C0 = b1 * b2 - delta * w0
+        return lambda k, f: (
+            (a1 + k - 3) * (a2 + k - 3) * (a3 + k - 3) * f[k - 3]
+            - (k - 2) * ((A2 * (k - 4) + B1) * (k - 3) + C0) * f[k - 2]
+            - (k - 1) * (k - 2) * (A1 * (k - 3) + B0) * f[k - 1]
+        ) / (A0 * k * (k - 1) * (k - 2))
+
+    return about
 
 
 # the two series of each linear image: (a, b, c) of the first and second term;
@@ -329,13 +395,17 @@ class _Gauss(_Series):
 
     def _continue(self, w):
         a, b, c = self.a, self.b, self.c
+        if w == 1.0:
+            # Gauss's sum, where the series converges
+            if (c - a - b).real <= 0.0:
+                raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
+            return gamma_ratio([c, c - a - b], [c - a, c - b])
         candidates = []  # (modulus, key)
         candidates.append((abs(w / (w - 1.0)), "pfaff"))
         candidates.append((abs(1.0 - w), "one_minus"))
         candidates.append((abs(1.0 / w), "recip"))
         candidates.append((abs(1.0 - 1.0 / w), "one_minus_recip"))
-        if w != 1.0:
-            candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
+        candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
         degenerate = self._degenerate
         if degenerate is None:
             cab_int = is_integer(c - a - b)
@@ -353,7 +423,7 @@ class _Gauss(_Series):
             candidates, key=lambda t: t[0] + (0.05 if degenerate[t[1]] else 0.0)
         )
         if mod > _IMAGE_RADIUS:
-            return _ode_continue(self, w)
+            return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
 
         if key == "pfaff":
             # the image lies inside the unit disk: sum its series directly,
@@ -418,7 +488,7 @@ def hyp2f1(a, b, c, w) -> complex:
     return _canonical(a, b, c)(w)
 
 
-def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
+def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
     """3F2(a1, a2, a3; b1, b2; w) by its defining series.
 
     Requires |w| < 1 - 1e-3 unless a numerator parameter terminates the sum.
@@ -450,7 +520,7 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w, max_terms=100000) -> complex:
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small = 0
-    limit = n_term if n_term is not None else max_terms
+    limit = n_term if n_term is not None else _MAX_3F2_TERMS
     for k in range(limit):
         term *= (
             (a1 + k) * (a2 + k) * (a3 + k)
@@ -486,197 +556,45 @@ def _c_limit(a, b, c):
 
 def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
     """R = 3F2(a1, a2, 1; b1, b2; w) / (Gamma(b1) Gamma(b2)), entire in b1
-    and b2, by the series of ``hyp3f2_series``.
+    and b2, on the plane cut along [1, inf).
 
     Where b1 or b2 is 1-n, n >= 1, the terms below w**n vanish.  With n the
     largest such and b1 its parameter, R = (a1)_n (a2)_n w**n
     R(a1+n, a2+n; 1, b2+n; w): the shift of ``_c_limit``, whose C is
     (a1)_n (a2)_n / n!, and the shifted 3F2 has b1+n = 1 over its third
-    numerator.
+    numerator.  ``hyp3f2_series`` sums it where |w| <= 0.9 or a numerator
+    terminates it.  Beyond, R is continued by Taylor steps of the 3F2
+    equation, which R solves at b1 = 1-n too; DomainError on the cut.
     """
     # the lower parameter with the most vanishing terms first
     b1, b2 = sorted(
         (complex(b1), complex(b2)),
         key=lambda b: b.real if is_nonpositive_integer(b) else math.inf,
     )
-    n, C, a1, a2, c = _c_limit(complex(a1), complex(a2), b1)
-    if n:
-        return C * gamma_ratio([c], [b2 + n]) * w**n * hyp3f2_series(a1, a2, 1.0, 1.0, b2 + n, w)
-    return hyp3f2_series(a1, a2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
+    n, C, s1, s2, c = _c_limit(complex(a1), complex(a2), b1)
+    terminating = is_nonpositive_integer(s1) or is_nonpositive_integer(s2)
+    if terminating or abs(w) <= _3F2_SERIES_RADIUS:
+        if n:
+            return C * gamma_ratio([c], [b2 + n]) * w**n * hyp3f2_series(s1, s2, 1.0, 1.0, b2 + n, w)
+        return hyp3f2_series(s1, s2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
+    w = complex(w)
+    if w.imag == 0.0 and w.real >= 1.0:
+        raise DomainError(f"3F2 is continued off the cut [1, inf), got w = {w.real}")
+    lead = C * gamma_ratio([c], [b2 + n]) if n else rgamma(b1) * rgamma(b2)
+    return _ode_continue(w, 3, lead, n, _hyp3f2_recurrence(complex(a1), complex(a2), 1.0, b1, b2))
 
 
-def _gauss_legendre(n):
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], n even, by Newton's method on the three-term recurrence."""
-    upper = []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x  # P_{k-1}(x), P_k(x)
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (p0 - x * p1) / (1.0 - x * x)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) <= 1e-16:
-                break
-        upper.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    rule = [(-x, w) for x, w in upper] + [(x, w) for x, w in reversed(upper)]
-    return tuple(x for x, _w in rule), tuple(w for _x, w in rule)
+def hyp3f2_barnes(a1, a2, a3, b1, b2, z) -> complex:
+    """Gamma(a1) Gamma(a2) / (Gamma(b1) Gamma(b2)) * 3F2(a1, a2, 1; b1, b2; (1-z)/2)
 
-
-_GAUSS16 = _gauss_legendre(16)
-
-
-def _barnes_integrand_parts(nu, mu, lam):
-    """Gamma-factor ratio of the vertical-line integrand as a function of s."""
-
-    def gamma_ratio_at(s):
-        return cmath.exp(
-            ln_gamma(nu - mu + s + 1.0)
-            + ln_gamma(-nu - mu + s)
-            - ln_gamma(-mu + s + 1.0)
-            - ln_gamma(-lam + s + 1.0)
-        )
-
-    return gamma_ratio_at
-
-
-def hyp3f2_barnes(a1, a2, a3, b1, b2, z, _depth=0) -> complex:
-    """Vertical-line (Mellin-type) continuation of the normalized sum
-
-        Gamma(a1) Gamma(a2) / (Gamma(b1) Gamma(b2)) * 3F2(a1, a2, 1; b1, b2; (1-z)/2)
-
-    for the parameter family a1 = nu-mu+1, a2 = -nu-mu, b1 = 1-mu, b2 = 1-lam.
-    Valid for |arg(z-1)| < pi; the straight contour Re s = sigma0 in (-1, 0) is
-    corrected by the residues of the parameter-pole sequences lying to its
-    right.
+    for the parameter family a1 = nu-mu+1, a2 = -nu-mu, b1 = 1-mu, b2 = 1-lam,
+    and |arg(z-1)| < pi: ``hyp3f2_regularized`` times Gamma(a1) Gamma(a2),
+    whose poles raise PoleError.  The name stays because bench/tracing.py
+    traces it.
     """
-    a1, a2, a3 = complex(a1), complex(a2), complex(a3)
-    b1, b2 = complex(b1), complex(b2)
-    z = complex(z)
-    if abs(a3 - 1.0) > 1e-12:
-        raise DomainError("third numerator parameter must be 1")
-    mu = 1.0 - b1
-    nu = a1 + mu - 1.0
-    lam = 1.0 - b2
-    if abs((-nu - mu) - a2) > 1e-9:
+    a1, a2, b1, z = complex(a1), complex(a2), complex(b1), complex(z)
+    if abs(a3 - 1.0) > 1e-12 or abs(a1 + a2 + 1.0 - 2.0 * b1) > 1e-9:
         raise DomainError("parameters are not of the form (nu-mu+1, -nu-mu, 1; 1-mu, 1-lam)")
-    if is_nonpositive_integer(a1) or is_nonpositive_integer(a2):
-        raise PoleError(
-            "normalized 3F2 has a gamma-prefactor pole "
-            f"(a1 = {a1}, a2 = {a2})"
-        )
-
-    half = (z - 1.0) / 2.0
-    if half == 0 or abs(cmath.phase(z - 1.0)) >= math.pi - 1e-12:
+    if z == 1.0 or abs(cmath.phase(z - 1.0)) >= math.pi - 1e-12:
         raise DomainError("argument must satisfy |arg(z-1)| < pi")
-
-    if is_integer(2.0 * nu + 1.0, tol=1e-7):
-        # half-integer nu makes the two pole sequences collide into double
-        # poles; split them by averaging over nu +/- i*eps
-        if _depth > 3:
-            raise NumericalError("pole sequences stuck in collision")
-        d = 1j * _EPS_NUDGE
-        vp = hyp3f2_barnes(a1 + d, a2 - d, a3, b1, b2, z, _depth=_depth + 1)
-        vm = hyp3f2_barnes(a1 - d, a2 + d, a3, b1, b2, z, _depth=_depth + 1)
-        return 0.5 * (vp + vm)
-
-    # parameter poles that lie on the integer lattice coincide with poles of
-    # pi/sin(pi s); resolve the double pole by averaging over mu +/- i*eps
-    lattice_hit = False
-    for head in (nu + mu, mu - nu - 1.0):
-        n = 0
-        while (head - n).real > -40.0:
-            s = head - n
-            if abs(s - round(s.real)) < 1e-7:
-                lattice_hit = True
-            n += 1
-    if lattice_hit:
-        # shifting mu -> mu - i*d moves a1, a2, b1 together by +i*d
-        if _depth > 3:
-            raise NumericalError("parameter pole stuck on the sine pole lattice")
-        d = 1j * _EPS_NUDGE
-        vp = hyp3f2_barnes(a1 + d, a2 + d, a3, b1 + d, b2, z, _depth=_depth + 1)
-        vm = hyp3f2_barnes(a1 - d, a2 - d, a3, b1 - d, b2, z, _depth=_depth + 1)
-        return 0.5 * (vp + vm)
-
-    # place the line Re s = sigma0 in (-1, 0) away from any nearly-real pole
-    near_line_res = [
-        (head - n).real
-        for head in (nu + mu, mu - nu - 1.0)
-        for n in range(int((head.real + 1.5)) + 2)
-        if abs((head - n).imag) < 0.3 and -1.2 < (head - n).real < 0.2
-    ]
-    # the sine factor has poles at every integer; keep clear of 0 and -1 too
-    avoid = near_line_res + [0.0, -1.0]
-    candidates = [-0.5, -0.25, -0.75, -0.375, -0.625, -0.3, -0.7]
-    sigma0 = max(candidates, key=lambda s0: min(abs(r - s0) for r in avoid))
-    if min(abs(r - sigma0) for r in avoid) < 0.05:
-        raise NumericalError("parameter poles crowd the whole strip (-1, 0)")
-
-    ratio = _barnes_integrand_parts(nu, mu, lam)
-
-    def integrand(s):
-        return ratio(s) * (math.pi / sin_pi(s)) * cpow(half, s)
-
-    # decay rate of the integrand along the line
-    rate = math.pi - abs(cmath.phase(half))
-    if rate < 0.05:
-        raise NumericalError("Barnes integrand decays too slowly (arg(z-1) near pi)")
-    alpha = (lam - mu - 1.0).real  # polynomial growth exponent of the gamma ratio
-    T = (42.0 + 8.0 * max(0.0, alpha)) / rate + 8.0
-    nodes, weights = _GAUSS16
-
-    # graded panels: fine near tau = 0 where the integrand varies on the scale
-    # of the distance to the nearest pole, coarse in the exponential tail
-    edges = [0.0]
-    while edges[-1] < T:
-        t = edges[-1]
-        step = 0.25 if t < 1.0 else (0.5 if t < 3.0 else 2.0)
-        edges.append(min(t + step, T))
-    edges = [-e for e in reversed(edges)] + edges[1:]
-
-    acc = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        hw = 0.5 * (hi - lo)
-        part = 0.0 + 0.0j
-        for x, wgt in zip(nodes, weights):
-            s = complex(sigma0, mid + hw * x)
-            part += wgt * integrand(s)
-        acc += hw * part
-    # (1/(2 pi i)) * integral over s = sigma0 + i tau of I(s) ds,  ds = i d tau
-    line = acc / (2.0 * math.pi)
-
-    # residue corrections for parameter poles right of the line
-    res_sum = 0.0 + 0.0j
-    for seq in ("A", "B"):
-        n = 0
-        while True:
-            if seq == "A":
-                s = nu + mu - n
-            else:
-                s = mu - nu - 1.0 - n
-            if s.real <= sigma0:
-                break
-            sign = -1.0 if n % 2 else 1.0
-            base = sign * math.exp(-math.lgamma(n + 1))
-            if seq == "A":
-                rest = cmath.exp(
-                    ln_gamma(nu - mu + s + 1.0)
-                    - ln_gamma(-mu + s + 1.0)
-                    - ln_gamma(-lam + s + 1.0)
-                )
-            else:
-                rest = cmath.exp(
-                    ln_gamma(-nu - mu + s)
-                    - ln_gamma(-mu + s + 1.0)
-                    - ln_gamma(-lam + s + 1.0)
-                )
-            res_sum += base * rest * (math.pi / sin_pi(s)) * cpow(half, s)
-            n += 1
-            if n > 200:
-                raise NumericalError("runaway residue sequence in Barnes evaluation")
-
-    return -(line + res_sum)
+    return gamma_ratio([a1, a2], []) * hyp3f2_regularized(a1, a2, b1, b2, (1.0 - z) / 2.0)

@@ -33,7 +33,7 @@ from .complexfn import (
     zsq_minus_one_pow,
 )
 from .errors import DomainError
-from .hyper import hyp3f2_barnes, hyp3f2_regularized, hyp3f2_series
+from .hyper import hyp3f2_regularized, hyp3f2_series
 from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
 
 __all__ = [
@@ -66,17 +66,18 @@ def _cond(desc: str, ok: bool):
 
 def hyp3f2_family(nu, mu, lam, z) -> complex:
     """3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2) / (Gamma(1-mu) Gamma(1-lam)),
-    entire in mu and lam (``hyper.hyp3f2_regularized``), continued in z.
-
-    Series inside |1-z| < 1.8; outside, the vertical-line continuation.
+    entire in mu and lam, for z off the cut (-inf, -1]: the parameter map of
+    the order-lowering results onto ``hyper.hyp3f2_regularized``.
     """
     nu, mu, lam, z = complex(nu), complex(mu), complex(lam), complex(z)
-    w = (1.0 - z) / 2.0
-    a1, a2 = nu - mu + 1.0, -nu - mu
-    b1, b2 = 1.0 - mu, 1.0 - lam
-    if abs(w) <= 0.9:
-        return hyp3f2_regularized(a1, a2, b1, b2, w)
-    return hyp3f2_barnes(a1, a2, 1.0, b1, b2, z) * rgamma(a1) * rgamma(a2)
+    return hyp3f2_regularized(nu - mu + 1.0, -nu - mu, 1.0 - mu, 1.0 - lam, (1.0 - z) / 2.0)
+
+
+def _degree_argument(y):
+    """y / sqrt(y**2 - 1), the argument of the degree-shifted function."""
+    if y * y == 1.0:
+        raise DomainError(f"degree shifts need y**2 != 1, got y = {y}")
+    return y / cmath.sqrt(y * y - 1.0)
 
 
 def _q_3f2_term(nu, mu, lam, w):
@@ -247,7 +248,7 @@ def predict_degree_shift(nu, mu, lam, y, variant) -> Prediction:
     "p3_riemann_q".
     """
     nu, mu, lam, y = complex(nu), complex(mu), complex(lam), complex(y)
-    arg = y / cmath.sqrt(y * y - 1.0)
+    arg = _degree_argument(y)
 
     if variant in ("k3_up_p", "k3_up_q"):
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
@@ -339,11 +340,7 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
         return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
 
     if variant == "lminus_p":
-        val = (
-            cpow(2.0, mu)
-            * cpow(1.0 - x, -lam)
-            * hyp3f2_regularized(nu - mu + 1.0, -nu - mu, 1.0 - mu, 1.0 - lam, (1.0 - x) / 2.0)
-        )
+        val = cpow(2.0, mu) * cpow(1.0 - x, -lam) * hyp3f2_family(nu, mu, lam, x)
         return Prediction(val, {"hyp3f2_term": val}, ())
 
     raise DomainError(f"unknown Ferrers-shift variant {variant!r}")
@@ -381,11 +378,11 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
         )
         val = coef * zsq_minus_one_pow(z, (mu - n) / 2.0) * fn(nu, mu - n, z)
     elif op_id == "P3":
-        arg = z / cmath.sqrt(z * z - 1.0)
+        arg = _degree_argument(z)
         coef = gamma_ratio([nu + mu + 1.0], [nu + mu - n + 1.0])
         val = coef * zsq_minus_one_pow(z, (nu - n) / 2.0) * fn(nu - n, mu, arg)
     elif op_id == "K3":
-        arg = z / cmath.sqrt(z * z - 1.0)
+        arg = _degree_argument(z)
         sign = -1.0 if n % 2 else 1.0
         coef = sign * gamma_ratio([nu + n - mu + 1.0], [nu - mu + 1.0])
         val = coef * zsq_minus_one_pow(z, -(nu + n + 1.0) / 2.0) * fn(nu + n, mu, arg)

@@ -38,8 +38,8 @@ def test_eval_q_oracle():
     [("RIEMANN_MMINUS_P", "0.35", "0.15", "0.7"), ("K3_RIEMANN_Q_3F2", "0.35", "0.15", "0.55")],
 )
 def test_verify_3f2_continuation_on_its_cut_is_domain_error(identity, nu, mu, lam):
-    # the closed form's Barnes continuation needs |arg(z-1)| < pi; z = -1.5
-    # violates it before the entry's own condition is checked
+    # the closed form's 3F2 is continued off the cut [1, inf) of w = (1-z)/2;
+    # z = -1.5 lies on it, which is found before the entry's own condition
     code, out, err = run_cli(
         ["verify", "--id", identity, "--nu", nu, "--mu", mu, "--lam", lam, "--z=-1.5"]
     )
@@ -292,3 +292,19 @@ def test_catalog_json_lists_all_identities():
 def test_unknown_subcommand_is_parse_error():
     code, _out, _err = run_cli(["frobnicate"])
     assert code == EXIT_PARSE
+
+
+def test_verify_json_lists_failures_with_split_complex_params():
+    # mu = 0 is an invalid point of RIEMANN_MPLUS_Q: a failure in the summary
+    argv = ["verify", "--id", "RIEMANN_MPLUS_Q"]
+    argv += ["--nu", "0.55", "--mu", "0", "--lam", "0.6", "--z", "1.5"]
+    table_code, _out, _err = run_cli(argv)
+    code, out, err = run_cli(argv + ["--format", "json"])
+    assert code == table_code == EXIT_NUMERICAL
+    assert "Traceback" not in err
+    (failure,) = json.loads(out)["summaries"][0]["failures"]
+    assert failure["params"] == {
+        "nu_re": 0.55, "nu_im": 0.0, "mu_re": 0.0, "mu_im": 0.0,
+        "lam_re": 0.6, "lam_im": 0.0, "z_re": 1.5, "z_im": 0.0,
+    }
+    assert failure["reason"].startswith("invalid")

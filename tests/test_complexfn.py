@@ -91,6 +91,12 @@ def test_cpow_principal_branch():
     assert cpow(0.0, 2.0) == 0.0
 
 
+def test_cpow_zero_base_with_nonpositive_exponent_is_a_pole():
+    for s in (-0.7, 1j, -2.0 + 0.5j):
+        with pytest.raises(PoleError):
+            cpow(0.0, s)
+
+
 def test_zsq_minus_one_pow_factored_branches():
     # (z-1)^s (z+1)^s stays continuous across Re z < 0 where (z^2-1)^s is not
     z = -2.0 + 1e-12j

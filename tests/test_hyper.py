@@ -1,5 +1,6 @@
 """Hypergeometric kernels: 2F1 continuation and the 3F2 family."""
 
+import cmath
 import math
 import random
 
@@ -9,7 +10,6 @@ import pytest
 from legshift.complexfn import gamma_ratio
 from legshift.errors import DegenerateParameterError, DomainError, NumericalError, PoleError
 from legshift.hyper import (
-    _gauss_legendre,
     hyp2f1,
     hyp2f1_evaluator,
     hyp3f2_barnes,
@@ -75,6 +75,24 @@ def test_hyp2f1_integer_c_minus_a_minus_b_next_to_one():
         w = 1.0 - rng.uniform(0.0, 0.016) * complex(mpmath.expj(rng.uniform(-3.1, 3.1)))
         ref = _mp_2f1(a, b, c, w)
         assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-9 * abs(ref), (a, b, c, w)
+
+
+def test_hyp2f1_ode_region_vs_mpmath():
+    # near exp(i pi/3) no linear image is small and the equation is
+    # Taylor-stepped; each step sums its Taylor terms until they are negligible
+    a, b, c, w = 2.8499, 1.212, -1.6646, 0.5043 + 0.8629j
+    with mpmath.workdps(30):
+        ref = _mp_2f1(a, b, c, w)
+    assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-14 * abs(ref)
+
+
+def test_hyp2f1_at_unit_argument_is_gauss_sum():
+    with mpmath.workdps(30):
+        ref = _mp_2f1(0.3, 0.2, 1.7, 1.0)
+    assert abs(hyp2f1(0.3, 0.2, 1.7, 1.0) - ref) <= 1e-14 * abs(ref)
+    for c in (0.5, 0.4):  # Re(c-a-b) = 0 and < 0: the series diverges at 1
+        with pytest.raises(DomainError):
+            hyp2f1(0.3, 0.2, c, 1.0)
 
 
 def test_hyp2f1_rejects_non_finite_input():
@@ -203,6 +221,48 @@ def test_hyp3f2_regularized_vs_mpmath(b1, b2):
         assert abs(val - complex(ref)) <= 1e-14 * abs(complex(ref)), w
 
 
+def _continued_family_box():
+    """60 seeded (a1, a2, b1, b2, w) of the family (nu-mu+1, -nu-mu; 1-mu, 1-lam)
+    past |w| = 0.9, a quarter each: generic, half-integer nu, a terminating
+    a2 = -n, and real w in (0.9, 1)."""
+    rng = random.Random(20261018)
+    points = []
+    for i in range(60):
+        nu, mu, lam = rng.uniform(-1.0, 3.0), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+        if i % 4 == 1:
+            nu = rng.randint(-1, 3) + 0.5
+        a1, a2 = nu - mu + 1.0, -nu - mu
+        if i % 4 == 2:
+            a2 = -float(rng.randint(0, 3))
+            mu = -a2 - nu
+            a1 = nu - mu + 1.0
+        if i % 4 == 3:
+            w = complex(rng.uniform(0.9, 1.0))
+        else:
+            w = cmath.rect(rng.uniform(0.9, 10.0), rng.uniform(-math.pi, math.pi))
+        points.append((a1, a2, 1.0 - mu, 1.0 - lam, w))
+    return points
+
+
+def test_hyp3f2_regularized_continued_past_the_disc_vs_mpmath():
+    errs = []
+    with mpmath.workdps(30):
+        for a1, a2, b1, b2, w in _continued_family_box():
+            ref = complex(
+                mpmath.hyp3f2(a1, a2, 1, b1, b2, w) * mpmath.rgamma(b1) * mpmath.rgamma(b2)
+            )
+            val = hyp3f2_regularized(a1, a2, b1, b2, w)
+            errs.append(abs(val - ref) / abs(ref))
+    assert max(errs) <= 1e-12
+    assert sum(e <= 1e-13 for e in errs) >= 0.95 * len(errs)
+
+
+def test_hyp3f2_regularized_refuses_its_cut():
+    for w in (1.0, 1.25, 7.0):
+        with pytest.raises(DomainError):
+            hyp3f2_regularized(1.2, -0.6, 0.85, 0.3, w)
+
+
 def test_hyp3f2_barnes_matches_series_in_overlap():
     # the vertical-line continuation and the direct series share an annulus
     nu, mu, lam = 0.6, 0.3, 0.7
@@ -227,16 +287,6 @@ def test_hyp3f2_barnes_rejects_argument_on_its_cut():
     nu, mu, lam = 0.35, 0.15, 0.7
     with pytest.raises(DomainError):
         hyp3f2_barnes(nu - mu + 1.0, -nu - mu, 1.0, 1.0 - mu, 1.0 - lam, -1.5)
-
-
-def test_gauss_legendre_rule_matches_numpy():
-    np = pytest.importorskip("numpy")
-    nodes, weights = _gauss_legendre(16)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
-    assert len(nodes) == len(weights) == 16
-    assert all(abs(x - r) <= 1e-15 for x, r in zip(nodes, ref_nodes))
-    assert all(abs(w - r) <= 1e-15 for w, r in zip(weights, ref_weights))
-    assert abs(sum(weights) - 2.0) <= 1e-14
 
 
 def test_hyp3f2_barnes_prefactor_pole():

@@ -58,6 +58,25 @@ def test_hyp3f2_family_vs_mpmath_both_regimes():
             assert abs(val - ref) <= 1e-13 * abs(ref), (lam, z)
 
 
+def test_hyp3f2_family_terminating_past_the_disc():
+    # -nu-mu = -1 ends the sum, while Gamma(-nu-mu) has a pole
+    nu, mu, lam, z = 0.8, 0.2, 0.6, -1.5 + 0.5j
+    a1, a2, b1, b2 = nu - mu + 1.0, -nu - mu, 1.0 - mu, 1.0 - lam
+    w = (1.0 - z) / 2.0
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp3f2(a1, a2, 1, b1, b2, w) * mpmath.rgamma(b1) * mpmath.rgamma(b2))
+    assert abs(hyp3f2_family(nu, mu, lam, z) - ref) <= 1e-13 * abs(ref)
+
+
+def test_degree_shifts_refuse_unit_argument():
+    # y/sqrt(y**2-1) has no value at y = +/-1
+    for y in (1.0, -1.0):
+        with pytest.raises(DomainError):
+            predict_degree_shift(0.35, 0.15, 0.55, y, "p3_riemann_q")
+        with pytest.raises(DomainError):
+            apply_integer_recurrence("P3", 0.35, 0.15, y)
+
+
 def test_conditions_name_failing_predicate():
     pred = predict_order_shift(0.6, 0.3, -0.5, 2.0, "weyl_q_down")
     assert not pred.valid
@@ -103,7 +122,7 @@ def test_riemann_p_down_near_far_overlap():
     nu, mu, lam = 0.7, 0.4, 0.6
     a = predict_order_shift(nu, mu, lam, 6.0, "riemann_p_down_near").value
     b = predict_order_shift(nu, mu, lam, 6.0, "riemann_p_down_far").value
-    assert abs(a - b) <= 1e-10 * abs(a)
+    assert abs(a - b) <= 1e-13 * abs(a)
 
 
 def test_ferrers_lminus_reduces_at_lam_zero():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from legshift.errors import DomainError
+from legshift.errors import DomainError, NumericalError
 from legshift.legendre import legendre_p
 from legshift.shifts import predict_order_shift
 from legshift.verify import (
@@ -119,6 +119,26 @@ def test_3f2_identities_at_integer_order(identity):
         assert rep.passed, (p, rep.rel_err, rep.failed_conditions)
 
 
+@pytest.mark.parametrize(
+    "identity,nu,mu,lam",
+    [
+        ("FERRERS_LMINUS_P_3F2", 0.45, -0.4, 0.6),
+        ("P3_RIEMANN_Q", 0.35, 0.15, 0.55),
+        ("RIEMANN_MMINUS_P", 0.35, 0.15, 0.7),
+    ],
+)
+def test_verify_identity_at_the_branch_point_raises_a_library_error(identity, nu, mu, lam):
+    # (1-x)**(-lam), y/sqrt(y**2-1) and (z-1)**(-lam) have no value at 1
+    with pytest.raises((DomainError, NumericalError)):
+        verify_identity(identity, nu, mu, lam, 1.0)
+
+
+def test_riemann_mminus_p_terminating_3f2_past_the_disc():
+    # -nu-mu = -1: the 3F2 is a polynomial, though Gamma(-nu-mu) has a pole
+    rep = verify_identity("RIEMANN_MMINUS_P", 0.6, 0.4, 0.7, 3.0)
+    assert rep.passed, rep.rel_err
+
+
 def test_use_far_field_guard_and_agreement():
     with pytest.raises(DomainError):
         verify_identity("WEYL_MPLUS_Q", 0.6, 0.3, 0.7, 2.0, use_far_field=True)
@@ -228,7 +248,7 @@ def test_ode_residual_homogeneous():
 
 def test_ode_residual_inhomogeneous():
     points = [(lam, 1.8) for lam in (0.6, -0.4, 1.0, 2.0)]
-    # past |1-z| = 1.8 the closed form is the vertical-line continuation
+    # past |1-z| = 1.8 the closed form's 3F2 is continued by its equation
     points += [(lam, z) for lam in (0.6, 1.0) for z in (3.0, 4.0, 6.0)]
     for lam, z in points:
         r = ode_residual("inhomogeneous_mminus", 0.7, 0.4, lam=lam, z=z)

@@ -257,7 +257,8 @@ def integrate_semi_infinite(
     > -1); ``decay_exponent``, when supplied, declares that |f| ~ t**(-p)
     as t -> inf and must satisfy p > 1.  Nodes are truncated near
     t - a ~ 1e-260 and t ~ 1e100, so declared-valid integrands stay inside
-    double-precision range.
+    double-precision range; with p declared, the mass past the last node T
+    that its power law models, T |f(T)| / (p-1), joins ``err_estimate``.
     """
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
@@ -275,6 +276,7 @@ def integrate_semi_infinite(
     u_max = math.asinh(2.0 * 230.0 / math.pi)
 
     evaluations = 0
+    last = [0.0, 0.0]  # the farthest node t and |f(t)|
 
     def node(u: float):
         ts = _HALF_PI * math.sinh(u)
@@ -306,6 +308,8 @@ def integrate_semi_infinite(
                     total += w * ft
                     total_abs += abs(w * ft)
                     evaluations += 1
+                    if t > last[0]:
+                        last[:] = t, abs(ft)
             if j > 0 and u_negv >= u_min - 1e-12:
                 any_in = True
                 nd = node(u_negv)
@@ -334,7 +338,8 @@ def integrate_semi_infinite(
         err = abs(cur - best)
         best = cur
         if err <= target * max(abs(cur), 1e-30) + noise_floor + 1e-300:
-            return QuadratureResult(best, max(err, noise_floor), evaluations)
+            tail = 0.0 if decay_exponent is None else last[0] * last[1] / (decay_exponent - 1.0)
+            return QuadratureResult(best, max(err, noise_floor) + tail, evaluations)
     raise ConvergenceError(
         f"semi-infinite quadrature stalled: err ~ {err:.2e}; "
         "integrand may decay too slowly"
@@ -535,17 +540,17 @@ def integrate_weyl(
             loop_(inf,0+,inf) t**(-lam-1) g(t) dt
         = (1/Gamma(-lam)) * regularized integral of t**(-lam-1) g over (0, inf).
 
-    Requires non-integer lam (integer shifts are plain derivatives) and g
-    decaying fast enough that t**(-Re lam - 1) g(t) is integrable at infinity.
+    Requires g decaying fast enough that t**(-Re lam - 1) g(t) is integrable
+    at infinity.  At integer lam = n >= 0, t**(-n-1) is single-valued, the
+    two rays cancel, and the loop is n! times ``integrate_loop``'s (-1)**n
+    g_n: (-d/dt)**n g at 0.
     """
     lam = complex(lam)
-    if is_integer(lam, 1e-12):
-        raise DomainError(
-            "integer-order Weyl loop degenerates to a derivative; "
-            "use the one-step recurrences instead"
-        )
     if c <= 0:
         raise DomainError(f"split point must be positive, got {c}")
+    if is_integer(lam, 1e-12) and lam.real > -0.5:
+        n = round(lam.real)
+        return integrate_loop(g, c, n, analyticity_radius).scaled(math.factorial(n))
     lower = _lower(g, c, lam, analyticity_radius, target)
     tail_decay = None
     if decay_exponent is not None:

@@ -27,14 +27,16 @@ from .complexfn import (
     cpow,
     gamma_ratio,
     is_integer,
+    is_nonpositive_integer,
     real_argument,
     rgamma,
     sin_pi,
     zsq_minus_one_pow,
 )
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .hyper import hyp3f2_regularized, hyp3f2_series
 from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
+from .quadrature import _taylor_coefficients
 
 __all__ = [
     "Prediction",
@@ -91,6 +93,25 @@ def _q_3f2_term(nu, mu, lam, w):
         * gamma_ratio([-mu, nu + mu + 1.0, mu + 1.0], [nu - mu + 1.0])
         * hyp3f2_regularized(-nu + mu, nu + mu + 1.0, 1.0 - lam, mu + 1.0, w)
     )
+
+
+def _q_prediction(terms, nu, mu, *conditions) -> Prediction:
+    """The Prediction of "riemann_q_up" or "lplus_q" from terms(mu) ->
+    (p_term, hyp3f2_term).  At an integer mu the two terms' poles,
+    pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu), cancel, so
+    the sum is analytic there and equals its mean over a circle around mu
+    (the loops' Cauchy rule), of a quarter of the distance to the nearest
+    other singularity: the next integer, or a pole of Gamma(nu+mu+1) at
+    mu = -nu-1-k, k = 0, 1, ..."""
+    if not is_integer(mu):
+        t1, t2 = terms(mu)
+        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
+    if is_nonpositive_integer(nu + mu + 1.0):
+        raise PoleError(f"Gamma(nu+mu+1) has a pole at (nu, mu) = ({nu}, {mu})")
+    to_pole = -nu - 1.0 - mu
+    radius = 0.25 * min(1.0, abs(to_pole - max(0, round(to_pole.real))))
+    val = _taylor_coefficients(lambda d: sum(terms(mu + d)), radius, 1)[0][0]
+    return Prediction(val, {"limit": val}, conditions)
 
 
 def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
@@ -171,26 +192,27 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "riemann_q_up":
-        conditions = (
+        def terms(mu):
+            t1 = (
+                0.5
+                * cmath.exp(1j * math.pi * mu)
+                * math.pi
+                / sin_pi(mu)
+                * zsq_minus_one_pow(z, -(mu + lam) / 2.0)
+                * legendre_p(nu, mu + lam, z)
+            )
+            t2 = cmath.exp(1j * math.pi * mu) * cpow(z - 1.0, -lam) * _q_3f2_term(
+                nu, mu, lam, (1.0 - z) / 2.0
+            )
+            return t1, t2
+
+        return _q_prediction(
+            terms,
+            nu,
+            mu,
             _cond("Re mu < 1", mu.real < 1),
-            _cond("mu not an integer", not is_integer(mu)),
             _cond("|1-z| < 2", abs(1.0 - z) < 2.0),
         )
-        if is_integer(mu):
-            # the two terms' poles, pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu),
-            # cancel in a limit this form does not take
-            return Prediction(complex("nan"), {}, conditions)
-        ph = cmath.exp(1j * math.pi * mu)
-        t1 = (
-            0.5
-            * ph
-            * math.pi
-            / sin_pi(mu)
-            * zsq_minus_one_pow(z, -(mu + lam) / 2.0)
-            * legendre_p(nu, mu + lam, z)
-        )
-        t2 = ph * cpow(z - 1.0, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - z) / 2.0)
-        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
 
     if variant == "riemann_p_down_near":
         val = cpow(2.0, mu) * cpow(z - 1.0, -lam) * hyp3f2_family(nu, mu, lam, z)
@@ -321,23 +343,13 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
         )
 
     if variant == "lplus_q":
-        conditions = (
-            _cond("Re mu < 1", mu.real < 1),
-            _cond("mu not an integer", not is_integer(mu)),
-        )
-        if is_integer(mu):
-            return Prediction(complex("nan"), {}, conditions)  # as in riemann_q_up
-        wgt = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(1.0 + x, -(mu + lam) / 2.0)
-        t1 = (
-            0.5
-            * math.pi
-            * cos_pi(mu)
-            / sin_pi(mu)
-            * wgt
-            * ferrers_p(nu, mu + lam, x)
-        )
-        t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
-        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
+        def terms(mu):
+            wgt = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(1.0 + x, -(mu + lam) / 2.0)
+            t1 = 0.5 * math.pi * cos_pi(mu) / sin_pi(mu) * wgt * ferrers_p(nu, mu + lam, x)
+            t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
+            return t1, t2
+
+        return _q_prediction(terms, nu, mu, _cond("Re mu < 1", mu.real < 1))
 
     if variant == "lminus_p":
         val = cpow(2.0, mu) * cpow(1.0 - x, -lam) * hyp3f2_family(nu, mu, lam, x)

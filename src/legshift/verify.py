@@ -23,6 +23,12 @@ function); for the Ferrers entries z is the on-cut point x in (-1, 1); for
 the Rodrigues entries mu and lam carry the two Jacobi exponents (alpha,
 beta); for BETA_CONTOUR mu carries the beta-function parameter sigma and nu
 is unused.  Multi-integral entries read the fold count n from lam.
+
+The integer steps are the fractional relations at lam = +/-n.  An n-fold
+integral is the fractional integral of order n, so each multi-integral entry
+takes the closed form of the fractional entry it specialises
+(``_integer_step``); at lam = n >= 0 the Weyl loops are n-th derivatives, the
+multi-derivative side of the same relations.
 """
 
 from __future__ import annotations
@@ -36,17 +42,14 @@ from dataclasses import dataclass, field
 from .complexfn import (
     cpow,
     gamma,
-    gamma_ratio,
     is_integer,
     ln_gamma,
     real_argument,
     rgamma,
     sin_pi,
-    zsq_minus_one_pow,
 )
 from .errors import DomainError
 from .legendre import (
-    ferrers_p,
     jacobi_evaluator,
     legendre_deriv,
     legendre_p,
@@ -362,89 +365,42 @@ def _closed_form(value, name, *conditions):
     return Prediction(value, {name: value}, conditions)
 
 
-def _rhs_multi_mplus(nu, mu, lam, z):
-    n = _check_fold(lam)
-    m = complex(mu) - n
-    return _closed_form(
-        zsq_minus_one_pow(z, -m / 2.0) * legendre_q(nu, m, z),
-        "shifted_term",
-        _pos("Re(nu+mu+1-n) > 0", complex(nu) + complex(mu) + 1.0 - n),
-        ("z > 1", complex(z).real > 1.0),
-    )
+def _integer_step(family, variant, sign, degree_step=False):
+    """The closed form of the fractional entry a multi-integral entry
+    specialises: ``_shift(family, variant)`` at lam = sign*n, n being the
+    fold count carried by lam, and at degree nu+n when ``degree_step``.  An
+    n-fold integral is the fractional integral of order n.  The parent's
+    conditions are labelled with the substitution, and the argument's range
+    is added."""
+    parent = _shift(family, variant)
+    at = "(nu, lam) = (nu+n, -n)" if degree_step else ("lam = n" if sign > 0 else "lam = -n")
+
+    def rhs(nu, mu, lam, z):
+        n = _check_fold(lam)
+        pred = parent(complex(nu) + n if degree_step else nu, mu, sign * n, z)
+        x = complex(z).real
+        domain = ("-1 < x < 1", -1.0 < x < 1.0) if family == "ferrers" else ("z > 1", x > 1.0)
+        conditions = tuple((f"{desc} at {at}", ok) for desc, ok in pred.conditions)
+        return Prediction(pred.value, pred.terms, conditions + (domain,))
+
+    return rhs
 
 
-def _rhs_multi_mminus(nu, mu, lam, z):
-    n = _check_fold(lam)
-    m = complex(mu) + n
-    return _closed_form(
-        zsq_minus_one_pow(z, m / 2.0) * legendre_q(nu, m, z),
-        "shifted_term",
-        _pos("Re(nu-mu+1-n) > 0", complex(nu) - complex(mu) + 1.0 - n),
-        ("z > 1", complex(z).real > 1.0),
-    )
+def _rhs_rodrigues(part, *extra):
+    """``rodrigues_pair``'s weighted (part 0) or primitive (part 1) closed
+    form, valid where (1-z)**(nu+alpha) is integrable at z = 1, plus the
+    ``extra`` conditions, functions of nu."""
 
+    def rhs(nu, mu, lam, z):
+        return _closed_form(
+            rodrigues_pair(nu, mu, lam, z)[part],
+            ("weighted", "primitive")[part],
+            _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
+            ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
+            *(condition(nu) for condition in extra),
+        )
 
-def _rhs_multi_k3(nu, mu, lam, z):
-    _check_fold(lam)
-    return _closed_form(
-        whipple_evaluator("q", nu, mu, -(complex(nu) + 1.0) / 2.0)(complex(z)),
-        "shifted_term",
-        _pos("Re(nu+2-|Re mu|) > 1", complex(nu) + 1.0 - abs(complex(mu).real)),
-        ("z > 1", complex(z).real > 1.0),
-    )
-
-
-def _rhs_multi_p3(nu, mu, lam, z):
-    n = _check_fold(lam)
-    coef = gamma_ratio([complex(nu) + mu + 1.0], [complex(nu) + n + mu + 1.0])
-    nu_n = complex(nu) + n
-    return _closed_form(
-        coef * whipple_evaluator("q", nu_n, mu, nu_n / 2.0)(complex(z)),
-        "shifted_term",
-        ("Re nu > -3/2", complex(nu).real > -1.5),
-        ("z > 1", complex(z).real > 1.0),
-    )
-
-
-def _rhs_multi_lplus(nu, mu, lam, z):
-    n = _check_fold(lam)
-    x = real_argument(z, "Ferrers identities")
-    m = complex(mu) - n
-    return _closed_form(
-        (1.0 - x * x) ** (-m / 2.0) * ferrers_p(nu, m, x),
-        "shifted_term",
-        ("Re mu < 1", complex(mu).real < 1.0),
-        ("-1 < x < 1", -1.0 < x < 1.0),
-    )
-
-
-def _rhs_multi_rodrigues(nu, mu, lam, z):
-    n = _check_fold(nu)
-    return _closed_form(
-        rodrigues_pair(n, mu, lam, z)[1],
-        "primitive",
-        _pos("Re(n+alpha+1) > 0", n + complex(mu) + 1.0),
-        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-    )
-
-
-def _rhs_rodrigues_frac(nu, mu, lam, z):
-    return _closed_form(
-        rodrigues_pair(nu, mu, lam, z)[0],
-        "weighted",
-        _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
-        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-    )
-
-
-def _rhs_rodrigues_inverse(nu, mu, lam, z):
-    return _closed_form(
-        rodrigues_pair(nu, mu, lam, z)[1],
-        "primitive",
-        _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
-        ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-        ("nu not an integer", not is_integer(nu)),
-    )
+    return rhs
 
 
 def _rhs_beta_contour(nu, mu, lam, z):
@@ -622,12 +578,12 @@ def _build_catalog():
             id="MULTI_INT_MPLUS",
             description=(
                 "n-fold iterated integral to infinity of the upper-weighted "
-                "second-kind function, collapsed by kernel reduction; lam "
-                "carries the fold count n."
+                "second-kind function, collapsed by kernel reduction: "
+                "WEYL_MPLUS_Q at lam = n, the fold count lam carries."
             ),
             formula=(
-                "(z^2-1)^(-(mu-n)/2) Q_nu^(mu-n)(z) = (-1)^n * "
-                "int_z^inf ... int (u^2-1)^(-mu/2) Q_nu^mu(u) du^n"
+                "int_z^inf ... int (u^2-1)^(-mu/2) Q_nu^mu(u) du^n = "
+                "WEYL_MPLUS_Q at lam = n: e^(i pi n) (z^2-1)^(-(mu-n)/2) Q_nu^(mu-n)(z)"
             ),
             default_grid=(
                 {"nu": 1.6, "mu": 0.3, "lam": 1, "z": 1.7},
@@ -635,20 +591,21 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.2, "mu": 0.5, "lam": 2, "z": 2.4},
             ),
-            lhs=_repeated(_mplus("q"), variant="to_infinity", scale=lambda p: (-1.0) ** p.lam.real),
-            rhs=_rhs_multi_mplus,
+            lhs=_repeated(_mplus("q"), variant="to_infinity"),
+            rhs=_integer_step("order", "weyl_q_down", 1),
         ),
         IdentityEntry(
             id="MULTI_INT_MMINUS",
             description=(
                 "n-fold iterated integral to infinity of the lower-weighted "
-                "second-kind function with its gamma-ratio coefficient; lam "
-                "carries the fold count n."
+                "second-kind function: WEYL_MMINUS_Q at lam = -n, n the fold "
+                "count lam carries."
             ),
             formula=(
-                "(z^2-1)^((mu+n)/2) Q_nu^(mu+n)(z) = (-1)^n "
-                "[Gamma(nu-mu+1)Gamma(nu+mu+n+1)/(Gamma(nu-mu-n+1)Gamma(nu+mu+1))] "
-                "* int_z^inf ... int (u^2-1)^(mu/2) Q_nu^mu(u) du^n"
+                "(-1)^n int_z^inf ... int (u^2-1)^(mu/2) Q_nu^mu(u) du^n = "
+                "WEYL_MMINUS_Q at lam = -n: "
+                "[Gamma(nu+mu+1)Gamma(nu-mu-n+1)/(Gamma(nu+mu+n+1)Gamma(nu-mu+1))] "
+                "(z^2-1)^((mu+n)/2) Q_nu^(mu+n)(z)"
             ),
             default_grid=(
                 {"nu": 1.6, "mu": 0.3, "lam": 1, "z": 1.7},
@@ -656,27 +613,21 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.4, "mu": -0.2, "lam": 2, "z": 2.0},
             ),
-            lhs=_repeated(
-                _mminus("q"),
-                variant="to_infinity",
-                scale=lambda p: (-1.0) ** p.lam.real * gamma_ratio(
-                    [p.nu - p.mu + 1.0, p.nu + p.mu + p.lam + 1.0],
-                    [p.nu - p.mu - p.lam + 1.0, p.nu + p.mu + 1.0],
-                ),
-            ),
-            rhs=_rhs_multi_mminus,
+            lhs=_repeated(_mminus("q"), variant="to_infinity", scale=lambda p: (-1.0) ** p.lam.real),
+            rhs=_integer_step("order", "weyl_minus_q", -1),
         ),
         IdentityEntry(
             id="MULTI_INT_K3",
             description=(
                 "n-fold iterated integral to infinity lowering the degree of "
-                "the degree-weighted second-kind function; lam carries the "
-                "fold count n."
+                "the degree-weighted second-kind function: K3_WEYL_Q at "
+                "degree nu+n and lam = -n, n the fold count lam carries."
             ),
             formula=(
-                "(y^2-1)^(-(nu+1)/2) Q_nu^mu(y/sqrt(y^2-1)) = "
-                "[Gamma(nu+n-mu+1)/Gamma(nu-mu+1)] * int_y^inf ... int "
-                "(u^2-1)^(-(nu+n+1)/2) Q_(nu+n)^mu(u/sqrt(u^2-1)) du^n"
+                "(-1)^n int_y^inf ... int (u^2-1)^(-(nu+n+1)/2) "
+                "Q_(nu+n)^mu(u/sqrt(u^2-1)) du^n = K3_WEYL_Q at (nu, lam) = (nu+n, -n): "
+                "(-1)^n [Gamma(nu-mu+1)/Gamma(nu+n-mu+1)] "
+                "(y^2-1)^(-(nu+1)/2) Q_nu^mu(y/sqrt(y^2-1))"
             ),
             default_grid=(
                 {"nu": 1.6, "mu": 0.3, "lam": 1, "z": 1.7},
@@ -687,21 +638,21 @@ def _build_catalog():
             lhs=_repeated(
                 lambda p: whipple_evaluator("q", p.nu + p.lam, p.mu, -(p.nu + p.lam + 1.0) / 2.0),
                 variant="to_infinity",
-                scale=lambda p: gamma_ratio([p.nu + p.lam - p.mu + 1.0], [p.nu - p.mu + 1.0]),
+                scale=lambda p: (-1.0) ** p.lam.real,
             ),
-            rhs=_rhs_multi_k3,
+            rhs=_integer_step("degree", "k3_up_q", -1, degree_step=True),
         ),
         IdentityEntry(
             id="MULTI_INT_P3",
             description=(
                 "n-fold iterated integral from the lower endpoint raising the "
-                "degree of the degree-weighted second-kind function; lam "
-                "carries the fold count n."
+                "degree of the degree-weighted second-kind function: "
+                "P3_RIEMANN_Q at lam = -n, n the fold count lam carries."
             ),
             formula=(
                 "int_1^y ... int (u^2-1)^(nu/2) Q_nu^mu(u/sqrt(u^2-1)) du^n = "
-                "[Gamma(nu+mu+1)/Gamma(nu+n+mu+1)] (y^2-1)^((nu+n)/2) "
-                "Q_(nu+n)^mu(y/sqrt(y^2-1))"
+                "P3_RIEMANN_Q at lam = -n: [Gamma(nu+mu+1)/Gamma(nu+n+mu+1)] "
+                "(y^2-1)^((nu+n)/2) Q_(nu+n)^mu(y/sqrt(y^2-1))"
             ),
             default_grid=(
                 {"nu": 0.35, "mu": 0.15, "lam": 1, "z": 1.7},
@@ -710,18 +661,18 @@ def _build_catalog():
                 {"nu": 0.6, "mu": -0.3, "lam": 2, "z": 2.1},
             ),
             lhs=_repeated(_p3("q"), variant="from_one", endpoint=lambda p: p.nu.real + 0.5),
-            rhs=_rhs_multi_p3,
+            rhs=_integer_step("degree", "p3_riemann_q", -1),
         ),
         IdentityEntry(
             id="MULTI_INT_LPLUS",
             description=(
                 "n-fold iterated integral to the endpoint 1 of the weighted "
-                "Ferrers function of the first kind; lam carries the fold "
-                "count n."
+                "Ferrers function of the first kind: FERRERS_LPLUS_P at "
+                "lam = -n, n the fold count lam carries."
             ),
             formula=(
-                "(1-x^2)^(-(mu-n)/2) FerrersP_nu^(mu-n)(x) = "
-                "int_x^1 ... int (1-u^2)^(-mu/2) FerrersP_nu^mu(u) du^n"
+                "int_x^1 ... int (1-u^2)^(-mu/2) FerrersP_nu^mu(u) du^n = "
+                "FERRERS_LPLUS_P at lam = -n: (1-x^2)^(-(mu-n)/2) FerrersP_nu^(mu-n)(x)"
             ),
             default_grid=(
                 {"nu": 0.45, "mu": 0.3, "lam": 1, "z": 0.3},
@@ -730,19 +681,19 @@ def _build_catalog():
                 {"nu": 1.3, "mu": -0.4, "lam": 2, "z": -0.2},
             ),
             lhs=_on_cut(_repeated(_mplus("ferrers_p"), variant="to_one", endpoint=_minus_re_mu)),
-            rhs=_rhs_multi_lplus,
+            rhs=_integer_step("ferrers", "lplus_p", -1),
         ),
         IdentityEntry(
             id="MULTI_INT_RODRIGUES",
             description=(
                 "n-fold iterated integral to the endpoint 1 of the weighted "
                 "integer-degree Jacobi polynomial reproduces the primitive "
-                "weight; nu carries the integer degree n, (mu, lam) carry "
-                "(alpha, beta)."
+                "weight: RODRIGUES_INVERSE at nu = n, the integer degree nu "
+                "carries; (mu, lam) carry (alpha, beta)."
             ),
             formula=(
-                "(1-z)^(n+alpha)(1+z)^(n+beta)/(2^n n!) = "
-                "int_z^1 ... int (1-t)^alpha (1+t)^beta P_n^(alpha,beta)(t) dt^n"
+                "int_z^1 ... int (1-t)^alpha (1+t)^beta P_n^(alpha,beta)(t) dt^n = "
+                "RODRIGUES_INVERSE at nu = n: (1-z)^(n+alpha)(1+z)^(n+beta)/(2^n n!)"
             ),
             default_grid=(
                 {"nu": 1, "mu": 0.3, "lam": -0.2, "z": 0.35},
@@ -756,7 +707,7 @@ def _build_catalog():
                 fold=lambda p: _check_fold(p.nu),
                 endpoint=lambda p: p.mu.real,
             ),
-            rhs=_rhs_multi_rodrigues,
+            rhs=_rhs_rodrigues(1),
         ),
         IdentityEntry(
             id="K3_WEYL_P",
@@ -956,7 +907,7 @@ def _build_catalog():
                 basepoint=lambda p: (p.nu + p.mu).real,
                 scale=lambda p: cpow(2.0, -p.nu),
             ),
-            rhs=_rhs_rodrigues_frac,
+            rhs=_rhs_rodrigues(0),
         ),
         IdentityEntry(
             id="RODRIGUES_INVERSE",
@@ -982,7 +933,7 @@ def _build_catalog():
                 scale=lambda p: gamma(1.0 - p.nu) * cpow(1.0 - p.z, p.nu),
                 basepoint=lambda p: p.mu.real,
             ),
-            rhs=_rhs_rodrigues_inverse,
+            rhs=_rhs_rodrigues(1, lambda nu: ("nu not an integer", not is_integer(nu))),
         ),
         IdentityEntry(
             id="BETA_CONTOUR",

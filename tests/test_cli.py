@@ -295,16 +295,16 @@ def test_unknown_subcommand_is_parse_error():
 
 
 def test_verify_json_lists_failures_with_split_complex_params():
-    # mu = 0 is an invalid point of RIEMANN_MPLUS_Q: a failure in the summary
+    # mu = 1.2 breaks RIEMANN_MPLUS_Q's Re mu < 1: a failure in the summary
     argv = ["verify", "--id", "RIEMANN_MPLUS_Q"]
-    argv += ["--nu", "0.55", "--mu", "0", "--lam", "0.6", "--z", "1.5"]
+    argv += ["--nu", "0.55", "--mu", "1.2", "--lam", "0.6", "--z", "1.5"]
     table_code, _out, _err = run_cli(argv)
     code, out, err = run_cli(argv + ["--format", "json"])
     assert code == table_code == EXIT_NUMERICAL
     assert "Traceback" not in err
     (failure,) = json.loads(out)["summaries"][0]["failures"]
     assert failure["params"] == {
-        "nu_re": 0.55, "nu_im": 0.0, "mu_re": 0.0, "mu_im": 0.0,
+        "nu_re": 0.55, "nu_im": 0.0, "mu_re": 1.2, "mu_im": 0.0,
         "lam_re": 0.6, "lam_im": 0.0, "z_re": 1.5, "z_im": 0.0,
     }
     assert failure["reason"].startswith("invalid")

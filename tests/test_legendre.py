@@ -194,13 +194,24 @@ def test_ferrers_q_pole_raises(nu, mu):
         ferrers_q(nu, mu, 0.3)
 
 
-def test_cancelling_jacobi_polynomial_raises():
-    # degree 40 at w = 1.25: the terms reach ~1e17 times the sum, which a
-    # plain sum returned with the wrong sign (-3.2e15 against +1.08e16)
-    with pytest.raises(NumericalError):
-        jacobi_p(40, 0.5, 0.5, -1.5)
+def test_cancelling_legendre_polynomial_raises():
+    # degree 60 at w = 1.85-0.25i: the terms reach far beyond the sum, which
+    # a plain sum would return with no correct digit
     with pytest.raises(NumericalError):
         legendre_p(60.0, 0.0, -2.7 + 0.5j)
+
+
+def test_jacobi_polynomial_by_its_degree_recurrence():
+    # the series in (1-z)/2 cancels away from z = 1: at degree 40 and
+    # w = 1.25 its terms reach ~1e17 times the sum (it raised), and at the
+    # Gauss-Legendre nodes of degree 13 to 30 nearest -1 it raised too
+    for n in range(1, 31):
+        for x in scipy.special.roots_legendre(n)[0]:
+            ref = mpmath.legendre(n, x)
+            assert abs(jacobi_p(n, 0, 0, x) - complex(ref)) <= 1e-12, (n, x)
+    for n, alpha, beta, z in ((40, 0.5, 0.5, -1.5), (25, 1.3, -0.6, -0.97), (30, -0.4, 2.2, 0.1 + 0.8j)):
+        ref = complex(mpmath.jacobi(n, alpha, beta, z))
+        assert abs(jacobi_p(n, alpha, beta, z) - ref) <= 1e-13 * abs(ref), (n, z)
 
 
 def test_terminating_series_at_its_zero_returns_it():
@@ -213,7 +224,7 @@ def test_terminating_series_at_its_zero_returns_it():
     for n in range(1, 13):
         for x in scipy.special.roots_legendre(n)[0]:
             assert abs(ferrers_p(n, 0, x)) <= 1e-13, (n, x)
-            assert abs(jacobi_p(n, 0, 0, x)) <= (1e-14 if n <= 4 else 1e-8), (n, x)
+            assert abs(jacobi_p(n, 0, 0, x)) <= 1e-14, (n, x)
     # a zero-weight series is left out: here K0 = 1/Gamma(0) and the even
     # series 1 - 2x**2 sits at its zero; the odd term carries the value
     x = 0.5**0.5

@@ -206,9 +206,24 @@ def test_weyl_exponential_oracle():
         assert abs(res.value - 1.0) < 1e-7, lam
 
 
-def test_weyl_rejects_integer_order():
-    with pytest.raises(DomainError):
-        integrate_weyl(lambda t: cmath.exp(-t), 2.0)
+def test_weyl_integer_order_is_a_derivative():
+    # lam = n >= 0: (-1)^n g^(n)(0), here (5/2)_n 3^(-5/2-n) for
+    # g = (3+t)^(-5/2); lam = -n: the n-fold integral to infinity
+    g = lambda t: cpow(3.0 + t, -2.5)
+    for n in range(4):
+        res = integrate_weyl(g, n, c=1.0, analyticity_radius=3.0, decay_exponent=2.5)
+        exact = math.prod(2.5 + k for k in range(n)) * 3.0 ** (-2.5 - n)
+        assert abs(res.value - exact) <= max(res.err_estimate, 1e-15 * exact), n
+    for n in (1, 2):
+        res = integrate_weyl(g, -n, c=1.0, analyticity_radius=3.0, decay_exponent=2.5)
+        exact = 3.0 ** (n - 2.5) / math.prod(2.5 - k for k in range(1, n + 1))
+        assert abs(res.value - exact) <= 1e-10 * exact, n
+
+
+def test_semi_infinite_tail_joins_the_estimate():
+    # int_1^inf t^(-1.1) dt = 10; the nodes stop near 1e100, short by ~1e-9
+    res = integrate_semi_infinite(lambda t: t ** -1.1, 1.0, decay_exponent=1.1)
+    assert 1e-10 < abs(res.value - 10.0) <= res.err_estimate
 
 
 def test_repeated_integral_to_one_monomial():

@@ -218,9 +218,11 @@ def test_rodrigues_pair_derivative_link():
 )
 def test_3f2_closed_forms_at_integer_order_raise_only_library_errors(predict, variant, zs):
     # integer lam or mu, and nu = mu or half-integer nu where the far form's
-    # denominators vanish: a value, an invalid prediction or a legshift error
+    # denominators vanish, and nu+mu+1 = 0 at integer mu: a value, an invalid
+    # prediction or a legshift error
     points = [(0.35, 0.15, lam) for lam in (1.0, 2.0, 3.0)]
     points += [(nu, mu, 0.7) for nu in (0.35, 0.5, 2.0) for mu in (1.0, 2.0)]
+    points += [(-1.0, 0.0, 0.7), (-2.0, 1.0, 0.7)]
     for nu, mu, lam in points:
         for z in zs:
             try:
@@ -228,3 +230,30 @@ def test_3f2_closed_forms_at_integer_order_raise_only_library_errors(predict, va
             except (DomainError, NumericalError):
                 continue
             assert not pred.valid or cmath.isfinite(pred.value), (nu, mu, lam, z)
+
+
+# each one-step recurrence taken n times is a fractional closed form at
+# lam = n: the paper's multi-derivative relations as fractional ones
+_INTEGER_STEP_PARENTS = [
+    ("MPLUS", "p", predict_order_shift, "riemann_p_up", 1.0),
+    ("MPLUS", "q", predict_order_shift, "riemann_q_up", 1.0),
+    ("MMINUS", "p", predict_order_shift, "weyl_minus_p", 1.0),
+    ("MMINUS", "q", predict_order_shift, "weyl_minus_q", 1.0),
+    ("P3", "p", predict_degree_shift, "p3_down_p", 1.0),
+    ("P3", "q", predict_degree_shift, "p3_riemann_q", 1.0),
+    ("K3", "p", predict_degree_shift, "k3_up_p", 1.0),
+    ("K3", "q", predict_degree_shift, "k3_up_q", 1.0),
+    ("LPLUS", "p", predict_ferrers_shift, "lplus_p", 1.0),
+    ("LMINUS", "p", predict_ferrers_shift, "lminus_p", -1.0),
+]
+
+
+@pytest.mark.parametrize("op_id,kind,predict,variant,sign", _INTEGER_STEP_PARENTS)
+def test_integer_recurrence_is_the_fractional_form_at_integer_order(op_id, kind, predict, variant, sign):
+    nu, mu = 0.6, 0.25
+    z = 0.4 if op_id.startswith("L") else 1.8
+    for n in (1, 2, 3):
+        pred = predict(nu, mu, float(n), z, variant)
+        assert pred.valid, (n, pred.conditions)
+        rec = apply_integer_recurrence(op_id, nu, mu, z, n=n, kind=kind).value
+        assert abs(sign**n * pred.value - rec) <= 1e-13 * abs(rec), n

@@ -229,6 +229,86 @@ def test_integer_order_loop_estimate_covers_the_error(identity):
             assert rep.abs_err <= 0.5 * rep.lhs.err_estimate, (p, n, rep.abs_err)
 
 
+# the identities whose quadrature side is a Weyl loop, with the number of
+# valid points over their default (nu, mu, z) at lam in {0, 1, 2, 3}
+_WEYL_LOOP_VALID = {
+    "WEYL_MPLUS_P": 22,
+    "WEYL_MMINUS_Q": 48,
+    "WEYL_MMINUS_P": 26,
+    "K3_WEYL_P": 16,
+    "K3_WEYL_Q": 16,
+    "P3_WEYL_P": 12,
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_WEYL_LOOP_VALID))
+def test_weyl_loop_at_integer_order_is_the_multi_derivative(identity):
+    # at lam = n >= 0 the Weyl loop is the n-th derivative of its integrand,
+    # the multi-derivative side of the integer-step relations
+    n_valid = 0
+    for nu, mu, z in sorted({(p["nu"], p["mu"], p["z"]) for p in get_identity(identity).default_grid}):
+        for n in (0.0, 1.0, 2.0, 3.0):
+            rep = verify_identity(identity, nu, mu, n, z)
+            if rep.validity:
+                n_valid += 1
+                assert rep.passed, (nu, mu, n, z, rep.rel_err)
+                assert rep.abs_err <= rep.lhs.err_estimate, (nu, mu, n, z, rep.abs_err)
+    assert n_valid == _WEYL_LOOP_VALID[identity]
+
+
+@pytest.mark.parametrize(
+    "multi,parent,at",
+    [
+        ("MULTI_INT_MPLUS", "WEYL_MPLUS_Q", lambda p, n: dict(p, lam=n)),
+        ("MULTI_INT_MMINUS", "WEYL_MMINUS_Q", lambda p, n: dict(p, lam=-n)),
+        ("MULTI_INT_K3", "K3_WEYL_Q", lambda p, n: dict(p, nu=p["nu"] + n, lam=-n)),
+    ],
+)
+def test_multi_integral_entries_are_their_fractional_parents(multi, parent, at):
+    # the n-fold integral is the parent's fractional integral of order n: the
+    # closed forms are one, and the repeated integral meets the parent's own
+    # recipe (the Weyl loop at lam = -n, the semi-infinite Weyl integral)
+    for p in get_identity(multi).default_grid:
+        rep = verify_identity(multi, **p)
+        par = verify_identity(parent, **at(p, p["lam"]))
+        assert rep.passed and par.passed, (p, rep.rel_err, par.rel_err)
+        assert rep.rhs.value == par.rhs.value
+        assert abs(rep.lhs.value - par.lhs.value) <= 1e-12 * abs(par.lhs.value), p
+
+
+def test_multi_integral_conditions_name_their_substitution():
+    assert get_identity("MULTI_INT_MMINUS").to_dict()["conditions"] == [
+        "Re(nu-mu+lam+1) > 0 at lam = -n",
+        "z > 1",
+    ]
+    assert get_identity("MULTI_INT_LPLUS").to_dict()["conditions"] == [
+        "Re mu < 1 at lam = -n",
+        "-1 < x < 1",
+    ]
+    listed = get_identity("MULTI_INT_K3").to_dict()["conditions"]
+    assert listed[0] == "Re(nu+lam-mu+1) > 0 at (nu, lam) = (nu+n, -n)"
+
+
+@pytest.mark.parametrize("identity", ("RIEMANN_MPLUS_Q", "FERRERS_LPLUS_Q_3F2"))
+def test_q_closed_forms_at_integer_mu(identity):
+    # the closed form's mean over a circle around the integer; at
+    # (0.45, -1, 0.6, 0.25) Gamma(nu+mu+1) has a pole 0.45 away, which a
+    # circle of radius 0.25 aliased into the mean (8e-9 off)
+    for p in get_identity(identity).default_grid:
+        for mu in (0.0, -1.0):
+            rep = verify_identity(identity, **dict(p, mu=mu))
+            assert rep.validity and rep.passed, (p, mu, rep.failed_conditions, rep.rel_err)
+            assert rep.abs_err <= rep.lhs.err_estimate, (p, mu, rep.abs_err)
+
+
+def test_semi_infinite_estimate_carries_the_tail_past_the_last_node():
+    # |f| ~ t**-1.1 here: the mass past t ~ 1e100 is ~1e-10, missed by the
+    # rule and now counted in its estimate
+    for z in (1.5, 3.0):
+        rep = verify_identity("WEYL_MPLUS_Q", 1.5, 0.6, 3.0, z)
+        assert rep.passed and rep.abs_err <= rep.lhs.err_estimate, (z, rep.abs_err)
+
+
 def test_endpoint_singular_points_keep_their_evaluation_budget(default_grid_reports):
     # BETA_CONTOUR at (mu, lam) = (0.45, -0.7) and RIEMANN_MPLUS_Q at z = 2
     # integrate algebraic singularities at an endpoint of |t| ~ 1, where

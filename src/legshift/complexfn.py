@@ -19,6 +19,7 @@ from .errors import DomainError, NumericalError, PoleError
 
 __all__ = [
     "check_finite",
+    "finite_result",
     "sin_pi",
     "cos_pi",
     "ln_gamma",
@@ -69,6 +70,14 @@ def check_finite(*values) -> None:
     for v in values:
         if not cmath.isfinite(v):
             raise DomainError(f"non-finite argument {v!r}")
+
+
+def finite_result(value: complex, what: str) -> complex:
+    """``value`` when finite; NumericalError naming the overflow of ``what``
+    otherwise.  Called once at each public evaluator's return."""
+    if not cmath.isfinite(value):
+        raise NumericalError(f"{what} overflows double range: got {value!r}")
+    return value
 
 
 def real_argument(x, what: str) -> float:

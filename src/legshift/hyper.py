@@ -28,6 +28,7 @@ import sys
 from .complexfn import (
     check_finite,
     cpow,
+    finite_result,
     gamma_ratio,
     is_integer,
     is_nonpositive_integer,
@@ -68,58 +69,33 @@ def _series_reach(a, b, c):
     return min(math.exp((math.log(1e-16) - scale - (s - 1.0) * math.log(n)) / n), 1.0)
 
 
-def _series_2f1(a, b, c, w):
-    """Defining Gauss series; stops after 3 consecutive negligible terms.
-
-    A term is negligible when |term| <= 1e-16 |total|.  Since |total| <=
-    sum|term|, the running sum of |term| rules most terms out first and
-    |total| is taken only for the rest: the same decision, one add a term."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    size = 1.0  # sum of |term|
-    small = 0
-    for k in range(_MAX_SERIES_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
-        total += term
-        t = abs(term)
-        size += t
-        if t <= 1e-16 * size and t <= 1e-16 * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"2F1 series did not converge for |w| = {abs(w):.3f}"
-    )
-
-
 class _Series:
     """Defining Gauss series of 2F1(a, b; c; w) for fixed (a, b, c).
 
-    From the second sum on, the term ratios r_k = (a+k)(b+k)/((c+k)(1+k))
-    are kept and grown on demand, so repeated sums at new w reuse them.  The
-    first sum keeps nothing: a one-shot evaluation costs what the plain
-    series does.  Both give the same floating-point sequence.
+    The term ratios r_k = (a+k)(b+k)/((c+k)(1+k)) are kept from the first
+    sum and grown on demand, so repeated sums at new w reuse them.
     """
 
     __slots__ = ("a", "b", "c", "_ratios")
 
     def __init__(self, a, b, c):
         self.a, self.b, self.c = a, b, c
-        self._ratios = None
+        self._ratios = []
 
     def sum(self, w):
-        """The series at w; stops after 3 consecutive negligible terms."""
+        """The series at w; stops after 3 consecutive negligible terms.
+
+        A term is negligible when |term| <= 1e-16 |total|.  Since |total| <=
+        sum|term|, the running sum of |term| rules most terms out first and
+        |total| is taken only for the rest: the same decision, one add a
+        term.  A sum that has overflowed by the term cap raises
+        NumericalError, any other that has not stopped ConvergenceError."""
         a, b, c = self.a, self.b, self.c
         ratios = self._ratios
-        if ratios is None:
-            self._ratios = []
-            return _series_2f1(a, b, c, w)
         n = len(ratios)
         total = 1.0 + 0.0j
         term = 1.0 + 0.0j
-        size = 1.0  # sum of |term|, as in _series_2f1
+        size = 1.0  # sum of |term|
         small = 0
         for k in range(_MAX_SERIES_TERMS):
             if k < n:
@@ -137,6 +113,8 @@ class _Series:
                     return total
             else:
                 small = 0
+        if not cmath.isfinite(total):
+            raise NumericalError(f"2F1 series overflows double range at |w| = {abs(w):.3f}")
         raise ConvergenceError(
             f"2F1 series did not converge for |w| = {abs(w):.3f}"
         )
@@ -146,8 +124,6 @@ class _Series:
         w**n.  NumericalError when the sum overflows or cancels past
         ``_POLYNOMIAL_REL_BOUND``."""
         a, b, c = self.a, self.b, self.c
-        if self._ratios is None:
-            self._ratios = []
         ratios = self._ratios
         ratios.extend(
             (a + k) * (b + k) / ((c + k) * (1.0 + k)) for k in range(len(ratios), n)
@@ -485,7 +461,7 @@ def hyp2f1(a, b, c, w) -> complex:
     carries an explicit imaginary part supplied by the caller.
     """
     check_finite(a, b, c, w)
-    return _canonical(a, b, c)(w)
+    return finite_result(_canonical(a, b, c)(w), "2F1")
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:

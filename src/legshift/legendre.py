@@ -67,6 +67,7 @@ from .complexfn import (
     check_finite,
     cos_pi,
     cpow,
+    finite_result,
     gamma,
     gamma_ratio,
     is_integer,
@@ -300,13 +301,14 @@ class _Legendre:
     """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
     of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
 
-    __slots__ = ("_ferrers", "_rep", "_x_max")
+    __slots__ = ("_name", "_ferrers", "_rep", "_x_max")
 
     def __init__(self, kind, nu, mu, s=0.0):
         if kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
         self._ferrers = kind.startswith("ferrers")
+        self._name = kind if self._ferrers else "legendre_" + kind
         # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
         self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
         self._rep = _representation(kind, complex(nu), complex(mu), s)
@@ -325,9 +327,8 @@ class _Legendre:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
         else:
             z = _prepare_z(z, boundary_side)
-        if order == 0:
-            return self._rep.value(z)
-        return self._rep(z, order)[order]
+        value = self._rep.value(z) if order == 0 else self._rep(z, order)[order]
+        return finite_result(value, self._name)
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -428,9 +429,9 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
     nu, mu may be any complex numbers; boundary_side "+"/"-" selects the
     limit from above/below when z is real and <= 1.  The degree is bounded
     by double range, not by the series: |P_1000.5^0.2(1.5)| is about 1.2e417,
-    so the series terms overflow and ``legendre_p(1000.5, 0.2, 1.5)`` raises
-    ConvergenceError, while ``legendre_p(2000.5, 0.2, 1.01)`` (about 6.8e121)
-    is accurate.
+    so ``legendre_p(1000.5, 0.2, 1.5)`` raises NumericalError naming the
+    overflow, while ``legendre_p(2000.5, 0.2, 1.01)`` (about 6.8e121) is
+    accurate.
     """
     check_finite(z)
     return _Legendre("p", nu, mu)(z, boundary_side=boundary_side)
@@ -458,7 +459,7 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
         return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
     check_finite(nu, mu)
     terms = _q_terms(complex(nu), complex(mu), olver=True)
-    return _TermSum(terms).value(_prepare_z(z, boundary_side))
+    return finite_result(_TermSum(terms).value(_prepare_z(z, boundary_side)), "legendre_q")
 
 
 def _ferrers_x(x) -> float:
@@ -491,7 +492,7 @@ def jacobi_p(nu, alpha, beta, z) -> complex:
     reducing to the Jacobi polynomial at nonnegative integer nu.
     """
     check_finite(z)
-    return jacobi_evaluator(nu, alpha, beta)(z)
+    return finite_result(jacobi_evaluator(nu, alpha, beta)(z), "jacobi_p")
 
 
 def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
@@ -510,11 +511,11 @@ def whipple_p_to_q(nu, mu, y) -> complex:
     """P_nu^mu(y/sqrt(y**2-1)) computed from Q at Whipple-image parameters
     (``whipple_evaluator``), for y with Re y > 0 off the cut."""
     check_finite(y)
-    return whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None))
+    return finite_result(whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None)), "whipple_p_to_q")
 
 
 def whipple_q_to_p(nu, mu, y) -> complex:
     """Q_nu^mu(y/sqrt(y**2-1)) computed from P at Whipple-image parameters
     (``whipple_evaluator``), for y with Re y > 0 off the cut."""
     check_finite(y)
-    return whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None))
+    return finite_result(whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None)), "whipple_q_to_p")

@@ -10,15 +10,16 @@ Three primitives drive every numeric evaluation in the identity layer:
   their mass joins the error estimate;
 * ``integrate_semi_infinite``: exp-sinh rule on (a, inf) for integrands with
   an integrable singularity at ``a`` and algebraic decay faster than 1/t;
-* ``integrate_loop``: the collapsed small-loop contour around t = 0,
+* ``integrate_loop``: the Riemann-Liouville operator on (0, c),
 
-      (exp(i pi lam) / (2 pi i)) * loop integral of t**(-lam-1) g(t) dt
+      (1/Gamma(-lam)) * integral of t**(-lam-1) g(t) over (0, c)
+      = (Gamma(lam+1) exp(i pi lam) / (2 pi i)) * loop of t**(-lam-1) g(t) dt,
 
-  over the path coming in from t = c, encircling 0 once counterclockwise and
-  returning to c.  For non-integer lam this equals
-  sin(pi (lam+1))/pi times the (regularized) integral of t**(-lam-1) g(t)
-  over (0, c); for integer lam = n >= 0 it collapses to (-1)**n times the
-  n-th Taylor coefficient of g at 0.
+  the loop coming in from t = c, encircling 0 once counterclockwise and
+  returning to c; continued to every complex lam.  At lam = -n it
+  is the n-fold integral of g from 0 to c, at lam = n >= 0 the n-th
+  derivative (-d/dt)**n g at 0, that is (-1)**n n! times the n-th Taylor
+  coefficient.
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
@@ -36,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexfn import cpow, is_integer, rgamma, sin_pi
+from .complexfn import cpow, is_integer, rgamma
 from .errors import ConvergenceError, DomainError
 from typing import Callable
 
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# halvings of the double-exponential step before a rule gives up
+_MAX_LEVEL = 12
 # rounding of the Cauchy rule's coefficients, in units of the terms built
 # from them (the loop's add-back and tail, or the sample mean |g_j| at
 # integer order): 64 ulp, conservative for the FFT over 32 samples, whose
@@ -80,10 +83,6 @@ class QuadratureResult:
         )
 
 
-def _exact_result(value: complex, evaluations: int = 0) -> QuadratureResult:
-    return QuadratureResult(complex(value), 0.0, evaluations)
-
-
 def integrate_segment(
     f: Callable[[complex], complex],
     a,
@@ -91,7 +90,6 @@ def integrate_segment(
     endpoint_exponent_a: float = 0.0,
     endpoint_exponent_b: float = 0.0,
     target: float = 1e-9,
-    max_level: int = 12,
     absolute_floor: float = 0.0,
 ) -> QuadratureResult:
     """tanh-sinh integral of f over the straight segment from a to b.
@@ -108,9 +106,9 @@ def integrate_segment(
     distance, where the sums converge only like the step times the integrand
     there.  A side with no evaluated sample yet drops its rounded nodes and
     adds their sliver back from the power law, with 5% of its mass in the
-    estimate.  Once that 5% exceeds the accuracy accepted after
-    ``max_level`` (sqrt(target) relative), no level can meet the target and
-    the rule raises ConvergenceError at once.  ``absolute_floor`` states the
+    estimate.  Once that 5% exceeds the accuracy accepted after the last
+    level (sqrt(target) relative), no level can meet the target and the
+    rule raises ConvergenceError at once.  ``absolute_floor`` states the
     magnitude of the quantity this piece contributes to, so a negligible
     piece is not forced to converge in its own relative terms.
     """
@@ -122,7 +120,7 @@ def integrate_segment(
     a = complex(a)
     b = complex(b)
     if a == b:
-        return _exact_result(0.0)
+        return QuadratureResult(0j, 0.0, 0)
     span = b - a
 
     sigma = min(endpoint_exponent_a, endpoint_exponent_b, 0.0)
@@ -202,7 +200,7 @@ def integrate_segment(
             ) * span
         return total
 
-    # the accuracy accepted after max_level: sub-ulp intervals cannot converge
+    # the accuracy accepted after _MAX_LEVEL: sub-ulp intervals cannot converge
     # in relative terms, being bounded by the rounding of the node positions
     fallback = max(math.sqrt(target), 2.3e-16 * max(abs(a), abs(b)) / abs(span))
     rad = 0.5 * span
@@ -210,7 +208,7 @@ def integrate_segment(
     acc, acc_abs, modelled_abs = eval_level(h, odd_only=False)
     best = acc * h * rad
     err = abs(best) + 1.0
-    for _level in range(1, max_level + 1):
+    for _level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         part, part_abs, part_modelled = eval_level(h, odd_only=True)
         acc += part
@@ -233,7 +231,7 @@ def integrate_segment(
     else:
         if err > fallback * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
             raise ConvergenceError(
-                f"segment quadrature stalled: err ~ {err:.2e} after level {max_level}"
+                f"segment quadrature stalled: err ~ {err:.2e} after level {_MAX_LEVEL}"
             )
     # the modelled nodes and the sliver are trusted to 5% of their mass
     sliver = skipped_sliver()
@@ -249,7 +247,6 @@ def integrate_semi_infinite(
     endpoint_exponent: float = 0.0,
     decay_exponent: float | None = None,
     target: float = 1e-9,
-    max_level: int = 12,
 ) -> QuadratureResult:
     """exp-sinh integral of f over (a, inf), t = a + exp((pi/2) sinh u).
 
@@ -328,7 +325,7 @@ def integrate_semi_infinite(
     acc, acc_abs = eval_level(h, odd_only=False)
     best = acc * h
     err = abs(best) + 1.0
-    for _level in range(1, max_level + 1):
+    for _level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         part, part_abs = eval_level(h, odd_only=True)
         acc += part
@@ -475,23 +472,6 @@ def _cauchy_radius(c: float, analyticity_radius: float | None) -> float:
     return 0.25 * min(c, rho)
 
 
-def _lower(g, c, lam, analyticity_radius, target, basepoint_exponent=0.0) -> QuadratureResult:
-    """Regularized integral of t**(-lam-1) g(t) over (0, c) at non-integer
-    lam: tanh-sinh directly for Re lam < -1/2, else ``_regularized_lower``
-    on the circle of ``_cauchy_radius``."""
-    radius = _cauchy_radius(c, analyticity_radius)
-    if lam.real < -0.5:
-        return integrate_segment(
-            lambda t: cpow(t, -lam - 1.0) * g(t),
-            0.0,
-            c,
-            endpoint_exponent_a=-lam.real - 1.0,
-            endpoint_exponent_b=basepoint_exponent,
-            target=target,
-        )
-    return _regularized_lower(g, c, lam, radius, target, basepoint_exponent=basepoint_exponent)
-
-
 def integrate_loop(
     g: Callable[[complex], complex],
     c: float,
@@ -500,30 +480,39 @@ def integrate_loop(
     basepoint_exponent: float = 0.0,
     target: float = 1e-9,
 ) -> QuadratureResult:
-    """Collapsed loop contour (exp(i pi lam)/(2 pi i)) * loop of t**(-lam-1) g.
+    """Riemann-Liouville operator (1/Gamma(-lam)) * int_0^c t**(-lam-1) g(t) dt,
+    continued in lam: the loop of the module docstring.
 
     ``c`` is the start/end point of the loop on the positive real axis;
     ``analyticity_radius`` bounds the disk around 0 where g is analytic
     (defaults to c).  ``basepoint_exponent`` declares a power-law of g at
-    t = c.  Integer lam >= 0 gives (-1)**lam times the lam-th Taylor
-    coefficient of g, with the Cauchy rule's rounding as its estimate;
-    negative integer lam gives 0; otherwise the contour collapses onto
-    (0, c) with coefficient sin(pi (lam+1))/pi.
+    t = c.  Integer lam = n >= 0 gives (-d/dt)**n g at 0, that is (-1)**n n!
+    times the n-th Taylor coefficient of g, with the Cauchy rule's rounding
+    as its estimate.  Otherwise the integral is tanh-sinh directly for
+    Re lam < -1/2, lam = -n giving the n-fold integral of g over (0, c), and
+    ``_regularized_lower`` on the circle of ``_cauchy_radius`` beyond.
     """
     lam = complex(lam)
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
-    if is_integer(lam, 1e-12):
+    radius = _cauchy_radius(c, analyticity_radius)
+    if is_integer(lam, 1e-12) and lam.real > -0.5:
         n = round(lam.real)
-        if n < 0:
-            return _exact_result(0.0)
-        radius = _cauchy_radius(c, analyticity_radius)
         coeffs, n_eval, size = _taylor_coefficients(g, radius, n + 1)
-        sign = -1.0 if n % 2 else 1.0
         rounding = _ADDBACK_ROUNDING * size / radius**n
-        return QuadratureResult(sign * coeffs[n], rounding, n_eval)
-    lower = _lower(g, c, lam, analyticity_radius, target, basepoint_exponent)
-    return lower.scaled(sin_pi(lam + 1.0) / math.pi)
+        return QuadratureResult(coeffs[n], rounding, n_eval).scaled((-1) ** n * math.factorial(n))
+    if lam.real < -0.5:
+        lower = integrate_segment(
+            lambda t: cpow(t, -lam - 1.0) * g(t),
+            0.0,
+            c,
+            endpoint_exponent_a=-lam.real - 1.0,
+            endpoint_exponent_b=basepoint_exponent,
+            target=target,
+        )
+    else:
+        lower = _regularized_lower(g, c, lam, radius, target, basepoint_exponent=basepoint_exponent)
+    return lower.scaled(rgamma(-lam))
 
 
 def integrate_weyl(
@@ -538,20 +527,17 @@ def integrate_weyl(
 
         (Gamma(lam+1) exp(i pi lam) / (2 pi i)) *
             loop_(inf,0+,inf) t**(-lam-1) g(t) dt
-        = (1/Gamma(-lam)) * regularized integral of t**(-lam-1) g over (0, inf).
+        = (1/Gamma(-lam)) * regularized integral of t**(-lam-1) g over (0, inf):
 
-    Requires g decaying fast enough that t**(-Re lam - 1) g(t) is integrable
-    at infinity.  At integer lam = n >= 0, t**(-n-1) is single-valued, the
-    two rays cancel, and the loop is n! times ``integrate_loop``'s (-1)**n
-    g_n: (-d/dt)**n g at 0.
+    ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires g
+    decaying fast enough that t**(-Re lam - 1) g(t) is integrable at
+    infinity.  At integer lam = n >= 0, 1/Gamma(-n) = 0 removes the tail,
+    and the loop is ``integrate_loop``'s (-d/dt)**n g at 0.
     """
     lam = complex(lam)
-    if c <= 0:
-        raise DomainError(f"split point must be positive, got {c}")
+    lower = integrate_loop(g, c, lam, analyticity_radius, target=target)
     if is_integer(lam, 1e-12) and lam.real > -0.5:
-        n = round(lam.real)
-        return integrate_loop(g, c, n, analyticity_radius).scaled(math.factorial(n))
-    lower = _lower(g, c, lam, analyticity_radius, target)
+        return lower
     tail_decay = None
     if decay_exponent is not None:
         tail_decay = decay_exponent + lam.real + 1.0
@@ -561,7 +547,7 @@ def integrate_weyl(
         decay_exponent=tail_decay,
         target=target,
     )
-    return (lower + upper).scaled(rgamma(-lam))
+    return lower + upper.scaled(rgamma(-lam))
 
 
 def repeated_integral(

@@ -8,12 +8,14 @@ parameter point; ``verify_grid`` aggregates a whole grid deterministically.
 function, in both the homogeneous and the inhomogeneous (lowered-order
 Riemann) variants.
 
-The quadrature sides are data over five contour recipes, each applied to an
+The quadrature sides are data over four contour recipes, each applied to an
 entry's weighted integrand W: the Weyl loop of W(z+t) around t = 0 and out to
-infinity; the semi-infinite Weyl integral of t**(lam-1) W(z+t); the loop
-toward the branch point, of W(z + sign(1-z) t) over (0, |1-z|); the rescaled
-loop, of W(z + (1-z) v) over (0, 1); and the n-fold repeated integral.  The
-Legendre and Ferrers integrands are ``legendre.weighted_evaluator`` and
+infinity; the semi-infinite Weyl integral of t**(lam-1) W(z+t); the
+Riemann-Liouville loop of W(z + (1-z) v) over (0, 1); and the n-fold repeated
+integral.  The Riemann-Liouville loop is the fractional integral of W from z
+to 1 up to the power of the segment length, which each finite entry states:
+(z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).  The Legendre and
+Ferrers integrands are ``legendre.weighted_evaluator`` and
 ``legendre.whipple_evaluator`` term lists, analytic through the branch point
 of the raw weighted product, so every quadrature node is finite.
 
@@ -27,8 +29,9 @@ is unused.  Multi-integral entries read the fold count n from lam.
 The integer steps are the fractional relations at lam = +/-n.  An n-fold
 integral is the fractional integral of order n, so each multi-integral entry
 takes the closed form of the fractional entry it specialises
-(``_integer_step``); at lam = n >= 0 the Weyl loops are n-th derivatives, the
-multi-derivative side of the same relations.
+(``_integer_step``); at lam = n >= 0 the Weyl and Riemann-Liouville loops are
+n-th derivatives, the multi-derivative side of the same relations, and at
+lam = -n the Riemann-Liouville loops are n-fold integrals.
 """
 
 from __future__ import annotations
@@ -39,15 +42,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .complexfn import (
-    cpow,
-    gamma,
-    is_integer,
-    ln_gamma,
-    real_argument,
-    rgamma,
-    sin_pi,
-)
+from .complexfn import cpow, gamma_ratio, is_integer, real_argument, rgamma
 from .errors import DomainError
 from .legendre import (
     jacobi_evaluator,
@@ -163,7 +158,7 @@ def _check_fold(lam):
     return n
 
 
-# --- left-hand sides: five contour recipes ----------------------------------
+# --- left-hand sides: four contour recipes ----------------------------------
 #
 # A recipe integrates an entry's weighted integrand W at the point
 # p = _Point(nu, mu, lam, z), whose fields are complex; ``_recipe`` turns it
@@ -224,27 +219,11 @@ def _semi_infinite_weyl(p, W, target, decay):
 
 
 @_recipe
-def _toward_branch_point(p, W, target, basepoint, order=None):
-    """Loop of order ``order`` (lam when None) of g(t) = W(z + sign(1-z) t),
-    based at t = |1-z| where W has the power ``basepoint``; g is analytic out
-    to the nearer of z = +/-1."""
-    z = p.z
-    sign = 1.0 if z.real < 1.0 else -1.0
-    c = abs((1.0 - z).real)
-    return integrate_loop(
-        lambda t: W(z + sign * t),
-        c,
-        p.lam if order is None else order,
-        analyticity_radius=min(c, abs((1.0 + z).real)),
-        basepoint_exponent=basepoint,
-        target=target,
-    )
-
-
-@_recipe
-def _rescaled_loop(p, W, target, basepoint=0.0, order=None):
-    """Loop of order ``order`` (lam when None) of g(v) = W(z + (1-z) v),
-    based at v = 1 where W has the power ``basepoint``.  W is singular at
+def _riemann_loop(p, W, target, basepoint=0.0, order=None):
+    """Riemann-Liouville loop of order ``order`` (lam when None) of
+    g(v) = W(z + (1-z) v), based at v = 1 where W has the power
+    ``basepoint``: (1-z)**(-order) times it is the fractional integral
+    (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.  W is singular at
     V = +/-1, so g is analytic for |v| < min(1, |1+z|/|1-z|): inside the
     unit disc when Re z < 0."""
     z, d = p.z, 1.0 - p.z
@@ -305,9 +284,10 @@ def _jacobi_weighted(p):
 
 
 def _rodrigues_kernel(p):
-    """W(v) = (1-v)^(nu+alpha) (1+v)^(nu+beta), (alpha, beta) = (mu, lam)."""
-    a, b = p.nu + p.mu, p.nu + p.lam
-    return lambda v: cpow(1.0 - v, a) * cpow(1.0 + v, b)
+    """W(v) = 2^(-nu)/Gamma(nu+1) (1-v)^(nu+alpha) (1+v)^(nu+beta), the
+    primitive weight of ``rodrigues_pair``, (alpha, beta) = (mu, lam)."""
+    a, b, K = p.nu + p.mu, p.nu + p.lam, cpow(2.0, -p.nu) * rgamma(p.nu + 1.0)
+    return lambda v: K * cpow(1.0 - v, a) * cpow(1.0 + v, b)
 
 
 def _beta_kernel(p):
@@ -320,12 +300,14 @@ def _rotation(p):
     return cmath.exp(-1j * math.pi * p.lam)
 
 
-def _riemann_scale(p):
-    return gamma(p.lam + 1.0)
+def _cut_power(p):
+    """(z-1)^(-lam): the power of the segment length on the cut plane."""
+    return cpow(p.z - 1.0, -p.lam)
 
 
-def _rescaled_riemann_scale(p):
-    return gamma(p.lam + 1.0) * cpow(p.z - 1.0, -p.lam)
+def _segment_power(p):
+    """(1-x)^(-lam): the power of the segment length on (-1, 1)."""
+    return cpow(1.0 - p.z, -p.lam)
 
 
 def _k3_decay(p):
@@ -386,10 +368,9 @@ def _integer_step(family, variant, sign, degree_step=False):
     return rhs
 
 
-def _rhs_rodrigues(part, *extra):
+def _rhs_rodrigues(part):
     """``rodrigues_pair``'s weighted (part 0) or primitive (part 1) closed
-    form, valid where (1-z)**(nu+alpha) is integrable at z = 1, plus the
-    ``extra`` conditions, functions of nu."""
+    form, valid where (1-z)**(nu+alpha) is integrable at z = 1."""
 
     def rhs(nu, mu, lam, z):
         return _closed_form(
@@ -397,21 +378,15 @@ def _rhs_rodrigues(part, *extra):
             ("weighted", "primitive")[part],
             _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
             ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
-            *(condition(nu) for condition in extra),
         )
 
     return rhs
 
 
 def _rhs_beta_contour(nu, mu, lam, z):
-    sigma, lam = complex(mu), complex(lam)
+    sigma = complex(mu)
     return _closed_form(
-        sin_pi(lam + 1.0)
-        / math.pi
-        * cmath.exp(ln_gamma(-lam) + ln_gamma(sigma) - ln_gamma(sigma - lam)),
-        "beta_term",
-        _pos("Re sigma > 0", sigma),
-        ("lam not an integer", not is_integer(lam)),
+        gamma_ratio([sigma], [sigma - complex(lam)]), "beta_term", _pos("Re sigma > 0", sigma)
     )
 
 
@@ -531,9 +506,7 @@ def _build_catalog():
                 "(z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z)"
             ),
             default_grid=_grid((0.6, 1.3), (0.3, -0.4), (0.7, 1.6), (1.4, 2.2)),
-            lhs=_toward_branch_point(
-                _mplus("p"), basepoint=_minus_re_mu, scale=_riemann_scale
-            ),
+            lhs=_riemann_loop(_mplus("p"), basepoint=_minus_re_mu, scale=_cut_power),
             rhs=_shift("order", "riemann_p_up"),
         ),
         IdentityEntry(
@@ -549,10 +522,8 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z) + 3F2-term"
             ),
             default_grid=_grid((0.55, 1.2), (0.35, -0.25), (0.6, 1.45), (1.5, 2.0)),
-            lhs=_toward_branch_point(
-                _mplus("q"),
-                basepoint=lambda p: min(-p.mu.real, 0.0),
-                scale=_riemann_scale,
+            lhs=_riemann_loop(
+                _mplus("q"), basepoint=lambda p: min(-p.mu.real, 0.0), scale=_cut_power
             ),
             rhs=_shift("order", "riemann_q_up"),
         ),
@@ -571,7 +542,7 @@ def _build_catalog():
                 "3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2)"
             ),
             default_grid=_grid((0.35, 0.8), (0.15, 0.45), (0.7, 1.3), (1.6, 2.2)),
-            lhs=_rescaled_loop(_mminus("p"), scale=_rescaled_riemann_scale),
+            lhs=_riemann_loop(_mminus("p"), scale=_cut_power),
             rhs=_shift("order", "riemann_p_down_near"),
         ),
         IdentityEntry(
@@ -761,7 +732,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.6},
                 {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_rescaled_loop(_k3("q"), scale=_rescaled_riemann_scale),
+            lhs=_riemann_loop(_k3("q"), scale=_cut_power),
             rhs=_shift("degree", "k3_riemann_q"),
         ),
         IdentityEntry(
@@ -806,11 +777,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
                 {"nu": 0.7, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_rescaled_loop(
-                _p3("q"),
-                scale=_rescaled_riemann_scale,
-                basepoint=lambda p: p.nu.real + 0.5,
-            ),
+            lhs=_riemann_loop(_p3("q"), scale=_cut_power, basepoint=lambda p: p.nu.real + 0.5),
             rhs=_shift("degree", "p3_riemann_q"),
         ),
         IdentityEntry(
@@ -826,9 +793,7 @@ def _build_catalog():
             ),
             default_grid=_FERRERS_LPLUS_GRID,
             lhs=_on_cut(
-                _toward_branch_point(
-                    _mplus("ferrers_p"), basepoint=_minus_re_mu, scale=_riemann_scale
-                )
+                _riemann_loop(_mplus("ferrers_p"), basepoint=_minus_re_mu, scale=_segment_power)
             ),
             rhs=_shift("ferrers", "lplus_p"),
         ),
@@ -849,9 +814,7 @@ def _build_catalog():
             ),
             default_grid=_FERRERS_LPLUS_GRID,
             lhs=_on_cut(
-                _toward_branch_point(
-                    _mplus("ferrers_q"), basepoint=_minus_re_mu, scale=_riemann_scale
-                )
+                _riemann_loop(_mplus("ferrers_q"), basepoint=_minus_re_mu, scale=_segment_power)
             ),
             rhs=_shift("ferrers", "lplus_q"),
         ),
@@ -874,12 +837,7 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.35, "lam": 1.55, "z": 0.25},
                 {"nu": 1.3, "mu": -0.4, "lam": 0.6, "z": -0.3},
             ),
-            lhs=_on_cut(
-                _rescaled_loop(
-                    _mminus("ferrers_p"),
-                    scale=lambda p: gamma(p.lam + 1.0) * cpow(1.0 - p.z, -p.lam),
-                )
-            ),
+            lhs=_on_cut(_riemann_loop(_mminus("ferrers_p"), scale=_segment_power)),
             rhs=_shift("ferrers", "lminus_p"),
         ),
         IdentityEntry(
@@ -892,8 +850,8 @@ def _build_catalog():
             ),
             formula=(
                 "(1-z)^alpha (1+z)^beta P_nu^(alpha,beta)(z) = "
-                "2^(-nu) e^(i pi nu)Gamma(nu+1)/(2 pi i) * loop_(1-z,0+,1-z) dt "
-                "t^(-nu-1) (1-z-t)^(nu+alpha) (1+z+t)^(nu+beta)"
+                "Gamma(nu+1) e^(i pi nu)/(2 pi i) * loop_(1-z,0+,1-z) dt t^(-nu-1) "
+                "2^(-nu)/Gamma(nu+1) (1-z-t)^(nu+alpha) (1+z+t)^(nu+beta)"
             ),
             default_grid=(
                 {"nu": 0.6, "mu": 0.3, "lam": -0.2, "z": 0.35},
@@ -901,11 +859,11 @@ def _build_catalog():
                 {"nu": 0.6, "mu": -0.35, "lam": 0.45, "z": 0.35},
                 {"nu": 1.4, "mu": 0.3, "lam": -0.2, "z": -0.3},
             ),
-            lhs=_toward_branch_point(
+            lhs=_riemann_loop(
                 _rodrigues_kernel,
                 order=lambda p: p.nu,
                 basepoint=lambda p: (p.nu + p.mu).real,
-                scale=lambda p: cpow(2.0, -p.nu),
+                scale=lambda p: cpow(1.0 - p.z, -p.nu),
             ),
             rhs=_rhs_rodrigues(0),
         ),
@@ -927,13 +885,13 @@ def _build_catalog():
                 {"nu": 0.6, "mu": -0.35, "lam": 0.45, "z": 0.3},
                 {"nu": 0.35, "mu": 0.3, "lam": -0.2, "z": -0.25},
             ),
-            lhs=_rescaled_loop(
+            lhs=_riemann_loop(
                 _jacobi_weighted,
                 order=lambda p: -p.nu,
-                scale=lambda p: gamma(1.0 - p.nu) * cpow(1.0 - p.z, p.nu),
+                scale=lambda p: cpow(1.0 - p.z, p.nu),
                 basepoint=lambda p: p.mu.real,
             ),
-            rhs=_rhs_rodrigues(1, lambda nu: ("nu not an integer", not is_integer(nu))),
+            rhs=_rhs_rodrigues(1),
         ),
         IdentityEntry(
             id="BETA_CONTOUR",
@@ -943,8 +901,8 @@ def _build_catalog():
                 "carries the second beta parameter sigma."
             ),
             formula=(
-                "e^(i pi lam)/(2 pi i) * loop_(1,0+,1) dv v^(-lam-1) (1-v)^(sigma-1) "
-                "= sin(pi(lam+1))/pi * B(-lam, sigma)"
+                "Gamma(lam+1) e^(i pi lam)/(2 pi i) * loop_(1,0+,1) dv v^(-lam-1) "
+                "(1-v)^(sigma-1) = B(-lam, sigma)/Gamma(-lam) = Gamma(sigma)/Gamma(sigma-lam)"
             ),
             default_grid=(
                 {"nu": 0.0, "mu": 0.7, "lam": 2.6, "z": 0.0},
@@ -952,10 +910,7 @@ def _build_catalog():
                 {"nu": 0.0, "mu": 0.45, "lam": -0.7, "z": 0.0},
                 {"nu": 0.0, "mu": 2.2, "lam": 3.7, "z": 0.0},
             ),
-            lhs=_rescaled_loop(
-                _beta_kernel,
-                basepoint=lambda p: p.mu.real - 1.0,
-            ),
+            lhs=_riemann_loop(_beta_kernel, basepoint=lambda p: p.mu.real - 1.0),
             rhs=_rhs_beta_contour,
         ),
     ]

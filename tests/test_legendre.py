@@ -9,6 +9,7 @@ import pytest
 import scipy.special
 
 from legshift.errors import DomainError, NumericalError, PoleError
+from legshift.hyper import hyp2f1
 from legshift.legendre import (
     _Legendre,
     ferrers_p,
@@ -147,6 +148,23 @@ def test_overflow_raises_numerical_error():
         jacobi_p(50.5, 0.2, 0.3, 1e8)
     with pytest.raises(NumericalError):
         legendre_deriv(50.5, 0.2, 1e8)
+
+
+@pytest.mark.parametrize(
+    "f,args",
+    [
+        (hyp2f1, (300, 300, 0.5, 0.7)),  # 2.8e471 by mpmath
+        (legendre_p, (700.5, 0.2, 3.0)),  # 1.5e535
+        (legendre_p, (400.5, 0.3, 9.0)),  # 2.7e501
+        (legendre_p, (1000.5, 0.2, 1.5)),  # 1.2e417
+    ],
+)
+def test_value_beyond_double_range_raises_naming_the_overflow(f, args):
+    # no inf or nan is returned, and a series at its term cap with an
+    # overflowed sum is not reported as unconverged
+    with pytest.raises(NumericalError, match="overflows") as exc:
+        f(*args)
+    assert type(exc.value) is NumericalError
 
 
 def test_ferrers_frozen_oracles():

@@ -146,11 +146,13 @@ def test_semi_infinite_power_decay():
 
 
 def test_loop_beta_function():
-    # collapsed loop of v^(-lam-1) (1-v)^(sigma-1) = sin(pi(lam+1))/pi B(-lam, sigma)
+    # Riemann-Liouville loop of v^(-lam-1) (1-v)^(sigma-1)
+    # = Gamma(lam+1) sin(pi(lam+1))/pi B(-lam, sigma)
     lam, sigma = 0.55, 1.3
     res = integrate_loop(lambda v: cpow(1.0 - v, sigma - 1.0), 1.0, lam)
     ref = (
-        sin_pi(lam + 1.0)
+        gamma(lam + 1.0)
+        * sin_pi(lam + 1.0)
         / math.pi
         * gamma(-lam)
         * gamma(sigma)
@@ -160,21 +162,25 @@ def test_loop_beta_function():
 
 
 def test_loop_integer_order_picks_taylor_coefficient():
-    # lam = n >= 0 gives (-1)^n g_n
+    # lam = n >= 0 gives (-1)^n n! g_n, the derivative (-d/dt)^n g at 0
     g = lambda t: cmath.exp(2.0 * t)
     res = integrate_loop(g, 1.0, 2)
-    assert abs(res.value - (2.0 ** 2 / 2.0)) < 1e-12
+    assert abs(res.value - 2.0 * (2.0 ** 2 / 2.0)) < 1e-12
     res1 = integrate_loop(g, 1.0, 3)
-    assert abs(res1.value + 8.0 / 6.0) < 1e-12
+    assert abs(res1.value + 6.0 * 8.0 / 6.0) < 1e-12
     # the estimate is the Cauchy rule's rounding, not 0
-    for r, exact in ((res, 2.0), (res1, -8.0 / 6.0)):
+    for r, exact in ((res, 4.0), (res1, -8.0)):
         assert 0.0 < r.err_estimate < 1e-11
         assert abs(r.value - exact) <= r.err_estimate
 
 
-def test_loop_negative_integer_is_zero():
-    res = integrate_loop(lambda t: cmath.exp(t), 1.0, -2)
-    assert res.value == 0.0
+def test_loop_negative_integer_is_the_n_fold_integral():
+    # lam = -n: (1/(n-1)!) int_0^1 t^(n-1) e^t dt, the n-fold integral of e^t
+    # over (0, 1): e-1, 1, (e-2)/2
+    e = math.e
+    for n, exact in ((1, e - 1.0), (2, 1.0), (3, (e - 2.0) / 2.0)):
+        res = integrate_loop(cmath.exp, 1.0, -n)
+        assert abs(res.value - exact) <= min(res.err_estimate, 1e-13 * exact), n
 
 
 def test_loop_negative_order_collapses_to_segment():
@@ -187,7 +193,8 @@ def test_loop_negative_order_collapses_to_segment():
         basepoint_exponent=sigma - 1.0,
     )
     ref = (
-        sin_pi(lam + 1.0)
+        gamma(lam + 1.0)
+        * sin_pi(lam + 1.0)
         / math.pi
         * gamma(-lam)
         * gamma(sigma)

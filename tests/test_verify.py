@@ -219,6 +219,57 @@ _LOOP_IDENTITIES = (
 
 
 @pytest.mark.parametrize("identity", _LOOP_IDENTITIES)
+def test_loop_at_negative_integer_order_is_the_n_fold_integral(identity):
+    # at lam = -n the Riemann-Liouville loop is the n-fold integral, with no
+    # Gamma(lam+1) pole to meet: every default (nu, mu, z) is valid and passes
+    points = sorted({(p["nu"], p["mu"], p["z"]) for p in get_identity(identity).default_grid})
+    for nu, mu, z in points:
+        for n in (1.0, 2.0):
+            rep = verify_identity(identity, nu, mu, -n, z)
+            assert rep.validity and rep.passed, (nu, mu, -n, z, rep.failed_conditions)
+            assert rep.abs_err <= rep.lhs.err_estimate, (nu, mu, -n, z, rep.abs_err)
+
+
+@pytest.mark.parametrize(
+    "identity,points",
+    [
+        ("RIEMANN_MPLUS_P", [(0.6, 0.3, 0.7, 1 + 0.5j), (0.6, 0.3, 0.7, 0.5 + 0.5j),
+                             (1.3, -0.4, 1.6, 2 + 0.4j), (0.6, 0.3, 0.7, 1.5 - 0.7j)]),
+        ("RIEMANN_MPLUS_Q", [(0.55, 0.35, 0.6, 1 + 0.5j), (0.55, 0.35, 0.6, 0.5 + 0.5j),
+                             (1.2, -0.25, 1.45, 2 - 0.4j)]),
+        ("RIEMANN_MMINUS_P", [(0.35, 0.15, 0.7, 1 + 0.5j), (0.35, 0.15, 0.7, 0.5 + 0.5j),
+                              (0.8, 0.45, 1.3, 2 + 0.5j)]),
+        ("P3_RIEMANN_Q", [(0.35, 0.15, 0.55, 1 + 0.5j), (0.7, -0.3, 1.35, 2.1 - 0.4j)]),
+        ("RODRIGUES_FRAC", [(0.6, 0.3, -0.2, 0.35 + 0.3j), (1.4, -0.35, 0.45, -0.3 - 0.2j),
+                            (0.6, 0.3, -0.2, 0.5j)]),
+    ],
+)
+def test_finite_contour_at_complex_z(identity, points):
+    # the contour runs straight from z to 1, so complex z, at Re z <= 1 and
+    # Re z = 1 too, needs no walk along Re z (such a walk was up to 3.2
+    # relative off here, and raised DomainError at Re z = 1)
+    for p in points:
+        rep = verify_identity(identity, *p)
+        assert rep.validity and rep.passed, (p, rep.rel_err)
+        assert rep.abs_err <= rep.lhs.err_estimate, (p, rep.abs_err)
+
+
+def test_beta_contour_at_integer_order():
+    # Gamma(sigma)/Gamma(sigma-lam): 1/((sigma)...(sigma+n-1)) at lam = -n,
+    # (sigma-1)...(sigma-n) at lam = n
+    for sigma in sorted({p["mu"] for p in get_identity("BETA_CONTOUR").default_grid}):
+        for lam in range(-2, 4):
+            rep = verify_identity("BETA_CONTOUR", 0.0, sigma, lam, 0.0)
+            if lam < 0:
+                exact = 1.0 / math.prod(sigma + k for k in range(-lam))
+            else:
+                exact = math.prod(sigma - k for k in range(1, lam + 1))
+            assert abs(rep.rhs.value - exact) <= 1e-14 * abs(exact), (sigma, lam)
+            assert rep.validity and rep.passed, (sigma, lam, rep.rel_err)
+            assert rep.abs_err <= rep.lhs.err_estimate, (sigma, lam, rep.abs_err)
+
+
+@pytest.mark.parametrize("identity", _LOOP_IDENTITIES)
 def test_integer_order_loop_estimate_covers_the_error(identity):
     # at lam = n the loop is a Taylor coefficient; its estimate, the Cauchy
     # rule's rounding, is at least 4x the actual error at these points
@@ -262,18 +313,27 @@ def test_weyl_loop_at_integer_order_is_the_multi_derivative(identity):
         ("MULTI_INT_MPLUS", "WEYL_MPLUS_Q", lambda p, n: dict(p, lam=n)),
         ("MULTI_INT_MMINUS", "WEYL_MMINUS_Q", lambda p, n: dict(p, lam=-n)),
         ("MULTI_INT_K3", "K3_WEYL_Q", lambda p, n: dict(p, nu=p["nu"] + n, lam=-n)),
+        ("MULTI_INT_P3", "P3_RIEMANN_Q", lambda p, n: dict(p, lam=-n)),
+        ("MULTI_INT_LPLUS", "FERRERS_LPLUS_P", lambda p, n: dict(p, lam=-n)),
+        # the fold count is the degree nu: the parent at the same point
+        ("MULTI_INT_RODRIGUES", "RODRIGUES_INVERSE", lambda p, n: p),
     ],
 )
 def test_multi_integral_entries_are_their_fractional_parents(multi, parent, at):
     # the n-fold integral is the parent's fractional integral of order n: the
     # closed forms are one, and the repeated integral meets the parent's own
-    # recipe (the Weyl loop at lam = -n, the semi-infinite Weyl integral)
+    # recipe (the Weyl loop at lam = -n, the semi-infinite Weyl integral, the
+    # Riemann-Liouville loop at lam = -n) within the two estimates, and the
+    # Weyl recipes to 1e-12 as well
+    rel = 1e-12 if "WEYL" in parent else math.inf
     for p in get_identity(multi).default_grid:
         rep = verify_identity(multi, **p)
         par = verify_identity(parent, **at(p, p["lam"]))
         assert rep.passed and par.passed, (p, rep.rel_err, par.rel_err)
         assert rep.rhs.value == par.rhs.value
-        assert abs(rep.lhs.value - par.lhs.value) <= 1e-12 * abs(par.lhs.value), p
+        diff = abs(rep.lhs.value - par.lhs.value)
+        assert diff <= rep.lhs.err_estimate + par.lhs.err_estimate, (p, diff)
+        assert diff <= rel * abs(par.lhs.value), p
 
 
 def test_multi_integral_conditions_name_their_substitution():

@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, PoleError
 from .legendre import ferrers_p, ferrers_q, jacobi_p, legendre_p, legendre_q
 
 EXIT_OK = 0
@@ -119,7 +119,6 @@ def _build_parser():
     p_ver.add_argument("--target", type=float, default=1e-9)
     p_ver.add_argument("--canary", type=float, default=0.0,
                        help="relative depression of the largest closed-form term")
-    p_ver.add_argument("--far-field", action="store_true")
     p_ver.add_argument("--format", choices=["table", "json"], default="table")
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter to CSV")
@@ -242,7 +241,6 @@ def _verify_one_identity(entry, args, records):
         target=args.target,
         tolerance=args.tol,
         coeff_perturbation=args.canary,
-        use_far_field=args.far_field,
     )
     for rep in summary.reports:
         records.append(_report_record(rep))
@@ -252,8 +250,6 @@ def _verify_one_identity(entry, args, records):
 def _cmd_verify(args) -> int:
     from .verify import get_identity, list_identities
 
-    if args.far_field and (args.all or args.identity != "RIEMANN_MMINUS_P"):
-        raise DomainError("--far-field only applies to --id RIEMANN_MMINUS_P")
     if args.all:
         entries = list_identities()
         if not args.defaults and not args.grid_file:
@@ -323,13 +319,15 @@ def _sweep_axis(args, names):
 
 
 def _cmd_sweep(args) -> int:
+    """One CSV row per swept value.  A pole or numerical failure at one
+    value writes a nan row, names the error on stderr, and makes the sweep
+    exit 1 after its last row."""
     import csv
 
-    out = io.StringIO()
-    writer = csv.writer(out)
+    nan = repr(float("nan"))
     if args.fn:
         axis = _sweep_axis(args, ("nu", "mu", "alpha", "beta", "z"))
-        writer.writerow(["parameter", "re(value)", "im(value)", "err_estimate"])
+        header = ["parameter", "re(value)", "im(value)", "err_estimate"]
         base = {
             "nu": args.nu, "mu": args.mu if args.mu is not None else 0j,
             "alpha": args.alpha, "beta": args.beta, "z": args.z,
@@ -337,45 +335,55 @@ def _cmd_sweep(args) -> int:
         }
         if base["nu"] is None or base["z"] is None:
             raise DomainError("sweep --fn needs --nu and --z")
-        for x in getattr(args, axis).values():
-            params = dict(base)
-            params[axis] = x
-            value = complex(_FUNCTIONS[args.fn](params))
-            writer.writerow(
-                [repr(x.real), repr(value.real), repr(value.imag), ""]
-            )
+
+        def row(x):
+            value = complex(_FUNCTIONS[args.fn]({**base, axis: x}))
+            return [repr(value.real), repr(value.imag), ""]
+
+        failed_row = [nan, nan, ""]
     else:
         from .verify import get_identity, verify_identity
 
         entry = get_identity(args.identity)
         axis = _sweep_axis(args, ("nu", "mu", "lam", "z"))
-        writer.writerow(
-            ["parameter", "re(value)", "im(value)", "err_estimate", "rel_err", "pass"]
-        )
+        header = ["parameter", "re(value)", "im(value)", "err_estimate", "rel_err", "pass"]
         base = {"nu": args.nu, "mu": args.mu, "lam": args.lam, "z": args.z}
         missing = [k for k, v in base.items() if v is None]
         if missing:
             raise DomainError(f"sweep --id needs all of --nu --mu --lam --z")
-        for x in getattr(args, axis).values():
-            point = dict(base)
-            point[axis] = x
+
+        def row(x):
+            point = {**base, axis: x}
             rep = verify_identity(
                 entry.id, point["nu"], point["mu"], point["lam"], point["z"],
                 target=args.target, tolerance=args.tol,
             )
             lhs = complex(rep.lhs.value) if rep.lhs is not None else complex("nan")
-            writer.writerow([
-                repr(x.real), repr(lhs.real), repr(lhs.imag),
-                repr(rep.lhs.err_estimate if rep.lhs is not None else float("nan")),
+            return [
+                repr(lhs.real), repr(lhs.imag),
+                repr(rep.lhs.err_estimate) if rep.lhs is not None else nan,
                 repr(rep.rel_err), rep.passed,
-            ])
+            ]
+
+        failed_row = [nan] * 4 + [False]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    failed = False
+    for x in getattr(args, axis).values():
+        try:
+            cells = row(x)
+        except (PoleError, NumericalError) as exc:
+            print(f"{axis}={x.real!r}: {exc}", file=sys.stderr)
+            cells, failed = failed_row, True
+        writer.writerow([repr(x.real)] + cells)
     text = out.getvalue()
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -358,62 +358,48 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
     raise DomainError(f"unknown Ferrers-shift variant {variant!r}")
 
 
-_RECURRENCE_OPS = ("MPLUS", "MMINUS", "P3", "K3", "LPLUS", "LMINUS")
+# (op, kind) -> (family, variant, sign of lam, sign per step): n steps of an
+# operator's one-step recurrence are its fractional closed form at lam = +/-n.
+_INTEGER_STEPS = {
+    ("MPLUS", "p"): ("order", "riemann_p_up", 1, 1),
+    ("MPLUS", "q"): ("order", "weyl_q_down", -1, -1),
+    ("MMINUS", "p"): ("order", "weyl_minus_p", 1, 1),
+    ("MMINUS", "q"): ("order", "weyl_minus_q", 1, 1),
+    ("P3", "p"): ("degree", "p3_down_p", 1, 1),
+    ("P3", "q"): ("degree", "p3_riemann_q", 1, 1),
+    ("K3", "p"): ("degree", "k3_up_p", 1, 1),
+    ("K3", "q"): ("degree", "k3_up_q", 1, 1),
+    ("LPLUS", "p"): ("ferrers", "lplus_p", 1, 1),
+    ("LMINUS", "p"): ("ferrers", "lminus_p", 1, -1),
+}
 
 
 def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
-    """n-th derivative of a weighted function via its one-step recurrence.
-
-    Returns the closed form of (+/- d/dz)**n applied to the weighted function
-    (see the module docstring for the weights): a single coefficient times
-    the weighted function at the shifted parameters.
+    """n-th derivative of a weighted function (see the module docstring):
+    (d/dz)**n, or (-d/dx)**n for LPLUS.  Cohl and Costas-Santos's
+    multi-derivative relations are the fractional ones at integer order, so
+    this is the ``_INTEGER_STEPS`` closed form at lam = +/-n.
 
     ``kind`` selects P or Q for the hyperbolic-argument operators; the
     Ferrers operators (LPLUS, LMINUS) always act on Ferrers P.
     """
-    if op_id not in _RECURRENCE_OPS:
+    if op_id not in {op for op, _kind in _INTEGER_STEPS}:
         raise DomainError(f"unknown recurrence {op_id!r}")
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"step count must be a nonnegative integer, got {n}")
-    nu, mu = complex(nu), complex(mu)
-    z = complex(z)
     if kind not in ("p", "q"):
         raise DomainError(f"kind must be 'p' or 'q', got {kind!r}")
-    fn = legendre_p if kind == "p" else legendre_q
-
-    if op_id == "MPLUS":
-        coef = 1.0 + 0.0j
-        val = coef * zsq_minus_one_pow(z, -(mu + n) / 2.0) * fn(nu, mu + n, z)
-    elif op_id == "MMINUS":
-        coef = gamma_ratio(
-            [nu + mu + 1.0, nu - mu + n + 1.0], [nu + mu - n + 1.0, nu - mu + 1.0]
-        )
-        val = coef * zsq_minus_one_pow(z, (mu - n) / 2.0) * fn(nu, mu - n, z)
-    elif op_id == "P3":
-        arg = _degree_argument(z)
-        coef = gamma_ratio([nu + mu + 1.0], [nu + mu - n + 1.0])
-        val = coef * zsq_minus_one_pow(z, (nu - n) / 2.0) * fn(nu - n, mu, arg)
-    elif op_id == "K3":
-        arg = _degree_argument(z)
-        sign = -1.0 if n % 2 else 1.0
-        coef = sign * gamma_ratio([nu + n - mu + 1.0], [nu - mu + 1.0])
-        val = coef * zsq_minus_one_pow(z, -(nu + n + 1.0) / 2.0) * fn(nu + n, mu, arg)
-    elif op_id == "LPLUS":
-        x = real_argument(z, "Ferrers recurrences")
-        coef = 1.0 + 0.0j
-        val = coef * cpow(1.0 - x, -(mu + n) / 2.0) * cpow(
-            1.0 + x, -(mu + n) / 2.0
-        ) * ferrers_p(nu, mu + n, x)
-    else:  # LMINUS
-        x = real_argument(z, "Ferrers recurrences")
-        coef = gamma_ratio(
-            [nu + mu + 1.0, nu - mu + n + 1.0], [nu + mu - n + 1.0, nu - mu + 1.0]
-        )
-        val = coef * cpow(1.0 - x, (mu - n) / 2.0) * cpow(
-            1.0 + x, (mu - n) / 2.0
-        ) * ferrers_p(nu, mu - n, x)
-
-    return Prediction(val, {"coefficient": coef, "shifted_value": val}, ())
+    family, variant, lam_sign, step_sign = _INTEGER_STEPS[
+        op_id, "p" if op_id.startswith("L") else kind
+    ]
+    # looked up per call, so wrappers on this module's names apply
+    predict = {
+        "order": predict_order_shift,
+        "degree": predict_degree_shift,
+        "ferrers": predict_ferrers_shift,
+    }[family]
+    val = step_sign**n * predict(nu, mu, lam_sign * n, z, variant).value
+    return Prediction(val, {"shifted_value": val}, ())
 
 
 def rodrigues_pair(nu, alpha, beta, z):

@@ -43,7 +43,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .complexfn import cpow, gamma_ratio, is_integer, real_argument, rgamma
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .legendre import (
     jacobi_evaluator,
     legendre_deriv,
@@ -531,9 +531,7 @@ def _build_catalog():
             id="RIEMANN_MMINUS_P",
             description=(
                 "Riemann order-lowering on the weighted first-kind function: "
-                "the loop-regularized quadrature equals a single 3F2; the "
-                "far-field three-term decomposition is available as an "
-                "opt-in alternative closed form."
+                "the loop-regularized quadrature equals a single 3F2."
             ),
             formula=(
                 "Gamma(lam+1)(z-1)^(-lam) e^(i pi lam)/(2 pi i) * loop_(1,0+,1) "
@@ -949,7 +947,6 @@ def verify_identity(
     target=1e-9,
     tolerance=1e-6,
     coeff_perturbation=0.0,
-    use_far_field=False,
 ) -> VerificationReport:
     """Check one identity at one parameter point.
 
@@ -958,17 +955,10 @@ def verify_identity(
     ``coeff_perturbation`` scales the largest closed-form term by (1-p);
     the depression direction makes the induced relative error p/(1-p) > p,
     so a canary of p = tolerance flips a passing point unconditionally.
-    ``use_far_field`` swaps RIEMANN_MMINUS_P to its three-term large-z
-    decomposition instead of the single-3F2 form.
     """
     entry = get_identity(identity_id)
     params = {"nu": nu, "mu": mu, "lam": lam, "z": z}
-    if use_far_field:
-        if entry.id != "RIEMANN_MMINUS_P":
-            raise DomainError("use_far_field only applies to RIEMANN_MMINUS_P")
-        pred = predict_order_shift(nu, mu, lam, z, "riemann_p_down_far")
-    else:
-        pred = entry.rhs(nu, mu, lam, z)
+    pred = entry.rhs(nu, mu, lam, z)
     failed = tuple(desc for desc, ok in pred.conditions if not ok)
     if failed:
         return VerificationReport(
@@ -1017,12 +1007,11 @@ def verify_grid(
     target=1e-9,
     tolerance=1e-6,
     coeff_perturbation=0.0,
-    use_far_field=False,
 ) -> GridSummary:
     """Run verify_identity over a grid; deterministic lexicographic order.
 
-    Per-point numerical failures are collected into ``failures``, not
-    raised; invalid points count as failures with the violated predicate
+    Per-point numerical failures and poles are collected into ``failures``,
+    not raised; invalid points count as failures with the violated predicate
     named.
     """
     entry = get_identity(identity_id)
@@ -1047,8 +1036,10 @@ def verify_grid(
                 target=target,
                 tolerance=tolerance,
                 coeff_perturbation=coeff_perturbation,
-                use_far_field=use_far_field,
             )
+        except PoleError as exc:
+            failures.append((dict(point), f"pole: {exc}"))
+            continue
         except ArithmeticError as exc:
             failures.append((dict(point), f"numerical failure: {type(exc).__name__}: {exc}"))
             continue

@@ -308,3 +308,79 @@ def test_verify_json_lists_failures_with_split_complex_params():
         "lam_re": 0.6, "lam_im": 0.0, "z_re": 1.5, "z_im": 0.0,
     }
     assert failure["reason"].startswith("invalid")
+
+
+def test_verify_far_field_option_is_gone():
+    code, _out, err = run_cli(
+        ["verify", "--id", "RIEMANN_MMINUS_P", "--far-field", "--nu", "0.7",
+         "--mu", "0.4", "--lam", "0.6", "--z", "6.0"]
+    )
+    assert code == EXIT_PARSE
+    assert "--far-field" in err
+
+
+def test_verify_grid_records_a_pole_as_a_failing_point(tmp_path):
+    # lam = 1.5 puts Q_(nu-lam)^mu on its pole nu-lam+mu+1 = 0; lam = 0.5 still runs
+    grid = [{"nu": 0.35, "mu": 0.15, "lam": lam, "z": 1.7} for lam in (0.5, 1.5)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    argv = ["verify", "--id", "P3_RIEMANN_Q", "--grid-file", str(path), "--format", "json"]
+    code, out, err = run_cli(argv)
+    assert code == EXIT_NUMERICAL
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert [r["pass"] for r in payload["reports"]] == [True]
+    (failure,) = payload["summaries"][0]["failures"]
+    assert failure["params"]["lam_re"] == 1.5
+    assert failure["reason"].startswith("pole: ")
+
+
+def test_sweep_writes_a_nan_row_at_a_pole():
+    # Q_nu^0 has poles at nu = -1, -2
+    code, out, err = run_cli(
+        ["sweep", "--fn", "Q", "--nu=-2:0:5", "--mu", "0", "--z", "1.5"]
+    )
+    assert code == EXIT_NUMERICAL
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 6
+    nan_rows = [r[0] for r in rows[1:] if math.isnan(float(r[1]))]
+    assert nan_rows == ["-2.0", "-1.0"]
+    assert len(err.strip().splitlines()) == 2
+
+
+def test_sweep_identity_writes_a_failing_row_at_a_pole():
+    code, out, _err = run_cli(
+        ["sweep", "--id", "P3_RIEMANN_Q", "--nu", "0.35", "--mu", "0.15",
+         "--lam", "0.5:1.5:2", "--z", "1.7"]
+    )
+    assert code == EXIT_NUMERICAL
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["True", "False"]
+    assert math.isnan(float(rows[2][1]))
+
+
+def test_verify_all_defaults_matches_the_catalog_snapshot():
+    # tests/data/catalog_defaults.json is the output of
+    #   legshift verify --all --defaults --format json | python -m json.tool --indent 1
+    # at a reviewed commit; a change that keeps the catalog's numbers keeps
+    # every point within these bounds
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog_defaults.json")) as fh:
+        snapshot = json.load(fh)["reports"]
+    code, out, _err = run_cli(["verify", "--all", "--defaults", "--format", "json"])
+    assert code == EXIT_OK
+    reports = json.loads(out)["reports"]
+    fields = [f"{p}_{part}" for p in ("nu", "mu", "lam", "z") for part in ("re", "im")]
+    key = lambda r: (r["identity"], *(r[f] for f in fields))
+    assert sorted(map(key, reports)) == sorted(map(key, snapshot))
+    now = {key(r): r for r in reports}
+    for old in snapshot:
+        new = now[key(old)]
+        assert (new["valid"], new["pass"]) == (old["valid"], old["pass"]), key(old)
+        rhs_old, rhs_new = (complex(r["rhs_re"], r["rhs_im"]) for r in (old, new))
+        assert abs(rhs_new - rhs_old) <= 1e-12 * abs(rhs_old), key(old)
+        if old["lhs_re"] is None:
+            assert new["lhs_re"] is None, key(old)
+            continue
+        lhs_old, lhs_new = (complex(r["lhs_re"], r["lhs_im"]) for r in (old, new))
+        bound = max(1e-12 * abs(lhs_old), old["quad_err"])
+        assert abs(lhs_new - lhs_old) <= bound, key(old)

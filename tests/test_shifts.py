@@ -176,7 +176,6 @@ def test_recurrence_zero_steps_is_identity():
     rec = apply_integer_recurrence("MPLUS", nu, mu, z, n=0, kind="p")
     ref = zsq_minus_one_pow(z, -mu / 2.0) * legendre_p(nu, mu, z)
     assert abs(rec.value - ref) <= 1e-13 * abs(ref)
-    assert rec.terms["coefficient"] == 1.0
 
 
 def test_recurrence_rejects_bad_input():
@@ -232,28 +231,35 @@ def test_3f2_closed_forms_at_integer_order_raise_only_library_errors(predict, va
             assert not pred.valid or cmath.isfinite(pred.value), (nu, mu, lam, z)
 
 
-# each one-step recurrence taken n times is a fractional closed form at
-# lam = n: the paper's multi-derivative relations as fractional ones
-_INTEGER_STEP_PARENTS = [
-    ("MPLUS", "p", predict_order_shift, "riemann_p_up", 1.0),
-    ("MPLUS", "q", predict_order_shift, "riemann_q_up", 1.0),
-    ("MMINUS", "p", predict_order_shift, "weyl_minus_p", 1.0),
-    ("MMINUS", "q", predict_order_shift, "weyl_minus_q", 1.0),
-    ("P3", "p", predict_degree_shift, "p3_down_p", 1.0),
-    ("P3", "q", predict_degree_shift, "p3_riemann_q", 1.0),
-    ("K3", "p", predict_degree_shift, "k3_up_p", 1.0),
-    ("K3", "q", predict_degree_shift, "k3_up_q", 1.0),
-    ("LPLUS", "p", predict_ferrers_shift, "lplus_p", 1.0),
-    ("LMINUS", "p", predict_ferrers_shift, "lminus_p", -1.0),
-]
+def _mp_weighted(op_id, kind, nu, mu, t):
+    """The weighted function each recurrence differentiates (see the
+    ``shifts`` module docstring), from mpmath alone."""
+    if op_id in ("LPLUS", "LMINUS"):
+        s = -mu / 2 if op_id == "LPLUS" else mu / 2
+        return (1 - t * t) ** s * mpmath.legenp(nu, mu, t, type=2)
+    fn = mpmath.legenp if kind == "p" else mpmath.legenq
+    if op_id in ("MPLUS", "MMINUS"):
+        s = -mu / 2 if op_id == "MPLUS" else mu / 2
+        return (t * t - 1) ** s * fn(nu, mu, t, type=3)
+    s = -(nu + 1) / 2 if op_id == "K3" else nu / 2
+    return (t * t - 1) ** s * fn(nu, mu, t / mpmath.sqrt(t * t - 1), type=3)
 
 
-@pytest.mark.parametrize("op_id,kind,predict,variant,sign", _INTEGER_STEP_PARENTS)
-def test_integer_recurrence_is_the_fractional_form_at_integer_order(op_id, kind, predict, variant, sign):
-    nu, mu = 0.6, 0.25
-    z = 0.4 if op_id.startswith("L") else 1.8
-    for n in (1, 2, 3):
-        pred = predict(nu, mu, float(n), z, variant)
-        assert pred.valid, (n, pred.conditions)
-        rec = apply_integer_recurrence(op_id, nu, mu, z, n=n, kind=kind).value
-        assert abs(sign**n * pred.value - rec) <= 1e-13 * abs(rec), n
+@pytest.mark.parametrize(
+    "op_id,kind",
+    [(op, k) for op in ("MPLUS", "MMINUS", "P3", "K3") for k in "pq"]
+    + [("LPLUS", "p"), ("LMINUS", "p")],
+)
+def test_integer_recurrence_matches_mpmath_derivative(op_id, kind):
+    # the n-th derivative, (-d/dx)**n for LPLUS, against 30-digit
+    # mpmath.diff of the weighted function
+    sign = -1 if op_id == "LPLUS" else 1
+    zs = (-0.7, -0.2, 0.35, 0.85) if op_id.startswith("L") else (1.3, 1.8, 2.5, 3.7)
+    points = zip(((0.6, 0.25), (1.3, -0.4), (2.2, 0.7), (-0.3, 0.45)), zs)
+    with mpmath.workdps(30):
+        for (nu, mu), z in points:
+            f = lambda t: _mp_weighted(op_id, kind, mpmath.mpf(nu), mpmath.mpf(mu), t)
+            for n in (1, 2, 3):
+                ref = sign**n * complex(mpmath.diff(f, mpmath.mpf(z), n))
+                rec = apply_integer_recurrence(op_id, nu, mu, z, n=n, kind=kind).value
+                assert abs(rec - ref) <= 1e-12 * abs(ref), (nu, mu, z, n)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from legshift.errors import DomainError, NumericalError
@@ -139,11 +140,30 @@ def test_riemann_mminus_p_terminating_3f2_past_the_disc():
     assert rep.passed, rep.rel_err
 
 
-def test_use_far_field_guard_and_agreement():
-    with pytest.raises(DomainError):
-        verify_identity("WEYL_MPLUS_Q", 0.6, 0.3, 0.7, 2.0, use_far_field=True)
-    rep = verify_identity("RIEMANN_MMINUS_P", 0.7, 0.4, 0.6, 6.0, use_far_field=True)
+def test_riemann_mminus_p_far_from_the_branch_point():
+    # |1-z| > 2: the single 3F2 is continued off its disc
+    rep = verify_identity("RIEMANN_MMINUS_P", 0.7, 0.4, 0.6, 6.0)
     assert rep.passed, rep.rel_err
+
+
+@pytest.mark.parametrize("mu", [0.35, -0.25])
+@pytest.mark.parametrize("z", [1.5, 2.0])
+def test_riemann_mplus_q_at_order_zero_the_closed_form_carries_the_error(mu, z):
+    # at lam = 0 both sides are (z^2-1)^(-mu/2) Q_nu^mu(z).  At the nu = 1.2
+    # default points the loop meets 30-digit mpmath within its estimate; the
+    # closed form's P and 3F2 terms are ~50 times the value and cancel, so it
+    # is 2e-14 to 1.1e-13 off, within 1e-14 of its larger term
+    nu = 1.2
+    with mpmath.workdps(30):
+        ref = complex(
+            (mpmath.mpf(z) ** 2 - 1) ** (-mpmath.mpf(mu) / 2)
+            * mpmath.legenq(nu, mu, z, type=3)
+        )
+    rep = verify_identity("RIEMANN_MPLUS_Q", nu, mu, 0.0, z)
+    assert rep.passed
+    assert abs(rep.lhs.value - ref) <= rep.lhs.err_estimate
+    assert abs(rep.lhs.value - ref) <= 2e-15 * abs(ref)
+    assert abs(rep.rhs.value - ref) <= 1e-14 * max(map(abs, rep.rhs.terms.values()))
 
 
 def test_grid_summary_all_passed_property():

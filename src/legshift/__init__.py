@@ -5,8 +5,9 @@ The package has three layers:
 
 * function kernels: ``legendre`` (direct evaluation of P, Q, Ferrers P/Q,
   Jacobi P and their derivatives) built on ``complexfn`` and ``hyper``;
-* quadrature: ``quadrature`` (tanh-sinh segments, exp-sinh tails, loop
-  contours around the origin, kernel-reduced repeated integrals);
+* quadrature: ``quadrature`` (tanh-sinh segments, exp-sinh tails, and the
+  Riemann-Liouville and Weyl fractional operators, which at order -n are
+  the n-fold repeated integrals);
 * shift identities: ``shifts`` (closed-form predictions for fractional
   order/degree shifts) and ``verify`` (catalog pitting the closed forms
   against direct contour quadrature).

@@ -350,7 +350,8 @@ def _cmd_sweep(args) -> int:
         base = {"nu": args.nu, "mu": args.mu, "lam": args.lam, "z": args.z}
         missing = [k for k, v in base.items() if v is None]
         if missing:
-            raise DomainError(f"sweep --id needs all of --nu --mu --lam --z")
+            flags = " ".join(f"--{k}" for k in missing)
+            raise DomainError(f"sweep --id needs all of --nu --mu --lam --z; missing {flags}")
 
         def row(x):
             point = {**base, axis: x}

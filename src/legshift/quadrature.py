@@ -21,6 +21,10 @@ Three primitives drive every numeric evaluation in the identity layer:
   derivative (-d/dt)**n g at 0, that is (-1)**n n! times the n-th Taylor
   coefficient.
 
+``integrate_weyl`` is the same operator on (0, inf), the Weyl integral:
+exp-sinh directly for Re lam < -1/2, otherwise the loop on (0, c) plus its
+tail.  ``repeated_integral`` is either operator at lam = -n.
+
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
 trapezoid rule on a circle of at most a quarter of g's analyticity radius,
@@ -523,30 +527,38 @@ def integrate_weyl(
     decay_exponent: float | None = None,
     target: float = 1e-9,
 ) -> QuadratureResult:
-    """Weyl-type loop from infinity around 0 and back,
+    """Weyl operator (1/Gamma(-lam)) * int_0^inf t**(-lam-1) g(t) dt, continued
+    in lam: the loop from infinity around 0 and back,
 
         (Gamma(lam+1) exp(i pi lam) / (2 pi i)) *
-            loop_(inf,0+,inf) t**(-lam-1) g(t) dt
-        = (1/Gamma(-lam)) * regularized integral of t**(-lam-1) g over (0, inf):
+            loop_(inf,0+,inf) t**(-lam-1) g(t) dt.
 
-    ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires g
-    decaying fast enough that t**(-Re lam - 1) g(t) is integrable at
-    infinity.  At integer lam = n >= 0, 1/Gamma(-n) = 0 removes the tail,
-    and the loop is ``integrate_loop``'s (-d/dt)**n g at 0.
+    At lam = -n it is the n-fold integral of g from 0 to infinity, at
+    integer lam = n >= 0, where 1/Gamma(-n) = 0 removes the tail,
+    ``integrate_loop``'s (-d/dt)**n g at 0.  For Re lam < -1/2 the integral
+    is exp-sinh directly, as ``integrate_loop``'s segment; otherwise it is
+    ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires
+    t**(-Re lam - 1) g(t) integrable at infinity; ``decay_exponent``, when
+    supplied, declares |g| ~ t**(-decay_exponent) there.
     """
     lam = complex(lam)
+    tail_decay = None if decay_exponent is None else decay_exponent + lam.real + 1.0
+
+    def kernel(t):
+        return cpow(t, -lam - 1.0) * g(t)
+
+    if lam.real < -0.5:
+        return integrate_semi_infinite(
+            kernel,
+            0.0,
+            endpoint_exponent=-lam.real - 1.0,
+            decay_exponent=tail_decay,
+            target=target,
+        ).scaled(rgamma(-lam))
     lower = integrate_loop(g, c, lam, analyticity_radius, target=target)
-    if is_integer(lam, 1e-12) and lam.real > -0.5:
+    if is_integer(lam, 1e-12):
         return lower
-    tail_decay = None
-    if decay_exponent is not None:
-        tail_decay = decay_exponent + lam.real + 1.0
-    upper = integrate_semi_infinite(
-        lambda t: cpow(t, -lam - 1.0) * g(t),
-        c,
-        decay_exponent=tail_decay,
-        target=target,
-    )
+    upper = integrate_semi_infinite(kernel, c, decay_exponent=tail_decay, target=target)
     return lower + upper.scaled(rgamma(-lam))
 
 
@@ -558,47 +570,29 @@ def repeated_integral(
     endpoint_exponent: float = 0.0,
     target: float = 1e-9,
 ) -> QuadratureResult:
-    """n-fold iterated integral of f, collapsed to a single weighted integral.
+    """n-fold iterated integral of f: by Cauchy's formula for repeated
+    integration, a fractional operator at order lam = -n.
 
-    The innermost integration variable ranges over the stated interval and
-    each further fold integrates the previous result again; the whole nest
-    collapses to a kernel of (n-1)-st degree:
+    * ``to_one``:      over (z, 1), (1-z)**n times ``integrate_loop`` of
+      f(z + (1-z) v) over v in (0, 1);
+    * ``from_one``:    over (1, z), (z-1)**n times the same loop;
+    * ``to_infinity``: over (z, inf), ``integrate_weyl`` of f(z + t), z real.
 
-    * ``to_one``:      integral over (z, 1)   with kernel (u-z)**(n-1)/(n-1)!
-    * ``to_infinity``: integral over (z, inf) with kernel (u-z)**(n-1)/(n-1)!
-    * ``from_one``:    integral over (1, z)   with kernel (z-u)**(n-1)/(n-1)!
-
-    ``endpoint_exponent`` declares the power-law behavior of f at the fixed
-    endpoint (u = 1 for the finite variants, u -> z for ``to_infinity``'s
-    moving endpoint it is ignored).
+    ``endpoint_exponent`` declares the power-law behavior of f at u = 1 for
+    the finite variants; ``to_infinity`` ignores it.
     """
     if not isinstance(n, int) or not 1 <= n <= 8:
         raise DomainError(f"fold count must be an integer in [1, 8], got {n}")
     if upper not in ("to_one", "to_infinity", "from_one"):
         raise DomainError(f"unknown variant {upper!r}")
     z = complex(z)
-    fact = math.factorial(n - 1)
-
-    if upper == "to_one":
-        return integrate_segment(
-            lambda u: (u - z) ** (n - 1) / fact * f(u),
-            z,
-            1.0,
-            endpoint_exponent_b=endpoint_exponent,
-            target=target,
-        )
-    if upper == "from_one":
-        return integrate_segment(
-            lambda u: (z - u) ** (n - 1) / fact * f(u),
-            1.0,
-            z,
-            endpoint_exponent_a=endpoint_exponent,
-            target=target,
-        )
-    if z.imag != 0:
-        raise DomainError("to_infinity variant requires a real lower endpoint")
-    return integrate_semi_infinite(
-        lambda u: (u - z.real) ** (n - 1) / fact * f(u),
-        z.real,
-        target=target,
+    if upper == "to_infinity":
+        if z.imag != 0:
+            raise DomainError("to_infinity variant requires a real lower endpoint")
+        x = z.real
+        return integrate_weyl(lambda t: f(x + t), -n, target=target)
+    d = 1.0 - z
+    loop = integrate_loop(
+        lambda v: f(z + d * v), 1.0, -n, basepoint_exponent=endpoint_exponent, target=target
     )
+    return loop.scaled(d**n if upper == "to_one" else (-d) ** n)

@@ -95,22 +95,27 @@ def _q_3f2_term(nu, mu, lam, w):
     )
 
 
-def _q_prediction(terms, nu, mu, *conditions) -> Prediction:
-    """The Prediction of "riemann_q_up" or "lplus_q" from terms(mu) ->
-    (p_term, hyp3f2_term).  At an integer mu the two terms' poles,
-    pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu), cancel, so
-    the sum is analytic there and equals its mean over a circle around mu
-    (the loops' Cauchy rule), of a quarter of the distance to the nearest
-    other singularity: the next integer, or a pole of Gamma(nu+mu+1) at
-    mu = -nu-1-k, k = 0, 1, ..."""
-    if not is_integer(mu):
-        t1, t2 = terms(mu)
-        return Prediction(t1 + t2, {"p_term": t1, "hyp3f2_term": t2}, conditions)
-    if is_nonpositive_integer(nu + mu + 1.0):
-        raise PoleError(f"Gamma(nu+mu+1) has a pole at (nu, mu) = ({nu}, {mu})")
-    to_pole = -nu - 1.0 - mu
-    radius = 0.25 * min(1.0, abs(to_pole - max(0, round(to_pole.real))))
-    val = _taylor_coefficients(lambda d: sum(terms(mu + d)), radius, 1)[0][0]
+# distance from an integer inside which ``_two_terms`` takes its circle mean:
+# the plain sum of the terms is 1e-7 off at 1e-7 away, 1e-12 at 1e-3
+_NEAR_INTEGER = 1e-2
+
+
+def _two_terms(terms, names, x, cancel, pole, *conditions) -> Prediction:
+    """The Prediction of the two terms terms(x), named ``names``.  Where
+    ``cancel`` is an integer their poles cancel, so the sum is analytic in x
+    there; within ``_NEAR_INTEGER`` of one it is the mean of the sum over a
+    circle around x (the loops' Cauchy rule).  ``cancel`` and ``pole``, a
+    (name, value) pair, move with x at unit rate, and the radius is a quarter
+    of the distance to the nearest other singularity: the next integer of
+    ``cancel``, or a pole where ``pole`` is 0, -1, -2, ..."""
+    if not is_integer(cancel, _NEAR_INTEGER):
+        t1, t2 = terms(x)
+        return Prediction(t1 + t2, dict(zip(names, (t1, t2))), conditions)
+    name, pole = pole
+    if is_nonpositive_integer(pole):
+        raise PoleError(f"the closed form has a pole at {name} = {pole.real:g}")
+    radius = 0.25 * min(1.0, abs(pole + max(0, round(-pole.real))))
+    val = _taylor_coefficients(lambda d: sum(terms(x + d)), radius, 1)[0][0]
     return Prediction(val, {"limit": val}, conditions)
 
 
@@ -137,25 +142,26 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "weyl_p_up":
-        wgt = zsq_minus_one_pow(z, -(mu + lam) / 2.0)
-        denom = sin_pi(nu - mu - lam)
-        t_p = sin_pi(nu - mu) * wgt * legendre_p(nu, mu + lam, z) / denom
-        t_q = (
-            -(2.0 / math.pi)
-            * sin_pi(nu)
-            * sin_pi(lam)
-            * cmath.exp(-1j * math.pi * (mu + lam))
-            * wgt
-            * legendre_q(nu, mu + lam, z)
-            / denom
-        )
-        return Prediction(
-            t_p + t_q,
-            {"p_term": t_p, "q_term": t_q},
-            (
-                _cond("Re(mu+lam-nu) > 0", (mu + lam - nu).real > 0),
-                _cond("Re nu > -1/2", nu.real > -0.5),
-            ),
+        def terms(lam):
+            wgt = zsq_minus_one_pow(z, -(mu + lam) / 2.0)
+            denom = sin_pi(nu - mu - lam)
+            t_p = sin_pi(nu - mu) * wgt * legendre_p(nu, mu + lam, z) / denom
+            t_q = (
+                -(2.0 / math.pi)
+                * sin_pi(nu)
+                * sin_pi(lam)
+                * cmath.exp(-1j * math.pi * (mu + lam))
+                * wgt
+                * legendre_q(nu, mu + lam, z)
+                / denom
+            )
+            return t_p, t_q
+
+        # the terms' poles at integer nu-mu-lam cancel; the circle runs in lam
+        return _two_terms(
+            terms, ("p_term", "q_term"), lam, nu - mu - lam, ("nu+mu+lam+1", nu + mu + lam + 1.0),
+            _cond("Re(mu+lam-nu) > 0", (mu + lam - nu).real > 0),
+            _cond("Re nu > -1/2", nu.real > -0.5),
         )
 
     if variant == "weyl_minus_q":
@@ -206,10 +212,10 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             )
             return t1, t2
 
-        return _q_prediction(
-            terms,
-            nu,
-            mu,
+        # pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu) cancel at
+        # integer mu; the circle keeps clear of the poles of Gamma(nu+mu+1)
+        return _two_terms(
+            terms, ("p_term", "hyp3f2_term"), mu, mu, ("nu+mu+1", nu + mu + 1.0),
             _cond("Re mu < 1", mu.real < 1),
             _cond("|1-z| < 2", abs(1.0 - z) < 2.0),
         )
@@ -349,7 +355,11 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
             t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
             return t1, t2
 
-        return _q_prediction(terms, nu, mu, _cond("Re mu < 1", mu.real < 1))
+        # as in "riemann_q_up"
+        return _two_terms(
+            terms, ("p_term", "hyp3f2_term"), mu, mu, ("nu+mu+1", nu + mu + 1.0),
+            _cond("Re mu < 1", mu.real < 1),
+        )
 
     if variant == "lminus_p":
         val = cpow(2.0, mu) * cpow(1.0 - x, -lam) * hyp3f2_family(nu, mu, lam, x)

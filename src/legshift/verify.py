@@ -8,12 +8,12 @@ parameter point; ``verify_grid`` aggregates a whole grid deterministically.
 function, in both the homogeneous and the inhomogeneous (lowered-order
 Riemann) variants.
 
-The quadrature sides are data over four contour recipes, each applied to an
-entry's weighted integrand W: the Weyl loop of W(z+t) around t = 0 and out to
-infinity; the semi-infinite Weyl integral of t**(lam-1) W(z+t); the
-Riemann-Liouville loop of W(z + (1-z) v) over (0, 1); and the n-fold repeated
-integral.  The Riemann-Liouville loop is the fractional integral of W from z
-to 1 up to the power of the segment length, which each finite entry states:
+The quadrature sides are data over two contour recipes, the two fractional
+operators of ``quadrature`` applied at some order to an entry's weighted
+integrand W: the Weyl integral of W(z+t) from t = 0 to infinity, and the
+Riemann-Liouville loop of W(z + (1-z) v) over (0, 1).  The
+Riemann-Liouville loop is the fractional integral of W from z to 1 up to the
+power of the segment length, which each finite entry states:
 (z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).  The Legendre and
 Ferrers integrands are ``legendre.weighted_evaluator`` and
 ``legendre.whipple_evaluator`` term lists, analytic through the branch point
@@ -27,11 +27,11 @@ beta); for BETA_CONTOUR mu carries the beta-function parameter sigma and nu
 is unused.  Multi-integral entries read the fold count n from lam.
 
 The integer steps are the fractional relations at lam = +/-n.  An n-fold
-integral is the fractional integral of order n, so each multi-integral entry
-takes the closed form of the fractional entry it specialises
-(``_integer_step``); at lam = n >= 0 the Weyl and Riemann-Liouville loops are
-n-th derivatives, the multi-derivative side of the same relations, and at
-lam = -n the Riemann-Liouville loops are n-fold integrals.
+integral is the fractional integral of order n (Cauchy's formula for
+repeated integration), so each multi-integral entry is the fractional entry
+it specialises, both sides, at one substitution (``_integer_step``); at
+lam = n >= 0 the Weyl and Riemann-Liouville loops are n-th derivatives, the
+multi-derivative side of the same relations.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ from .quadrature import (
     QuadratureResult,
     _taylor_coefficients,
     integrate_loop,
-    integrate_semi_infinite,
     integrate_weyl,
-    repeated_integral,
 )
 from .shifts import (
     Prediction,
@@ -158,7 +156,7 @@ def _check_fold(lam):
     return n
 
 
-# --- left-hand sides: four contour recipes ----------------------------------
+# --- left-hand sides: two contour recipes -----------------------------------
 #
 # A recipe integrates an entry's weighted integrand W at the point
 # p = _Point(nu, mu, lam, z), whose fields are complex; ``_recipe`` turns it
@@ -189,30 +187,18 @@ def _recipe(integrate):
 
 
 @_recipe
-def _weyl_loop(p, W, target, decay):
-    """Weyl loop of g(t) = W(z+t), split at t = 0.3 into its regularized
-    part and its tail, analytic for |t| < Re(z-1); |W| ~ t**(-decay) at
-    infinity."""
+def _weyl_loop(p, W, target, decay, order=None):
+    """Weyl integral of order ``order`` (lam when None) of g(t) = W(z+t),
+    (1/Gamma(-order)) * int_z^inf (V-z)**(-order-1) W(V) dV: at
+    Re order < -1/2 directly, otherwise split at t = 0.3 into the
+    regularized loop, g being analytic for |t| < Re(z-1), and its tail;
+    |W| ~ t**(-decay) at infinity."""
     z = p.z
     return integrate_weyl(
         lambda t: W(z + t),
-        p.lam,
+        p.lam if order is None else order,
         c=0.3,
         analyticity_radius=(z - 1.0).real,
-        decay_exponent=decay,
-        target=target,
-    )
-
-
-@_recipe
-def _semi_infinite_weyl(p, W, target, decay):
-    """Integral over (0, inf) of t**(lam-1) W(z+t), whose modulus falls
-    like t**(-decay) at infinity."""
-    z, e = p.z, p.lam - 1.0
-    return integrate_semi_infinite(
-        lambda t: cpow(t, e) * W(z + t),
-        0.0,
-        endpoint_exponent=p.lam.real - 1.0,
         decay_exponent=decay,
         target=target,
     )
@@ -235,15 +221,6 @@ def _riemann_loop(p, W, target, basepoint=0.0, order=None):
         basepoint_exponent=basepoint,
         target=target,
     )
-
-
-@_recipe
-def _repeated(p, W, target, variant, fold=None, endpoint=0.0):
-    """n-fold repeated integral of W over the ``variant`` interval (see
-    ``quadrature.repeated_integral``), n = ``fold`` or else the fold count
-    carried by lam; W has the power ``endpoint`` at the fixed endpoint."""
-    n = _check_fold(p.lam) if fold is None else fold
-    return repeated_integral(W, p.z, n, variant, endpoint_exponent=endpoint, target=target)
 
 
 def _on_cut(lhs):
@@ -347,25 +324,48 @@ def _closed_form(value, name, *conditions):
     return Prediction(value, {name: value}, conditions)
 
 
-def _integer_step(family, variant, sign, degree_step=False):
-    """The closed form of the fractional entry a multi-integral entry
-    specialises: ``_shift(family, variant)`` at lam = sign*n, n being the
-    fold count carried by lam, and at degree nu+n when ``degree_step``.  An
-    n-fold integral is the fractional integral of order n.  The parent's
-    conditions are labelled with the substitution, and the argument's range
-    is added."""
-    parent = _shift(family, variant)
-    at = "(nu, lam) = (nu+n, -n)" if degree_step else ("lam = n" if sign > 0 else "lam = -n")
+# the substitutions of the multi-integral entries: name -> (nu, n) -> the
+# parent's (nu, lam), n being the fold count lam carries
+_SUBSTITUTIONS = {
+    "lam = n": lambda nu, n: (nu, n),
+    "lam = -n": lambda nu, n: (nu, -n),
+    "(nu, lam) = (nu+n, -n)": lambda nu, n: (complex(nu) + n, -n),
+}
+
+
+def _integer_step(parent, at=None, domain=None):
+    """Both sides of a multi-integral entry: those of the fractional entry
+    ``parent`` at the substitution named ``at``, whose conditions it lists
+    labelled with ``at``, plus ``domain``, the argument's range as
+    (description, test of Re z).  An n-fold integral is the fractional
+    integral of order n.  With ``at`` None the fold count is the integer
+    degree nu and the parent is taken at the same point."""
+
+    def point(nu, mu, lam, z):
+        if at is None:
+            _check_fold(nu)
+            return nu, mu, lam, z
+        nu, lam = _SUBSTITUTIONS[at](nu, _check_fold(lam))
+        return nu, mu, lam, z
+
+    def lhs(nu, mu, lam, z, target):
+        return get_identity(parent).lhs(*point(nu, mu, lam, z), target)
 
     def rhs(nu, mu, lam, z):
-        n = _check_fold(lam)
-        pred = parent(complex(nu) + n if degree_step else nu, mu, sign * n, z)
-        x = complex(z).real
-        domain = ("-1 < x < 1", -1.0 < x < 1.0) if family == "ferrers" else ("z > 1", x > 1.0)
-        conditions = tuple((f"{desc} at {at}", ok) for desc, ok in pred.conditions)
-        return Prediction(pred.value, pred.terms, conditions + (domain,))
+        pred = get_identity(parent).rhs(*point(nu, mu, lam, z))
+        if at is None:
+            return pred
+        desc, inside = domain
+        conditions = tuple((f"{d} at {at}", ok) for d, ok in pred.conditions)
+        return Prediction(
+            pred.value, pred.terms, conditions + ((desc, inside(complex(z).real)),)
+        )
 
-    return rhs
+    return {"lhs": lhs, "rhs": rhs}
+
+
+_ABOVE_ONE = ("z > 1", lambda x: x > 1.0)
+_ON_CUT = ("-1 < x < 1", lambda x: -1.0 < x < 1.0)
 
 
 def _rhs_rodrigues(part):
@@ -437,10 +437,8 @@ def _build_catalog():
                 "Q_nu^mu(z+t) = e^(i pi lam) (z^2-1)^(-(mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_semi_infinite_weyl(
-                _mplus("q"),
-                decay=lambda p: (p.nu + p.mu + 1.0 - (p.lam - 1.0)).real,
-                scale=lambda p: rgamma(p.lam),
+            lhs=_weyl_loop(
+                _mplus("q"), decay=lambda p: (p.nu + p.mu + 1.0).real, order=lambda p: -p.lam
             ),
             rhs=_shift("order", "weyl_q_down"),
         ),
@@ -560,8 +558,7 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.2, "mu": 0.5, "lam": 2, "z": 2.4},
             ),
-            lhs=_repeated(_mplus("q"), variant="to_infinity"),
-            rhs=_integer_step("order", "weyl_q_down", 1),
+            **_integer_step("WEYL_MPLUS_Q", "lam = n", _ABOVE_ONE),
         ),
         IdentityEntry(
             id="MULTI_INT_MMINUS",
@@ -582,8 +579,7 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 2.4, "mu": -0.2, "lam": 2, "z": 2.0},
             ),
-            lhs=_repeated(_mminus("q"), variant="to_infinity", scale=lambda p: (-1.0) ** p.lam.real),
-            rhs=_integer_step("order", "weyl_minus_q", -1),
+            **_integer_step("WEYL_MMINUS_Q", "lam = -n", _ABOVE_ONE),
         ),
         IdentityEntry(
             id="MULTI_INT_K3",
@@ -604,12 +600,7 @@ def _build_catalog():
                 {"nu": 1.6, "mu": 0.3, "lam": 2, "z": 1.7},
                 {"nu": 0.8, "mu": -0.25, "lam": 2, "z": 2.2},
             ),
-            lhs=_repeated(
-                lambda p: whipple_evaluator("q", p.nu + p.lam, p.mu, -(p.nu + p.lam + 1.0) / 2.0),
-                variant="to_infinity",
-                scale=lambda p: (-1.0) ** p.lam.real,
-            ),
-            rhs=_integer_step("degree", "k3_up_q", -1, degree_step=True),
+            **_integer_step("K3_WEYL_Q", "(nu, lam) = (nu+n, -n)", _ABOVE_ONE),
         ),
         IdentityEntry(
             id="MULTI_INT_P3",
@@ -629,8 +620,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": 0.15, "lam": 2, "z": 1.7},
                 {"nu": 0.6, "mu": -0.3, "lam": 2, "z": 2.1},
             ),
-            lhs=_repeated(_p3("q"), variant="from_one", endpoint=lambda p: p.nu.real + 0.5),
-            rhs=_integer_step("degree", "p3_riemann_q", -1),
+            **_integer_step("P3_RIEMANN_Q", "lam = -n", _ABOVE_ONE),
         ),
         IdentityEntry(
             id="MULTI_INT_LPLUS",
@@ -649,8 +639,7 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.3, "lam": 2, "z": 0.3},
                 {"nu": 1.3, "mu": -0.4, "lam": 2, "z": -0.2},
             ),
-            lhs=_on_cut(_repeated(_mplus("ferrers_p"), variant="to_one", endpoint=_minus_re_mu)),
-            rhs=_integer_step("ferrers", "lplus_p", -1),
+            **_integer_step("FERRERS_LPLUS_P", "lam = -n", _ON_CUT),
         ),
         IdentityEntry(
             id="MULTI_INT_RODRIGUES",
@@ -670,13 +659,7 @@ def _build_catalog():
                 {"nu": 2, "mu": 0.3, "lam": -0.2, "z": 0.35},
                 {"nu": 2, "mu": -0.35, "lam": 0.45, "z": -0.3},
             ),
-            lhs=_repeated(
-                _jacobi_weighted,
-                variant="to_one",
-                fold=lambda p: _check_fold(p.nu),
-                endpoint=lambda p: p.mu.real,
-            ),
-            rhs=_rhs_rodrigues(1),
+            **_integer_step("RODRIGUES_INVERSE"),
         ),
         IdentityEntry(
             id="K3_WEYL_P",

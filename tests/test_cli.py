@@ -272,6 +272,27 @@ def test_sweep_identity_through_integer_order():
     assert [r[-1] for r in rows[1:]] == ["True"] * 3
 
 
+def test_sweep_identity_names_the_missing_flags():
+    code, out, err = run_cli(
+        ["sweep", "--id", "WEYL_MPLUS_P", "--nu", "0.35", "--lam", "1.1:1.3:3"]
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "missing --mu --z" in err
+
+
+def test_sweep_identity_across_an_integer_nu_minus_mu_minus_lam():
+    # lam = 1.2000000000000002 puts nu-mu-lam within 3e-16 of -1, where
+    # weyl_p_up's two terms divide by sin(pi(nu-mu-lam)) ~ 0 and cancel
+    code, out, err = run_cli(
+        ["sweep", "--id", "WEYL_MPLUS_P", "--nu", "0.35", "--mu", "0.15",
+         "--lam", "1.1:1.3:3", "--z", "1.6"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[-1] for r in rows] == ["True"] * 3
+    assert max(float(r[-2]) for r in rows) <= 1e-12
+
+
 def test_sweep_requires_exactly_one_axis():
     code, _out, _err = run_cli(
         ["sweep", "--fn", "P", "--nu", "0.1:0.9:3", "--mu", "0.1:0.9:3", "--z", "2.0"]
@@ -384,3 +405,6 @@ def test_verify_all_defaults_matches_the_catalog_snapshot():
         lhs_old, lhs_new = (complex(r["lhs_re"], r["lhs_im"]) for r in (old, new))
         bound = max(1e-12 * abs(lhs_old), old["quad_err"])
         assert abs(lhs_new - lhs_old) <= bound, key(old)
+    # the quadrature work: 12,641 evaluations in the snapshot, 13,161 once the
+    # multi-integral entries took their parents' recipes
+    assert sum(r["evaluations"] or 0 for r in reports) <= 13161

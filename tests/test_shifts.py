@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from legshift.complexfn import cpow, gamma, zsq_minus_one_pow
-from legshift.errors import DomainError, NumericalError
+from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.legendre import ferrers_p, legendre_p, legendre_q
 from legshift.shifts import (
     Prediction,
@@ -92,6 +92,20 @@ def test_weyl_p_up_integer_order_drops_q_term():
     assert pred.terms["q_term"] == 0.0
     rec = apply_integer_recurrence("MPLUS", nu, mu, z, n=2, kind="p")
     assert abs(pred.value - rec.value) <= 1e-12 * abs(rec.value)
+
+
+def test_weyl_p_up_at_integer_nu_minus_mu_minus_lam():
+    # sin(pi(nu-mu-lam)) = 0 divides both terms; their poles cancel and the
+    # value is the circle mean in lam, continuous across the integer
+    nu, mu, z = 0.35, 0.15, 1.6
+    at = predict_order_shift(nu, mu, 1.2, z, "weyl_p_up").value
+    below, above = (
+        predict_order_shift(nu, mu, 1.2 + d, z, "weyl_p_up").value for d in (-0.0101, 0.0101)
+    )
+    assert abs((below + above) / 2 - at) <= 1e-4 * abs(at)
+    # where Q_nu^(mu+lam) has its pole as well, nothing cancels it
+    with pytest.raises(PoleError):
+        predict_order_shift(-0.5, 0.25, -0.75, 2.0, "weyl_p_up")
 
 
 def test_weyl_minus_coefficient_semigroup():

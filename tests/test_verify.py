@@ -339,21 +339,53 @@ def test_weyl_loop_at_integer_order_is_the_multi_derivative(identity):
         ("MULTI_INT_RODRIGUES", "RODRIGUES_INVERSE", lambda p, n: p),
     ],
 )
-def test_multi_integral_entries_are_their_fractional_parents(multi, parent, at):
-    # the n-fold integral is the parent's fractional integral of order n: the
-    # closed forms are one, and the repeated integral meets the parent's own
-    # recipe (the Weyl loop at lam = -n, the semi-infinite Weyl integral, the
-    # Riemann-Liouville loop at lam = -n) within the two estimates, and the
-    # Weyl recipes to 1e-12 as well
-    rel = 1e-12 if "WEYL" in parent else math.inf
+def test_multi_integral_entries_are_their_parents_at_the_substitution(multi, parent, at):
+    # the n-fold integral is the parent's fractional integral of order n:
+    # both sides are the parent's, bit for bit
     for p in get_identity(multi).default_grid:
         rep = verify_identity(multi, **p)
         par = verify_identity(parent, **at(p, p["lam"]))
         assert rep.passed and par.passed, (p, rep.rel_err, par.rel_err)
-        assert rep.rhs.value == par.rhs.value
-        diff = abs(rep.lhs.value - par.lhs.value)
-        assert diff <= rep.lhs.err_estimate + par.lhs.err_estimate, (p, diff)
-        assert diff <= rel * abs(par.lhs.value), p
+        assert rep.rhs.value == par.rhs.value, p
+        assert rep.lhs.value == par.lhs.value, p
+
+
+def _cauchy_oracle(integrand, a, b):
+    """30-digit mpmath.quad of an integrand over (a, b)."""
+    with mpmath.workdps(30):
+        return complex(mpmath.quad(integrand, [a, b]))
+
+
+@pytest.mark.parametrize(
+    "multi,point,oracle",
+    [
+        # n = 2 in Cauchy's kernel (u - z)**(n-1)/(n-1)! over (z, inf)
+        ("MULTI_INT_MPLUS", (1.6, 0.3, 2, 1.7), lambda nu, mu, z: _cauchy_oracle(
+            lambda u: (u - z) * (u * u - 1) ** (-mu / 2) * mpmath.legenq(nu, mu, u, type=3),
+            z, mpmath.inf,
+        )),
+        # (y - u) over (1, y), Q at u/sqrt(u^2-1)
+        ("MULTI_INT_P3", (0.35, 0.15, 2, 1.7), lambda nu, mu, y: _cauchy_oracle(
+            lambda u: (y - u) * (u * u - 1) ** (nu / 2)
+            * mpmath.legenq(nu, mu, u / mpmath.sqrt(u * u - 1), type=3),
+            1, y,
+        )),
+        # (u - x) over (x, 1), Ferrers P
+        ("MULTI_INT_LPLUS", (0.45, 0.3, 2, 0.3), lambda nu, mu, x: _cauchy_oracle(
+            lambda u: (u - x) * (1 - u * u) ** (-mu / 2) * mpmath.legenp(nu, mu, u, type=2),
+            x, 1,
+        )),
+    ],
+    ids=("MULTI_INT_MPLUS", "MULTI_INT_P3", "MULTI_INT_LPLUS"),
+)
+def test_multi_integral_lhs_meets_the_repeated_integral_oracle(multi, point, oracle):
+    # an independent check of the n-fold integral, not through the parent
+    nu, mu, n, z = point
+    assert {"nu": nu, "mu": mu, "lam": n, "z": z} in get_identity(multi).default_grid
+    with mpmath.workdps(30):
+        exact = oracle(mpmath.mpf(str(nu)), mpmath.mpf(str(mu)), mpmath.mpf(str(z)))
+    lhs = verify_identity(multi, *point).lhs.value
+    assert abs(lhs - exact) <= 1e-10 * abs(exact), (lhs, exact)
 
 
 def test_multi_integral_conditions_name_their_substitution():
@@ -379,6 +411,34 @@ def test_q_closed_forms_at_integer_mu(identity):
             rep = verify_identity(identity, **dict(p, mu=mu))
             assert rep.validity and rep.passed, (p, mu, rep.failed_conditions, rep.rel_err)
             assert rep.abs_err <= rep.lhs.err_estimate, (p, mu, rep.abs_err)
+
+
+def test_weyl_mplus_q_next_to_order_zero():
+    # as lam -> 0+ the integrand t**(lam-1) W(z+t) approaches t**-1, which
+    # exp-sinh cannot resolve at t -> 0; the Weyl operator at order -lam > -1/2
+    # takes the regularized loop plus its tail instead
+    grid = get_identity("WEYL_MPLUS_Q").default_grid
+    points = [(nu, mu, z) for nu in (0.7, 1.5, 2.3) for mu in (0.2, 0.6) for z in (1.5, 3.0)]
+    assert {(p["nu"], p["mu"], p["z"]) for p in grid} <= set(points)
+    for lam in (0.01, 0.05):
+        for nu, mu, z in points:
+            rep = verify_identity("WEYL_MPLUS_Q", nu, mu, lam, z)
+            assert rep.validity and rep.passed, (nu, mu, lam, z, rep.rel_err)
+            assert rep.abs_err <= rep.lhs.err_estimate, (nu, mu, lam, z, rep.abs_err)
+
+
+@pytest.mark.parametrize(
+    "point", [(0.35, 0.15, 1.2, 1.6), (0.85, 0.15, 1.7, 2.4), (0.35, -0.2, 1.55, 2.4), (0.85, -0.2, 2.05, 1.6)]
+)
+def test_weyl_mplus_p_at_integer_nu_minus_mu_minus_lam(point):
+    # both terms of the closed form divide by sin(pi(nu-mu-lam)); their poles
+    # cancel, and the circle mean in lam meets the Weyl loop, on the integer
+    # and next to it, where the plain sum of the two terms cancels
+    nu, mu, lam, z = point
+    for d in (0.0, 2.2e-16, 1e-7, -1e-5):
+        rep = verify_identity("WEYL_MPLUS_P", nu, mu, lam + d, z)
+        assert rep.validity and rep.rel_err <= 1e-12, (d, rep.rel_err)
+        assert rep.abs_err <= rep.lhs.err_estimate, (d, rep.abs_err)
 
 
 def test_semi_infinite_estimate_carries_the_tail_past_the_last_node():

@@ -107,7 +107,7 @@ def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
 
 def sin_pi(z) -> complex:
     """sin(pi*z) with argument reduction; exact 0 at integers, exact +/-1 at
-    half-integers."""
+    half-integers.  NumericalError past double range, at |Im z| > ~226."""
     z = _as_complex(z)
     # reduce to the nearest integer: r = Re z - n is exact and in [-1/2, 1/2],
     # so a point just off an integer keeps its relative accuracy
@@ -122,7 +122,33 @@ def sin_pi(z) -> complex:
     if z.imag == 0.0:
         return complex(sign * s if r else 0.0, 0.0)
     y = math.pi * z.imag
-    return complex(sign * s * math.cosh(y), sign * c * math.sinh(y))
+    try:
+        return complex(sign * s * math.cosh(y), sign * c * math.sinh(y))
+    except OverflowError:
+        raise NumericalError(f"sin(pi z) overflows double range at z = {z}") from None
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """A logarithm of sin(pi*z), on any branch: the log of ``sin_pi`` where
+    that is in range.  Past it, |Im z| > 226, sin(pi r) = (s i/2) e^(-s i pi r)
+    to double precision, r = z - n, n = round(Re z), s the sign of Im z."""
+    try:
+        return cmath.log(sin_pi(z))
+    except NumericalError:
+        pass
+    n = round(z.real)
+    s = math.copysign(1.0, z.imag)
+    w = math.pi * complex(z.real - n, z.imag)
+    # (-1)**n = exp(i pi n), with n taken mod 2
+    return complex(math.log(0.5), s * 0.5 * math.pi + (math.pi if n % 2 else 0.0)) - s * 1j * w
+
+
+def _exp(w: complex, what: str) -> complex:
+    """exp(w); NumericalError naming ``what`` past double range."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise NumericalError(f"{what} overflows double range: exp({w:.6g})") from None
 
 
 def cos_pi(z) -> complex:
@@ -143,8 +169,9 @@ def _ln_gamma_right(z: complex) -> complex:
 def ln_gamma(z) -> complex:
     """Log-gamma with exp(ln_gamma(z)) = Gamma(z).
 
-    Lanczos approximation for Re z >= 0.5, reflection elsewhere.  Raises
-    PoleError at nonpositive integers.
+    Lanczos approximation for Re z >= 0.5, reflection elsewhere, whose
+    sin(pi z) is taken in log form past double range.  Raises PoleError at
+    nonpositive integers.
     """
     z = _as_complex(z)
     if is_nonpositive_integer(z, tol=0.0):
@@ -152,23 +179,27 @@ def ln_gamma(z) -> complex:
     if z.real >= 0.5:
         return _ln_gamma_right(z)
     # Gamma(z) = pi / (sin(pi z) Gamma(1-z))
-    return cmath.log(math.pi) - cmath.log(sin_pi(z)) - _ln_gamma_right(1.0 - z)
+    return cmath.log(math.pi) - _log_sin_pi(z) - _ln_gamma_right(1.0 - z)
 
 
 def gamma(z) -> complex:
-    """Gamma(z) = exp(ln_gamma(z))."""
-    return cmath.exp(ln_gamma(z))
+    """Gamma(z) = exp(ln_gamma(z)); NumericalError past double range."""
+    return _exp(ln_gamma(z), "Gamma")
 
 
 def rgamma(z) -> complex:
-    """1/Gamma(z); entire, exactly 0 at nonpositive integers."""
+    """1/Gamma(z); entire, exactly 0 at nonpositive integers; NumericalError
+    past double range."""
     z = _as_complex(z)
     if is_nonpositive_integer(z, tol=0.0):
         return complex(0.0, 0.0)
     if z.real >= 0.5:
-        return cmath.exp(-_ln_gamma_right(z))
+        return _exp(-_ln_gamma_right(z), "1/Gamma")
     # 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z); stable near the poles
-    return sin_pi(z) / math.pi * cmath.exp(_ln_gamma_right(1.0 - z))
+    try:
+        return sin_pi(z) / math.pi * cmath.exp(_ln_gamma_right(1.0 - z))
+    except (OverflowError, NumericalError):  # a factor is out of range: the log form
+        return _exp(_log_sin_pi(z) - cmath.log(math.pi) + _ln_gamma_right(1.0 - z), "1/Gamma")
 
 
 def gamma_ratio(numerators, denominators) -> complex:
@@ -206,7 +237,7 @@ def gamma_ratio(numerators, denominators) -> complex:
         acc += ln_gamma(a)
     for b in den_reg:
         acc -= ln_gamma(b)
-    value = sign * cmath.exp(acc)
+    value = sign * _exp(acc, "gamma ratio")
     for b in extra_den_poles:
         value *= rgamma(b)  # 0 at an exact pole; tiny near one
     return value

@@ -56,6 +56,9 @@ _3F2_SERIES_RADIUS = 0.9
 # at its zero is right to that absolute precision.  Measured errors of
 # Ferrers polynomials with n <= 12 sit 10 to 300 times below the bound
 _POLYNOMIAL_REL_BOUND = 1e-6
+# past this degree n * eps > _POLYNOMIAL_REL_BOUND, so the bound fails whatever
+# the terms, sum|term| being >= max(|sum|, 1): about 4.5e9
+_MAX_POLYNOMIAL_DEGREE = _POLYNOMIAL_REL_BOUND / sys.float_info.epsilon
 
 
 def _series_reach(a, b, c):
@@ -88,8 +91,9 @@ class _Series:
         A term is negligible when |term| <= 1e-16 |total|.  Since |total| <=
         sum|term|, the running sum of |term| rules most terms out first and
         |total| is taken only for the rest: the same decision, one add a
-        term.  A sum that has overflowed by the term cap raises
-        NumericalError, any other that has not stopped ConvergenceError."""
+        term.  A sum that has overflowed, by the term cap or in |term|,
+        raises NumericalError, any other that has not stopped
+        ConvergenceError."""
         a, b, c = self.a, self.b, self.c
         ratios = self._ratios
         n = len(ratios)
@@ -97,22 +101,25 @@ class _Series:
         term = 1.0 + 0.0j
         size = 1.0  # sum of |term|
         small = 0
-        for k in range(_MAX_SERIES_TERMS):
-            if k < n:
-                r = ratios[k]
-            else:
-                r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-                ratios.append(r)
-            term *= r * w
-            total += term
-            t = abs(term)
-            size += t
-            if t <= 1e-16 * size and t <= 1e-16 * abs(total):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
+        try:
+            for k in range(_MAX_SERIES_TERMS):
+                if k < n:
+                    r = ratios[k]
+                else:
+                    r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+                    ratios.append(r)
+                term *= r * w
+                total += term
+                t = abs(term)
+                size += t
+                if t <= 1e-16 * size and t <= 1e-16 * abs(total):
+                    small += 1
+                    if small >= 3:
+                        return total
+                else:
+                    small = 0
+        except OverflowError:  # abs(term) past double range
+            total = complex(math.inf)
         if not cmath.isfinite(total):
             raise NumericalError(f"2F1 series overflows double range at |w| = {abs(w):.3f}")
         raise ConvergenceError(
@@ -122,19 +129,32 @@ class _Series:
     def polynomial(self, w, n):
         """The first n+1 terms: the whole sum when the series terminates at
         w**n.  NumericalError when the sum overflows or cancels past
-        ``_POLYNOMIAL_REL_BOUND``."""
+        ``_POLYNOMIAL_REL_BOUND``, up front past ``_MAX_POLYNOMIAL_DEGREE``.
+        The sum stops at a term that is non-finite, after which the sum is,
+        or that has underflowed to 0, after which every term is."""
+        if n > _MAX_POLYNOMIAL_DEGREE:
+            raise NumericalError(f"2F1 polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
         a, b, c = self.a, self.b, self.c
         ratios = self._ratios
-        ratios.extend(
-            (a + k) * (b + k) / ((c + k) * (1.0 + k)) for k in range(len(ratios), n)
-        )
+        cached = len(ratios)
         total = 1.0 + 0.0j
         term = 1.0 + 0.0j
         size = 1.0  # sum of |term|
-        for r in ratios[:n]:
-            term *= r * w
-            total += term
-            size += abs(term)
+        try:
+            for k in range(n):
+                if k < cached:
+                    r = ratios[k]
+                else:
+                    r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+                    ratios.append(r)
+                term *= r * w
+                total += term
+                t = abs(term)
+                size += t
+                if not 0.0 < t < math.inf:
+                    break
+        except OverflowError:  # abs(term) past double range
+            total = complex(math.inf)
         if not cmath.isfinite(total):
             raise NumericalError(
                 f"terminating 2F1 polynomial of degree {n} overflows at |w| = {abs(w):.3g}"
@@ -313,7 +333,7 @@ class _Gauss(_Series):
             return self.polynomial(w, self._n_term)
         return self.sum(w)
 
-    def direct(self, w):
+    def direct(self, w, wc=None):
         """The defining series wherever it stops within the term cap
         (``_series_reach``), __call__ beyond: for arguments near w = 1 where
         the two terms of the 1-w image would cancel."""
@@ -323,9 +343,11 @@ class _Gauss(_Series):
             # a polynomial or a c-pole goes to __call__, which handles both
             plain = self._n_term is None and not self._c_pole
             self._reach = _series_reach(self.a, self.b, self.c) if plain else 0.0
-        return self.series(w) if abs(w) <= self._reach else self(w)
+        return self.series(w) if abs(w) <= self._reach else self(w, wc)
 
-    def __call__(self, w):
+    def __call__(self, w, wc=None):
+        """2F1 at w; ``wc`` is 1 - w when the caller has it exactly, and the
+        images in 1 - w then take it in place of 1 - w formed from w."""
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
@@ -336,7 +358,7 @@ class _Gauss(_Series):
                     "the series does not terminate"
                 )
             if abs(w) > _SERIES_RADIUS:
-                return self._continue(w)
+                return self._continue(w, wc)
             return self.sum(w)
         return self.polynomial(w, self._n_term)
 
@@ -369,19 +391,20 @@ class _Gauss(_Series):
             )
         return pair
 
-    def _continue(self, w):
+    def _continue(self, w, wc):
         a, b, c = self.a, self.b, self.c
-        if w == 1.0:
+        one_minus = 1.0 - w if wc is None else wc
+        if one_minus == 0:
             # Gauss's sum, where the series converges
             if (c - a - b).real <= 0.0:
                 raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
             return gamma_ratio([c, c - a - b], [c - a, c - b])
         candidates = []  # (modulus, key)
-        candidates.append((abs(w / (w - 1.0)), "pfaff"))
-        candidates.append((abs(1.0 - w), "one_minus"))
+        candidates.append((abs(w / one_minus), "pfaff"))
+        candidates.append((abs(one_minus), "one_minus"))
         candidates.append((abs(1.0 / w), "recip"))
         candidates.append((abs(1.0 - 1.0 / w), "one_minus_recip"))
-        candidates.append((abs(1.0 / (1.0 - w)), "recip_one_minus"))
+        candidates.append((abs(1.0 / one_minus), "recip_one_minus"))
         degenerate = self._degenerate
         if degenerate is None:
             cab_int = is_integer(c - a - b)
@@ -406,33 +429,33 @@ class _Gauss(_Series):
             # since ranking the images of w/(w-1) again could map back to w
             if self._pfaff is None:
                 self._pfaff = _Gauss(a, c - b, c)
-            return cpow(1.0 - w, -a) * self._pfaff.series(w / (w - 1.0))
+            return cpow(one_minus, -a) * self._pfaff.series(w / (w - 1.0))
 
         if degenerate[key]:
             # integer c-a-b: shift c off the lattice; integer a-b: shift a
             plus, minus = self._nudge(
                 "c" if key in ("one_minus", "one_minus_recip") else "a"
             )
-            return 0.5 * (plus(w) + minus(w))
+            return 0.5 * (plus(w, wc) + minus(w, wc))
 
         g1, s1, g2, s2 = self._image(key)
         if key == "one_minus":
-            u = 1.0 - w
+            u = one_minus
             return g1 * s1.sum(u) + g2 * cpow(u, c - a - b) * s2.sum(u)
         if key == "recip":
             u = 1.0 / w
             return g1 * cpow(-w, -a) * s1.sum(u) + g2 * cpow(-w, -b) * s2.sum(u)
         if key == "recip_one_minus":
-            u = 1.0 / (1.0 - w)
+            u = 1.0 / one_minus
             return (
-                g1 * cpow(1.0 - w, -a) * s1.sum(u)
-                + g2 * cpow(1.0 - w, -b) * s2.sum(u)
+                g1 * cpow(one_minus, -a) * s1.sum(u)
+                + g2 * cpow(one_minus, -b) * s2.sum(u)
             )
         # key == "one_minus_recip"
-        u = 1.0 - 1.0 / w
+        u = 1.0 - 1.0 / w if wc is None else -wc / w
         return (
             g1 * cpow(w, -a) * s1.sum(u)
-            + g2 * cpow(w, a - c) * cpow(1.0 - w, c - a - b) * s2.sum(u)
+            + g2 * cpow(w, a - c) * cpow(one_minus, c - a - b) * s2.sum(u)
         )
 
 

@@ -76,7 +76,7 @@ from .complexfn import (
     rgamma,
 )
 from .errors import DomainError, NumericalError, PoleError
-from .hyper import _c_limit, _canonical as _prepared_2f1
+from .hyper import _MAX_POLYNOMIAL_DEGREE, _c_limit, _canonical as _prepared_2f1
 
 __all__ = [
     "legendre_p",
@@ -145,25 +145,33 @@ class _TermSum:
             hyp.append((coef, ev))
         return hyp[n]
 
-    def value(self, z):
-        """S at z: the order-0 sum."""
+    def value(self, z, zc=None):
+        """S at z: the order-0 sum.  ``zc`` is 1 - z, when the caller has it
+        exactly; the factor (z-1)**p or (1-x)**p, w = (1-z)/2 and the 1 - w of
+        the "sq" and "inv" maps are then taken from it, not from z."""
+        one_minus = 1.0 - z if zc is None else zc
         if self._ferrers:
-            zm, zp = 1.0 - z, 1.0 + z
+            zm, zp = one_minus, 1.0 + z
         else:
-            zm, zp = z - 1.0, z + 1.0
+            zm, zp = z - 1.0 if zc is None else -zc, z + 1.0
         total = 0.0 + 0.0j
         for (K, p, q, _a, _b, _c, wmap, r), hyp in zip(self._terms, self._hyp):
             pf = cpow(zm, p) * cpow(zp, q)
+            wc = None
             if wmap == "half":
-                w = (1.0 - z) / 2.0
+                w = one_minus / 2.0
             elif wmap == "sq":
                 if r:
                     pf *= z
                 w = z * z
+                if zc is not None:
+                    wc = zm * zp
             else:
                 pf *= cpow(z, r)
                 w = 1.0 / (z * z)
-            total += K * (pf * hyp[0](w))
+                if zc is not None:
+                    wc = zm * zp * w
+            total += K * (pf * hyp[0](w, wc))
         return total
 
     def __call__(self, z, order):
@@ -344,8 +352,10 @@ def legendre_evaluator(kind, nu, mu):
 
 
 def weighted_evaluator(kind, nu, mu, s):
-    """v -> (v**2-1)**s F_nu^mu(v), or (1-v**2)**s F_nu^mu(v) for the Ferrers
-    kinds, for the ``legendre_evaluator`` kinds.
+    """(v, vc=None) -> (v**2-1)**s F_nu^mu(v), or (1-v**2)**s F_nu^mu(v) for
+    the Ferrers kinds, for the ``legendre_evaluator`` kinds.  ``vc`` is
+    1 - v, exact, as a quadrature node next to v = 1 has it: the weight's
+    power of v-1 and the series' singular part there are taken from it.
 
     The weight is carried by the term exponents, so v may be any complex
     point where the term list converges; there is no cut or range check.
@@ -356,8 +366,9 @@ def weighted_evaluator(kind, nu, mu, s):
 
 
 def whipple_evaluator(kind, nu, mu, s):
-    """y -> (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)) for F = P ("p") or Q ("q"),
-    from the Whipple image at degree -mu-1/2 and order -nu-1/2:
+    """(y, yc=None) -> (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)) for F = P ("p")
+    or Q ("q"), yc being an exact 1 - y as for ``weighted_evaluator``, from
+    the Whipple image at degree -mu-1/2 and order -nu-1/2:
 
         P_nu^mu(y/sqrt(y**2-1)) = exp(i pi (nu+1/2)) sqrt(2/pi) / Gamma(-nu-mu)
                                       * (y**2-1)**(1/4) Q_{-mu-1/2}^{-nu-1/2}(y),
@@ -377,7 +388,7 @@ def whipple_evaluator(kind, nu, mu, s):
     else:
         raise DomainError(f"Whipple images exist for kinds 'p' and 'q', not {kind!r}")
     f = weighted_evaluator("q" if kind == "p" else "p", -mu - 0.5, -nu - 0.5, s + 0.25)
-    return lambda y: K * f(y)
+    return lambda y, yc=None: K * f(y, yc)
 
 
 def jacobi_evaluator(nu, alpha, beta):
@@ -387,26 +398,27 @@ def jacobi_evaluator(nu, alpha, beta):
     (at degree 30 and z = 0 its terms reach 2.5e15), so the polynomial comes
     from its three-term recurrence in the degree (DLMF 18.9.1-2) wherever no
     coefficient of it vanishes, that is unless alpha+beta is an integer <= -2.
+    Past the degree where the polynomial's rounding bound fails whatever its
+    terms (``hyper._MAX_POLYNOMIAL_DEGREE``) it raises NumericalError.
     """
     check_finite(nu, alpha, beta)
     nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
     s = alpha + beta
     if is_nonpositive_integer(-nu) and not (is_integer(s) and s.real < -1.5):
         n = round(nu.real)
-        steps = []  # P_(k+1) = (a z + b) P_k - c P_(k-1)
-        for k in range(1, n):
-            d = 2.0 * (k + 1.0) * (k + s + 1.0) * (2.0 * k + s)
-            e = (2.0 * k + s + 1.0) / d
-            steps.append((
-                e * (2.0 * k + s + 2.0) * (2.0 * k + s),
-                e * (alpha - beta) * s,
-                2.0 * (k + alpha) * (k + beta) * (2.0 * k + s + 2.0) / d,
-            ))
+        if n > _MAX_POLYNOMIAL_DEGREE:
+            raise NumericalError(f"Jacobi polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
 
         def recurrence(z):
             z = complex(z)
             p0, p1 = 1.0 + 0.0j, ((s + 2.0) * z + alpha - beta) / 2.0
-            for a, b, c in steps:
+            for k in range(1, n):
+                # P_(k+1) = (a z + b) P_k - c P_(k-1)
+                d = 2.0 * (k + 1.0) * (k + s + 1.0) * (2.0 * k + s)
+                e = (2.0 * k + s + 1.0) / d
+                a = e * (2.0 * k + s + 2.0) * (2.0 * k + s)
+                b = e * (alpha - beta) * s
+                c = 2.0 * (k + alpha) * (k + beta) * (2.0 * k + s + 2.0) / d
                 p0, p1 = p1, (a * z + b) * p1 - c * p0
             return p1 if n else p0
 

@@ -3,11 +3,7 @@
 Three primitives drive every numeric evaluation in the identity layer:
 
 * ``integrate_segment``: tanh-sinh rule on a finite segment, tolerant of
-  integrable endpoint singularities (declared exponent > -1).  Nodes whose
-  position rounds to within 64 ulp of an endpoint are not evaluated: they
-  take the declared power law through the closest evaluated sample, which
-  keeps the trapezoid sums converging double-exponentially, and 5% of
-  their mass joins the error estimate;
+  integrable endpoint singularities (declared exponent > -1);
 * ``integrate_semi_infinite``: exp-sinh rule on (a, inf) for integrands with
   an integrable singularity at ``a`` and algebraic decay faster than 1/t;
 * ``integrate_loop``: the Riemann-Liouville operator on (0, c),
@@ -24,6 +20,17 @@ Three primitives drive every numeric evaluation in the identity layer:
 ``integrate_weyl`` is the same operator on (0, inf), the Weyl integral:
 exp-sinh directly for Re lam < -1/2, otherwise the loop on (0, c) plus its
 tail.  ``repeated_integral`` is either operator at lam = -n.
+
+Both rules are the plain double-exponential trapezoid sum of Takahasi and
+Mori (1974), run by one level loop; they differ only in their node maps.
+The mass past the outermost node of each side, from the declared power law
+there, joins the estimate, not the value.  Every integrand is called as f(x, xc),
+xc being the node's offset from the endpoint it is measured from: b - x on
+a segment, a - t on the half-line.  The rules form it from the node map
+itself, not by subtracting x, so an integrand with a power singularity at
+that endpoint evaluates it to full relative precision at every node, as in
+Bailey, Jeyabalan and Li (2005) and Boost.Math's tanh_sinh.  The loop and
+Weyl integrands g are called as g(t, c - t).
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
@@ -55,13 +62,14 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+_EPS = sys.float_info.epsilon
 # halvings of the double-exponential step before a rule gives up
 _MAX_LEVEL = 12
 # rounding of the Cauchy rule's coefficients, in units of the terms built
 # from them (the loop's add-back and tail, or the sample mean |g_j| at
 # integer order): 64 ulp, conservative for the FFT over 32 samples, whose
 # rounding grows like log2(N) ulp
-_ADDBACK_ROUNDING = 64 * sys.float_info.epsilon
+_ADDBACK_ROUNDING = 64 * _EPS
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,76 @@ class QuadratureResult:
         )
 
 
+def _double_exponential(f, node, u_hi, u_lo, rates, target, floor, fallback):
+    """Trapezoid sums in u of w(u) f(x(u), xc(u)) over [-u_lo, u_hi], with
+    steps h = 1, 1/2, ... until two agree to ``target`` relative.
+
+    ``node(u)`` gives x, xc, the weight w and the distance d from x to the
+    end its side runs to.  Each level walks both sides out from u = 0, and
+    a side stops, for this and later levels, after two terms in a row below
+    eps times the sum of |w f| so far: no later term moves the sums.  The
+    mass past each side's outermost node, d |f| / k for |f| ~ d**(k-1) at a
+    finite end or d**(-k-1) at infinity (k from ``rates``, u > 0 first;
+    None: no power law), joins the estimate.  ``floor`` is the magnitude
+    the result contributes to; past the last level a result within
+    ``fallback`` relative is accepted, anything else raises ConvergenceError.
+    """
+    ends = [u_hi, u_lo]
+    outer = [(0.0, 0j, 0.0), (0.0, 0j, 0.0)]  # per side: u, f and d of the outermost node
+    evaluations = 0
+    acc = 0j  # sum of w f
+    size = 0.0  # sum of |w f|
+
+    def level(h, start, step):
+        nonlocal evaluations, acc, size
+        for side in (0, 1):
+            sign = -1.0 if side else 1.0
+            j = max(start, side)
+            small = 0
+            while j * h <= ends[side]:
+                u = j * h
+                x, xc, w, d = node(sign * u)
+                fx = f(x, xc)
+                evaluations += 1
+                if u >= outer[side][0]:
+                    outer[side] = (u, fx, d)
+                wf = w * fx
+                acc += wf
+                t = abs(wf)
+                size += t
+                if t <= _EPS * size:
+                    small += 1
+                    if small == 2:
+                        ends[side] = u
+                        break
+                else:
+                    small = 0
+                j += step
+
+    h = 1.0
+    level(h, 0, 1)
+    best = acc * h
+    for _level in range(1, _MAX_LEVEL + 1):
+        h *= 0.5
+        level(h, 1, 2)
+        cur = acc * h
+        noise_floor = 1e-14 * size * h
+        err = abs(cur - best)
+        best = cur
+        if err <= target * max(abs(cur), floor, 1e-30) + noise_floor + 1e-300:
+            err = max(err, noise_floor)
+            break
+    else:
+        if err > fallback * max(abs(best), floor, 1e-30) + 1e3 * noise_floor:
+            raise ConvergenceError(
+                f"double-exponential quadrature stalled: err ~ {err:.2e} after level {_MAX_LEVEL}"
+            )
+    tails = sum(d * abs(fx) / k for (_u, fx, d), k in zip(outer, rates) if k is not None)
+    return QuadratureResult(best, err + tails, evaluations)
+
+
 def integrate_segment(
-    f: Callable[[complex], complex],
+    f: Callable[[complex, complex], complex],
     a,
     b,
     endpoint_exponent_a: float = 0.0,
@@ -98,23 +174,16 @@ def integrate_segment(
 ) -> QuadratureResult:
     """tanh-sinh integral of f over the straight segment from a to b.
 
-    ``endpoint_exponent_*`` declares the power-law behavior of f at each
-    endpoint; exponents must exceed -1 (integrable).  Node positions are
-    quantized to the ulp grid of the endpoint, so f is not called at a node
-    within 64 ulp of an endpoint (nor exactly at a or b).  Such a node takes
-    the value f_ref (frac/frac_ref)**sigma of the declared power law through
-    the closest evaluated sample on its side, frac being the distance to the
-    endpoint as a fraction of the segment; it is not counted in
-    ``evaluations``, and 5% of its weighted mass is added to
-    ``err_estimate``.  Dropping it instead would cut the rule at a fixed
-    distance, where the sums converge only like the step times the integrand
-    there.  A side with no evaluated sample yet drops its rounded nodes and
-    adds their sliver back from the power law, with 5% of its mass in the
-    estimate.  Once that 5% exceeds the accuracy accepted after the last
-    level (sqrt(target) relative), no level can meet the target and the
-    rule raises ConvergenceError at once.  ``absolute_floor`` states the
-    magnitude of the quantity this piece contributes to, so a negligible
-    piece is not forced to converge in its own relative terms.
+    f is called as f(x, b - x), b - x being on the half next to b the
+    node's offset span * (1 - tanh((pi/2) sinh u))/2, not x subtracted from
+    b; on the half next to a, x = a + that offset.  ``endpoint_exponent_*``
+    declares the power-law behavior of f at each endpoint, which sets how
+    far out the nodes go and the mass left between the endpoint and its
+    nearest node; exponents must exceed -1 (integrable).
+    ``absolute_floor`` states the magnitude of the quantity this piece
+    contributes to, so a negligible piece is not forced to converge in its
+    own relative terms.  Past the last level a result within sqrt(target)
+    relative, or within the rounding of the node positions, is accepted.
     """
     if endpoint_exponent_a <= -1.0 or endpoint_exponent_b <= -1.0:
         raise DomainError(
@@ -126,127 +195,36 @@ def integrate_segment(
     if a == b:
         return QuadratureResult(0j, 0.0, 0)
     span = b - a
+    rad = 0.5 * span
 
     sigma = min(endpoint_exponent_a, endpoint_exponent_b, 0.0)
-    # resolve the weakest endpoint decay: weight ~ exp(-(1+sigma) pi sinh u)
-    sinh_max = max(16.0, 45.0 / (math.pi * (1.0 + sigma)))
-    sinh_max = min(sinh_max, 600.0)
+    # resolve the weakest endpoint decay: weight ~ exp(-(1+sigma) pi sinh u);
+    # past (pi/2) sinh u = 350 the offset exp(-700) nears the end of range
+    sinh_max = min(max(16.0, 45.0 / (math.pi * (1.0 + sigma))), 700.0 / math.pi)
     u_max = math.asinh(sinh_max)
 
-    evaluations = 0
-    sigmas = (endpoint_exponent_a, endpoint_exponent_b)
-    # per endpoint side (0: a, 1: b): the kept sample closest to the
-    # endpoint, and the largest frac dropped while the side had none
-    closest = [None, None]  # (frac, fx)
-    skipped_frac = [0.0, 0.0]
-    # a position error of an ulp ruins singular samples this close
-    quant = (
-        64.0 * 2.3e-16 * abs(a) / abs(span),
-        64.0 * 2.3e-16 * abs(b) / abs(span),
-    )
+    length = abs(span)
 
     def node(u: float):
         ts = _HALF_PI * math.sinh(abs(u))
-        if ts > 350.0:
-            return None
         e = math.exp(-2.0 * ts)
         frac = e / (1.0 + e)  # (1 - tanh ts)/2
-        side = 1 if u >= 0.0 else 0
-        if side:
-            x = b - span * frac
-        else:
-            x = a + span * frac
-        w = 4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2
-        return x, w, frac, side
-
-    def eval_level(h: float, odd_only: bool):
-        nonlocal evaluations
-        total = 0.0 + 0.0j
-        total_abs = 0.0
-        modelled_abs = 0.0
-        j = 1 if odd_only else 0
-        step = 2 if odd_only else 1
-        while j * h <= u_max:
-            for sgn in ((1,) if j == 0 else (1, -1)):
-                nd = node(sgn * j * h)
-                if nd is None:
-                    continue
-                x, w, frac, side = nd
-                if x == a or x == b or frac <= quant[side]:
-                    ref = closest[side]
-                    if ref is None or frac <= skipped_frac[side]:
-                        skipped_frac[side] = max(skipped_frac[side], frac)
-                        continue
-                    wf = w * ref[1] * (frac / ref[0]) ** sigmas[side]
-                    modelled_abs += abs(wf)
-                else:
-                    fx = f(x)
-                    wf = w * fx
-                    evaluations += 1
-                    if closest[side] is None or frac < closest[side][0]:
-                        closest[side] = (frac, fx)
-                total += wf
-                total_abs += abs(wf)
-            j += step
-        return total, total_abs, modelled_abs
-
-    def skipped_sliver():
-        # mass of the gap dropped next to an endpoint before that side had a
-        # kept sample, extrapolated from the declared exponent
-        total = 0.0 + 0.0j
-        for side, sigma in enumerate(sigmas):
-            if skipped_frac[side] <= 0.0 or closest[side] is None:
-                continue
-            frac_ref, f_ref = closest[side]
-            coef = f_ref * cpow(frac_ref, -sigma)
-            total += coef * cpow(skipped_frac[side], sigma + 1.0) / (
-                sigma + 1.0
-            ) * span
-        return total
+        offset = span * frac
+        w = rad * (4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2)
+        if u >= 0.0:
+            return b - offset, offset, w, length * frac
+        x = a + offset
+        return x, b - x, w, length * frac
 
     # the accuracy accepted after _MAX_LEVEL: sub-ulp intervals cannot converge
     # in relative terms, being bounded by the rounding of the node positions
-    fallback = max(math.sqrt(target), 2.3e-16 * max(abs(a), abs(b)) / abs(span))
-    rad = 0.5 * span
-    h = 1.0
-    acc, acc_abs, modelled_abs = eval_level(h, odd_only=False)
-    best = acc * h * rad
-    err = abs(best) + 1.0
-    for _level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        part, part_abs, part_modelled = eval_level(h, odd_only=True)
-        acc += part
-        acc_abs += part_abs
-        modelled_abs += part_modelled
-        cur = acc * h * rad
-        # 5% of the modelled mass is error that no further level removes
-        capped = 0.05 * (modelled_abs * h * abs(rad) + abs(skipped_sliver()))
-        if capped > fallback * max(abs(cur), absolute_floor, 1e-30):
-            raise ConvergenceError(
-                "segment quadrature capped by the modelled endpoint mass: "
-                f"err >= {capped:.2e} at level {_level}"
-            )
-        noise_floor = 1e-14 * acc_abs * h * abs(rad)
-        err = abs(cur - best)
-        best = cur
-        if err <= target * max(abs(cur), absolute_floor, 1e-30) + noise_floor + 1e-300:
-            err = max(err, noise_floor)
-            break
-    else:
-        if err > fallback * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
-            raise ConvergenceError(
-                f"segment quadrature stalled: err ~ {err:.2e} after level {_MAX_LEVEL}"
-            )
-    # the modelled nodes and the sliver are trusted to 5% of their mass
-    sliver = skipped_sliver()
-    modelled = modelled_abs * h * abs(rad)
-    return QuadratureResult(
-        best + sliver, err + 0.05 * (modelled + abs(sliver)), evaluations
-    )
+    fallback = max(math.sqrt(target), 2.3e-16 * max(abs(a), abs(b)) / length)
+    rates = (1.0 + endpoint_exponent_b, 1.0 + endpoint_exponent_a)
+    return _double_exponential(f, node, u_max, u_max, rates, target, absolute_floor, fallback)
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], complex],
+    f: Callable[[float, float], complex],
     a: float,
     endpoint_exponent: float = 0.0,
     decay_exponent: float | None = None,
@@ -254,12 +232,15 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """exp-sinh integral of f over (a, inf), t = a + exp((pi/2) sinh u).
 
-    ``endpoint_exponent`` declares the power of (t-a) as t -> a (must be
-    > -1); ``decay_exponent``, when supplied, declares that |f| ~ t**(-p)
-    as t -> inf and must satisfy p > 1.  Nodes are truncated near
-    t - a ~ 1e-260 and t ~ 1e100, so declared-valid integrands stay inside
-    double-precision range; with p declared, the mass past the last node T
-    that its power law models, T |f(T)| / (p-1), joins ``err_estimate``.
+    f is called as f(t, a - t) at real t, a - t being the node's exact
+    offset -exp((pi/2) sinh u).  ``endpoint_exponent`` declares the power of
+    (t-a) as t -> a (must be > -1); ``decay_exponent``, when supplied,
+    declares that |f| ~ t**(-p) as t -> inf and must satisfy p > 1.  The
+    nodes stop near t - a ~ 1e-260 and t ~ 1e100, so declared-valid
+    integrands stay inside double-precision range; with p declared, the
+    mass past the last node T that its power law models, T |f(T)| / (p-1),
+    joins ``err_estimate``, as does the mass between a and the nearest node
+    that ``endpoint_exponent`` models.
     """
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
@@ -267,84 +248,19 @@ def integrate_semi_infinite(
         raise DomainError(
             f"insufficient decay at infinity: declared exponent {decay_exponent} <= 1"
         )
-
-    sigma = min(endpoint_exponent, 0.0)
-    # negative u: distance to a shrinks like exp(-(pi/2)|sinh u|)
-    sinh_neg = max(16.0, 90.0 / (math.pi * (1.0 + sigma)))
-    sinh_neg = min(sinh_neg, 380.0)
-    u_min = -math.asinh(sinh_neg)
-    # positive u: cap t near 1e100 to keep slowly-decaying integrands finite
-    u_max = math.asinh(2.0 * 230.0 / math.pi)
-
-    evaluations = 0
-    last = [0.0, 0.0]  # the farthest node t and |f(t)|
+    # u < 0: the distance to a shrinks like exp(-(pi/2)|sinh u|), down to
+    # exp(-597); u > 0: t stops near exp(230) ~ 1e100, keeping
+    # slowly-decaying integrands finite
+    sinh_neg = min(max(16.0, 90.0 / (math.pi * (1.0 + min(endpoint_exponent, 0.0)))), 380.0)
 
     def node(u: float):
-        ts = _HALF_PI * math.sinh(u)
-        if ts > 230.0 or ts < -600.0:
-            return None
-        d = math.exp(ts)
-        t = a + d
-        if t == a:
-            return None
-        w = _HALF_PI * math.cosh(u) * d
-        return t, w
+        d = math.exp(_HALF_PI * math.sinh(u))
+        # the distance to the end of its side: t itself toward infinity
+        return a + d, -d, _HALF_PI * math.cosh(u) * d, a + d if u > 0.0 else d
 
-    def eval_level(h: float, odd_only: bool):
-        nonlocal evaluations
-        total = 0.0 + 0.0j
-        total_abs = 0.0
-        j = 1 if odd_only else 0
-        step = 2 if odd_only else 1
-        while True:
-            u_pos = j * h
-            u_negv = -j * h
-            any_in = False
-            if u_pos <= u_max + 1e-12:
-                any_in = True
-                nd = node(u_pos)
-                if nd is not None:
-                    t, w = nd
-                    ft = f(t)
-                    total += w * ft
-                    total_abs += abs(w * ft)
-                    evaluations += 1
-                    if t > last[0]:
-                        last[:] = t, abs(ft)
-            if j > 0 and u_negv >= u_min - 1e-12:
-                any_in = True
-                nd = node(u_negv)
-                if nd is not None:
-                    t, w = nd
-                    ft = f(t)
-                    total += w * ft
-                    total_abs += abs(w * ft)
-                    evaluations += 1
-            if not any_in:
-                break
-            j += step
-        return total, total_abs
-
-    h = 1.0
-    acc, acc_abs = eval_level(h, odd_only=False)
-    best = acc * h
-    err = abs(best) + 1.0
-    for _level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        part, part_abs = eval_level(h, odd_only=True)
-        acc += part
-        acc_abs += part_abs
-        cur = acc * h
-        noise_floor = 1e-14 * acc_abs * h
-        err = abs(cur - best)
-        best = cur
-        if err <= target * max(abs(cur), 1e-30) + noise_floor + 1e-300:
-            tail = 0.0 if decay_exponent is None else last[0] * last[1] / (decay_exponent - 1.0)
-            return QuadratureResult(best, max(err, noise_floor) + tail, evaluations)
-    raise ConvergenceError(
-        f"semi-infinite quadrature stalled: err ~ {err:.2e}; "
-        "integrand may decay too slowly"
-    )
+    rates = (None if decay_exponent is None else decay_exponent - 1.0, 1.0 + endpoint_exponent)
+    u_hi, u_lo = math.asinh(460.0 / math.pi), math.asinh(sinh_neg)
+    return _double_exponential(f, node, u_hi, u_lo, rates, target, 0.0, math.sqrt(target))
 
 
 def _fft(x):
@@ -401,7 +317,7 @@ def _poly_eval(coeffs, t):
 
 
 def _regularized_lower(
-    g: Callable[[complex], complex],
+    g: Callable[[complex, complex], complex],
     c: float,
     lam: complex,
     radius: float,
@@ -418,7 +334,7 @@ def _regularized_lower(
     # at t_cut = radius/2 the terms fall like 8**-k: the first one left out
     # is below 8**-32 of the leading one
     k_tail = 24
-    coeffs, n_eval, _ = _taylor_coefficients(g, radius, m_sub + k_tail)
+    coeffs, n_eval, _ = _taylor_coefficients(lambda t: g(t, c - t), radius, m_sub + k_tail)
     t_cut = 0.5 * radius
 
     # analytic integral of the subtracted remainder over (0, t_cut)
@@ -437,8 +353,8 @@ def _regularized_lower(
 
     head = coeffs[:m_sub]
 
-    def integrand(t):
-        return (g(t) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
+    def integrand(t, tc):
+        return (g(t, tc) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
 
     addback = 0.0 + 0.0j
     addback_abs = 0.0
@@ -477,7 +393,7 @@ def _cauchy_radius(c: float, analyticity_radius: float | None) -> float:
 
 
 def integrate_loop(
-    g: Callable[[complex], complex],
+    g: Callable[[complex, complex], complex],
     c: float,
     lam,
     analyticity_radius: float | None = None,
@@ -487,7 +403,8 @@ def integrate_loop(
     """Riemann-Liouville operator (1/Gamma(-lam)) * int_0^c t**(-lam-1) g(t) dt,
     continued in lam: the loop of the module docstring.
 
-    ``c`` is the start/end point of the loop on the positive real axis;
+    ``c`` is the start/end point of the loop on the positive real axis; g
+    is called as g(t, c - t), with c - t exact next to t = c;
     ``analyticity_radius`` bounds the disk around 0 where g is analytic
     (defaults to c).  ``basepoint_exponent`` declares a power-law of g at
     t = c.  Integer lam = n >= 0 gives (-d/dt)**n g at 0, that is (-1)**n n!
@@ -502,12 +419,12 @@ def integrate_loop(
     radius = _cauchy_radius(c, analyticity_radius)
     if is_integer(lam, 1e-12) and lam.real > -0.5:
         n = round(lam.real)
-        coeffs, n_eval, size = _taylor_coefficients(g, radius, n + 1)
+        coeffs, n_eval, size = _taylor_coefficients(lambda t: g(t, c - t), radius, n + 1)
         rounding = _ADDBACK_ROUNDING * size / radius**n
         return QuadratureResult(coeffs[n], rounding, n_eval).scaled((-1) ** n * math.factorial(n))
     if lam.real < -0.5:
         lower = integrate_segment(
-            lambda t: cpow(t, -lam - 1.0) * g(t),
+            lambda t, tc: cpow(t, -lam - 1.0) * g(t, tc),
             0.0,
             c,
             endpoint_exponent_a=-lam.real - 1.0,
@@ -520,7 +437,7 @@ def integrate_loop(
 
 
 def integrate_weyl(
-    g: Callable[[complex], complex],
+    g: Callable[[complex, complex], complex],
     lam,
     c: float = 1.0,
     analyticity_radius: float | None = None,
@@ -539,13 +456,14 @@ def integrate_weyl(
     is exp-sinh directly, as ``integrate_loop``'s segment; otherwise it is
     ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires
     t**(-Re lam - 1) g(t) integrable at infinity; ``decay_exponent``, when
-    supplied, declares |g| ~ t**(-decay_exponent) there.
+    supplied, declares |g| ~ t**(-decay_exponent) there.  g is called as
+    g(t, c - t), as by ``integrate_loop``.
     """
     lam = complex(lam)
     tail_decay = None if decay_exponent is None else decay_exponent + lam.real + 1.0
 
-    def kernel(t):
-        return cpow(t, -lam - 1.0) * g(t)
+    def kernel(t, _tc):
+        return cpow(t, -lam - 1.0) * g(t, c - t)
 
     if lam.real < -0.5:
         return integrate_semi_infinite(
@@ -563,7 +481,7 @@ def integrate_weyl(
 
 
 def repeated_integral(
-    f: Callable[[complex], complex],
+    f: Callable[[complex, complex], complex],
     z,
     n: int,
     upper: str = "to_one",
@@ -578,8 +496,9 @@ def repeated_integral(
     * ``from_one``:    over (1, z), (z-1)**n times the same loop;
     * ``to_infinity``: over (z, inf), ``integrate_weyl`` of f(z + t), z real.
 
-    ``endpoint_exponent`` declares the power-law behavior of f at u = 1 for
-    the finite variants; ``to_infinity`` ignores it.
+    f is called as f(u, 1 - u), with 1 - u exact next to u = 1 in the
+    finite variants.  ``endpoint_exponent`` declares the power-law behavior
+    of f at u = 1 for the finite variants; ``to_infinity`` ignores it.
     """
     if not isinstance(n, int) or not 1 <= n <= 8:
         raise DomainError(f"fold count must be an integer in [1, 8], got {n}")
@@ -590,9 +509,13 @@ def repeated_integral(
         if z.imag != 0:
             raise DomainError("to_infinity variant requires a real lower endpoint")
         x = z.real
-        return integrate_weyl(lambda t: f(x + t), -n, target=target)
+        return integrate_weyl(lambda t, _tc: f(x + t, 1.0 - x - t), -n, target=target)
     d = 1.0 - z
     loop = integrate_loop(
-        lambda v: f(z + d * v), 1.0, -n, basepoint_exponent=endpoint_exponent, target=target
+        lambda v, vc: f(z + d * v, d * vc),
+        1.0,
+        -n,
+        basepoint_exponent=endpoint_exponent,
+        target=target,
     )
     return loop.scaled(d**n if upper == "to_one" else (-d) ** n)

@@ -195,7 +195,7 @@ def _weyl_loop(p, W, target, decay, order=None):
     |W| ~ t**(-decay) at infinity."""
     z = p.z
     return integrate_weyl(
-        lambda t: W(z + t),
+        lambda t, _tc: W(z + t),
         p.lam if order is None else order,
         c=0.3,
         analyticity_radius=(z - 1.0).real,
@@ -209,12 +209,13 @@ def _riemann_loop(p, W, target, basepoint=0.0, order=None):
     """Riemann-Liouville loop of order ``order`` (lam when None) of
     g(v) = W(z + (1-z) v), based at v = 1 where W has the power
     ``basepoint``: (1-z)**(-order) times it is the fractional integral
-    (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.  W is singular at
+    (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.  W takes
+    1 - V = (1-z)(1-v) exactly as its second argument.  W is singular at
     V = +/-1, so g is analytic for |v| < min(1, |1+z|/|1-z|): inside the
     unit disc when Re z < 0."""
     z, d = p.z, 1.0 - p.z
     return integrate_loop(
-        lambda v: W(z + d * v),
+        lambda v, vc: W(z + d * v, d * vc),
         1.0,
         p.lam if order is None else order,
         analyticity_radius=1.0 if abs(1.0 + z) >= abs(d) else abs(1.0 + z) / abs(d),
@@ -232,7 +233,8 @@ def _on_cut(lhs):
 
 
 # the weighted integrands W of the weight conventions in ``shifts``, as
-# builders p -> W; the Ferrers kinds carry (1-v^2) in place of (v^2-1)
+# builders p -> W; the Ferrers kinds carry (1-v^2) in place of (v^2-1).  W is
+# called as W(v, 1 - v), or W(v) where v stays away from 1 (the Weyl loops)
 
 def _mplus(kind):
     """W(v) = (v^2-1)^(-mu/2) F_nu^mu(v)."""
@@ -257,20 +259,20 @@ def _p3(kind):
 def _jacobi_weighted(p):
     """W(v) = (1-v)^alpha (1+v)^beta P_nu^(alpha,beta)(v), (alpha, beta) = (mu, lam)."""
     alpha, beta, jac = p.mu, p.lam, jacobi_evaluator(p.nu, p.mu, p.lam)
-    return lambda v: cpow(1.0 - v, alpha) * cpow(1.0 + v, beta) * jac(v)
+    return lambda v, vc: cpow(vc, alpha) * cpow(1.0 + v, beta) * jac(v)
 
 
 def _rodrigues_kernel(p):
     """W(v) = 2^(-nu)/Gamma(nu+1) (1-v)^(nu+alpha) (1+v)^(nu+beta), the
     primitive weight of ``rodrigues_pair``, (alpha, beta) = (mu, lam)."""
     a, b, K = p.nu + p.mu, p.nu + p.lam, cpow(2.0, -p.nu) * rgamma(p.nu + 1.0)
-    return lambda v: K * cpow(1.0 - v, a) * cpow(1.0 + v, b)
+    return lambda v, vc: K * cpow(vc, a) * cpow(1.0 + v, b)
 
 
 def _beta_kernel(p):
     """W(v) = (1-v)^(sigma-1), sigma = mu."""
     e = p.mu - 1.0
-    return lambda v: cpow(1.0 - v, e)
+    return lambda v, vc: cpow(vc, e)
 
 
 def _rotation(p):
@@ -384,9 +386,15 @@ def _rhs_rodrigues(part):
 
 
 def _rhs_beta_contour(nu, mu, lam, z):
-    sigma = complex(mu)
+    """(1-z)**(sigma-1) Gamma(sigma)/Gamma(sigma-lam): the loop over (z, 1)
+    carries 1 - V = (1-z)(1-v), so z stays off the cut [1, inf) of
+    (1-V)**(sigma-1)."""
+    sigma, z = complex(mu), complex(z)
     return _closed_form(
-        gamma_ratio([sigma], [sigma - complex(lam)]), "beta_term", _pos("Re sigma > 0", sigma)
+        cpow(1.0 - z, sigma - 1.0) * gamma_ratio([sigma], [sigma - complex(lam)]),
+        "beta_term",
+        _pos("Re sigma > 0", sigma),
+        ("z not in [1, inf)", not (z.imag == 0.0 and z.real >= 1.0)),
     )
 
 
@@ -883,7 +891,8 @@ def _build_catalog():
             ),
             formula=(
                 "Gamma(lam+1) e^(i pi lam)/(2 pi i) * loop_(1,0+,1) dv v^(-lam-1) "
-                "(1-v)^(sigma-1) = B(-lam, sigma)/Gamma(-lam) = Gamma(sigma)/Gamma(sigma-lam)"
+                "(1-V)^(sigma-1), V = z+(1-z)v = (1-z)^(sigma-1) B(-lam, sigma)/Gamma(-lam) "
+                "= (1-z)^(sigma-1) Gamma(sigma)/Gamma(sigma-lam)"
             ),
             default_grid=(
                 {"nu": 0.0, "mu": 0.7, "lam": 2.6, "z": 0.0},

@@ -96,7 +96,7 @@ def test_04_riemann_fractional_integral_on_p():
             for lam in (-0.4, -0.7, -1.3):
                 for z in (1.8, 2.6):
                     lhs = integrate_segment(
-                        lambda t: cpow(t, -lam - 1.0) * p_upper(z - t),
+                        lambda t, tc: cpow(t, -lam - 1.0) * p_upper(z - t, -tc),
                         0.0,
                         z - 1.0,
                         endpoint_exponent_a=-lam - 1.0,

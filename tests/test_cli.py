@@ -139,6 +139,24 @@ def test_eval_non_finite_argument_is_domain_error(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "ferrers-P", "--nu", "1e8", "--mu", "0", "--z", "0.5"],
+        ["eval", "--fn", "P", "--nu", "1e308", "--mu", "0", "--z", "2"],
+    ],
+    ids=("gamma-overflow", "huge-degree"),
+)
+def test_eval_past_double_range_is_numerical_error(argv):
+    # an overflowing gamma factor, or a degree whose polynomial cannot meet
+    # its rounding bound, is one line on stderr and no traceback
+    code, out, err = run_cli(argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fn", ["ferrers-P", "ferrers-Q"])
 def test_eval_ferrers_at_complex_x_is_domain_error(fn):
     # the Ferrers functions take a real x in (-1, 1); Im x is not dropped

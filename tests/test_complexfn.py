@@ -18,7 +18,7 @@ from legshift.complexfn import (
     sin_pi,
     zsq_minus_one_pow,
 )
-from legshift.errors import PoleError
+from legshift.errors import NumericalError, PoleError
 
 
 def test_gamma_known_values():
@@ -136,3 +136,24 @@ def test_sin_pi_keeps_relative_accuracy_next_to_integers():
         assert sin_pi(n + 0.5) == (-1.0) ** n
     ref = complex(mpmath.rgamma(-1e-8))
     assert abs(rgamma(-1e-8) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: gamma(200), lambda: rgamma(-200.5), lambda: gamma_ratio([400], [1])],
+    ids=("gamma(200)", "rgamma(-200.5)", "gamma_ratio([400],[1])"),
+)
+def test_gamma_past_double_range_is_a_numerical_error(call):
+    with pytest.raises(NumericalError):
+        call()
+
+
+def test_gamma_far_off_the_real_axis_vs_mpmath():
+    # sin(pi z) is beyond double range past |Im z| ~ 226, but the reflection
+    # needs only its logarithm, so Gamma and 1/Gamma stay in range
+    for z in (0.3 + 300j, -0.3 - 400j, -2.7 + 250j):
+        ref = complex(mpmath.gamma(z))
+        assert abs(gamma(z) - ref) <= 1e-12 * abs(ref), z
+        assert abs(rgamma(z) - 1.0 / ref) <= 1e-12 / abs(ref), z
+    with pytest.raises(NumericalError):
+        sin_pi(0.3 + 300j)

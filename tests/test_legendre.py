@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 
 import mpmath
 import pytest
@@ -464,3 +465,32 @@ def test_public_functions_reject_non_finite_input():
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: legendre_p(1e8, 0, 2),
+        lambda: legendre_p(2e9, 0, 2),
+        lambda: legendre_p(1e308, 0, 2),
+        lambda: hyp2f1(-1e8, 1, 1, 0.5),
+        lambda: hyp2f1(-1e308, 1, 1, 0.5),
+        lambda: jacobi_p(1e308, 0.2, 0.1, 0.5),
+    ],
+    ids=("P(1e8)", "P(2e9)", "P(1e308)", "2F1(-1e8)", "2F1(-1e308)", "jacobi(1e308)"),
+)
+def test_huge_integer_degree_is_refused_at_once(call):
+    # the terminating sums overflow within a few hundred terms, or their
+    # rounding bound n*eps fails up front; none builds n term ratios first
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_degree_polynomial_stops_once_its_terms_underflow():
+    # (1 - 1e-12)**1e7: the terms fall below double range after ~30 of them
+    start = time.perf_counter()
+    value = hyp2f1(-1e7, 1, 1, 1e-12)
+    assert time.perf_counter() - start < 1.0
+    assert abs(value - math.exp(1e7 * math.log1p(-1e-12))) <= 1e-15

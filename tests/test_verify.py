@@ -289,6 +289,43 @@ def test_beta_contour_at_integer_order():
             assert rep.abs_err <= rep.lhs.err_estimate, (sigma, lam, rep.abs_err)
 
 
+def test_beta_contour_carries_the_power_of_the_segment_length():
+    # the loop over (z, 1) integrates (1-V)**(sigma-1) with 1 - V =
+    # (1-z)(1-v), so the closed form carries (1-z)**(sigma-1); on [1, inf)
+    # 1 - V crosses the cut and the point is not valid
+    for z in (0.5, -0.3, 0.2 + 0.3j):
+        rep = verify_identity("BETA_CONTOUR", 0.0, 0.5, 0.3, z)
+        assert rep.validity and rep.passed, (z, rep.rel_err)
+        assert rep.abs_err <= rep.lhs.err_estimate, (z, rep.abs_err)
+    rep = verify_identity("BETA_CONTOUR", 0.0, 0.5, 0.3, 1.5)
+    assert not rep.validity and rep.failed_conditions == ("z not in [1, inf)",)
+
+
+@pytest.mark.parametrize(
+    "identity,point",
+    [
+        ("MULTI_INT_RODRIGUES", (3, -0.724, -0.402, 0.087)),
+        ("MULTI_INT_RODRIGUES", (4, -0.752, 0.902, -0.818)),
+        ("MULTI_INT_RODRIGUES", (5, -0.721, 0.096, -0.123)),
+        ("RODRIGUES_INVERSE", (2.29, -0.843, -0.202, 0.42)),
+        ("BETA_CONTOUR", (0, 0.05, 0.5, 0)),
+        ("BETA_CONTOUR", (0, 0.08, 1.5, 0)),
+        ("BETA_CONTOUR", (0, 0.1, -0.3, 0)),
+        ("MULTI_INT_LPLUS", (0.45, 0.95, 1, 0.3)),
+        ("MULTI_INT_LPLUS", (1.3, 0.9, 2, -0.2)),
+        ("FERRERS_LPLUS_P", (0.45, 0.93, 0.6, 0.25)),
+    ],
+)
+def test_base_point_exponent_next_to_minus_one(identity, point):
+    # the loop integrand is ~ (1-V)**sigma at its base point, with sigma
+    # between -0.95 and -0.72, so the nodes within 64 ulp of V = 1 carry far
+    # more than the target; the integrands take 1 - V exactly from the
+    # rule's offset, so these nodes keep their digits
+    rep = verify_identity(identity, *point)
+    assert rep.validity and rep.passed, rep.rel_err
+    assert rep.abs_err <= rep.lhs.err_estimate, (rep.abs_err, rep.lhs.err_estimate)
+
+
 @pytest.mark.parametrize("identity", _LOOP_IDENTITIES)
 def test_integer_order_loop_estimate_covers_the_error(identity):
     # at lam = n the loop is a Taylor coefficient; its estimate, the Cauchy

@@ -217,14 +217,28 @@ def _budget(summary, target):
     return evaluations, unconverged
 
 
-def _verify_one_identity(entry, args, records):
+def _read_grid(path):
+    """The points of a --grid-file, a JSON list of {nu, mu, lam, z} objects
+    with numeric values; ValueError naming what is wrong otherwise."""
+    try:
+        with open(path) as fh:
+            grid = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ValueError(f"--grid-file {path}: {exc}") from None
+    if not isinstance(grid, list) or not all(isinstance(point, dict) for point in grid):
+        raise ValueError(f"--grid-file {path}: expected a JSON list of {{nu, mu, lam, z}} objects")
+    for i, point in enumerate(grid):
+        for name in ("nu", "mu", "lam", "z"):
+            value = point.get(name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"--grid-file {path}: point {i} has no number {name}: {value!r}")
+    return grid
+
+
+def _verify_one_identity(entry, args, grid, records):
     from .verify import verify_grid
 
-    grid = None
-    if args.grid_file:
-        with open(args.grid_file) as fh:
-            grid = json.load(fh)
-    elif not args.defaults:
+    if grid is None and not args.defaults:
         point = {}
         for name in ("nu", "mu", "lam", "z"):
             value = getattr(args, name)
@@ -262,10 +276,17 @@ def _cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
 
+    grid = None
+    if args.grid_file:
+        try:
+            grid = _read_grid(args.grid_file)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     records = []
     summaries = []
     for entry in entries:
-        summaries.append(_verify_one_identity(entry, args, records))
+        summaries.append(_verify_one_identity(entry, args, grid, records))
 
     all_ok = all(s.all_passed and not s.failures for s in summaries)
     budgets = [_budget(s, args.target) for s in summaries]

@@ -11,6 +11,15 @@ hypergeometric ODE is Taylor-stepped along a straight path from the origin.
 The regularized 3F2 is continued past |w| = 0.9 by the same Taylor walker
 on its own third-order equation, with no +/- i*eps average.
 
+Both functions rest on one defining series of pFq, summed by one loop
+(``_Series.sum``).  A sum that does not terminate stops after 3 terms in a
+row below 1e-16 of its total, within a cap of 3,000 terms for 2F1, whose
+images keep |w| <= 0.92, and of 100,000 for ``hyp3f2_series``, which runs to
+|w| < 1 - 1e-3.  A sum that a numerator ends at w**n adds every term through
+w**n and raises NumericalError where its rounding bound n*eps*sum|term|
+passes 1e-6 max(|sum|, 1).  Either kind raises NumericalError once a term
+overflows.
+
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
 termination and c-pole tests, the degeneracy flags of each image, the
 connection-coefficient gamma ratios (on first use of each image), the
@@ -73,114 +82,118 @@ def _series_reach(a, b, c):
 
 
 class _Series:
-    """Defining Gauss series of 2F1(a, b; c; w) for fixed (a, b, c).
+    """Defining series of pFq(upper; lower; w) for fixed parameter tuples,
+    2F1 ((a, b), (c,)) or 3F2 ((a, b, a3), (c, b2)).
 
-    The term ratios r_k = (a+k)(b+k)/((c+k)(1+k)) are kept from the first
-    sum and grown on demand, so repeated sums at new w reuse them.
+    The term ratios r_k = (a+k)(b+k)(a3+k) / ((c+k)(b2+k)(1+k)), without
+    a3 and b2 for 2F1, are kept from the first sum and grown on demand, so
+    repeated sums at new w reuse them.  ``_terminating_index`` settles once
+    whether a numerator ends the sum or a lower pole comes first.
     """
 
-    __slots__ = ("a", "b", "c", "_ratios")
+    __slots__ = ("_name", "_params", "_n_term", "_pole", "_limit", "_ratios")
 
-    def __init__(self, a, b, c):
-        self.a, self.b, self.c = a, b, c
+    def __init__(self, upper, lower):
+        if len(upper) == 2:
+            (a, b), (c,) = upper, lower
+            self._name, self._params = "2F1", (a, b, c, None, None)
+            # the 2F1 images keep |w| <= _IMAGE_RADIUS
+            cap = _MAX_SERIES_TERMS
+        else:
+            (a, b, a3), (c, b2) = upper, lower
+            self._name, self._params = "3F2", (a, b, c, a3, b2)
+            # hyp3f2_series runs to |w| < 1 - 1e-3
+            cap = _MAX_3F2_TERMS
+        self._n_term, self._pole = _terminating_index(upper, lower)
+        self._limit = cap if self._n_term is None else self._n_term
         self._ratios = []
 
     def sum(self, w):
-        """The series at w; stops after 3 consecutive negligible terms.
+        """The series at w.
 
-        A term is negligible when |term| <= 1e-16 |total|.  Since |total| <=
+        Unless a numerator ends it, the sum stops after 3 consecutive
+        negligible terms, |term| <= 1e-16 |total|.  Since |total| <=
         sum|term|, the running sum of |term| rules most terms out first and
         |total| is taken only for the rest: the same decision, one add a
-        term.  A sum that has overflowed, by the term cap or in |term|,
-        raises NumericalError, any other that has not stopped
-        ConvergenceError."""
-        a, b, c = self.a, self.b, self.c
-        ratios = self._ratios
-        n = len(ratios)
-        total = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        size = 1.0  # sum of |term|
-        small = 0
-        try:
-            for k in range(_MAX_SERIES_TERMS):
-                if k < n:
-                    r = ratios[k]
-                else:
-                    r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-                    ratios.append(r)
-                term *= r * w
-                total += term
-                t = abs(term)
-                size += t
-                if t <= 1e-16 * size and t <= 1e-16 * abs(total):
-                    small += 1
-                    if small >= 3:
-                        return total
-                else:
-                    small = 0
-        except OverflowError:  # abs(term) past double range
-            total = complex(math.inf)
-        if not cmath.isfinite(total):
-            raise NumericalError(f"2F1 series overflows double range at |w| = {abs(w):.3f}")
-        raise ConvergenceError(
-            f"2F1 series did not converge for |w| = {abs(w):.3f}"
-        )
+        term.  One that has not stopped within the term cap raises
+        ConvergenceError.
 
-    def polynomial(self, w, n):
-        """The first n+1 terms: the whole sum when the series terminates at
-        w**n.  NumericalError when the sum overflows or cancels past
+        A sum that a numerator ends at w**n adds every term through w**n,
+        stopping early only at a term that has underflowed to 0, after which
+        every term is.  It raises NumericalError when it cancels past
         ``_POLYNOMIAL_REL_BOUND``, up front past ``_MAX_POLYNOMIAL_DEGREE``.
-        The sum stops at a term that is non-finite, after which the sum is,
-        or that has underflowed to 0, after which every term is."""
-        if n > _MAX_POLYNOMIAL_DEGREE:
-            raise NumericalError(f"2F1 polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
-        a, b, c = self.a, self.b, self.c
+
+        Either kind raises NumericalError once a term overflows, and
+        DegenerateParameterError at a lower pole the sum reaches first.
+        """
+        n = self._n_term
+        if self._pole is not None:
+            raise DegenerateParameterError(
+                f"{self._name} undefined: lower parameter {self._pole} is a nonpositive "
+                "integer that the sum reaches before any numerator ends it"
+            )
+        if n is not None and n > _MAX_POLYNOMIAL_DEGREE:
+            raise NumericalError(f"{self._name} polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
+        a, b, c, a3, b2 = self._params
         ratios = self._ratios
         cached = len(ratios)
         total = 1.0 + 0.0j
         term = 1.0 + 0.0j
         size = 1.0  # sum of |term|
+        small = 0
         try:
-            for k in range(n):
+            for k in range(self._limit):
                 if k < cached:
                     r = ratios[k]
                 else:
-                    r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+                    # numerator product / (denominator product * (1+k))
+                    if a3 is not None:
+                        r = (a + k) * (b + k) * (a3 + k) / ((c + k) * (b2 + k) * (1.0 + k))
+                    else:
+                        r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
                     ratios.append(r)
                 term *= r * w
                 total += term
                 t = abs(term)
                 size += t
-                if not 0.0 < t < math.inf:
-                    break
+                if not t > 1e-16 * size:  # negligible against sum|term|, or not finite
+                    if n is None and t <= 1e-16 * abs(total):
+                        small += 1
+                        if small < 3:
+                            continue
+                        if size < math.inf:
+                            return total
+                    if not 0.0 < t < math.inf:
+                        break  # overflowed, or every later term of the polynomial is 0
+                small = 0
         except OverflowError:  # abs(term) past double range
             total = complex(math.inf)
         if not cmath.isfinite(total):
-            raise NumericalError(
-                f"terminating 2F1 polynomial of degree {n} overflows at |w| = {abs(w):.3g}"
-            )
+            raise NumericalError(f"{self._name} series overflows double range, |w| = {abs(w):.3g}")
+        if n is None:
+            raise ConvergenceError(f"{self._name} series did not converge for |w| = {abs(w):.3f}")
         bound = n * sys.float_info.epsilon * size
         if bound > _POLYNOMIAL_REL_BOUND * max(abs(total), 1.0):
             raise NumericalError(
-                f"terminating 2F1 polynomial of degree {n} cancels at |w| = {abs(w):.3g}: "
+                f"{self._name} polynomial of degree {n} cancels at |w| = {abs(w):.3g}: "
                 f"rounding bound {bound:.3g} against a sum of size {abs(total):.3g}"
             )
         return total
 
 
-def _terminating_index(a, b, c):
-    """Index n if the series terminates at w**n before hitting a c-pole."""
-    best = None
-    for p in (a, b):
-        if is_nonpositive_integer(p):
-            n = round(-complex(p).real)
-            if best is None or n < best:
-                best = n
-    if best is None:
-        return None
-    if is_nonpositive_integer(c) and round(-complex(c).real) < best:
-        return None  # c pole strikes first
-    return best
+def _terminating_index(upper, lower):
+    """(n, pole) for the series of pFq(upper; lower; w): n is the degree at
+    which a nonpositive-integer numerator ends the sum, else None; pole is
+    the first nonpositive-integer lower parameter the sum reaches before
+    w**n, else None (and n is then None too)."""
+    n = None
+    for p in upper:
+        if is_nonpositive_integer(p) and (n is None or round(-p.real) < n):
+            n = round(-p.real)
+    for b in lower:
+        if is_nonpositive_integer(b) and (n is None or round(-b.real) < n):
+            return None, b
+    return n, None
 
 
 def _ode_continue(w_target, p, lead, n, recurrence):
@@ -194,8 +207,9 @@ def _ode_continue(w_target, p, lead, n, recurrence):
     on the ray to w_target, the others go along it, each 0.30 of the way to
     the nearer of 0 and 1.  A step's Taylor sum stops after 3 terms in a row
     with |f_k h**k| k**(p-1) <= 1e-17 sum_j |f_j h**j|; k**(p-1) stands for
-    the derivatives carried on.  A ray passing 1 closer than 0.5 before
-    w_target gives way to the path through 1 +/- 0.5i: the solution's
+    the derivatives carried on; ConvergenceError at the term cap, or at once
+    where sum_j |f_j h**j| overflows.  A ray passing 1 closer than 0.5
+    before w_target gives way to the path through 1 +/- 0.5i: the solution's
     singular part at 1 would carry rounding hundreds of times its value.
     """
     legs = [w_target]
@@ -207,24 +221,31 @@ def _ode_continue(w_target, p, lead, n, recurrence):
     step = 0.45 * legs[0] / abs(legs[0])
     for _ in range(400):
         h = abs(step)
-        size = sum(abs(fj) * h**j for j, fj in enumerate(f))  # of |f_j h**j|
-        hk = h ** len(f)
         small = 0
         nxt, append = recurrence(w), f.append
-        for k in range(len(f), _MAX_SERIES_TERMS):
-            fk = nxt(k, f)
-            append(fk)
-            t = abs(fk) * hk
-            size += t
-            hk *= h
-            # the unweighted test first, as the cheaper: k**(p-1) >= 1
-            if t <= 1e-17 * size and t * k ** (p - 1) <= 1e-17 * size:
-                small += 1
-                if small == 3:
-                    break
-            else:
-                small = 0
-        else:
+        try:
+            size = sum(abs(fj) * h**j for j, fj in enumerate(f))  # of |f_j h**j|
+            hk = h ** len(f)
+            for k in range(len(f), _MAX_SERIES_TERMS):
+                fk = nxt(k, f)
+                append(fk)
+                t = abs(fk) * hk
+                size += t
+                hk *= h
+                # the unweighted test first, as the cheaper: k**(p-1) >= 1
+                if t > 1e-17 * size:
+                    small = 0
+                elif not size < math.inf:
+                    break  # the coefficients have overflowed: no later test passes
+                elif t * k ** (p - 1) <= 1e-17 * size:
+                    small += 1
+                    if small == 3:
+                        break
+                else:
+                    small = 0
+        except OverflowError:  # abs() of a coefficient past double range
+            small = 0
+        if small < 3:
             raise ConvergenceError(f"Taylor series did not converge at |w| = {abs(w):.3f}")
         # the Taylor polynomial and its derivatives / j! at step, by repeated
         # synthetic division
@@ -314,24 +335,16 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_n_term", "_c_pole", "_reach", "_degenerate", "_images", "_pfaff", "_nudged")
+    __slots__ = ("_reach", "_degenerate", "_images", "_pfaff", "_nudged")
 
     def __init__(self, a, b, c):
-        super().__init__(a, b, c)
-        self._n_term = _terminating_index(a, b, c)
-        self._c_pole = self._n_term is None and is_nonpositive_integer(c)
+        super().__init__((a, b), (c,))
         # built on first use
         self._reach = None  # _series_reach of the parameters
         self._degenerate = None  # image key -> degenerate coefficients
         self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
         self._pfaff = None
         self._nudged = None  # "a" or "c" -> evaluators at that parameter +/- i*eps
-
-    def series(self, w):
-        """The defining series, or the polynomial when it terminates."""
-        if self._n_term is not None:
-            return self.polynomial(w, self._n_term)
-        return self.sum(w)
 
     def direct(self, w, wc=None):
         """The defining series wherever it stops within the term cap
@@ -341,9 +354,9 @@ class _Gauss(_Series):
             return self(w)
         if self._reach is None:
             # a polynomial or a c-pole goes to __call__, which handles both
-            plain = self._n_term is None and not self._c_pole
-            self._reach = _series_reach(self.a, self.b, self.c) if plain else 0.0
-        return self.series(w) if abs(w) <= self._reach else self(w, wc)
+            plain = self._n_term is None and self._pole is None
+            self._reach = _series_reach(*self._params[:3]) if plain else 0.0
+        return self.sum(w) if abs(w) <= self._reach else self(w, wc)
 
     def __call__(self, w, wc=None):
         """2F1 at w; ``wc`` is 1 - w when the caller has it exactly, and the
@@ -351,23 +364,16 @@ class _Gauss(_Series):
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
-        if self._n_term is None:
-            if self._c_pole:
-                raise DegenerateParameterError(
-                    f"2F1 undefined: c = {self.c} is a nonpositive integer and "
-                    "the series does not terminate"
-                )
-            if abs(w) > _SERIES_RADIUS:
-                return self._continue(w, wc)
-            return self.sum(w)
-        return self.polynomial(w, self._n_term)
+        if self._n_term is None and self._pole is None and abs(w) > _SERIES_RADIUS:
+            return self._continue(w, wc)
+        return self.sum(w)
 
     def _image(self, key):
         if self._images is None:
             self._images = {}
         img = self._images.get(key)
         if img is None:
-            a, b, c = self.a, self.b, self.c
+            a, b, c = self._params[:3]
             d = c - a - b
             if key in ("one_minus", "one_minus_recip"):
                 g1 = gamma_ratio([c, d], [c - a, c - b])
@@ -376,7 +382,7 @@ class _Gauss(_Series):
                 g1 = gamma_ratio([c, b - a], [b, c - a])
                 g2 = gamma_ratio([c, a - b], [a, c - b])
             s1, s2 = _IMAGE_SERIES[key](a, b, c, d)
-            img = self._images[key] = (g1, _Series(*s1), g2, _Series(*s2))
+            img = self._images[key] = (g1, _Series(s1[:2], s1[2:]), g2, _Series(s2[:2], s2[2:]))
         return img
 
     def _nudge(self, axis):
@@ -384,7 +390,7 @@ class _Gauss(_Series):
             self._nudged = {}
         pair = self._nudged.get(axis)
         if pair is None:
-            a, b, c = self.a, self.b, self.c
+            a, b, c = self._params[:3]
             pair = self._nudged[axis] = tuple(
                 _Gauss(a, b, c + d) if axis == "c" else _Gauss(a + d, b, c)
                 for d in (1j * _EPS_NUDGE, -1j * _EPS_NUDGE)
@@ -392,7 +398,7 @@ class _Gauss(_Series):
         return pair
 
     def _continue(self, w, wc):
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self._params[:3]
         one_minus = 1.0 - w if wc is None else wc
         if one_minus == 0:
             # Gauss's sum, where the series converges
@@ -429,7 +435,7 @@ class _Gauss(_Series):
             # since ranking the images of w/(w-1) again could map back to w
             if self._pfaff is None:
                 self._pfaff = _Gauss(a, c - b, c)
-            return cpow(one_minus, -a) * self._pfaff.series(w / (w - 1.0))
+            return cpow(one_minus, -a) * self._pfaff.sum(w / (w - 1.0))
 
         if degenerate[key]:
             # integer c-a-b: shift c off the lattice; integer a-b: shift a
@@ -488,55 +494,24 @@ def hyp2f1(a, b, c, w) -> complex:
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
-    """3F2(a1, a2, a3; b1, b2; w) by its defining series.
+    """3F2(a1, a2, a3; b1, b2; w) by its defining series, summed by the
+    loop of the 2F1 series (``_Series.sum``) with a term cap of 100,000.
 
     Requires |w| < 1 - 1e-3 unless a numerator parameter terminates the sum.
+    A terminating sum raises NumericalError where its rounding bound fails
+    (cancellation), as does any sum that overflows double range.
     DegenerateParameterError when the sum reaches a nonpositive-integer lower
     parameter first; ``hyp3f2_regularized`` has the limit there.
     """
-    a1, a2, a3 = complex(a1), complex(a2), complex(a3)
-    b1, b2 = complex(b1), complex(b2)
+    check_finite(a1, a2, a3, b1, b2, w)
+    series = _Series((complex(a1), complex(a2), complex(a3)), (complex(b1), complex(b2)))
     w = complex(w)
-
-    n_term = None
-    for p in (a1, a2, a3):
-        if is_nonpositive_integer(p):
-            n = round(-p.real)
-            if n_term is None or n < n_term:
-                n_term = n
-    for b in (b1, b2):
-        if is_nonpositive_integer(b) and (n_term is None or round(-b.real) < n_term):
-            raise DegenerateParameterError(
-                f"3F2 undefined: lower parameter {b} is a nonpositive integer "
-                "that the sum reaches before any numerator ends it"
-            )
-    if n_term is None and abs(w) >= 1.0 - 1e-3:
+    if series._n_term is None and series._pole is None and abs(w) >= 1.0 - 1e-3:
         raise ConvergenceError(
             f"3F2 series diverges: |w| = {abs(w):.4f} and no terminating "
             "numerator parameter"
         )
-
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    small = 0
-    limit = n_term if n_term is not None else _MAX_3F2_TERMS
-    for k in range(limit):
-        term *= (
-            (a1 + k) * (a2 + k) * (a3 + k)
-            / ((b1 + k) * (b2 + k) * (1.0 + k))
-            * w
-        )
-        total += term
-        if n_term is None:
-            if abs(term) <= 1e-16 * abs(total):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-    if n_term is None:
-        raise ConvergenceError("3F2 series did not meet the tail bound")
-    return total
+    return finite_result(series.sum(w), "3F2")
 
 
 def _c_limit(a, b, c):
@@ -565,6 +540,7 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
     terminates it.  Beyond, R is continued by Taylor steps of the 3F2
     equation, which R solves at b1 = 1-n too; DomainError on the cut.
     """
+    check_finite(a1, a2, b1, b2, w)
     # the lower parameter with the most vanishing terms first
     b1, b2 = sorted(
         (complex(b1), complex(b2)),
@@ -572,15 +548,22 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
     )
     n, C, s1, s2, c = _c_limit(complex(a1), complex(a2), b1)
     terminating = is_nonpositive_integer(s1) or is_nonpositive_integer(s2)
-    if terminating or abs(w) <= _3F2_SERIES_RADIUS:
-        if n:
-            return C * gamma_ratio([c], [b2 + n]) * w**n * hyp3f2_series(s1, s2, 1.0, 1.0, b2 + n, w)
-        return hyp3f2_series(s1, s2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
-    w = complex(w)
-    if w.imag == 0.0 and w.real >= 1.0:
-        raise DomainError(f"3F2 is continued off the cut [1, inf), got w = {w.real}")
-    lead = C * gamma_ratio([c], [b2 + n]) if n else rgamma(b1) * rgamma(b2)
-    return _ode_continue(w, 3, lead, n, _hyp3f2_recurrence(complex(a1), complex(a2), 1.0, b1, b2))
+    if not (terminating or abs(w) <= _3F2_SERIES_RADIUS):
+        w = complex(w)
+        if w.imag == 0.0 and w.real >= 1.0:
+            raise DomainError(f"3F2 is continued off the cut [1, inf), got w = {w.real}")
+        lead = C * gamma_ratio([c], [b2 + n]) if n else rgamma(b1) * rgamma(b2)
+        recurrence = _hyp3f2_recurrence(complex(a1), complex(a2), 1.0, b1, b2)
+        value = _ode_continue(w, 3, lead, n, recurrence)
+    elif n:
+        try:
+            power = w**n
+        except OverflowError:
+            raise NumericalError(f"w**{n} overflows double range at |w| = {abs(w):.3g}") from None
+        value = C * gamma_ratio([c], [b2 + n]) * power * hyp3f2_series(s1, s2, 1.0, 1.0, b2 + n, w)
+    else:
+        value = hyp3f2_series(s1, s2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
+    return finite_result(value, "regularized 3F2")
 
 
 def hyp3f2_barnes(a1, a2, a3, b1, b2, z) -> complex:

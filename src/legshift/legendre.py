@@ -40,7 +40,10 @@ K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
 degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu and Q's
 c = nu+3/2 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF 15.2.3_5)
 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w), still one
-term.  No representation needs a +/- i*eps average.  The two series cancel like
+term.  No representation takes a +/- i*eps average of its own, but past
+x**2 = 0.8 the x**2 series are continued by their 1-w image, which at
+integer mu is degenerate (c-a-b = -mu): ``hyper._Gauss._nudge`` averages
+mu +/- i*eps there (ROADMAP item 5).  The two series cancel like
 (|x|+sqrt(1+x**2))**|nu+1/2|, so past |nu+1/2| = 27.8 a Ferrers call raises
 NumericalError at |x| >= sinh(24.5/|nu+1/2|), where eps times that passes 1e-5.
 
@@ -114,7 +117,7 @@ def _series_of(wmap, a, b, c):
 
 
 class _TermSum:
-    """Sum of _Term values and their first two derivatives at z.
+    """Sum of _Term values, or of their first or second derivatives, at z.
 
     Each term's 2F1 is prepared once; the evaluators of its first and second
     w-derivatives are built only when a derivative order asks for them.
@@ -130,11 +133,11 @@ class _TermSum:
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
         self._hyp = [[_series_of(t.wmap, t.a, t.b, t.c)] for t in terms]
 
-    def _derivative(self, i, n):
-        """(coefficient, evaluator) of the n-th w-derivative of term i's 2F1."""
-        hyp = self._hyp[i]
+    @staticmethod
+    def _derivative(t, hyp, n):
+        """(coefficient, evaluator) of the n-th w-derivative of term t's 2F1,
+        kept in its list ``hyp``."""
         while len(hyp) <= n:
-            t = self._terms[i]
             a, b, c = t.a, t.b, t.c
             if len(hyp) == 1:
                 coef = a * b / c
@@ -145,78 +148,65 @@ class _TermSum:
             hyp.append((coef, ev))
         return hyp[n]
 
-    def value(self, z, zc=None):
-        """S at z: the order-0 sum.  ``zc`` is 1 - z, when the caller has it
-        exactly; the factor (z-1)**p or (1-x)**p, w = (1-z)/2 and the 1 - w of
-        the "sq" and "inv" maps are then taken from it, not from z."""
+    def __call__(self, z, zc=None, order=0):
+        """The order-th derivative (0, 1 or 2) of S at z.  ``zc`` is 1 - z,
+        when the caller has it exactly; the factor (z-1)**p or (1-x)**p,
+        w = (1-z)/2 and the 1 - w of the "sq" and "inv" maps are then taken
+        from it, not from z."""
         one_minus = 1.0 - z if zc is None else zc
         if self._ferrers:
-            zm, zp = one_minus, 1.0 + z
+            zm, zp, sign = one_minus, 1.0 + z, -1.0
         else:
-            zm, zp = z - 1.0 if zc is None else -zc, z + 1.0
+            zm, zp, sign = z - 1.0 if zc is None else -zc, z + 1.0, 1.0
         total = 0.0 + 0.0j
-        for (K, p, q, _a, _b, _c, wmap, r), hyp in zip(self._terms, self._hyp):
+        for t, hyp in zip(self._terms, self._hyp):
+            K, p, q, _a, _b, _c, wmap, r = t
             pf = cpow(zm, p) * cpow(zp, q)
-            wc = None
+            # u = pf * h with h = z**r; the "inv" map keeps h0 = h
+            u, wc = pf, None
             if wmap == "half":
                 w = one_minus / 2.0
             elif wmap == "sq":
                 if r:
-                    pf *= z
+                    u = pf * z
                 w = z * z
                 if zc is not None:
                     wc = zm * zp
             else:
-                pf *= cpow(z, r)
+                h0 = cpow(z, r)
+                u = pf * h0
                 w = 1.0 / (z * z)
                 if zc is not None:
                     wc = zm * zp * w
-            total += K * (pf * hyp[0](w, wc))
-        return total
-
-    def __call__(self, z, order):
-        """[S, S', S''] at z; entries above ``order`` stay 0."""
-        acc = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
-        if self._ferrers:
-            zm, zp, sign = 1.0 - z, 1.0 + z, -1.0
-        else:
-            zm, zp, sign = z - 1.0, z + 1.0, 1.0
-        for i, (K, p, q, _a, _b, _c, wmap, r) in enumerate(self._terms):
-            pf = cpow(zm, p) * cpow(zp, q)
-            # u = pf * h with h = z**r; h1, h2 = h', h'' by the power rule
-            # (not h'/h, which is r/z); w1 = w', w2 = w''
-            h0, h1, h2, u = 1.0, 0.0, 0.0, pf
-            if wmap == "half":
-                w, w1, w2 = (1.0 - z) / 2.0, -0.5, 0.0
-            elif wmap == "sq":
-                if r:
-                    h0, h1, u = z, 1.0, pf * z
-                w, w1, w2 = z * z, 2.0 * z, 2.0
-            else:
-                h0 = cpow(z, r)
-                h1 = r * h0 / z
-                h2 = (r - 1.0) * h1 / z
-                u = pf * h0
-                w = 1.0 / (z * z)
-                w1, w2 = -2.0 * w / z, 6.0 * w * w
-            F0 = self._hyp[i][0](w)
-            acc[0] += K * (u * F0)
-            if order == 0:
+            F0 = hyp[0](w, wc)
+            if not order:
+                total += K * (u * F0)
                 continue
+            # h1, h2 = h', h'' by the power rule (not h'/h, which is r/z);
+            # w1, w2 = w', w''
+            if wmap == "half":
+                h0, h1, h2, w1, w2 = 1.0, 0.0, 0.0, -0.5, 0.0
+            elif wmap == "sq":
+                h0, h1 = (z, 1.0) if r else (1.0, 0.0)
+                h2, w1, w2 = 0.0, 2.0 * z, 2.0
+            else:
+                h1 = r * h0 / z
+                h2, w1, w2 = (r - 1.0) * h1 / z, -2.0 * w / z, 6.0 * w * w
             # the product rule for pf * g with g = h F(w); L = pf'/pf
             L = sign * p / zm + q / zp
-            Lp = -p / zm**2 - q / zp**2
-            coef1, hyp1 = self._derivative(i, 1)
-            F1 = coef1 * hyp1(w)
+            coef1, hyp1 = self._derivative(t, hyp, 1)
+            F1 = coef1 * hyp1(w, wc)
             g0 = h0 * F0
             g1 = h1 * F0 + h0 * F1 * w1
-            acc[1] += K * pf * (L * g0 + g1)
-            if order >= 2:
-                coef2, hyp2 = self._derivative(i, 2)
-                F2 = coef2 * hyp2(w)
-                g2 = h2 * F0 + 2.0 * h1 * F1 * w1 + h0 * (F2 * w1 * w1 + F1 * w2)
-                acc[2] += K * pf * ((Lp + L * L) * g0 + 2.0 * L * g1 + g2)
-        return acc
+            if order == 1:
+                total += K * pf * (L * g0 + g1)
+                continue
+            Lp = -p / zm**2 - q / zp**2
+            coef2, hyp2 = self._derivative(t, hyp, 2)
+            F2 = coef2 * hyp2(w, wc)
+            g2 = h2 * F0 + 2.0 * h1 * F1 * w1 + h0 * (F2 * w1 * w1 + F1 * w2)
+            total += K * pf * ((Lp + L * L) * g0 + 2.0 * L * g1 + g2)
+        return total
 
 
 # --- representations ---------------------------------------------------------
@@ -291,9 +281,10 @@ _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 
 
 def _representation(kind, nu, mu, s=0.0):
-    """(z, order) -> [F, F', F''] for the function times the weight
-    (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds: the kind's one term
-    list, exact at degenerate parameters, with s joining its exponents."""
+    """(z, zc=None, order=0) -> the order-th derivative of F, the function
+    times the weight (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds: the
+    kind's one term list, exact at degenerate parameters, with s joining its
+    exponents."""
     if kind == "p":
         terms = _p_terms(nu, mu)
     elif kind == "q":
@@ -335,8 +326,7 @@ class _Legendre:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
         else:
             z = _prepare_z(z, boundary_side)
-        value = self._rep.value(z) if order == 0 else self._rep(z, order)[order]
-        return finite_result(value, self._name)
+        return finite_result(self._rep(z, None, order), self._name)
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -362,7 +352,7 @@ def weighted_evaluator(kind, nu, mu, s):
     With s = mu/2 the P form is analytic through v = 1; with s = -mu/2 it
     has the single power (v-1)**(-mu), and the Ferrers terms none.
     """
-    return _Legendre(kind, nu, mu, s)._rep.value
+    return _Legendre(kind, nu, mu, s)._rep
 
 
 def whipple_evaluator(kind, nu, mu, s):
@@ -453,7 +443,9 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     """Q_nu^mu(z) with the exp(i pi mu) normalization.
 
     Q is the single 1/z**2 term of DLMF 14.3.7 on the whole cut plane (see
-    the module docstring), with no subtraction and no +/- i*eps average.
+    the module docstring), with no subtraction.  Where its series is
+    continued, at |z| below about 1.118, an integer mu makes the 1-w image
+    degenerate, and ``hyper._Gauss._nudge`` may average mu +/- i*eps.
     For nu in [-3, 25] and Re z > 1 with |z-1| > 0.02 it is within 1.3e-10
     relative of mpmath, at integer and near-integer mu alike, and mostly
     within 1e-14; for |z| < 1.02 the continued series lose digits as the
@@ -471,7 +463,7 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
         return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
     check_finite(nu, mu)
     terms = _q_terms(complex(nu), complex(mu), olver=True)
-    return finite_result(_TermSum(terms).value(_prepare_z(z, boundary_side)), "legendre_q")
+    return finite_result(_TermSum(terms)(_prepare_z(z, boundary_side)), "legendre_q")
 
 
 def _ferrers_x(x) -> float:

@@ -244,6 +244,28 @@ def test_verify_grid_file(tmp_path):
     assert "points=2" in out and "passed=2" in out
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        "{not json",
+        json.dumps(["nu", "mu"]),
+        json.dumps({"nu": 0.6, "mu": 0.3, "lam": 0.7, "z": 2.0}),
+        json.dumps([{"nu": 0.6, "mu": 0.3, "lam": 0.7}]),
+        json.dumps([{"nu": 0.6, "mu": 0.3, "lam": 0.7, "z": "2.0"}]),
+        json.dumps([{"nu": 0.6, "mu": 0.3, "lam": None, "z": 2.0}]),
+    ],
+)
+def test_verify_malformed_grid_file_is_a_parse_error(tmp_path, content):
+    path = tmp_path / "grid.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(["verify", "--id", "WEYL_MMINUS_Q", "--grid-file", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_sweep_fn_row_count_and_consistency():
     code, out, _ = run_cli(
         ["sweep", "--fn", "P", "--nu", "0.5", "--mu", "0.25", "--z", "1.5:3.5:5"]

@@ -203,6 +203,72 @@ def test_hyp3f2_series_at_a_lower_parameter_pole_raises():
     assert abs(val - complex(mpmath.hyp3f2(-1, 1.5, 1, -1, 2.5, 0.3))) <= 1e-15
 
 
+def test_hyp3f2_rejects_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    for args in ((nan, 1, 1, 1.5, 1.5, 0.3), (0.5, 1, 1, 1.5, 1.5, nan),
+                 (0.5, 1, complex(1, inf), 1.5, 1.5, 0.3), (0.5, 1, 1, 1.5, inf, 0.3)):
+        with pytest.raises(DomainError):
+            hyp3f2_series(*args)
+    for args in ((nan, 1, 1.5, 1.5, 0.3), (0.5, 1, 1.5, 1.5, nan), (0.5, 1, inf, 1.5, 0.3)):
+        with pytest.raises(DomainError):
+            hyp3f2_regularized(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-60, 1, 1, 1.5, 1.5, 2.0),  # 0.0232 by mpmath; summed plainly 9.07e8
+        (-40, 2.5, 1, 1.5, 1.2, 1.7),  # 9.6e-4; summed plainly -8.15
+        (-400, 300, 300, 0.5, 0.5, 0.9),  # -1.9e261; its terms pass double range
+    ],
+)
+def test_hyp3f2_terminating_series_that_cancels_or_overflows_raises(args):
+    with pytest.raises(NumericalError):
+        hyp3f2_series(*args)
+
+
+def test_hyp3f2_regularized_taylor_steps_past_double_range_raise():
+    # a Taylor coefficient whose modulus passes double range ends the walk
+    w = 4.617501539793688 - 8.341337567087303j
+    with pytest.raises(NumericalError):
+        hyp3f2_regularized(-2.5553632434869167, 395.0049485431934, -0.529 + 1.632j, -11.5, w)
+
+
+def _wide_parameter(rng):
+    """A parameter in [-400, 400]: a nonpositive integer, a small value or a
+    large one, a third each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return float(-rng.randint(0, 400))
+    return rng.uniform(-5.0, 5.0) if kind == 1 else rng.uniform(-400.0, 400.0)
+
+
+def test_hyper_functions_return_finite_or_raise_a_library_error():
+    # 2,000 seeded points, parameters up to +/-400 and |w| <= 10 (the 3F2
+    # series inside its disc): a value is finite, or the call raises a
+    # legshift error; never nan, inf, or another exception type
+    rng = random.Random(20261019)
+    bad = []
+    for _ in range(2000):
+        a1, a2, a3, b1, b2 = (_wide_parameter(rng) for _ in range(5))
+        w = cmath.rect(rng.uniform(0.0, 10.0), rng.uniform(-math.pi, math.pi))
+        for fn, args in (
+            (hyp2f1, (a1, a2, b1, w)),
+            (hyp3f2_series, (a1, a2, a3, b1, b2, w * 0.0999)),
+            (hyp3f2_regularized, (a1, a2, b1, b2, w)),
+        ):
+            try:
+                value = fn(*args)
+            except (DomainError, NumericalError):
+                continue
+            except Exception as exc:  # any other type is the failure
+                bad.append((fn.__name__, args, repr(exc)))
+                continue
+            if not cmath.isfinite(value):
+                bad.append((fn.__name__, args, value))
+    assert not bad, bad[:5]
+
+
 @pytest.mark.parametrize(
     "b1,b2",
     [(0.7, 0.45), (0.0, 0.45), (0.7, -1.0), (-2.0, 0.45), (-1.0, -2.0), (0.0, 0.0)],

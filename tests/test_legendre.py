@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import random
 import time
 
 import mpmath
@@ -12,7 +11,6 @@ import scipy.special
 from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.hyper import hyp2f1
 from legshift.legendre import (
-    _Legendre,
     ferrers_p,
     ferrers_q,
     jacobi_evaluator,
@@ -420,23 +418,6 @@ def test_evaluator_reuse_equals_one_shot():
         for order in (0, 1, 2):
             for z in points:
                 assert ev(z, order) == _public(kind, nu, mu, z, order), (kind, nu, mu, z)
-
-
-def test_order_zero_sum_is_bitwise_the_derivative_sum_value():
-    # the order-0 path skips the power of a zero exponent; its sums must be
-    # the [S, S', S''] loop's S to the last bit, sign of zero included
-    rng = random.Random(7)
-    for _ in range(600):
-        kind = rng.choice(["p", "q", "ferrers_p", "ferrers_q"])
-        nu = rng.uniform(-3.0, 8.0) + (rng.uniform(-1.0, 1.0) * 1j if rng.random() < 0.2 else 0.0)
-        mu = rng.choice([rng.uniform(-2.0, 2.0), float(rng.randint(-2, 2))])
-        s = rng.choice([0.0, mu / 2.0, -mu / 2.0, 0.3])
-        if kind.startswith("ferrers"):
-            z = complex(rng.uniform(-0.99, 0.99))
-        else:
-            z = complex(rng.uniform(1.05, 9.0), rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
-        rep = _Legendre(kind, nu, mu, s)._rep
-        assert repr(rep.value(z)) == repr(rep(z, 0)[0]), (kind, nu, mu, s, z)
 
 
 def test_jacobi_evaluator_reuse_equals_one_shot():

@@ -536,7 +536,8 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
     largest such and b1 its parameter, R = (a1)_n (a2)_n w**n
     R(a1+n, a2+n; 1, b2+n; w): the shift of ``_c_limit``, whose C is
     (a1)_n (a2)_n / n!, and the shifted 3F2 has b1+n = 1 over its third
-    numerator.  ``hyp3f2_series`` sums it where |w| <= 0.9 or a numerator
+    numerator.  Where a1 or a2 is in {0, -1, ..., 1-n}, C = 0 and R is 0
+    everywhere.  ``hyp3f2_series`` sums it where |w| <= 0.9 or a numerator
     terminates it.  Beyond, R is continued by Taylor steps of the 3F2
     equation, which R solves at b1 = 1-n too; DomainError on the cut.
     """
@@ -547,6 +548,8 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
         key=lambda b: b.real if is_nonpositive_integer(b) else math.inf,
     )
     n, C, s1, s2, c = _c_limit(complex(a1), complex(a2), b1)
+    if C == 0.0:  # a1 or a2 in {0, -1, ..., 1-n}: every term vanishes
+        return 0j
     terminating = is_nonpositive_integer(s1) or is_nonpositive_integer(s2)
     if not (terminating or abs(w) <= _3F2_SERIES_RADIUS):
         w = complex(w)

@@ -6,14 +6,11 @@ validity conditions under which the corresponding integral representation
 converges.  The quadrature side lives in ``verify``; this module never
 integrates anything.
 
-Weight conventions (w = z**2 - 1, split as (z-1)(z+1)):
-
-* order raising  ("mplus"):   f^mu = w**(-mu/2) F_nu^mu(z)
-* order lowering ("mminus"):  f^mu = w**(+mu/2) F_nu^mu(z)
-* degree raising ("k3"):      f_nu = w**(-(nu+1)/2) F_nu^mu(y/sqrt(w))
-* degree lowering ("p3"):     f_nu = w**(nu/2)      F_nu^mu(y/sqrt(w))
-* Ferrers raising ("lplus"):  f^mu = (1-x**2)**(-mu/2) P_nu^mu(x)
-* Ferrers lowering ("lminus"): f^mu = (1-x**2)**(+mu/2) P_nu^mu(x)
+Every relation maps a weighted function to the same weighted function at a
+shifted order or degree.  ``_WEIGHTS`` holds the four weight conventions and
+is read by both sides: the closed forms here (``_weighted_function``) and the
+integrands in ``verify``.  The Ferrers relations are the order conventions on
+Ferrers P, with (1-x**2) in place of (z**2-1).
 """
 
 from __future__ import annotations
@@ -75,6 +72,33 @@ def hyp3f2_family(nu, mu, lam, z) -> complex:
     return hyp3f2_regularized(nu - mu + 1.0, -nu - mu, 1.0 - mu, 1.0 - lam, (1.0 - z) / 2.0)
 
 
+# weight convention -> (s(nu, mu), degree): the weighted function is
+# (z**2-1)**s F_nu^mu(z), or (1-x**2)**s F_nu^mu(x) for Ferrers F, and for the
+# degree conventions (y**2-1)**s F_nu^mu(y/sqrt(y**2-1))
+_WEIGHTS = {
+    "mplus": (lambda nu, mu: -mu / 2.0, False),  # order raising
+    "mminus": (lambda nu, mu: mu / 2.0, False),  # order lowering
+    "k3": (lambda nu, mu: -(nu + 1.0) / 2.0, True),  # degree raising
+    "p3": (lambda nu, mu: nu / 2.0, True),  # degree lowering
+}
+
+
+def _weighted_function(convention, kind, nu, mu, z, coef=1.0):
+    """coef times the weighted function of ``convention`` (``_WEIGHTS``) at
+    (nu, mu, z), F being legendre_p ("p"), legendre_q ("q") or ferrers_p
+    ("ferrers_p"): the weight times the public function, with its cut and
+    finiteness checks.  coef enters first, so the product rounds as
+    (coef * weight) * F: next to an integer order the two-term forms average
+    terms that cancel (``_two_terms``), and another order of the product
+    moves their mean by up to 1e-14 relative."""
+    exponent, degree = _WEIGHTS[convention]
+    s = exponent(nu, mu)
+    if kind == "ferrers_p":
+        return coef * (cpow(1.0 - z, s) * cpow(1.0 + z, s)) * ferrers_p(nu, mu, z)
+    fn = legendre_p if kind == "p" else legendre_q
+    return coef * zsq_minus_one_pow(z, s) * fn(nu, mu, _degree_argument(z) if degree else z)
+
+
 def _degree_argument(y):
     """y / sqrt(y**2 - 1), the argument of the degree-shifted function."""
     if y * y == 1.0:
@@ -129,9 +153,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
     nu, mu, lam, z = complex(nu), complex(mu), complex(lam), complex(z)
 
     if variant == "weyl_q_down":
-        val = cmath.exp(1j * math.pi * lam) * zsq_minus_one_pow(
-            z, -(mu - lam) / 2.0
-        ) * legendre_q(nu, mu - lam, z)
+        val = _weighted_function("mplus", "q", nu, mu - lam, z, cmath.exp(1j * math.pi * lam))
         return Prediction(
             val,
             {"q_term": val},
@@ -143,18 +165,12 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
 
     if variant == "weyl_p_up":
         def terms(lam):
-            wgt = zsq_minus_one_pow(z, -(mu + lam) / 2.0)
             denom = sin_pi(nu - mu - lam)
-            t_p = sin_pi(nu - mu) * wgt * legendre_p(nu, mu + lam, z) / denom
-            t_q = (
-                -(2.0 / math.pi)
-                * sin_pi(nu)
-                * sin_pi(lam)
-                * cmath.exp(-1j * math.pi * (mu + lam))
-                * wgt
-                * legendre_q(nu, mu + lam, z)
-                / denom
+            t_p = _weighted_function("mplus", "p", nu, mu + lam, z, sin_pi(nu - mu)) / denom
+            coef = (
+                -(2.0 / math.pi) * sin_pi(nu) * sin_pi(lam) * cmath.exp(-1j * math.pi * (mu + lam))
             )
+            t_q = _weighted_function("mplus", "q", nu, mu + lam, z, coef) / denom
             return t_p, t_q
 
         # the terms' poles at integer nu-mu-lam cancel; the circle runs in lam
@@ -168,7 +184,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         coef = gamma_ratio(
             [nu + mu + 1.0, nu - mu + lam + 1.0], [nu + mu - lam + 1.0, nu - mu + 1.0]
         )
-        val = coef * zsq_minus_one_pow(z, (mu - lam) / 2.0) * legendre_q(nu, mu - lam, z)
+        val = _weighted_function("mminus", "q", nu, mu - lam, z, coef)
         return Prediction(
             val,
             {"q_term": val},
@@ -179,7 +195,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [-nu - mu + lam, nu - mu + lam + 1.0], [-nu - mu, nu - mu + 1.0]
         )
-        val = coef * zsq_minus_one_pow(z, (mu - lam) / 2.0) * legendre_p(nu, mu - lam, z)
+        val = _weighted_function("mminus", "p", nu, mu - lam, z, coef)
         return Prediction(
             val,
             {"p_term": val},
@@ -190,7 +206,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "riemann_p_up":
-        val = zsq_minus_one_pow(z, -(mu + lam) / 2.0) * legendre_p(nu, mu + lam, z)
+        val = _weighted_function("mplus", "p", nu, mu + lam, z)
         return Prediction(
             val,
             {"p_term": val},
@@ -199,14 +215,8 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
 
     if variant == "riemann_q_up":
         def terms(mu):
-            t1 = (
-                0.5
-                * cmath.exp(1j * math.pi * mu)
-                * math.pi
-                / sin_pi(mu)
-                * zsq_minus_one_pow(z, -(mu + lam) / 2.0)
-                * legendre_p(nu, mu + lam, z)
-            )
+            coef = 0.5 * cmath.exp(1j * math.pi * mu) * math.pi / sin_pi(mu)
+            t1 = _weighted_function("mplus", "p", nu, mu + lam, z, coef)
             t2 = cmath.exp(1j * math.pi * mu) * cpow(z - 1.0, -lam) * _q_3f2_term(
                 nu, mu, lam, (1.0 - z) / 2.0
             )
@@ -238,19 +248,17 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             return Prediction(complex("nan"), {}, conditions)  # a denominator vanishes
         # P-coefficient fixed by the residue series even in nu; the Q-coefficient
         # follows from the odd series via the nu -> -nu-1 symmetry.
-        wgt = zsq_minus_one_pow(z, (mu - lam) / 2.0)
         g_p = gamma_ratio(
             [nu + mu + 1.0, nu - mu + lam + 1.0],
             [nu + mu - lam + 1.0, nu - mu + 1.0],
         )
         g_q = gamma_ratio([-nu + mu, -nu - mu + lam], [-nu + mu - lam, -nu - mu])
-        t1 = g_p * wgt * legendre_p(nu, mu - lam, z)
-        t2 = (
+        t1 = _weighted_function("mminus", "p", nu, mu - lam, z, g_p)
+        coef = (
             sin_pi(nu + mu - lam) * (g_q - g_p) / (math.pi * cos_pi(nu))
-            * wgt
             * cmath.exp(-1j * math.pi * (mu - lam))
-            * legendre_q(nu, mu - lam, z)
         )
+        t2 = _weighted_function("mminus", "q", nu, mu - lam, z, coef)
         t3 = (
             -cpow(2.0, mu + 1.0)
             * cpow(z - 1.0, -lam - 1.0)
@@ -276,17 +284,18 @@ def predict_degree_shift(nu, mu, lam, y, variant) -> Prediction:
     "p3_riemann_q".
     """
     nu, mu, lam, y = complex(nu), complex(mu), complex(lam), complex(y)
-    arg = _degree_argument(y)
+    _degree_argument(y)  # DomainError at y**2 = 1 for every variant
 
     if variant in ("k3_up_p", "k3_up_q"):
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [nu + lam - mu + 1.0], [nu - mu + 1.0]
         )
-        fn = legendre_p if variant == "k3_up_p" else legendre_q
-        val = coef * zsq_minus_one_pow(y, -(nu + lam + 1.0) / 2.0) * fn(nu + lam, mu, arg)
+        val = _weighted_function("k3", variant[-1], nu + lam, mu, y, coef)
         conds = [_cond("Re(nu+lam-mu+1) > 0", (nu + lam - mu + 1.0).real > 0)]
         if variant == "k3_up_q":
             conds.append(_cond("Re(nu+lam+mu+1) > 0", (nu + lam + mu + 1.0).real > 0))
+        # the Weyl integral's decay at infinity
+        conds.append(_cond("Re(lam+nu+1-|Re mu|) > 0", (lam + nu + 1.0 - abs(mu.real)).real > 0))
         return Prediction(val, {"shifted_term": val}, tuple(conds))
 
     if variant == "k3_riemann_q":
@@ -308,19 +317,21 @@ def predict_degree_shift(nu, mu, lam, y, variant) -> Prediction:
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [-nu + lam - mu], [-nu - mu]
         )
-        val = coef * zsq_minus_one_pow(y, (nu - lam) / 2.0) * legendre_p(nu - lam, mu, arg)
+        val = _weighted_function("p3", "p", nu - lam, mu, y, coef)
         return Prediction(
             val,
             {"shifted_term": val},
             (
                 _cond("Re nu > -1/2", nu.real > -0.5),
                 _cond("Re nu < Re(lam-mu)", nu.real < (lam - mu).real),
+                # the Weyl integral's decay at infinity
+                _cond("Re(lam-nu-|Re mu|) > 0", (lam - nu - abs(mu.real)).real > 0),
             ),
         )
 
     if variant == "p3_riemann_q":
         coef = gamma_ratio([nu + mu + 1.0], [nu - lam + mu + 1.0])
-        val = coef * zsq_minus_one_pow(y, (nu - lam) / 2.0) * legendre_q(nu - lam, mu, arg)
+        val = _weighted_function("p3", "q", nu - lam, mu, y, coef)
         return Prediction(
             val,
             {"shifted_term": val},
@@ -339,9 +350,7 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
     x = real_argument(x, "Ferrers shifts")
 
     if variant == "lplus_p":
-        val = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(
-            1.0 + x, -(mu + lam) / 2.0
-        ) * ferrers_p(nu, mu + lam, x)
+        val = _weighted_function("mplus", "ferrers_p", nu, mu + lam, x)
         return Prediction(
             val,
             {"p_term": val},
@@ -350,8 +359,8 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
 
     if variant == "lplus_q":
         def terms(mu):
-            wgt = cpow(1.0 - x, -(mu + lam) / 2.0) * cpow(1.0 + x, -(mu + lam) / 2.0)
-            t1 = 0.5 * math.pi * cos_pi(mu) / sin_pi(mu) * wgt * ferrers_p(nu, mu + lam, x)
+            coef = 0.5 * math.pi * cos_pi(mu) / sin_pi(mu)
+            t1 = _weighted_function("mplus", "ferrers_p", nu, mu + lam, x, coef)
             t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
             return t1, t2
 
@@ -366,6 +375,17 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
         return Prediction(val, {"hyp3f2_term": val}, ())
 
     raise DomainError(f"unknown Ferrers-shift variant {variant!r}")
+
+
+def _predict(family, variant, nu, mu, lam, z) -> Prediction:
+    """``predict_<family>_shift`` at ``variant``, looked up per call so that
+    wrappers on this module's names apply."""
+    predict = {
+        "order": predict_order_shift,
+        "degree": predict_degree_shift,
+        "ferrers": predict_ferrers_shift,
+    }[family]
+    return predict(nu, mu, lam, z, variant)
 
 
 # (op, kind) -> (family, variant, sign of lam, sign per step): n steps of an
@@ -385,10 +405,11 @@ _INTEGER_STEPS = {
 
 
 def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
-    """n-th derivative of a weighted function (see the module docstring):
-    (d/dz)**n, or (-d/dx)**n for LPLUS.  Cohl and Costas-Santos's
-    multi-derivative relations are the fractional ones at integer order, so
-    this is the ``_INTEGER_STEPS`` closed form at lam = +/-n.
+    """n-th derivative of a weighted function (``_WEIGHTS``; LPLUS and
+    LMINUS act on Ferrers P): (d/dz)**n, or (-d/dx)**n for LPLUS.  Cohl and
+    Costas-Santos's multi-derivative relations are the fractional ones at
+    integer order, so this is the ``_INTEGER_STEPS`` closed form at
+    lam = +/-n.
 
     ``kind`` selects P or Q for the hyperbolic-argument operators; the
     Ferrers operators (LPLUS, LMINUS) always act on Ferrers P.
@@ -402,13 +423,7 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
     family, variant, lam_sign, step_sign = _INTEGER_STEPS[
         op_id, "p" if op_id.startswith("L") else kind
     ]
-    # looked up per call, so wrappers on this module's names apply
-    predict = {
-        "order": predict_order_shift,
-        "degree": predict_degree_shift,
-        "ferrers": predict_ferrers_shift,
-    }[family]
-    val = step_sign**n * predict(nu, mu, lam_sign * n, z, variant).value
+    val = step_sign**n * _predict(family, variant, nu, mu, lam_sign * n, z).value
     return Prediction(val, {"shifted_value": val}, ())
 
 

@@ -19,6 +19,10 @@ Ferrers integrands are ``legendre.weighted_evaluator`` and
 ``legendre.whipple_evaluator`` term lists, analytic through the branch point
 of the raw weighted product, so every quadrature node is finite.
 
+``shifts`` owns each entry's weight convention, read from the table its
+closed forms read (``_integrand``), and its validity: the closed form's
+conditions include those under which the integral converges.
+
 Parameter conventions: every entry takes (nu, mu, lam, z).  For the degree
 shifts z is the variable usually called y (argument y/sqrt(y^2-1) inside the
 function); for the Ferrers entries z is the on-cut point x in (-1, 1); for
@@ -59,9 +63,10 @@ from .quadrature import (
     integrate_weyl,
 )
 from .shifts import (
+    _WEIGHTS,
     Prediction,
-    predict_degree_shift,
-    predict_ferrers_shift,
+    _cond,
+    _predict,
     predict_order_shift,
     rodrigues_pair,
 )
@@ -205,20 +210,22 @@ def _weyl_loop(p, W, target, decay, order=None):
 
 
 @_recipe
-def _riemann_loop(p, W, target, basepoint=0.0, order=None):
+def _riemann_loop(p, W, target, basepoint=0.0, order=None, radius=None):
     """Riemann-Liouville loop of order ``order`` (lam when None) of
     g(v) = W(z + (1-z) v), based at v = 1 where W has the power
     ``basepoint``: (1-z)**(-order) times it is the fractional integral
     (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.  W takes
-    1 - V = (1-z)(1-v) exactly as its second argument.  W is singular at
-    V = +/-1, so g is analytic for |v| < min(1, |1+z|/|1-z|): inside the
-    unit disc when Re z < 0."""
+    1 - V = (1-z)(1-v) exactly as its second argument.  g is analytic for
+    |v| < ``radius``; by default W is singular at V = +/-1, so that is
+    min(1, |1+z|/|1-z|): inside the unit disc when Re z < 0."""
     z, d = p.z, 1.0 - p.z
+    if radius is None:
+        radius = 1.0 if abs(1.0 + z) >= abs(d) else abs(1.0 + z) / abs(d)
     return integrate_loop(
         lambda v, vc: W(z + d * v, d * vc),
         1.0,
         p.lam if order is None else order,
-        analyticity_radius=1.0 if abs(1.0 + z) >= abs(d) else abs(1.0 + z) / abs(d),
+        analyticity_radius=radius,
         basepoint_exponent=basepoint,
         target=target,
     )
@@ -232,28 +239,15 @@ def _on_cut(lhs):
     )
 
 
-# the weighted integrands W of the weight conventions in ``shifts``, as
-# builders p -> W; the Ferrers kinds carry (1-v^2) in place of (v^2-1).  W is
-# called as W(v, 1 - v), or W(v) where v stays away from 1 (the Weyl loops)
-
-def _mplus(kind):
-    """W(v) = (v^2-1)^(-mu/2) F_nu^mu(v)."""
-    return lambda p: weighted_evaluator(kind, p.nu, p.mu, -p.mu / 2.0)
-
-
-def _mminus(kind):
-    """W(v) = (v^2-1)^(mu/2) F_nu^mu(v)."""
-    return lambda p: weighted_evaluator(kind, p.nu, p.mu, p.mu / 2.0)
-
-
-def _k3(kind):
-    """W(y) = (y^2-1)^(-(nu+1)/2) F_nu^mu(y/sqrt(y^2-1))."""
-    return lambda p: whipple_evaluator(kind, p.nu, p.mu, -(p.nu + 1.0) / 2.0)
-
-
-def _p3(kind):
-    """W(y) = (y^2-1)^(nu/2) F_nu^mu(y/sqrt(y^2-1))."""
-    return lambda p: whipple_evaluator(kind, p.nu, p.mu, p.nu / 2.0)
+def _integrand(convention, kind):
+    """The builder p -> W of the weighted function of ``shifts``' weight
+    ``convention`` for F of ``kind``: W(v) = (v^2-1)^s F_nu^mu(v), (1-v^2)^s
+    for the Ferrers kinds, or (v^2-1)^s F_nu^mu(v/sqrt(v^2-1)) for the
+    degree conventions, through the Whipple image.  W is called as
+    W(v, 1 - v), or W(v) where v stays away from 1 (the Weyl loops)."""
+    exponent, degree = _WEIGHTS[convention]
+    evaluator = whipple_evaluator if degree else weighted_evaluator
+    return lambda p: evaluator(kind, p.nu, p.mu, exponent(p.nu, p.mu))
 
 
 def _jacobi_weighted(p):
@@ -299,26 +293,9 @@ def _minus_re_mu(p):
 
 # --- right-hand sides -------------------------------------------------------
 
-def _pos(desc, value):
-    return (desc, complex(value).real > 0.0)
-
-
-def _shift(family, variant, extra=None):
-    """``shifts.predict_<family>_shift`` at ``variant`` (looked up per call, so
-    wrappers on this module's names apply), plus the ``extra`` conditions."""
-
-    def rhs(nu, mu, lam, z):
-        predict = {
-            "order": predict_order_shift,
-            "degree": predict_degree_shift,
-            "ferrers": predict_ferrers_shift,
-        }[family]
-        pred = predict(nu, mu, lam, z, variant)
-        if not extra:
-            return pred
-        return Prediction(pred.value, pred.terms, pred.conditions + extra(nu, mu, lam, z))
-
-    return rhs
+def _shift(family, variant):
+    """The closed form ``shifts.predict_<family>_shift`` at ``variant``."""
+    return lambda nu, mu, lam, z: _predict(family, variant, nu, mu, lam, z)
 
 
 def _closed_form(value, name, *conditions):
@@ -378,8 +355,8 @@ def _rhs_rodrigues(part):
         return _closed_form(
             rodrigues_pair(nu, mu, lam, z)[part],
             ("weighted", "primitive")[part],
-            _pos("Re(nu+alpha+1) > 0", complex(nu) + complex(mu) + 1.0),
-            ("-1 < z < 1", -1.0 < complex(z).real < 1.0),
+            _cond("Re(nu+alpha+1) > 0", (complex(nu) + complex(mu) + 1.0).real > 0),
+            _cond("-1 < z < 1", -1.0 < complex(z).real < 1.0),
         )
 
     return rhs
@@ -393,24 +370,9 @@ def _rhs_beta_contour(nu, mu, lam, z):
     return _closed_form(
         cpow(1.0 - z, sigma - 1.0) * gamma_ratio([sigma], [sigma - complex(lam)]),
         "beta_term",
-        _pos("Re sigma > 0", sigma),
-        ("z not in [1, inf)", not (z.imag == 0.0 and z.real >= 1.0)),
+        _cond("Re sigma > 0", sigma.real > 0),
+        _cond("z not in [1, inf)", not (z.imag == 0.0 and z.real >= 1.0)),
     )
-
-
-# --- convergence conditions of integral sides the closed forms do not state
-
-def _conv_k3_weyl(nu, mu, lam, z):
-    return (
-        _pos(
-            "Re(lam+nu+1-|Re mu|) > 0",
-            complex(lam) + complex(nu) + 1.0 - abs(complex(mu).real),
-        ),
-    )
-
-
-def _conv_p3_weyl(nu, mu, lam, z):
-    return (_pos("Re(lam-nu-|Re mu|) > 0", complex(lam) - complex(nu) - abs(complex(mu).real)),)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +408,9 @@ def _build_catalog():
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
             lhs=_weyl_loop(
-                _mplus("q"), decay=lambda p: (p.nu + p.mu + 1.0).real, order=lambda p: -p.lam
+                _integrand("mplus", "q"),
+                decay=lambda p: (p.nu + p.mu + 1.0).real,
+                order=lambda p: -p.lam,
             ),
             rhs=_shift("order", "weyl_q_down"),
         ),
@@ -462,7 +426,7 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2)"
             ),
             default_grid=_grid((0.35, 0.85), (0.15, -0.2), (1.3, 1.8), (1.6, 2.4)),
-            lhs=_weyl_loop(_mplus("p"), decay=lambda p: -(p.nu - p.mu).real),
+            lhs=_weyl_loop(_integrand("mplus", "p"), decay=lambda p: -(p.nu - p.mu).real),
             rhs=_shift("order", "weyl_p_up"),
         ),
         IdentityEntry(
@@ -479,7 +443,9 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_weyl_loop(_mminus("q"), decay=lambda p: (p.nu - p.mu + 1.0).real, scale=_rotation),
+            lhs=_weyl_loop(
+                _integrand("mminus", "q"), decay=lambda p: (p.nu - p.mu + 1.0).real, scale=_rotation
+            ),
             rhs=_shift("order", "weyl_minus_q"),
         ),
         IdentityEntry(
@@ -496,7 +462,9 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) P_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.35, 0.75), (-0.45, 0.15), (1.4, 2.3), (1.5, 2.6)),
-            lhs=_weyl_loop(_mminus("p"), decay=lambda p: -(p.nu + p.mu).real, scale=_rotation),
+            lhs=_weyl_loop(
+                _integrand("mminus", "p"), decay=lambda p: -(p.nu + p.mu).real, scale=_rotation
+            ),
             rhs=_shift("order", "weyl_minus_p"),
         ),
         IdentityEntry(
@@ -512,7 +480,7 @@ def _build_catalog():
                 "(z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z)"
             ),
             default_grid=_grid((0.6, 1.3), (0.3, -0.4), (0.7, 1.6), (1.4, 2.2)),
-            lhs=_riemann_loop(_mplus("p"), basepoint=_minus_re_mu, scale=_cut_power),
+            lhs=_riemann_loop(_integrand("mplus", "p"), basepoint=_minus_re_mu, scale=_cut_power),
             rhs=_shift("order", "riemann_p_up"),
         ),
         IdentityEntry(
@@ -529,7 +497,9 @@ def _build_catalog():
             ),
             default_grid=_grid((0.55, 1.2), (0.35, -0.25), (0.6, 1.45), (1.5, 2.0)),
             lhs=_riemann_loop(
-                _mplus("q"), basepoint=lambda p: min(-p.mu.real, 0.0), scale=_cut_power
+                _integrand("mplus", "q"),
+                basepoint=lambda p: min(-p.mu.real, 0.0),
+                scale=_cut_power,
             ),
             rhs=_shift("order", "riemann_q_up"),
         ),
@@ -546,7 +516,7 @@ def _build_catalog():
                 "3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2)"
             ),
             default_grid=_grid((0.35, 0.8), (0.15, 0.45), (0.7, 1.3), (1.6, 2.2)),
-            lhs=_riemann_loop(_mminus("p"), scale=_cut_power),
+            lhs=_riemann_loop(_integrand("mminus", "p"), scale=_cut_power),
             rhs=_shift("order", "riemann_p_down_near"),
         ),
         IdentityEntry(
@@ -683,8 +653,8 @@ def _build_catalog():
                 "(y^2-1)^(-(nu+lam+1)/2) P_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
             default_grid=_K3_WEYL_GRID,
-            lhs=_weyl_loop(_k3("p"), decay=_k3_decay, scale=_rotation),
-            rhs=_shift("degree", "k3_up_p", _conv_k3_weyl),
+            lhs=_weyl_loop(_integrand("k3", "p"), decay=_k3_decay, scale=_rotation),
+            rhs=_shift("degree", "k3_up_p"),
         ),
         IdentityEntry(
             id="K3_WEYL_Q",
@@ -698,8 +668,8 @@ def _build_catalog():
                 "(y^2-1)^(-(nu+lam+1)/2) Q_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
             default_grid=_K3_WEYL_GRID,
-            lhs=_weyl_loop(_k3("q"), decay=_k3_decay, scale=_rotation),
-            rhs=_shift("degree", "k3_up_q", _conv_k3_weyl),
+            lhs=_weyl_loop(_integrand("k3", "q"), decay=_k3_decay, scale=_rotation),
+            rhs=_shift("degree", "k3_up_q"),
         ),
         IdentityEntry(
             id="K3_RIEMANN_Q_3F2",
@@ -721,7 +691,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.6},
                 {"nu": 0.8, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_riemann_loop(_k3("q"), scale=_cut_power),
+            lhs=_riemann_loop(_integrand("k3", "q"), scale=_cut_power),
             rhs=_shift("degree", "k3_riemann_q"),
         ),
         IdentityEntry(
@@ -743,9 +713,11 @@ def _build_catalog():
                 {"nu": 0.6, "mu": 0.15, "lam": 1.3, "z": 2.2},
             ),
             lhs=_weyl_loop(
-                _p3("p"), decay=lambda p: -(p.nu.real + abs(p.mu.real)), scale=_rotation
+                _integrand("p3", "p"),
+                decay=lambda p: -(p.nu.real + abs(p.mu.real)),
+                scale=_rotation,
             ),
-            rhs=_shift("degree", "p3_down_p", _conv_p3_weyl),
+            rhs=_shift("degree", "p3_down_p"),
         ),
         IdentityEntry(
             id="P3_RIEMANN_Q",
@@ -766,7 +738,9 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
                 {"nu": 0.7, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_riemann_loop(_p3("q"), scale=_cut_power, basepoint=lambda p: p.nu.real + 0.5),
+            lhs=_riemann_loop(
+                _integrand("p3", "q"), scale=_cut_power, basepoint=lambda p: p.nu.real + 0.5
+            ),
             rhs=_shift("degree", "p3_riemann_q"),
         ),
         IdentityEntry(
@@ -782,7 +756,9 @@ def _build_catalog():
             ),
             default_grid=_FERRERS_LPLUS_GRID,
             lhs=_on_cut(
-                _riemann_loop(_mplus("ferrers_p"), basepoint=_minus_re_mu, scale=_segment_power)
+                _riemann_loop(
+                    _integrand("mplus", "ferrers_p"), basepoint=_minus_re_mu, scale=_segment_power
+                )
             ),
             rhs=_shift("ferrers", "lplus_p"),
         ),
@@ -803,7 +779,9 @@ def _build_catalog():
             ),
             default_grid=_FERRERS_LPLUS_GRID,
             lhs=_on_cut(
-                _riemann_loop(_mplus("ferrers_q"), basepoint=_minus_re_mu, scale=_segment_power)
+                _riemann_loop(
+                    _integrand("mplus", "ferrers_q"), basepoint=_minus_re_mu, scale=_segment_power
+                )
             ),
             rhs=_shift("ferrers", "lplus_q"),
         ),
@@ -826,7 +804,7 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.35, "lam": 1.55, "z": 0.25},
                 {"nu": 1.3, "mu": -0.4, "lam": 0.6, "z": -0.3},
             ),
-            lhs=_on_cut(_riemann_loop(_mminus("ferrers_p"), scale=_segment_power)),
+            lhs=_on_cut(_riemann_loop(_integrand("mminus", "ferrers_p"), scale=_segment_power)),
             rhs=_shift("ferrers", "lminus_p"),
         ),
         IdentityEntry(
@@ -900,7 +878,8 @@ def _build_catalog():
                 {"nu": 0.0, "mu": 0.45, "lam": -0.7, "z": 0.0},
                 {"nu": 0.0, "mu": 2.2, "lam": 3.7, "z": 0.0},
             ),
-            lhs=_riemann_loop(_beta_kernel, basepoint=lambda p: p.mu.real - 1.0),
+            # (1-V)**(sigma-1) is singular only at V = 1
+            lhs=_riemann_loop(_beta_kernel, basepoint=lambda p: p.mu.real - 1.0, radius=1.0),
             rhs=_rhs_beta_contour,
         ),
     ]

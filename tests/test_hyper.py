@@ -323,6 +323,20 @@ def test_hyp3f2_regularized_continued_past_the_disc_vs_mpmath():
     assert sum(e <= 1e-13 for e in errs) >= 0.95 * len(errs)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-3, -300, 0.0853951 - 0.183062j, -18, 0.4591 - 0.8612j),
+        (-11, -241, -14, -5.04326, 1.3533 - 1.97573j),
+        (-1, -166, -14, 0.459388 - 0.545105j, -0.0742327 + 1.53803j),
+    ],
+)
+def test_hyp3f2_regularized_with_a_zero_coefficient_is_zero(args):
+    # b = 1-n with a1 in {0, -1, ..., 1-n}: (a1)_n (a2)_n / n! = 0, so every
+    # term vanishes; summing the shifted polynomial raised NumericalError
+    assert hyp3f2_regularized(*args) == 0.0
+
+
 def test_hyp3f2_regularized_refuses_its_cut():
     for w in (1.0, 1.25, 7.0):
         with pytest.raises(DomainError):

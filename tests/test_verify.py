@@ -8,9 +8,12 @@ import pytest
 
 from legshift.errors import DomainError, NumericalError
 from legshift.legendre import legendre_p
-from legshift.shifts import predict_order_shift
+from legshift.shifts import predict_degree_shift, predict_order_shift
 from legshift.verify import (
     GridSummary,
+    _beta_kernel,
+    _integrand,
+    _Point,
     get_identity,
     list_identities,
     ode_residual,
@@ -93,8 +96,9 @@ def test_verify_grid_names_the_exception_of_a_numerical_failure(monkeypatch):
     def division_by_zero(*args):
         raise ZeroDivisionError("complex division by zero")
 
-    # the closed form, not the quadrature, raises
-    monkeypatch.setattr("legshift.verify.predict_order_shift", division_by_zero)
+    # the closed form, not the quadrature, raises; the catalog looks the
+    # predictor up in ``shifts`` per call
+    monkeypatch.setattr("legshift.shifts.predict_order_shift", division_by_zero)
     s = verify_grid("RIEMANN_MMINUS_P", [get_identity("RIEMANN_MMINUS_P").default_grid[0]])
     assert s.failures[0][1] == "numerical failure: ZeroDivisionError: complex division by zero"
 
@@ -174,23 +178,65 @@ def test_grid_summary_all_passed_property():
 
 
 @pytest.mark.parametrize(
-    "identity,variant",
+    "identity,predict,variant",
     [
-        ("WEYL_MPLUS_Q", "weyl_q_down"),
-        ("WEYL_MPLUS_P", "weyl_p_up"),
-        ("WEYL_MMINUS_Q", "weyl_minus_q"),
-        ("WEYL_MMINUS_P", "weyl_minus_p"),
+        ("WEYL_MPLUS_Q", predict_order_shift, "weyl_q_down"),
+        ("WEYL_MPLUS_P", predict_order_shift, "weyl_p_up"),
+        ("WEYL_MMINUS_Q", predict_order_shift, "weyl_minus_q"),
+        ("WEYL_MMINUS_P", predict_order_shift, "weyl_minus_p"),
+        ("K3_WEYL_P", predict_degree_shift, "k3_up_p"),
+        ("K3_WEYL_Q", predict_degree_shift, "k3_up_q"),
+        ("P3_WEYL_P", predict_degree_shift, "p3_down_p"),
     ],
 )
-def test_weyl_conditions_are_the_closed_form_conditions(identity, variant):
-    # the Weyl integrals converge exactly where the closed forms hold, so
-    # each condition is listed once, as predict_order_shift states it
+def test_weyl_conditions_are_the_closed_form_conditions(identity, predict, variant):
+    # the closed forms state the conditions under which the Weyl integrals
+    # converge, so each condition is listed once, as the predictor states it
     entry = get_identity(identity)
     for p in entry.default_grid + ({"nu": 0.6, "mu": 0.3, "lam": -2.0, "z": 2.0},):
-        expected = predict_order_shift(p["nu"], p["mu"], p["lam"], p["z"], variant).conditions
+        expected = predict(p["nu"], p["mu"], p["lam"], p["z"], variant).conditions
         assert entry.conditions_at(**p) == expected
     listed = entry.to_dict()["conditions"]
     assert len(set(listed)) == len(listed)
+
+
+# the integrand of each entry whose operator has order +/-lam
+_ORDER_LAM_INTEGRANDS = {
+    "WEYL_MPLUS_Q": _integrand("mplus", "q"),
+    "WEYL_MPLUS_P": _integrand("mplus", "p"),
+    "WEYL_MMINUS_Q": _integrand("mminus", "q"),
+    "WEYL_MMINUS_P": _integrand("mminus", "p"),
+    "RIEMANN_MPLUS_P": _integrand("mplus", "p"),
+    "RIEMANN_MPLUS_Q": _integrand("mplus", "q"),
+    "RIEMANN_MMINUS_P": _integrand("mminus", "p"),
+    "K3_WEYL_P": _integrand("k3", "p"),
+    "K3_WEYL_Q": _integrand("k3", "q"),
+    "K3_RIEMANN_Q_3F2": _integrand("k3", "q"),
+    "P3_WEYL_P": _integrand("p3", "p"),
+    "P3_RIEMANN_Q": _integrand("p3", "q"),
+    "FERRERS_LPLUS_P": _integrand("mplus", "ferrers_p"),
+    "FERRERS_LPLUS_Q_3F2": _integrand("mplus", "ferrers_q"),
+    "FERRERS_LMINUS_P_3F2": _integrand("mminus", "ferrers_p"),
+    "BETA_CONTOUR": _beta_kernel,
+}
+
+
+@pytest.mark.parametrize(
+    "identity",
+    [e.id for e in list_identities() if not e.id.startswith(("MULTI_INT_", "RODRIGUES_"))],
+)
+def test_closed_form_at_order_zero_is_the_integrand(identity):
+    # an operator of order 0 is the identity, so at lam = 0 each closed form
+    # is its own entry's integrand W: the closed forms and the integrands
+    # read the same weight conventions.  RIEMANN_MPLUS_Q, whose two terms
+    # cancel, is the worst, 1.1e-13
+    entry = get_identity(identity)
+    for p in entry.default_grid:
+        nu, mu, z = p["nu"], p["mu"], p["z"]
+        W = _ORDER_LAM_INTEGRANDS[identity](_Point(complex(nu), complex(mu), 0j, complex(z)))
+        w = W(complex(z), 1.0 - complex(z))
+        rhs = entry.rhs(nu, mu, 0.0, z).value
+        assert abs(rhs - w) <= 1e-12 * abs(w), (p, rhs, w)
 
 
 @pytest.fixture(scope="module")
@@ -292,9 +338,12 @@ def test_beta_contour_at_integer_order():
 def test_beta_contour_carries_the_power_of_the_segment_length():
     # the loop over (z, 1) integrates (1-V)**(sigma-1) with 1 - V =
     # (1-z)(1-v), so the closed form carries (1-z)**(sigma-1); on [1, inf)
-    # 1 - V crosses the cut and the point is not valid
-    for z in (0.5, -0.3, 0.2 + 0.3j):
-        rep = verify_identity("BETA_CONTOUR", 0.0, 0.5, 0.3, z)
+    # 1 - V crosses the cut and the point is not valid.  The kernel is
+    # singular only at V = 1: at z = -0.704 a Cauchy circle sized for a
+    # singularity at V = -1 was 3.2e-10 off against an estimate of 3.7e-11
+    for sigma, lam, z in ((0.5, 0.3, 0.5), (0.5, 0.3, -0.3), (0.5, 0.3, 0.2 + 0.3j),
+                          (0.156, 4.087, -0.704)):
+        rep = verify_identity("BETA_CONTOUR", 0.0, sigma, lam, z)
         assert rep.validity and rep.passed, (z, rep.rel_err)
         assert rep.abs_err <= rep.lhs.err_estimate, (z, rep.abs_err)
     rep = verify_identity("BETA_CONTOUR", 0.0, 0.5, 0.3, 1.5)

@@ -5,9 +5,10 @@ The package has three layers:
 
 * function kernels: ``legendre`` (direct evaluation of P, Q, Ferrers P/Q,
   Jacobi P and their derivatives) built on ``complexfn`` and ``hyper``;
-* quadrature: ``quadrature`` (tanh-sinh segments, exp-sinh tails, and the
-  Riemann-Liouville and Weyl fractional operators, which at order -n are
-  the n-fold repeated integrals);
+* quadrature: ``quadrature`` (one tanh-sinh rule, on segments and, under a
+  change of variables, on half-lines, and the Riemann-Liouville and Weyl
+  fractional operators, which at order -n are the n-fold repeated
+  integrals);
 * shift identities: ``shifts`` (closed-form predictions for fractional
   order/degree shifts) and ``verify`` (catalog pitting the closed forms
   against direct contour quadrature).

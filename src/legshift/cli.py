@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 from .errors import DomainError, NumericalError, PoleError
@@ -56,6 +57,27 @@ def _parse_param(text: str):
         return complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _float_flag(text: str, ok, what: str) -> float:
+    """A real flag value passing ``ok``; ``what`` names the values allowed."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A --tol or --target value."""
+    return _float_flag(text, lambda v: 0.0 < v < math.inf, "positive and finite")
+
+
+def _canary(text: str) -> float:
+    """A --canary value: a relative depression below the whole term."""
+    return _float_flag(text, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def _complex_fields(values, names=("nu", "mu", "lam", "z")) -> dict:
@@ -115,9 +137,9 @@ def _build_parser():
     p_ver.add_argument("--mu", type=_parse_param)
     p_ver.add_argument("--lam", type=_parse_param)
     p_ver.add_argument("--z", type=_parse_param)
-    p_ver.add_argument("--tol", type=float, default=1e-6)
-    p_ver.add_argument("--target", type=float, default=1e-9)
-    p_ver.add_argument("--canary", type=float, default=0.0,
+    p_ver.add_argument("--tol", type=_positive, default=1e-6)
+    p_ver.add_argument("--target", type=_positive, default=1e-9)
+    p_ver.add_argument("--canary", type=_canary, default=0.0,
                        help="relative depression of the largest closed-form term")
     p_ver.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -133,8 +155,8 @@ def _build_parser():
     p_sweep.add_argument("--z", type=_parse_param)
     p_sweep.add_argument("--side", choices=["+", "-"], default=None)
     p_sweep.add_argument("--olver", action="store_true")
-    p_sweep.add_argument("--tol", type=float, default=1e-6)
-    p_sweep.add_argument("--target", type=float, default=1e-9)
+    p_sweep.add_argument("--tol", type=_positive, default=1e-6)
+    p_sweep.add_argument("--target", type=_positive, default=1e-9)
     p_sweep.add_argument("--output", default=None)
 
     p_cat = sub.add_parser("catalog", help="dump the identity catalog")
@@ -219,7 +241,8 @@ def _budget(summary, target):
 
 def _read_grid(path):
     """The points of a --grid-file, a JSON list of {nu, mu, lam, z} objects
-    with numeric values; ValueError naming what is wrong otherwise."""
+    with finite numeric values; ValueError naming what is wrong otherwise.
+    Python's json reads NaN and Infinity, so those are refused here."""
     try:
         with open(path) as fh:
             grid = json.load(fh)
@@ -232,6 +255,8 @@ def _read_grid(path):
             value = point.get(name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"--grid-file {path}: point {i} has no number {name}: {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--grid-file {path}: point {i} has a non-finite {name}: {value!r}")
     return grid
 
 

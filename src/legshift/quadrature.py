@@ -1,11 +1,14 @@
 """Double-exponential quadrature and contour integrals around the origin.
 
-Three primitives drive every numeric evaluation in the identity layer:
+One rule, ``integrate_segment``, drives every numeric evaluation in the
+identity layer:
 
 * ``integrate_segment``: tanh-sinh rule on a finite segment, tolerant of
-  integrable endpoint singularities (declared exponent > -1);
-* ``integrate_semi_infinite``: exp-sinh rule on (a, inf) for integrands with
-  an integrable singularity at ``a`` and algebraic decay faster than 1/t;
+  integrable endpoint singularities (declared exponent > -1), the plain
+  double-exponential trapezoid sum of Takahasi and Mori (1974);
+* ``integrate_semi_infinite``: the same rule on (0, 1) under
+  t = a + (s/(1-s))**(1/3), for integrands on (a, inf) with an integrable
+  singularity at ``a`` and algebraic decay faster than 1/t;
 * ``integrate_loop``: the Riemann-Liouville operator on (0, c),
 
       (1/Gamma(-lam)) * integral of t**(-lam-1) g(t) over (0, c)
@@ -18,19 +21,17 @@ Three primitives drive every numeric evaluation in the identity layer:
   coefficient.
 
 ``integrate_weyl`` is the same operator on (0, inf), the Weyl integral:
-exp-sinh directly for Re lam < -1/2, otherwise the loop on (0, c) plus its
-tail.  ``repeated_integral`` is either operator at lam = -n.
+the half-line directly for Re lam < -1/2, otherwise the loop on (0, c) plus
+its tail.  ``repeated_integral`` is either operator at lam = -n.
 
-Both rules are the plain double-exponential trapezoid sum of Takahasi and
-Mori (1974), run by one level loop; they differ only in their node maps.
-The mass past the outermost node of each side, from the declared power law
-there, joins the estimate, not the value.  Every integrand is called as f(x, xc),
-xc being the node's offset from the endpoint it is measured from: b - x on
-a segment, a - t on the half-line.  The rules form it from the node map
-itself, not by subtracting x, so an integrand with a power singularity at
-that endpoint evaluates it to full relative precision at every node, as in
-Bailey, Jeyabalan and Li (2005) and Boost.Math's tanh_sinh.  The loop and
-Weyl integrands g are called as g(t, c - t).
+The mass between each endpoint and its nearest node, from the declared
+power law there, joins the estimate, not the value.  Every integrand is
+called as f(x, xc), xc being the node's offset from the endpoint it is
+measured from: b - x on a segment, a - t on the half-line.  The rule forms
+it from the node map itself, not by subtracting x, so an integrand with a
+power singularity at that endpoint evaluates it to full relative precision
+at every node, as in Bailey, Jeyabalan and Li (2005) and Boost.Math's
+tanh_sinh.  The loop and Weyl integrands g are called as g(t, c - t).
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
@@ -48,8 +49,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexfn import cpow, is_integer, rgamma
-from .errors import ConvergenceError, DomainError
+from .complexfn import check_finite, cpow, is_integer, rgamma
+from .errors import ConvergenceError, DomainError, NumericalError
 from typing import Callable
 
 __all__ = [
@@ -95,72 +96,12 @@ class QuadratureResult:
         )
 
 
-def _double_exponential(f, node, u_hi, u_lo, rates, target, floor, fallback):
-    """Trapezoid sums in u of w(u) f(x(u), xc(u)) over [-u_lo, u_hi], with
-    steps h = 1, 1/2, ... until two agree to ``target`` relative.
-
-    ``node(u)`` gives x, xc, the weight w and the distance d from x to the
-    end its side runs to.  Each level walks both sides out from u = 0, and
-    a side stops, for this and later levels, after two terms in a row below
-    eps times the sum of |w f| so far: no later term moves the sums.  The
-    mass past each side's outermost node, d |f| / k for |f| ~ d**(k-1) at a
-    finite end or d**(-k-1) at infinity (k from ``rates``, u > 0 first;
-    None: no power law), joins the estimate.  ``floor`` is the magnitude
-    the result contributes to; past the last level a result within
-    ``fallback`` relative is accepted, anything else raises ConvergenceError.
-    """
-    ends = [u_hi, u_lo]
-    outer = [(0.0, 0j, 0.0), (0.0, 0j, 0.0)]  # per side: u, f and d of the outermost node
-    evaluations = 0
-    acc = 0j  # sum of w f
-    size = 0.0  # sum of |w f|
-
-    def level(h, start, step):
-        nonlocal evaluations, acc, size
-        for side in (0, 1):
-            sign = -1.0 if side else 1.0
-            j = max(start, side)
-            small = 0
-            while j * h <= ends[side]:
-                u = j * h
-                x, xc, w, d = node(sign * u)
-                fx = f(x, xc)
-                evaluations += 1
-                if u >= outer[side][0]:
-                    outer[side] = (u, fx, d)
-                wf = w * fx
-                acc += wf
-                t = abs(wf)
-                size += t
-                if t <= _EPS * size:
-                    small += 1
-                    if small == 2:
-                        ends[side] = u
-                        break
-                else:
-                    small = 0
-                j += step
-
-    h = 1.0
-    level(h, 0, 1)
-    best = acc * h
-    for _level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        level(h, 1, 2)
-        cur = acc * h
-        noise_floor = 1e-14 * size * h
-        err = abs(cur - best)
-        best = cur
-        if err <= target * max(abs(cur), floor, 1e-30) + noise_floor + 1e-300:
-            err = max(err, noise_floor)
-            break
-    else:
-        if err > fallback * max(abs(best), floor, 1e-30) + 1e3 * noise_floor:
-            raise ConvergenceError(
-                f"double-exponential quadrature stalled: err ~ {err:.2e} after level {_MAX_LEVEL}"
-            )
-    tails = sum(d * abs(fx) / k for (_u, fx, d), k in zip(outer, rates) if k is not None)
-    return QuadratureResult(best, err + tails, evaluations)
+def _check_arguments(target, *values) -> None:
+    """DomainError unless each value given (None: left out) is finite and
+    ``target`` is positive and finite."""
+    check_finite(*(v for v in values if v is not None))
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"quadrature target must be positive and finite, got {target!r}")
 
 
 def integrate_segment(
@@ -182,9 +123,20 @@ def integrate_segment(
     nearest node; exponents must exceed -1 (integrable).
     ``absolute_floor`` states the magnitude of the quantity this piece
     contributes to, so a negligible piece is not forced to converge in its
-    own relative terms.  Past the last level a result within sqrt(target)
-    relative, or within the rounding of the node positions, is accepted.
+    own relative terms.
+
+    Trapezoid sums in u with steps h = 1, 1/2, ... run until two agree to
+    ``target`` relative.  Each level walks both sides out from u = 0, and a
+    side stops, for this and later levels, after two terms in a row below
+    eps times the sum of |w f| so far: no later term moves the sums.  The
+    mass between each endpoint and its nearest node, d |f| / k for
+    |f| ~ d**(k-1) at distance d, joins the estimate, not the value.  Past
+    the last level a result within sqrt(target) relative, or within the
+    rounding of the node positions, is accepted; anything else raises
+    ConvergenceError; a level whose sum of |w f| is not finite raises
+    NumericalError.
     """
+    _check_arguments(target, a, b, endpoint_exponent_a, endpoint_exponent_b)
     if endpoint_exponent_a <= -1.0 or endpoint_exponent_b <= -1.0:
         raise DomainError(
             "non-integrable endpoint exponent: "
@@ -196,6 +148,7 @@ def integrate_segment(
         return QuadratureResult(0j, 0.0, 0)
     span = b - a
     rad = 0.5 * span
+    length = abs(span)
 
     sigma = min(endpoint_exponent_a, endpoint_exponent_b, 0.0)
     # resolve the weakest endpoint decay: weight ~ exp(-(1+sigma) pi sinh u);
@@ -203,24 +156,71 @@ def integrate_segment(
     sinh_max = min(max(16.0, 45.0 / (math.pi * (1.0 + sigma))), 700.0 / math.pi)
     u_max = math.asinh(sinh_max)
 
-    length = abs(span)
+    ends = [u_max, u_max]  # per side, the b side (u > 0) first
+    outer = [(0.0, 0j, 0.0), (0.0, 0j, 0.0)]  # per side: u, f and d of the outermost node
+    evaluations = 0
+    acc = 0j  # sum of w f
+    size = 0.0  # sum of |w f|
 
-    def node(u: float):
-        ts = _HALF_PI * math.sinh(abs(u))
-        e = math.exp(-2.0 * ts)
-        frac = e / (1.0 + e)  # (1 - tanh ts)/2
-        offset = span * frac
-        w = rad * (4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2)
-        if u >= 0.0:
-            return b - offset, offset, w, length * frac
-        x = a + offset
-        return x, b - x, w, length * frac
+    def level(h, start, step):
+        nonlocal evaluations, acc, size
+        for side in (0, 1):
+            j = max(start, side)
+            small = 0
+            while j * h <= ends[side]:
+                u = j * h
+                e = math.exp(-2.0 * (_HALF_PI * math.sinh(u)))
+                frac = e / (1.0 + e)  # (1 - tanh((pi/2) sinh u))/2
+                offset = span * frac
+                if side:
+                    x = a + offset
+                    fx = f(x, b - x)
+                else:
+                    fx = f(b - offset, offset)
+                evaluations += 1
+                if u >= outer[side][0]:
+                    outer[side] = (u, fx, length * frac)
+                wf = rad * (4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2) * fx
+                acc += wf
+                t = abs(wf)
+                size += t
+                if t <= _EPS * size:
+                    small += 1
+                    if small == 2:
+                        ends[side] = u
+                        break
+                else:
+                    small = 0
+                j += step
+        if not math.isfinite(size):
+            raise NumericalError(
+                f"non-finite integrand: sum of |w f| is {size!r} after {evaluations} evaluations"
+            )
 
     # the accuracy accepted after _MAX_LEVEL: sub-ulp intervals cannot converge
     # in relative terms, being bounded by the rounding of the node positions
     fallback = max(math.sqrt(target), 2.3e-16 * max(abs(a), abs(b)) / length)
+    h = 1.0
+    level(h, 0, 1)
+    best = acc * h
+    for _level in range(1, _MAX_LEVEL + 1):
+        h *= 0.5
+        level(h, 1, 2)
+        cur = acc * h
+        noise_floor = 1e-14 * size * h
+        err = abs(cur - best)
+        best = cur
+        if err <= target * max(abs(cur), absolute_floor, 1e-30) + noise_floor + 1e-300:
+            err = max(err, noise_floor)
+            break
+    else:
+        if err > fallback * max(abs(best), absolute_floor, 1e-30) + 1e3 * noise_floor:
+            raise ConvergenceError(
+                f"double-exponential quadrature stalled: err ~ {err:.2e} after level {_MAX_LEVEL}"
+            )
     rates = (1.0 + endpoint_exponent_b, 1.0 + endpoint_exponent_a)
-    return _double_exponential(f, node, u_max, u_max, rates, target, absolute_floor, fallback)
+    tails = sum(d * abs(fx) / k for (_u, fx, d), k in zip(outer, rates))
+    return QuadratureResult(best, err + tails, evaluations)
 
 
 def integrate_semi_infinite(
@@ -230,37 +230,36 @@ def integrate_semi_infinite(
     decay_exponent: float | None = None,
     target: float = 1e-9,
 ) -> QuadratureResult:
-    """exp-sinh integral of f over (a, inf), t = a + exp((pi/2) sinh u).
+    """Integral of f over (a, inf): ``integrate_segment`` over s in (0, 1)
+    with t = a + d, d = (s/(1-s))**(1/3), so that the tanh-sinh nodes give
+    d = exp((pi/3) sinh u), Takahasi and Mori's rule for the half-line.
 
-    f is called as f(t, a - t) at real t, a - t being the node's exact
-    offset -exp((pi/2) sinh u).  ``endpoint_exponent`` declares the power of
-    (t-a) as t -> a (must be > -1); ``decay_exponent``, when supplied,
-    declares that |f| ~ t**(-p) as t -> inf and must satisfy p > 1.  The
-    nodes stop near t - a ~ 1e-260 and t ~ 1e100, so declared-valid
-    integrands stay inside double-precision range; with p declared, the
-    mass past the last node T that its power law models, T |f(T)| / (p-1),
-    joins ``err_estimate``, as does the mass between a and the nearest node
-    that ``endpoint_exponent`` models.
+    f is called as f(t, a - t) at real t, a - t = -d being taken from the
+    segment's exact offset 1 - s.  ``endpoint_exponent`` declares the power
+    of (t-a) as t -> a (must be > -1); ``decay_exponent``, when supplied,
+    declares that |f| ~ t**(-p) as t -> inf and must satisfy p > 1.  In s
+    they are the endpoint exponents (e-2)/3 at s = 0 and (p-4)/3 at s = 1
+    (0 with p not declared).  The nodes stop near t ~ 1e101, so
+    declared-valid integrands stay inside double-precision range; the mass
+    past the last node T, T |f(T)| / (p-1) by the declared power law, joins
+    ``err_estimate``, as does the mass between a and the nearest node.
     """
+    _check_arguments(target, a, endpoint_exponent, decay_exponent)
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
     if decay_exponent is not None and decay_exponent <= 1.0:
         raise DomainError(
             f"insufficient decay at infinity: declared exponent {decay_exponent} <= 1"
         )
-    # u < 0: the distance to a shrinks like exp(-(pi/2)|sinh u|), down to
-    # exp(-597); u > 0: t stops near exp(230) ~ 1e100, keeping
-    # slowly-decaying integrands finite
-    sinh_neg = min(max(16.0, 90.0 / (math.pi * (1.0 + min(endpoint_exponent, 0.0)))), 380.0)
 
-    def node(u: float):
-        d = math.exp(_HALF_PI * math.sinh(u))
-        # the distance to the end of its side: t itself toward infinity
-        return a + d, -d, _HALF_PI * math.cosh(u) * d, a + d if u > 0.0 else d
+    def mapped(s, sc):
+        s, sc = s.real, sc.real
+        d = (s / sc) ** (1.0 / 3.0)
+        # dt/ds = d / (3 s (1-s)), divided in turn so that nothing overflows
+        return f(a + d, -d) * d / s / 3.0 / sc
 
-    rates = (None if decay_exponent is None else decay_exponent - 1.0, 1.0 + endpoint_exponent)
-    u_hi, u_lo = math.asinh(460.0 / math.pi), math.asinh(sinh_neg)
-    return _double_exponential(f, node, u_hi, u_lo, rates, target, 0.0, math.sqrt(target))
+    decay = 0.0 if decay_exponent is None else (decay_exponent - 4.0) / 3.0
+    return integrate_segment(mapped, 0.0, 1.0, (endpoint_exponent - 2.0) / 3.0, decay, target)
 
 
 def _fft(x):
@@ -413,6 +412,7 @@ def integrate_loop(
     Re lam < -1/2, lam = -n giving the n-fold integral of g over (0, c), and
     ``_regularized_lower`` on the circle of ``_cauchy_radius`` beyond.
     """
+    _check_arguments(target, c, lam, analyticity_radius, basepoint_exponent)
     lam = complex(lam)
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
@@ -453,12 +453,14 @@ def integrate_weyl(
     At lam = -n it is the n-fold integral of g from 0 to infinity, at
     integer lam = n >= 0, where 1/Gamma(-n) = 0 removes the tail,
     ``integrate_loop``'s (-d/dt)**n g at 0.  For Re lam < -1/2 the integral
-    is exp-sinh directly, as ``integrate_loop``'s segment; otherwise it is
+    is ``integrate_semi_infinite`` directly, as ``integrate_loop``'s
+    segment; otherwise it is
     ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires
     t**(-Re lam - 1) g(t) integrable at infinity; ``decay_exponent``, when
     supplied, declares |g| ~ t**(-decay_exponent) there.  g is called as
     g(t, c - t), as by ``integrate_loop``.
     """
+    _check_arguments(target, lam, c, analyticity_radius, decay_exponent)
     lam = complex(lam)
     tail_decay = None if decay_exponent is None else decay_exponent + lam.real + 1.0
 
@@ -504,6 +506,7 @@ def repeated_integral(
         raise DomainError(f"fold count must be an integer in [1, 8], got {n}")
     if upper not in ("to_one", "to_infinity", "from_one"):
         raise DomainError(f"unknown variant {upper!r}")
+    _check_arguments(target, z, endpoint_exponent)
     z = complex(z)
     if upper == "to_infinity":
         if z.imag != 0:

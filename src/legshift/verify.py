@@ -46,7 +46,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .complexfn import cpow, gamma_ratio, is_integer, real_argument, rgamma
+from .complexfn import check_finite, cpow, gamma_ratio, is_integer, real_argument, rgamma
 from .errors import DomainError, PoleError
 from .legendre import (
     jacobi_evaluator,
@@ -928,6 +928,7 @@ def verify_identity(
     so a canary of p = tolerance flips a passing point unconditionally.
     """
     entry = get_identity(identity_id)
+    check_finite(nu, mu, lam, z)
     params = {"nu": nu, "mu": mu, "lam": lam, "z": z}
     pred = entry.rhs(nu, mu, lam, z)
     failed = tuple(desc for desc, ok in pred.conditions if not ok)

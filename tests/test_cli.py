@@ -188,6 +188,33 @@ def test_verify_bad_argument_is_parse_error():
     assert code == EXIT_PARSE
 
 
+_BETA_POINT = ["--id", "BETA_CONTOUR", "--nu", "0", "--mu", "0.7", "--lam", "2.6"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", *_BETA_POINT[:-1], "nan", "--z", "0"], EXIT_DOMAIN),
+        (["verify", *_BETA_POINT, "--z", "0", "--target", "-1"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--target", "inf"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--tol", "nan"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--tol", "0"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--canary", "nan"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--canary", "1"], EXIT_PARSE),
+        (["verify", *_BETA_POINT, "--z", "0", "--canary", "-0.1"], EXIT_PARSE),
+        (["sweep", *_BETA_POINT, "--z", "0:0.5:3", "--target", "-1"], EXIT_PARSE),
+        (["sweep", *_BETA_POINT, "--z", "0:0.5:3", "--tol", "inf"], EXIT_PARSE),
+    ],
+)
+def test_verify_bad_numbers_exit_without_a_traceback(argv, expected):
+    # a non-finite point is a domain error; a target or tolerance that is not
+    # positive and finite, or a canary outside [0, 1), is a bad flag
+    code, out, err = run_cli(argv)
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_verify_single_point():
     code, out, _ = run_cli(
         ["verify", "--id", "WEYL_MMINUS_Q", "--nu", "0.6", "--mu", "0.3",
@@ -254,6 +281,10 @@ def test_verify_grid_file(tmp_path):
         json.dumps([{"nu": 0.6, "mu": 0.3, "lam": 0.7}]),
         json.dumps([{"nu": 0.6, "mu": 0.3, "lam": 0.7, "z": "2.0"}]),
         json.dumps([{"nu": 0.6, "mu": 0.3, "lam": None, "z": 2.0}]),
+        json.dumps([{"nu": 0.6, "mu": 0.3, "lam": float("nan"), "z": 2.0}]),
+        '[{"nu": 0.6, "mu": 0.3, "lam": 0.7, "z": Infinity}]',
+        '[{"nu": 0.6, "mu": -Infinity, "lam": 0.7, "z": 2.0}]',
+        '[{"nu": 1e999, "mu": 0.3, "lam": 0.7, "z": 2.0}]',
     ],
 )
 def test_verify_malformed_grid_file_is_a_parse_error(tmp_path, content):

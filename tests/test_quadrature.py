@@ -6,7 +6,7 @@ import math
 import pytest
 
 from legshift.complexfn import cpow, gamma, rgamma, sin_pi
-from legshift.errors import DomainError
+from legshift.errors import DomainError, NumericalError
 from legshift.quadrature import (
     integrate_loop,
     integrate_segment,
@@ -143,6 +143,86 @@ def test_semi_infinite_power_decay():
         lambda t, tc: t ** -3.0, 1.0, decay_exponent=3.0
     )
     assert abs(res.value - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "a, e, p",
+    [
+        (a, e, p)
+        for a in (0.5, 1.0, 3.0)
+        for e in (-0.5, 0.0, 1.5)
+        for p in (1.5, 2.0, 4.0)
+        if p - e > 1.0
+    ],
+)
+def test_semi_infinite_power_law_beta_integral(a, e, p):
+    # int_a^inf (t-a)^e t^-p dt = a^(e+1-p) B(e+1, p-e-1), (t-a)^e taken
+    # from the exact offset a - t; |f| ~ t^(e-p) at infinity
+    res = integrate_semi_infinite(
+        lambda t, tc: cpow(-tc, e) * t**-p, a, endpoint_exponent=e, decay_exponent=p - e
+    )
+    ref = a ** (e + 1.0 - p) * gamma(e + 1.0) * gamma(p - e - 1.0) / gamma(p)
+    err = abs(res.value - ref)
+    assert err <= res.err_estimate and err <= 1e-10 * abs(ref), (err, res.err_estimate)
+
+
+def test_non_finite_integrand_raises():
+    # a nan or overflowing integrand makes a level's sum of |w f| non-finite,
+    # which raises at the end of that level instead of returning nan
+    calls = []
+
+    def nan(t, tc):
+        calls.append(t)
+        return float("nan")
+
+    def overflow(t, tc):
+        calls.append(t)
+        return 1e200 * 1e200
+
+    for run in (
+        lambda: integrate_segment(nan, 0, 1),
+        lambda: integrate_segment(overflow, 0, 1),
+        lambda: integrate_semi_infinite(nan, 0.0),
+    ):
+        calls.clear()
+        with pytest.raises(NumericalError):
+            run()
+        assert len(calls) <= 100
+
+
+_NAN = float("nan")
+_G = lambda t, tc: 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_segment(_G, 0.0, _NAN),
+        lambda: integrate_segment(_G, math.inf, 1.0),
+        lambda: integrate_segment(_G, 0.0, 1.0, endpoint_exponent_b=_NAN),
+        lambda: integrate_segment(_G, 0.0, 1.0, target=-1.0),
+        lambda: integrate_segment(_G, 0.0, 1.0, target=_NAN),
+        lambda: integrate_segment(_G, 0.0, 1.0, target=math.inf),
+        lambda: integrate_semi_infinite(_G, _NAN, decay_exponent=2.0),
+        lambda: integrate_semi_infinite(_G, 0.0, endpoint_exponent=_NAN),
+        lambda: integrate_semi_infinite(_G, 0.0, decay_exponent=math.inf),
+        lambda: integrate_semi_infinite(_G, 0.0, decay_exponent=2.0, target=0.0),
+        lambda: integrate_loop(_G, 1.0, _NAN),
+        lambda: integrate_loop(_G, _NAN, -0.7),
+        lambda: integrate_loop(_G, 1.0, 0.4, basepoint_exponent=_NAN),
+        lambda: integrate_loop(_G, 1.0, 0.4, target=-1.0),
+        lambda: integrate_weyl(_G, _NAN),
+        lambda: integrate_weyl(lambda t, tc: cmath.exp(-t), 0.4, c=_NAN),
+        lambda: integrate_weyl(lambda t, tc: cmath.exp(-t), -0.6, decay_exponent=_NAN),
+        lambda: integrate_weyl(lambda t, tc: cmath.exp(-t), -0.6, target=_NAN),
+        lambda: repeated_integral(_G, _NAN, 2),
+        lambda: repeated_integral(_G, 0.5, 2, endpoint_exponent=_NAN),
+        lambda: repeated_integral(_G, 0.5, 2, target=-1.0),
+    ],
+)
+def test_quadrature_entry_points_reject_non_finite_arguments(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_loop_beta_function():

@@ -76,7 +76,7 @@ def _positive(text: str) -> float:
 
 
 def _canary(text: str) -> float:
-    """A --canary value: a relative depression below the whole term."""
+    """A --canary value: the share taken off the largest closed-form term."""
     return _float_flag(text, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
@@ -242,7 +242,8 @@ def _budget(summary, target):
 def _read_grid(path):
     """The points of a --grid-file, a JSON list of {nu, mu, lam, z} objects
     with finite numeric values; ValueError naming what is wrong otherwise.
-    Python's json reads NaN and Infinity, so those are refused here."""
+    Python's json reads NaN, Infinity and integers past double range, so
+    those are refused here."""
     try:
         with open(path) as fh:
             grid = json.load(fh)
@@ -255,8 +256,8 @@ def _read_grid(path):
             value = point.get(name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"--grid-file {path}: point {i} has no number {name}: {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--grid-file {path}: point {i} has a non-finite {name}: {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, Infinity or past double range
+                raise ValueError(f"--grid-file {path}: point {i} has no finite {name}: {value!r}")
     return grid
 
 

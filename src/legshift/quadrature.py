@@ -1,7 +1,8 @@
 """Double-exponential quadrature and contour integrals around the origin.
 
-One rule, ``integrate_segment``, drives every numeric evaluation in the
-identity layer:
+Every integral in the identity layer runs through one double-exponential
+rule, ``integrate_segment``, or through the Cauchy rule for Taylor
+coefficients below.  The primitives:
 
 * ``integrate_segment``: tanh-sinh rule on a finite segment, tolerant of
   integrable endpoint singularities (declared exponent > -1), the plain
@@ -241,8 +242,9 @@ def integrate_semi_infinite(
     they are the endpoint exponents (e-2)/3 at s = 0 and (p-4)/3 at s = 1
     (0 with p not declared).  The nodes stop near t ~ 1e101, so
     declared-valid integrands stay inside double-precision range; the mass
-    past the last node T, T |f(T)| / (p-1) by the declared power law, joins
-    ``err_estimate``, as does the mass between a and the nearest node.
+    past the last node T, T |f(T)| / (p-1) by the declared power law
+    (T |f(T)| / 3 with none declared), joins ``err_estimate``, as does the
+    mass between a and the nearest node.
     """
     _check_arguments(target, a, endpoint_exponent, decay_exponent)
     if endpoint_exponent <= -1.0:

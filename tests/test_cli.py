@@ -285,6 +285,7 @@ def test_verify_grid_file(tmp_path):
         '[{"nu": 0.6, "mu": 0.3, "lam": 0.7, "z": Infinity}]',
         '[{"nu": 0.6, "mu": -Infinity, "lam": 0.7, "z": 2.0}]',
         '[{"nu": 1e999, "mu": 0.3, "lam": 0.7, "z": 2.0}]',
+        '[{"nu": 1' + "0" * 400 + ', "mu": 0.3, "lam": 0.7, "z": 2.0}]',
     ],
 )
 def test_verify_malformed_grid_file_is_a_parse_error(tmp_path, content):

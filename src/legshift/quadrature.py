@@ -237,31 +237,42 @@ def integrate_semi_infinite(
 
     f is called as f(t, a - t) at real t, a - t = -d being taken from the
     segment's exact offset 1 - s.  ``endpoint_exponent`` declares the power
-    of (t-a) as t -> a (must be > -1); ``decay_exponent``, when supplied,
+    e of (t-a) as t -> a (must be > -1); ``decay_exponent``, when supplied,
     declares that |f| ~ t**(-p) as t -> inf and must satisfy p > 1.  In s
-    they are the endpoint exponents (e-2)/3 at s = 0 and (p-4)/3 at s = 1
-    (0 with p not declared).  The nodes stop near t ~ 1e101, so
-    declared-valid integrands stay inside double-precision range; the mass
-    past the last node T, T |f(T)| / (p-1) by the declared power law
-    (T |f(T)| / 3 with none declared), joins ``err_estimate``, as does the
-    mass between a and the nearest node.
+    they are the endpoint exponents (e-2)/3 at s = 0 and (p-4)/3 at s = 1,
+    -0.94 with p not declared, the strongest singularity the rule resolves.
+    The nodes stop near t - a ~ 1e-101 and t ~ 1e101, so declared-valid
+    integrands stay inside double-precision range; for e < -0.8 (a, a+1) is
+    a plain segment, reaching t - a ~ 1e-304, and the map starts at a + 1.
+    The mass past the last node T, T |f(T)| / (p-1) by the declared power
+    law (T |f(T)| / 0.18 with none declared, a bound for p >= 1.18), joins
+    ``err_estimate``, as does the mass between a and the nearest node.
     """
-    _check_arguments(target, a, endpoint_exponent, decay_exponent)
+    check_finite(a)
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
     if decay_exponent is not None and decay_exponent <= 1.0:
         raise DomainError(
             f"insufficient decay at infinity: declared exponent {decay_exponent} <= 1"
         )
+    # below e = -0.8 the mass under t - a = 1e-101 would exceed 1e-20
+    near = 1.0 if endpoint_exponent < -0.8 else 0.0
 
     def mapped(s, sc):
         s, sc = s.real, sc.real
         d = (s / sc) ** (1.0 / 3.0)
         # dt/ds = d / (3 s (1-s)), divided in turn so that nothing overflows
-        return f(a + d, -d) * d / s / 3.0 / sc
+        return f(a + near + d, -near - d) * d / s / 3.0 / sc
 
-    decay = 0.0 if decay_exponent is None else (decay_exponent - 4.0) / 3.0
-    return integrate_segment(mapped, 0.0, 1.0, (endpoint_exponent - 2.0) / 3.0, decay, target)
+    start = (endpoint_exponent if near == 0.0 else 0.0) - 2.0
+    decay = -0.94 if decay_exponent is None else (decay_exponent - 4.0) / 3.0
+    result = integrate_segment(mapped, 0.0, 1.0, start / 3.0, decay, target)
+    if near:  # run from a + 1 to a, so that the offset a - t is exact next to a
+        plain = integrate_segment(
+            lambda t, tc: f(t.real, tc.real), a + near, a, 0.0, endpoint_exponent, target
+        )
+        result += plain.scaled(-1.0)
+    return result
 
 
 def _fft(x):

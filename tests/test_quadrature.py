@@ -150,7 +150,7 @@ def test_semi_infinite_power_decay():
     [
         (a, e, p)
         for a in (0.5, 1.0, 3.0)
-        for e in (-0.5, 0.0, 1.5)
+        for e in (-0.9, -0.5, 0.0, 1.5)
         for p in (1.5, 2.0, 4.0)
         if p - e > 1.0
     ],
@@ -164,6 +164,18 @@ def test_semi_infinite_power_law_beta_integral(a, e, p):
     ref = a ** (e + 1.0 - p) * gamma(e + 1.0) * gamma(p - e - 1.0) / gamma(p)
     err = abs(res.value - ref)
     assert err <= res.err_estimate and err <= 1e-10 * abs(ref), (err, res.err_estimate)
+
+
+@pytest.mark.parametrize("e", [-0.75, -0.9, -0.95])
+def test_semi_infinite_strong_endpoint_singularity(e):
+    # int_0^inf t^e exp(-t) dt = Gamma(e+1); as e nears -1 more of the mass
+    # sits next to t = 0, below t = 1e-100 about 1e-100**(e+1) / (e+1)
+    res = integrate_semi_infinite(
+        lambda t, tc: cpow(t, e) * math.exp(-t), 0.0, endpoint_exponent=e
+    )
+    ref = gamma(e + 1.0).real
+    err = abs(res.value - ref)
+    assert err <= res.err_estimate and err <= 1e-9 * ref, (err, res.err_estimate)
 
 
 def test_non_finite_integrand_raises():
@@ -326,6 +338,16 @@ def test_repeated_integral_to_infinity_power():
     res = repeated_integral(lambda u, uc: u ** -5.0, z, 2, "to_infinity")
     ref = z ** -3.0 / (4.0 * 3.0)
     assert abs(res.value - ref) <= 1e-9 * abs(ref)
+
+
+def test_repeated_integral_to_infinity_slow_undeclared_decay():
+    # 3-fold integral to infinity of u^-4.1: z^-1.1 / (3.1 * 2.1 * 1.1); its
+    # Weyl integrand falls like t^-2.1, and no decay is declared
+    z = 1.5
+    res = repeated_integral(lambda u, uc: u ** -4.1, z, 3, "to_infinity")
+    ref = z ** -1.1 / (3.1 * 2.1 * 1.1)
+    err = abs(res.value - ref)
+    assert err <= res.err_estimate and err <= 1e-9 * ref, (err, res.err_estimate)
 
 
 def test_repeated_integral_from_one():

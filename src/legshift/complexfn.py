@@ -7,13 +7,19 @@ Conventions used throughout the package:
 * ``(z**2 - 1)**s`` is always evaluated as ``(z-1)**s * (z+1)**s`` so that the
   branch cut lies on (-inf, 1];
 * gamma ratios with cancelling poles are evaluated by pairing the poles and
-  replacing each pair by its limit via the reflection formula.
+  replacing each pair by its limit via the reflection formula;
+* ``gamma``, ``rgamma`` and ``gamma_ratio`` at real arguments off the poles
+  stay in float arithmetic: ``math.gamma`` products, or ``math.lgamma`` sums
+  with the signs of the Gamma values past double range, so a real ratio is
+  exactly real and within a few ulps.  Complex arguments, and ratios with
+  an argument at a pole, take the Lanczos log-gamma (``ln_gamma``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import DomainError, NumericalError, PoleError
 
@@ -56,10 +62,8 @@ _LANCZOS_C = (
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _POLE_TOL = 1e-9
-
-
-def _as_complex(z) -> complex:
-    return complex(z)
+# the smallest normal double: below it a float gamma product loses digits
+_TINY = sys.float_info.min
 
 
 def check_finite(*values) -> None:
@@ -82,7 +86,7 @@ def finite_result(value: complex, what: str) -> complex:
 
 def real_argument(x, what: str) -> float:
     """Re x for a real x; DomainError naming ``what`` when Im x != 0."""
-    x = _as_complex(x)
+    x = complex(x)
     if x.imag != 0.0:
         raise DomainError(f"{what} take a real argument, got {x}")
     return x.real
@@ -91,14 +95,14 @@ def real_argument(x, what: str) -> float:
 def is_integer(z, tol: float = _POLE_TOL) -> bool:
     """True when z is within tol of an integer on each axis:
     |Im z| <= tol and |Re z - round(Re z)| <= tol."""
-    z = _as_complex(z)
+    z = complex(z)
     return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
 
 
 def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
     """True when z is within tol of 0, -1, -2, ... (the test of ``is_integer``;
     spelled out because the gamma functions call it on every argument)."""
-    z = _as_complex(z)
+    z = complex(z)
     if abs(z.imag) > tol:
         return False
     n = round(z.real)
@@ -108,7 +112,7 @@ def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
 def sin_pi(z) -> complex:
     """sin(pi*z) with argument reduction; exact 0 at integers, exact +/-1 at
     half-integers.  NumericalError past double range, at |Im z| > ~226."""
-    z = _as_complex(z)
+    z = complex(z)
     # reduce to the nearest integer: r = Re z - n is exact and in [-1/2, 1/2],
     # so a point just off an integer keeps its relative accuracy
     n = round(z.real)
@@ -153,7 +157,7 @@ def _exp(w: complex, what: str) -> complex:
 
 def cos_pi(z) -> complex:
     """cos(pi*z) with argument reduction; exact 0 at half-integers."""
-    z = _as_complex(z)
+    z = complex(z)
     return sin_pi(complex(z.real + 0.5, z.imag))
 
 
@@ -173,7 +177,7 @@ def ln_gamma(z) -> complex:
     sin(pi z) is taken in log form past double range.  Raises PoleError at
     nonpositive integers.
     """
-    z = _as_complex(z)
+    z = complex(z)
     if is_nonpositive_integer(z, tol=0.0):
         raise PoleError(f"log-gamma pole at z = {z}")
     if z.real >= 0.5:
@@ -182,17 +186,71 @@ def ln_gamma(z) -> complex:
     return cmath.log(math.pi) - _log_sin_pi(z) - _ln_gamma_right(1.0 - z)
 
 
+def _real_gamma_product(xs):
+    """prod Gamma(x) over real x (complex numbers with zero imaginary part)
+    off the poles by ``math.gamma``; None once a factor or a partial product
+    leaves the normal double range."""
+    p = 1.0
+    for x in xs:
+        try:
+            g = math.gamma(x.real)
+        except OverflowError:
+            return None
+        p *= g
+        if not (_TINY <= abs(g) and _TINY <= abs(p) < math.inf):
+            return None
+    return p
+
+
+def _real_log_gamma_product(xs):
+    """(sum log|Gamma(x)|, sign of prod Gamma(x)) over real x off the poles."""
+    log, sign = 0.0, 1.0
+    for x in xs:
+        x = x.real
+        log += math.lgamma(x)
+        if x < 0.0 and math.floor(x) % 2:  # Gamma < 0 on (-1, 0), (-3, -2), ...
+            sign = -sign
+    return log, sign
+
+
+def _real_gamma_ratio(num, den, what) -> float:
+    """prod Gamma(num) / prod Gamma(den) at real arguments off the poles, in
+    float arithmetic: the quotient of ``math.gamma`` products while every
+    factor and partial product is a normal double, else the exp of the
+    ``math.lgamma`` sums with the signs of the Gamma values.  NumericalError
+    naming ``what`` past double range."""
+    p = _real_gamma_product(num)
+    q = None if p is None else _real_gamma_product(den)
+    if q is not None:
+        value = p / q
+        if _TINY <= abs(value) < math.inf:
+            return value
+    log_p, sign_p = _real_log_gamma_product(num)
+    log_q, sign_q = _real_log_gamma_product(den)
+    try:
+        return sign_p * sign_q * math.exp(log_p - log_q)
+    except OverflowError:
+        raise NumericalError(f"{what} overflows double range: exp({log_p - log_q:.6g})") from None
+
+
 def gamma(z) -> complex:
-    """Gamma(z) = exp(ln_gamma(z)); NumericalError past double range."""
-    return _exp(ln_gamma(z), "Gamma")
+    """Gamma(z); PoleError at nonpositive integers, NumericalError past
+    double range.  Real z in floats (``_real_gamma_ratio``), complex z as
+    exp(ln_gamma(z))."""
+    z = complex(z)
+    if z.imag or is_nonpositive_integer(z, tol=0.0):
+        return _exp(ln_gamma(z), "Gamma")
+    return complex(_real_gamma_ratio((z,), (), "Gamma"))
 
 
 def rgamma(z) -> complex:
     """1/Gamma(z); entire, exactly 0 at nonpositive integers; NumericalError
-    past double range."""
-    z = _as_complex(z)
+    past double range.  Real z in floats, as ``gamma``."""
+    z = complex(z)
     if is_nonpositive_integer(z, tol=0.0):
         return complex(0.0, 0.0)
+    if not z.imag:
+        return complex(_real_gamma_ratio((), (z,), "1/Gamma"))
     if z.real >= 0.5:
         return _exp(-_ln_gamma_right(z), "1/Gamma")
     # 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z); stable near the poles
@@ -202,20 +260,33 @@ def rgamma(z) -> complex:
         return _exp(_log_sin_pi(z) - cmath.log(math.pi) + _ln_gamma_right(1.0 - z), "1/Gamma")
 
 
+def _split_poles(args):
+    """(regular, poles): the arguments as complex numbers, those within
+    _POLE_TOL of a nonpositive integer apart; one pole test each."""
+    regular, poles = [], []
+    for z in args:
+        z = complex(z)
+        (poles if is_nonpositive_integer(z) else regular).append(z)
+    return regular, poles
+
+
 def gamma_ratio(numerators, denominators) -> complex:
     """Limiting value of prod Gamma(num_i) / prod Gamma(den_j).
 
-    Arguments within 1e-9 of a nonpositive integer count as poles.  Each
-    numerator pole must be matched by a denominator pole; a matched pair
+    Arguments within 1e-9 of a nonpositive integer count as poles.  With no
+    pole and every argument real the ratio is taken in floats
+    (``_real_gamma_ratio``); otherwise from ``ln_gamma``.  Each numerator
+    pole must be matched by a denominator pole; a matched pair
     (a -> -m, b -> -n) is replaced by its common-perturbation limit
     (-1)**(n-m) * Gamma(1-b)/Gamma(1-a) via the reflection formula.  Unmatched
     denominator poles drive the ratio to zero.  Raises PoleError when
-    numerator poles outnumber denominator poles.
+    numerator poles outnumber denominator poles, NumericalError past double
+    range.
     """
-    num_poles = [complex(a) for a in numerators if is_nonpositive_integer(a)]
-    den_poles = [complex(b) for b in denominators if is_nonpositive_integer(b)]
-    num_reg = [complex(a) for a in numerators if not is_nonpositive_integer(a)]
-    den_reg = [complex(b) for b in denominators if not is_nonpositive_integer(b)]
+    num_reg, num_poles = _split_poles(numerators)
+    den_reg, den_poles = _split_poles(denominators)
+    if not (num_poles or den_poles or any(z.imag for z in num_reg) or any(z.imag for z in den_reg)):
+        return complex(_real_gamma_ratio(num_reg, den_reg, "gamma ratio"))
 
     if len(num_poles) > len(den_poles):
         raise PoleError(
@@ -260,4 +331,4 @@ def cpow(w, s) -> complex:
 
 def zsq_minus_one_pow(z, s) -> complex:
     """(z**2 - 1)**s as (z-1)**s * (z+1)**s, cut on (-inf, 1]."""
-    return cpow(_as_complex(z) - 1.0, s) * cpow(_as_complex(z) + 1.0, s)
+    return cpow(complex(z) - 1.0, s) * cpow(complex(z) + 1.0, s)

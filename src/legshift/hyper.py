@@ -12,13 +12,15 @@ The regularized 3F2 is continued past |w| = 0.9 by the same Taylor walker
 on its own third-order equation, with no +/- i*eps average.
 
 Both functions rest on one defining series of pFq, summed by one loop
-(``_Series.sum``).  A sum that does not terminate stops after 3 terms in a
-row below 1e-16 of its total, within a cap of 3,000 terms for 2F1, whose
-images keep |w| <= 0.92, and of 100,000 for ``hyp3f2_series``, which runs to
-|w| < 1 - 1e-3.  A sum that a numerator ends at w**n adds every term through
-w**n and raises NumericalError where its rounding bound n*eps*sum|term|
-passes 1e-6 max(|sum|, 1).  Either kind raises NumericalError once a term
-overflows.
+(``_Series.sum``).  Real parameters are kept as floats, and so are their
+term ratios; at a real w the loop then runs on floats, with the values the
+complex loop gives, bit for bit.  A sum that does not terminate stops after
+3 terms in a row below 1e-16 of its total, within a cap of 3,000 terms for
+2F1, whose images keep |w| <= 0.92, and of 100,000 for ``hyp3f2_series``,
+which runs to |w| < 1 - 1e-3.  A sum that a numerator ends at w**n adds
+every term through w**n and raises NumericalError where its rounding bound
+n*eps*sum|term| passes 1e-6 max(|sum|, 1).  Either kind raises
+NumericalError once a term overflows.
 
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
 termination and c-pole tests, the degeneracy flags of each image, the
@@ -91,9 +93,13 @@ class _Series:
     whether a numerator ends the sum or a lower pole comes first.
     """
 
-    __slots__ = ("_name", "_params", "_n_term", "_pole", "_limit", "_ratios")
+    __slots__ = ("_name", "_params", "_real", "_n_term", "_pole", "_limit", "_ratios")
 
     def __init__(self, upper, lower):
+        # real parameters are kept as floats, and so are their term ratios
+        self._real = all(not p.imag for p in upper + lower)
+        if self._real:
+            upper, lower = tuple(p.real for p in upper), tuple(p.real for p in lower)
         if len(upper) == 2:
             (a, b), (c,) = upper, lower
             self._name, self._params = "2F1", (a, b, c, None, None)
@@ -137,8 +143,11 @@ class _Series:
         a, b, c, a3, b2 = self._params
         ratios = self._ratios
         cached = len(ratios)
-        total = 1.0 + 0.0j
-        term = 1.0 + 0.0j
+        if self._real and not w.imag:  # float ratios at a real w: the loop in floats
+            w = w.real
+            total = term = 1.0
+        else:
+            total = term = 1.0 + 0.0j
         size = 1.0  # sum of |term|
         small = 0
         try:
@@ -162,7 +171,7 @@ class _Series:
                         if small < 3:
                             continue
                         if size < math.inf:
-                            return total
+                            return complex(total)
                     if not 0.0 < t < math.inf:
                         break  # overflowed, or every later term of the polynomial is 0
                 small = 0
@@ -178,7 +187,7 @@ class _Series:
                 f"{self._name} polynomial of degree {n} cancels at |w| = {abs(w):.3g}: "
                 f"rounding bound {bound:.3g} against a sum of size {abs(total):.3g}"
             )
-        return total
+        return complex(total)
 
 
 def _terminating_index(upper, lower):

@@ -117,15 +117,17 @@ def _series_of(wmap, a, b, c):
 
 
 class _TermSum:
-    """Sum of _Term values, or of their first or second derivatives, at z.
+    """Sum of _Term values, or of their first or second derivatives, at z;
+    NumericalError naming the function ``name`` where the sum is not finite.
 
     Each term's 2F1 is prepared once; the evaluators of its first and second
     w-derivatives are built only when a derivative order asks for them.
     """
 
-    __slots__ = ("_terms", "_ferrers", "_hyp")
+    __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
 
-    def __init__(self, terms):
+    def __init__(self, terms, name):
+        self._name = name
         # a term with K = 0 adds nothing but the cost and rounding of its series
         terms = [t for t in terms if t.K != 0] or terms[:1]
         self._terms = terms
@@ -206,7 +208,7 @@ class _TermSum:
             F2 = coef2 * hyp2(w, wc)
             g2 = h2 * F0 + 2.0 * h1 * F1 * w1 + h0 * (F2 * w1 * w1 + F1 * w2)
             total += K * pf * ((Lp + L * L) * g0 + 2.0 * L * g1 + g2)
-        return total
+        return finite_result(total, self._name)
 
 
 # --- representations ---------------------------------------------------------
@@ -284,7 +286,8 @@ def _representation(kind, nu, mu, s=0.0):
     """(z, zc=None, order=0) -> the order-th derivative of F, the function
     times the weight (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds: the
     kind's one term list, exact at degenerate parameters, with s joining its
-    exponents."""
+    exponents.  A value that is not finite raises NumericalError."""
+    name = kind if kind.startswith("ferrers") else "legendre_" + kind
     if kind == "p":
         terms = _p_terms(nu, mu)
     elif kind == "q":
@@ -293,21 +296,21 @@ def _representation(kind, nu, mu, s=0.0):
         terms = _ferrers_terms(kind, nu, mu)
     if s != 0:
         terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
-    return _TermSum(terms)
+        name = "weighted " + name
+    return _TermSum(terms, name)
 
 
 class _Legendre:
     """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
     of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
 
-    __slots__ = ("_name", "_ferrers", "_rep", "_x_max")
+    __slots__ = ("_ferrers", "_rep", "_x_max")
 
     def __init__(self, kind, nu, mu, s=0.0):
         if kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
         self._ferrers = kind.startswith("ferrers")
-        self._name = kind if self._ferrers else "legendre_" + kind
         # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
         self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
         self._rep = _representation(kind, complex(nu), complex(mu), s)
@@ -326,7 +329,7 @@ class _Legendre:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
         else:
             z = _prepare_z(z, boundary_side)
-        return finite_result(self._rep(z, None, order), self._name)
+        return self._rep(z, None, order)
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -350,7 +353,8 @@ def weighted_evaluator(kind, nu, mu, s):
     The weight is carried by the term exponents, so v may be any complex
     point where the term list converges; there is no cut or range check.
     With s = mu/2 the P form is analytic through v = 1; with s = -mu/2 it
-    has the single power (v-1)**(-mu), and the Ferrers terms none.
+    has the single power (v-1)**(-mu), and the Ferrers terms none.  A value
+    past double range raises NumericalError, as the public functions do.
     """
     return _Legendre(kind, nu, mu, s)._rep
 
@@ -368,6 +372,7 @@ def whipple_evaluator(kind, nu, mu, s):
     that is, the image's weighted evaluator at s + 1/4.  For Re y > 0; no
     cut check.  The degree weights s = -(nu+1)/2 and nu/2 are the image's
     order weights, so the Q form is analytic through y = 1 at the first.
+    A value past double range raises NumericalError.
     """
     check_finite(nu, mu, s)
     nu, mu = complex(nu), complex(mu)
@@ -378,7 +383,8 @@ def whipple_evaluator(kind, nu, mu, s):
     else:
         raise DomainError(f"Whipple images exist for kinds 'p' and 'q', not {kind!r}")
     f = weighted_evaluator("q" if kind == "p" else "p", -mu - 0.5, -nu - 0.5, s + 0.25)
-    return lambda y, yc=None: K * f(y, yc)
+    name = "whipple_p_to_q" if kind == "p" else "whipple_q_to_p"
+    return lambda y, yc=None: finite_result(K * f(y, yc), name)
 
 
 def jacobi_evaluator(nu, alpha, beta):
@@ -463,7 +469,7 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
         return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
     check_finite(nu, mu)
     terms = _q_terms(complex(nu), complex(mu), olver=True)
-    return finite_result(_TermSum(terms)(_prepare_z(z, boundary_side)), "legendre_q")
+    return _TermSum(terms, "legendre_q")(_prepare_z(z, boundary_side))
 
 
 def _ferrers_x(x) -> float:
@@ -515,11 +521,11 @@ def whipple_p_to_q(nu, mu, y) -> complex:
     """P_nu^mu(y/sqrt(y**2-1)) computed from Q at Whipple-image parameters
     (``whipple_evaluator``), for y with Re y > 0 off the cut."""
     check_finite(y)
-    return finite_result(whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None)), "whipple_p_to_q")
+    return whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None))
 
 
 def whipple_q_to_p(nu, mu, y) -> complex:
     """Q_nu^mu(y/sqrt(y**2-1)) computed from P at Whipple-image parameters
     (``whipple_evaluator``), for y with Re y > 0 off the cut."""
     check_finite(y)
-    return finite_result(whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None)), "whipple_q_to_p")
+    return whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None))

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+import sys
 
 import mpmath
 import pytest
@@ -157,3 +159,47 @@ def test_gamma_far_off_the_real_axis_vs_mpmath():
         assert abs(rgamma(z) - 1.0 / ref) <= 1e-12 / abs(ref), z
     with pytest.raises(NumericalError):
         sin_pi(0.3 + 300j)
+
+
+def _real_gamma_points():
+    """Seeded real points with |x| <= 30, and points 1e-8 to 1e-6 either side
+    of 0, -1, ..., -30."""
+    rng = random.Random(2020)
+    points = [rng.uniform(-30.0, 30.0) for _ in range(300)]
+    points += [-n + s * rng.uniform(1e-8, 1e-6) for n in range(31) for s in (-1.0, 1.0)]
+    return points
+
+
+def test_real_gamma_vs_mpmath_to_a_few_ulps():
+    # float arithmetic at real arguments: within 6.4e-16 relative here, where
+    # the complex log form was 2.1e-14 off
+    with mpmath.workdps(30):
+        for x in _real_gamma_points():
+            ref = mpmath.gamma(x)
+            for value, exact in ((gamma(x), ref), (rgamma(x), 1 / ref), (gamma_ratio([x], []), ref)):
+                assert abs(value - complex(exact)) <= 4e-15 * abs(complex(exact)), x
+
+
+def test_large_real_gamma_vs_mpmath():
+    # |x| in (60, 170]: still math.gamma, within 6.5e-16 (the log form: 1.8e-13)
+    rng = random.Random(60)
+    with mpmath.workdps(30):
+        for x in (s * rng.uniform(60.0, 170.0) for _ in range(100) for s in (1.0, -1.0)):
+            ref = complex(mpmath.gamma(x))
+            assert abs(gamma(x) - ref) <= 4e-15 * abs(ref), x
+            assert abs(rgamma(x) - 1.0 / ref) <= 4e-15 / abs(ref), x
+
+
+def test_gamma_ratio_past_double_range_within_its_log_rounding():
+    # past |x| = 171.6 one Gamma leaves double range and the ratio is the exp
+    # of a difference of lgamma values, each rounded to eps |lgamma|: within
+    # that bound, 0.66 of it at worst here (the complex log form: 1.01)
+    rng = random.Random(170)
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(30):
+        for _ in range(200):
+            x = rng.choice((1.0, -1.0)) * rng.uniform(170.0, 400.0)
+            y = x - rng.uniform(0.5, 3.0)
+            ref = complex(mpmath.gamma(x) / mpmath.gamma(y))
+            bound = eps * (abs(math.lgamma(x)) + abs(math.lgamma(y)))
+            assert abs(gamma_ratio([x], [y]) - ref) <= bound * abs(ref), (x, y)

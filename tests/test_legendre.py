@@ -377,6 +377,22 @@ def test_weighted_evaluator_rejects_bad_input():
         whipple_evaluator("ferrers_p", 0.5, 0.3, 0.1)
 
 
+@pytest.mark.parametrize(
+    "evaluator,args,finite_at,overflows_at",
+    [
+        # ~V**2.63: 1e263 at V = 1e100, past double range at 1e120
+        (weighted_evaluator, ("p", 1.939, -0.694, 0.347), 1e100, 1e120),
+        (whipple_evaluator, ("p", 0.8, 2.9, 1.6), 1e50, 1e55),
+    ],
+)
+def test_weighted_evaluators_raise_past_double_range(evaluator, args, finite_at, overflows_at):
+    # as the public functions do; they returned inf+nanj and nan+nanj
+    f = evaluator(*args)
+    assert cmath.isfinite(f(finite_at))
+    with pytest.raises(NumericalError, match="overflows"):
+        f(overflows_at)
+
+
 def test_whipple_evaluator_is_weight_times_function():
     for nu, mu, y in ((0.35, 0.15, 1.7), (0.8, -0.3, 2.3), (1.6, 0.3, 1.2)):
         arg = y / math.sqrt(y * y - 1.0)

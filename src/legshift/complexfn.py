@@ -8,6 +8,9 @@ Conventions used throughout the package:
   branch cut lies on (-inf, 1];
 * gamma ratios with cancelling poles are evaluated by pairing the poles and
   replacing each pair by its limit via the reflection formula;
+* ``integer_within`` is the one integer and pole test, at the named tolerance
+  of each decision (README, "Integer and pole tests"); a pole test asks
+  Re z <= tol first, as only then can z lie within tol of 0, -1, -2, ...;
 * ``gamma``, ``rgamma`` and ``gamma_ratio`` at real arguments off the poles
   stay in float arithmetic: ``math.gamma`` products, or ``math.lgamma`` sums
   with the signs of the Gamma values past double range, so a real ratio is
@@ -34,8 +37,7 @@ __all__ = [
     "gamma_ratio",
     "cpow",
     "zsq_minus_one_pow",
-    "is_integer",
-    "is_nonpositive_integer",
+    "integer_within",
 ]
 
 # Lanczos approximation, g = 607/128, 15 coefficients.  Good to ~1e-15
@@ -61,7 +63,8 @@ _LANCZOS_C = (
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-_POLE_TOL = 1e-9
+_GAMMA_POLE_TOL = 0.0  # Gamma's own poles: exact
+_POLE_TOL = 1e-9  # poles and integer differences of parameters: degenerate
 # the smallest normal double: below it a float gamma product loses digits
 _TINY = sys.float_info.min
 
@@ -92,21 +95,13 @@ def real_argument(x, what: str) -> float:
     return x.real
 
 
-def is_integer(z, tol: float = _POLE_TOL) -> bool:
-    """True when z is within tol of an integer on each axis:
-    |Im z| <= tol and |Re z - round(Re z)| <= tol."""
-    z = complex(z)
-    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
-
-
-def is_nonpositive_integer(z, tol: float = _POLE_TOL) -> bool:
-    """True when z is within tol of 0, -1, -2, ... (the test of ``is_integer``;
-    spelled out because the gamma functions call it on every argument)."""
-    z = complex(z)
+def integer_within(z, tol: float) -> int | None:
+    """The integer n with |Re z - n| <= tol and |Im z| <= tol, each axis
+    bounded apart; None when there is none.  z is a real or complex number."""
     if abs(z.imag) > tol:
-        return False
+        return None
     n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= tol
+    return n if abs(z.real - n) <= tol else None
 
 
 def sin_pi(z) -> complex:
@@ -178,7 +173,7 @@ def ln_gamma(z) -> complex:
     nonpositive integers.
     """
     z = complex(z)
-    if is_nonpositive_integer(z, tol=0.0):
+    if z.real <= 0.0 and integer_within(z, _GAMMA_POLE_TOL) is not None:
         raise PoleError(f"log-gamma pole at z = {z}")
     if z.real >= 0.5:
         return _ln_gamma_right(z)
@@ -238,7 +233,7 @@ def gamma(z) -> complex:
     double range.  Real z in floats (``_real_gamma_ratio``), complex z as
     exp(ln_gamma(z))."""
     z = complex(z)
-    if z.imag or is_nonpositive_integer(z, tol=0.0):
+    if z.imag or (z.real <= 0.0 and integer_within(z, _GAMMA_POLE_TOL) is not None):
         return _exp(ln_gamma(z), "Gamma")
     return complex(_real_gamma_ratio((z,), (), "Gamma"))
 
@@ -247,7 +242,7 @@ def rgamma(z) -> complex:
     """1/Gamma(z); entire, exactly 0 at nonpositive integers; NumericalError
     past double range.  Real z in floats, as ``gamma``."""
     z = complex(z)
-    if is_nonpositive_integer(z, tol=0.0):
+    if z.real <= 0.0 and integer_within(z, _GAMMA_POLE_TOL) is not None:
         return complex(0.0, 0.0)
     if not z.imag:
         return complex(_real_gamma_ratio((), (z,), "1/Gamma"))
@@ -260,20 +255,10 @@ def rgamma(z) -> complex:
         return _exp(_log_sin_pi(z) - cmath.log(math.pi) + _ln_gamma_right(1.0 - z), "1/Gamma")
 
 
-def _split_poles(args):
-    """(regular, poles): the arguments as complex numbers, those within
-    _POLE_TOL of a nonpositive integer apart; one pole test each."""
-    regular, poles = [], []
-    for z in args:
-        z = complex(z)
-        (poles if is_nonpositive_integer(z) else regular).append(z)
-    return regular, poles
-
-
 def gamma_ratio(numerators, denominators) -> complex:
     """Limiting value of prod Gamma(num_i) / prod Gamma(den_j).
 
-    Arguments within 1e-9 of a nonpositive integer count as poles.  With no
+    Arguments within _POLE_TOL of 0, -1, -2, ... count as poles.  With no
     pole and every argument real the ratio is taken in floats
     (``_real_gamma_ratio``); otherwise from ``ln_gamma``.  Each numerator
     pole must be matched by a denominator pole; a matched pair
@@ -283,33 +268,39 @@ def gamma_ratio(numerators, denominators) -> complex:
     numerator poles outnumber denominator poles, NumericalError past double
     range.
     """
-    num_reg, num_poles = _split_poles(numerators)
-    den_reg, den_poles = _split_poles(denominators)
+    # each side's regular arguments, and its poles as (argument, integer)
+    num_reg, num_poles, den_reg, den_poles = [], [], [], []
+    sides = ((numerators, num_reg, num_poles), (denominators, den_reg, den_poles))
+    for args, regular, poles in sides:
+        for z in args:
+            z = complex(z)
+            n = integer_within(z, _POLE_TOL) if z.real <= _POLE_TOL else None
+            if n is None:
+                regular.append(z)
+            else:
+                poles.append((z, n))
     if not (num_poles or den_poles or any(z.imag for z in num_reg) or any(z.imag for z in den_reg)):
         return complex(_real_gamma_ratio(num_reg, den_reg, "gamma ratio"))
 
     if len(num_poles) > len(den_poles):
         raise PoleError(
             "gamma ratio has an uncancelled numerator pole: "
-            f"{num_poles[len(den_poles):]}"
+            f"{[a for a, _m in num_poles[len(den_poles):]]}"
         )
 
     acc = 0.0 + 0.0j
     sign = 1.0
-    for a, b in zip(num_poles, den_poles):
-        m = round(-a.real)
-        n = round(-b.real)
-        if (n - m) % 2:
+    for (a, j), (b, k) in zip(num_poles, den_poles):
+        if (k - j) % 2:
             sign = -sign
         acc += ln_gamma(1.0 - b) - ln_gamma(1.0 - a)
-    extra_den_poles = den_poles[len(num_poles):]
 
     for a in num_reg:
         acc += ln_gamma(a)
     for b in den_reg:
         acc -= ln_gamma(b)
     value = sign * _exp(acc, "gamma ratio")
-    for b in extra_den_poles:
+    for b, _k in den_poles[len(num_poles):]:  # unmatched
         value *= rgamma(b)  # 0 at an exact pole; tiny near one
     return value
 

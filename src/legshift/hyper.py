@@ -23,7 +23,8 @@ n*eps*sum|term| passes 1e-6 max(|sum|, 1).  Either kind raises
 NumericalError once a term overflows.
 
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
-termination and c-pole tests, the degeneracy flags of each image, the
+termination and c-pole tests (one ``integer_within`` per parameter), the
+flags of integer c-a-b and a-b that make images degenerate, the
 connection-coefficient gamma ratios (on first use of each image), the
 sub-evaluators of the Pfaff image and of the +/- i*eps averages, and the
 series term ratios.  Calling it then does only w-dependent work; ``hyp2f1``
@@ -37,12 +38,12 @@ import math
 import sys
 
 from .complexfn import (
+    _POLE_TOL,
     check_finite,
     cpow,
     finite_result,
     gamma_ratio,
-    is_integer,
-    is_nonpositive_integer,
+    integer_within,
     ln_gamma,
     rgamma,
 )
@@ -89,8 +90,9 @@ class _Series:
 
     The term ratios r_k = (a+k)(b+k)(a3+k) / ((c+k)(b2+k)(1+k)), without
     a3 and b2 for 2F1, are kept from the first sum and grown on demand, so
-    repeated sums at new w reuse them.  ``_terminating_index`` settles once
-    whether a numerator ends the sum or a lower pole comes first.
+    repeated sums at new w reuse them.  The constructor's one pole test per
+    parameter settles the degree ``_n_term`` at which a numerator ends the
+    sum, or else the lower pole ``_pole`` that the sum reaches first.
     """
 
     __slots__ = ("_name", "_params", "_real", "_n_term", "_pole", "_limit", "_ratios")
@@ -110,7 +112,17 @@ class _Series:
             self._name, self._params = "3F2", (a, b, c, a3, b2)
             # hyp3f2_series runs to |w| < 1 - 1e-3
             cap = _MAX_3F2_TERMS
-        self._n_term, self._pole = _terminating_index(upper, lower)
+        n = pole = None
+        for p in upper:
+            k = integer_within(p, _POLE_TOL) if p.real <= _POLE_TOL else None
+            if k is not None and (n is None or -k < n):
+                n = -k
+        for b in lower:
+            k = integer_within(b, _POLE_TOL) if b.real <= _POLE_TOL else None
+            if k is not None and (n is None or -k < n):
+                n, pole = None, b
+                break
+        self._n_term, self._pole = n, pole
         self._limit = cap if self._n_term is None else self._n_term
         self._ratios = []
 
@@ -188,21 +200,6 @@ class _Series:
                 f"rounding bound {bound:.3g} against a sum of size {abs(total):.3g}"
             )
         return complex(total)
-
-
-def _terminating_index(upper, lower):
-    """(n, pole) for the series of pFq(upper; lower; w): n is the degree at
-    which a nonpositive-integer numerator ends the sum, else None; pole is
-    the first nonpositive-integer lower parameter the sum reaches before
-    w**n, else None (and n is then None too)."""
-    n = None
-    for p in upper:
-        if is_nonpositive_integer(p) and (n is None or round(-p.real) < n):
-            n = round(-p.real)
-    for b in lower:
-        if is_nonpositive_integer(b) and (n is None or round(-b.real) < n):
-            return None, b
-    return n, None
 
 
 def _ode_continue(w_target, p, lead, n, recurrence):
@@ -344,13 +341,14 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_reach", "_degenerate", "_images", "_pfaff", "_nudged")
+    __slots__ = ("_reach", "_cab_int", "_ab_int", "_images", "_pfaff", "_nudged")
 
     def __init__(self, a, b, c):
         super().__init__((a, b), (c,))
         # built on first use
         self._reach = None  # _series_reach of the parameters
-        self._degenerate = None  # image key -> degenerate coefficients
+        # integer c-a-b and integer a-b: degenerate connection coefficients
+        self._cab_int = self._ab_int = None
         self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
         self._pfaff = None
         self._nudged = None  # "a" or "c" -> evaluators at that parameter +/- i*eps
@@ -414,28 +412,19 @@ class _Gauss(_Series):
             if (c - a - b).real <= 0.0:
                 raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
             return gamma_ratio([c, c - a - b], [c - a, c - b])
-        candidates = []  # (modulus, key)
-        candidates.append((abs(w / one_minus), "pfaff"))
-        candidates.append((abs(one_minus), "one_minus"))
-        candidates.append((abs(1.0 / w), "recip"))
-        candidates.append((abs(1.0 - 1.0 / w), "one_minus_recip"))
-        candidates.append((abs(1.0 / one_minus), "recip_one_minus"))
-        degenerate = self._degenerate
-        if degenerate is None:
-            cab_int = is_integer(c - a - b)
-            ab_int = is_integer(a - b)
-            degenerate = self._degenerate = {
-                "one_minus": cab_int,
-                "recip": ab_int,
-                "recip_one_minus": ab_int,
-                "one_minus_recip": cab_int,
-                "pfaff": False,
-            }
+        if self._cab_int is None:
+            self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
+            self._ab_int = integer_within(a - b, _POLE_TOL) is not None
+        candidates = (  # (modulus, key, degenerate coefficients)
+            (abs(w / one_minus), "pfaff", False),
+            (abs(one_minus), "one_minus", self._cab_int),
+            (abs(1.0 / w), "recip", self._ab_int),
+            (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int),
+            (abs(1.0 / one_minus), "recip_one_minus", self._ab_int),
+        )
         # penalize images whose connection coefficients are degenerate so that
         # a clean image of comparable size wins
-        mod, key = min(
-            candidates, key=lambda t: t[0] + (0.05 if degenerate[t[1]] else 0.0)
-        )
+        mod, key, degenerate = min(candidates, key=lambda t: t[0] + (0.05 if t[2] else 0.0))
         if mod > _IMAGE_RADIUS:
             return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
 
@@ -446,7 +435,7 @@ class _Gauss(_Series):
                 self._pfaff = _Gauss(a, c - b, c)
             return cpow(one_minus, -a) * self._pfaff.sum(w / (w - 1.0))
 
-        if degenerate[key]:
+        if degenerate:
             # integer c-a-b: shift c off the lattice; integer a-b: shift a
             plus, minus = self._nudge(
                 "c" if key in ("one_minus", "one_minus_recip") else "a"
@@ -528,9 +517,10 @@ def _c_limit(a, b, c):
     at c = 1-n, n >= 1: C = (a)_n (b)_n / n! (DLMF 15.2.3_5).  Elsewhere
     n = 0, C = 1 and the parameters are unchanged: 1/Gamma(c) stays with the
     caller."""
-    if not is_nonpositive_integer(c):
+    pole = integer_within(c, _POLE_TOL) if c.real <= _POLE_TOL else None
+    if pole is None:
         return 0, 1.0, a, b, c
-    n = 1 - round(c.real)
+    n = 1 - pole
     C = 1.0
     for k in range(n):
         C *= (a + k) * (b + k) / (k + 1.0)
@@ -546,35 +536,37 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
     R(a1+n, a2+n; 1, b2+n; w): the shift of ``_c_limit``, whose C is
     (a1)_n (a2)_n / n!, and the shifted 3F2 has b1+n = 1 over its third
     numerator.  Where a1 or a2 is in {0, -1, ..., 1-n}, C = 0 and R is 0
-    everywhere.  ``hyp3f2_series`` sums it where |w| <= 0.9 or a numerator
-    terminates it.  Beyond, R is continued by Taylor steps of the 3F2
-    equation, which R solves at b1 = 1-n too; DomainError on the cut.
+    everywhere.  The series of ``hyp3f2_series`` sums it where |w| <= 0.9 or
+    a numerator terminates it.  Beyond, R is continued by Taylor steps of the
+    3F2 equation, which R solves at b1 = 1-n too; DomainError on the cut.
     """
     check_finite(a1, a2, b1, b2, w)
+    a1, a2, b1, b2 = complex(a1), complex(a2), complex(b1), complex(b2)
     # the lower parameter with the most vanishing terms first
-    b1, b2 = sorted(
-        (complex(b1), complex(b2)),
-        key=lambda b: b.real if is_nonpositive_integer(b) else math.inf,
-    )
-    n, C, s1, s2, c = _c_limit(complex(a1), complex(a2), b1)
+    lim1, lim2 = _c_limit(a1, a2, b1), _c_limit(a1, a2, b2)
+    if lim2[0] and (not lim1[0] or b2.real < b1.real):
+        lim1, b1, b2 = lim2, b2, b1
+    n, C, s1, s2, c = lim1
     if C == 0.0:  # a1 or a2 in {0, -1, ..., 1-n}: every term vanishes
         return 0j
-    terminating = is_nonpositive_integer(s1) or is_nonpositive_integer(s2)
-    if not (terminating or abs(w) <= _3F2_SERIES_RADIUS):
+    # no lower parameter is a pole: b1 + n = 1, and b2 + n >= 1 where b2 is
+    # one too; so only s1 or s2 ends the sum (``_n_term``)
+    series = _Series((s1, s2, 1 + 0j), (1 + 0j, b2 + n) if n else (b1, b2))
+    if not (series._n_term is not None or abs(w) <= _3F2_SERIES_RADIUS):
         w = complex(w)
         if w.imag == 0.0 and w.real >= 1.0:
             raise DomainError(f"3F2 is continued off the cut [1, inf), got w = {w.real}")
         lead = C * gamma_ratio([c], [b2 + n]) if n else rgamma(b1) * rgamma(b2)
-        recurrence = _hyp3f2_recurrence(complex(a1), complex(a2), 1.0, b1, b2)
+        recurrence = _hyp3f2_recurrence(a1, a2, 1.0, b1, b2)
         value = _ode_continue(w, 3, lead, n, recurrence)
     elif n:
         try:
             power = w**n
         except OverflowError:
             raise NumericalError(f"w**{n} overflows double range at |w| = {abs(w):.3g}") from None
-        value = C * gamma_ratio([c], [b2 + n]) * power * hyp3f2_series(s1, s2, 1.0, 1.0, b2 + n, w)
+        value = C * gamma_ratio([c], [b2 + n]) * power * series.sum(complex(w))
     else:
-        value = hyp3f2_series(s1, s2, 1.0, b1, b2, w) * rgamma(b1) * rgamma(b2)
+        value = series.sum(complex(w)) * rgamma(b1) * rgamma(b2)
     return finite_result(value, "regularized 3F2")
 
 

@@ -67,14 +67,14 @@ import sys
 from collections import namedtuple
 
 from .complexfn import (
+    _POLE_TOL,
     check_finite,
     cos_pi,
     cpow,
     finite_result,
     gamma,
     gamma_ratio,
-    is_integer,
-    is_nonpositive_integer,
+    integer_within,
     real_argument,
     rgamma,
 )
@@ -229,8 +229,8 @@ def _q_terms(nu, mu, olver=False):
     K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
     if olver:
         gammas = []
-    elif is_nonpositive_integer(-r):
-        raise PoleError(f"Q has a pole at nu + mu + 1 = {round(-r.real)}")
+    elif -r.real <= _POLE_TOL and (pole := integer_within(-r, _POLE_TOL)) is not None:
+        raise PoleError(f"Q has a pole at nu + mu + 1 = {pole}")
     else:
         gammas = [-r]
         K *= cmath.exp(1j * math.pi * mu)
@@ -246,9 +246,11 @@ def _ferrers_terms(kind, nu, mu):
         K = cpow(2.0, mu) * math.sqrt(math.pi)
         K0 = K * rgamma(1.0 - b) * rgamma(c - b)
         K1 = -2.0 * K * rgamma(1.0 - a) * rgamma(c - a)
-    elif is_nonpositive_integer(nu + mu + 1.0):
+    elif (nu + mu + 1.0).real <= _POLE_TOL and (
+        pole := integer_within(nu + mu + 1.0, _POLE_TOL)
+    ) is not None:
         # infinite, or at half-integer mu a limit that depends on the direction
-        raise PoleError(f"Ferrers Q has a pole at nu + mu + 1 = {round((nu + mu + 1.0).real)}")
+        raise PoleError(f"Ferrers Q has a pole at nu + mu + 1 = {pole}")
     else:
         K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
         K0 = K * gamma_ratio([nu + mu + 1.0, 0.5], [a, c - b]) * cos_pi(b)
@@ -400,8 +402,8 @@ def jacobi_evaluator(nu, alpha, beta):
     check_finite(nu, alpha, beta)
     nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
     s = alpha + beta
-    if is_nonpositive_integer(-nu) and not (is_integer(s) and s.real < -1.5):
-        n = round(nu.real)
+    n = integer_within(nu, _POLE_TOL) if nu.real >= -_POLE_TOL else None
+    if n is not None and not (s.real < -1.5 and integer_within(s, _POLE_TOL) is not None):
         if n > _MAX_POLYNOMIAL_DEGREE:
             raise NumericalError(f"Jacobi polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
 

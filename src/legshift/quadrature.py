@@ -50,7 +50,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexfn import check_finite, cpow, is_integer, rgamma
+from .complexfn import check_finite, cpow, integer_within, rgamma
 from .errors import ConvergenceError, DomainError, NumericalError
 from typing import Callable
 
@@ -72,6 +72,9 @@ _MAX_LEVEL = 12
 # integer order): 64 ulp, conservative for the FFT over 32 samples, whose
 # rounding grows like log2(N) ulp
 _ADDBACK_ROUNDING = 64 * _EPS
+# lam within this of an integer n >= 0 is n: the loop is the n-th derivative
+# at 0, and the Weyl integral has no tail, 1/Gamma(-n) being 0
+_INTEGER_LAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -427,11 +430,16 @@ def integrate_loop(
     """
     _check_arguments(target, c, lam, analyticity_radius, basepoint_exponent)
     lam = complex(lam)
+    n = integer_within(lam, _INTEGER_LAM_TOL) if lam.real > -0.5 else None
+    return _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target)
+
+
+def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target):
+    """``integrate_loop`` past its checks; n is lam taken as an integer >= 0, or None."""
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
     radius = _cauchy_radius(c, analyticity_radius)
-    if is_integer(lam, 1e-12) and lam.real > -0.5:
-        n = round(lam.real)
+    if n is not None:
         coeffs, n_eval, size = _taylor_coefficients(lambda t: g(t, c - t), radius, n + 1)
         rounding = _ADDBACK_ROUNDING * size / radius**n
         return QuadratureResult(coeffs[n], rounding, n_eval).scaled((-1) ** n * math.factorial(n))
@@ -488,8 +496,9 @@ def integrate_weyl(
             decay_exponent=tail_decay,
             target=target,
         ).scaled(rgamma(-lam))
-    lower = integrate_loop(g, c, lam, analyticity_radius, target=target)
-    if is_integer(lam, 1e-12):
+    n = integer_within(lam, _INTEGER_LAM_TOL)
+    lower = _loop(g, c, lam, n, analyticity_radius, 0.0, target)
+    if n is not None:
         return lower
     upper = integrate_semi_infinite(kernel, c, decay_exponent=tail_decay, target=target)
     return lower + upper.scaled(rgamma(-lam))

@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 from .complexfn import (
+    _POLE_TOL,
     cos_pi,
     cpow,
     gamma_ratio,
-    is_integer,
-    is_nonpositive_integer,
+    integer_within,
     real_argument,
     rgamma,
     sin_pi,
@@ -85,7 +85,8 @@ _WEIGHTS = {
 
 def _weighted_function(convention, kind, nu, mu, z, coef=1.0):
     """coef times the weighted function of ``convention`` (``_WEIGHTS``) at
-    (nu, mu, z), F being legendre_p ("p"), legendre_q ("q") or ferrers_p
+    (nu, mu, z), F being legendre_p ("p"), legendre_q ("q"), Olver's Q
+    ("olver_q", ``legendre_q(..., olver=True)``) or ferrers_p
     ("ferrers_p"): the weight times the public function, with its cut and
     finiteness checks.  coef enters first, so the product rounds as
     (coef * weight) * F: next to an integer order the two-term forms average
@@ -95,8 +96,10 @@ def _weighted_function(convention, kind, nu, mu, z, coef=1.0):
     s = exponent(nu, mu)
     if kind == "ferrers_p":
         return coef * (cpow(1.0 - z, s) * cpow(1.0 + z, s)) * ferrers_p(nu, mu, z)
-    fn = legendre_p if kind == "p" else legendre_q
-    return coef * zsq_minus_one_pow(z, s) * fn(nu, mu, _degree_argument(z) if degree else z)
+    arg = _degree_argument(z) if degree else z
+    return coef * zsq_minus_one_pow(z, s) * (
+        legendre_p(nu, mu, arg) if kind == "p" else legendre_q(nu, mu, arg, olver=kind == "olver_q")
+    )
 
 
 def _degree_argument(y):
@@ -132,11 +135,11 @@ def _two_terms(terms, names, x, cancel, pole, *conditions) -> Prediction:
     (name, value) pair, move with x at unit rate, and the radius is a quarter
     of the distance to the nearest other singularity: the next integer of
     ``cancel``, or a pole where ``pole`` is 0, -1, -2, ..."""
-    if not is_integer(cancel, _NEAR_INTEGER):
+    if integer_within(cancel, _NEAR_INTEGER) is None:
         t1, t2 = terms(x)
         return Prediction(t1 + t2, dict(zip(names, (t1, t2))), conditions)
     name, pole = pole
-    if is_nonpositive_integer(pole):
+    if pole.real <= _POLE_TOL and integer_within(pole, _POLE_TOL) is not None:
         raise PoleError(f"the closed form has a pole at {name} = {pole.real:g}")
     radius = 0.25 * min(1.0, abs(pole + max(0, round(-pole.real))))
     val = _taylor_coefficients(lambda d: sum(terms(x + d)), radius, 1)[0][0]
@@ -167,10 +170,10 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         def terms(lam):
             denom = sin_pi(nu - mu - lam)
             t_p = _weighted_function("mplus", "p", nu, mu + lam, z, sin_pi(nu - mu)) / denom
-            coef = (
-                -(2.0 / math.pi) * sin_pi(nu) * sin_pi(lam) * cmath.exp(-1j * math.pi * (mu + lam))
-            )
-            t_q = _weighted_function("mplus", "q", nu, mu + lam, z, coef) / denom
+            # Hobson's Q without its phase exp(i pi (mu+lam)), which cancels
+            g = gamma_ratio([nu + mu + lam + 1.0], [])
+            coef = -(2.0 / math.pi) * sin_pi(nu) * sin_pi(lam) * g
+            t_q = _weighted_function("mplus", "olver_q", nu, mu + lam, z, coef) / denom
             return t_p, t_q
 
         # the terms' poles at integer nu-mu-lam cancel; the circle runs in lam
@@ -242,7 +245,7 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         conditions = (
             _cond("|1-z| > 2", abs(1.0 - z) > 2.0),
             _cond("cos(pi nu) != 0", abs(cos_pi(nu)) > 1e-9),
-            _cond("nu - mu not an integer", not is_integer(nu - mu)),
+            _cond("nu - mu not an integer", integer_within(nu - mu, _POLE_TOL) is None),
         )
         if not (conditions[1][1] and conditions[2][1]):
             return Prediction(complex("nan"), {}, conditions)  # a denominator vanishes

@@ -46,7 +46,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .complexfn import check_finite, cpow, gamma_ratio, is_integer, real_argument, rgamma
+from .complexfn import check_finite, cpow, gamma_ratio, integer_within, real_argument, rgamma
 from .errors import DomainError, PoleError
 from .legendre import (
     jacobi_evaluator,
@@ -57,6 +57,7 @@ from .legendre import (
     whipple_evaluator,
 )
 from .quadrature import (
+    _INTEGER_LAM_TOL,
     QuadratureResult,
     _taylor_coefficients,
     integrate_loop,
@@ -153,9 +154,9 @@ def _grid(nus, mus, lams, zs):
 
 
 def _check_fold(lam):
-    if not is_integer(lam, 1e-12):
+    n = integer_within(lam, _INTEGER_LAM_TOL)
+    if n is None:
         raise DomainError(f"fold count must be an integer, got {lam}")
-    n = round(complex(lam).real)
     if not 1 <= n <= 8:
         raise DomainError(f"fold count must be in [1, 8], got {n}")
     return n

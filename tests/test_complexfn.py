@@ -9,18 +9,19 @@ import mpmath
 import pytest
 
 from legshift.complexfn import (
+    _POLE_TOL,
     cos_pi,
     cpow,
     gamma,
     gamma_ratio,
-    is_integer,
-    is_nonpositive_integer,
+    integer_within,
     ln_gamma,
     rgamma,
     sin_pi,
     zsq_minus_one_pow,
 )
 from legshift.errors import NumericalError, PoleError
+from legshift.quadrature import _INTEGER_LAM_TOL
 
 
 def test_gamma_known_values():
@@ -112,20 +113,23 @@ def test_zsq_minus_one_pow_real_axis():
     assert abs(zsq_minus_one_pow(3.0, 0.5) - math.sqrt(8.0)) < 1e-14
 
 
-def test_is_integer_tests_each_axis():
-    assert is_integer(3.0) and is_integer(-2.0 + 5e-10j)
-    assert not is_integer(2.5) and not is_integer(1.0 + 1e-6j)
+def test_integer_within_tests_each_axis():
+    assert integer_within(3.0, _POLE_TOL) == 3
+    assert integer_within(-2.0 + 5e-10j, _POLE_TOL) == -2
+    assert integer_within(2.5, _POLE_TOL) is None
+    assert integer_within(1.0 + 1e-6j, _POLE_TOL) is None
     # the tolerance bounds each axis, not the modulus
-    assert is_integer(complex(1.0 + 0.9e-9, 0.9e-9))
-    assert not is_integer(1.0 + 2e-12, 1e-12)
+    assert integer_within(complex(1.0 + 0.9e-9, 0.9e-9), _POLE_TOL) == 1
+    assert integer_within(1.0 + 2e-12, _INTEGER_LAM_TOL) is None
 
 
-def test_is_nonpositive_integer():
-    assert is_nonpositive_integer(0.0)
-    assert is_nonpositive_integer(-4.0)
-    assert not is_nonpositive_integer(0.5)
-    assert not is_nonpositive_integer(1.0 + 1e-6j)
-    assert not is_nonpositive_integer(2.0)
+def test_integer_within_keeps_the_sign():
+    # a pole test reads n <= 0 from the integer itself
+    assert integer_within(0.0, _POLE_TOL) == 0
+    assert integer_within(-4.0, _POLE_TOL) == -4
+    assert integer_within(2.0, _POLE_TOL) == 2
+    assert integer_within(0.5, _POLE_TOL) is None
+    assert integer_within(-1.0 + 1e-6j, _POLE_TOL) is None
 
 
 def test_sin_pi_keeps_relative_accuracy_next_to_integers():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -18,6 +19,7 @@ from legshift.shifts import (
     predict_order_shift,
     rodrigues_pair,
 )
+from legshift.verify import get_identity
 
 
 def test_prediction_valid_property():
@@ -106,6 +108,21 @@ def test_weyl_p_up_at_integer_nu_minus_mu_minus_lam():
     # where Q_nu^(mu+lam) has its pole as well, nothing cancels it
     with pytest.raises(PoleError):
         predict_order_shift(-0.5, 0.25, -0.75, 2.0, "weyl_p_up")
+
+
+def test_weyl_p_up_is_real_at_real_arguments():
+    # the Q term is Olver's Q times Gamma(nu+mu+lam+1), with no phase
+    # exp(i pi (mu+lam)) left to meet its inverse in rounding.  The seeded
+    # points keep nu-mu-lam over 0.01 from an integer: inside that band the
+    # value is a Cauchy mean over complex lam, not the two real terms
+    points = [tuple(p.values()) for p in get_identity("WEYL_MPLUS_P").default_grid]
+    rng = random.Random(21)
+    while len(points) < 20:
+        nu, mu, lam, z = rng.uniform(-0.4, 2.5), rng.uniform(-1.5, 1.5), rng.uniform(0.1, 3.0), rng.uniform(1.05, 4.0)
+        if abs(nu - mu - lam - round(nu - mu - lam)) > 0.011:
+            points.append((nu, mu, lam, z))
+    for nu, mu, lam, z in points:
+        assert predict_order_shift(nu, mu, lam, z, "weyl_p_up").value.imag == 0.0, (nu, mu, lam, z)
 
 
 def test_weyl_minus_coefficient_semigroup():

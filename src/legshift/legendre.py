@@ -54,9 +54,20 @@ public one-shot functions build one evaluator and call it once.
 
 ``weighted_evaluator(kind, nu, mu, s)`` is the same term list times
 (z**2-1)**s, or (1-x**2)**s for Ferrers: s joins the exponents p and q of
-every term.  ``whipple_evaluator(kind, nu, mu, s)`` gives the weighted
-functions of y/sqrt(y**2-1) as weighted evaluators at the Whipple image
-parameters; ``whipple_p_to_q`` and ``whipple_q_to_p`` are its s = 0 values.
+every term.  The functions of y/sqrt(y**2-1) are term lists too, the
+Whipple images (DLMF 14.9(iv)) at degree -mu-1/2 and order -nu-1/2:
+
+    P_nu^mu(y/sqrt(y**2-1)) = sqrt(2/pi) (y**2-1)**(1/4) OlverQ_{-mu-1/2}^{-nu-1/2}(y),
+    Q_nu^mu(y/sqrt(y**2-1)) = exp(i pi mu) sqrt(pi/2) Gamma(nu+mu+1)
+                                  * (y**2-1)**(1/4) P_{-mu-1/2}^{-nu-1/2}(y),
+
+the image's terms with the constant folded into each K and 1/4 added to the
+exponents, for Re y > 0 off (0, 1].  P's image is entire in both parameters;
+Q's has the poles of Gamma(nu+mu+1), as Q does.  ``whipple_evaluator(kind,
+nu, mu, s)`` is the image times (y**2-1)**s, a weighted evaluator like
+``weighted_evaluator``'s; ``whipple_p_to_q`` and ``whipple_q_to_p`` are its
+s = 0 values at a checked y.  Olver's Q (``olver=True``) is the same term
+list path, the internal kind "olver_q".
 """
 
 from __future__ import annotations
@@ -72,7 +83,6 @@ from .complexfn import (
     cos_pi,
     cpow,
     finite_result,
-    gamma,
     gamma_ratio,
     integer_within,
     real_argument,
@@ -282,56 +292,85 @@ def _prepare_z(z, boundary_side):
 # --- evaluators ----------------------------------------------------------------
 
 _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
+# every kind -> the name its errors carry: the public kinds, Olver's Q and
+# the Whipple images of P and Q, functions of y for y/sqrt(y**2-1)
+_NAMES = dict(zip(_KINDS, ("legendre_p", "legendre_q", "ferrers_p", "ferrers_q")))
+_NAMES.update(olver_q="legendre_q", whipple_p="whipple_p_to_q", whipple_q="whipple_q_to_p")
 
 
-def _representation(kind, nu, mu, s=0.0):
-    """(z, zc=None, order=0) -> the order-th derivative of F, the function
-    times the weight (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds: the
-    kind's one term list, exact at degenerate parameters, with s joining its
-    exponents.  A value that is not finite raises NumericalError."""
-    name = kind if kind.startswith("ferrers") else "legendre_" + kind
+def _public_kind(kind):
+    """``kind`` if it is a public one, else DomainError."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown kind {kind!r}")
+    return kind
+
+
+def _terms(kind, nu, mu):
+    """The term list of ``kind`` (``_NAMES``) at (nu, mu); a Whipple image
+    without its (y**2-1)**(1/4) (module docstring)."""
     if kind == "p":
-        terms = _p_terms(nu, mu)
-    elif kind == "q":
-        terms = _q_terms(nu, mu)
+        return _p_terms(nu, mu)
+    if kind in ("q", "olver_q"):
+        return _q_terms(nu, mu, olver=kind == "olver_q")
+    if kind.startswith("ferrers"):
+        return _ferrers_terms(kind, nu, mu)
+    if kind == "whipple_p":
+        K, image = math.sqrt(2.0 / math.pi), _q_terms(-mu - 0.5, -nu - 0.5, olver=True)
     else:
-        terms = _ferrers_terms(kind, nu, mu)
-    if s != 0:
-        terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
-        name = "weighted " + name
-    return _TermSum(terms, name)
+        K = cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0)
+        K *= gamma_ratio([nu + mu + 1.0], [])
+        image = _p_terms(-mu - 0.5, -nu - 0.5)
+    return [t._replace(K=K * t.K) for t in image]
+
+
+def _whipple_y(y) -> complex:
+    """y in the Whipple images' domain, Re y > 0 off (0, 1]; DomainError
+    elsewhere.  There y/sqrt(y**2-1) is not the image's argument."""
+    y = complex(y)
+    if y.real <= 0.0 or (y.imag == 0.0 and y.real <= 1.0):
+        raise DomainError(f"the Whipple images need Re y > 0 off (0, 1], got y = {y}")
+    return y
 
 
 class _Legendre:
-    """One of P, Q, Ferrers P, Ferrers Q at fixed (nu, mu), times the weight
-    of exponent s; see ``legendre_evaluator`` and ``weighted_evaluator``."""
+    """One kind (``_NAMES``) at fixed (nu, mu), times the weight of exponent
+    s: (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.  Called at z it
+    checks z as the public functions do: the cut and its branch points, the
+    Ferrers range and reach, or the Whipple images' domain.  ``terms``, the
+    term list called as (v, vc=None, order=0), checks nothing."""
 
-    __slots__ = ("_ferrers", "_rep", "_x_max")
+    __slots__ = ("_domain", "terms", "_x_max")
 
     def __init__(self, kind, nu, mu, s=0.0):
-        if kind not in _KINDS:
-            raise DomainError(f"unknown kind {kind!r}")
         check_finite(nu, mu, s)
-        self._ferrers = kind.startswith("ferrers")
+        name = _NAMES[kind] if s == 0 else "weighted " + _NAMES[kind]
+        self._domain = kind.split("_")[0]  # "ferrers", "whipple", or the cut plane's
+        if self._domain == "whipple":
+            s = s + 0.25
         # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
         self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
-        self._rep = _representation(kind, complex(nu), complex(mu), s)
+        terms = _terms(kind, complex(nu), complex(mu))
+        if s != 0:
+            terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
+        self.terms = _TermSum(terms, name)
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
 
         ``boundary_side`` selects the side of the cut for P and Q at real
-        z <= 1; Ferrers kinds take real x in (-1, 1) and ignore it.
+        z <= 1; the other kinds ignore it.
         """
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
-        if self._ferrers:
+        if self._domain == "ferrers":
             z = _ferrers_x(z)
             if abs(z) >= self._x_max:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
+        elif self._domain == "whipple":
+            z = _whipple_y(z)
         else:
             z = _prepare_z(z, boundary_side)
-        return self._rep(z, None, order)
+        return self.terms(z, None, order)
 
 
 def legendre_evaluator(kind, nu, mu):
@@ -343,7 +382,7 @@ def legendre_evaluator(kind, nu, mu):
     matching public function returns; reuse it over many z to do the
     parameter-only work once.
     """
-    return _Legendre(kind, nu, mu)
+    return _Legendre(_public_kind(kind), nu, mu)
 
 
 def weighted_evaluator(kind, nu, mu, s):
@@ -358,35 +397,22 @@ def weighted_evaluator(kind, nu, mu, s):
     has the single power (v-1)**(-mu), and the Ferrers terms none.  A value
     past double range raises NumericalError, as the public functions do.
     """
-    return _Legendre(kind, nu, mu, s)._rep
+    return _Legendre(_public_kind(kind), nu, mu, s).terms
 
 
 def whipple_evaluator(kind, nu, mu, s):
     """(y, yc=None) -> (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)) for F = P ("p")
-    or Q ("q"), yc being an exact 1 - y as for ``weighted_evaluator``, from
-    the Whipple image at degree -mu-1/2 and order -nu-1/2:
-
-        P_nu^mu(y/sqrt(y**2-1)) = exp(i pi (nu+1/2)) sqrt(2/pi) / Gamma(-nu-mu)
-                                      * (y**2-1)**(1/4) Q_{-mu-1/2}^{-nu-1/2}(y),
-        Q_nu^mu(y/sqrt(y**2-1)) = exp(i pi mu) sqrt(pi/2) Gamma(nu+mu+1)
-                                      * (y**2-1)**(1/4) P_{-mu-1/2}^{-nu-1/2}(y),
-
-    that is, the image's weighted evaluator at s + 1/4.  For Re y > 0; no
-    cut check.  The degree weights s = -(nu+1)/2 and nu/2 are the image's
-    order weights, so the Q form is analytic through y = 1 at the first.
-    A value past double range raises NumericalError.
+    or Q ("q"), yc being an exact 1 - y as for ``weighted_evaluator``: the
+    Whipple image's term list (module docstring) with s joining its
+    exponents.  For Re y > 0 off (0, 1]; no check.  The degree weights
+    s = -(nu+1)/2 and nu/2 are the image's order weights, so the Q form is
+    analytic through y = 1 at the first.  A value past double range raises
+    NumericalError, and Q's image raises PoleError within 1e-9 of a pole of
+    Gamma(nu+mu+1).
     """
-    check_finite(nu, mu, s)
-    nu, mu = complex(nu), complex(mu)
-    if kind == "p":
-        K = cmath.exp(1j * math.pi * (nu + 0.5)) * math.sqrt(2.0 / math.pi) * rgamma(-nu - mu)
-    elif kind == "q":
-        K = cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0) * gamma(nu + mu + 1.0)
-    else:
+    if kind not in ("p", "q"):
         raise DomainError(f"Whipple images exist for kinds 'p' and 'q', not {kind!r}")
-    f = weighted_evaluator("q" if kind == "p" else "p", -mu - 0.5, -nu - 0.5, s + 0.25)
-    name = "whipple_p_to_q" if kind == "p" else "whipple_q_to_p"
-    return lambda y, yc=None: finite_result(K * f(y, yc), name)
+    return _Legendre("whipple_" + kind, nu, mu, s).terms
 
 
 def jacobi_evaluator(nu, alpha, beta):
@@ -467,11 +493,7 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     is entire in both parameters.
     """
     check_finite(z)
-    if not olver:
-        return _Legendre("q", nu, mu)(z, boundary_side=boundary_side)
-    check_finite(nu, mu)
-    terms = _q_terms(complex(nu), complex(mu), olver=True)
-    return _TermSum(terms, "legendre_q")(_prepare_z(z, boundary_side))
+    return _Legendre("olver_q" if olver else "q", nu, mu)(z, boundary_side=boundary_side)
 
 
 def _ferrers_x(x) -> float:
@@ -520,14 +542,14 @@ def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
 
 
 def whipple_p_to_q(nu, mu, y) -> complex:
-    """P_nu^mu(y/sqrt(y**2-1)) computed from Q at Whipple-image parameters
-    (``whipple_evaluator``), for y with Re y > 0 off the cut."""
+    """P_nu^mu(y/sqrt(y**2-1)) from Olver's Q at the Whipple image (module
+    docstring), for Re y > 0 off (0, 1]; DomainError elsewhere."""
     check_finite(y)
-    return whipple_evaluator("p", nu, mu, 0.0)(_prepare_z(y, None))
+    return _Legendre("whipple_p", nu, mu)(y)
 
 
 def whipple_q_to_p(nu, mu, y) -> complex:
-    """Q_nu^mu(y/sqrt(y**2-1)) computed from P at Whipple-image parameters
-    (``whipple_evaluator``), for y with Re y > 0 off the cut."""
+    """Q_nu^mu(y/sqrt(y**2-1)) from P at the Whipple image (module docstring),
+    for Re y > 0 off (0, 1]; DomainError elsewhere, PoleError at Q's poles."""
     check_finite(y)
-    return whipple_evaluator("q", nu, mu, 0.0)(_prepare_z(y, None))
+    return _Legendre("whipple_q", nu, mu)(y)

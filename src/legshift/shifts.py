@@ -7,10 +7,16 @@ converges.  The quadrature side lives in ``verify``; this module never
 integrates anything.
 
 Every relation maps a weighted function to the same weighted function at a
-shifted order or degree.  ``_WEIGHTS`` holds the four weight conventions and
-is read by both sides: the closed forms here (``_weighted_function``) and the
-integrands in ``verify``.  The Ferrers relations are the order conventions on
-Ferrers P, with (1-x**2) in place of (z**2-1).
+shifted order or degree.  ``_WEIGHTS`` holds the four weight conventions,
+and ``_weighted`` builds each weighted function once, as one ``legendre``
+term list: the weight joins the term exponents, and the degree conventions
+are the order conventions of the Whipple image.  Both sides of a catalog
+entry call it: the closed forms at z, checked as the public functions check
+it, and ``verify``'s integrands (``_integrand``) with no check.  The degree
+closed forms take the Whipple image's domain, Re y > 0 off (0, 1].  The
+Ferrers relations are the order conventions on Ferrers P, with (1-x**2) in
+place of (z**2-1).  The Rodrigues pair and its two integrands share the
+builders ``_jacobi_weighted`` and ``_rodrigues_primitive``.
 """
 
 from __future__ import annotations
@@ -21,19 +27,19 @@ from dataclasses import dataclass, field
 
 from .complexfn import (
     _POLE_TOL,
+    check_finite,
     cos_pi,
     cpow,
+    finite_result,
     gamma_ratio,
     integer_within,
     real_argument,
     rgamma,
     sin_pi,
-    zsq_minus_one_pow,
 )
 from .errors import DomainError, PoleError
 from .hyper import hyp3f2_regularized, hyp3f2_series
-from .legendre import ferrers_p, jacobi_p, legendre_p, legendre_q
-from .quadrature import _taylor_coefficients
+from .legendre import _Legendre, _whipple_y, jacobi_evaluator
 
 __all__ = [
     "Prediction",
@@ -63,6 +69,11 @@ def _cond(desc: str, ok: bool):
     return (desc, bool(ok))
 
 
+def _closed_form(value, name, *conditions) -> Prediction:
+    """A one-term closed form named ``name``, valid under ``conditions``."""
+    return Prediction(value, {name: value}, conditions)
+
+
 def hyp3f2_family(nu, mu, lam, z) -> complex:
     """3F2(nu-mu+1, -nu-mu, 1; 1-mu, 1-lam; (1-z)/2) / (Gamma(1-mu) Gamma(1-lam)),
     entire in mu and lam, for z off the cut (-inf, -1]: the parameter map of
@@ -83,30 +94,22 @@ _WEIGHTS = {
 }
 
 
-def _weighted_function(convention, kind, nu, mu, z, coef=1.0):
-    """coef times the weighted function of ``convention`` (``_WEIGHTS``) at
-    (nu, mu, z), F being legendre_p ("p"), legendre_q ("q"), Olver's Q
-    ("olver_q", ``legendre_q(..., olver=True)``) or ferrers_p
-    ("ferrers_p"): the weight times the public function, with its cut and
-    finiteness checks.  coef enters first, so the product rounds as
-    (coef * weight) * F: next to an integer order the two-term forms average
-    terms that cancel (``_two_terms``), and another order of the product
-    moves their mean by up to 1e-14 relative."""
+def _weighted(convention, kind, nu, mu):
+    """The weighted function of ``convention`` (``_WEIGHTS``) at (nu, mu),
+    F being P ("p"), Q ("q"), Olver's Q ("olver_q", order conventions only)
+    or a Ferrers kind: one ``legendre._Legendre`` term list, the Whipple
+    image's for the degree conventions.  Called at z it raises as the public
+    functions do: on the cut and at its branch points, off the Ferrers range
+    and reach, and off the Whipple image's domain.  Its ``terms``, called as
+    (v, vc=None), checks nothing: the integrands call that."""
     exponent, degree = _WEIGHTS[convention]
-    s = exponent(nu, mu)
-    if kind == "ferrers_p":
-        return coef * (cpow(1.0 - z, s) * cpow(1.0 + z, s)) * ferrers_p(nu, mu, z)
-    arg = _degree_argument(z) if degree else z
-    return coef * zsq_minus_one_pow(z, s) * (
-        legendre_p(nu, mu, arg) if kind == "p" else legendre_q(nu, mu, arg, olver=kind == "olver_q")
-    )
+    return _Legendre("whipple_" + kind if degree else kind, nu, mu, exponent(nu, mu))
 
 
-def _degree_argument(y):
-    """y / sqrt(y**2 - 1), the argument of the degree-shifted function."""
-    if y * y == 1.0:
-        raise DomainError(f"degree shifts need y**2 != 1, got y = {y}")
-    return y / cmath.sqrt(y * y - 1.0)
+def _integrand(convention, kind):
+    """The builder p -> W(v, vc=None) of ``verify``'s integrands: the
+    unchecked ``_weighted`` at a point p with fields nu and mu."""
+    return lambda p: _weighted(convention, kind, p.nu, p.mu).terms
 
 
 def _q_3f2_term(nu, mu, lam, w):
@@ -131,10 +134,16 @@ def _two_terms(terms, names, x, cancel, pole, *conditions) -> Prediction:
     """The Prediction of the two terms terms(x), named ``names``.  Where
     ``cancel`` is an integer their poles cancel, so the sum is analytic in x
     there; within ``_NEAR_INTEGER`` of one it is the mean of the sum over a
-    circle around x (the loops' Cauchy rule).  ``cancel`` and ``pole``, a
-    (name, value) pair, move with x at unit rate, and the radius is a quarter
-    of the distance to the nearest other singularity: the next integer of
-    ``cancel``, or a pole where ``pole`` is 0, -1, -2, ..."""
+    circle around x, the trapezoid rule on 32 points (the loops' Cauchy
+    rule).  ``cancel`` and ``pole``, a (name, value) pair, move with x at
+    unit rate, and the radius is a quarter of the distance to the nearest
+    other singularity: the next integer of ``cancel``, or a pole where
+    ``pole`` is 0, -1, -2, ...
+
+    At a real x the points are conjugate pairs x + d, x + conj(d) and the
+    two real points x +/- radius.  A sum real at those two, as each caller's
+    is at real parameters, is real on the real axis, and so is its mean: the
+    imaginary part the complex points round to is dropped."""
     if integer_within(cancel, _NEAR_INTEGER) is None:
         t1, t2 = terms(x)
         return Prediction(t1 + t2, dict(zip(names, (t1, t2))), conditions)
@@ -142,7 +151,14 @@ def _two_terms(terms, names, x, cancel, pole, *conditions) -> Prediction:
     if pole.real <= _POLE_TOL and integer_within(pole, _POLE_TOL) is not None:
         raise PoleError(f"the closed form has a pole at {name} = {pole.real:g}")
     radius = 0.25 * min(1.0, abs(pole + max(0, round(-pole.real))))
-    val = _taylor_coefficients(lambda d: sum(terms(x + d)), radius, 1)[0][0]
+    right, left = sum(terms(x + radius)), sum(terms(x - radius))
+    total = right + left
+    for j in range(1, 16):
+        d = radius * cmath.exp(2j * math.pi * j / 32)
+        total += sum(terms(x + d)) + sum(terms(x + d.conjugate()))
+    val = total / 32
+    if not (x.imag or right.imag or left.imag):
+        val = complex(val.real)
     return Prediction(val, {"limit": val}, conditions)
 
 
@@ -156,24 +172,21 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
     nu, mu, lam, z = complex(nu), complex(mu), complex(lam), complex(z)
 
     if variant == "weyl_q_down":
-        val = _weighted_function("mplus", "q", nu, mu - lam, z, cmath.exp(1j * math.pi * lam))
-        return Prediction(
-            val,
-            {"q_term": val},
-            (
-                _cond("Re lam > 0", lam.real > 0),
-                _cond("Re(nu+mu-lam+1) > 0", (nu + mu - lam + 1.0).real > 0),
-            ),
+        return _closed_form(
+            cmath.exp(1j * math.pi * lam) * _weighted("mplus", "q", nu, mu - lam)(z),
+            "q_term",
+            _cond("Re lam > 0", lam.real > 0),
+            _cond("Re(nu+mu-lam+1) > 0", (nu + mu - lam + 1.0).real > 0),
         )
 
     if variant == "weyl_p_up":
         def terms(lam):
             denom = sin_pi(nu - mu - lam)
-            t_p = _weighted_function("mplus", "p", nu, mu + lam, z, sin_pi(nu - mu)) / denom
+            t_p = sin_pi(nu - mu) * _weighted("mplus", "p", nu, mu + lam)(z) / denom
             # Hobson's Q without its phase exp(i pi (mu+lam)), which cancels
             g = gamma_ratio([nu + mu + lam + 1.0], [])
             coef = -(2.0 / math.pi) * sin_pi(nu) * sin_pi(lam) * g
-            t_q = _weighted_function("mplus", "olver_q", nu, mu + lam, z, coef) / denom
+            t_q = coef * _weighted("mplus", "olver_q", nu, mu + lam)(z) / denom
             return t_p, t_q
 
         # the terms' poles at integer nu-mu-lam cancel; the circle runs in lam
@@ -187,42 +200,36 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         coef = gamma_ratio(
             [nu + mu + 1.0, nu - mu + lam + 1.0], [nu + mu - lam + 1.0, nu - mu + 1.0]
         )
-        val = _weighted_function("mminus", "q", nu, mu - lam, z, coef)
-        return Prediction(
-            val,
-            {"q_term": val},
-            (_cond("Re(nu-mu+lam+1) > 0", (nu - mu + lam + 1.0).real > 0),),
+        return _closed_form(
+            coef * _weighted("mminus", "q", nu, mu - lam)(z),
+            "q_term",
+            _cond("Re(nu-mu+lam+1) > 0", (nu - mu + lam + 1.0).real > 0),
         )
 
     if variant == "weyl_minus_p":
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [-nu - mu + lam, nu - mu + lam + 1.0], [-nu - mu, nu - mu + 1.0]
         )
-        val = _weighted_function("mminus", "p", nu, mu - lam, z, coef)
-        return Prediction(
-            val,
-            {"p_term": val},
-            (
-                _cond("Re(lam-nu-mu) > 0", (lam - nu - mu).real > 0),
-                _cond("Re nu > -1/2", nu.real > -0.5),
-            ),
+        return _closed_form(
+            coef * _weighted("mminus", "p", nu, mu - lam)(z),
+            "p_term",
+            _cond("Re(lam-nu-mu) > 0", (lam - nu - mu).real > 0),
+            _cond("Re nu > -1/2", nu.real > -0.5),
         )
 
     if variant == "riemann_p_up":
-        val = _weighted_function("mplus", "p", nu, mu + lam, z)
-        return Prediction(
-            val,
-            {"p_term": val},
-            (_cond("Re mu < 1", mu.real < 1),),
-        )
+        val = _weighted("mplus", "p", nu, mu + lam)(z)
+        return _closed_form(val, "p_term", _cond("Re mu < 1", mu.real < 1))
 
     if variant == "riemann_q_up":
-        def terms(mu):
-            coef = 0.5 * cmath.exp(1j * math.pi * mu) * math.pi / sin_pi(mu)
-            t1 = _weighted_function("mplus", "p", nu, mu + lam, z, coef)
-            t2 = cmath.exp(1j * math.pi * mu) * cpow(z - 1.0, -lam) * _q_3f2_term(
-                nu, mu, lam, (1.0 - z) / 2.0
-            )
+        # exp(i pi mu), factored out at the centre: the rest is real on the
+        # real axis, and the phase is exactly +/-1 at integer mu
+        phase = cos_pi(mu) + 1j * sin_pi(mu)
+
+        def terms(m):
+            coef = 0.5 * phase * math.pi / sin_pi(m)
+            t1 = coef * _weighted("mplus", "p", nu, m + lam)(z)
+            t2 = phase * cpow(z - 1.0, -lam) * _q_3f2_term(nu, m, lam, (1.0 - z) / 2.0)
             return t1, t2
 
         # pi/sin(pi mu) and Gamma(-mu) Gamma(mu+1) = -pi/sin(pi mu) cancel at
@@ -234,11 +241,10 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
         )
 
     if variant == "riemann_p_down_near":
-        val = cpow(2.0, mu) * cpow(z - 1.0, -lam) * hyp3f2_family(nu, mu, lam, z)
-        return Prediction(
-            val,
-            {"hyp3f2_term": val},
-            (_cond("|arg(z-1)| < pi", abs(cmath.phase(z - 1.0)) < math.pi - 1e-12),),
+        return _closed_form(
+            cpow(2.0, mu) * cpow(z - 1.0, -lam) * hyp3f2_family(nu, mu, lam, z),
+            "hyp3f2_term",
+            _cond("|arg(z-1)| < pi", abs(cmath.phase(z - 1.0)) < math.pi - 1e-12),
         )
 
     if variant == "riemann_p_down_far":
@@ -256,12 +262,12 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
             [nu + mu - lam + 1.0, nu - mu + 1.0],
         )
         g_q = gamma_ratio([-nu + mu, -nu - mu + lam], [-nu + mu - lam, -nu - mu])
-        t1 = _weighted_function("mminus", "p", nu, mu - lam, z, g_p)
+        t1 = g_p * _weighted("mminus", "p", nu, mu - lam)(z)
         coef = (
             sin_pi(nu + mu - lam) * (g_q - g_p) / (math.pi * cos_pi(nu))
             * cmath.exp(-1j * math.pi * (mu - lam))
         )
-        t2 = _weighted_function("mminus", "q", nu, mu - lam, z, coef)
+        t2 = coef * _weighted("mminus", "q", nu, mu - lam)(z)
         t3 = (
             -cpow(2.0, mu + 1.0)
             * cpow(z - 1.0, -lam - 1.0)
@@ -280,65 +286,58 @@ def predict_order_shift(nu, mu, lam, z, variant) -> Prediction:
 
 
 def predict_degree_shift(nu, mu, lam, y, variant) -> Prediction:
-    """Closed form for a degree shift of the weighted function at y > 1.
+    """Closed form for a degree shift of the weighted function at y, Re y > 0
+    off (0, 1], the Whipple image's domain; DomainError elsewhere.
 
     The unweighted function argument is y/sqrt(y**2-1).
     Variants: "k3_up_p", "k3_up_q", "k3_riemann_q", "p3_down_p",
     "p3_riemann_q".
     """
-    nu, mu, lam, y = complex(nu), complex(mu), complex(lam), complex(y)
-    _degree_argument(y)  # DomainError at y**2 = 1 for every variant
+    nu, mu, lam, y = complex(nu), complex(mu), complex(lam), _whipple_y(y)
 
     if variant in ("k3_up_p", "k3_up_q"):
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [nu + lam - mu + 1.0], [nu - mu + 1.0]
         )
-        val = _weighted_function("k3", variant[-1], nu + lam, mu, y, coef)
         conds = [_cond("Re(nu+lam-mu+1) > 0", (nu + lam - mu + 1.0).real > 0)]
         if variant == "k3_up_q":
             conds.append(_cond("Re(nu+lam+mu+1) > 0", (nu + lam + mu + 1.0).real > 0))
         # the Weyl integral's decay at infinity
         conds.append(_cond("Re(lam+nu+1-|Re mu|) > 0", (lam + nu + 1.0 - abs(mu.real)).real > 0))
-        return Prediction(val, {"shifted_term": val}, tuple(conds))
+        val = coef * _weighted("k3", variant[-1], nu + lam, mu)(y)
+        return _closed_form(val, "shifted_term", *conds)
 
     if variant == "k3_riemann_q":
-        val = (
+        return _closed_form(
             cmath.exp(1j * math.pi * mu)
             * math.sqrt(math.pi / 2.0)
             * cpow(2.0, -nu - 0.5)
             * gamma_ratio([nu + mu + 1.0], [])
             * cpow(y - 1.0, -lam)
-            * hyp3f2_family(-mu - 0.5, -nu - 0.5, lam, y)
-        )
-        return Prediction(
-            val,
-            {"hyp3f2_term": val},
-            (_cond("|arg(y-1)| < pi", abs(cmath.phase(y - 1.0)) < math.pi - 1e-12),),
+            * hyp3f2_family(-mu - 0.5, -nu - 0.5, lam, y),
+            "hyp3f2_term",
+            _cond("|arg(y-1)| < pi", abs(cmath.phase(y - 1.0)) < math.pi - 1e-12),
         )
 
     if variant == "p3_down_p":
         coef = cmath.exp(-1j * math.pi * lam) * gamma_ratio(
             [-nu + lam - mu], [-nu - mu]
         )
-        val = _weighted_function("p3", "p", nu - lam, mu, y, coef)
-        return Prediction(
-            val,
-            {"shifted_term": val},
-            (
-                _cond("Re nu > -1/2", nu.real > -0.5),
-                _cond("Re nu < Re(lam-mu)", nu.real < (lam - mu).real),
-                # the Weyl integral's decay at infinity
-                _cond("Re(lam-nu-|Re mu|) > 0", (lam - nu - abs(mu.real)).real > 0),
-            ),
+        return _closed_form(
+            coef * _weighted("p3", "p", nu - lam, mu)(y),
+            "shifted_term",
+            _cond("Re nu > -1/2", nu.real > -0.5),
+            _cond("Re nu < Re(lam-mu)", nu.real < (lam - mu).real),
+            # the Weyl integral's decay at infinity
+            _cond("Re(lam-nu-|Re mu|) > 0", (lam - nu - abs(mu.real)).real > 0),
         )
 
     if variant == "p3_riemann_q":
         coef = gamma_ratio([nu + mu + 1.0], [nu - lam + mu + 1.0])
-        val = _weighted_function("p3", "q", nu - lam, mu, y, coef)
-        return Prediction(
-            val,
-            {"shifted_term": val},
-            (_cond("Re nu > -3/2", nu.real > -1.5),),
+        return _closed_form(
+            coef * _weighted("p3", "q", nu - lam, mu)(y),
+            "shifted_term",
+            _cond("Re nu > -3/2", nu.real > -1.5),
         )
 
     raise DomainError(f"unknown degree-shift variant {variant!r}")
@@ -353,17 +352,13 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
     x = real_argument(x, "Ferrers shifts")
 
     if variant == "lplus_p":
-        val = _weighted_function("mplus", "ferrers_p", nu, mu + lam, x)
-        return Prediction(
-            val,
-            {"p_term": val},
-            (_cond("Re mu < 1", mu.real < 1),),
-        )
+        val = _weighted("mplus", "ferrers_p", nu, mu + lam)(x)
+        return _closed_form(val, "p_term", _cond("Re mu < 1", mu.real < 1))
 
     if variant == "lplus_q":
         def terms(mu):
             coef = 0.5 * math.pi * cos_pi(mu) / sin_pi(mu)
-            t1 = _weighted_function("mplus", "ferrers_p", nu, mu + lam, x, coef)
+            t1 = coef * _weighted("mplus", "ferrers_p", nu, mu + lam)(x)
             t2 = cpow(1.0 - x, -lam) * _q_3f2_term(nu, mu, lam, (1.0 - x) / 2.0)
             return t1, t2
 
@@ -375,7 +370,7 @@ def predict_ferrers_shift(nu, mu, lam, x, variant) -> Prediction:
 
     if variant == "lminus_p":
         val = cpow(2.0, mu) * cpow(1.0 - x, -lam) * hyp3f2_family(nu, mu, lam, x)
-        return Prediction(val, {"hyp3f2_term": val}, ())
+        return _closed_form(val, "hyp3f2_term")
 
     raise DomainError(f"unknown Ferrers-shift variant {variant!r}")
 
@@ -430,6 +425,22 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
     return Prediction(val, {"shifted_value": val}, ())
 
 
+def _jacobi_weighted(nu, alpha, beta):
+    """(v, vc=None) -> (1-v)**alpha (1+v)**beta P_nu^(alpha,beta)(v), vc
+    being an exact 1 - v as for ``legendre.weighted_evaluator``."""
+    jacobi = jacobi_evaluator(nu, alpha, beta)
+    return lambda v, vc=None: (
+        cpow(1.0 - v if vc is None else vc, alpha) * cpow(1.0 + v, beta) * jacobi(v)
+    )
+
+
+def _rodrigues_primitive(nu, alpha, beta):
+    """(v, vc=None) -> 2**(-nu)/Gamma(nu+1) (1-v)**(nu+alpha) (1+v)**(nu+beta),
+    vc as for ``_jacobi_weighted``."""
+    K, a, b = cpow(2.0, -nu) * rgamma(nu + 1.0), nu + alpha, nu + beta
+    return lambda v, vc=None: K * cpow(1.0 - v if vc is None else vc, a) * cpow(1.0 + v, b)
+
+
 def rodrigues_pair(nu, alpha, beta, z):
     """The two closed forms tied by the fractional Rodrigues relation:
 
@@ -438,13 +449,7 @@ def rodrigues_pair(nu, alpha, beta, z):
 
     (``weighted`` equals the nu-fold fractional derivative of ``primitive``.)
     """
-    nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
-    z = complex(z)
-    weighted = cpow(1.0 - z, alpha) * cpow(1.0 + z, beta) * jacobi_p(nu, alpha, beta, z)
-    primitive = (
-        cpow(2.0, -nu)
-        * rgamma(nu + 1.0)
-        * cpow(1.0 - z, nu + alpha)
-        * cpow(1.0 + z, nu + beta)
-    )
-    return weighted, primitive
+    check_finite(z)
+    nu, alpha, beta, z = complex(nu), complex(alpha), complex(beta), complex(z)
+    weighted = finite_result(_jacobi_weighted(nu, alpha, beta)(z), "rodrigues_pair")
+    return weighted, _rodrigues_primitive(nu, alpha, beta)(z)

@@ -14,14 +14,16 @@ integrand W: the Weyl integral of W(z+t) from t = 0 to infinity, and the
 Riemann-Liouville loop of W(z + (1-z) v) over (0, 1).  The
 Riemann-Liouville loop is the fractional integral of W from z to 1 up to the
 power of the segment length, which each finite entry states:
-(z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).  The Legendre and
-Ferrers integrands are ``legendre.weighted_evaluator`` and
-``legendre.whipple_evaluator`` term lists, analytic through the branch point
-of the raw weighted product, so every quadrature node is finite.
+(z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).
 
-``shifts`` owns each entry's weight convention, read from the table its
-closed forms read (``_integrand``), and its validity: the closed form's
-conditions include those under which the integral converges.
+Each integrand comes from the ``shifts`` builder its closed form calls.
+The Legendre and Ferrers integrands (``shifts._integrand``) are the
+unchecked term lists of ``shifts._weighted``, analytic through the branch
+point of the raw weighted product, so every quadrature node is finite.  The
+Rodrigues integrands are ``shifts._jacobi_weighted`` and
+``_rodrigues_primitive``, the two halves of ``rodrigues_pair``.  ``shifts``
+also owns each entry's validity: the closed form's conditions include those
+under which the integral converges.
 
 Parameter conventions: every entry takes (nu, mu, lam, z).  For the degree
 shifts z is the variable usually called y (argument y/sqrt(y^2-1) inside the
@@ -48,14 +50,7 @@ from dataclasses import dataclass, field
 
 from .complexfn import check_finite, cpow, gamma_ratio, integer_within, real_argument, rgamma
 from .errors import DomainError, PoleError
-from .legendre import (
-    jacobi_evaluator,
-    legendre_deriv,
-    legendre_p,
-    legendre_q,
-    weighted_evaluator,
-    whipple_evaluator,
-)
+from .legendre import legendre_deriv, legendre_p, legendre_q
 from .quadrature import (
     _INTEGER_LAM_TOL,
     QuadratureResult,
@@ -64,10 +59,13 @@ from .quadrature import (
     integrate_weyl,
 )
 from .shifts import (
-    _WEIGHTS,
     Prediction,
+    _closed_form,
     _cond,
+    _integrand,
+    _jacobi_weighted,
     _predict,
+    _rodrigues_primitive,
     predict_order_shift,
     rodrigues_pair,
 )
@@ -240,30 +238,6 @@ def _on_cut(lhs):
     )
 
 
-def _integrand(convention, kind):
-    """The builder p -> W of the weighted function of ``shifts``' weight
-    ``convention`` for F of ``kind``: W(v) = (v^2-1)^s F_nu^mu(v), (1-v^2)^s
-    for the Ferrers kinds, or (v^2-1)^s F_nu^mu(v/sqrt(v^2-1)) for the
-    degree conventions, through the Whipple image.  W is called as
-    W(v, 1 - v), or W(v) where v stays away from 1 (the Weyl loops)."""
-    exponent, degree = _WEIGHTS[convention]
-    evaluator = whipple_evaluator if degree else weighted_evaluator
-    return lambda p: evaluator(kind, p.nu, p.mu, exponent(p.nu, p.mu))
-
-
-def _jacobi_weighted(p):
-    """W(v) = (1-v)^alpha (1+v)^beta P_nu^(alpha,beta)(v), (alpha, beta) = (mu, lam)."""
-    alpha, beta, jac = p.mu, p.lam, jacobi_evaluator(p.nu, p.mu, p.lam)
-    return lambda v, vc: cpow(vc, alpha) * cpow(1.0 + v, beta) * jac(v)
-
-
-def _rodrigues_kernel(p):
-    """W(v) = 2^(-nu)/Gamma(nu+1) (1-v)^(nu+alpha) (1+v)^(nu+beta), the
-    primitive weight of ``rodrigues_pair``, (alpha, beta) = (mu, lam)."""
-    a, b, K = p.nu + p.mu, p.nu + p.lam, cpow(2.0, -p.nu) * rgamma(p.nu + 1.0)
-    return lambda v, vc: K * cpow(vc, a) * cpow(1.0 + v, b)
-
-
 def _beta_kernel(p):
     """W(v) = (1-v)^(sigma-1), sigma = mu."""
     e = p.mu - 1.0
@@ -297,11 +271,6 @@ def _minus_re_mu(p):
 def _shift(family, variant):
     """The closed form ``shifts.predict_<family>_shift`` at ``variant``."""
     return lambda nu, mu, lam, z: _predict(family, variant, nu, mu, lam, z)
-
-
-def _closed_form(value, name, *conditions):
-    """A one-term closed form named ``name``, valid under ``conditions``."""
-    return Prediction(value, {name: value}, conditions)
 
 
 # the substitutions of the multi-integral entries: name -> (nu, n) -> the
@@ -828,7 +797,7 @@ def _build_catalog():
                 {"nu": 1.4, "mu": 0.3, "lam": -0.2, "z": -0.3},
             ),
             lhs=_riemann_loop(
-                _rodrigues_kernel,
+                lambda p: _rodrigues_primitive(p.nu, p.mu, p.lam),
                 order=lambda p: p.nu,
                 basepoint=lambda p: (p.nu + p.mu).real,
                 scale=lambda p: cpow(1.0 - p.z, -p.nu),
@@ -854,7 +823,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": 0.3, "lam": -0.2, "z": -0.25},
             ),
             lhs=_riemann_loop(
-                _jacobi_weighted,
+                lambda p: _jacobi_weighted(p.nu, p.mu, p.lam),
                 order=lambda p: -p.nu,
                 scale=lambda p: cpow(1.0 - p.z, p.nu),
                 basepoint=lambda p: p.mu.real,

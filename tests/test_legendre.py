@@ -315,13 +315,33 @@ def test_legendre_deriv_rejects_bad_order():
 
 
 def test_whipple_round_trip():
-    # the image relations reproduce direct evaluation at y/sqrt(y^2-1)
-    for nu, mu, y in ((0.6, 0.3, 1.8), (0.9, -0.4, 2.6)):
+    # the image relations reproduce direct evaluation at y/sqrt(y^2-1); at
+    # nu+mu in {0, 1, ...} P's image is Olver's Q, with no pole to cancel
+    for nu, mu, y in ((0.6, 0.3, 1.8), (0.9, -0.4, 2.6), (0.3, -0.3, 2.0), (1.2, 0.8, 1.7)):
         arg = y / math.sqrt(y * y - 1.0)
         p_img = whipple_p_to_q(nu, mu, y)
         assert abs(p_img - legendre_p(nu, mu, arg)) <= 1e-10 * abs(p_img)
         q_img = whipple_q_to_p(nu, mu, y)
         assert abs(q_img - legendre_q(nu, mu, arg)) <= 1e-10 * abs(q_img)
+
+
+def test_whipple_q_raises_next_to_its_pole():
+    # Gamma(nu+mu+1) within 1e-9 of a pole, as legendre_q; it returned 6.6e15
+    with pytest.raises(PoleError):
+        whipple_q_to_p(-1.15, 0.15, 1.7)
+    for n in (0, 1, 2):
+        for d in (0.0, 5e-10, -5e-10):
+            with pytest.raises(PoleError):
+                whipple_evaluator("q", -1.15 - n + d, 0.15, 0.3)
+    assert cmath.isfinite(whipple_evaluator("q", -1.15 + 2e-9, 0.15, 0.3)(1.7))
+
+
+def test_whipple_images_refuse_points_off_their_domain():
+    # Re y > 0 off (0, 1]: elsewhere y/sqrt(y**2-1) is not the image's argument
+    for y in (1.0, 0.5, -2.0 + 0.5j, 0.5j):
+        for fn in (whipple_p_to_q, whipple_q_to_p):
+            with pytest.raises(DomainError):
+                fn(0.6, 0.3, y)
 
 
 def _weight(kind, v, s):

@@ -71,10 +71,13 @@ def test_hyp3f2_family_terminating_past_the_disc():
 
 
 def test_degree_shifts_refuse_unit_argument():
-    # y/sqrt(y**2-1) has no value at y = +/-1
-    for y in (1.0, -1.0):
-        with pytest.raises(DomainError):
-            predict_degree_shift(0.35, 0.15, 0.55, y, "p3_riemann_q")
+    # y/sqrt(y**2-1) has no value at y = +/-1, and off Re y > 0 or on (0, 1]
+    # it is not the argument of the Whipple image the closed forms take
+    variants = ("k3_up_p", "k3_up_q", "k3_riemann_q", "p3_down_p", "p3_riemann_q")
+    for y in (1.0, -1.0, 0.5, -2.0 + 0.5j):
+        for variant in variants:
+            with pytest.raises(DomainError):
+                predict_degree_shift(0.35, 0.15, 0.55, y, variant)
         with pytest.raises(DomainError):
             apply_integer_recurrence("P3", 0.35, 0.15, y)
 
@@ -123,6 +126,30 @@ def test_weyl_p_up_is_real_at_real_arguments():
             points.append((nu, mu, lam, z))
     for nu, mu, lam, z in points:
         assert predict_order_shift(nu, mu, lam, z, "weyl_p_up").value.imag == 0.0, (nu, mu, lam, z)
+
+
+def test_circle_means_are_real_at_real_arguments():
+    # next to an integer the two-term forms are a mean over a circle of
+    # complex points; at real arguments it has no imaginary rounding left
+    # (these three read -1.2e-16i, -6.4e-17i and -4.7e-16i before)
+    preds = [
+        predict_order_shift(1.043277576725731, -0.5077889813942142, 0.5452304671267133,
+                            2.7782641067888463, "weyl_p_up"),
+        predict_ferrers_shift(0.35, 0.004, 0.6, 0.3, "lplus_q"),
+        predict_order_shift(0.35, 0.0, 0.6, 1.5, "riemann_q_up"),
+    ]
+    rng = random.Random(22)
+    for _ in range(20):
+        nu, mu, z, x = rng.uniform(-0.4, 2.5), rng.uniform(-1.5, 1.5), rng.uniform(1.05, 2.9), rng.uniform(-0.9, 0.9)
+        # nu-mu-lam within 0.01 of an integer; mu within 0.01 of one, or on it
+        lam = nu - mu - round(nu - mu) + rng.randint(1, 2) + rng.uniform(-0.01, 0.01)
+        preds.append(predict_order_shift(nu, mu, lam, z, "weyl_p_up"))
+        m = rng.randint(-1, 0) + rng.choice((0.0, rng.uniform(-0.01, 0.01)))
+        preds.append(predict_ferrers_shift(nu, m, lam, x, "lplus_q"))
+        preds.append(predict_order_shift(nu, float(round(m)), lam, z, "riemann_q_up"))
+    for pred in preds:
+        assert set(pred.terms) == {"limit"}
+        assert pred.value.imag == 0.0, pred.value
 
 
 def test_weyl_minus_coefficient_semigroup():

@@ -8,11 +8,10 @@ import pytest
 
 from legshift.errors import DomainError, NumericalError
 from legshift.legendre import legendre_p
-from legshift.shifts import predict_degree_shift, predict_order_shift
+from legshift.shifts import _integrand, predict_degree_shift, predict_order_shift
 from legshift.verify import (
     GridSummary,
     _beta_kernel,
-    _integrand,
     _Point,
     get_identity,
     list_identities,
@@ -525,6 +524,15 @@ def test_weyl_mplus_p_at_integer_nu_minus_mu_minus_lam(point):
         rep = verify_identity("WEYL_MPLUS_P", nu, mu, lam + d, z)
         assert rep.validity and rep.rel_err <= 1e-12, (d, rep.rel_err)
         assert rep.abs_err <= rep.lhs.err_estimate, (d, rep.abs_err)
+
+
+@pytest.mark.parametrize("point", [(0.35, -0.35, 0.55, 1.7), (0.8, 0.2, 1.35, 2.3)])
+def test_k3_weyl_p_where_nu_plus_mu_is_a_nonnegative_integer(point):
+    # the Whipple image of P is Olver's Q, so neither side meets the pole of
+    # Hobson's Q and the 1/Gamma(-nu-mu) zero that cancelled it (PoleError)
+    rep = verify_identity("K3_WEYL_P", *point)
+    assert rep.validity and rep.passed, (rep.failed_conditions, rep.rel_err)
+    assert rep.abs_err <= rep.lhs.err_estimate, rep.abs_err
 
 
 def test_semi_infinite_estimate_carries_the_tail_past_the_last_node():

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 
+from .complexfn import check_finite
 from .errors import DomainError, NumericalError, PoleError
 from .legendre import ferrers_p, ferrers_q, jacobi_p, legendre_p, legendre_q
 
@@ -366,9 +367,9 @@ def _sweep_axis(args, names):
 
 
 def _cmd_sweep(args) -> int:
-    """One CSV row per swept value.  A pole or numerical failure at one
-    value writes a nan row, names the error on stderr, and makes the sweep
-    exit 1 after its last row."""
+    """One CSV row per swept value.  A domain error, pole or numerical
+    failure at one value writes a nan row, names the error on stderr, and
+    makes the sweep exit 3 (any domain error) or else 1 after its last row."""
     import csv
 
     nan = repr(float("nan"))
@@ -414,16 +415,22 @@ def _cmd_sweep(args) -> int:
             ]
 
         failed_row = [nan] * 4 + [False]
+    # a non-finite flag fails every row: a flag error, not a point's
+    grid = getattr(args, axis)
+    check_finite(grid.start, grid.stop, *(v for v in base.values() if isinstance(v, complex)))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)
-    failed = False
-    for x in getattr(args, axis).values():
+    code = EXIT_OK
+    for x in grid.values():
         try:
             cells = row(x)
         except (PoleError, NumericalError) as exc:
             print(f"{axis}={x.real!r}: {exc}", file=sys.stderr)
-            cells, failed = failed_row, True
+            cells, code = failed_row, code or EXIT_NUMERICAL
+        except DomainError as exc:  # after PoleError, its subclass
+            print(f"{axis}={x.real!r}: domain error: {exc}", file=sys.stderr)
+            cells, code = failed_row, EXIT_DOMAIN
         writer.writerow([repr(x.real)] + cells)
     text = out.getvalue()
     if args.output:
@@ -431,7 +438,7 @@ def _cmd_sweep(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

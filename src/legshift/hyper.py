@@ -2,32 +2,49 @@
 continuation off the unit disc, as the regularized 3F2 of the fractional
 order-lowering results.
 
-Continuation strategy for 2F1: the six fractional-linear argument images
-(w, w/(w-1), 1-w, 1/w, 1/(1-w), 1-1/w) are ranked by modulus and the best
-admissible one is used.  Degenerate connection coefficients (integer c-a-b or
-a-b) are handled by evaluating at parameter +/- i*eps and averaging.  Near the
-two exceptional points w = exp(+/- i pi/3), where no image is small, the
-hypergeometric ODE is Taylor-stepped along a straight path from the origin.
-The regularized 3F2 is continued past |w| = 0.9 by the same Taylor walker
-on its own third-order equation, with no +/- i*eps average.
+Continuation strategy for 2F1, each image chosen to sum fewer terms:
+
+* inside |w| <= 0.8 the defining series is summed at w, or past |w| = 0.3
+  where |1-w| > 1 at the smaller argument of the Pfaff image,
+  (1-w)**(-a) F(a, c-b; c; w/(w-1));
+* where b = a + 1/2 exactly, as for Legendre's Q, the quadratic image
+  ((1+s)/2)**(-2a) F(2a, 2a-c+1; c; w/(1+s)**2), s = sqrt(1-w)
+  (DLMF 15.8(iii)), comes first past |w| = 0.3.  Its argument is smaller
+  than |w| off the cut [1, inf), where Re s > 0, and its series, or that
+  series' Pfaff image under the rule above, is summed wherever it stops
+  within the term cap (``_series_reach``), past |w| = 0.8 too;
+* an image whose sum|term| passes 1e4 times |sum| gives way to the path it
+  would replace;
+* past |w| = 0.8 the five fractional-linear images (w/(w-1), 1-w, 1/w,
+  1/(1-w), 1-1/w) are ranked by the number of series each sums (one for the
+  Pfaff image, two for the others) over -log of its modulus, and the best of
+  modulus <= 0.92 is used.
+
+Degenerate connection coefficients (integer c-a-b or a-b) are handled by
+evaluating at parameter +/- i*eps and averaging.  Near the two exceptional
+points w = exp(+/- i pi/3), where no image is small, the hypergeometric ODE
+is Taylor-stepped along a straight path from the origin.  The regularized
+3F2 is continued past |w| = 0.9 by the same Taylor walker on its own
+third-order equation, with no +/- i*eps average.
 
 Both functions rest on one defining series of pFq, summed by one loop
 (``_Series.sum``).  Real parameters are kept as floats, and so are their
 term ratios; at a real w the loop then runs on floats, with the values the
 complex loop gives, bit for bit.  A sum that does not terminate stops after
 3 terms in a row below 1e-16 of its total, within a cap of 3,000 terms for
-2F1, whose images keep |w| <= 0.92, and of 100,000 for ``hyp3f2_series``,
-which runs to |w| < 1 - 1e-3.  A sum that a numerator ends at w**n adds
-every term through w**n and raises NumericalError where its rounding bound
-n*eps*sum|term| passes 1e-6 max(|sum|, 1).  Either kind raises
-NumericalError once a term overflows.
+2F1, whose images keep |w| <= 0.92 but for the quadratic one, and of
+100,000 for ``hyp3f2_series``, which runs to |w| < 1 - 1e-3.  A sum that a
+numerator ends at w**n adds every term through w**n and raises
+NumericalError where its rounding bound n*eps*sum|term| passes
+1e-6 max(|sum|, 1).  Either kind raises NumericalError once a term
+overflows.
 
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
 termination and c-pole tests (one ``integer_within`` per parameter), the
 flags of integer c-a-b and a-b that make images degenerate, the
 connection-coefficient gamma ratios (on first use of each image), the
-sub-evaluators of the Pfaff image and of the +/- i*eps averages, and the
-series term ratios.  Calling it then does only w-dependent work; ``hyp2f1``
+sub-evaluators of the Pfaff and quadratic images and of the +/- i*eps
+averages, and the series term ratios.  Calling it then does only w-dependent work; ``hyp2f1``
 builds one and calls it once.
 """
 
@@ -59,6 +76,15 @@ __all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_regularized", 
 _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
+# _continue adds this to the modulus of an image whose connection
+# coefficients are degenerate (a +/- i*eps average) before ranking it
+_DEGENERATE_PENALTY = 0.05
+# inside _SERIES_RADIUS the quadratic and Pfaff images are taken only past
+# this |w|: nearer 0 they save too few terms to pay for their power
+_IMAGE_FLOOR = 0.3
+# an image whose sum|term| passes this times |sum| (a rounding bound past
+# about 1e-12 relative) gives way to the path it would replace
+_IMAGE_CANCELLATION = 1e4
 _MAX_SERIES_TERMS = 3000
 _MAX_3F2_TERMS = 100000
 # hyp3f2_regularized sums the series up to this |w| and continues it beyond
@@ -126,8 +152,9 @@ class _Series:
         self._limit = cap if self._n_term is None else self._n_term
         self._ratios = []
 
-    def sum(self, w):
-        """The series at w.
+    def sum(self, w, cancel=None):
+        """The series at w; None where its sum|term| passes ``cancel`` times
+        |sum|, if given: an image's sum that cancels so far is not taken.
 
         Unless a numerator ends it, the sum stops after 3 consecutive
         negligible terms, |term| <= 1e-16 |total|.  Since |total| <=
@@ -183,6 +210,8 @@ class _Series:
                         if small < 3:
                             continue
                         if size < math.inf:
+                            if cancel is not None and size > cancel * abs(total):
+                                return None
                             return complex(total)
                     if not 0.0 < t < math.inf:
                         break  # overflowed, or every later term of the polynomial is 0
@@ -193,6 +222,8 @@ class _Series:
             raise NumericalError(f"{self._name} series overflows double range, |w| = {abs(w):.3g}")
         if n is None:
             raise ConvergenceError(f"{self._name} series did not converge for |w| = {abs(w):.3f}")
+        if cancel is not None and size > cancel * abs(total):
+            return None
         bound = n * sys.float_info.epsilon * size
         if bound > _POLYNOMIAL_REL_BOUND * max(abs(total), 1.0):
             raise NumericalError(
@@ -341,29 +372,18 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_reach", "_cab_int", "_ab_int", "_images", "_pfaff", "_nudged")
+    __slots__ = ("_reach", "_quadratic", "_cab_int", "_ab_int", "_images", "_pfaff", "_nudged")
 
     def __init__(self, a, b, c):
         super().__init__((a, b), (c,))
         # built on first use
         self._reach = None  # _series_reach of the parameters
+        self._quadratic = None  # _Gauss of the quadratic image where b == a + 1/2, else False
         # integer c-a-b and integer a-b: degenerate connection coefficients
         self._cab_int = self._ab_int = None
         self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
         self._pfaff = None
         self._nudged = None  # "a" or "c" -> evaluators at that parameter +/- i*eps
-
-    def direct(self, w, wc=None):
-        """The defining series wherever it stops within the term cap
-        (``_series_reach``), __call__ beyond: for arguments near w = 1 where
-        the two terms of the 1-w image would cancel."""
-        if abs(w) <= _SERIES_RADIUS:
-            return self(w)
-        if self._reach is None:
-            # a polynomial or a c-pole goes to __call__, which handles both
-            plain = self._n_term is None and self._pole is None
-            self._reach = _series_reach(*self._params[:3]) if plain else 0.0
-        return self.sum(w) if abs(w) <= self._reach else self(w, wc)
 
     def __call__(self, w, wc=None):
         """2F1 at w; ``wc`` is 1 - w when the caller has it exactly, and the
@@ -371,9 +391,69 @@ class _Gauss(_Series):
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
-        if self._n_term is None and self._pole is None and abs(w) > _SERIES_RADIUS:
+        m = abs(w)
+        if self._n_term is not None or self._pole is not None or m <= _IMAGE_FLOOR:
+            return self.sum(w)
+        one_minus = 1.0 - w if wc is None else wc
+        if self._quadratic is not False:
+            value = self._quadratic_image(w, one_minus)
+            if value is not None:
+                return value
+        if m > _SERIES_RADIUS:
             return self._continue(w, wc)
-        return self.sum(w)
+        return self._summed(w, one_minus)
+
+    def _summed(self, w, one_minus, cancel=None):
+        """The series at w, or where |1-w| > 1 and |w| passes _IMAGE_FLOOR
+        the Pfaff image's at w/(w-1), which is smaller, unless its sum
+        cancels past _IMAGE_CANCELLATION.  Past _SERIES_RADIUS a series is
+        summed only where it stops within the term cap (``_series_reach``);
+        None where the series at w is not, or where its sum cancels past
+        ``cancel``.  No pole in c."""
+        m = abs(w)
+        if self._n_term is None and m > _IMAGE_FLOOR and abs(one_minus) > 1.0:
+            pfaff = self._pfaff_evaluator()
+            if pfaff._reaches(m / abs(one_minus)):
+                value = pfaff.sum(w / (w - 1.0), _IMAGE_CANCELLATION)
+                if value is not None:
+                    return cpow(one_minus, -self._params[0]) * value
+        return self.sum(w, cancel) if self._reaches(m) else None
+
+    def _reaches(self, m):
+        """Whether the series is summed at |w| = m: inside _SERIES_RADIUS, or
+        where it stops within the term cap."""
+        if m <= _SERIES_RADIUS:
+            return True
+        if self._reach is None:
+            # a polynomial ends within its degree; no c here is a pole
+            self._reach = 1.0 if self._n_term is not None else _series_reach(*self._params[:3])
+        return m < self._reach
+
+    def _quadratic_image(self, w, one_minus):
+        """((1+s)/2)**(-2a) 2F1(2a, 2a-c+1; c; u), u = w/(1+s)**2 and
+        s = sqrt(1-w), where b = a + 1/2 exactly (DLMF 15.8(iii)); the
+        series at u or at its Pfaff image (``_summed``), or None.  Off the
+        cut of w Re s > 0, so |u| < |w|, and 1 - u = 2s/(1+s); on it
+        |u| = 1."""
+        quad = self._quadratic
+        if quad is None:
+            a, b, c = self._params[:3]
+            if b != a + 0.5:
+                self._quadratic = False
+                return None
+            quad = self._quadratic = _canonical(2.0 * a, 2.0 * a - c + 1.0, c)
+        s = cmath.sqrt(one_minus)
+        t = 1.0 + s
+        value = quad._summed(w / (t * t), 2.0 * s / t, _IMAGE_CANCELLATION)
+        if value is None:
+            return None
+        return cpow(0.5 * t, -2.0 * self._params[0]) * value
+
+    def _pfaff_evaluator(self):
+        if self._pfaff is None:
+            a, b, c = self._params[:3]
+            self._pfaff = _Gauss(a, c - b, c)
+        return self._pfaff
 
     def _image(self, key):
         if self._images is None:
@@ -415,25 +495,31 @@ class _Gauss(_Series):
         if self._cab_int is None:
             self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
             self._ab_int = integer_within(a - b, _POLE_TOL) is not None
-        candidates = (  # (modulus, key, degenerate coefficients)
-            (abs(w / one_minus), "pfaff", False),
-            (abs(one_minus), "one_minus", self._cab_int),
-            (abs(1.0 / w), "recip", self._ab_int),
-            (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int),
-            (abs(1.0 / one_minus), "recip_one_minus", self._ab_int),
+        candidates = (  # (modulus, key, degenerate coefficients, series summed)
+            (abs(w / one_minus), "pfaff", False, 1),
+            (abs(one_minus), "one_minus", self._cab_int, 2),
+            (abs(1.0 / w), "recip", self._ab_int, 2),
+            (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int, 2),
+            (abs(1.0 / one_minus), "recip_one_minus", self._ab_int, 2),
         )
-        # penalize images whose connection coefficients are degenerate so that
-        # a clean image of comparable size wins
-        mod, key, degenerate = min(candidates, key=lambda t: t[0] + (0.05 if t[2] else 0.0))
-        if mod > _IMAGE_RADIUS:
+        # a series at modulus m stops after about log(eps)/log(m) terms, so an
+        # image costs its series count over -log(m); m is penalized where the
+        # connection coefficients are degenerate, so that a clean image of
+        # comparable size wins
+        best = None
+        for mod, key, degenerate, count in candidates:
+            if mod <= _IMAGE_RADIUS:
+                m = mod + (_DEGENERATE_PENALTY if degenerate else 0.0)
+                cost = count / -math.log(m) if m else 0.0
+                if best is None or cost < best[0]:
+                    best = (cost, key, degenerate)
+        if best is None:
             return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
+        _, key, degenerate = best
 
         if key == "pfaff":
-            # the image lies inside the unit disk: sum its series directly,
-            # since ranking the images of w/(w-1) again could map back to w
-            if self._pfaff is None:
-                self._pfaff = _Gauss(a, c - b, c)
-            return cpow(one_minus, -a) * self._pfaff.sum(w / (w - 1.0))
+            # summed directly: ranking the images of w/(w-1) again could map back to w
+            return cpow(one_minus, -a) * self._pfaff_evaluator().sum(w / (w - 1.0))
 
         if degenerate:
             # integer c-a-b: shift c off the lattice; integer a-b: shift a

@@ -27,12 +27,14 @@ one term in w = 1/z**2 on the whole cut plane, with no subtraction (DLMF
                  * 2F1((nu+mu+2)/2, (nu+mu+1)/2; nu+3/2; 1/z**2) / Gamma(nu+3/2).
 
 Olver's Q is the same term without exp(i pi mu) Gamma(nu+mu+1); Hobson's Q
-has a pole wherever that Gamma does.  Q's series and their two derivative
-series are summed directly out to the radius where they stop within the
-term cap (``hyper._Gauss.direct``): near z = 1 the 1-w image the
-continuation would take is a cancelling pair of terms in (1-z)/2.  They are
-continued only for |z| < 1 and for 1 < |z| < 1.004 to 1.017 (nu <= 25,
-|mu| <= 2).
+has a pole wherever that Gamma does.  The series' larger parameter is the
+smaller plus 1/2 exactly, here and in its two derivative series, so
+``hyper`` sums it by its quadratic image: one series in
+u = (z - sqrt(z**2-1))**2, |u| < 1/|z|**2 off the cut (-1, 1), or next to
+z = 0 that series' Pfaff image.  So Q takes neither the cancelling 1-w image
+of a continuation next to z = 1 nor the cancelling 1/w image inside the
+unit disc; the series is continued only within about 1e-4 of z = +/-1 and on
+the cut (-1, 1) past |x| ~ 0.85.
 
 Both Ferrers kinds are the same two series in w = x**2 (DLMF 14.3.11-12,
 Euler-transformed to Q's a, b, c): (1-x**2)**(mu/2) times
@@ -119,13 +121,6 @@ _FERRERS_REACH = math.log(1e-5 / sys.float_info.epsilon)
 _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 
 
-def _series_of(wmap, a, b, c):
-    """w -> 2F1(a, b; c; w) for a term with this wmap; the 1/z**2 series is
-    summed directly (see the module docstring)."""
-    ev = _prepared_2f1(a, b, c)
-    return ev.direct if wmap == "inv" else ev
-
-
 class _TermSum:
     """Sum of _Term values, or of their first or second derivatives, at z;
     NumericalError naming the function ``name`` where the sum is not finite.
@@ -143,7 +138,7 @@ class _TermSum:
         self._terms = terms
         self._ferrers = terms[0].wmap == "sq"
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
-        self._hyp = [[_series_of(t.wmap, t.a, t.b, t.c)] for t in terms]
+        self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
 
     @staticmethod
     def _derivative(t, hyp, n):
@@ -151,13 +146,15 @@ class _TermSum:
         kept in its list ``hyp``."""
         while len(hyp) <= n:
             a, b, c = t.a, t.b, t.c
-            if len(hyp) == 1:
+            k = float(len(hyp))
+            if k == 1.0:
                 coef = a * b / c
-                ev = _series_of(t.wmap, a + 1.0, b + 1.0, c + 1.0)
             else:
                 coef = a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0))
-                ev = _series_of(t.wmap, a + 2.0, b + 2.0, c + 2.0)
-            hyp.append((coef, ev))
+            # Q's a = b + 1/2 stays exact, as hyper's quadratic image needs
+            bk = b + k
+            ak = bk + 0.5 if a == b + 0.5 else a + k
+            hyp.append((coef, _prepared_2f1(ak, bk, c + k)))
         return hyp[n]
 
     def __call__(self, z, zc=None, order=0):
@@ -244,9 +241,10 @@ def _q_terms(nu, mu, olver=False):
     else:
         gammas = [-r]
         K *= cmath.exp(1j * math.pi * mu)
-    n, C, a, b, c = _c_limit((nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5)
+    n, C, _, b, c = _c_limit((nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5)
     K *= C * gamma_ratio(gammas, [] if n else [c])
-    return [_Term(K, mu / 2.0, mu / 2.0, a, b, c, "inv", r - 2.0 * n)]
+    # a = b + 1/2 exactly: hyper sums the series by its quadratic image
+    return [_Term(K, mu / 2.0, mu / 2.0, b + 0.5, b, c, "inv", r - 2.0 * n)]
 
 
 def _ferrers_terms(kind, nu, mu):
@@ -477,13 +475,15 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     """Q_nu^mu(z) with the exp(i pi mu) normalization.
 
     Q is the single 1/z**2 term of DLMF 14.3.7 on the whole cut plane (see
-    the module docstring), with no subtraction.  Where its series is
-    continued, at |z| below about 1.118, an integer mu makes the 1-w image
-    degenerate, and ``hyper._Gauss._nudge`` may average mu +/- i*eps.
-    For nu in [-3, 25] and Re z > 1 with |z-1| > 0.02 it is within 1.3e-10
-    relative of mpmath, at integer and near-integer mu alike, and mostly
-    within 1e-14; for |z| < 1.02 the continued series lose digits as the
-    degree grows.  Inside the unit circle it is ~1e-10 for nu <= 5.
+    the module docstring), with no subtraction, its series summed by the
+    quadratic image in (z - sqrt(z**2-1))**2.  Against mpmath, over seeded
+    boxes with nu in (-3, 25] and |mu| < 2 or integer, it is within 2e-13
+    relative at |z-1| down to 0.001, and within 5e-14 inside the unit disc
+    off the cut, there for nu up to 80 too (README, "Accuracy of Q").  Where
+    the series is continued, on the cut (-1, 1) past |x| ~ 0.85 and next to
+    z = +/-1, an integer mu makes the 1-w image degenerate, and
+    ``hyper._Gauss._nudge`` may average mu +/- i*eps; the cut is within
+    1.5e-10 there.
 
     Where nu+mu+1 is in {0, -1, ...}, Gamma(nu+mu+1) makes Q infinite (or,
     where Olver's Q vanishes, its limit depends on the direction of

@@ -441,6 +441,30 @@ def test_sweep_writes_a_nan_row_at_a_pole():
     assert len(err.strip().splitlines()) == 2
 
 
+def test_sweep_identity_writes_a_nan_row_at_a_domain_error():
+    # K3_WEYL_P's closed form is a Whipple image, defined for z > 1 only: z = 0.5
+    # and 1 are domain errors of their own rows, and the sweep goes on
+    code, out, err = run_cli(
+        ["sweep", "--id", "K3_WEYL_P", "--nu", "0.35", "--mu", "0.15",
+         "--lam", "0.55", "--z", "0.5:2:4"]
+    )
+    assert code == EXIT_DOMAIN
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[0] for r in rows] == ["0.5", "1.0", "1.5", "2.0"]
+    assert [r[-1] for r in rows] == ["False", "False", "True", "True"]
+    assert all(math.isnan(float(r[1])) for r in rows[:2])
+    assert [line.split(":")[0] for line in err.strip().splitlines()] == ["z=0.5", "z=1.0"]
+
+
+def test_sweep_non_finite_flag_exits_at_once():
+    code, out, err = run_cli(
+        ["sweep", "--id", "WEYL_MPLUS_P", "--nu", "nan", "--mu", "0.15",
+         "--lam", "1.1:1.3:3", "--z", "1.6"]
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("domain error: non-finite")
+
+
 def test_sweep_identity_writes_a_failing_row_at_a_pole():
     code, out, _err = run_cli(
         ["sweep", "--id", "P3_RIEMANN_Q", "--nu", "0.35", "--mu", "0.15",

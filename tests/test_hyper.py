@@ -27,6 +27,12 @@ def test_hyp2f1_inside_disk_vs_mpmath():
         (0.5, 1.5, 2.5, 0.3),
         (-0.7, 1.2, 0.9, -0.45),
         (0.3 + 0.2j, 1.1, 2.0 - 0.3j, 0.5 + 0.1j),
+        # |1-w| > 1 past the image floor: the Pfaff image's series at w/(w-1)
+        (0.5, 1.5, 2.5, -0.35),
+        (-0.7, 1.2, 0.9, -0.75),
+        (1.25, -0.4, 0.65, -0.35 + 0.3j),
+        (0.3 + 0.2j, 1.1, 2.0 - 0.3j, -0.6 - 0.4j),
+        (2.2 - 0.5j, 0.4 + 0.3j, 1.3, 0.1 + 0.75j),
     ]
     for a, b, c, w in cases:
         ref = complex(mpmath.hyp2f1(a, b, c, w))
@@ -59,6 +65,37 @@ def test_hyp2f1_pfaff_image_outside_series_radius():
     for a, b, c in cases:
         ref = _mp_2f1(a, b, c, w)
         assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref)
+
+
+def test_hyp2f1_ranks_images_by_the_series_they_sum():
+    # |w| = 1.035, a-b = -0.0043: the one-series Pfaff image (modulus 0.52)
+    # wins over the two-series 1/(1-w) image (0.50), whose terms cancel
+    # through Gamma(a-b)
+    a, b, c = 0.4978342194663363, 0.5021657805336637, 4.647685565530711
+    w = -0.9646614419046884 + 0.3749225114941155j
+    ref = _mp_2f1(a, b, c, w)
+    assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("a", [0.35, 1.2 + 0.3j, -0.65])
+@pytest.mark.parametrize("c", [1.85, 0.4 - 0.2j])
+def test_hyp2f1_quadratic_image_vs_mpmath(a, c):
+    # b = a + 1/2 exactly: the series of 2F1(2a, 2a-c+1; c; w/(1+s)**2),
+    # s = sqrt(1-w), or its Pfaff image's, next to w = 1, past |w| = 1 and
+    # next to the exceptional points exp(+/- i pi/3)
+    b = a + 0.5
+    for w in (0.5, 0.97, 0.999, -0.9, 0.99 + 0.05j, 3.0 - 2.0j, -20.0 + 1.0j, 0.5 + 0.85j):
+        ref = _mp_2f1(a, b, c, w)
+        assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref), w
+
+
+def test_hyp2f1_image_that_cancels_gives_way():
+    # b = a + 1/2 with large 2a-c+1: the quadratic image's terms grow to
+    # 2.6e11 (a = 12.25) and 1.5e5 (a = 5.25) times its value, 4.3e-6 and
+    # 3.9e-12 off, and the continuation it would replace takes over
+    for a, c, tol in ((12.25, 1.85, 1e-10), (5.25, 1.85, 1e-13)):
+        ref = _mp_2f1(a, a + 0.5, c, -0.9)
+        assert abs(hyp2f1(a, a + 0.5, c, -0.9) - ref) <= tol * abs(ref)
 
 
 def test_hyp2f1_integer_c_minus_a_minus_b_next_to_one():

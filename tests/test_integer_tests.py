@@ -93,6 +93,10 @@ _BUDGET = [
     ("Ferrers Q", lambda: ferrers_q(0.7, 0.4, 0.95), 14),
     ("Jacobi", lambda: jacobi_p(2.5, 0.2, 0.1, 0.5), 2),
     ("3F2", lambda: hyp3f2_regularized(0.3, 0.6, -2.0, 1.4, 0.5), 1),
+    # w = -0.6: the Pfaff image's series, whose c-b = -1.1 and a = -0.7 are tested
+    ("P Pfaff image", lambda: legendre_p(0.7, 0.4, 2.2), 3),
+    # w = 0.98: the quadratic image's series at u = 0.75
+    ("Q quadratic image", lambda: legendre_q(0.7, 0.4, 1.01), 0),
 ]
 
 

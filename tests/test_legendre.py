@@ -431,8 +431,8 @@ def _public(kind, nu, mu, z, order):
 
 
 def test_evaluator_reuse_equals_one_shot():
-    # z = 1.05 puts Q's 1/z**2 series at w = 0.91, summed directly beyond
-    # the radius where hyp2f1 would continue it
+    # z = 1.05 puts Q's 1/z**2 series at w = 0.91, past the series radius,
+    # where its quadratic image sums it
     zs = [1.2 + 0.37 * k + (0.3j if k % 3 == 0 else 0.0) for k in range(20)]
     zs[7], zs[15] = 9.0 - 2.0j, 1.05
     xs = [-0.95 + 0.097 * k for k in range(20)]

@@ -1,8 +1,11 @@
 """Q_nu^mu and its first two derivatives against 30-digit mpmath at seeded
 points over nu in [-3, 25], off and on the disc |(1-z)/2| |z|**4 <= 1 next
-to z = 1 where a two-term form in (1-z)/2 would cancel, and inside the unit
-disc."""
+to z = 1 where a two-term form in (1-z)/2 would cancel, at |z-1| down to
+0.001, and inside the unit disc, there for nu up to 80; and at degree 400.5
+next to z = 1."""
 
+import cmath
+import math
 import random
 
 import mpmath
@@ -54,7 +57,10 @@ def _near_points():
     """(nu, mu, z, boundary_side): 18 points of the disc above with
     Re z > 1 and |z-1| >= 0.05, in turn at integer, near-integer (1e-8 to
     1e-4 off) and other mu; then, for nu in [-3, 5], 6 points with
-    |z| < 0.95 and |Im z| >= 0.05 and 6 on both sides of (-0.95, 0.95)."""
+    |z| < 0.95 and |Im z| >= 0.05 and 6 on both sides of (-0.95, 0.95);
+    6 points inside the unit disc for nu in (12, 80]; 6 with
+    |z-1| in (0.001, 0.016) at integer mu; and three single points next to
+    z = 1, at degrees 60.5 and 400.5 and at mu = 1e-9."""
     rng = random.Random(20261018)
     points = []
     for k in range(30):
@@ -76,22 +82,33 @@ def _near_points():
             else:
                 z, side = rng.uniform(-0.95, 0.95), "+-"[k % 2]
         points.append((nu, mu, z, side))
+    for _ in range(6):
+        z = 1.0
+        while abs(z) >= 0.95 or abs(z.imag) < 0.05:
+            z = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
+        points.append((rng.uniform(12.0, 80.0), rng.uniform(-2.0, 2.0), z, None))
+    for _ in range(6):
+        d = cmath.rect(10.0 ** rng.uniform(-3.0, math.log10(0.016)), rng.uniform(-1.5, 1.5))
+        points.append((rng.uniform(-3.0, 25.0), float(rng.randint(-2, 2)), 1.0 + d, None))
+    points += [(60.5, 0.2, 1.01, None), (400.5, 0.2, 1.01, None), (0.55, 1e-9, 1.001, None)]
     return points
 
 
-def _near_tolerance(nu, z):
-    """Measured over eight seeds of _near_points, with a margin: worst
-    2.6e-14 for nu <= 12 and 8.2e-13 above on the disc next to z = 1;
-    5e-11 inside the unit disc, where the series of the continued 1/z**2
-    term lose digits as the degree grows."""
-    if abs(z) < 1.0:
+def _near_tolerance(z, side):
+    """Measured over 20 seeds of _near_points, with a margin: worst 1.1e-14
+    on the disc next to z = 1; 6.6e-13 inside the unit disc and 6.2e-13 at
+    |z-1| < 0.016 (both for a derivative); 6.3e-11 on the cut, for Q'' next
+    to x = 0, where the product rule of the 1/z**2 map cancels."""
+    if side is not None:
         return 1e-10
-    return 1e-13 if nu <= 12.0 else 1e-11
+    if abs(z) < 1.0 or abs(z - 1.0) < 0.05:
+        return 5e-12
+    return 1e-13
 
 
 @pytest.mark.parametrize("nu,mu,z,side", _near_points())
 def test_q_and_derivatives_match_mpmath_near_one_and_inside_the_unit_disc(nu, mu, z, side):
-    tol = _near_tolerance(nu, z)
+    tol = _near_tolerance(z, side)
     values = [
         legendre_q(nu, mu, z, boundary_side=side),
         legendre_deriv(nu, mu, z, order=1, kind="q", boundary_side=side),

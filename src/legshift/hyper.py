@@ -16,16 +16,17 @@ Continuation strategy for 2F1, each image chosen to sum fewer terms:
 * an image whose sum|term| passes 1e4 times |sum| gives way to the path it
   would replace;
 * past |w| = 0.8 the five fractional-linear images (w/(w-1), 1-w, 1/w,
-  1/(1-w), 1-1/w) are ranked by the number of series each sums (one for the
-  Pfaff image, two for the others) over -log of its modulus, and the best of
-  modulus <= 0.92 is used.
+  1/(1-w), 1-1/w) of modulus <= 0.92 are ranked, clean ones first, each
+  kind by the number of series an image sums over -log of its modulus.  A
+  degenerate image (integer c-a-b for 1-w and 1-1/w, a-b for the others)
+  is evaluated at a parameter +/- i*eps and averaged, only where no clean
+  one is admissible, as next to w = 1, or where it costs less and the clean
+  one cancels past 1/eps = 1e6, a limit measured on Q on the cut.
 
-Degenerate connection coefficients (integer c-a-b or a-b) are handled by
-evaluating at parameter +/- i*eps and averaging.  Near the two exceptional
-points w = exp(+/- i pi/3), where no image is small, the hypergeometric ODE
-is Taylor-stepped along a straight path from the origin.  The regularized
-3F2 is continued past |w| = 0.9 by the same Taylor walker on its own
-third-order equation, with no +/- i*eps average.
+Near the two exceptional points w = exp(+/- i pi/3), where no image is
+small, the hypergeometric ODE is Taylor-stepped along a straight path from
+the origin.  The regularized 3F2 is continued past |w| = 0.9 by the same
+Taylor walker on its own third-order equation, with no +/- i*eps average.
 
 Both functions rest on one defining series of pFq, summed by one loop
 (``_Series.sum``).  Real parameters are kept as floats, and so are their
@@ -76,9 +77,6 @@ __all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_regularized", 
 _EPS_NUDGE = 1e-6
 _SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
-# _continue adds this to the modulus of an image whose connection
-# coefficients are degenerate (a +/- i*eps average) before ranking it
-_DEGENERATE_PENALTY = 0.05
 # inside _SERIES_RADIUS the quadratic and Pfaff images are taken only past
 # this |w|: nearer 0 they save too few terms to pay for their power
 _IMAGE_FLOOR = 0.3
@@ -400,7 +398,7 @@ class _Gauss(_Series):
             if value is not None:
                 return value
         if m > _SERIES_RADIUS:
-            return self._continue(w, wc)
+            return self._continue(w, one_minus, wc)
         return self._summed(w, one_minus)
 
     def _summed(self, w, one_minus, cancel=None):
@@ -484,9 +482,8 @@ class _Gauss(_Series):
             )
         return pair
 
-    def _continue(self, w, wc):
+    def _continue(self, w, one_minus, wc):
         a, b, c = self._params[:3]
-        one_minus = 1.0 - w if wc is None else wc
         if one_minus == 0:
             # Gauss's sum, where the series converges
             if (c - a - b).real <= 0.0:
@@ -495,58 +492,55 @@ class _Gauss(_Series):
         if self._cab_int is None:
             self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
             self._ab_int = integer_within(a - b, _POLE_TOL) is not None
-        candidates = (  # (modulus, key, degenerate coefficients, series summed)
-            (abs(w / one_minus), "pfaff", False, 1),
-            (abs(one_minus), "one_minus", self._cab_int, 2),
-            (abs(1.0 / w), "recip", self._ab_int, 2),
-            (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int, 2),
-            (abs(1.0 / one_minus), "recip_one_minus", self._ab_int, 2),
+        # clean images first, then by cost: a series at modulus m stops after
+        # about log(eps)/log(m) terms, so an image costs its count over -log(m)
+        ranked = sorted(
+            ((degenerate, count / -math.log(mod) if mod else 0.0), key)
+            for mod, key, degenerate, count in (
+                (abs(w / one_minus), "pfaff", False, 1),
+                (abs(one_minus), "one_minus", self._cab_int, 2),
+                (abs(1.0 / w), "recip", self._ab_int, 2),
+                (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int, 2),
+                (abs(1.0 / one_minus), "recip_one_minus", self._ab_int, 2),
+            )
+            if mod <= _IMAGE_RADIUS
         )
-        # a series at modulus m stops after about log(eps)/log(m) terms, so an
-        # image costs its series count over -log(m); m is penalized where the
-        # connection coefficients are degenerate, so that a clean image of
-        # comparable size wins
-        best = None
-        for mod, key, degenerate, count in candidates:
-            if mod <= _IMAGE_RADIUS:
-                m = mod + (_DEGENERATE_PENALTY if degenerate else 0.0)
-                cost = count / -math.log(m) if m else 0.0
-                if best is None or cost < best[0]:
-                    best = (cost, key, degenerate)
-        if best is None:
+        if not ranked:
             return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
-        _, key, degenerate = best
+        (degenerate, cost), key = ranked[0]
+        # past 1/eps = 1e6, a limit measured on Q on the cut, a cheaper degenerate image serves
+        if not degenerate:
+            cheaper = next((k for (d, m), k in ranked if d and m < cost), None)
+            value = self._clean(key, w, one_minus, wc, 1.0 / _EPS_NUDGE if cheaper else None)
+            if value is not None:
+                return value
+            key = cheaper
+        # the +/- i*eps average: integer c-a-b shifts c off the lattice, integer a-b shifts a
+        plus, minus = self._nudge("c" if key in ("one_minus", "one_minus_recip") else "a")
+        return 0.5 * (plus(w, wc) + minus(w, wc))
 
+    def _clean(self, key, w, one_minus, wc, cancel):
+        """The clean image ``key`` at w; None where its sums or two terms cancel past ``cancel``."""
+        a, b, c = self._params[:3]
         if key == "pfaff":
             # summed directly: ranking the images of w/(w-1) again could map back to w
-            return cpow(one_minus, -a) * self._pfaff_evaluator().sum(w / (w - 1.0))
-
-        if degenerate:
-            # integer c-a-b: shift c off the lattice; integer a-b: shift a
-            plus, minus = self._nudge(
-                "c" if key in ("one_minus", "one_minus_recip") else "a"
-            )
-            return 0.5 * (plus(w, wc) + minus(w, wc))
-
+            value = self._pfaff_evaluator().sum(w / (w - 1.0), cancel)
+            return None if value is None else cpow(one_minus, -a) * value
         g1, s1, g2, s2 = self._image(key)
         if key == "one_minus":
-            u = one_minus
-            return g1 * s1.sum(u) + g2 * cpow(u, c - a - b) * s2.sum(u)
-        if key == "recip":
-            u = 1.0 / w
-            return g1 * cpow(-w, -a) * s1.sum(u) + g2 * cpow(-w, -b) * s2.sum(u)
-        if key == "recip_one_minus":
-            u = 1.0 / one_minus
-            return (
-                g1 * cpow(one_minus, -a) * s1.sum(u)
-                + g2 * cpow(one_minus, -b) * s2.sum(u)
-            )
-        # key == "one_minus_recip"
-        u = 1.0 - 1.0 / w if wc is None else -wc / w
-        return (
-            g1 * cpow(w, -a) * s1.sum(u)
-            + g2 * cpow(w, a - c) * cpow(one_minus, c - a - b) * s2.sum(u)
-        )
+            u, f1, f2 = one_minus, g1, g2 * cpow(one_minus, c - a - b)
+        elif key == "recip":
+            u, f1, f2 = 1.0 / w, g1 * cpow(-w, -a), g2 * cpow(-w, -b)
+        elif key == "recip_one_minus":
+            u, f1, f2 = 1.0 / one_minus, g1 * cpow(one_minus, -a), g2 * cpow(one_minus, -b)
+        else:  # "one_minus_recip"
+            u = 1.0 - 1.0 / w if wc is None else -wc / w
+            f1, f2 = g1 * cpow(w, -a), g2 * cpow(w, a - c) * cpow(one_minus, c - a - b)
+        v1, v2 = s1.sum(u, cancel), s2.sum(u, cancel)
+        if v1 is None or v2 is None:
+            return None
+        t1, t2 = f1 * v1, f2 * v2
+        return t1 + t2 if cancel is None or abs(t1) + abs(t2) <= cancel * abs(t1 + t2) else None
 
 
 def _canonical(a, b, c):

@@ -39,15 +39,14 @@ the cut (-1, 1) past |x| ~ 0.85.
 Both Ferrers kinds are the same two series in w = x**2 (DLMF 14.3.11-12,
 Euler-transformed to Q's a, b, c): (1-x**2)**(mu/2) times
 K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
-degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu and Q's
-c = nu+3/2 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF 15.2.3_5)
-2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w), still one
-term.  No representation takes a +/- i*eps average of its own, but past
-x**2 = 0.8 the x**2 series are continued by their 1-w image, which at
-integer mu is degenerate (c-a-b = -mu): ``hyper._Gauss._nudge`` averages
-mu +/- i*eps there (ROADMAP item 5).  The two series cancel like
-(|x|+sqrt(1+x**2))**|nu+1/2|, so past |nu+1/2| = 27.8 a Ferrers call raises
-NumericalError at |x| >= sinh(24.5/|nu+1/2|), where eps times that passes 1e-5.
+degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu, Q's nu+3/2
+and Jacobi's alpha+1 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF
+15.2.3_5) 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w),
+still one term.  Past x**2 = 0.8 the 1-w image continues the x**2 series;
+at integer mu it is degenerate (c-a-b = -mu) and no clean image is
+admissible, so ``hyper._Gauss._nudge`` averages mu +/- i*eps (ROADMAP item 5).
+The two series cancel like (|x|+sqrt(1+x**2))**|nu+1/2|; past |nu+1/2| = 27.8
+a Ferrers call raises NumericalError at |x| >= sinh(24.5/|nu+1/2|).
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
 do the parameter-only work once per evaluator: the term coefficients and
@@ -421,7 +420,8 @@ def jacobi_evaluator(nu, alpha, beta):
     from its three-term recurrence in the degree (DLMF 18.9.1-2) wherever no
     coefficient of it vanishes, that is unless alpha+beta is an integer <= -2.
     Past the degree where the polynomial's rounding bound fails whatever its
-    terms (``hyper._MAX_POLYNOMIAL_DEGREE``) it raises NumericalError.
+    terms (``hyper._MAX_POLYNOMIAL_DEGREE``) it raises NumericalError.  The
+    series takes its limit where it reaches alpha+1 = 1-n first, as P's does.
     """
     check_finite(nu, alpha, beta)
     nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
@@ -445,11 +445,15 @@ def jacobi_evaluator(nu, alpha, beta):
             return p1 if n else p0
 
         return recurrence
-    K = gamma_ratio([nu + alpha + 1.0], [nu + 1.0, alpha + 1.0])
+    n, K = 0, gamma_ratio([nu + alpha + 1.0], [nu + 1.0, alpha + 1.0])
     F = _prepared_2f1(-nu, nu + alpha + beta + 1.0, alpha + 1.0)
+    if F._pole is not None:  # else Gamma(alpha+1)'s pole, if any, pairs Gamma(nu+alpha+1)'s
+        n, C, a, b, c = _c_limit(-nu, nu + alpha + beta + 1.0, alpha + 1.0)
+        K, F = C * gamma_ratio([nu + alpha + 1.0], [nu + 1.0]), _prepared_2f1(a, b, c)
 
     def jacobi(z):
-        return K * F((1.0 - complex(z)) / 2.0)
+        w = (1.0 - complex(z)) / 2.0
+        return K * cpow(w, n) * F(w)
 
     return jacobi
 
@@ -481,9 +485,9 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     relative at |z-1| down to 0.001, and within 5e-14 inside the unit disc
     off the cut, there for nu up to 80 too (README, "Accuracy of Q").  Where
     the series is continued, on the cut (-1, 1) past |x| ~ 0.85 and next to
-    z = +/-1, an integer mu makes the 1-w image degenerate, and
-    ``hyper._Gauss._nudge`` may average mu +/- i*eps; the cut is within
-    1.5e-10 there.
+    z = +/-1, an integer mu makes the 1-w images degenerate; where the clean
+    1/w image does not serve, ``hyper._Gauss._nudge`` averages mu +/- i*eps,
+    and the cut is within 1.5e-10 there.
 
     Where nu+mu+1 is in {0, -1, ...}, Gamma(nu+mu+1) makes Q infinite (or,
     where Olver's Q vanishes, its limit depends on the direction of

@@ -319,13 +319,14 @@ _ON_CUT = ("-1 < x < 1", lambda x: -1.0 < x < 1.0)
 
 def _rhs_rodrigues(part):
     """``rodrigues_pair``'s weighted (part 0) or primitive (part 1) closed
-    form, valid where (1-z)**(nu+alpha) is integrable at z = 1."""
+    form, valid where its integrand's (1-v)**(nu+alpha), or (1-v)**alpha, is integrable."""
 
     def rhs(nu, mu, lam, z):
+        desc, exponent = (("Re(nu+alpha+1) > 0", nu + mu), ("Re alpha > -1", mu))[part]
         return _closed_form(
             rodrigues_pair(nu, mu, lam, z)[part],
             ("weighted", "primitive")[part],
-            _cond("Re(nu+alpha+1) > 0", (complex(nu) + complex(mu) + 1.0).real > 0),
+            _cond(desc, complex(exponent).real > -1.0),
             _cond("-1 < z < 1", -1.0 < complex(z).real < 1.0),
         )
 

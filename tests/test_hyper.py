@@ -7,6 +7,7 @@ import random
 import mpmath
 import pytest
 
+from legshift import hyper
 from legshift.complexfn import gamma_ratio
 from legshift.errors import DegenerateParameterError, DomainError, NumericalError, PoleError
 from legshift.hyper import (
@@ -16,6 +17,7 @@ from legshift.hyper import (
     hyp3f2_regularized,
     hyp3f2_series,
 )
+from legshift.legendre import legendre_deriv, legendre_p, legendre_q
 
 
 def _mp_2f1(a, b, c, w):
@@ -112,6 +114,73 @@ def test_hyp2f1_integer_c_minus_a_minus_b_next_to_one():
         w = 1.0 - rng.uniform(0.0, 0.016) * complex(mpmath.expj(rng.uniform(-3.1, 3.1)))
         ref = _mp_2f1(a, b, c, w)
         assert abs(hyp2f1(a, b, c, w) - ref) <= 1e-9 * abs(ref), (a, b, c, w)
+
+
+def _count_nudges(monkeypatch):
+    """A list that grows by one per ``_Gauss._nudge`` call, a +/- i*eps average."""
+    calls = []
+    nudge = hyper._Gauss._nudge
+
+    def counted(self, axis):
+        calls.append(axis)
+        return nudge(self, axis)
+
+    monkeypatch.setattr(hyper._Gauss, "_nudge", counted)
+    return calls
+
+
+def _mp_p(nu, mu):
+    return lambda z: mpmath.legenp(nu, mu, z, type=3)
+
+
+@pytest.mark.parametrize(
+    "call,ref",
+    [
+        # P's a-b = 2 makes the 1/w and 1/(1-w) images degenerate; at
+        # w = -4.5 the clean Pfaff image, of modulus 0.82, is admissible
+        (lambda: legendre_p(-1.5, 1.6162893475556097, 9.9499408838679),
+         lambda: _mp_p(-1.5, 1.6162893475556097)(9.9499408838679)),
+        (lambda: legendre_p(-1.5, 1.7095088576453539, 9.70913664467851),
+         lambda: _mp_p(-1.5, 1.7095088576453539)(9.70913664467851)),
+        (lambda: legendre_deriv(-1.5, -1.962829964270405, 6.536132736052101 + 0.7730898847072327j),
+         lambda: mpmath.diff(_mp_p(-1.5, -1.962829964270405),
+                             mpmath.mpc(6.536132736052101, 0.7730898847072327))),
+    ],
+)
+def test_hyp2f1_ranks_clean_images_before_degenerate_ones(monkeypatch, call, ref):
+    # ranked by modulus plus a penalty, the degenerate 1/(1-w) image took
+    # the +/- i*eps average here, 1.6e-11 to 3.6e-11 off
+    nudges = _count_nudges(monkeypatch)
+    value = call()
+    with mpmath.workdps(30):
+        ref = complex(ref())
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+    assert not nudges
+
+
+def test_hyp2f1_averages_only_where_no_clean_image_is_admissible(monkeypatch):
+    # next to w = 1 only the 1-w images are small, and c-a-b = 0
+    nudges = _count_nudges(monkeypatch)
+    w = 1.0 - 1e-6
+    value = hyp2f1(0.5, 1.5, 1.0, w)
+    with mpmath.workdps(30):
+        ref = _mp_2f1(0.5, 1.5, 1.0, w)
+    assert nudges == ["c"]
+    assert abs(value - ref) <= 2e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [0.9, 0.93])
+def test_hyp2f1_clean_image_that_cancels_gives_way_to_the_average(monkeypatch, x):
+    # Q on the cut, w = 1/x**2: the clean 1/w image is the pair of Ferrers
+    # series in x**2, whose terms cancel like (|x|+sqrt(1+x**2))**|nu+1/2|.
+    # Taken, it was 4.5e-8 off at x = 0.9, and at 0.93 its degree-13
+    # polynomial raised; the cheaper degenerate 1-1/w image is averaged
+    nudges = _count_nudges(monkeypatch)
+    value = legendre_q(24.0, -2.0, x, boundary_side="+")
+    with mpmath.workdps(30):
+        ref = complex(mpmath.legenq(24, -2, mpmath.mpc(x, 1e-40), type=3))
+    assert nudges == ["c"]
+    assert abs(value - ref) <= 1e-9 * abs(ref)
 
 
 def test_hyp2f1_ode_region_vs_mpmath():

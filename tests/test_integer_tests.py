@@ -97,6 +97,9 @@ _BUDGET = [
     ("P Pfaff image", lambda: legendre_p(0.7, 0.4, 2.2), 3),
     # w = 0.98: the quadratic image's series at u = 0.75
     ("Q quadratic image", lambda: legendre_q(0.7, 0.4, 1.01), 0),
+    # w = -4.5, a-b = 2: the clean Pfaff image, not the +/- i*eps average of
+    # the degenerate 1/(1-w) image (46 tests, most in the nudged evaluators)
+    ("P clean image", lambda: legendre_p(-1.5, 1.6162893475556097, 9.9499408838679), 9),
 ]
 
 

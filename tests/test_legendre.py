@@ -282,6 +282,44 @@ def test_jacobi_frozen_oracle():
     assert abs(val - 1.0579242451856248) < 1e-12
 
 
+def _mp_jacobi_limit(nu, alpha, beta, z):
+    # Gamma(nu+alpha+1)/Gamma(nu+1) rgamma(alpha+1) 2F1(-nu, nu+alpha+beta+1; alpha+1; (1-z)/2)
+    # next to the pole: mpmath.jacobi at the exact integer alpha is not the
+    # limit (0.3153840091064076 at the first point below)
+    with mpmath.workdps(30):
+        nu, beta, z = mpmath.mpmathify(nu), mpmath.mpmathify(beta), mpmath.mpmathify(z)
+        alpha = alpha + mpmath.mpf("1e-25")
+        return complex(
+            mpmath.gamma(nu + alpha + 1) / mpmath.gamma(nu + 1) * mpmath.rgamma(alpha + 1)
+            * mpmath.hyp2f1(-nu, nu + alpha + beta + 1, alpha + 1, (1 - z) / 2)
+        )
+
+
+@pytest.mark.parametrize(
+    "nu,alpha,beta,z,frozen",
+    [
+        (0.6, -1.0, 0.3, 0.3, -0.3706636511688288),
+        (2.5, -2.0, 0.3, 0.4, 0.17896673966270168),
+        (1.7, -1.0, -0.4, 2.5 + 0.5j, 1.4577751949181366 + 0.6674820212620433j),
+    ],
+)
+def test_jacobi_at_a_pole_of_gamma_alpha_plus_one_is_the_limit(nu, alpha, beta, z, frozen):
+    # alpha + 1 = 1-n: the series' 1/Gamma(alpha+1) takes the regularized
+    # limit (DLMF 15.2.3_5), as P's 1/Gamma(1-mu) does
+    ref = _mp_jacobi_limit(nu, alpha, beta, z)
+    assert abs(ref - frozen) <= 1e-15 * abs(frozen)
+    assert abs(jacobi_p(nu, alpha, beta, z) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [0.3, -0.7, 2.5 + 0.5j])
+def test_jacobi_at_integer_degree_where_a_numerator_ends_the_series_first(z):
+    # alpha + beta <= -2 sends integer degrees to the series; where -nu ends
+    # it before c = alpha + 1 is reached, Gamma(nu+alpha+1)'s pole pairs
+    # Gamma(alpha+1)'s and the polynomial is finite
+    assert jacobi_p(0, -1, -1, z) == 1.0
+    assert jacobi_p(1, -2, 0, z) == -1.0
+
+
 def test_jacobi_matches_scipy_at_integer_degree():
     for n in (1, 2, 3):
         for alpha, beta, z in ((0.3, -0.2, 0.7), (1.1, 0.4, -0.25)):

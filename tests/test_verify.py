@@ -1,11 +1,14 @@
 """Identity catalog, grid verification mechanics, ODE defects."""
 
+import io
 import json
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import pytest
 
+from legshift.cli import EXIT_NUMERICAL, main
 from legshift.errors import DomainError, NumericalError
 from legshift.legendre import legendre_p
 from legshift.shifts import _integrand, predict_degree_shift, predict_order_shift
@@ -89,6 +92,34 @@ def test_verify_grid_collects_invalid_points():
     assert s.n_points == 2 and s.n_valid == 1 and s.n_passed == 1
     assert len(s.failures) == 1
     assert s.failures[0][1].startswith("invalid:")
+
+
+def test_rodrigues_inverse_needs_its_integrand_integrable_at_one():
+    # the loop integrates (1-v)**alpha (1+v)**beta P_nu^(alpha,beta)(v), so
+    # the point is valid only where Re alpha > -1; under RODRIGUES_FRAC's
+    # Re(nu+alpha+1) > 0 the quadrature raised DomainError at alpha = -1.2,
+    # aborting the grid, and the CLI exited 3
+    for alpha in (-1.2, -1.0):
+        rep = verify_identity("RODRIGUES_INVERSE", 0.6, alpha, 0.3, 0.3)
+        assert not rep.validity and rep.lhs is None
+        assert rep.failed_conditions == ("Re alpha > -1",)
+    good = dict(get_identity("RODRIGUES_INVERSE").default_grid[0])
+    s = verify_grid("RODRIGUES_INVERSE", [{"nu": 0.6, "mu": -1.2, "lam": 0.3, "z": 0.3}, good])
+    assert s.n_points == 2 and s.n_valid == 1 and s.n_passed == 1
+    assert s.failures[0][1] == "invalid: Re alpha > -1"
+    point = ["--nu", "0.6", "--mu", "-1.2", "--lam", "0.3", "--z", "0.3"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "--id", "RODRIGUES_INVERSE"] + point) == EXIT_NUMERICAL
+    assert "failed_conditions=Re alpha > -1" in out.getvalue()
+
+
+@pytest.mark.parametrize("point", [(0.6, -1.0, 0.3, 0.3), (1.4, -2.0, 0.45, -0.3)])
+def test_rodrigues_frac_at_a_pole_of_gamma_alpha_plus_one(point):
+    # alpha + 1 in {0, -1}: the closed form's Jacobi function is the
+    # regularized limit in alpha; the quadrature side calls no Jacobi function
+    rep = verify_identity("RODRIGUES_FRAC", *point)
+    assert rep.validity and rep.passed, rep.rel_err
+    assert rep.rel_err <= 1e-14
 
 
 def test_verify_grid_names_the_exception_of_a_numerical_failure(monkeypatch):

@@ -8,11 +8,13 @@ Continuation strategy for 2F1, each image chosen to sum fewer terms:
   where |1-w| > 1 at the smaller argument of the Pfaff image,
   (1-w)**(-a) F(a, c-b; c; w/(w-1));
 * where b = a + 1/2 exactly, as for Legendre's Q, the quadratic image
-  ((1+s)/2)**(-2a) F(2a, 2a-c+1; c; w/(1+s)**2), s = sqrt(1-w)
+  ((1+s)/2)**(-2a) F(2a, 2a-c+1; c; u), u = w/(1+s)**2 and s = sqrt(1-w)
   (DLMF 15.8(iii)), comes first past |w| = 0.3.  Its argument is smaller
   than |w| off the cut [1, inf), where Re s > 0, and its series, or that
   series' Pfaff image under the rule above, is summed wherever it stops
-  within the term cap (``_series_reach``), past |w| = 0.8 too;
+  within the term cap (``_series_reach``), past |w| = 0.8 too.  There
+  the series' clean 1-u image, two series at 1-u = 2s/(1+s), comes first
+  where it costs less, |1-u| < min(|u|**2, 0.92), as next to w = 1;
 * an image whose sum|term| passes 1e4 times |sum| gives way to the path it
   would replace;
 * past |w| = 0.8 the five fractional-linear images (w/(w-1), 1-w, 1/w,
@@ -405,16 +407,30 @@ class _Gauss(_Series):
         """The series at w, or where |1-w| > 1 and |w| passes _IMAGE_FLOOR
         the Pfaff image's at w/(w-1), which is smaller, unless its sum
         cancels past _IMAGE_CANCELLATION.  Past _SERIES_RADIUS a series is
-        summed only where it stops within the term cap (``_series_reach``);
-        None where the series at w is not, or where its sum cancels past
-        ``cancel``.  No pole in c."""
+        summed only where it stops within the term cap (``_series_reach``),
+        and there the clean 1-w image comes first where it costs less, two
+        series at |1-w| < min(|w|**2, _IMAGE_RADIUS) against one at |w|,
+        unless it cancels past _IMAGE_CANCELLATION.  None where the series
+        at w is not summed, or where its sum cancels past ``cancel``.  No
+        pole in c."""
         m = abs(w)
-        if self._n_term is None and m > _IMAGE_FLOOR and abs(one_minus) > 1.0:
-            pfaff = self._pfaff_evaluator()
-            if pfaff._reaches(m / abs(one_minus)):
-                value = pfaff.sum(w / (w - 1.0), _IMAGE_CANCELLATION)
+        if self._n_term is None and m > _IMAGE_FLOOR:
+            mc = abs(one_minus)
+            if mc > 1.0:
+                pfaff = self._pfaff_evaluator()
+                if pfaff._reaches(m / mc):
+                    value = pfaff.sum(w / (w - 1.0), _IMAGE_CANCELLATION)
+                    if value is not None:
+                        return cpow(one_minus, -self._params[0]) * value
+            elif (
+                m > _SERIES_RADIUS
+                and mc < min(m * m, _IMAGE_RADIUS)
+                and self._reaches(m)
+                and not self._degenerate()[0]
+            ):
+                value = self._clean("one_minus", w, one_minus, one_minus, _IMAGE_CANCELLATION)
                 if value is not None:
-                    return cpow(one_minus, -self._params[0]) * value
+                    return value
         return self.sum(w, cancel) if self._reaches(m) else None
 
     def _reaches(self, m):
@@ -430,8 +446,8 @@ class _Gauss(_Series):
     def _quadratic_image(self, w, one_minus):
         """((1+s)/2)**(-2a) 2F1(2a, 2a-c+1; c; u), u = w/(1+s)**2 and
         s = sqrt(1-w), where b = a + 1/2 exactly (DLMF 15.8(iii)); the
-        series at u or at its Pfaff image (``_summed``), or None.  Off the
-        cut of w Re s > 0, so |u| < |w|, and 1 - u = 2s/(1+s); on it
+        series at u, its Pfaff image or its 1-u image (``_summed``), or None.
+        Off the cut of w Re s > 0, so |u| < |w|, and 1 - u = 2s/(1+s); on it
         |u| = 1."""
         quad = self._quadratic
         if quad is None:
@@ -482,6 +498,14 @@ class _Gauss(_Series):
             )
         return pair
 
+    def _degenerate(self):
+        """(integer c-a-b, integer a-b): the flags of degenerate images."""
+        if self._cab_int is None:
+            a, b, c = self._params[:3]
+            self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
+            self._ab_int = integer_within(a - b, _POLE_TOL) is not None
+        return self._cab_int, self._ab_int
+
     def _continue(self, w, one_minus, wc):
         a, b, c = self._params[:3]
         if one_minus == 0:
@@ -489,19 +513,17 @@ class _Gauss(_Series):
             if (c - a - b).real <= 0.0:
                 raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
             return gamma_ratio([c, c - a - b], [c - a, c - b])
-        if self._cab_int is None:
-            self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
-            self._ab_int = integer_within(a - b, _POLE_TOL) is not None
+        cab_int, ab_int = self._degenerate()
         # clean images first, then by cost: a series at modulus m stops after
         # about log(eps)/log(m) terms, so an image costs its count over -log(m)
         ranked = sorted(
             ((degenerate, count / -math.log(mod) if mod else 0.0), key)
             for mod, key, degenerate, count in (
                 (abs(w / one_minus), "pfaff", False, 1),
-                (abs(one_minus), "one_minus", self._cab_int, 2),
-                (abs(1.0 / w), "recip", self._ab_int, 2),
-                (abs(1.0 - 1.0 / w), "one_minus_recip", self._cab_int, 2),
-                (abs(1.0 / one_minus), "recip_one_minus", self._ab_int, 2),
+                (abs(one_minus), "one_minus", cab_int, 2),
+                (abs(1.0 / w), "recip", ab_int, 2),
+                (abs(1.0 - 1.0 / w), "one_minus_recip", cab_int, 2),
+                (abs(1.0 / one_minus), "recip_one_minus", ab_int, 2),
             )
             if mod <= _IMAGE_RADIUS
         )

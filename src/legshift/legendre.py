@@ -31,22 +31,29 @@ has a pole wherever that Gamma does.  The series' larger parameter is the
 smaller plus 1/2 exactly, here and in its two derivative series, so
 ``hyper`` sums it by its quadratic image: one series in
 u = (z - sqrt(z**2-1))**2, |u| < 1/|z|**2 off the cut (-1, 1), or next to
-z = 0 that series' Pfaff image.  So Q takes neither the cancelling 1-w image
-of a continuation next to z = 1 nor the cancelling 1/w image inside the
-unit disc; the series is continued only within about 1e-4 of z = +/-1 and on
-the cut (-1, 1) past |x| ~ 0.85.
+z = 0 that series' Pfaff image, or next to z = +/-1, where 2 mu is not an
+integer, its clean 1-u image, two short series in place of one that runs to
+about a thousand terms.  So Q takes neither the cancelling 1-w image of a
+continuation next to z = 1 nor the cancelling 1/w image inside the unit
+disc; the series is continued only within about 1e-4 of z = +/-1 and on the
+cut (-1, 1) past |x| ~ 0.85.  Its 1 - w is (z-1)(z+1)/z**2, exact next to
+z = 1, where 1 - 1/z**2 is not.
 
-Both Ferrers kinds are the same two series in w = x**2 (DLMF 14.3.11-12,
+Both Ferrers kinds have the same two series in w = x**2 (DLMF 14.3.11-12,
 Euler-transformed to Q's a, b, c): (1-x**2)**(mu/2) times
 K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
-degenerate; ``_ferrers_terms`` gives K0 and K1.  P's c = 1-mu, Q's nu+3/2
-and Jacobi's alpha+1 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF
-15.2.3_5) 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w),
-still one term.  Past x**2 = 0.8 the 1-w image continues the x**2 series;
-at integer mu it is degenerate (c-a-b = -mu) and no clean image is
-admissible, so ``hyper._Gauss._nudge`` averages mu +/- i*eps (ROADMAP item 5).
-The two series cancel like (|x|+sqrt(1+x**2))**|nu+1/2|; past |nu+1/2| = 27.8
-a Ferrers call raises NumericalError at |x| >= sinh(24.5/|nu+1/2|).
+degenerate; ``_ferrers_terms`` gives K0 and K1.  Ferrers P is also P's one
+term in w = (1-x)/2, with the factors (1-x)**p (1+x)**q (DLMF 14.3.1), and
+takes it where it sums fewer terms than the pair and its terms grow no more
+(``_FerrersP``): past x = 1/3, at large nu past x = 0.75.  P's c = 1-mu,
+Q's nu+3/2 and Jacobi's alpha+1 at 1-n, n = 1, 2, ..., take the regularized
+limit (DLMF 15.2.3_5) 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n *
+2F1(a+n, b+n; n+1; w), still one term.  Past x**2 = 0.8 the 1-w image
+continues the x**2 series, for Ferrers Q and for Ferrers P at x < 0; at
+integer mu it is degenerate (c-a-b = -mu) and no clean image is admissible,
+so ``hyper._Gauss._nudge`` averages mu +/- i*eps (ROADMAP item 5).  The two
+series cancel like (|x|+sqrt(1+x**2))**|nu+1/2|; past |nu+1/2| = 27.8 a
+Ferrers call raises NumericalError at |x| >= sinh(24.5/|nu+1/2|).
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
 do the parameter-only work once per evaluator: the term coefficients and
@@ -114,8 +121,8 @@ _FERRERS_REACH = math.log(1e-5 / sys.float_info.epsilon)
 
 
 # K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w), with (1-x)**p (1+x)**q
-# for Ferrers, whose terms are the "sq" ones; wmap "half": w = (1-z)/2 (r = 0),
-# "inv": w = 1/z**2, "sq": w = x**2 (r = 0 or 1).
+# in a Ferrers list; wmap "half": w = (1-z)/2 (r = 0), "inv": w = 1/z**2,
+# "sq": w = x**2 (r = 0 or 1).
 # The per-node loops of _TermSum unpack it: a field read by name costs more.
 _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 
@@ -123,6 +130,7 @@ _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 class _TermSum:
     """Sum of _Term values, or of their first or second derivatives, at z;
     NumericalError naming the function ``name`` where the sum is not finite.
+    A ``ferrers`` list takes the factors (1-x)**p (1+x)**q.
 
     Each term's 2F1 is prepared once; the evaluators of its first and second
     w-derivatives are built only when a derivative order asks for them.
@@ -130,12 +138,12 @@ class _TermSum:
 
     __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
 
-    def __init__(self, terms, name):
+    def __init__(self, terms, name, ferrers=False):
         self._name = name
         # a term with K = 0 adds nothing but the cost and rounding of its series
         terms = [t for t in terms if t.K != 0] or terms[:1]
         self._terms = terms
-        self._ferrers = terms[0].wmap == "sq"
+        self._ferrers = ferrers
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
         self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
 
@@ -158,9 +166,10 @@ class _TermSum:
 
     def __call__(self, z, zc=None, order=0):
         """The order-th derivative (0, 1 or 2) of S at z.  ``zc`` is 1 - z,
-        when the caller has it exactly; the factor (z-1)**p or (1-x)**p,
-        w = (1-z)/2 and the 1 - w of the "sq" and "inv" maps are then taken
-        from it, not from z."""
+        when the caller has it exactly; the factor (z-1)**p or (1-x)**p and
+        w = (1-z)/2 are then taken from it, not from z.  The 1 - w of the
+        "sq" and "inv" maps is always the product of z-1 and z+1, exact
+        next to z = 1 where 1 - w formed from w is not."""
         one_minus = 1.0 - z if zc is None else zc
         if self._ferrers:
             zm, zp, sign = one_minus, 1.0 + z, -1.0
@@ -177,15 +186,12 @@ class _TermSum:
             elif wmap == "sq":
                 if r:
                     u = pf * z
-                w = z * z
-                if zc is not None:
-                    wc = zm * zp
+                w, wc = z * z, zm * zp
             else:
                 h0 = cpow(z, r)
                 u = pf * h0
                 w = 1.0 / (z * z)
-                if zc is not None:
-                    wc = zm * zp * w
+                wc = zm * zp * w
             F0 = hyp[0](w, wc)
             if not order:
                 total += K * (u * F0)
@@ -220,10 +226,12 @@ class _TermSum:
 # --- representations ---------------------------------------------------------
 
 
-def _p_terms(nu, mu):
-    """P as one term in w = (1-z)/2; at mu = n = 1, 2, ... w**n = (-1/2)**n (z-1)**n."""
+def _p_terms(nu, mu, ferrers=False):
+    """P as one term in w = (1-z)/2, or with ``ferrers`` Ferrers P as one in
+    w = (1-x)/2 (DLMF 14.3.1); at mu = n = 1, 2, ... w**n is (-1/2)**n (z-1)**n,
+    or (1/2)**n (1-x)**n."""
     n, C, a, b, c = _c_limit(-nu, nu + 1.0, 1.0 - mu)
-    K = C * (-0.5) ** n if n else rgamma(c)
+    K = C * (0.5 if ferrers else -0.5) ** n if n else rgamma(c)
     return [_Term(K, n - mu / 2.0, mu / 2.0, a, b, c, "half")]
 
 
@@ -320,6 +328,54 @@ def _terms(kind, nu, mu):
     return [t._replace(K=K * t.K) for t in image]
 
 
+def _term_sum(terms, s, name, ferrers=False):
+    """_TermSum of ``terms`` times the weight of exponent s, which joins the
+    exponents p and q of every term."""
+    if s != 0:
+        terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
+    return _TermSum(terms, name, ferrers)
+
+
+class _FerrersP:
+    """Ferrers P times (1-x**2)**s from whichever of its two term lists sums
+    fewer series terms at x, each list built on first use; called as
+    ``_TermSum``.
+
+    The x**2 pair of ``_ferrers_terms`` sums two series at |x|**2, the one
+    term of ``_p_terms`` (DLMF 14.3.1) one at |w|, w = (1-x)/2.  A series at
+    modulus m stops after about log(eps)/log(m) terms, so the one term costs
+    less where |w| < |x|, past x = 1/3 on (-1, 1).  Its terms grow like
+    exp(|nu+1/2| acosh(1+2|w|)), the pair's like exp(|nu+1/2| asinh|x|)
+    (``_FERRERS_REACH``); it is taken only where it grows no more than the
+    pair or than 100, so past x = 0.75 at large nu.  The moduli rank a
+    complex x, as on a quadrature loop, the same way.  For 0 <= x < 1,
+    w <= 1/2: the term needs no image, and at integer mu no +/- i*eps
+    average."""
+
+    __slots__ = ("_args", "_slack", "_pair", "_half")
+
+    def __init__(self, nu, mu, s, name):
+        self._args = nu, mu, s, name
+        # the growth exp(|nu+1/2| g) the one term may have whatever the pair's: 100
+        h = abs(nu + 0.5)
+        self._slack = math.log(100.0) / h if h else math.inf
+        self._pair = self._half = None
+
+    def __call__(self, x, xc=None, order=0):
+        m, r = 0.5 * abs(1.0 - x if xc is None else xc), abs(x)
+        if m < r:
+            g = math.acosh(1.0 + 2.0 * m)
+            if g <= self._slack or g <= math.asinh(r):
+                if self._half is None:
+                    nu, mu, s, name = self._args
+                    self._half = _term_sum(_p_terms(nu, mu, ferrers=True), s, name, True)
+                return self._half(x, xc, order)
+        if self._pair is None:
+            nu, mu, s, name = self._args
+            self._pair = _term_sum(_ferrers_terms("ferrers_p", nu, mu), s, name, True)
+        return self._pair(x, xc, order)
+
+
 def _whipple_y(y) -> complex:
     """y in the Whipple images' domain, Re y > 0 off (0, 1]; DomainError
     elsewhere.  There y/sqrt(y**2-1) is not the image's argument."""
@@ -346,10 +402,11 @@ class _Legendre:
             s = s + 0.25
         # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
         self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
-        terms = _terms(kind, complex(nu), complex(mu))
-        if s != 0:
-            terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
-        self.terms = _TermSum(terms, name)
+        nu, mu = complex(nu), complex(mu)
+        if kind == "ferrers_p":
+            self.terms = _FerrersP(nu, mu, s, name)
+        else:
+            self.terms = _term_sum(_terms(kind, nu, mu), s, name, self._domain == "ferrers")
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
@@ -509,14 +566,15 @@ def _ferrers_x(x) -> float:
 
 def ferrers_p(nu, mu, x) -> complex:
     """Ferrers function of the first kind on (-1, 1), from two series in
-    x**2 (module docstring); README states their accuracy."""
+    x**2, or past x = 1/3 from one in (1-x)/2 (module docstring); README
+    states their accuracy."""
     check_finite(x)
     return _Legendre("ferrers_p", nu, mu)(x)
 
 
 def ferrers_q(nu, mu, x) -> complex:
-    """Ferrers function of the second kind on (-1, 1), from the series of
-    ``ferrers_p``; PoleError where nu+mu+1 is in {0, -1, ...}."""
+    """Ferrers function of the second kind on (-1, 1), from the two series
+    in x**2 of ``ferrers_p``; PoleError where nu+mu+1 is in {0, -1, ...}."""
     check_finite(x)
     return _Legendre("ferrers_q", nu, mu)(x)
 

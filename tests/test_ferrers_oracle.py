@@ -1,6 +1,7 @@
 """Ferrers P and Q and their first two derivatives against 30-digit mpmath
 (``legenp``/``legenq`` with type=2) at seeded points over nu in (-3, 25] and
-x in (-0.98, 0.98), at integer, near-integer, real and complex orders.
+x in (-0.98, 0.98), at integer, near-integer, real and complex orders; and
+Ferrers P over x in [0, 0.999), where its one term in (1-x)/2 serves.
 
 The error metric is the relative error of each of F, F', F''.  Near a zero
 of an oscillating function that metric measures the zero, not the
@@ -104,3 +105,53 @@ def test_ferrers_and_derivatives_match_mpmath(kind, nu, mu, x, refs):
     for order, (val, ref) in enumerate(zip(values, refs)):
         assert abs(val - ref) <= tol * abs(ref), (order, val, ref)
 
+
+def _p_box():
+    """(nu, mu, x, references) for Ferrers P: 24 draws with nu in (-3, 5]
+    and 24 with nu in (5, 12], x in [0, 0.999) and mu an integer in [-2, 2]
+    or uniform in (-2, 2) with equal odds."""
+    rng = random.Random(20261020)
+    points = []
+    for lo, hi in ((-3.0, 5.0), (5.0, 12.0)):
+        drawn = 0
+        while drawn < 24:
+            nu = rng.uniform(lo, hi)
+            mu = float(rng.randint(-2, 2)) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+            x = rng.uniform(0.0, 0.999)
+            refs = _references("ferrers_p", nu, mu, x)
+            if not _near_a_zero(nu, x, refs):
+                points.append((nu, mu, x, refs))
+                drawn += 1
+    return points
+
+
+@pytest.mark.parametrize("nu,mu,x,refs", _p_box())
+def test_ferrers_p_and_derivatives_on_the_right_match_mpmath(nu, mu, x, refs):
+    # measured over six seeds of 100 draws per degree range: worst 1.2e-13
+    # for nu <= 5 (F''), 6.2e-13 for nu <= 12 (F, at x ~ 0.75, where the
+    # pair in x**2 gives way to the one term in (1-x)/2).  The pair alone,
+    # continued past x**2 = 0.8, was 3.2e-9 (F'' 2e-6) and 5.2e-11 off.
+    tol = 1e-12 if nu <= 5.0 else 3e-12
+    values = [ferrers_p(nu, mu, x)] + [legendre_deriv(nu, mu, x, k, "ferrers_p") for k in (1, 2)]
+    for order, (val, ref) in enumerate(zip(values, refs)):
+        assert abs(val - ref) <= tol * abs(ref), (order, val, ref)
+
+
+# next to x = 1 at integer order: the pair's 1-w image is degenerate there,
+# and its mu +/- i*eps average was 6.7e-6, 6.6e-8, 4.4e-8 and 4.9e-8 off,
+# the derivatives of the last point 2.1e-7 and 1.4e-5
+@pytest.mark.parametrize(
+    "nu,mu,x,orders",
+    [
+        (0.7, -3.0, 0.99, (0,)),
+        (0.4, -3.0, 0.95, (0,)),
+        (-1.173, 2.0, 0.979, (0,)),
+        (-0.6365, -3.0, 0.9387, (0,)),
+        (0.47850365662928285, 2.0, 0.9934286916635215, (1, 2)),
+    ],
+)
+def test_ferrers_p_at_integer_order_next_to_one_is_within_1e_13(nu, mu, x, orders):
+    refs = _references("ferrers_p", nu, mu, x)
+    for order in orders:
+        val = legendre_deriv(nu, mu, x, order, "ferrers_p") if order else ferrers_p(nu, mu, x)
+        assert abs(val - refs[order]) <= 1e-13 * abs(refs[order]), (order, val, refs[order])

@@ -100,6 +100,12 @@ _BUDGET = [
     # w = -4.5, a-b = 2: the clean Pfaff image, not the +/- i*eps average of
     # the degenerate 1/(1-w) image (46 tests, most in the nudged evaluators)
     ("P clean image", lambda: legendre_p(-1.5, 1.6162893475556097, 9.9499408838679), 9),
+    # x = 0.9: the one term in (1-x)/2, whose a = -nu is tested (the pair
+    # in x**2 continued by its 1-w images asked 15)
+    ("Ferrers P next to one", lambda: ferrers_p(0.7, 0.4, 0.9), 1),
+    # |u| = 0.97: the quadratic image's clean 1-u image; its series' c-a-b and
+    # a-b are tested, and c-a-b once more as a gamma argument
+    ("Q quadratic 1-u image", lambda: legendre_q(0.55, 0.35, 1.0001), 3),
 ]
 
 

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 import scipy.special
 
+from legshift import hyper
 from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.hyper import hyp2f1
 from legshift.legendre import (
@@ -549,3 +550,35 @@ def test_huge_degree_polynomial_stops_once_its_terms_underflow():
     value = hyp2f1(-1e7, 1, 1, 1e-12)
     assert time.perf_counter() - start < 1.0
     assert abs(value - math.exp(1e7 * math.log1p(-1e-12))) <= 1e-15
+
+
+def _summed_series(monkeypatch):
+    """The list of series summed from now on, one entry per sum."""
+    summed = []
+    plain = hyper._Series.sum
+
+    def counted(self, w, cancel=None):
+        summed.append(self)
+        return plain(self, w, cancel)
+
+    monkeypatch.setattr(hyper._Series, "sum", counted)
+    return summed
+
+
+def test_weighted_ferrers_p_next_to_one_sums_one_series(monkeypatch):
+    # one series per evaluation, with and without an exact 1 - x: the one
+    # term in (1-x)/2; the pair in x**2 continued past x**2 = 0.8 summed two
+    # series per term
+    ev = weighted_evaluator("ferrers_p", 0.45, 0.65, -0.325)
+    summed = _summed_series(monkeypatch)
+    for vc in (None, 0.1):
+        ev(0.9, vc)
+    assert len(summed) == 2
+
+
+def test_q_next_to_one_sums_short_series(monkeypatch):
+    # the quadratic image's series at |u| ~ 0.97 ran to 1,134 terms; its
+    # clean 1-u image sums two of a few dozen
+    summed = _summed_series(monkeypatch)
+    legendre_evaluator("q", 0.55, 0.35)(1.0001)
+    assert summed and max(len(s._ratios) for s in summed) <= 50

@@ -127,3 +127,11 @@ def test_q_and_derivatives_match_mpmath_off_the_near_disc(nu, mu, z, side):
     ]
     for order, (val, ref) in enumerate(zip(values, _references(nu, mu, z, side))):
         assert abs(val - ref) <= _TOL * abs(ref), (order, val, ref)
+
+
+def test_q_next_to_one_at_non_integer_two_mu_is_within_1e_13():
+    # u = (z - sqrt(z**2-1))**2 is past its series' reach at z - 1 = 1e-6,
+    # so the series in 1/z**2 is continued, its 1 - w taken as
+    # (z-1)(z+1)/z**2 (formed from 1/z**2 it was 1.3e-11 off)
+    ref = _references(0.3, 0.4, 1.000001, None)[0]
+    assert abs(legendre_q(0.3, 0.4, 1.000001) - ref) <= 1e-13 * abs(ref)

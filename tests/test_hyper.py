@@ -480,3 +480,52 @@ def test_hyp3f2_barnes_prefactor_pole():
     nu, mu = 1.3, -1.3
     with pytest.raises(PoleError):
         hyp3f2_barnes(nu - mu + 1.0, -nu - mu, 1.0, 1.0 - mu, 0.3, 4.0)
+
+
+def _hyp2f1_box(box, rng):
+    """One seeded (a, b, c, w) of ``box``; a, b, c in (-5, 5) throughout."""
+    a, b, c = (rng.uniform(-5.0, 5.0) for _ in range(3))
+    disc = cmath.rect(3.0 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+    if box == "general":  # the series, the Pfaff image and the four two-series images
+        return a, b, c, disc
+    if box == "quadratic":  # b = a + 1/2 exactly
+        return a, a + 0.5, c, disc
+    if box == "ode":  # within 0.05 of exp(+/- i pi/3), where no image is small
+        centre = cmath.exp(rng.choice((1, -1)) * 1j * math.pi / 3.0)
+        return a, b, c, centre + cmath.rect(0.05 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+    if box == "one":  # |1-w| = 10**U(-4, -0.5)
+        return a, b, c, 1.0 - cmath.rect(10.0 ** rng.uniform(-4.0, -0.5), rng.uniform(-math.pi, math.pi))
+    # "integer": integer a-b or c-a-b, the degenerate images and their average
+    if rng.random() < 0.5:
+        return a, a + rng.randint(-3, 3), c, disc
+    return a, b, a + b + rng.randint(-3, 3), disc
+
+
+def _worst_box_error(box, n):
+    rng = random.Random(2026 + n)
+    worst = 0.0
+    for _ in range(n):
+        a, b, c, w = _hyp2f1_box(box, rng)
+        with mpmath.workdps(40):
+            ref = _mp_2f1(a, b, c, w)
+        worst = max(worst, abs(hyp2f1(a, b, c, w) - ref) / abs(ref))
+    return worst
+
+
+@pytest.mark.parametrize("box,n", [("quadratic", 300), ("ode", 40)])
+def test_hyp2f1_seeded_boxes_vs_mpmath(box, n):
+    # routes the continuation ranks, against 40-digit mpmath
+    assert _worst_box_error(box, n) <= 1e-12
+
+
+# known defects: each bound is the worst of its box when it was set, and may
+# only shrink.  In the general box, |w| = 1.14 at a = -2.75, b = 4.89,
+# c = 3.39 is 8.3e-12 off through a two-series image of modulus 0.85 whose
+# terms cancel; next to w = 1 the 1-w images' terms cancel; at integer a-b or
+# c-a-b every small image is degenerate and averaged at +/- i*eps (ROADMAP
+# item 5)
+@pytest.mark.parametrize(
+    "box,n,bound", [("general", 300, 9e-12), ("one", 300, 3e-14), ("integer", 60, 1.2e-10)]
+)
+def test_hyp2f1_seeded_known_defect_boxes_vs_mpmath(box, n, bound):
+    assert _worst_box_error(box, n) <= bound

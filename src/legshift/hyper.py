@@ -2,53 +2,38 @@
 continuation off the unit disc, as the regularized 3F2 of the fractional
 order-lowering results.
 
-Continuation strategy for 2F1, each image chosen to sum fewer terms:
-
-* inside |w| <= 0.8 the defining series is summed at w, or past |w| = 0.3
-  where |1-w| > 1 at the smaller argument of the Pfaff image,
-  (1-w)**(-a) F(a, c-b; c; w/(w-1));
-* where b = a + 1/2 exactly, as for Legendre's Q, the quadratic image
-  ((1+s)/2)**(-2a) F(2a, 2a-c+1; c; u), u = w/(1+s)**2 and s = sqrt(1-w)
-  (DLMF 15.8(iii)), comes first past |w| = 0.3.  Its argument is smaller
-  than |w| off the cut [1, inf), where Re s > 0, and its series, or that
-  series' Pfaff image under the rule above, is summed wherever it stops
-  within the term cap (``_series_reach``), past |w| = 0.8 too.  There
-  the series' clean 1-u image, two series at 1-u = 2s/(1+s), comes first
-  where it costs less, |1-u| < min(|u|**2, 0.92), as next to w = 1;
-* an image whose sum|term| passes 1e4 times |sum| gives way to the path it
-  would replace;
-* past |w| = 0.8 the five fractional-linear images (w/(w-1), 1-w, 1/w,
-  1/(1-w), 1-1/w) of modulus <= 0.92 are ranked, clean ones first, each
-  kind by the number of series an image sums over -log of its modulus.  A
-  degenerate image (integer c-a-b for 1-w and 1-1/w, a-b for the others)
-  is evaluated at a parameter +/- i*eps and averaged, only where no clean
-  one is admissible, as next to w = 1, or where it costs less and the clean
-  one cancels past 1/eps = 1e6, a limit measured on Q on the cut.
-
-Near the two exceptional points w = exp(+/- i pi/3), where no image is
-small, the hypergeometric ODE is Taylor-stepped along a straight path from
-the origin.  The regularized 3F2 is continued past |w| = 0.9 by the same
-Taylor walker on its own third-order equation, with no +/- i*eps average.
+One chooser sums 2F1 past |w| = 0.3 (``_Gauss.__call__``).  Its candidates
+(``_Gauss._ranked``) are the series at w, where it stops within the term
+cap (``_series_reach``), and past their floor in |w| the Pfaff image
+w/(w-1) and the two-series images 1-w, 1-1/w, 1/w and 1/(1-w) of modulus
+<= 0.92.  Clean ones rank before degenerate ones (integer c-a-b for the
+images in 1-w, a-b for the others), each kind by cost: the number of series
+over -log of the modulus.  The first clean one whose terms cancel by less
+than 1e4 is taken; else the first degenerate one, evaluated at a parameter
++/- i*eps and averaged (ROADMAP item 5); else the clean image that cancels
+least.  Where no image is admissible and the series is not taken, as near
+w = exp(+/- i pi/3), the hypergeometric ODE is Taylor-stepped along a
+straight path from the origin, as is the regularized 3F2's past |w| = 0.9.  Where b = a + 1/2
+exactly, as for Legendre's Q, the quadratic image ((1+s)/2)**(-2a)
+F(2a, 2a-c+1; c; u), u = w/(1+s)**2, s = sqrt(1-w) (DLMF 15.8(iii)) comes
+first wherever the series at u is admissible, by the same chooser at u.
 
 Both functions rest on one defining series of pFq, summed by one loop
 (``_Series.sum``).  Real parameters are kept as floats, and so are their
 term ratios; at a real w the loop then runs on floats, with the values the
 complex loop gives, bit for bit.  A sum that does not terminate stops after
 3 terms in a row below 1e-16 of its total, within a cap of 3,000 terms for
-2F1, whose images keep |w| <= 0.92 but for the quadratic one, and of
-100,000 for ``hyp3f2_series``, which runs to |w| < 1 - 1e-3.  A sum that a
-numerator ends at w**n adds every term through w**n and raises
+2F1 and of 100,000 for ``hyp3f2_series``, which runs to |w| < 1 - 1e-3.  A
+sum that a numerator ends at w**n adds every term through w**n and raises
 NumericalError where its rounding bound n*eps*sum|term| passes
 1e-6 max(|sum|, 1).  Either kind raises NumericalError once a term
 overflows.
 
-``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once: the
-termination and c-pole tests (one ``integer_within`` per parameter), the
-flags of integer c-a-b and a-b that make images degenerate, the
-connection-coefficient gamma ratios (on first use of each image), the
-sub-evaluators of the Pfaff and quadratic images and of the +/- i*eps
-averages, and the series term ratios.  Calling it then does only w-dependent work; ``hyp2f1``
-builds one and calls it once.
+``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once, or on first
+use: the termination and c-pole tests, the flags of degenerate images, the
+connection coefficients of each image, the sub-evaluators of the Pfaff and
+quadratic images and of the averages, and the term ratios.  Calling it then
+does only w-dependent work; ``hyp2f1`` builds one and calls it once.
 """
 
 from __future__ import annotations
@@ -77,13 +62,16 @@ from .errors import (
 __all__ = ["hyp2f1", "hyp2f1_evaluator", "hyp3f2_series", "hyp3f2_regularized", "hyp3f2_barnes"]
 
 _EPS_NUDGE = 1e-6
-_SERIES_RADIUS = 0.80
 _IMAGE_RADIUS = 0.92
-# inside _SERIES_RADIUS the quadratic and Pfaff images are taken only past
-# this |w|: nearer 0 they save too few terms to pay for their power
-_IMAGE_FLOOR = 0.3
-# an image whose sum|term| passes this times |sum| (a rounding bound past
-# about 1e-12 relative) gives way to the path it would replace
+# each image is ranked only past its floor in |w|, where it first pays.  The
+# Pfaff image's: nearer 0 it saves too few terms to pay for its power.  The
+# images in 1-w: at |w| in (0.55, 0.85) Q's quadratic series took its 1-u
+# image where that sums fewer terms, and over 300 seeded points with 2 mu
+# within 1e-2 of an integer the worst went from 1.9e-12 to 4.3e-12 (points
+# past 1e-13: 3 to 12); a one-shot Q at u = 0.75 asked 3 integer tests, not 0
+_IMAGE_FLOOR = {"pfaff": 0.3, "one_minus": 0.8, "one_minus_recip": 0.8}
+# a candidate whose sum|term| passes this times |sum| (a rounding bound past
+# about 1e-12 relative) gives way to the next
 _IMAGE_CANCELLATION = 1e4
 _MAX_SERIES_TERMS = 3000
 _MAX_3F2_TERMS = 100000
@@ -105,7 +93,9 @@ def _series_reach(a, b, c):
     C = Gamma(c)/(Gamma(a) Gamma(b)) and s = Re(a+b-c).  The rest of the
     cap absorbs a sum much smaller than C, as where the terms alternate."""
     n = 2 * _MAX_SERIES_TERMS // 3
-    scale = max((ln_gamma(c) - ln_gamma(a) - ln_gamma(b)).real, 0.0)
+    # log|Gamma|, from math.lgamma at real parameters
+    lg = (lambda x: ln_gamma(x).real) if isinstance(a + b + c, complex) else math.lgamma
+    scale = max(lg(c) - lg(a) - lg(b), 0.0)
     s = (a + b - c).real
     return min(math.exp((math.log(1e-16) - scale - (s - 1.0) * math.log(n)) / n), 1.0)
 
@@ -152,9 +142,9 @@ class _Series:
         self._limit = cap if self._n_term is None else self._n_term
         self._ratios = []
 
-    def sum(self, w, cancel=None):
-        """The series at w; None where its sum|term| passes ``cancel`` times
-        |sum|, if given: an image's sum that cancels so far is not taken.
+    def sum(self, w, with_size=False):
+        """The series at w, or with ``with_size`` the pair (series,
+        sum|term|), whose ratio is how far the sum cancels.
 
         Unless a numerator ends it, the sum stops after 3 consecutive
         negligible terms, |term| <= 1e-16 |total|.  Since |total| <=
@@ -165,8 +155,9 @@ class _Series:
 
         A sum that a numerator ends at w**n adds every term through w**n,
         stopping early only at a term that has underflowed to 0, after which
-        every term is.  It raises NumericalError when it cancels past
-        ``_POLYNOMIAL_REL_BOUND``, up front past ``_MAX_POLYNOMIAL_DEGREE``.
+        every term is.  It raises NumericalError up front past
+        ``_MAX_POLYNOMIAL_DEGREE``, and without ``with_size`` where it
+        cancels past ``_POLYNOMIAL_REL_BOUND``.
 
         Either kind raises NumericalError once a term overflows, and
         DegenerateParameterError at a lower pole the sum reaches first.
@@ -210,9 +201,7 @@ class _Series:
                         if small < 3:
                             continue
                         if size < math.inf:
-                            if cancel is not None and size > cancel * abs(total):
-                                return None
-                            return complex(total)
+                            return (complex(total), size) if with_size else complex(total)
                     if not 0.0 < t < math.inf:
                         break  # overflowed, or every later term of the polynomial is 0
                 small = 0
@@ -222,8 +211,8 @@ class _Series:
             raise NumericalError(f"{self._name} series overflows double range, |w| = {abs(w):.3g}")
         if n is None:
             raise ConvergenceError(f"{self._name} series did not converge for |w| = {abs(w):.3f}")
-        if cancel is not None and size > cancel * abs(total):
-            return None
+        if with_size:
+            return complex(total), size
         bound = n * sys.float_info.epsilon * size
         if bound > _POLYNOMIAL_REL_BOUND * max(abs(total), 1.0):
             raise NumericalError(
@@ -244,10 +233,11 @@ def _ode_continue(w_target, p, lead, n, recurrence):
     on the ray to w_target, the others go along it, each 0.30 of the way to
     the nearer of 0 and 1.  A step's Taylor sum stops after 3 terms in a row
     with |f_k h**k| k**(p-1) <= 1e-17 sum_j |f_j h**j|; k**(p-1) stands for
-    the derivatives carried on; ConvergenceError at the term cap, or at once
-    where sum_j |f_j h**j| overflows.  A ray passing 1 closer than 0.5
-    before w_target gives way to the path through 1 +/- 0.5i: the solution's
-    singular part at 1 would carry rounding hundreds of times its value.
+    the derivatives carried on; ConvergenceError at the term cap, and
+    NumericalError at once where sum_j |f_j h**j| overflows.  A ray passing
+    1 closer than 0.5 before w_target gives way to the path through
+    1 +/- 0.5i: the solution's singular part at 1 would carry rounding
+    hundreds of times its value.
     """
     legs = [w_target]
     ray = w_target / abs(w_target)
@@ -281,8 +271,10 @@ def _ode_continue(w_target, p, lead, n, recurrence):
                 else:
                     small = 0
         except OverflowError:  # abs() of a coefficient past double range
-            small = 0
+            small, size = 0, math.inf
         if small < 3:
+            if not size < math.inf:
+                raise NumericalError(f"Taylor series overflows double range at |w| = {abs(w):.3f}")
             raise ConvergenceError(f"Taylor series did not converge at |w| = {abs(w):.3f}")
         # the Taylor polynomial and its derivatives / j! at step, by repeated
         # synthetic division
@@ -346,23 +338,7 @@ def _hyp3f2_recurrence(a1, a2, a3, b1, b2):
     return about
 
 
-# the two series of each linear image: (a, b, c) of the first and second term;
-# d = c-a-b is computed once, since a+b-c rounds differently from -d and the
-# +/- i*eps average at integer d amplifies the difference by 1/eps
-_IMAGE_SERIES = {
-    "one_minus": lambda a, b, c, d: (
-        (a, b, 1.0 - d), (c - a, c - b, 1.0 + d)
-    ),
-    "recip": lambda a, b, c, d: (
-        (a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)
-    ),
-    "recip_one_minus": lambda a, b, c, d: (
-        (a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)
-    ),
-    "one_minus_recip": lambda a, b, c, d: (
-        (a, a - c + 1.0, 1.0 - d), (c - a, 1.0 - a, 1.0 + d)
-    ),
-}
+_SERIES_ALONE = ((0.0, "series"),)
 
 
 class _Gauss(_Series):
@@ -379,76 +355,91 @@ class _Gauss(_Series):
         # built on first use
         self._reach = None  # _series_reach of the parameters
         self._quadratic = None  # _Gauss of the quadratic image where b == a + 1/2, else False
-        # integer c-a-b and integer a-b: degenerate connection coefficients
-        self._cab_int = self._ab_int = None
-        self._images = None  # image key -> (gamma ratio, series, gamma ratio, series)
+        self._cab_int = self._ab_int = None  # integer c-a-b, integer a-b
+        self._images = {}  # image key -> (coefficient, series, coefficient, series)
         self._pfaff = None
-        self._nudged = None  # "a" or "c" -> evaluators at that parameter +/- i*eps
+        self._nudged = {}  # "a" or "c" -> evaluators at that parameter +/- i*eps
 
     def __call__(self, w, wc=None):
-        """2F1 at w; ``wc`` is 1 - w when the caller has it exactly, and the
-        images in 1 - w then take it in place of 1 - w formed from w."""
+        """2F1 at w by the chooser of the module docstring; ``wc`` is 1 - w
+        when the caller has it exactly, and the images in 1 - w then take it
+        in place of 1 - w formed from w."""
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
-        m = abs(w)
-        if self._n_term is not None or self._pole is not None or m <= _IMAGE_FLOOR:
+        if self._n_term is not None or self._pole is not None or abs(w) <= _IMAGE_FLOOR["pfaff"]:
             return self.sum(w)
         one_minus = 1.0 - w if wc is None else wc
         if self._quadratic is not False:
             value = self._quadratic_image(w, one_minus)
             if value is not None:
                 return value
-        if m > _SERIES_RADIUS:
-            return self._continue(w, one_minus, wc)
-        return self._summed(w, one_minus)
+        a, b, c = self._params[:3]
+        if one_minus == 0:
+            # Gauss's sum, where the series converges
+            if (c - a - b).real <= 0.0:
+                raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
+            return gamma_ratio([c, c - a - b], [c - a, c - b])
+        ranked = self._ranked(w, one_minus)
+        best, ratio, average = None, math.inf, None  # least cancelling clean, first degenerate
+        for _, key in ranked:
+            if key != "series" and self._degenerate(key):
+                average = average or key
+                continue
+            try:
+                value, size = self.sum(w, True) if key == "series" else self._candidate(key, w, one_minus, wc)
+            except ConvergenceError:  # its series does not stop within the term cap
+                continue
+            if size <= _IMAGE_CANCELLATION * abs(value):
+                return value
+            if best is None or size < ratio * abs(value):
+                best, ratio = value, (size / abs(value) if value else math.inf)
+        if average:
+            # the image at a parameter +/- i*eps: integer c-a-b shifts c off
+            # the lattice, integer a-b shifts a
+            pair = self._nudge("c" if average in ("one_minus", "one_minus_recip") else "a")
+            return 0.5 * sum(g._candidate(average, w, one_minus, wc)[0] for g in pair)
+        if best is not None and any(key != "series" for _, key in ranked):
+            return best
+        return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
 
-    def _summed(self, w, one_minus, cancel=None):
-        """The series at w, or where |1-w| > 1 and |w| passes _IMAGE_FLOOR
-        the Pfaff image's at w/(w-1), which is smaller, unless its sum
-        cancels past _IMAGE_CANCELLATION.  Past _SERIES_RADIUS a series is
-        summed only where it stops within the term cap (``_series_reach``),
-        and there the clean 1-w image comes first where it costs less, two
-        series at |1-w| < min(|w|**2, _IMAGE_RADIUS) against one at |w|,
-        unless it cancels past _IMAGE_CANCELLATION.  None where the series
-        at w is not summed, or where its sum cancels past ``cancel``.  No
-        pole in c."""
-        m = abs(w)
-        if self._n_term is None and m > _IMAGE_FLOOR:
-            mc = abs(one_minus)
-            if mc > 1.0:
-                pfaff = self._pfaff_evaluator()
-                if pfaff._reaches(m / mc):
-                    value = pfaff.sum(w / (w - 1.0), _IMAGE_CANCELLATION)
-                    if value is not None:
-                        return cpow(one_minus, -self._params[0]) * value
-            elif (
-                m > _SERIES_RADIUS
-                and mc < min(m * m, _IMAGE_RADIUS)
-                and self._reaches(m)
-                and not self._degenerate()[0]
-            ):
-                value = self._clean("one_minus", w, one_minus, one_minus, _IMAGE_CANCELLATION)
-                if value is not None:
-                    return value
-        return self.sum(w, cancel) if self._reaches(m) else None
-
-    def _reaches(self, m):
-        """Whether the series is summed at |w| = m: inside _SERIES_RADIUS, or
-        where it stops within the term cap."""
-        if m <= _SERIES_RADIUS:
-            return True
-        if self._reach is None:
-            # a polynomial ends within its degree; no c here is a pole
-            self._reach = 1.0 if self._n_term is not None else _series_reach(*self._params[:3])
-        return m < self._reach
+    def _ranked(self, w, one_minus):
+        """The admissible candidates at w as (rank, key), by rank; a
+        polynomial is the series alone.  A series at modulus m stops after
+        about log(eps)/log(m) terms, so the cost is the number of series
+        over -log of the modulus, ranked as modulus**(2/count) with no log:
+        the Pfaff image before the series where |1-w| > 1, the 1-w image
+        where |1-w| < |w|**2."""
+        m, mc = abs(w), abs(one_minus)
+        if self._n_term is not None or m <= _IMAGE_FLOOR["pfaff"]:
+            return _SERIES_ALONE
+        ranked = []
+        if m < 1.0:
+            if self._reach is None:
+                self._reach = _series_reach(*self._params[:3])  # no c here is a pole
+            if m < self._reach:
+                ranked.append((m * m, "series"))
+        if m <= _IMAGE_RADIUS * mc:
+            ranked.append(((m / mc) ** 2, "pfaff"))
+        if m > _IMAGE_FLOOR["one_minus"]:
+            if mc <= _IMAGE_RADIUS:
+                ranked.append((mc, "one_minus"))
+            if mc <= _IMAGE_RADIUS * m:
+                ranked.append((mc / m, "one_minus_recip"))
+        if m * _IMAGE_RADIUS >= 1.0:
+            ranked.append((1.0 / m, "recip"))
+        if mc * _IMAGE_RADIUS >= 1.0:
+            ranked.append((1.0 / mc, "recip_one_minus"))
+        ranked.sort()
+        return ranked
 
     def _quadratic_image(self, w, one_minus):
-        """((1+s)/2)**(-2a) 2F1(2a, 2a-c+1; c; u), u = w/(1+s)**2 and
-        s = sqrt(1-w), where b = a + 1/2 exactly (DLMF 15.8(iii)); the
-        series at u, its Pfaff image or its 1-u image (``_summed``), or None.
-        Off the cut of w Re s > 0, so |u| < |w|, and 1 - u = 2s/(1+s); on it
-        |u| = 1."""
+        """The quadratic image where b = a + 1/2 exactly: the first clean
+        candidate at u that does not cancel, or None.  Off the cut of w
+        Re s > 0, so |u| < |w|, and 1 - u = 2s/(1+s).  Only where the series
+        at u is admissible: just off the cut (-1, 1) of Legendre's Q, where
+        |u| ~ 1, the 1-u image was up to 500 times less accurate than the
+        continuation at w."""
         quad = self._quadratic
         if quad is None:
             a, b, c = self._params[:3]
@@ -458,37 +449,47 @@ class _Gauss(_Series):
             quad = self._quadratic = _canonical(2.0 * a, 2.0 * a - c + 1.0, c)
         s = cmath.sqrt(one_minus)
         t = 1.0 + s
-        value = quad._summed(w / (t * t), 2.0 * s / t, _IMAGE_CANCELLATION)
-        if value is None:
+        u, uc = w / (t * t), 2.0 * s / t
+        ranked = quad._ranked(u, uc)
+        for _, key in ranked:
+            if key == "series":
+                break
+        else:
             return None
-        return cpow(0.5 * t, -2.0 * self._params[0]) * value
-
-    def _pfaff_evaluator(self):
-        if self._pfaff is None:
-            a, b, c = self._params[:3]
-            self._pfaff = _Gauss(a, c - b, c)
-        return self._pfaff
+        for _, key in ranked:
+            if quad._degenerate(key):
+                continue
+            try:
+                value, size = quad._candidate(key, u, uc, uc)
+            except ConvergenceError:
+                continue
+            if size <= _IMAGE_CANCELLATION * abs(value):
+                return cpow(0.5 * t, -2.0 * self._params[0]) * value
+        return None
 
     def _image(self, key):
-        if self._images is None:
-            self._images = {}
+        """(coefficient, series, coefficient, series) of a two-series image."""
         img = self._images.get(key)
         if img is None:
             a, b, c = self._params[:3]
+            # once: a+b-c rounds differently from -d, which the average at
+            # integer d would amplify by 1/eps
             d = c - a - b
             if key in ("one_minus", "one_minus_recip"):
-                g1 = gamma_ratio([c, d], [c - a, c - b])
-                g2 = gamma_ratio([c, -d], [a, b])
+                g1, g2 = gamma_ratio([c, d], [c - a, c - b]), gamma_ratio([c, -d], [a, b])
             else:
-                g1 = gamma_ratio([c, b - a], [b, c - a])
-                g2 = gamma_ratio([c, a - b], [a, c - b])
-            s1, s2 = _IMAGE_SERIES[key](a, b, c, d)
-            img = self._images[key] = (g1, _Series(s1[:2], s1[2:]), g2, _Series(s2[:2], s2[2:]))
+                g1, g2 = gamma_ratio([c, b - a], [b, c - a]), gamma_ratio([c, a - b], [a, c - b])
+            (a1, b1, c1), (a2, b2, c2) = {
+                "one_minus": ((a, b, 1.0 - d), (c - a, c - b, 1.0 + d)),
+                "recip": ((a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)),
+                "recip_one_minus": ((a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)),
+                "one_minus_recip": ((a, a - c + 1.0, 1.0 - d), (c - a, 1.0 - a, 1.0 + d)),
+            }[key]
+            img = self._images[key] = (g1, _Series((a1, b1), (c1,)), g2, _Series((a2, b2), (c2,)))
         return img
 
     def _nudge(self, axis):
-        if self._nudged is None:
-            self._nudged = {}
+        """The evaluators at c (axis "c") or a ("a") +/- i*eps."""
         pair = self._nudged.get(axis)
         if pair is None:
             a, b, c = self._params[:3]
@@ -498,56 +499,29 @@ class _Gauss(_Series):
             )
         return pair
 
-    def _degenerate(self):
-        """(integer c-a-b, integer a-b): the flags of degenerate images."""
+    def _degenerate(self, key):
+        """Whether the candidate ``key`` is a degenerate image."""
+        if key in ("series", "pfaff"):
+            return False
         if self._cab_int is None:
             a, b, c = self._params[:3]
             self._cab_int = integer_within(c - a - b, _POLE_TOL) is not None
             self._ab_int = integer_within(a - b, _POLE_TOL) is not None
-        return self._cab_int, self._ab_int
+        return self._cab_int if key in ("one_minus", "one_minus_recip") else self._ab_int
 
-    def _continue(self, w, one_minus, wc):
-        a, b, c = self._params[:3]
-        if one_minus == 0:
-            # Gauss's sum, where the series converges
-            if (c - a - b).real <= 0.0:
-                raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
-            return gamma_ratio([c, c - a - b], [c - a, c - b])
-        cab_int, ab_int = self._degenerate()
-        # clean images first, then by cost: a series at modulus m stops after
-        # about log(eps)/log(m) terms, so an image costs its count over -log(m)
-        ranked = sorted(
-            ((degenerate, count / -math.log(mod) if mod else 0.0), key)
-            for mod, key, degenerate, count in (
-                (abs(w / one_minus), "pfaff", False, 1),
-                (abs(one_minus), "one_minus", cab_int, 2),
-                (abs(1.0 / w), "recip", ab_int, 2),
-                (abs(1.0 - 1.0 / w), "one_minus_recip", cab_int, 2),
-                (abs(1.0 / one_minus), "recip_one_minus", ab_int, 2),
-            )
-            if mod <= _IMAGE_RADIUS
-        )
-        if not ranked:
-            return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
-        (degenerate, cost), key = ranked[0]
-        # past 1/eps = 1e6, a limit measured on Q on the cut, a cheaper degenerate image serves
-        if not degenerate:
-            cheaper = next((k for (d, m), k in ranked if d and m < cost), None)
-            value = self._clean(key, w, one_minus, wc, 1.0 / _EPS_NUDGE if cheaper else None)
-            if value is not None:
-                return value
-            key = cheaper
-        # the +/- i*eps average: integer c-a-b shifts c off the lattice, integer a-b shifts a
-        plus, minus = self._nudge("c" if key in ("one_minus", "one_minus_recip") else "a")
-        return 0.5 * (plus(w, wc) + minus(w, wc))
-
-    def _clean(self, key, w, one_minus, wc, cancel):
-        """The clean image ``key`` at w; None where its sums or two terms cancel past ``cancel``."""
+    def _candidate(self, key, w, one_minus, wc):
+        """(value, sum|term|) of the candidate ``key`` at w, each series'
+        terms times their factor."""
+        if key == "series":
+            return self.sum(w, True)
         a, b, c = self._params[:3]
         if key == "pfaff":
+            if self._pfaff is None:
+                self._pfaff = _Gauss(a, c - b, c)
             # summed directly: ranking the images of w/(w-1) again could map back to w
-            value = self._pfaff_evaluator().sum(w / (w - 1.0), cancel)
-            return None if value is None else cpow(one_minus, -a) * value
+            value, size = self._pfaff.sum(w / (w - 1.0), True)
+            f = cpow(one_minus, -a)
+            return f * value, abs(f) * size
         g1, s1, g2, s2 = self._image(key)
         if key == "one_minus":
             u, f1, f2 = one_minus, g1, g2 * cpow(one_minus, c - a - b)
@@ -558,11 +532,8 @@ class _Gauss(_Series):
         else:  # "one_minus_recip"
             u = 1.0 - 1.0 / w if wc is None else -wc / w
             f1, f2 = g1 * cpow(w, -a), g2 * cpow(w, a - c) * cpow(one_minus, c - a - b)
-        v1, v2 = s1.sum(u, cancel), s2.sum(u, cancel)
-        if v1 is None or v2 is None:
-            return None
-        t1, t2 = f1 * v1, f2 * v2
-        return t1 + t2 if cancel is None or abs(t1) + abs(t2) <= cancel * abs(t1 + t2) else None
+        (v1, n1), (v2, n2) = s1.sum(u, True), s2.sum(u, True)
+        return f1 * v1 + f2 * v2, abs(f1) * n1 + abs(f2) * n2
 
 
 def _canonical(a, b, c):
@@ -577,7 +548,8 @@ def hyp2f1_evaluator(a, b, c):
     """w -> 2F1(a, b; c; w) for fixed parameters, continued off |w| < 1.
 
     The parameter-only work is done once, so reusing the evaluator over many
-    w costs only the w-dependent part; values equal ``hyp2f1``'s exactly.
+    w costs only the w-dependent part; values equal ``hyp2f1``'s exactly, but
+    at a real w > 1, which it does not refuse, the side taken is undefined.
     """
     check_finite(a, b, c)
     return _canonical(a, b, c)
@@ -586,11 +558,15 @@ def hyp2f1_evaluator(a, b, c):
 def hyp2f1(a, b, c, w) -> complex:
     """Gauss hypergeometric function 2F1(a, b; c; w), continued off |w| < 1.
 
-    Symmetric in (a, b); the argument must lie off the cut [1, inf) unless it
-    carries an explicit imaginary part supplied by the caller.
+    Symmetric in (a, b).  On the cut (1, inf) the side is the caller's, by
+    the sign of an imaginary part; at a real w > 1 it raises DomainError
+    unless a numerator ends the series.
     """
     check_finite(a, b, c, w)
-    return finite_result(_canonical(a, b, c)(w), "2F1")
+    f, w = _canonical(a, b, c), complex(w)
+    if w.imag == 0.0 and w.real > 1.0 and f._n_term is None:
+        raise DomainError(f"2F1 is continued off the cut (1, inf): give w = {w.real} a side")
+    return finite_result(f(w), "2F1")
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:

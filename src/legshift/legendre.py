@@ -16,11 +16,11 @@ Every representation is a short sum of terms
 
     K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w(z))
 
-(or (1-x)**p (1+x)**q for Ferrers) with w either (1-z)/2 ("half", r = 0),
-1/z**2 ("inv") or x**2 ("sq", r = 0 or 1), which makes first and second
-derivatives a product-rule exercise.  P is one term in w = (1-z)/2.  Q is
-one term in w = 1/z**2 on the whole cut plane, with no subtraction (DLMF
-14.3.7):
+(or (1-x)**p (1+x)**q for Ferrers and Jacobi) with w either (1-z)/2
+("half", r = 0), 1/z**2 ("inv") or x**2 ("sq", r = 0 or 1), which makes
+first and second derivatives a product-rule exercise.  P is one term in
+w = (1-z)/2, and so is Jacobi's P (DLMF 18.5.7).  Q is one term in
+w = 1/z**2 on the whole cut plane, with no subtraction (DLMF 14.3.7):
 
     Q_nu^mu(z) = exp(i pi mu) Gamma(nu+mu+1) * sqrt(pi) / 2**(nu+1)
                  * (z**2-1)**(mu/2) * z**(-nu-mu-1)
@@ -43,17 +43,22 @@ Both Ferrers kinds have the same two series in w = x**2 (DLMF 14.3.11-12,
 Euler-transformed to Q's a, b, c): (1-x**2)**(mu/2) times
 K0 2F1(b, b-c+1; 1/2; x**2) + K1 x 2F1(a, a-c+1; 3/2; x**2), whose c is never
 degenerate; ``_ferrers_terms`` gives K0 and K1.  Ferrers P is also P's one
-term in w = (1-x)/2, with the factors (1-x)**p (1+x)**q (DLMF 14.3.1), and
-takes it where it sums fewer terms than the pair and its terms grow no more
-(``_FerrersP``): past x = 1/3, at large nu past x = 0.75.  P's c = 1-mu,
-Q's nu+3/2 and Jacobi's alpha+1 at 1-n, n = 1, 2, ..., take the regularized
-limit (DLMF 15.2.3_5) 2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n *
-2F1(a+n, b+n; n+1; w), still one term.  Past x**2 = 0.8 the 1-w image
-continues the x**2 series, for Ferrers Q and for Ferrers P at x < 0; at
-integer mu it is degenerate (c-a-b = -mu) and no clean image is admissible,
-so ``hyper._Gauss._nudge`` averages mu +/- i*eps (ROADMAP item 5).  The two
-series cancel like (|x|+sqrt(1+x**2))**|nu+1/2|; past |nu+1/2| = 27.8 a
-Ferrers call raises NumericalError at |x| >= sinh(24.5/|nu+1/2|).
+term in w = (1-x)/2, with the factors (1-x)**p (1+x)**q (DLMF 14.3.1).
+``_FerrersP`` ranks the two lists by the cost of ``hyper``'s chooser, the
+number of series over -log of their modulus, and takes the first unless
+its terms grow more than the other's and 100: the one term serves past
+x = 1/3, at large nu past x = 0.75.  P's c = 1-mu, Q's nu+3/2 and Jacobi's
+alpha+1 at 1-n, n = 1, 2, ..., take the regularized limit (DLMF 15.2.3_5)
+2F1/Gamma(c) -> (a)_n (b)_n / n! * w**n * 2F1(a+n, b+n; n+1; w), still one
+term.  Past x**2 = 0.8 the x**2 series is summed while it stops within its
+term cap and does not cancel, else continued by its 1-w image, for Ferrers
+Q and for Ferrers P at x < 0; at integer mu that image is degenerate
+(c-a-b = -mu), so ``hyper._Gauss._nudge`` averages mu +/- i*eps (ROADMAP
+item 5).  The two series cancel like (|x|+sqrt(1+x**2))**|nu+1/2|; past
+|nu+1/2| = 27.8 a Ferrers call raises NumericalError at
+|x| >= sinh(24.5/|nu+1/2|).  Jacobi's P at a degree n = 0, 1, ... is its
+polynomial by the degree recurrence (``_JacobiRecurrence``), unless
+alpha+beta is an integer <= -2.
 
 ``legendre_evaluator(kind, nu, mu)`` and ``jacobi_evaluator(nu, alpha, beta)``
 do the parameter-only work once per evaluator: the term coefficients and
@@ -62,8 +67,9 @@ public one-shot functions build one evaluator and call it once.
 
 ``weighted_evaluator(kind, nu, mu, s)`` is the same term list times
 (z**2-1)**s, or (1-x**2)**s for Ferrers: s joins the exponents p and q of
-every term.  The functions of y/sqrt(y**2-1) are term lists too, the
-Whipple images (DLMF 14.9(iv)) at degree -mu-1/2 and order -nu-1/2:
+every term, as (1-z)**alpha (1+z)**beta does for a weighted Jacobi list.
+The functions of y/sqrt(y**2-1) are term lists too, the Whipple images
+(DLMF 14.9(iv)) at degree -mu-1/2 and order -nu-1/2:
 
     P_nu^mu(y/sqrt(y**2-1)) = sqrt(2/pi) (y**2-1)**(1/4) OlverQ_{-mu-1/2}^{-nu-1/2}(y),
     Q_nu^mu(y/sqrt(y**2-1)) = exp(i pi mu) sqrt(pi/2) Gamma(nu+mu+1)
@@ -276,6 +282,56 @@ def _ferrers_terms(kind, nu, mu):
     ]
 
 
+class _JacobiRecurrence:
+    """The Jacobi polynomial of degree n by its recurrence in the degree
+    (DLMF 18.9.1-2) times (1-z)**sp (1+z)**sq, called as ``_TermSum``."""
+
+    __slots__ = ("_n", "_alpha", "_beta", "_weight", "_name")
+
+    def __init__(self, n, alpha, beta, weight, name):
+        self._n, self._alpha, self._beta, self._weight, self._name = n, alpha, beta, weight, name
+
+    def __call__(self, z, zc=None, order=0):
+        n, alpha, beta = self._n, self._alpha, self._beta
+        s = alpha + beta
+        p0, p1 = 1.0 + 0.0j, ((s + 2.0) * z + alpha - beta) / 2.0
+        for k in range(1, n):
+            # P_(k+1) = (a z + b) P_k - c P_(k-1)
+            d = 2.0 * (k + 1.0) * (k + s + 1.0) * (2.0 * k + s)
+            e = (2.0 * k + s + 1.0) / d
+            a = e * (2.0 * k + s + 2.0) * (2.0 * k + s)
+            b = e * (alpha - beta) * s
+            c = 2.0 * (k + alpha) * (k + beta) * (2.0 * k + s + 2.0) / d
+            p0, p1 = p1, (a * z + b) * p1 - c * p0
+        sp, sq = self._weight
+        factor = cpow(1.0 - z if zc is None else zc, sp) * cpow(1.0 + z, sq)
+        return finite_result(factor * (p1 if n else p0), self._name)
+
+
+def _jacobi(nu, alpha, beta, s, name):
+    """(term list, whether a polynomial) of Jacobi's P times the weight s.
+    At a degree n = 0, 1, ... the series in (1-z)/2 cancels away from z = 1
+    (at degree 30 and z = 0 its terms reach 2.5e15), so ``_JacobiRecurrence``
+    serves unless a coefficient of it vanishes, at alpha+beta in {-2, -3,
+    ...}; NumericalError past ``hyper._MAX_POLYNOMIAL_DEGREE``."""
+    n = integer_within(nu, _POLE_TOL) if nu.real >= -_POLE_TOL else None
+    ab = alpha + beta
+    if n is not None and not (ab.real < -1.5 and integer_within(ab, _POLE_TOL) is not None):
+        if n > _MAX_POLYNOMIAL_DEGREE:
+            raise NumericalError(f"Jacobi polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
+        return _JacobiRecurrence(n, alpha, beta, s if isinstance(s, tuple) else (s, s), name), True
+    # the one term; the limit as for P where the sum reaches c = alpha+1 = 1-n
+    # first, else Gamma(c)'s pole, if any, pairs Gamma(nu+alpha+1)'s
+    a, b, c = -nu, nu + alpha + beta + 1.0, alpha + 1.0
+    K = gamma_ratio([nu + alpha + 1.0], [nu + 1.0, c])
+    terms = _term_sum([_Term(K, 0.0, 0.0, a, b, c, "half")], s, name, True)
+    if terms._hyp[0][0]._pole is not None:
+        n, C, a, b, c = _c_limit(a, b, c)
+        K = C * 0.5**n * gamma_ratio([nu + alpha + 1.0], [nu + 1.0])
+        terms = _term_sum([_Term(K, float(n), 0.0, a, b, c, "half")], s, name, True)
+    return terms, terms._hyp[0][0]._n_term is not None
+
+
 # --- argument preparation ----------------------------------------------------
 
 
@@ -300,7 +356,9 @@ _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
 # every kind -> the name its errors carry: the public kinds, Olver's Q and
 # the Whipple images of P and Q, functions of y for y/sqrt(y**2-1)
 _NAMES = dict(zip(_KINDS, ("legendre_p", "legendre_q", "ferrers_p", "ferrers_q")))
-_NAMES.update(olver_q="legendre_q", whipple_p="whipple_p_to_q", whipple_q="whipple_q_to_p")
+_NAMES.update(
+    olver_q="legendre_q", whipple_p="whipple_p_to_q", whipple_q="whipple_q_to_p", jacobi="jacobi_p"
+)
 
 
 def _public_kind(kind):
@@ -330,50 +388,43 @@ def _terms(kind, nu, mu):
 
 def _term_sum(terms, s, name, ferrers=False):
     """_TermSum of ``terms`` times the weight of exponent s, which joins the
-    exponents p and q of every term."""
-    if s != 0:
-        terms = [t._replace(p=t.p + s, q=t.q + s) for t in terms]
+    exponents p and q of every term; a pair (sp, sq) weights them apart."""
+    sp, sq = s if isinstance(s, tuple) else (s, s)
+    if sp != 0 or sq != 0:
+        terms = [t._replace(p=t.p + sp, q=t.q + sq) for t in terms]
     return _TermSum(terms, name, ferrers)
 
 
 class _FerrersP:
-    """Ferrers P times (1-x**2)**s from whichever of its two term lists sums
-    fewer series terms at x, each list built on first use; called as
-    ``_TermSum``.
-
-    The x**2 pair of ``_ferrers_terms`` sums two series at |x|**2, the one
-    term of ``_p_terms`` (DLMF 14.3.1) one at |w|, w = (1-x)/2.  A series at
-    modulus m stops after about log(eps)/log(m) terms, so the one term costs
-    less where |w| < |x|, past x = 1/3 on (-1, 1).  Its terms grow like
-    exp(|nu+1/2| acosh(1+2|w|)), the pair's like exp(|nu+1/2| asinh|x|)
-    (``_FERRERS_REACH``); it is taken only where it grows no more than the
-    pair or than 100, so past x = 0.75 at large nu.  The moduli rank a
-    complex x, as on a quadrature loop, the same way.  For 0 <= x < 1,
-    w <= 1/2: the term needs no image, and at integer mu no +/- i*eps
+    """Ferrers P times (1-x**2)**s from the first ranked of its two term
+    lists at x (module docstring), each built on first use; called as
+    ``_TermSum``.  Their growth is exp(|nu+1/2| g), g = asinh|x| for the x**2
+    pair (``_FERRERS_REACH``) and acosh(1+2|w|) for the one term, w = (1-x)/2.
+    For 0 <= x < 1, w <= 1/2: the term needs no image, and at integer mu no
     average."""
 
-    __slots__ = ("_args", "_slack", "_pair", "_half")
+    __slots__ = ("_args", "_slack", "_lists")
 
     def __init__(self, nu, mu, s, name):
         self._args = nu, mu, s, name
-        # the growth exp(|nu+1/2| g) the one term may have whatever the pair's: 100
+        # the growth exp(|nu+1/2| g) a list may have whatever the other's: 100
         h = abs(nu + 0.5)
         self._slack = math.log(100.0) / h if h else math.inf
-        self._pair = self._half = None
+        self._lists = [None, None]
 
     def __call__(self, x, xc=None, order=0):
         m, r = 0.5 * abs(1.0 - x if xc is None else xc), abs(x)
-        if m < r:
-            g = math.acosh(1.0 + 2.0 * m)
-            if g <= self._slack or g <= math.asinh(r):
-                if self._half is None:
-                    nu, mu, s, name = self._args
-                    self._half = _term_sum(_p_terms(nu, mu, ferrers=True), s, name, True)
-                return self._half(x, xc, order)
-        if self._pair is None:
+        # the one term (0) ranks first where its modulus**(2/count), m**2,
+        # is below the pair's (1), (r**2)**(2/2)
+        g = math.acosh(1.0 + 2.0 * m), math.asinh(r)
+        i = 0 if m < r else 1
+        if g[i] > max(g[1 - i], self._slack):
+            i = 1 - i
+        if self._lists[i] is None:
             nu, mu, s, name = self._args
-            self._pair = _term_sum(_ferrers_terms("ferrers_p", nu, mu), s, name, True)
-        return self._pair(x, xc, order)
+            terms = _ferrers_terms("ferrers_p", nu, mu) if i else _p_terms(nu, mu, ferrers=True)
+            self._lists[i] = _term_sum(terms, s, name, True)
+        return self._lists[i](x, xc, order)
 
 
 def _whipple_y(y) -> complex:
@@ -387,21 +438,27 @@ def _whipple_y(y) -> complex:
 
 class _Legendre:
     """One kind (``_NAMES``) at fixed (nu, mu), times the weight of exponent
-    s: (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds.  Called at z it
-    checks z as the public functions do: the cut and its branch points, the
-    Ferrers range and reach, or the Whipple images' domain.  ``terms``, the
-    term list called as (v, vc=None, order=0), checks nothing."""
+    s: (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds; Jacobi's mu is
+    (alpha, beta), and its s a pair (sp, sq) for (1-z)**sp (1+z)**sq.
+    Called at z it checks z as the public functions do; ``terms``, the term
+    list called as (v, vc=None, order=0), checks nothing."""
 
-    __slots__ = ("_domain", "terms", "_x_max")
+    __slots__ = ("_domain", "terms", "_limit")
 
     def __init__(self, kind, nu, mu, s=0.0):
-        check_finite(nu, mu, s)
+        # Jacobi's mu is a pair, and so may s be
+        check_finite(nu, *(mu if kind == "jacobi" else [mu]), *(s if isinstance(s, tuple) else [s]))
         name = _NAMES[kind] if s == 0 else "weighted " + _NAMES[kind]
-        self._domain = kind.split("_")[0]  # "ferrers", "whipple", or the cut plane's
+        self._domain = kind.split("_")[0]  # "ferrers", "whipple", "jacobi", or the cut plane's
         if self._domain == "whipple":
             s = s + 0.25
         # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
-        self._x_max = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
+        self._limit = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
+        if kind == "jacobi":
+            self.terms, polynomial = _jacobi(complex(nu), *map(complex, mu), s, name)
+            # the real z below which the cut lies: none for a polynomial
+            self._limit = -math.inf if polynomial else -1.0
+            return
         nu, mu = complex(nu), complex(mu)
         if kind == "ferrers_p":
             self.terms = _FerrersP(nu, mu, s, name)
@@ -418,10 +475,14 @@ class _Legendre:
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         if self._domain == "ferrers":
             z = _ferrers_x(z)
-            if abs(z) >= self._x_max:
-                raise NumericalError(f"Ferrers series lose digits at |x| >= {self._x_max:.3g}")
+            if abs(z) >= self._limit:
+                raise NumericalError(f"Ferrers series lose digits at |x| >= {self._limit:.3g}")
         elif self._domain == "whipple":
             z = _whipple_y(z)
+        elif self._domain == "jacobi":
+            z = complex(z)
+            if z.imag == 0.0 and z.real < self._limit:
+                raise DomainError(f"z = {z.real} lies on the cut (-inf, -1); give it a side")
         else:
             z = _prepare_z(z, boundary_side)
         return self.terms(z, None, order)
@@ -470,49 +531,10 @@ def whipple_evaluator(kind, nu, mu, s):
 
 
 def jacobi_evaluator(nu, alpha, beta):
-    """z -> jacobi_p(nu, alpha, beta, z) with the parameter-only work done once.
-
-    At a degree n = 0, 1, ... the series in (1-z)/2 cancels away from z = 1
-    (at degree 30 and z = 0 its terms reach 2.5e15), so the polynomial comes
-    from its three-term recurrence in the degree (DLMF 18.9.1-2) wherever no
-    coefficient of it vanishes, that is unless alpha+beta is an integer <= -2.
-    Past the degree where the polynomial's rounding bound fails whatever its
-    terms (``hyper._MAX_POLYNOMIAL_DEGREE``) it raises NumericalError.  The
-    series takes its limit where it reaches alpha+1 = 1-n first, as P's does.
-    """
-    check_finite(nu, alpha, beta)
-    nu, alpha, beta = complex(nu), complex(alpha), complex(beta)
-    s = alpha + beta
-    n = integer_within(nu, _POLE_TOL) if nu.real >= -_POLE_TOL else None
-    if n is not None and not (s.real < -1.5 and integer_within(s, _POLE_TOL) is not None):
-        if n > _MAX_POLYNOMIAL_DEGREE:
-            raise NumericalError(f"Jacobi polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
-
-        def recurrence(z):
-            z = complex(z)
-            p0, p1 = 1.0 + 0.0j, ((s + 2.0) * z + alpha - beta) / 2.0
-            for k in range(1, n):
-                # P_(k+1) = (a z + b) P_k - c P_(k-1)
-                d = 2.0 * (k + 1.0) * (k + s + 1.0) * (2.0 * k + s)
-                e = (2.0 * k + s + 1.0) / d
-                a = e * (2.0 * k + s + 2.0) * (2.0 * k + s)
-                b = e * (alpha - beta) * s
-                c = 2.0 * (k + alpha) * (k + beta) * (2.0 * k + s + 2.0) / d
-                p0, p1 = p1, (a * z + b) * p1 - c * p0
-            return p1 if n else p0
-
-        return recurrence
-    n, K = 0, gamma_ratio([nu + alpha + 1.0], [nu + 1.0, alpha + 1.0])
-    F = _prepared_2f1(-nu, nu + alpha + beta + 1.0, alpha + 1.0)
-    if F._pole is not None:  # else Gamma(alpha+1)'s pole, if any, pairs Gamma(nu+alpha+1)'s
-        n, C, a, b, c = _c_limit(-nu, nu + alpha + beta + 1.0, alpha + 1.0)
-        K, F = C * gamma_ratio([nu + alpha + 1.0], [nu + 1.0]), _prepared_2f1(a, b, c)
-
-    def jacobi(z):
-        w = (1.0 - complex(z)) / 2.0
-        return K * cpow(w, n) * F(w)
-
-    return jacobi
+    """z -> jacobi_p(nu, alpha, beta, z) with the parameter-only work done
+    once: the ``_Legendre`` kind "jacobi", Jacobi's one term in (1-z)/2 or
+    at integer degree its degree recurrence (``_jacobi``)."""
+    return _Legendre("jacobi", nu, (alpha, beta))
 
 
 # --- public functions ----------------------------------------------------------
@@ -585,10 +607,12 @@ def jacobi_p(nu, alpha, beta, z) -> complex:
         Gamma(nu+alpha+1)/(Gamma(nu+1) Gamma(alpha+1))
             * 2F1(-nu, nu+alpha+beta+1; alpha+1; (1-z)/2),
 
-    reducing to the Jacobi polynomial at nonnegative integer nu.
+    reducing to the Jacobi polynomial at nonnegative integer nu.  On the cut
+    (-inf, -1) the side is the caller's, by the sign of an imaginary part;
+    at a real z < -1 it raises DomainError unless the series terminates.
     """
     check_finite(z)
-    return finite_result(jacobi_evaluator(nu, alpha, beta)(z), "jacobi_p")
+    return jacobi_evaluator(nu, alpha, beta)(z)
 
 
 def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:

@@ -15,8 +15,9 @@ entry call it: the closed forms at z, checked as the public functions check
 it, and ``verify``'s integrands (``_integrand``) with no check.  The degree
 closed forms take the Whipple image's domain, Re y > 0 off (0, 1].  The
 Ferrers relations are the order conventions on Ferrers P, with (1-x**2) in
-place of (z**2-1).  The Rodrigues pair and its two integrands share the
-builders ``_jacobi_weighted`` and ``_rodrigues_primitive``.
+place of (z**2-1), and the Rodrigues convention weights Jacobi's P by
+(1-z)**alpha (1+z)**beta.  The Rodrigues pair and its two integrands share
+``_weighted`` and ``_rodrigues_primitive``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .complexfn import (
     check_finite,
     cos_pi,
     cpow,
-    finite_result,
     gamma_ratio,
     integer_within,
     real_argument,
@@ -39,7 +39,7 @@ from .complexfn import (
 )
 from .errors import DomainError, PoleError
 from .hyper import hyp3f2_regularized, hyp3f2_series
-from .legendre import _Legendre, _whipple_y, jacobi_evaluator
+from .legendre import _Legendre, _whipple_y
 
 __all__ = [
     "Prediction",
@@ -85,20 +85,24 @@ def hyp3f2_family(nu, mu, lam, z) -> complex:
 
 # weight convention -> (s(nu, mu), degree): the weighted function is
 # (z**2-1)**s F_nu^mu(z), or (1-x**2)**s F_nu^mu(x) for Ferrers F, and for the
-# degree conventions (y**2-1)**s F_nu^mu(y/sqrt(y**2-1))
+# degree conventions (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)); for Jacobi's P,
+# whose mu is (alpha, beta), the pair s = (alpha, beta) is the weight
+# (1-z)**alpha (1+z)**beta
 _WEIGHTS = {
     "mplus": (lambda nu, mu: -mu / 2.0, False),  # order raising
     "mminus": (lambda nu, mu: mu / 2.0, False),  # order lowering
     "k3": (lambda nu, mu: -(nu + 1.0) / 2.0, True),  # degree raising
     "p3": (lambda nu, mu: nu / 2.0, True),  # degree lowering
+    "rodrigues": (lambda nu, mu: mu, False),  # fractional Rodrigues
 }
 
 
 def _weighted(convention, kind, nu, mu):
     """The weighted function of ``convention`` (``_WEIGHTS``) at (nu, mu),
-    F being P ("p"), Q ("q"), Olver's Q ("olver_q", order conventions only)
-    or a Ferrers kind: one ``legendre._Legendre`` term list, the Whipple
-    image's for the degree conventions.  Called at z it raises as the public
+    F being P ("p"), Q ("q"), Olver's Q ("olver_q", order conventions only),
+    a Ferrers kind or Jacobi's P ("jacobi", Rodrigues only): one
+    ``legendre._Legendre`` term list, the Whipple image's for the degree
+    conventions.  Called at z it raises as the public
     functions do: on the cut and at its branch points, off the Ferrers range
     and reach, and off the Whipple image's domain.  Its ``terms``, called as
     (v, vc=None), checks nothing: the integrands call that."""
@@ -425,18 +429,9 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
     return Prediction(val, {"shifted_value": val}, ())
 
 
-def _jacobi_weighted(nu, alpha, beta):
-    """(v, vc=None) -> (1-v)**alpha (1+v)**beta P_nu^(alpha,beta)(v), vc
-    being an exact 1 - v as for ``legendre.weighted_evaluator``."""
-    jacobi = jacobi_evaluator(nu, alpha, beta)
-    return lambda v, vc=None: (
-        cpow(1.0 - v if vc is None else vc, alpha) * cpow(1.0 + v, beta) * jacobi(v)
-    )
-
-
 def _rodrigues_primitive(nu, alpha, beta):
     """(v, vc=None) -> 2**(-nu)/Gamma(nu+1) (1-v)**(nu+alpha) (1+v)**(nu+beta),
-    vc as for ``_jacobi_weighted``."""
+    vc being an exact 1 - v as for ``legendre.weighted_evaluator``."""
     K, a, b = cpow(2.0, -nu) * rgamma(nu + 1.0), nu + alpha, nu + beta
     return lambda v, vc=None: K * cpow(1.0 - v if vc is None else vc, a) * cpow(1.0 + v, b)
 
@@ -448,8 +443,9 @@ def rodrigues_pair(nu, alpha, beta, z):
         primitive = 2**(-nu)/Gamma(nu+1) * (1-z)**(nu+alpha) (1+z)**(nu+beta)
 
     (``weighted`` equals the nu-fold fractional derivative of ``primitive``.)
+    The weighted form raises as ``jacobi_p`` does on its cut.
     """
     check_finite(z)
     nu, alpha, beta, z = complex(nu), complex(alpha), complex(beta), complex(z)
-    weighted = finite_result(_jacobi_weighted(nu, alpha, beta)(z), "rodrigues_pair")
+    weighted = _weighted("rodrigues", "jacobi", nu, (alpha, beta))(z)
     return weighted, _rodrigues_primitive(nu, alpha, beta)(z)

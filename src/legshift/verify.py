@@ -20,7 +20,7 @@ Each integrand comes from the ``shifts`` builder its closed form calls.
 The Legendre and Ferrers integrands (``shifts._integrand``) are the
 unchecked term lists of ``shifts._weighted``, analytic through the branch
 point of the raw weighted product, so every quadrature node is finite.  The
-Rodrigues integrands are ``shifts._jacobi_weighted`` and
+Rodrigues integrands are the unchecked Rodrigues ``shifts._weighted`` and
 ``_rodrigues_primitive``, the two halves of ``rodrigues_pair``.  ``shifts``
 also owns each entry's validity: the closed form's conditions include those
 under which the integral converges.
@@ -63,9 +63,9 @@ from .shifts import (
     _closed_form,
     _cond,
     _integrand,
-    _jacobi_weighted,
     _predict,
     _rodrigues_primitive,
+    _weighted,
     predict_order_shift,
     rodrigues_pair,
 )
@@ -824,7 +824,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": 0.3, "lam": -0.2, "z": -0.25},
             ),
             lhs=_riemann_loop(
-                lambda p: _jacobi_weighted(p.nu, p.mu, p.lam),
+                lambda p: _weighted("rodrigues", "jacobi", p.nu, (p.mu, p.lam)).terms,
                 order=lambda p: -p.nu,
                 scale=lambda p: cpow(1.0 - p.z, p.nu),
                 basepoint=lambda p: p.mu.real,

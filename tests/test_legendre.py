@@ -321,6 +321,23 @@ def test_jacobi_at_integer_degree_where_a_numerator_ends_the_series_first(z):
     assert jacobi_p(1, -2, 0, z) == -1.0
 
 
+def test_jacobi_refuses_its_cut_unless_the_caller_gives_a_side():
+    # jacobi_p(0.5, 0.3, 0.2, -9.0) was the conjugate of mpmath.jacobi, while
+    # at -2.0 it matched: the side hung on the image that ran
+    for z in (-9.0, -2.0, -1.5):
+        with pytest.raises(DomainError):
+            jacobi_p(0.5, 0.3, 0.2, z)
+        for side in (1.0, -1.0):
+            with mpmath.workdps(30):
+                ref = complex(mpmath.jacobi(0.5, 0.3, 0.2, mpmath.mpc(z, side * 1e-60)))
+            assert abs(jacobi_p(0.5, 0.3, 0.2, complex(z, side * 1e-300)) - ref) <= 1e-13 * abs(ref)
+    # a polynomial has no cut: by the degree recurrence, and by a series that
+    # a numerator ends (alpha + beta = -2)
+    for n, alpha, beta in ((3, 0.3, 0.2), (1, -2.0, 0.0)):
+        ref = complex(mpmath.jacobi(n, alpha, beta, -9.0))
+        assert abs(jacobi_p(n, alpha, beta, -9.0) - ref) <= 1e-13 * abs(ref)
+
+
 def test_jacobi_matches_scipy_at_integer_degree():
     for n in (1, 2, 3):
         for alpha, beta, z in ((0.3, -0.2, 0.7), (1.1, 0.4, -0.25)):

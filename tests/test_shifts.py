@@ -17,6 +17,7 @@ from legshift.shifts import (
     predict_degree_shift,
     predict_ferrers_shift,
     predict_order_shift,
+    _weighted,
     rodrigues_pair,
 )
 from legshift.verify import get_identity
@@ -260,6 +261,43 @@ def test_rodrigues_pair_derivative_link():
         - rodrigues_pair(1, alpha, beta, z - h)[1]
     ) / (2.0 * h)
     assert abs(fd - w) <= 1e-7 * abs(w)
+
+
+def _weighted_jacobi_points():
+    """60 seeded (nu, alpha, beta, v, vc): a third at an integer degree (the
+    degree recurrence), a third at alpha + 1 in {0, -1} (the limit of
+    ``hyper._c_limit``), and half next to v = 1 with an exact vc = 1 - v."""
+    rng = random.Random(26)
+    points = []
+    for i in range(60):
+        nu, alpha, beta = rng.uniform(-0.9, 6.0), rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 2.0)
+        if i % 3 == 0:
+            nu = float(rng.randint(0, 8))
+        elif i % 3 == 1:
+            alpha = rng.choice((-1.0, -2.0))
+        if i % 2:
+            vc = 10.0 ** rng.uniform(-10.0, -2.0)
+            points.append((nu, alpha, beta, 1.0 - vc, vc))
+        else:
+            points.append((nu, alpha, beta, rng.uniform(-0.95, 0.95), None))
+    return points
+
+
+@pytest.mark.parametrize("nu,alpha,beta,v,vc", _weighted_jacobi_points())
+def test_weighted_jacobi_is_weight_times_jacobi(nu, alpha, beta, v, vc):
+    # the Rodrigues integrand: Jacobi's term list, or its degree recurrence,
+    # with (1-v)**alpha (1+v)**beta in its exponents; at alpha + 1 = 1-n the
+    # reference is the limit, alpha taken 1e-30 off the integer
+    with mpmath.workdps(60):
+        x = 1 - mpmath.mpf(vc) if vc is not None else mpmath.mpf(v)
+        a = alpha + mpmath.mpf("1e-30") if alpha in (-1.0, -2.0) else mpmath.mpf(alpha)
+        jacobi = (
+            mpmath.gamma(nu + a + 1) / mpmath.gamma(nu + 1) * mpmath.rgamma(a + 1)
+            * mpmath.hyp2f1(-nu, nu + a + beta + 1, a + 1, (1 - x) / 2)
+        )
+        ref = complex((1 - x) ** alpha * (1 + x) ** beta * jacobi)
+    value = _weighted("rodrigues", "jacobi", nu, (alpha, beta)).terms(v, vc)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize(

@@ -68,37 +68,10 @@ def __dir__():
 
 __version__ = "0.1.0"
 
+# the names imported above from the package's modules, then the lazy ones:
+# a new name is declared once, by its import or in _LAZY
 __all__ = [
-    "ln_gamma",
-    "rgamma",
-    "gamma_ratio",
-    "sin_pi",
-    "cos_pi",
-    "hyp2f1",
-    "hyp3f2_series",
-    "hyp3f2_barnes",
-    "legendre_p",
-    "legendre_q",
-    "ferrers_p",
-    "ferrers_q",
-    "jacobi_p",
-    "legendre_deriv",
-    "whipple_p_to_q",
-    "whipple_q_to_p",
-    "integrate_segment",
-    "integrate_semi_infinite",
-    "integrate_loop",
-    "repeated_integral",
-    "QuadratureResult",
-    "Prediction",
-    "predict_order_shift",
-    "predict_degree_shift",
-    "predict_ferrers_shift",
-    "apply_integer_recurrence",
-    "rodrigues_pair",
-    "list_identities",
-    "verify_identity",
-    "verify_grid",
-    "ode_residual",
-    "VerificationReport",
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
 ]
+__all__ += list(_LAZY)

@@ -363,12 +363,16 @@ class _Gauss(_Series):
     def __call__(self, w, wc=None):
         """2F1 at w by the chooser of the module docstring; ``wc`` is 1 - w
         when the caller has it exactly, and the images in 1 - w then take it
-        in place of 1 - w formed from w."""
+        in place of 1 - w formed from w.  DomainError at a real w > 1, on
+        the cut, unless a numerator ends the series."""
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
         if self._n_term is not None or self._pole is not None or abs(w) <= _IMAGE_FLOOR["pfaff"]:
             return self.sum(w)
+        if not w.imag and w.real > 1.0:
+            # each image, the quadratic one's sqrt(1-w) too, takes a side by a signed zero
+            raise DomainError(f"w = {w.real} is on the cut (1, inf) of 2F1: give it an imaginary part")
         one_minus = 1.0 - w if wc is None else wc
         if self._quadratic is not False:
             value = self._quadratic_image(w, one_minus)
@@ -381,27 +385,36 @@ class _Gauss(_Series):
                 raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
             return gamma_ratio([c, c - a - b], [c - a, c - b])
         ranked = self._ranked(w, one_minus)
-        best, ratio, average = None, math.inf, None  # least cancelling clean, first degenerate
-        for _, key in ranked:
-            if key != "series" and self._degenerate(key):
-                average = average or key
-                continue
-            try:
-                value, size = self.sum(w, True) if key == "series" else self._candidate(key, w, one_minus, wc)
-            except ConvergenceError:  # its series does not stop within the term cap
-                continue
-            if size <= _IMAGE_CANCELLATION * abs(value):
-                return value
-            if best is None or size < ratio * abs(value):
-                best, ratio = value, (size / abs(value) if value else math.inf)
+        value, taken, average = self._first_clean(ranked, w, one_minus, wc)
+        if taken:
+            return value
         if average:
             # the image at a parameter +/- i*eps: integer c-a-b shifts c off
             # the lattice, integer a-b shifts a
             pair = self._nudge("c" if average in ("one_minus", "one_minus_recip") else "a")
             return 0.5 * sum(g._candidate(average, w, one_minus, wc)[0] for g in pair)
-        if best is not None and any(key != "series" for _, key in ranked):
-            return best
+        if value is not None and any(key != "series" for _, key in ranked):
+            return value
         return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
+
+    def _first_clean(self, ranked, w, one_minus, wc):
+        """(value, True, None) of the first clean candidate in ``ranked`` that
+        cancels by at most ``_IMAGE_CANCELLATION``, else (the clean value that
+        cancels least or None, False, the first degenerate key or None)."""
+        best, ratio, average = None, math.inf, None
+        for _, key in ranked:
+            if key != "series" and self._degenerate(key):
+                average = average or key
+                continue
+            try:
+                value, size = self._candidate(key, w, one_minus, wc)
+            except ConvergenceError:  # its series does not stop within the term cap
+                continue
+            if size <= _IMAGE_CANCELLATION * abs(value):
+                return value, True, None
+            if best is None or size < ratio * abs(value):
+                best, ratio = value, (size / abs(value) if value else math.inf)
+        return best, False, average
 
     def _ranked(self, w, one_minus):
         """The admissible candidates at w as (rank, key), by rank; a
@@ -451,21 +464,10 @@ class _Gauss(_Series):
         t = 1.0 + s
         u, uc = w / (t * t), 2.0 * s / t
         ranked = quad._ranked(u, uc)
-        for _, key in ranked:
-            if key == "series":
-                break
-        else:
+        if "series" not in [key for _, key in ranked]:
             return None
-        for _, key in ranked:
-            if quad._degenerate(key):
-                continue
-            try:
-                value, size = quad._candidate(key, u, uc, uc)
-            except ConvergenceError:
-                continue
-            if size <= _IMAGE_CANCELLATION * abs(value):
-                return cpow(0.5 * t, -2.0 * self._params[0]) * value
-        return None
+        value, taken, _ = quad._first_clean(ranked, u, uc, uc)
+        return cpow(0.5 * t, -2.0 * self._params[0]) * value if taken else None
 
     def _image(self, key):
         """(coefficient, series, coefficient, series) of a two-series image."""
@@ -548,8 +550,8 @@ def hyp2f1_evaluator(a, b, c):
     """w -> 2F1(a, b; c; w) for fixed parameters, continued off |w| < 1.
 
     The parameter-only work is done once, so reusing the evaluator over many
-    w costs only the w-dependent part; values equal ``hyp2f1``'s exactly, but
-    at a real w > 1, which it does not refuse, the side taken is undefined.
+    w costs only the w-dependent part; values equal ``hyp2f1``'s exactly, and
+    at a real w > 1, on the cut, it raises DomainError as ``hyp2f1`` does.
     """
     check_finite(a, b, c)
     return _canonical(a, b, c)
@@ -563,10 +565,7 @@ def hyp2f1(a, b, c, w) -> complex:
     unless a numerator ends the series.
     """
     check_finite(a, b, c, w)
-    f, w = _canonical(a, b, c), complex(w)
-    if w.imag == 0.0 and w.real > 1.0 and f._n_term is None:
-        raise DomainError(f"2F1 is continued off the cut (1, inf): give w = {w.real} a side")
-    return finite_result(f(w), "2F1")
+    return finite_result(_canonical(a, b, c)(w), "2F1")
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
@@ -584,8 +583,7 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
     w = complex(w)
     if series._n_term is None and series._pole is None and abs(w) >= 1.0 - 1e-3:
         raise ConvergenceError(
-            f"3F2 series diverges: |w| = {abs(w):.4f} and no terminating "
-            "numerator parameter"
+            f"3F2 series diverges: |w| = {abs(w):.4f} and no terminating numerator parameter"
         )
     return finite_result(series.sum(w), "3F2")
 

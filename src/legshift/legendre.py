@@ -284,7 +284,8 @@ def _ferrers_terms(kind, nu, mu):
 
 class _JacobiRecurrence:
     """The Jacobi polynomial of degree n by its recurrence in the degree
-    (DLMF 18.9.1-2) times (1-z)**sp (1+z)**sq, called as ``_TermSum``."""
+    (DLMF 18.9.1-2) times (1-z)**sp (1+z)**sq, called as ``_TermSum``; the
+    derivatives of the unweighted one by the same recurrence (DLMF 18.9.15)."""
 
     __slots__ = ("_n", "_alpha", "_beta", "_weight", "_name")
 
@@ -293,6 +294,14 @@ class _JacobiRecurrence:
 
     def __call__(self, z, zc=None, order=0):
         n, alpha, beta = self._n, self._alpha, self._beta
+        sp, sq = self._weight
+        if order and (sp or sq):
+            raise DomainError(f"{self._name} has no derivative of order {order} by its recurrence")
+        factor = cpow(1.0 - z if zc is None else zc, sp) * cpow(1.0 + z, sq)
+        # order k: (n+alpha+beta+1)_k / 2**k * P_(n-k)^(alpha+k, beta+k), 0 for k > n
+        for _ in range(order):
+            factor *= (n + alpha + beta + 1.0) / 2.0
+            n, alpha, beta = n - 1, alpha + 1.0, beta + 1.0
         s = alpha + beta
         p0, p1 = 1.0 + 0.0j, ((s + 2.0) * z + alpha - beta) / 2.0
         for k in range(1, n):
@@ -303,13 +312,11 @@ class _JacobiRecurrence:
             b = e * (alpha - beta) * s
             c = 2.0 * (k + alpha) * (k + beta) * (2.0 * k + s + 2.0) / d
             p0, p1 = p1, (a * z + b) * p1 - c * p0
-        sp, sq = self._weight
-        factor = cpow(1.0 - z if zc is None else zc, sp) * cpow(1.0 + z, sq)
-        return finite_result(factor * (p1 if n else p0), self._name)
+        return finite_result(factor * (p1 if n else p0) if n >= 0 else 0j, self._name)
 
 
 def _jacobi(nu, alpha, beta, s, name):
-    """(term list, whether a polynomial) of Jacobi's P times the weight s.
+    """The term list of Jacobi's P times the weight s.
     At a degree n = 0, 1, ... the series in (1-z)/2 cancels away from z = 1
     (at degree 30 and z = 0 its terms reach 2.5e15), so ``_JacobiRecurrence``
     serves unless a coefficient of it vanishes, at alpha+beta in {-2, -3,
@@ -319,7 +326,7 @@ def _jacobi(nu, alpha, beta, s, name):
     if n is not None and not (ab.real < -1.5 and integer_within(ab, _POLE_TOL) is not None):
         if n > _MAX_POLYNOMIAL_DEGREE:
             raise NumericalError(f"Jacobi polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
-        return _JacobiRecurrence(n, alpha, beta, s if isinstance(s, tuple) else (s, s), name), True
+        return _JacobiRecurrence(n, alpha, beta, s if isinstance(s, tuple) else (s, s), name)
     # the one term; the limit as for P where the sum reaches c = alpha+1 = 1-n
     # first, else Gamma(c)'s pole, if any, pairs Gamma(nu+alpha+1)'s
     a, b, c = -nu, nu + alpha + beta + 1.0, alpha + 1.0
@@ -329,7 +336,7 @@ def _jacobi(nu, alpha, beta, s, name):
         n, C, a, b, c = _c_limit(a, b, c)
         K = C * 0.5**n * gamma_ratio([nu + alpha + 1.0], [nu + 1.0])
         terms = _term_sum([_Term(K, float(n), 0.0, a, b, c, "half")], s, name, True)
-    return terms, terms._hyp[0][0]._n_term is not None
+    return terms
 
 
 # --- argument preparation ----------------------------------------------------
@@ -344,9 +351,7 @@ def _prepare_z(z, boundary_side):
             return complex(z.real, _CUT_IMAG)
         if boundary_side == "-":
             return complex(z.real, -_CUT_IMAG)
-        raise DomainError(
-            "z lies on the cut (-inf, 1]; pass boundary_side '+' or '-'"
-        )
+        raise DomainError("z lies on the cut (-inf, 1]; pass boundary_side '+' or '-'")
     return z
 
 
@@ -441,7 +446,7 @@ class _Legendre:
     s: (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds; Jacobi's mu is
     (alpha, beta), and its s a pair (sp, sq) for (1-z)**sp (1+z)**sq.
     Called at z it checks z as the public functions do; ``terms``, the term
-    list called as (v, vc=None, order=0), checks nothing."""
+    list called as (v, vc=None, order=0), refuses a 2F1 argument on its cut."""
 
     __slots__ = ("_domain", "terms", "_limit")
 
@@ -452,18 +457,16 @@ class _Legendre:
         self._domain = kind.split("_")[0]  # "ferrers", "whipple", "jacobi", or the cut plane's
         if self._domain == "whipple":
             s = s + 0.25
-        # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
-        self._limit = math.sinh(min(_FERRERS_REACH / max(abs(complex(nu).real + 0.5), 1.0), 1.0))
+        nu = complex(nu)
         if kind == "jacobi":
-            self.terms, polynomial = _jacobi(complex(nu), *map(complex, mu), s, name)
-            # the real z below which the cut lies: none for a polynomial
-            self._limit = -math.inf if polynomial else -1.0
-            return
-        nu, mu = complex(nu), complex(mu)
-        if kind == "ferrers_p":
-            self.terms = _FerrersP(nu, mu, s, name)
+            self.terms = _jacobi(nu, *map(complex, mu), s, name)
+        elif kind == "ferrers_p":
+            self.terms = _FerrersP(nu, complex(mu), s, name)
         else:
-            self.terms = _term_sum(_terms(kind, nu, mu), s, name, self._domain == "ferrers")
+            self.terms = _term_sum(_terms(kind, nu, complex(mu)), s, name, self._domain == "ferrers")
+        if self._domain == "ferrers":
+            # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
+            self._limit = math.sinh(min(_FERRERS_REACH / max(abs(nu.real + 0.5), 1.0), 1.0))
 
     def __call__(self, z, order=0, boundary_side=None):
         """The order-th derivative (0, 1 or 2) at z.
@@ -481,8 +484,6 @@ class _Legendre:
             z = _whipple_y(z)
         elif self._domain == "jacobi":
             z = complex(z)
-            if z.imag == 0.0 and z.real < self._limit:
-                raise DomainError(f"z = {z.real} lies on the cut (-inf, -1); give it a side")
         else:
             z = _prepare_z(z, boundary_side)
         return self.terms(z, None, order)
@@ -507,7 +508,7 @@ def weighted_evaluator(kind, nu, mu, s):
     power of v-1 and the series' singular part there are taken from it.
 
     The weight is carried by the term exponents, so v may be any complex
-    point where the term list converges; there is no cut or range check.
+    point; only a term's 2F1 argument on its cut (1, inf) raises DomainError.
     With s = mu/2 the P form is analytic through v = 1; with s = -mu/2 it
     has the single power (v-1)**(-mu), and the Ferrers terms none.  A value
     past double range raises NumericalError, as the public functions do.
@@ -519,7 +520,8 @@ def whipple_evaluator(kind, nu, mu, s):
     """(y, yc=None) -> (y**2-1)**s F_nu^mu(y/sqrt(y**2-1)) for F = P ("p")
     or Q ("q"), yc being an exact 1 - y as for ``weighted_evaluator``: the
     Whipple image's term list (module docstring) with s joining its
-    exponents.  For Re y > 0 off (0, 1]; no check.  The degree weights
+    exponents.  For Re y > 0 off (0, 1], checked only where a 2F1 argument
+    is on its cut, as for ``weighted_evaluator``.  The degree weights
     s = -(nu+1)/2 and nu/2 are the image's order weights, so the Q form is
     analytic through y = 1 at the first.  A value past double range raises
     NumericalError, and Q's image raises PoleError within 1e-9 of a pole of

@@ -104,8 +104,9 @@ def _weighted(convention, kind, nu, mu):
     ``legendre._Legendre`` term list, the Whipple image's for the degree
     conventions.  Called at z it raises as the public
     functions do: on the cut and at its branch points, off the Ferrers range
-    and reach, and off the Whipple image's domain.  Its ``terms``, called as
-    (v, vc=None), checks nothing: the integrands call that."""
+    and reach, and off the Whipple image's domain.  The integrands call its
+    ``terms`` as (v, vc=None), which raises DomainError only where a term's
+    2F1 argument lies on its cut (1, inf)."""
     exponent, degree = _WEIGHTS[convention]
     return _Legendre("whipple_" + kind if degree else kind, nu, mu, exponent(nu, mu))
 

@@ -529,7 +529,10 @@ def test_hyp2f1_seeded_known_defect_boxes_vs_mpmath(box, n, bound):
     assert _worst_box_error(box, n) <= bound
 
 
-def test_hyp2f1_refuses_its_cut_unless_the_caller_gives_a_side():
+@pytest.mark.parametrize(
+    "f", [hyp2f1, lambda a, b, c, w: hyp2f1_evaluator(a, b, c)(w)], ids=("hyp2f1", "evaluator")
+)
+def test_hyp2f1_refuses_its_cut_unless_the_caller_gives_a_side(f):
     # at a real w > 1 the value from above or below depended on the image
     # that ran (signed zeros reaching cpow): 174 of these 200 points gave the
     # value from above, 26 from below; each side is the caller's to give
@@ -538,10 +541,12 @@ def test_hyp2f1_refuses_its_cut_unless_the_caller_gives_a_side():
         a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
         w = rng.uniform(1.05, 10.0)
         with pytest.raises(DomainError):
-            hyp2f1(a, b, c, w)
+            f(a, b, c, w)
         for side in (1.0, -1.0):
             with mpmath.workdps(40):
                 ref = _mp_2f1(a, b, c, mpmath.mpc(w, side * 1e-60))
-            assert abs(hyp2f1(a, b, c, complex(w, side * 1e-300)) - ref) <= 1e-13 * abs(ref)
+            value = f(a, b, c, complex(w, side * 1e-300))
+            assert value == hyp2f1(a, b, c, complex(w, side * 1e-300))
+            assert abs(value - ref) <= 1e-13 * abs(ref)
     # a polynomial has no cut
-    assert abs(hyp2f1(-2, 3, 1.6, 4.0) - complex(mpmath.hyp2f1(-2, 3, 1.6, 4))) <= 1e-13
+    assert abs(f(-2, 3, 1.6, 4.0) - complex(mpmath.hyp2f1(-2, 3, 1.6, 4))) <= 1e-13

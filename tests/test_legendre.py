@@ -25,6 +25,7 @@ from legshift.legendre import (
     whipple_p_to_q,
     whipple_q_to_p,
 )
+from legshift.shifts import _weighted, rodrigues_pair
 
 
 def test_legendre_p_frozen_oracle():
@@ -321,21 +322,79 @@ def test_jacobi_at_integer_degree_where_a_numerator_ends_the_series_first(z):
     assert jacobi_p(1, -2, 0, z) == -1.0
 
 
-def test_jacobi_refuses_its_cut_unless_the_caller_gives_a_side():
+@pytest.mark.parametrize(
+    "f", [jacobi_p, lambda nu, a, b, z: jacobi_evaluator(nu, a, b)(z)], ids=("jacobi_p", "evaluator")
+)
+def test_jacobi_refuses_its_cut_unless_the_caller_gives_a_side(f):
     # jacobi_p(0.5, 0.3, 0.2, -9.0) was the conjugate of mpmath.jacobi, while
     # at -2.0 it matched: the side hung on the image that ran
     for z in (-9.0, -2.0, -1.5):
         with pytest.raises(DomainError):
-            jacobi_p(0.5, 0.3, 0.2, z)
+            f(0.5, 0.3, 0.2, z)
         for side in (1.0, -1.0):
             with mpmath.workdps(30):
                 ref = complex(mpmath.jacobi(0.5, 0.3, 0.2, mpmath.mpc(z, side * 1e-60)))
-            assert abs(jacobi_p(0.5, 0.3, 0.2, complex(z, side * 1e-300)) - ref) <= 1e-13 * abs(ref)
+            assert abs(f(0.5, 0.3, 0.2, complex(z, side * 1e-300)) - ref) <= 1e-13 * abs(ref)
     # a polynomial has no cut: by the degree recurrence, and by a series that
     # a numerator ends (alpha + beta = -2)
     for n, alpha, beta in ((3, 0.3, 0.2), (1, -2.0, 0.0)):
         ref = complex(mpmath.jacobi(n, alpha, beta, -9.0))
-        assert abs(jacobi_p(n, alpha, beta, -9.0) - ref) <= 1e-13 * abs(ref)
+        assert abs(f(n, alpha, beta, -9.0) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "call,v",
+    [
+        (lambda v: weighted_evaluator("q", 0.7, 0.4, 0.0)(v), 0.5),
+        (lambda v: weighted_evaluator("q", 2.3, -0.6, 0.2)(v, 1.0 - v), -0.8),
+        (lambda v: whipple_evaluator("p", 0.7, 0.4, -0.85)(v), 0.5),
+        (lambda v: rodrigues_pair(0.5, 0.3, 0.2, v), -9.0),
+    ],
+    ids=("weighted_q", "weighted_q_vc", "whipple_p", "rodrigues_pair"),
+)
+def test_term_lists_refuse_a_2f1_argument_on_its_cut(call, v):
+    # Q's term in 1/v**2 at a real v in (-1, 1), the Whipple image of P
+    # (Olver's Q's term in 1/y**2) at a real y in (0, 1), Jacobi's term in
+    # (1-v)/2 at v < -1: weighted_evaluator("q", 0.7, 0.4, 0.0)(0.5) was
+    # -0.226 - 1.288i, the side its image took
+    with pytest.raises(DomainError):
+        call(v)
+
+
+def test_weighted_q_takes_the_side_the_caller_gives():
+    for side, boundary_side in ((1.0, "+"), (-1.0, "-")):
+        value = weighted_evaluator("q", 0.7, 0.4, 0.0)(complex(0.5, side * 1e-300))
+        ref = legendre_q(0.7, 0.4, 0.5, boundary_side=boundary_side)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+def _mp_jacobi_diff(nu, alpha, beta, z, k):
+    with mpmath.workdps(30):
+        return complex(mpmath.diff(lambda t: mpmath.jacobi(nu, alpha, beta, t), z, k))
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 4, 5, 20, 3.0000001, 2.7])
+def test_jacobi_derivatives_at_integer_and_other_degrees(nu):
+    # order k at an integer degree n is (n+alpha+beta+1)_k / 2**k times the
+    # polynomial at (n-k, alpha+k, beta+k) (DLMF 18.9.15); the recurrence
+    # once returned the value at every order, so the result jumped as nu
+    # crossed 3 (-0.5482 at nu = 3, -0.6923 at 3.0000001 for order 1)
+    for alpha, beta, z in ((0.5, 0.25, 0.3), (1.1, -0.4, -0.7), (0.3, 0.2, 0.5 + 0.4j)):
+        ev = jacobi_evaluator(nu, alpha, beta)
+        for k in (1, 2):
+            ref = _mp_jacobi_diff(nu, alpha, beta, z, k)
+            assert abs(ev(z, order=k) - ref) <= 1e-12 * max(abs(ref), 1.0), (alpha, beta, z, k)
+
+
+def test_weighted_jacobi_polynomial_has_no_derivatives():
+    # the weight (1-z)**alpha (1+z)**beta is not differentiated by the
+    # degree recurrence; the Rodrigues integrand asks for order 0 only
+    terms = _weighted("rodrigues", "jacobi", 3, (0.5, 0.25)).terms
+    ref = 0.7**0.5 * 1.3**0.25 * jacobi_p(3, 0.5, 0.25, 0.3)
+    assert abs(terms(0.3) - ref) <= 1e-14 * abs(ref)
+    for order in (1, 2):
+        with pytest.raises(DomainError):
+            terms(0.3, None, order)
 
 
 def test_jacobi_matches_scipy_at_integer_degree():

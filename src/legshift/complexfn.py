@@ -152,7 +152,6 @@ def _exp(w: complex, what: str) -> complex:
 
 def cos_pi(z) -> complex:
     """cos(pi*z) with argument reduction; exact 0 at half-integers."""
-    z = complex(z)
     return sin_pi(complex(z.real + 0.5, z.imag))
 
 
@@ -268,6 +267,14 @@ def gamma_ratio(numerators, denominators) -> complex:
     numerator poles outnumber denominator poles, NumericalError past double
     range.
     """
+    # with every argument real and off the poles, the float ratio: one pass
+    real = True
+    for args in (numerators, denominators):
+        for z in args:
+            if z.imag or z.real <= _POLE_TOL and integer_within(z, _POLE_TOL) is not None:
+                real = False
+    if real:
+        return complex(_real_gamma_ratio(numerators, denominators, "gamma ratio"))
     # each side's regular arguments, and its poles as (argument, integer)
     num_reg, num_poles, den_reg, den_poles = [], [], [], []
     sides = ((numerators, num_reg, num_poles), (denominators, den_reg, den_poles))
@@ -279,8 +286,6 @@ def gamma_ratio(numerators, denominators) -> complex:
                 regular.append(z)
             else:
                 poles.append((z, n))
-    if not (num_poles or den_poles or any(z.imag for z in num_reg) or any(z.imag for z in den_reg)):
-        return complex(_real_gamma_ratio(num_reg, den_reg, "gamma ratio"))
 
     if len(num_poles) > len(den_poles):
         raise PoleError(

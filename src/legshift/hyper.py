@@ -20,20 +20,21 @@ first wherever the series at u is admissible, by the same chooser at u.
 
 Both functions rest on one defining series of pFq, summed by one loop
 (``_Series.sum``).  Real parameters are kept as floats, and so are their
-term ratios; at a real w the loop then runs on floats, with the values the
-complex loop gives, bit for bit.  A sum that does not terminate stops after
-3 terms in a row below 1e-16 of its total, within a cap of 3,000 terms for
-2F1 and of 100,000 for ``hyp3f2_series``, which runs to |w| < 1 - 1e-3.  A
-sum that a numerator ends at w**n adds every term through w**n and raises
-NumericalError where its rounding bound n*eps*sum|term| passes
-1e-6 max(|sum|, 1).  Either kind raises NumericalError once a term
-overflows.
+term ratios; at a real w the loop then runs on floats, and so does 2F1's
+Taylor walk, with the values complex arithmetic gives, bit for bit.  A sum
+that does not terminate stops after 3 terms in a row below 1e-16 of its
+total, within a cap of 3,000 terms for 2F1 and of 100,000 for
+``hyp3f2_series``, which runs to |w| < 1 - 1e-3.  A sum that a numerator
+ends at w**n adds every term through w**n and raises NumericalError where
+its rounding bound n*eps*sum|term| passes 1e-6 max(|sum|, 1).  Either kind
+raises NumericalError once a term overflows.
 
 ``hyp2f1_evaluator(a, b, c)`` does the parameter-only work once, or on first
 use: the termination and c-pole tests, the flags of degenerate images, the
 connection coefficients of each image, the sub-evaluators of the Pfaff and
-quadratic images and of the averages, and the term ratios.  Calling it then
-does only w-dependent work; ``hyp2f1`` builds one and calls it once.
+quadratic images and of the averages, and from a series' second sum on its
+term ratios.  Calling it then does only w-dependent work; ``hyp2f1`` builds
+one and calls it once, and so keeps no ratios.
 """
 
 from __future__ import annotations
@@ -101,46 +102,42 @@ def _series_reach(a, b, c):
 
 
 class _Series:
-    """Defining series of pFq(upper; lower; w) for fixed parameter tuples,
-    2F1 ((a, b), (c,)) or 3F2 ((a, b, a3), (c, b2)).
+    """Defining series of pFq(upper; lower; w) at fixed parameters,
+    2F1(a, b; c) or 3F2(a, b, a3; c, b2).
 
     The term ratios r_k = (a+k)(b+k)(a3+k) / ((c+k)(b2+k)(1+k)), without
-    a3 and b2 for 2F1, are kept from the first sum and grown on demand, so
-    repeated sums at new w reuse them.  The constructor's one pole test per
-    parameter settles the degree ``_n_term`` at which a numerator ends the
-    sum, or else the lower pole ``_pole`` that the sum reaches first.
+    a3 and b2 for 2F1, are kept from the second sum on and grown on demand,
+    so an evaluator's repeated sums at new w reuse them while a series summed
+    once, as by a one-shot call, keeps none.  The constructor's one pole test
+    per parameter settles the degree ``_n_term`` at which a numerator ends
+    the sum, or else the lower pole ``_pole`` that the sum reaches first.
     """
 
     __slots__ = ("_name", "_params", "_real", "_n_term", "_pole", "_limit", "_ratios")
 
-    def __init__(self, upper, lower):
+    def __init__(self, a, b, c, a3=None, b2=None):
         # real parameters are kept as floats, and so are their term ratios
-        self._real = all(not p.imag for p in upper + lower)
+        two = a3 is None
+        self._real = not (a.imag or b.imag or c.imag or not two and (a3.imag or b2.imag))
         if self._real:
-            upper, lower = tuple(p.real for p in upper), tuple(p.real for p in lower)
-        if len(upper) == 2:
-            (a, b), (c,) = upper, lower
-            self._name, self._params = "2F1", (a, b, c, None, None)
-            # the 2F1 images keep |w| <= _IMAGE_RADIUS
-            cap = _MAX_SERIES_TERMS
-        else:
-            (a, b, a3), (c, b2) = upper, lower
-            self._name, self._params = "3F2", (a, b, c, a3, b2)
-            # hyp3f2_series runs to |w| < 1 - 1e-3
-            cap = _MAX_3F2_TERMS
+            a, b, c = a.real, b.real, c.real
+            a3, b2 = (None, None) if two else (a3.real, b2.real)
+        # the 2F1 images keep |w| <= _IMAGE_RADIUS; hyp3f2_series runs to |w| < 1 - 1e-3
+        self._name, cap = ("2F1", _MAX_SERIES_TERMS) if two else ("3F2", _MAX_3F2_TERMS)
+        self._params = a, b, c, a3, b2
         n = pole = None
-        for p in upper:
+        for p in (a, b) if two else (a, b, a3):
             k = integer_within(p, _POLE_TOL) if p.real <= _POLE_TOL else None
             if k is not None and (n is None or -k < n):
                 n = -k
-        for b in lower:
-            k = integer_within(b, _POLE_TOL) if b.real <= _POLE_TOL else None
+        for p in (c,) if two else (c, b2):
+            k = integer_within(p, _POLE_TOL) if p.real <= _POLE_TOL else None
             if k is not None and (n is None or -k < n):
-                n, pole = None, b
+                n, pole = None, p
                 break
         self._n_term, self._pole = n, pole
-        self._limit = cap if self._n_term is None else self._n_term
-        self._ratios = []
+        self._limit = cap if n is None else n
+        self._ratios = None  # [] once summed
 
     def sum(self, w, with_size=False):
         """The series at w, or with ``with_size`` the pair (series,
@@ -171,8 +168,9 @@ class _Series:
         if n is not None and n > _MAX_POLYNOMIAL_DEGREE:
             raise NumericalError(f"{self._name} polynomial of degree {n:.3g} cancels: n*eps > 1e-6")
         a, b, c, a3, b2 = self._params
-        ratios = self._ratios
-        cached = len(ratios)
+        ratios = self._ratios  # None at the first sum, which keeps none
+        self._ratios = [] if ratios is None else ratios
+        cached = len(ratios) if ratios else 0
         if self._real and not w.imag:  # float ratios at a real w: the loop in floats
             w = w.real
             total = term = 1.0
@@ -190,7 +188,8 @@ class _Series:
                         r = (a + k) * (b + k) * (a3 + k) / ((c + k) * (b2 + k) * (1.0 + k))
                     else:
                         r = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-                    ratios.append(r)
+                    if ratios is not None:
+                        ratios.append(r)
                 term *= r * w
                 total += term
                 t = abs(term)
@@ -237,14 +236,15 @@ def _ode_continue(w_target, p, lead, n, recurrence):
     NumericalError at once where sum_j |f_j h**j| overflows.  A ray passing
     1 closer than 0.5 before w_target gives way to the path through
     1 +/- 0.5i: the solution's singular part at 1 would carry rounding
-    hundreds of times its value.
+    hundreds of times its value.  A float w_target with real parameters
+    walks in floats, to the complex walk's values bit for bit.
     """
     legs = [w_target]
     ray = w_target / abs(w_target)
     if abs(ray.imag) < 0.5 and 0.45 < ray.real < abs(w_target):
         legs.insert(0, complex(1.0, math.copysign(0.5, w_target.imag)))
-    w = 0j
-    f = [0j] * n + [complex(lead)]  # Taylor coefficients about w
+    w = 0.0
+    f = [0.0] * n + [lead]  # Taylor coefficients about w
     step = 0.45 * legs[0] / abs(legs[0])
     for _ in range(400):
         h = abs(step)
@@ -280,7 +280,7 @@ def _ode_continue(w_target, p, lead, n, recurrence):
         # synthetic division
         coef, f = f, []
         for j in range(p):
-            acc = 0j
+            acc = 0.0
             for i in range(len(coef) - 1, j - 1, -1):
                 acc = coef[i] = acc * step + coef[i]
             f.append(acc)
@@ -288,7 +288,7 @@ def _ode_continue(w_target, p, lead, n, recurrence):
         while abs(legs[0] - w) < 1e-15:
             legs.pop(0)
             if not legs:
-                return f[0]
+                return complex(f[0])
         remaining = legs[0] - w
         h = min(0.30 * min(abs(w), abs(w - 1.0)), abs(remaining))
         step = h * remaining / abs(remaining)
@@ -339,6 +339,13 @@ def _hyp3f2_recurrence(a1, a2, a3, b1, b2):
 
 
 _SERIES_ALONE = ((0.0, "series"),)
+# the (a, b, c) of each two-series image's series, from the 2F1's and d = c-a-b
+_IMAGE_PARAMS = {
+    "one_minus": lambda a, b, c, d: ((a, b, 1.0 - d), (c - a, c - b, 1.0 + d)),
+    "recip": lambda a, b, c, d: ((a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)),
+    "recip_one_minus": lambda a, b, c, d: ((a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)),
+    "one_minus_recip": lambda a, b, c, d: ((a, a - c + 1.0, 1.0 - d), (c - a, 1.0 - a, 1.0 + d)),
+}
 
 
 class _Gauss(_Series):
@@ -348,27 +355,31 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_reach", "_quadratic", "_cab_int", "_ab_int", "_images", "_pfaff", "_nudged")
+    __slots__ = ("_reach", "_quadratic", "_cab_int", "_ab_int", "_pfaff", "_images")
 
     def __init__(self, a, b, c):
-        super().__init__((a, b), (c,))
-        # built on first use
-        self._reach = None  # _series_reach of the parameters
-        self._quadratic = None  # _Gauss of the quadratic image where b == a + 1/2, else False
-        self._cab_int = self._ab_int = None  # integer c-a-b, integer a-b
-        self._images = {}  # image key -> (coefficient, series, coefficient, series)
-        self._pfaff = None
-        self._nudged = {}  # "a" or "c" -> evaluators at that parameter +/- i*eps
+        _Series.__init__(self, a, b, c)
+        # on first use: _series_reach, the quadratic image's _Gauss where
+        # b == a + 1/2 (else False), integer c-a-b and a-b, the Pfaff image's
+        self._reach = self._quadratic = self._cab_int = self._ab_int = self._pfaff = None
+        # image key -> (coefficient, series, coefficient, series); "a" or "c"
+        # -> the evaluators at that parameter +/- i*eps
+        self._images = {}
 
     def __call__(self, w, wc=None):
         """2F1 at w by the chooser of the module docstring; ``wc`` is 1 - w
         when the caller has it exactly, and the images in 1 - w then take it
-        in place of 1 - w formed from w.  DomainError at a real w > 1, on
-        the cut, unless a numerator ends the series."""
+        in place of 1 - w formed from w.  DomainError at a non-finite w, and
+        at a real w > 1, on the cut, unless a numerator ends the series."""
         w = complex(w)
         if w == 0:
             return 1.0 + 0.0j
-        if self._n_term is not None or self._pole is not None or abs(w) <= _IMAGE_FLOOR["pfaff"]:
+        m = abs(w)
+        if m <= _IMAGE_FLOOR["pfaff"]:
+            return self.sum(w)
+        if not m < math.inf:  # a NaN part too
+            raise DomainError(f"non-finite argument {w!r}")
+        if self._n_term is not None or self._pole is not None:
             return self.sum(w)
         if not w.imag and w.real > 1.0:
             # each image, the quadratic one's sqrt(1-w) too, takes a side by a signed zero
@@ -384,7 +395,7 @@ class _Gauss(_Series):
             if (c - a - b).real <= 0.0:
                 raise DomainError(f"2F1 diverges at w = 1: Re(c-a-b) = {(c - a - b).real:.6g}")
             return gamma_ratio([c, c - a - b], [c - a, c - b])
-        ranked = self._ranked(w, one_minus)
+        ranked = self._ranked(m, abs(one_minus))
         value, taken, average = self._first_clean(ranked, w, one_minus, wc)
         if taken:
             return value
@@ -395,7 +406,8 @@ class _Gauss(_Series):
             return 0.5 * sum(g._candidate(average, w, one_minus, wc)[0] for g in pair)
         if value is not None and any(key != "series" for _, key in ranked):
             return value
-        return _ode_continue(w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
+        real = self._real and not w.imag  # the walk then runs in floats
+        return _ode_continue(w.real if real else w, 2, 1.0, 0, _gauss_recurrence(a, b, c))
 
     def _first_clean(self, ranked, w, one_minus, wc):
         """(value, True, None) of the first clean candidate in ``ranked`` that
@@ -416,14 +428,13 @@ class _Gauss(_Series):
                 best, ratio = value, (size / abs(value) if value else math.inf)
         return best, False, average
 
-    def _ranked(self, w, one_minus):
-        """The admissible candidates at w as (rank, key), by rank; a
-        polynomial is the series alone.  A series at modulus m stops after
-        about log(eps)/log(m) terms, so the cost is the number of series
-        over -log of the modulus, ranked as modulus**(2/count) with no log:
-        the Pfaff image before the series where |1-w| > 1, the 1-w image
-        where |1-w| < |w|**2."""
-        m, mc = abs(w), abs(one_minus)
+    def _ranked(self, m, mc):
+        """The admissible candidates at |w| = m, |1-w| = mc as (rank, key),
+        by rank; a polynomial is the series alone.  A series at modulus r
+        stops after about log(eps)/log(r) terms, so the cost is the number of
+        series over -log of the modulus, ranked as modulus**(2/count) with
+        no log: the Pfaff image before the series where |1-w| > 1, the 1-w
+        image where |1-w| < |w|**2."""
         if self._n_term is not None or m <= _IMAGE_FLOOR["pfaff"]:
             return _SERIES_ALONE
         ranked = []
@@ -463,7 +474,7 @@ class _Gauss(_Series):
         s = cmath.sqrt(one_minus)
         t = 1.0 + s
         u, uc = w / (t * t), 2.0 * s / t
-        ranked = quad._ranked(u, uc)
+        ranked = quad._ranked(abs(u), abs(uc))
         if "series" not in [key for _, key in ranked]:
             return None
         value, taken, _ = quad._first_clean(ranked, u, uc, uc)
@@ -481,21 +492,16 @@ class _Gauss(_Series):
                 g1, g2 = gamma_ratio([c, d], [c - a, c - b]), gamma_ratio([c, -d], [a, b])
             else:
                 g1, g2 = gamma_ratio([c, b - a], [b, c - a]), gamma_ratio([c, a - b], [a, c - b])
-            (a1, b1, c1), (a2, b2, c2) = {
-                "one_minus": ((a, b, 1.0 - d), (c - a, c - b, 1.0 + d)),
-                "recip": ((a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)),
-                "recip_one_minus": ((a, c - b, a - b + 1.0), (b, c - a, b - a + 1.0)),
-                "one_minus_recip": ((a, a - c + 1.0, 1.0 - d), (c - a, 1.0 - a, 1.0 + d)),
-            }[key]
-            img = self._images[key] = (g1, _Series((a1, b1), (c1,)), g2, _Series((a2, b2), (c2,)))
+            (a1, b1, c1), (a2, b2, c2) = _IMAGE_PARAMS[key](a, b, c, d)
+            img = self._images[key] = (g1, _Series(a1, b1, c1), g2, _Series(a2, b2, c2))
         return img
 
     def _nudge(self, axis):
         """The evaluators at c (axis "c") or a ("a") +/- i*eps."""
-        pair = self._nudged.get(axis)
+        pair = self._images.get(axis)
         if pair is None:
             a, b, c = self._params[:3]
-            pair = self._nudged[axis] = tuple(
+            pair = self._images[axis] = tuple(
                 _Gauss(a, b, c + d) if axis == "c" else _Gauss(a + d, b, c)
                 for d in (1j * _EPS_NUDGE, -1j * _EPS_NUDGE)
             )
@@ -540,8 +546,7 @@ class _Gauss(_Series):
 
 def _canonical(a, b, c):
     """_Gauss in the canonical (a, b) order, so results are exactly symmetric."""
-    a, b, c = complex(a), complex(b), complex(c)
-    if (a.real, a.imag) > (b.real, b.imag):
+    if a.real > b.real or a.real == b.real and a.imag > b.imag:
         a, b = b, a
     return _Gauss(a, b, c)
 
@@ -551,10 +556,10 @@ def hyp2f1_evaluator(a, b, c):
 
     The parameter-only work is done once, so reusing the evaluator over many
     w costs only the w-dependent part; values equal ``hyp2f1``'s exactly, and
-    at a real w > 1, on the cut, it raises DomainError as ``hyp2f1`` does.
+    at a non-finite w or a real w > 1, on the cut, it raises DomainError.
     """
     check_finite(a, b, c)
-    return _canonical(a, b, c)
+    return _canonical(complex(a), complex(b), complex(c))
 
 
 def hyp2f1(a, b, c, w) -> complex:
@@ -564,8 +569,7 @@ def hyp2f1(a, b, c, w) -> complex:
     the sign of an imaginary part; at a real w > 1 it raises DomainError
     unless a numerator ends the series.
     """
-    check_finite(a, b, c, w)
-    return finite_result(_canonical(a, b, c)(w), "2F1")
+    return finite_result(hyp2f1_evaluator(a, b, c)(w), "2F1")
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
@@ -579,7 +583,7 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
     parameter first; ``hyp3f2_regularized`` has the limit there.
     """
     check_finite(a1, a2, a3, b1, b2, w)
-    series = _Series((complex(a1), complex(a2), complex(a3)), (complex(b1), complex(b2)))
+    series = _Series(complex(a1), complex(a2), complex(b1), complex(a3), complex(b2))
     w = complex(w)
     if series._n_term is None and series._pole is None and abs(w) >= 1.0 - 1e-3:
         raise ConvergenceError(
@@ -627,7 +631,7 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
         return 0j
     # no lower parameter is a pole: b1 + n = 1, and b2 + n >= 1 where b2 is
     # one too; so only s1 or s2 ends the sum (``_n_term``)
-    series = _Series((s1, s2, 1 + 0j), (1 + 0j, b2 + n) if n else (b1, b2))
+    series = _Series(s1, s2, 1 + 0j if n else b1, 1 + 0j, b2 + n if n else b2)
     if not (series._n_term is not None or abs(w) <= _3F2_SERIES_RADIUS):
         w = complex(w)
         if w.imag == 0.0 and w.real >= 1.0:

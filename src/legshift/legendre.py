@@ -145,13 +145,11 @@ class _TermSum:
     __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
 
     def __init__(self, terms, name, ferrers=False):
-        self._name = name
+        self._name, self._ferrers = name, ferrers
         # a term with K = 0 adds nothing but the cost and rounding of its series
-        terms = [t for t in terms if t.K != 0] or terms[:1]
-        self._terms = terms
-        self._ferrers = ferrers
+        self._terms = terms = [t for t in terms if t.K] or terms[:1]
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
-        self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
+        self._hyp = [[_prepared_2f1(a, b, c)] for _, _, _, a, b, c, _, _ in terms]
 
     @staticmethod
     def _derivative(t, hyp, n):
@@ -262,23 +260,22 @@ def _q_terms(nu, mu, olver=False):
 
 def _ferrers_terms(kind, nu, mu):
     """Ferrers P or Q as the even and odd series in w = x**2 (module docstring)."""
-    a, b, c = (nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5
+    g, p = nu + mu + 1.0, mu / 2.0  # Gamma's argument, the exponents p = q
+    a, b, c = (nu + mu + 2.0) / 2.0, g / 2.0, nu + 1.5
     if kind == "ferrers_p":
         K = cpow(2.0, mu) * math.sqrt(math.pi)
         K0 = K * rgamma(1.0 - b) * rgamma(c - b)
         K1 = -2.0 * K * rgamma(1.0 - a) * rgamma(c - a)
-    elif (nu + mu + 1.0).real <= _POLE_TOL and (
-        pole := integer_within(nu + mu + 1.0, _POLE_TOL)
-    ) is not None:
+    elif g.real <= _POLE_TOL and (pole := integer_within(g, _POLE_TOL)) is not None:
         # infinite, or at half-integer mu a limit that depends on the direction
         raise PoleError(f"Ferrers Q has a pole at nu + mu + 1 = {pole}")
     else:
         K = math.sqrt(math.pi) * cpow(2.0, -nu - 1.0)
-        K0 = K * gamma_ratio([nu + mu + 1.0, 0.5], [a, c - b]) * cos_pi(b)
-        K1 = K * gamma_ratio([nu + mu + 1.0, -0.5], [b, c - a]) * cos_pi(a)
+        K0 = K * gamma_ratio([g, 0.5], [a, c - b]) * cos_pi(b)
+        K1 = K * gamma_ratio([g, -0.5], [b, c - a]) * cos_pi(a)
     return [
-        _Term(K0, mu / 2.0, mu / 2.0, b, b - c + 1.0, 0.5, "sq", 0.0),
-        _Term(K1, mu / 2.0, mu / 2.0, a, a - c + 1.0, 1.5, "sq", 1.0),
+        _Term(K0, p, p, b, b - c + 1.0, 0.5, "sq", 0.0),
+        _Term(K1, p, p, a, a - c + 1.0, 1.5, "sq", 1.0),
     ]
 
 
@@ -445,8 +442,8 @@ class _Legendre:
     """One kind (``_NAMES``) at fixed (nu, mu), times the weight of exponent
     s: (z**2-1)**s, or (1-x**2)**s for the Ferrers kinds; Jacobi's mu is
     (alpha, beta), and its s a pair (sp, sq) for (1-z)**sp (1+z)**sq.
-    Called at z it checks z as the public functions do; ``terms``, the term
-    list called as (v, vc=None, order=0), refuses a 2F1 argument on its cut."""
+    Called at z it checks z, for the public functions too; ``terms``, the
+    term list called as (v, vc=None, order=0), refuses a 2F1 argument on its cut."""
 
     __slots__ = ("_domain", "terms", "_limit")
 
@@ -454,17 +451,16 @@ class _Legendre:
         # Jacobi's mu is a pair, and so may s be
         check_finite(nu, *(mu if kind == "jacobi" else [mu]), *(s if isinstance(s, tuple) else [s]))
         name = _NAMES[kind] if s == 0 else "weighted " + _NAMES[kind]
-        self._domain = kind.split("_")[0]  # "ferrers", "whipple", "jacobi", or the cut plane's
-        if self._domain == "whipple":
-            s = s + 0.25
+        self._domain = domain = kind.split("_")[0]  # "ferrers", "whipple", "jacobi" or cut plane's
         nu = complex(nu)
         if kind == "jacobi":
-            self.terms = _jacobi(nu, *map(complex, mu), s, name)
+            self.terms = _jacobi(nu, complex(mu[0]), complex(mu[1]), s, name)
         elif kind == "ferrers_p":
             self.terms = _FerrersP(nu, complex(mu), s, name)
         else:
-            self.terms = _term_sum(_terms(kind, nu, complex(mu)), s, name, self._domain == "ferrers")
-        if self._domain == "ferrers":
+            s = s + 0.25 if domain == "whipple" else s
+            self.terms = _term_sum(_terms(kind, nu, complex(mu)), s, name, domain == "ferrers")
+        if domain == "ferrers":
             # capped at sinh(1) > 1; no Ferrers x is refused while |nu+1/2| < 27.8
             self._limit = math.sinh(min(_FERRERS_REACH / max(abs(nu.real + 0.5), 1.0), 1.0))
 
@@ -476,6 +472,7 @@ class _Legendre:
         """
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
+        check_finite(z)
         if self._domain == "ferrers":
             z = _ferrers_x(z)
             if abs(z) >= self._limit:
@@ -552,7 +549,6 @@ def legendre_p(nu, mu, z, boundary_side=None) -> complex:
     overflow, while ``legendre_p(2000.5, 0.2, 1.01)`` (about 6.8e121) is
     accurate.
     """
-    check_finite(z)
     return _Legendre("p", nu, mu)(z, boundary_side=boundary_side)
 
 
@@ -577,7 +573,6 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     ``olver=True`` returns exp(-i pi mu) Q_nu^mu(z) / Gamma(nu+mu+1), which
     is entire in both parameters.
     """
-    check_finite(z)
     return _Legendre("olver_q" if olver else "q", nu, mu)(z, boundary_side=boundary_side)
 
 
@@ -592,14 +587,12 @@ def ferrers_p(nu, mu, x) -> complex:
     """Ferrers function of the first kind on (-1, 1), from two series in
     x**2, or past x = 1/3 from one in (1-x)/2 (module docstring); README
     states their accuracy."""
-    check_finite(x)
     return _Legendre("ferrers_p", nu, mu)(x)
 
 
 def ferrers_q(nu, mu, x) -> complex:
     """Ferrers function of the second kind on (-1, 1), from the two series
     in x**2 of ``ferrers_p``; PoleError where nu+mu+1 is in {0, -1, ...}."""
-    check_finite(x)
     return _Legendre("ferrers_q", nu, mu)(x)
 
 
@@ -613,7 +606,6 @@ def jacobi_p(nu, alpha, beta, z) -> complex:
     (-inf, -1) the side is the caller's, by the sign of an imaginary part;
     at a real z < -1 it raises DomainError unless the series terminates.
     """
-    check_finite(z)
     return jacobi_evaluator(nu, alpha, beta)(z)
 
 
@@ -625,19 +617,16 @@ def legendre_deriv(nu, mu, z, order=1, kind="p", boundary_side=None) -> complex:
     """
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
-    check_finite(z)
     return legendre_evaluator(kind, nu, mu)(z, order, boundary_side)
 
 
 def whipple_p_to_q(nu, mu, y) -> complex:
     """P_nu^mu(y/sqrt(y**2-1)) from Olver's Q at the Whipple image (module
     docstring), for Re y > 0 off (0, 1]; DomainError elsewhere."""
-    check_finite(y)
     return _Legendre("whipple_p", nu, mu)(y)
 
 
 def whipple_q_to_p(nu, mu, y) -> complex:
     """Q_nu^mu(y/sqrt(y**2-1)) from P at the Whipple image (module docstring),
     for Re y > 0 off (0, 1]; DomainError elsewhere, PoleError at Q's poles."""
-    check_finite(y)
     return _Legendre("whipple_q", nu, mu)(y)

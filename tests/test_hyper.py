@@ -209,6 +209,36 @@ def test_hyp2f1_rejects_non_finite_input():
             hyp2f1(*args)
 
 
+def test_series_keeps_its_term_ratios_from_the_second_sum():
+    # a one-shot call sums each series once, and that sum keeps no ratios; an
+    # evaluator's second sum keeps them, and later sums reuse them
+    series, w = hyper._Series(0.3, 0.7, 1.4), 0.5 + 0.2j
+    first = series.sum(w)
+    assert series._ratios == []
+    assert repr(series.sum(w)) == repr(first)
+    ratios = series._ratios
+    assert len(ratios) > 10
+    assert ratios == [(0.3 + k) * (0.7 + k) / ((1.4 + k) * (1.0 + k)) for k in range(len(ratios))]
+    assert repr(series.sum(w)) == repr(first)
+    assert repr(series.sum(0.6)) == repr(hyper._Series(0.3, 0.7, 1.4).sum(0.6))
+    ev = hyp2f1_evaluator(0.3, 0.7, 1.4)
+    ev(0.25)
+    assert ev._ratios == []
+
+
+def test_real_walk_runs_in_floats_with_the_complex_walks_value(monkeypatch):
+    # Ferrers Q's odd x**2 series at nu = 14.59, mu = 1.03: at these w its
+    # terms cancel and no image is admissible, so the chooser walks the ODE
+    walks = []
+    walk = hyper._ode_continue
+    monkeypatch.setattr(hyper, "_ode_continue", lambda w, *args: walks.append(w) or walk(w, *args))
+    a, b, c = -6.283681891565887, 8.810120797563197, 1.5
+    for i, w in enumerate((0.52, 0.6, 0.7, 0.78)):
+        value = hyp2f1(a, b, c, w)
+        assert len(walks) == i + 1 and type(walks[-1]) is float
+        assert repr(value) == repr(walk(complex(w), 2, 1.0, 0, hyper._gauss_recurrence(a, b, c)))
+
+
 def test_hyp2f1_terminating_polynomial_overflow_raises():
     # the degree-60 polynomial at w = 1e8 passes double range: its sum is not finite
     with pytest.raises(NumericalError):

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 import scipy.special
 
-from legshift import hyper
+from legshift import complexfn, hyper, legendre
 from legshift.errors import DomainError, NumericalError, PoleError
 from legshift.hyper import hyp2f1
 from legshift.legendre import (
@@ -599,6 +599,26 @@ def test_public_functions_reject_non_finite_input():
             call()
 
 
+@pytest.mark.parametrize("arg", [math.nan, math.inf, complex(math.nan, 1.0)], ids=("nan", "inf", "nan+1j"))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hyper.hyp2f1_evaluator(0.5, 0.3, 0.2),
+        lambda: hyper.hyp2f1_evaluator(-3, 0.3, 0.2),
+        lambda: legendre_evaluator("q", 0.5, 0.3),
+        lambda: legendre_evaluator("ferrers_p", 0.5, 0.3),
+        lambda: jacobi_evaluator(0.5, 0.3, 0.2),
+        lambda: jacobi_evaluator(3, 0.3, 0.2),
+    ],
+    ids=("hyp2f1", "hyp2f1_polynomial", "legendre_q", "ferrers_p", "jacobi", "jacobi_polynomial"),
+)
+def test_evaluators_reject_non_finite_arguments(build, arg):
+    # as the public functions do; the evaluators ran the 2F1 chooser down to
+    # the ODE walker and raised its NumericalError
+    with pytest.raises(DomainError, match="non-finite argument"):
+        build()(arg)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -629,13 +649,18 @@ def test_huge_degree_polynomial_stops_once_its_terms_underflow():
 
 
 def _summed_series(monkeypatch):
-    """The list of series summed from now on, one entry per sum."""
+    """The number of terms of each series summed from now on, one entry per
+    sum: the term ratios that the same sum computes when it keeps them all."""
     summed = []
     plain = hyper._Series.sum
 
-    def counted(self, w, cancel=None):
-        summed.append(self)
-        return plain(self, w, cancel)
+    def counted(self, w, with_size=False):
+        value = plain(self, w, with_size)
+        kept, self._ratios = self._ratios, []  # a list keeps every ratio the sum computes
+        plain(self, w, with_size)
+        summed.append(len(self._ratios))
+        self._ratios = kept
+        return value
 
     monkeypatch.setattr(hyper._Series, "sum", counted)
     return summed
@@ -657,4 +682,34 @@ def test_q_next_to_one_sums_short_series(monkeypatch):
     # clean 1-u image sums two of a few dozen
     summed = _summed_series(monkeypatch)
     legendre_evaluator("q", 0.55, 0.35)(1.0001)
-    assert summed and max(len(s._ratios) for s in summed) <= 50
+    assert summed and max(summed) <= 50
+
+
+@pytest.mark.parametrize(
+    "call, series, ratios",
+    [
+        (lambda: legendre_p(0.4, 0.3, 5.0), 3, 2),
+        (lambda: ferrers_q(0.4, 0.3, 0.3), 2, 2),
+        (lambda: jacobi_p(2.4, 0.3, 0.2, -0.9), 3, 3),
+    ],
+    ids=("legendre_p", "ferrers_q", "jacobi_p"),
+)
+def test_one_shot_set_up_builds_fixed_counts(monkeypatch, call, series, ratios):
+    # the series and gamma ratios a one-shot call builds: P at z = 5 and
+    # Jacobi's P at z = -0.9 one two-series image each, Ferrers Q its pair
+    counts = {"series": 0, "gamma_ratio": 0}
+    init, ratio = hyper._Series.__init__, complexfn.gamma_ratio
+
+    def counted_init(self, *args):
+        counts["series"] += 1
+        init(self, *args)
+
+    def counted_ratio(*args):
+        counts["gamma_ratio"] += 1
+        return ratio(*args)
+
+    monkeypatch.setattr(hyper._Series, "__init__", counted_init)
+    for module in (hyper, legendre):
+        monkeypatch.setattr(module, "gamma_ratio", counted_ratio)
+    call()
+    assert counts == {"series": series, "gamma_ratio": ratios}

@@ -72,7 +72,9 @@ _TINY = sys.float_info.min
 def check_finite(*values) -> None:
     """Raise DomainError unless every value is a finite real or complex number.
 
-    Called once at each public entry point, never inside per-node loops.
+    Called once at each public entry point and by ``legendre._Legendre``
+    at every z it is called at, never inside per-node loops;
+    ``hyper._Gauss.__call__`` tests the |w| it already forms instead.
     """
     for v in values:
         if not cmath.isfinite(v):

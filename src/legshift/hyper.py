@@ -355,16 +355,17 @@ class _Gauss(_Series):
     first use and kept; each call does only w-dependent work.
     """
 
-    __slots__ = ("_reach", "_quadratic", "_cab_int", "_ab_int", "_pfaff", "_images")
+    __slots__ = ("_reach", "_quadratic", "_cab_int", "_ab_int", "_images", "_pfaff", "_nudged")
 
     def __init__(self, a, b, c):
-        _Series.__init__(self, a, b, c)
-        # on first use: _series_reach, the quadratic image's _Gauss where
-        # b == a + 1/2 (else False), integer c-a-b and a-b, the Pfaff image's
-        self._reach = self._quadratic = self._cab_int = self._ab_int = self._pfaff = None
-        # image key -> (coefficient, series, coefficient, series); "a" or "c"
-        # -> the evaluators at that parameter +/- i*eps
-        self._images = {}
+        super().__init__(a, b, c)
+        # built on first use
+        self._reach = None  # _series_reach of the parameters
+        self._quadratic = None  # _Gauss of the quadratic image where b == a + 1/2, else False
+        self._cab_int = self._ab_int = None  # integer c-a-b, integer a-b
+        self._images = {}  # image key -> (coefficient, series, coefficient, series)
+        self._pfaff = None
+        self._nudged = {}  # "a" or "c" -> evaluators at that parameter +/- i*eps
 
     def __call__(self, w, wc=None):
         """2F1 at w by the chooser of the module docstring; ``wc`` is 1 - w
@@ -498,10 +499,10 @@ class _Gauss(_Series):
 
     def _nudge(self, axis):
         """The evaluators at c (axis "c") or a ("a") +/- i*eps."""
-        pair = self._images.get(axis)
+        pair = self._nudged.get(axis)
         if pair is None:
             a, b, c = self._params[:3]
-            pair = self._images[axis] = tuple(
+            pair = self._nudged[axis] = tuple(
                 _Gauss(a, b, c + d) if axis == "c" else _Gauss(a + d, b, c)
                 for d in (1j * _EPS_NUDGE, -1j * _EPS_NUDGE)
             )
@@ -569,7 +570,8 @@ def hyp2f1(a, b, c, w) -> complex:
     the sign of an imaginary part; at a real w > 1 it raises DomainError
     unless a numerator ends the series.
     """
-    return finite_result(hyp2f1_evaluator(a, b, c)(w), "2F1")
+    check_finite(a, b, c, w)
+    return finite_result(_canonical(complex(a), complex(b), complex(c))(w), "2F1")
 
 
 def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
@@ -583,7 +585,7 @@ def hyp3f2_series(a1, a2, a3, b1, b2, w) -> complex:
     parameter first; ``hyp3f2_regularized`` has the limit there.
     """
     check_finite(a1, a2, a3, b1, b2, w)
-    series = _Series(complex(a1), complex(a2), complex(b1), complex(a3), complex(b2))
+    series = _Series(complex(a1), complex(a2), complex(b1), a3=complex(a3), b2=complex(b2))
     w = complex(w)
     if series._n_term is None and series._pole is None and abs(w) >= 1.0 - 1e-3:
         raise ConvergenceError(
@@ -631,7 +633,7 @@ def hyp3f2_regularized(a1, a2, b1, b2, w) -> complex:
         return 0j
     # no lower parameter is a pole: b1 + n = 1, and b2 + n >= 1 where b2 is
     # one too; so only s1 or s2 ends the sum (``_n_term``)
-    series = _Series(s1, s2, 1 + 0j if n else b1, 1 + 0j, b2 + n if n else b2)
+    series = _Series(s1, s2, 1 + 0j if n else b1, a3=1 + 0j, b2=b2 + n if n else b2)
     if not (series._n_term is not None or abs(w) <= _3F2_SERIES_RADIUS):
         w = complex(w)
         if w.imag == 0.0 and w.real >= 1.0:

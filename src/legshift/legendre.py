@@ -145,11 +145,13 @@ class _TermSum:
     __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
 
     def __init__(self, terms, name, ferrers=False):
-        self._name, self._ferrers = name, ferrers
+        self._name = name
         # a term with K = 0 adds nothing but the cost and rounding of its series
-        self._terms = terms = [t for t in terms if t.K] or terms[:1]
+        terms = [t for t in terms if t.K != 0] or terms[:1]
+        self._terms = terms
+        self._ferrers = ferrers
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
-        self._hyp = [[_prepared_2f1(a, b, c)] for _, _, _, a, b, c, _, _ in terms]
+        self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
 
     @staticmethod
     def _derivative(t, hyp, n):
@@ -336,22 +338,6 @@ def _jacobi(nu, alpha, beta, s, name):
     return terms
 
 
-# --- argument preparation ----------------------------------------------------
-
-
-def _prepare_z(z, boundary_side):
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 1.0:
-        if z.real in (1.0, -1.0):
-            raise DomainError(f"evaluation at the branch point z = {z.real}")
-        if boundary_side == "+":
-            return complex(z.real, _CUT_IMAG)
-        if boundary_side == "-":
-            return complex(z.real, -_CUT_IMAG)
-        raise DomainError("z lies on the cut (-inf, 1]; pass boundary_side '+' or '-'")
-    return z
-
-
 # --- evaluators ----------------------------------------------------------------
 
 _KINDS = ("p", "q", "ferrers_p", "ferrers_q")
@@ -474,15 +460,22 @@ class _Legendre:
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         check_finite(z)
         if self._domain == "ferrers":
-            z = _ferrers_x(z)
+            z = real_argument(z, "Ferrers functions")
+            if not -1.0 < z < 1.0:
+                raise DomainError(f"Ferrers argument must lie in (-1, 1), got {z}")
             if abs(z) >= self._limit:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._limit:.3g}")
         elif self._domain == "whipple":
             z = _whipple_y(z)
-        elif self._domain == "jacobi":
+        else:  # the cut plane's P and Q, or Jacobi's z
             z = complex(z)
-        else:
-            z = _prepare_z(z, boundary_side)
+            # P and Q at a real z <= 1 take the side of the cut the caller names
+            if z.imag == 0.0 and z.real <= 1.0 and self._domain != "jacobi":
+                if z.real in (1.0, -1.0):
+                    raise DomainError(f"evaluation at the branch point z = {z.real}")
+                if boundary_side not in ("+", "-"):
+                    raise DomainError("z lies on the cut (-inf, 1]; pass boundary_side '+' or '-'")
+                z = complex(z.real, _CUT_IMAG if boundary_side == "+" else -_CUT_IMAG)
         return self.terms(z, None, order)
 
 
@@ -574,13 +567,6 @@ def legendre_q(nu, mu, z, boundary_side=None, olver=False) -> complex:
     is entire in both parameters.
     """
     return _Legendre("olver_q" if olver else "q", nu, mu)(z, boundary_side=boundary_side)
-
-
-def _ferrers_x(x) -> float:
-    x = real_argument(x, "Ferrers functions")
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"Ferrers argument must lie in (-1, 1), got {x}")
-    return x
 
 
 def ferrers_p(nu, mu, x) -> complex:

@@ -207,6 +207,8 @@ def test_hyp2f1_rejects_non_finite_input():
                  (0.5, complex(0.2, inf), 1.3, 0.5), (0.5, 0.2, nan, 0.5)):
         with pytest.raises(DomainError):
             hyp2f1(*args)
+    with pytest.raises(TypeError):  # w is checked as a number, not parsed by complex()
+        hyp2f1(0.5, 0.2, 1.3, "0.5")
 
 
 def test_series_keeps_its_term_ratios_from_the_second_sum():

@@ -467,10 +467,12 @@ class _Legendre:
                 raise NumericalError(f"Ferrers series lose digits at |x| >= {self._limit:.3g}")
         elif self._domain == "whipple":
             z = _whipple_y(z)
-        else:  # the cut plane's P and Q, or Jacobi's z
+        elif self._domain == "jacobi":
+            z = complex(z)
+        else:
             z = complex(z)
             # P and Q at a real z <= 1 take the side of the cut the caller names
-            if z.imag == 0.0 and z.real <= 1.0 and self._domain != "jacobi":
+            if z.imag == 0.0 and z.real <= 1.0:
                 if z.real in (1.0, -1.0):
                     raise DomainError(f"evaluation at the branch point z = {z.real}")
                 if boundary_side not in ("+", "-"):

@@ -124,6 +124,9 @@ _CUT_IMAG = 1e-250  # selects the side of the cut without moving the point
 # the x**2 series cancel like (|x| + sqrt(1+x**2))**|nu+1/2|; a Ferrers call
 # raises where eps times that passes 1e-5, at asinh|x| >= this / |nu+1/2|
 _FERRERS_REACH = math.log(1e-5 / sys.float_info.epsilon)
+# term phases K/conj(K) within this of each other are one phase: the
+# rounding of K's computation
+_PHASE_TOL = 8 * sys.float_info.epsilon
 
 
 # K * (z-1)**p * (z+1)**q * z**r * 2F1(a, b; c; w), with (1-x)**p (1+x)**q
@@ -169,6 +172,26 @@ class _TermSum:
             ak = bk + 0.5 if a == b + 0.5 else a + k
             hyp.append((coef, _prepared_2f1(ak, bk, c + k)))
         return hyp[n]
+
+    def reflection(self):
+        """The phase phi with S(conj z) = phi conj(S(z)) off the cuts, by the
+        Schwarz reflection principle: K/conj(K) where every exponent and 2F1
+        parameter is real, so that each term is K times a function real on
+        the real axis, and all K share one phase up to sign; else None.  It
+        is 1 for P and Jacobi and exp(2i pi mu) for Hobson's Q at real
+        parameters."""
+        phase = None
+        for K, p, q, a, b, c, _wmap, r in self._terms:
+            if p.imag or q.imag or r.imag or a.imag or b.imag or c.imag:
+                return None
+            if K:
+                f = K / K.conjugate()
+                if phase is None:
+                    phase = f
+                elif abs(f - phase) > _PHASE_TOL:
+                    return None
+        # a list whose every K is 0 is 0: any phase serves
+        return 1.0 if phase is None else phase
 
     def __call__(self, z, zc=None, order=0):
         """The order-th derivative (0, 1 or 2) of S at z.  ``zc`` is 1 - z,
@@ -291,6 +314,12 @@ class _JacobiRecurrence:
     def __init__(self, n, alpha, beta, weight, name):
         self._n, self._alpha, self._beta, self._weight, self._name = n, alpha, beta, weight, name
 
+    def reflection(self):
+        """``_TermSum.reflection``: 1 at real alpha, beta and weight, the
+        polynomial's coefficients being real; else None."""
+        real = not any(complex(v).imag for v in (self._alpha, self._beta, *self._weight))
+        return 1.0 if real else None
+
     def __call__(self, z, zc=None, order=0):
         n, alpha, beta = self._n, self._alpha, self._beta
         sp, sq = self._weight
@@ -399,6 +428,12 @@ class _FerrersP:
         h = abs(nu + 0.5)
         self._slack = math.log(100.0) / h if h else math.inf
         self._lists = [None, None]
+
+    def reflection(self):
+        """``_TermSum.reflection``: 1 at real nu, mu and s, where both lists'
+        K are real; else None."""
+        nu, mu, s, _name = self._args
+        return None if nu.imag or mu.imag or complex(s).imag else 1.0
 
     def __call__(self, x, xc=None, order=0):
         m, r = 0.5 * abs(1.0 - x if xc is None else xc), abs(x)

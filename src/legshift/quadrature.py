@@ -40,7 +40,13 @@ trapezoid rule on a circle of at most a quarter of g's analyticity radius,
 with N = the smallest power of two >= max(32, coefficient count) samples, so
 aliasing stays below 4**-N relative (5e-20 at N = 32).  A radix-2 FFT turns
 the samples into coefficients.  The declared analyticity radius must be the
-true one: a singularity inside it aliases into every coefficient.
+true one: a singularity inside it aliases into every coefficient.  A caller
+may pass a reflection phase phi, vouching that g(conj t) = phi conj(g(t)) on
+the circle (the Schwarz reflection principle: g is real on the real axis up
+to the constant phase, as a function of real parameters at a real point
+is); the rule then evaluates g on the upper half of the circle only, N/2 + 1
+samples, and takes each sample of the lower half as phi times the
+conjugate of its mirror image.
 """
 
 from __future__ import annotations
@@ -72,6 +78,10 @@ _MAX_LEVEL = 12
 # integer order): 64 ulp, conservative for the FFT over 32 samples, whose
 # rounding grows like log2(N) ulp
 _ADDBACK_ROUNDING = 64 * _EPS
+# a power of the Cauchy radius past this in log is out of the normal range
+_LOG_RANGE = -math.log(sys.float_info.min)
+# the largest n whose n! is inside double range
+_MAX_FACTORIAL = 170
 # lam within this of an integer n >= 0 is n: the loop is the n-th derivative
 # at 0, and the Weyl integral has no tail, 1/Gamma(-n) being 0
 _INTEGER_LAM_TOL = 1e-12
@@ -100,10 +110,14 @@ class QuadratureResult:
         )
 
 
-def _check_arguments(target, *values) -> None:
-    """DomainError unless each value given (None: left out) is finite and
+def _check_arguments(target, *values, **reals) -> None:
+    """DomainError unless each value given (None: left out) is finite, each
+    keyword value is real, named in the message when it is not, and
     ``target`` is positive and finite."""
-    check_finite(*(v for v in values if v is not None))
+    check_finite(*(v for v in (*values, *reals.values()) if v is not None))
+    for name, v in dict(reals, target=target).items():
+        if isinstance(v, complex):
+            raise DomainError(f"{name} must be real, got {v!r}")
     if not 0.0 < target < math.inf:
         raise DomainError(f"quadrature target must be positive and finite, got {target!r}")
 
@@ -140,7 +154,9 @@ def integrate_segment(
     ConvergenceError; a level whose sum of |w f| is not finite raises
     NumericalError.
     """
-    _check_arguments(target, a, b, endpoint_exponent_a, endpoint_exponent_b)
+    _check_arguments(
+        target, a, b, endpoint_exponent_a=endpoint_exponent_a, endpoint_exponent_b=endpoint_exponent_b
+    )
     if endpoint_exponent_a <= -1.0 or endpoint_exponent_b <= -1.0:
         raise DomainError(
             "non-integrable endpoint exponent: "
@@ -251,7 +267,7 @@ def integrate_semi_infinite(
     law (T |f(T)| / 0.18 with none declared, a bound for p >= 1.18), joins
     ``err_estimate``, as does the mass between a and the nearest node.
     """
-    check_finite(a)
+    _check_arguments(target, a, endpoint_exponent=endpoint_exponent, decay_exponent=decay_exponent)
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
     if decay_exponent is not None and decay_exponent <= 1.0:
@@ -306,22 +322,41 @@ def _fft(x):
     return a
 
 
-def _taylor_coefficients(g: Callable[[complex], complex], radius: float, count: int):
+def _taylor_coefficients(
+    g: Callable[[complex], complex], radius: float, count: int, reflection=None
+):
     """Taylor coefficients c_0..c_{count-1} of g at 0 by the trapezoid rule
     on |t| = radius, with N = the smallest power of two >= max(32, count)
-    samples g_j; returns (coefficients, N, mean |g_j|).
+    samples g_j at t_j = radius exp(2 pi i j/N); returns (coefficients,
+    evaluations of g, mean |g_j|).
 
     Every caller puts the circle at a quarter of g's analyticity radius, so
     the aliased terms c_{k+N} radius**(k+N) are below 4**-N relative, and
     N >= count keeps the returned coefficients from aliasing onto each other.
+    With a ``reflection`` phase phi, the caller's promise that
+    g(conj t) = phi conj(g(t)) on the circle, g is called at j = 0..N/2 only,
+    and each g_j with j > N/2 is phi conj(g_(N-j)): N/2 + 1 evaluations.
+    NumericalError, before any sample, where radius**(count-1) leaves the
+    normal double range, which the division by radius**k needs.
     """
+    if abs((count - 1) * math.log(radius)) > _LOG_RANGE:
+        raise NumericalError(
+            f"the Cauchy rule cannot reach Taylor order {count - 1}: "
+            f"{radius:g}**{count - 1} is out of double range"
+        )
     n = 32
     while n < count:
         n *= 2
-    samples = [g(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)]
+    if reflection is None:
+        samples = [g(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)]
+        evaluations = n
+    else:
+        samples = [g(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n // 2 + 1)]
+        evaluations = len(samples)
+        samples += [reflection * s.conjugate() for s in reversed(samples[1:-1])]
     sums = _fft(samples)
     coeffs = [sums[k] / (n * radius**k) for k in range(count)]
-    return coeffs, n, sum(map(abs, samples)) / n
+    return coeffs, evaluations, sum(map(abs, samples)) / n
 
 
 def _poly_eval(coeffs, t):
@@ -338,18 +373,22 @@ def _regularized_lower(
     radius: float,
     target: float,
     basepoint_exponent: float = 0.0,
+    reflection=None,
 ) -> QuadratureResult:
     """Regularized integral of t**(-lam-1) g(t) over (0, c).
 
     Defined by subtracting the degree-(M-1) Taylor polynomial of g and adding
     back sum_k g_k c**(k-lam)/(k-lam), the analytic continuation of the
-    polynomial part from Re lam < 0.
+    polynomial part from Re lam < 0; ``reflection`` as for
+    ``_taylor_coefficients``.
     """
     m_sub = max(int(math.ceil(lam.real)) + 1, 8)
     # at t_cut = radius/2 the terms fall like 8**-k: the first one left out
     # is below 8**-32 of the leading one
     k_tail = 24
-    coeffs, n_eval, _ = _taylor_coefficients(lambda t: g(t, c - t), radius, m_sub + k_tail)
+    coeffs, n_eval, _ = _taylor_coefficients(
+        lambda t: g(t, c - t), radius, m_sub + k_tail, reflection
+    )
     t_cut = 0.5 * radius
 
     # analytic integral of the subtracted remainder over (0, t_cut)
@@ -414,6 +453,7 @@ def integrate_loop(
     analyticity_radius: float | None = None,
     basepoint_exponent: float = 0.0,
     target: float = 1e-9,
+    reflection: complex | None = None,
 ) -> QuadratureResult:
     """Riemann-Liouville operator (1/Gamma(-lam)) * int_0^c t**(-lam-1) g(t) dt,
     continued in lam: the loop of the module docstring.
@@ -427,20 +467,37 @@ def integrate_loop(
     as its estimate.  Otherwise the integral is tanh-sinh directly for
     Re lam < -1/2, lam = -n giving the n-fold integral of g over (0, c), and
     ``_regularized_lower`` on the circle of ``_cauchy_radius`` beyond.
+    c, the radius and the exponent must be real.
+
+    ``reflection``, when given, is a phase phi for which the caller vouches
+    that g(conj t, c - conj t) = phi conj(g(t, c - t)) on the Cauchy circle,
+    as holds when g is real on the real axis up to that phase; the Cauchy
+    rule then evaluates g on half the circle, N/2 + 1 samples in place of N.
     """
-    _check_arguments(target, c, lam, analyticity_radius, basepoint_exponent)
+    _check_arguments(
+        target,
+        lam,
+        reflection,
+        c=c,
+        analyticity_radius=analyticity_radius,
+        basepoint_exponent=basepoint_exponent,
+    )
     lam = complex(lam)
     n = integer_within(lam, _INTEGER_LAM_TOL) if lam.real > -0.5 else None
-    return _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target)
+    return _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflection)
 
 
-def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target):
+def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflection):
     """``integrate_loop`` past its checks; n is lam taken as an integer >= 0, or None."""
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
     radius = _cauchy_radius(c, analyticity_radius)
     if n is not None:
-        coeffs, n_eval, size = _taylor_coefficients(lambda t: g(t, c - t), radius, n + 1)
+        if n > _MAX_FACTORIAL:
+            raise NumericalError(f"the derivative of order {n} needs {n}!, past double range")
+        coeffs, n_eval, size = _taylor_coefficients(
+            lambda t: g(t, c - t), radius, n + 1, reflection
+        )
         rounding = _ADDBACK_ROUNDING * size / radius**n
         return QuadratureResult(coeffs[n], rounding, n_eval).scaled((-1) ** n * math.factorial(n))
     if lam.real < -0.5:
@@ -453,7 +510,7 @@ def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target):
             target=target,
         )
     else:
-        lower = _regularized_lower(g, c, lam, radius, target, basepoint_exponent=basepoint_exponent)
+        lower = _regularized_lower(g, c, lam, radius, target, basepoint_exponent, reflection)
     return lower.scaled(rgamma(-lam))
 
 
@@ -464,6 +521,7 @@ def integrate_weyl(
     analyticity_radius: float | None = None,
     decay_exponent: float | None = None,
     target: float = 1e-9,
+    reflection: complex | None = None,
 ) -> QuadratureResult:
     """Weyl operator (1/Gamma(-lam)) * int_0^inf t**(-lam-1) g(t) dt, continued
     in lam: the loop from infinity around 0 and back,
@@ -479,9 +537,20 @@ def integrate_weyl(
     ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires
     t**(-Re lam - 1) g(t) integrable at infinity; ``decay_exponent``, when
     supplied, declares |g| ~ t**(-decay_exponent) there.  g is called as
-    g(t, c - t), as by ``integrate_loop``.
+    g(t, c - t), as by ``integrate_loop``; c, the radius and the exponent
+    must be real.  ``reflection`` is ``integrate_loop``'s: a phase phi with
+    g(conj t, c - conj t) = phi conj(g(t, c - t)) on the Cauchy circle, the
+    caller's promise, on which the loop's Cauchy rule evaluates g on half
+    the circle.
     """
-    _check_arguments(target, lam, c, analyticity_radius, decay_exponent)
+    _check_arguments(
+        target,
+        lam,
+        reflection,
+        c=c,
+        analyticity_radius=analyticity_radius,
+        decay_exponent=decay_exponent,
+    )
     lam = complex(lam)
     tail_decay = None if decay_exponent is None else decay_exponent + lam.real + 1.0
 
@@ -497,7 +566,7 @@ def integrate_weyl(
             target=target,
         ).scaled(rgamma(-lam))
     n = integer_within(lam, _INTEGER_LAM_TOL)
-    lower = _loop(g, c, lam, n, analyticity_radius, 0.0, target)
+    lower = _loop(g, c, lam, n, analyticity_radius, 0.0, target, reflection)
     if n is not None:
         return lower
     upper = integrate_semi_infinite(kernel, c, decay_exponent=tail_decay, target=target)
@@ -528,7 +597,7 @@ def repeated_integral(
         raise DomainError(f"fold count must be an integer in [1, 8], got {n}")
     if upper not in ("to_one", "to_infinity", "from_one"):
         raise DomainError(f"unknown variant {upper!r}")
-    _check_arguments(target, z, endpoint_exponent)
+    _check_arguments(target, z, endpoint_exponent=endpoint_exponent)
     z = complex(z)
     if upper == "to_infinity":
         if z.imag != 0:

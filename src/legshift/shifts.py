@@ -430,11 +430,30 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
     return Prediction(val, {"shifted_value": val}, ())
 
 
+class _Powers:
+    """(v, vc=None) -> K (1-v)**a (1+v)**b, vc being an exact 1 - v as for
+    ``legendre.weighted_evaluator``."""
+
+    __slots__ = ("_K", "_a", "_b")
+
+    def __init__(self, K, a, b):
+        self._K, self._a, self._b = K, a, b
+
+    def __call__(self, v, vc=None):
+        return self._K * cpow(1.0 - v if vc is None else vc, self._a) * cpow(1.0 + v, self._b)
+
+    def reflection(self):
+        """``legendre._TermSum.reflection``: K/conj(K) at real a and b, else None."""
+        if complex(self._a).imag or complex(self._b).imag:
+            return None
+        K = complex(self._K)
+        return K / K.conjugate() if K else 1.0
+
+
 def _rodrigues_primitive(nu, alpha, beta):
     """(v, vc=None) -> 2**(-nu)/Gamma(nu+1) (1-v)**(nu+alpha) (1+v)**(nu+beta),
-    vc being an exact 1 - v as for ``legendre.weighted_evaluator``."""
-    K, a, b = cpow(2.0, -nu) * rgamma(nu + 1.0), nu + alpha, nu + beta
-    return lambda v, vc=None: K * cpow(1.0 - v if vc is None else vc, a) * cpow(1.0 + v, b)
+    a ``_Powers``."""
+    return _Powers(cpow(2.0, -nu) * rgamma(nu + 1.0), nu + alpha, nu + beta)
 
 
 def rodrigues_pair(nu, alpha, beta, z):

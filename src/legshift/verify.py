@@ -60,6 +60,7 @@ from .quadrature import (
 )
 from .shifts import (
     Prediction,
+    _Powers,
     _closed_form,
     _cond,
     _integrand,
@@ -170,19 +171,23 @@ _Point = namedtuple("_Point", "nu mu lam z")
 
 
 def _recipe(integrate):
-    """Factory of quadrature sides from ``integrate(p, W, target, **numbers)``.
+    """Factory of quadrature sides from
+    ``integrate(p, W, target, reflection, **numbers)``.
 
     ``recipe(integrand, scale=None, **numbers)`` returns lhs(nu, mu, lam, z,
     target), which builds W = integrand(p) once per point, passes each
     number as is or, when it is a function, as its value f(p), and
-    multiplies the result by scale(p).
+    multiplies the result by scale(p).  ``reflection`` is W's reflection
+    phase (``legendre._TermSum.reflection``) at a real z, where each recipe's
+    g, W at z plus a real multiple of t, inherits it; None at a complex z.
     """
 
     def factory(integrand, scale=None, **numbers):
         def lhs(nu, mu, lam, z, target):
             p = _Point(complex(nu), complex(mu), complex(lam), complex(z))
             values = {k: f(p) if callable(f) else f for k, f in numbers.items()}
-            res = integrate(p, integrand(p), target, **values)
+            W = integrand(p)
+            res = integrate(p, W, target, None if p.z.imag else W.reflection(), **values)
             return res if scale is None else res.scaled(scale(p))
 
         return lhs
@@ -191,7 +196,7 @@ def _recipe(integrate):
 
 
 @_recipe
-def _weyl_loop(p, W, target, decay, order=None):
+def _weyl_loop(p, W, target, reflection, decay, order=None):
     """Weyl integral of order ``order`` (lam when None) of g(t) = W(z+t),
     (1/Gamma(-order)) * int_z^inf (V-z)**(-order-1) W(V) dV: at
     Re order < -1/2 directly, otherwise split at t = 0.3 into the
@@ -205,11 +210,12 @@ def _weyl_loop(p, W, target, decay, order=None):
         analyticity_radius=(z - 1.0).real,
         decay_exponent=decay,
         target=target,
+        reflection=reflection,
     )
 
 
 @_recipe
-def _riemann_loop(p, W, target, basepoint=0.0, order=None, radius=None):
+def _riemann_loop(p, W, target, reflection, basepoint=0.0, order=None, radius=None):
     """Riemann-Liouville loop of order ``order`` (lam when None) of
     g(v) = W(z + (1-z) v), based at v = 1 where W has the power
     ``basepoint``: (1-z)**(-order) times it is the fractional integral
@@ -227,6 +233,7 @@ def _riemann_loop(p, W, target, basepoint=0.0, order=None, radius=None):
         analyticity_radius=radius,
         basepoint_exponent=basepoint,
         target=target,
+        reflection=reflection,
     )
 
 
@@ -240,8 +247,7 @@ def _on_cut(lhs):
 
 def _beta_kernel(p):
     """W(v) = (1-v)^(sigma-1), sigma = mu."""
-    e = p.mu - 1.0
-    return lambda v, vc: cpow(vc, e)
+    return _Powers(1.0, p.mu - 1.0, 0.0)
 
 
 def _rotation(p):

@@ -25,7 +25,7 @@ from legshift.legendre import (
     whipple_p_to_q,
     whipple_q_to_p,
 )
-from legshift.shifts import _weighted, rodrigues_pair
+from legshift.shifts import _rodrigues_primitive, _weighted, rodrigues_pair
 
 
 def test_legendre_p_frozen_oracle():
@@ -713,3 +713,37 @@ def test_one_shot_set_up_builds_fixed_counts(monkeypatch, call, series, ratios):
         monkeypatch.setattr(module, "gamma_ratio", counted_ratio)
     call()
     assert counts == {"series": series, "gamma_ratio": ratios}
+
+
+_HOBSON = lambda mu: cmath.exp(2j * math.pi * mu)
+_REAL = lambda mu: 1.0
+
+
+@pytest.mark.parametrize(
+    "build,centre,radius,phase",
+    [
+        (lambda mu: weighted_evaluator("p", 0.6, mu, -mu / 2.0), 2.4, 0.35, _REAL),
+        (lambda mu: weighted_evaluator("q", 0.6, mu, mu / 2.0), 2.4, 0.35, _HOBSON),
+        (lambda mu: legendre._Legendre("olver_q", 0.6, mu).terms, 2.4, 0.35, _REAL),
+        (lambda mu: weighted_evaluator("ferrers_p", 0.6, mu, -mu / 2.0), 0.3, 0.15, _REAL),
+        (lambda mu: weighted_evaluator("ferrers_q", 0.6, mu, mu / 2.0), 0.3, 0.15, _REAL),
+        (lambda mu: whipple_evaluator("p", 0.6, mu, 0.3), 1.8, 0.2, _REAL),
+        (lambda mu: whipple_evaluator("q", 0.6, mu, -0.8), 1.8, 0.2, _HOBSON),
+        # Jacobi's one term, its degree recurrence and the Rodrigues primitive,
+        # mu being alpha
+        (lambda mu: _weighted("rodrigues", "jacobi", 1.6, (mu, -0.2)).terms, 0.3, 0.15, _REAL),
+        (lambda mu: _weighted("rodrigues", "jacobi", 3.0, (mu, -0.2)).terms, 0.3, 0.15, _REAL),
+        (lambda mu: _rodrigues_primitive(0.6, mu, -0.2), 0.3, 0.15, _REAL),
+    ],
+)
+def test_term_lists_report_their_reflection_phase(build, centre, radius, phase):
+    # the phase phi is W(conj z) / conj(W(z)) on a circle about a real point,
+    # as the Cauchy rule's reflected samples take it; None at a complex mu
+    mu = 0.3
+    W = build(mu)
+    phi = W.reflection()
+    assert abs(phi - phase(mu)) <= 1e-15
+    for j in range(1, 8):
+        z = centre + radius * cmath.exp(2j * math.pi * j / 16)
+        assert abs(W(z.conjugate()) - phi * W(z).conjugate()) <= 1e-13 * abs(W(z)), j
+    assert build(mu + 0.1j).reflection() is None

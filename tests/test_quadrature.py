@@ -34,20 +34,29 @@ def _taylor_reference(g, radius, count, n_samples=128):
 
 def test_taylor_coefficients_match_direct_dft():
     p_upper = weighted_evaluator("p", 0.6, 0.3, -0.15)
+    # Hobson's Q carries exp(i pi mu), so Q(conj z) = exp(2 i pi mu) conj(Q(z))
+    q_upper = weighted_evaluator("q", 0.6, 0.3, -0.15)
+    q_phase = cmath.exp(2j * math.pi * 0.3)
     cases = [
-        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40, 64),
-        (lambda t: p_upper(2.4 - t), 0.35, 40, 64),
-        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9, 32),
-        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 24, 32),
-        (lambda t: p_upper(2.4 - t), 0.35, 32, 32),
-        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 64, 64),
-        (lambda t: p_upper(2.4 - t), 0.35, 70, 128),
+        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 40, 64, None),
+        (lambda t: p_upper(2.4 - t), 0.35, 40, 64, None),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 9, 32, None),
+        (lambda t: cpow(1.0 + t, 0.3 + 0.2j), 0.25, 24, 32, None),
+        (lambda t: p_upper(2.4 - t), 0.35, 32, 32, None),
+        (lambda t: cmath.exp(t) / (1.0 - 0.5 * t), 0.4, 64, 64, None),
+        (lambda t: p_upper(2.4 - t), 0.35, 70, 128, None),
+        # reflected: the samples of the lower half are phi conj(g) of the upper
+        (lambda t: p_upper(2.4 - t), 0.35, 32, 32, 1.0),
+        (lambda t: p_upper(2.4 - t), 0.35, 70, 128, 1.0),
+        (lambda t: q_upper(2.4 - t), 0.35, 32, 32, q_phase),
+        (lambda t: q_upper(2.4 - t), 0.35, 40, 64, q_phase),
     ]
-    for g, radius, count, n_samples in cases:
+    for g, radius, count, n_samples, reflection in cases:
         ref = _taylor_reference(g, radius, count)
-        coeffs, n_eval, size = _taylor_coefficients(g, radius, count)
-        # the rule takes the smallest power of two >= max(32, count) samples
-        assert n_eval == n_samples
+        coeffs, n_eval, size = _taylor_coefficients(g, radius, count, reflection)
+        # the rule takes the smallest power of two >= max(32, count) samples,
+        # and calls g at N/2 + 1 of them when reflected
+        assert n_eval == (n_samples if reflection is None else n_samples // 2 + 1)
         assert len(coeffs) == count
         # compare the trapezoid sums c_k radius**k: the rounding of each sum
         # is ~1e-16 of the largest one, and dividing by radius**k amplifies
@@ -59,6 +68,38 @@ def test_taylor_coefficients_match_direct_dft():
         # mean |g| over the samples bounds |c_k| radius**k
         assert max(abs(c) for c in scaled) <= size * (1.0 + 1e-12)
     assert _taylor_coefficients(lambda t: 1.0, 0.5, 129)[1] == 256
+
+
+def test_taylor_coefficients_count_the_reflected_evaluations():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return cmath.exp(t)
+
+    _taylor_coefficients(g, 0.5, 9, 1.0)
+    # j = 0..16 of 32: the upper half of the circle and both real points
+    assert len(calls) == 17
+    assert all(t.imag >= 0.0 for t in calls)
+
+
+@pytest.mark.parametrize(
+    "lam,c",
+    [(600.5, 1.0), (600, 1.0), (1e6 + 0.5, 1.0), (300.5, 100.0), (400, 1.0)],
+)
+def test_loop_past_the_cauchy_rule_reach_raises_before_sampling(lam, c):
+    # radius**k leaves double range in the coefficient division (0.25**600
+    # underflows, 25**325 overflows), and 400! is past double range: each
+    # raises NumericalError naming the order before g is called once
+    calls = []
+
+    def g(t, tc):
+        calls.append(t)
+        return 1.0 / (2.0 + t)
+
+    with pytest.raises(NumericalError, match="order"):
+        integrate_loop(g, c, lam)
+    assert calls == []
 
 
 def test_segment_polynomial():
@@ -230,9 +271,20 @@ _G = lambda t, tc: 1.0
         lambda: repeated_integral(_G, _NAN, 2),
         lambda: repeated_integral(_G, 0.5, 2, endpoint_exponent=_NAN),
         lambda: repeated_integral(_G, 0.5, 2, target=-1.0),
+        lambda: integrate_loop(_G, 1.0, 0.4, reflection=_NAN),
+        # c, the analyticity radius and every exponent must be real
+        lambda: integrate_loop(_G, 1.0 + 0j, -0.7),
+        lambda: integrate_loop(_G, 1.0, 0.3, analyticity_radius=2.0 + 0j),
+        lambda: integrate_loop(_G, 1.0, -0.7, basepoint_exponent=0.2 + 0j),
+        lambda: integrate_weyl(lambda t, tc: cmath.exp(-t), 0.3, c=0.3 + 0j),
+        lambda: integrate_weyl(lambda t, tc: cmath.exp(-t), -0.7, decay_exponent=3.0 + 0j),
+        lambda: integrate_segment(_G, 0.0, 1.0, endpoint_exponent_b=0.5j),
+        lambda: integrate_semi_infinite(_G, 0.5, endpoint_exponent=0.2 + 0j),
+        lambda: integrate_segment(_G, 0.0, 1.0, target=1e-9 + 0j),
+        lambda: repeated_integral(_G, 0.5, 2, endpoint_exponent=0.1 + 0j),
     ],
 )
-def test_quadrature_entry_points_reject_non_finite_arguments(call):
+def test_quadrature_entry_points_reject_non_finite_or_non_real_arguments(call):
     with pytest.raises(DomainError):
         call()
 

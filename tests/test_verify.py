@@ -543,6 +543,21 @@ def test_weyl_mplus_q_next_to_order_zero():
             assert rep.abs_err <= rep.lhs.err_estimate, (nu, mu, lam, z, rep.abs_err)
 
 
+def test_real_points_take_half_the_cauchy_circle():
+    # at real parameters and z the integrand is real on the real axis up to
+    # Hobson's phase, so the loop's Cauchy rule calls it 17 times, not 32
+    rep = verify_identity("WEYL_MPLUS_Q", 0.7, 0.2, 0.4, 1.5)
+    assert rep.passed and rep.lhs.evaluations == 142
+
+
+def test_complex_points_keep_the_full_cauchy_circle():
+    # a complex mu gives no reflection phase: 32 calls of the integrand, and
+    # the value of the full rule, digit for digit
+    rep = verify_identity("WEYL_MPLUS_Q", 0.7, 0.2 + 0.2j, 0.4, 1.5)
+    assert rep.passed and rep.lhs.evaluations == 157
+    assert repr(rep.lhs.value) == "(0.12956857548221812+0.09026103965236211j)"
+
+
 @pytest.mark.parametrize(
     "point", [(0.35, 0.15, 1.2, 1.6), (0.85, 0.15, 1.7, 2.4), (0.35, -0.2, 1.55, 2.4), (0.85, -0.2, 2.05, 1.6)]
 )

@@ -33,13 +33,23 @@ it from the node map itself, not by subtracting x, so an integrand with a
 power singularity at that endpoint evaluates it to full relative precision
 at every node, as in Bailey, Jeyabalan and Li (2005) and Boost.Math's
 tanh_sinh.  The loop and Weyl integrands g are called as g(t, c - t).
+A node's offset, as a share of the span, and its weight depend only on the
+level and the node index, so ``_NODES`` tabulates them once per level for
+every segment, growing a level's rows as a later call reaches further out
+in u: about 100 rows over the levels <= 4 that the identity catalog
+reaches, at most 24,984 (about 3 MB) for a rule run to level 12 at the
+widest reach u = asinh(700/pi).
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
-trapezoid rule on a circle of at most a quarter of g's analyticity radius,
-with N = the smallest power of two >= max(32, coefficient count) samples, so
-aliasing stays below 4**-N relative (5e-20 at N = 32).  A radix-2 FFT turns
-the samples into coefficients.  The declared analyticity radius must be the
+trapezoid rule with N = the smallest power of two >= max(32, coefficient
+count) samples on a circle whose radius is a quarter of g's analyticity
+radius (and of c), or all of (0, c) where that radius is at least 4c, so
+aliasing stays below 4**-N relative (5e-20 at N = 32).  Where the circle
+reaches c, the series' integral over (0, c) is the loop's lower part alone,
+with no segment.  A loop with a power of g at c (``basepoint_exponent``)
+cannot declare an analyticity radius past c.  A radix-2 FFT turns the
+samples into coefficients.  The declared analyticity radius must be the
 true one: a singularity inside it aliases into every coefficient.  A caller
 may pass a reflection phase phi, vouching that g(conj t) = phi conj(g(t)) on
 the circle (the Schwarz reflection principle: g is real on the real axis up
@@ -85,6 +95,10 @@ _MAX_FACTORIAL = 170
 # lam within this of an integer n >= 0 is n: the loop is the n-th derivative
 # at 0, and the Weyl integral has no tail, 1/Gamma(-n) being 0
 _INTEGER_LAM_TOL = 1e-12
+# the tanh-sinh rows of each level, (h, start) -> [(u, frac, weight), ...]
+# (``_nodes``); the same for every segment, being offsets and weights per
+# unit span
+_NODES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,24 @@ class QuadratureResult:
             self.err_estimate * abs(factor),
             self.evaluations,
         )
+
+
+def _nodes(h, start, step, u_end):
+    """The tanh-sinh rows (u, frac, weight) of one level, u = j h for
+    j = start, start + step, ... up to u_end at least: frac = e/(1+e) is the
+    node's offset (1 - tanh((pi/2) sinh u))/2 from the nearer endpoint as a
+    share of the span, weight = 2 pi cosh u e/(1+e)**2 the derivative of
+    tanh((pi/2) sinh u), e = exp(-pi sinh u).  Each (h, start) keeps one
+    table in ``_NODES``, which grows, never shrinks, as calls reach further
+    out in u; its rows are the same whatever order the calls come in."""
+    rows = _NODES.setdefault((h, start), [])
+    j = start + step * len(rows)
+    while j * h <= u_end:
+        u = j * h
+        e = math.exp(-2.0 * (_HALF_PI * math.sinh(u)))
+        rows.append((u, e / (1.0 + e), 4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2))
+        j += step
+    return rows
 
 
 def _check_arguments(target, *values, **reals) -> None:
@@ -184,13 +216,15 @@ def integrate_segment(
 
     def level(h, start, step):
         nonlocal evaluations, acc, size
+        rows = _nodes(h, start, step, max(ends))
         for side in (0, 1):
-            j = max(start, side)
+            end = ends[side]
+            far = outer[side][0]
             small = 0
-            while j * h <= ends[side]:
-                u = j * h
-                e = math.exp(-2.0 * (_HALF_PI * math.sinh(u)))
-                frac = e / (1.0 + e)  # (1 - tanh((pi/2) sinh u))/2
+            # at h = 1 the node u = 0 is the b side's alone
+            for u, frac, weight in rows[1:] if side and not start else rows:
+                if u > end:
+                    break
                 offset = span * frac
                 if side:
                     x = a + offset
@@ -198,9 +232,10 @@ def integrate_segment(
                 else:
                     fx = f(b - offset, offset)
                 evaluations += 1
-                if u >= outer[side][0]:
+                if u >= far:
                     outer[side] = (u, fx, length * frac)
-                wf = rad * (4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2) * fx
+                    far = u
+                wf = rad * weight * fx
                 acc += wf
                 t = abs(wf)
                 size += t
@@ -211,7 +246,6 @@ def integrate_segment(
                         break
                 else:
                     small = 0
-                j += step
         if not math.isfinite(size):
             raise NumericalError(
                 f"non-finite integrand: sum of |w f| is {size!r} after {evaluations} evaluations"
@@ -266,8 +300,11 @@ def integrate_semi_infinite(
     The mass past the last node T, T |f(T)| / (p-1) by the declared power
     law (T |f(T)| / 0.18 with none declared, a bound for p >= 1.18), joins
     ``err_estimate``, as does the mass between a and the nearest node.
+    a must be real.
     """
-    _check_arguments(target, a, endpoint_exponent=endpoint_exponent, decay_exponent=decay_exponent)
+    _check_arguments(
+        target, a=a, endpoint_exponent=endpoint_exponent, decay_exponent=decay_exponent
+    )
     if endpoint_exponent <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent {endpoint_exponent}")
     if decay_exponent is not None and decay_exponent <= 1.0:
@@ -330,10 +367,10 @@ def _taylor_coefficients(
     samples g_j at t_j = radius exp(2 pi i j/N); returns (coefficients,
     evaluations of g, mean |g_j|).
 
-    Every caller puts the circle at a quarter of g's analyticity radius, so
-    the aliased terms c_{k+N} radius**(k+N) are below 4**-N relative, and
-    N >= count keeps the returned coefficients from aliasing onto each other.
-    With a ``reflection`` phase phi, the caller's promise that
+    Every caller puts the circle at a quarter of g's analyticity radius or
+    inside it, so the aliased terms c_{k+N} radius**(k+N) are below 4**-N
+    relative, and N >= count keeps the returned coefficients from aliasing
+    onto each other.  With a ``reflection`` phase phi, the caller's promise that
     g(conj t) = phi conj(g(t)) on the circle, g is called at j = 0..N/2 only,
     and each g_j with j > N/2 is phi conj(g_(N-j)): N/2 + 1 evaluations.
     NumericalError, before any sample, where radius**(count-1) leaves the
@@ -380,16 +417,20 @@ def _regularized_lower(
     Defined by subtracting the degree-(M-1) Taylor polynomial of g and adding
     back sum_k g_k c**(k-lam)/(k-lam), the analytic continuation of the
     polynomial part from Re lam < 0; ``reflection`` as for
-    ``_taylor_coefficients``.
+    ``_taylor_coefficients``.  Below t_cut, half the circle's radius, the
+    remainder is the series from k = M on, integrated term by term, and
+    tanh-sinh takes (t_cut, c); where the circle is c itself
+    (``_cauchy_radius``), t_cut is c and the series alone is the integral.
     """
     m_sub = max(int(math.ceil(lam.real)) + 1, 8)
-    # at t_cut = radius/2 the terms fall like 8**-k: the first one left out
-    # is below 8**-32 of the leading one
+    # at t_cut = radius/2 the terms fall like 8**-k, and like 4**-k at
+    # t_cut = c where the circle is c itself: the first one left out is
+    # below 4**-32 of the leading one
     k_tail = 24
     coeffs, n_eval, _ = _taylor_coefficients(
         lambda t: g(t, c - t), radius, m_sub + k_tail, reflection
     )
-    t_cut = 0.5 * radius
+    t_cut = c if radius == c else 0.5 * radius
 
     # analytic integral of the subtracted remainder over (0, t_cut)
     tail0 = 0.0 + 0.0j
@@ -405,17 +446,22 @@ def _regularized_lower(
             "analyticity disk"
         )
 
-    head = coeffs[:m_sub]
-
-    def integrand(t, tc):
-        return (g(t, tc) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
-
     addback = 0.0 + 0.0j
     addback_abs = 0.0
     for k in range(m_sub):
         term = coeffs[k] * cpow(c, k - lam) / (k - lam)
         addback += term
         addback_abs += abs(term)
+    # the Cauchy-rule coefficients carry rounding noise that the subtraction
+    # cancels only to a few ulp of the add-back and tail terms
+    rounding = _ADDBACK_ROUNDING * (addback_abs + abs(tail0))
+    if t_cut == c:  # the series alone is the integral over (0, c)
+        return QuadratureResult(tail0 + addback, rounding, n_eval)
+
+    head = coeffs[:m_sub]
+
+    def integrand(t, tc):
+        return (g(t, tc) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
 
     seg = integrate_segment(
         integrand,
@@ -425,10 +471,6 @@ def _regularized_lower(
         target=target,
         absolute_floor=abs(tail0 + addback),
     )
-
-    # the Cauchy-rule coefficients carry rounding noise that the subtraction
-    # cancels only to a few ulp of the add-back and tail terms
-    rounding = _ADDBACK_ROUNDING * (addback_abs + abs(tail0))
     return QuadratureResult(
         seg.value + tail0 + addback,
         seg.err_estimate + rounding,
@@ -438,12 +480,13 @@ def _regularized_lower(
 
 def _cauchy_radius(c: float, analyticity_radius: float | None) -> float:
     """Radius of the Cauchy circle for the Taylor coefficients of g at 0: a
-    quarter of the nearer of c and g's analyticity radius (c when None),
-    counting that radius as at most 4c."""
-    rho = c if analyticity_radius is None else min(analyticity_radius, 4.0 * c)
+    quarter of the nearer of c and g's analyticity radius (c when None), or
+    c itself, the disc then covering all of (0, c), where that radius is at
+    least 4c."""
+    rho = c if analyticity_radius is None else analyticity_radius
     if rho <= 0:
         raise DomainError("analyticity radius must be positive")
-    return 0.25 * min(c, rho)
+    return c if rho >= 4.0 * c else 0.25 * min(c, rho)
 
 
 def integrate_loop(
@@ -467,7 +510,8 @@ def integrate_loop(
     as its estimate.  Otherwise the integral is tanh-sinh directly for
     Re lam < -1/2, lam = -n giving the n-fold integral of g over (0, c), and
     ``_regularized_lower`` on the circle of ``_cauchy_radius`` beyond.
-    c, the radius and the exponent must be real.
+    c, the radius and the exponent must be real, and a nonzero exponent,
+    a power of g at c, bounds the radius by c.
 
     ``reflection``, when given, is a phase phi for which the caller vouches
     that g(conj t, c - conj t) = phi conj(g(t, c - t)) on the Cauchy circle,
@@ -491,6 +535,11 @@ def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflecti
     """``integrate_loop`` past its checks; n is lam taken as an integer >= 0, or None."""
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
+    if basepoint_exponent and analyticity_radius is not None and analyticity_radius > c:
+        raise DomainError(
+            f"analyticity radius {analyticity_radius} reaches past c = {c}, where g has "
+            f"the power {basepoint_exponent}"
+        )
     radius = _cauchy_radius(c, analyticity_radius)
     if n is not None:
         if n > _MAX_FACTORIAL:
@@ -534,7 +583,9 @@ def integrate_weyl(
     ``integrate_loop``'s (-d/dt)**n g at 0.  For Re lam < -1/2 the integral
     is ``integrate_semi_infinite`` directly, as ``integrate_loop``'s
     segment; otherwise it is
-    ``integrate_loop`` on (0, c) plus the tail over (c, inf).  Requires
+    ``integrate_loop`` on (0, c) plus the tail over (c, inf); where
+    ``analyticity_radius`` is at least 4c the loop is the Taylor series of
+    g alone, its Cauchy disc covering all of (0, c).  Requires
     t**(-Re lam - 1) g(t) integrable at infinity; ``decay_exponent``, when
     supplied, declares |g| ~ t**(-decay_exponent) there.  g is called as
     g(t, c - t), as by ``integrate_loop``; c, the radius and the exponent

@@ -200,14 +200,16 @@ def _weyl_loop(p, W, target, reflection, decay, order=None):
     """Weyl integral of order ``order`` (lam when None) of g(t) = W(z+t),
     (1/Gamma(-order)) * int_z^inf (V-z)**(-order-1) W(V) dV: at
     Re order < -1/2 directly, otherwise split at t = 0.3 into the
-    regularized loop, g being analytic for |t| < Re(z-1), and its tail;
-    |W| ~ t**(-decay) at infinity."""
+    regularized loop and its tail; |W| ~ t**(-decay) at infinity.  g is
+    analytic for |t| below the distance from z to W's cut (-inf, 1]: |z-1|
+    for Re z > 1, |Im z| otherwise.  Where that is at least 4 * 0.3, as at
+    real z >= 2.2, the loop's Cauchy disc covers all of (0, 0.3)."""
     z = p.z
     return integrate_weyl(
         lambda t, _tc: W(z + t),
         p.lam if order is None else order,
         c=0.3,
-        analyticity_radius=(z - 1.0).real,
+        analyticity_radius=abs(z - 1.0) if z.real > 1.0 else abs(z.imag),
         decay_exponent=decay,
         target=target,
         reflection=reflection,

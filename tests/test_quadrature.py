@@ -8,11 +8,13 @@ import pytest
 from legshift.complexfn import cpow, gamma, rgamma, sin_pi
 from legshift.errors import DomainError, NumericalError
 from legshift.quadrature import (
+    _HALF_PI,
     integrate_loop,
     integrate_segment,
     integrate_semi_infinite,
     integrate_weyl,
     repeated_integral,
+    _nodes,
     _taylor_coefficients,
 )
 from legshift.legendre import weighted_evaluator
@@ -245,6 +247,8 @@ def test_non_finite_integrand_raises():
 
 _NAN = float("nan")
 _G = lambda t, tc: 1.0
+# (t - a)**-0.9 e**-t with a = 0.5 + 0.5j, t - a being -tc
+_POWER_EXP = lambda t, tc: cpow(-tc, -0.9) * cmath.exp(-t)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +286,9 @@ _G = lambda t, tc: 1.0
         lambda: integrate_semi_infinite(_G, 0.5, endpoint_exponent=0.2 + 0j),
         lambda: integrate_segment(_G, 0.0, 1.0, target=1e-9 + 0j),
         lambda: repeated_integral(_G, 0.5, 2, endpoint_exponent=0.1 + 0j),
+        # the half-line's start too: its near piece would drop Im a
+        lambda: integrate_semi_infinite(_POWER_EXP, 0.5 + 0.5j, endpoint_exponent=-0.9),
+        lambda: integrate_semi_infinite(_POWER_EXP, 0.5 + 0.5j, endpoint_exponent=-0.5),
     ],
 )
 def test_quadrature_entry_points_reject_non_finite_or_non_real_arguments(call):
@@ -369,6 +376,49 @@ def test_weyl_integer_order_is_a_derivative():
         res = integrate_weyl(g, -n, c=1.0, analyticity_radius=3.0, decay_exponent=2.5)
         exact = 3.0 ** (n - 2.5) / math.prod(2.5 - k for k in range(1, n + 1))
         assert abs(res.value - exact) <= 1e-10 * exact, n
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.3])
+def test_weyl_cauchy_disc_covers_the_loop_where_g_reaches_4c(lam):
+    # g = (3+t)**(-5/2) is analytic out to 3 >= 4c: the loop over (0, 0.3)
+    # is the Taylor series alone, 32 Cauchy samples and no segment, and the
+    # Weyl integral 3**(-lam-5/2) Gamma(lam+5/2)/Gamma(5/2)
+    c = 0.3
+    g = lambda t, tc: cpow(3.0 + t, -2.5)
+    res = integrate_weyl(g, lam, c=c, analyticity_radius=3.0, decay_exponent=2.5)
+    exact = 3.0 ** (-lam - 2.5) * gamma(lam + 2.5) / gamma(2.5)
+    assert abs(res.value - exact) <= res.err_estimate
+    tail = integrate_semi_infinite(
+        lambda t, _tc: cpow(t, -lam - 1.0) * g(t, c - t), c, decay_exponent=2.5 + lam + 1.0
+    )
+    assert res.evaluations == 32 + tail.evaluations
+
+
+def test_loop_with_a_basepoint_power_keeps_its_radius_within_c():
+    # a power of g at c is a singularity at distance c: a radius past c
+    # contradicts it, so the Cauchy disc never covers (0, c) there
+    g = lambda v, vc: cpow(vc, 0.3)
+    with pytest.raises(DomainError, match="past c"):
+        integrate_loop(g, 1.0, 0.55, analyticity_radius=4.0, basepoint_exponent=0.3)
+    with pytest.raises(DomainError, match="past c"):
+        integrate_loop(g, 1.0, 0.55, analyticity_radius=1.5, basepoint_exponent=0.3)
+    at_c = integrate_loop(g, 1.0, 0.55, analyticity_radius=1.0, basepoint_exponent=0.3)
+    assert at_c == integrate_loop(g, 1.0, 0.55, basepoint_exponent=0.3)
+
+
+def test_node_table_rows_are_the_on_the_fly_nodes():
+    # each level's rows, bit for bit the expressions a level once formed at
+    # every node
+    u_end = math.asinh(700.0 / math.pi)
+    for level in range(7):
+        h, start, step = (1.0, 0, 1) if level == 0 else (0.5**level, 1, 2)
+        rows = _nodes(h, start, step, u_end)
+        assert rows[-1][0] <= u_end < rows[-1][0] + step * h
+        for i, row in enumerate(rows):
+            u = (start + step * i) * h
+            e = math.exp(-2.0 * (_HALF_PI * math.sinh(u)))
+            expected = (u, e / (1.0 + e), 4.0 * _HALF_PI * math.cosh(u) * e / (1.0 + e) ** 2)
+            assert list(map(repr, row)) == list(map(repr, expected)), (level, i)
 
 
 def test_semi_infinite_tail_joins_the_estimate():

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 from contextlib import redirect_stdout
 
 import mpmath
@@ -556,6 +557,43 @@ def test_complex_points_keep_the_full_cauchy_circle():
     rep = verify_identity("WEYL_MPLUS_Q", 0.7, 0.2 + 0.2j, 0.4, 1.5)
     assert rep.passed and rep.lhs.evaluations == 157
     assert repr(rep.lhs.value) == "(0.12956857548221812+0.09026103965236211j)"
+
+
+def test_weyl_head_is_the_taylor_series_where_the_disc_reaches_c():
+    # at z = 3 the integrand is analytic out to z - 1 = 2 >= 4 * 0.3: the
+    # loop over (0, 0.3) is its 17 reflected Cauchy samples alone, and the
+    # tail takes the other 68 evaluations (the head's segment took 27 more)
+    rep = verify_identity("WEYL_MMINUS_Q", 0.7, 0.2, 1.3, 3.0)
+    assert rep.passed and rep.lhs.evaluations == 85
+    assert rep.abs_err <= rep.lhs.err_estimate
+
+
+def _left_of_one_points(seed=30, count=6):
+    # complex z with Re z in (-2, 1), off the cut (-inf, 1] by at least 0.3
+    rng = random.Random(seed)
+    points = [(0.7, 0.2, 0.4, 0.5 + 1j), (0.7, 0.2, 0.4, 1.0 + 0.5j)]
+    for _ in range(count):
+        nu, mu, lam = rng.uniform(0.5, 2.5), rng.uniform(0.1, 0.7), rng.uniform(0.3, 1.4)
+        im = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.5)
+        points.append((nu, mu, lam, complex(rng.uniform(-2.0, 1.0), im)))
+    return points
+
+
+@pytest.mark.parametrize("identity", ["WEYL_MPLUS_Q", "WEYL_MMINUS_Q"])
+@pytest.mark.parametrize("point", _left_of_one_points())
+def test_weyl_q_identities_left_of_re_z_one(identity, point):
+    # the Weyl loops' integrands are analytic within |Im z| of a z left of
+    # Re z = 1, the distance to the cut (-inf, 1], not Re(z-1) < 0
+    rep = verify_identity(identity, *point)
+    assert rep.validity and rep.passed, (rep.failed_conditions, rep.rel_err)
+    assert rep.rel_err <= 1e-10, rep.rel_err
+
+
+@pytest.mark.parametrize("identity", ["K3_WEYL_P", "K3_WEYL_Q", "P3_WEYL_P"])
+@pytest.mark.parametrize("y", [-0.5 + 1j, 0.3j, -1.0 + 0.2j])
+def test_whipple_weyl_identities_refuse_re_y_at_most_zero(identity, y):
+    with pytest.raises(DomainError, match=r"Whipple images need Re y > 0"):
+        verify_identity(identity, 0.35, 0.15, 1.3, y)
 
 
 @pytest.mark.parametrize(

@@ -367,9 +367,9 @@ def _sweep_axis(args, names):
 
 
 def _cmd_sweep(args) -> int:
-    """One CSV row per swept value.  A domain error, pole or numerical
-    failure at one value writes a nan row, names the error on stderr, and
-    makes the sweep exit 3 (any domain error) or else 1 after its last row."""
+    """One CSV row per swept value; a domain error, pole or numerical failure
+    at one value writes a nan row and names it on stderr.  After the last row
+    the sweep exits 3 if a row was a domain error, else 1 if one failed or did not pass."""
     import csv
 
     nan = repr(float("nan"))
@@ -407,7 +407,7 @@ def _cmd_sweep(args) -> int:
                 entry.id, point["nu"], point["mu"], point["lam"], point["z"],
                 target=args.target, tolerance=args.tol,
             )
-            lhs = complex(rep.lhs.value) if rep.lhs is not None else complex("nan")
+            lhs = complex(rep.lhs.value) if rep.lhs is not None else complex("nan+nanj")
             return [
                 repr(lhs.real), repr(lhs.imag),
                 repr(rep.lhs.err_estimate) if rep.lhs is not None else nan,
@@ -431,6 +431,8 @@ def _cmd_sweep(args) -> int:
         except DomainError as exc:  # after PoleError, its subclass
             print(f"{axis}={x.real!r}: domain error: {exc}", file=sys.stderr)
             cells, code = failed_row, EXIT_DOMAIN
+        if cells[-1] is False:  # an identity row that did not pass
+            code = code or EXIT_NUMERICAL
         writer.writerow([repr(x.real)] + cells)
     text = out.getvalue()
     if args.output:

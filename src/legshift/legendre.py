@@ -134,18 +134,27 @@ _PHASE_TOL = 8 * sys.float_info.epsilon
 # "sq": w = x**2 (r = 0 or 1).
 # The per-node loops of _TermSum unpack it: a field read by name costs more.
 _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
+# cuts as rays (x0, d) = {x0 + d t : t >= 0}: (-inf, 1], and [1, inf), (-inf, -1]
+_CUT_PLANE = ((1.0, -1.0),)
+_SEGMENT_CUTS = ((1.0, 1.0), (-1.0, -1.0))
+
+
+def _power_cuts(sp, sq):
+    """The cuts of (1-z)**sp (1+z)**sq, a ray for each exponent not 0."""
+    return tuple(ray for ray, s in zip(_SEGMENT_CUTS, (sp, sq)) if s)
 
 
 class _TermSum:
     """Sum of _Term values, or of their first or second derivatives, at z;
     NumericalError naming the function ``name`` where the sum is not finite.
-    A ``ferrers`` list takes the factors (1-x)**p (1+x)**q.
+    A ``ferrers`` list takes the factors (1-x)**p (1+x)**q; ``cuts`` holds
+    the rays of S's cuts.
 
     Each term's 2F1 is prepared once; the evaluators of its first and second
     w-derivatives are built only when a derivative order asks for them.
     """
 
-    __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
+    __slots__ = ("_name", "_terms", "_ferrers", "_hyp", "cuts")
 
     def __init__(self, terms, name, ferrers=False):
         self._name = name
@@ -153,6 +162,7 @@ class _TermSum:
         terms = [t for t in terms if t.K != 0] or terms[:1]
         self._terms = terms
         self._ferrers = ferrers
+        self.cuts = _SEGMENT_CUTS if ferrers else _CUT_PLANE
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
         self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
 
@@ -192,6 +202,20 @@ class _TermSum:
                     return None
         # a list whose every K is 0 is 0: any phase serves
         return 1.0 if phase is None else phase
+
+    def end_powers(self):
+        """(e1, einf), the weakest term's: |S| ~ |z-1|**e1 next to z = 1 and
+        |z|**einf at infinity.  The 2F1 grows like w**-min(a, b) as w grows,
+        w = (1-z)/2 or x**2, and has the power (1-w)**(c-a-b) at w = 1."""
+        one, inf = math.inf, -math.inf
+        for _K, p, q, a, b, c, wmap, r in self._terms:
+            low = min(a.real, b.real)
+            if wmap == "half":
+                one, inf = min(one, p.real), max(inf, (p + q).real - low)
+            else:
+                one = min(one, p.real + min(0.0, (c - a - b).real))
+                inf = max(inf, (p + q + r).real - (2.0 * low if wmap == "sq" else 0.0))
+        return one, inf
 
     def __call__(self, z, zc=None, order=0):
         """The order-th derivative (0, 1 or 2) of S at z.  ``zc`` is 1 - z,
@@ -307,18 +331,24 @@ def _ferrers_terms(kind, nu, mu):
 class _JacobiRecurrence:
     """The Jacobi polynomial of degree n by its recurrence in the degree
     (DLMF 18.9.1-2) times (1-z)**sp (1+z)**sq, called as ``_TermSum``; the
-    derivatives of the unweighted one by the same recurrence (DLMF 18.9.15)."""
+    derivatives of the unweighted one by the same recurrence (DLMF 18.9.15).
+    Its ``cuts`` are the weight's."""
 
-    __slots__ = ("_n", "_alpha", "_beta", "_weight", "_name")
+    __slots__ = ("_n", "_alpha", "_beta", "_weight", "_name", "cuts")
 
     def __init__(self, n, alpha, beta, weight, name):
         self._n, self._alpha, self._beta, self._weight, self._name = n, alpha, beta, weight, name
+        self.cuts = _power_cuts(*weight)
 
     def reflection(self):
         """``_TermSum.reflection``: 1 at real alpha, beta and weight, the
         polynomial's coefficients being real; else None."""
         real = not any(complex(v).imag for v in (self._alpha, self._beta, *self._weight))
         return 1.0 if real else None
+
+    def end_powers(self):
+        """``_TermSum.end_powers``: the weight's, the degree added at infinity."""
+        return complex(self._weight[0]).real, complex(sum(self._weight)).real + self._n
 
     def __call__(self, z, zc=None, order=0):
         n, alpha, beta = self._n, self._alpha, self._beta
@@ -421,6 +451,7 @@ class _FerrersP:
     average."""
 
     __slots__ = ("_args", "_slack", "_lists")
+    cuts = _SEGMENT_CUTS
 
     def __init__(self, nu, mu, s, name):
         self._args = nu, mu, s, name
@@ -434,6 +465,11 @@ class _FerrersP:
         K are real; else None."""
         nu, mu, s, _name = self._args
         return None if nu.imag or mu.imag or complex(s).imag else 1.0
+
+    def end_powers(self):
+        """``_TermSum.end_powers`` of the one term: the x**2 pair splits its branch at 1."""
+        nu, mu, s, name = self._args
+        return _term_sum(_p_terms(nu, mu, ferrers=True), s, name, True).end_powers()
 
     def __call__(self, x, xc=None, order=0):
         m, r = 0.5 * abs(1.0 - x if xc is None else xc), abs(x)

@@ -39,7 +39,7 @@ from .complexfn import (
 )
 from .errors import DomainError, PoleError
 from .hyper import hyp3f2_regularized, hyp3f2_series
-from .legendre import _Legendre, _whipple_y
+from .legendre import _Legendre, _power_cuts, _whipple_y
 
 __all__ = [
     "Prediction",
@@ -432,12 +432,13 @@ def apply_integer_recurrence(op_id, nu, mu, z, n=1, kind="q") -> Prediction:
 
 class _Powers:
     """(v, vc=None) -> K (1-v)**a (1+v)**b, vc being an exact 1 - v as for
-    ``legendre.weighted_evaluator``."""
+    ``legendre.weighted_evaluator``; ``cuts`` are those of the powers present."""
 
-    __slots__ = ("_K", "_a", "_b")
+    __slots__ = ("_K", "_a", "_b", "cuts")
 
     def __init__(self, K, a, b):
         self._K, self._a, self._b = K, a, b
+        self.cuts = _power_cuts(a, b)
 
     def __call__(self, v, vc=None):
         return self._K * cpow(1.0 - v if vc is None else vc, self._a) * cpow(1.0 + v, self._b)
@@ -448,6 +449,10 @@ class _Powers:
             return None
         K = complex(self._K)
         return K / K.conjugate() if K else 1.0
+
+    def end_powers(self):
+        """``legendre._TermSum.end_powers``: (Re a, Re(a+b))."""
+        return complex(self._a).real, complex(self._a + self._b).real
 
 
 def _rodrigues_primitive(nu, alpha, beta):

@@ -14,7 +14,9 @@ integrand W: the Weyl integral of W(z+t) from t = 0 to infinity, and the
 Riemann-Liouville loop of W(z + (1-z) v) over (0, 1).  The
 Riemann-Liouville loop is the fractional integral of W from z to 1 up to the
 power of the segment length, which each finite entry states:
-(z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).
+(z-1)**(-lam) on the cut plane, (1-x)**(-lam) on (-1, 1).  W reports what
+the rules need, its end powers and cuts, so an entry names only W, the
+order and the scale.
 
 Each integrand comes from the ``shifts`` builder its closed form calls.
 The Legendre and Ferrers integrands (``shifts._integrand``) are the
@@ -48,7 +50,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .complexfn import check_finite, cpow, gamma_ratio, integer_within, real_argument, rgamma
+from .complexfn import check_finite, cpow, gamma_ratio, integer_within, rgamma
 from .errors import DomainError, PoleError
 from .legendre import legendre_deriv, legendre_p, legendre_q
 from .quadrature import (
@@ -163,31 +165,27 @@ def _check_fold(lam):
 
 # --- left-hand sides: two contour recipes -----------------------------------
 #
-# A recipe integrates an entry's weighted integrand W at the point
-# p = _Point(nu, mu, lam, z), whose fields are complex; ``_recipe`` turns it
-# into the factory each catalog entry calls with its integrand and numbers.
+# A recipe integrates an entry's weighted integrand W, which reports its own
+# end powers and cuts (``legendre._TermSum``), at p = _Point(nu, mu, lam, z).
 
 _Point = namedtuple("_Point", "nu mu lam z")
 
 
 def _recipe(integrate):
-    """Factory of quadrature sides from
-    ``integrate(p, W, target, reflection, **numbers)``.
+    """Factory of quadrature sides from ``integrate(p, W, target, reflection, order)``.
 
-    ``recipe(integrand, scale=None, **numbers)`` returns lhs(nu, mu, lam, z,
-    target), which builds W = integrand(p) once per point, passes each
-    number as is or, when it is a function, as its value f(p), and
-    multiplies the result by scale(p).  ``reflection`` is W's reflection
-    phase (``legendre._TermSum.reflection``) at a real z, where each recipe's
+    ``recipe(integrand, order=lam, scale=None)`` returns lhs(nu, mu, lam, z,
+    target), which builds W = integrand(p) once per point, p's fields being
+    complex, integrates it at order(p) and multiplies the result by scale(p).
+    ``reflection`` is W's reflection phase at a real z, where each recipe's
     g, W at z plus a real multiple of t, inherits it; None at a complex z.
     """
 
-    def factory(integrand, scale=None, **numbers):
+    def factory(integrand, order=lambda p: p.lam, scale=None):
         def lhs(nu, mu, lam, z, target):
             p = _Point(complex(nu), complex(mu), complex(lam), complex(z))
-            values = {k: f(p) if callable(f) else f for k, f in numbers.items()}
             W = integrand(p)
-            res = integrate(p, W, target, None if p.z.imag else W.reflection(), **values)
+            res = integrate(p, W, target, None if p.z.imag else W.reflection(), order(p))
             return res if scale is None else res.scaled(scale(p))
 
         return lhs
@@ -195,55 +193,50 @@ def _recipe(integrate):
     return factory
 
 
+def _cut_distance(z, cuts):
+    """The distance from z to ``cuts``, rays (x0, d) = {x0 + d t : t >= 0}
+    of the real axis; inf where there are none."""
+    rays = (abs(z - x0) if (z.real - x0) * d <= 0.0 else abs(z.imag) for x0, d in cuts)
+    return min(rays, default=math.inf)
+
+
 @_recipe
-def _weyl_loop(p, W, target, reflection, decay, order=None):
-    """Weyl integral of order ``order`` (lam when None) of g(t) = W(z+t),
-    (1/Gamma(-order)) * int_z^inf (V-z)**(-order-1) W(V) dV: at
-    Re order < -1/2 directly, otherwise split at t = 0.3 into the
-    regularized loop and its tail; |W| ~ t**(-decay) at infinity.  g is
-    analytic for |t| below the distance from z to W's cut (-inf, 1]: |z-1|
-    for Re z > 1, |Im z| otherwise.  Where that is at least 4 * 0.3, as at
-    real z >= 2.2, the loop's Cauchy disc covers all of (0, 0.3)."""
+def _weyl_loop(p, W, target, reflection, order):
+    """Weyl integral of order ``order`` of g(t) = W(z+t),
+    (1/Gamma(-order)) * int_z^inf (V-z)**(-order-1) W(V) dV: at Re order < -1/2
+    directly, otherwise split at t = 0.3 into the regularized loop and its
+    tail, which decays as W grows at infinity.  g is analytic for |t| below
+    the distance from z to W's cuts: where that is at least 4 * 0.3, as at
+    real z >= 2.2 for the cut (-inf, 1], the Cauchy disc covers (0, 0.3)."""
     z = p.z
     return integrate_weyl(
         lambda t, _tc: W(z + t),
-        p.lam if order is None else order,
+        order,
         c=0.3,
-        analyticity_radius=abs(z - 1.0) if z.real > 1.0 else abs(z.imag),
-        decay_exponent=decay,
+        analyticity_radius=_cut_distance(z, W.cuts),
+        decay_exponent=-W.end_powers()[1],
         target=target,
         reflection=reflection,
     )
 
 
 @_recipe
-def _riemann_loop(p, W, target, reflection, basepoint=0.0, order=None, radius=None):
-    """Riemann-Liouville loop of order ``order`` (lam when None) of
-    g(v) = W(z + (1-z) v), based at v = 1 where W has the power
-    ``basepoint``: (1-z)**(-order) times it is the fractional integral
-    (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.  W takes
-    1 - V = (1-z)(1-v) exactly as its second argument.  g is analytic for
-    |v| < ``radius``; by default W is singular at V = +/-1, so that is
-    min(1, |1+z|/|1-z|): inside the unit disc when Re z < 0."""
+def _riemann_loop(p, W, target, reflection, order):
+    """Riemann-Liouville loop of order ``order`` of g(v) = W(V), based at
+    v = 1, where W has its power at 1: (1-z)**(-order) times it is the
+    fractional integral (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.
+    V is z + (1-z) v, or 1 - (1-z)(1-v) past v = 1/2, so no node next to 1
+    rounds onto W's cut, and W takes 1 - V = (1-z)(1-v) exactly.  g is
+    analytic for |v| below min(1, the distance from z to W's cuts / |1-z|)."""
     z, d = p.z, 1.0 - p.z
-    if radius is None:
-        radius = 1.0 if abs(1.0 + z) >= abs(d) else abs(1.0 + z) / abs(d)
     return integrate_loop(
-        lambda v, vc: W(z + d * v, d * vc),
+        lambda v, vc: W(z + d * v if v.real < 0.5 else 1.0 - d * vc, d * vc),
         1.0,
-        p.lam if order is None else order,
-        analyticity_radius=radius,
-        basepoint_exponent=basepoint,
+        order,
+        analyticity_radius=min(1.0, _cut_distance(z, W.cuts) / abs(d)),
+        basepoint_exponent=W.end_powers()[0],
         target=target,
         reflection=reflection,
-    )
-
-
-def _on_cut(lhs):
-    """The quadrature side at a real x, the only points the Ferrers closed
-    forms take."""
-    return lambda nu, mu, lam, z, target: lhs(
-        nu, mu, lam, real_argument(z, "Ferrers identities"), target
     )
 
 
@@ -264,14 +257,6 @@ def _cut_power(p):
 def _segment_power(p):
     """(1-x)^(-lam): the power of the segment length on (-1, 1)."""
     return cpow(1.0 - p.z, -p.lam)
-
-
-def _k3_decay(p):
-    return (p.nu + 1.0).real - abs(p.mu.real)
-
-
-def _minus_re_mu(p):
-    return -p.mu.real
 
 
 # --- right-hand sides -------------------------------------------------------
@@ -386,11 +371,7 @@ def _build_catalog():
                 "Q_nu^mu(z+t) = e^(i pi lam) (z^2-1)^(-(mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_weyl_loop(
-                _integrand("mplus", "q"),
-                decay=lambda p: (p.nu + p.mu + 1.0).real,
-                order=lambda p: -p.lam,
-            ),
+            lhs=_weyl_loop(_integrand("mplus", "q"), order=lambda p: -p.lam),
             rhs=_shift("order", "weyl_q_down"),
         ),
         IdentityEntry(
@@ -405,7 +386,7 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2)"
             ),
             default_grid=_grid((0.35, 0.85), (0.15, -0.2), (1.3, 1.8), (1.6, 2.4)),
-            lhs=_weyl_loop(_integrand("mplus", "p"), decay=lambda p: -(p.nu - p.mu).real),
+            lhs=_weyl_loop(_integrand("mplus", "p")),
             rhs=_shift("order", "weyl_p_up"),
         ),
         IdentityEntry(
@@ -422,9 +403,7 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) Q_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.7, 1.5, 2.3), (0.2, 0.6), (0.4, 1.3), (1.5, 3.0)),
-            lhs=_weyl_loop(
-                _integrand("mminus", "q"), decay=lambda p: (p.nu - p.mu + 1.0).real, scale=_rotation
-            ),
+            lhs=_weyl_loop(_integrand("mminus", "q"), scale=_rotation),
             rhs=_shift("order", "weyl_minus_q"),
         ),
         IdentityEntry(
@@ -441,9 +420,7 @@ def _build_catalog():
                 "(z^2-1)^((mu-lam)/2) P_nu^(mu-lam)(z)"
             ),
             default_grid=_grid((0.35, 0.75), (-0.45, 0.15), (1.4, 2.3), (1.5, 2.6)),
-            lhs=_weyl_loop(
-                _integrand("mminus", "p"), decay=lambda p: -(p.nu + p.mu).real, scale=_rotation
-            ),
+            lhs=_weyl_loop(_integrand("mminus", "p"), scale=_rotation),
             rhs=_shift("order", "weyl_minus_p"),
         ),
         IdentityEntry(
@@ -459,7 +436,7 @@ def _build_catalog():
                 "(z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z)"
             ),
             default_grid=_grid((0.6, 1.3), (0.3, -0.4), (0.7, 1.6), (1.4, 2.2)),
-            lhs=_riemann_loop(_integrand("mplus", "p"), basepoint=_minus_re_mu, scale=_cut_power),
+            lhs=_riemann_loop(_integrand("mplus", "p"), scale=_cut_power),
             rhs=_shift("order", "riemann_p_up"),
         ),
         IdentityEntry(
@@ -475,11 +452,7 @@ def _build_catalog():
                 "* (z^2-1)^(-(mu+lam)/2) P_nu^(mu+lam)(z) + 3F2-term"
             ),
             default_grid=_grid((0.55, 1.2), (0.35, -0.25), (0.6, 1.45), (1.5, 2.0)),
-            lhs=_riemann_loop(
-                _integrand("mplus", "q"),
-                basepoint=lambda p: min(-p.mu.real, 0.0),
-                scale=_cut_power,
-            ),
+            lhs=_riemann_loop(_integrand("mplus", "q"), scale=_cut_power),
             rhs=_shift("order", "riemann_q_up"),
         ),
         IdentityEntry(
@@ -632,7 +605,7 @@ def _build_catalog():
                 "(y^2-1)^(-(nu+lam+1)/2) P_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
             default_grid=_K3_WEYL_GRID,
-            lhs=_weyl_loop(_integrand("k3", "p"), decay=_k3_decay, scale=_rotation),
+            lhs=_weyl_loop(_integrand("k3", "p"), scale=_rotation),
             rhs=_shift("degree", "k3_up_p"),
         ),
         IdentityEntry(
@@ -647,7 +620,7 @@ def _build_catalog():
                 "(y^2-1)^(-(nu+lam+1)/2) Q_(nu+lam)^mu(y/sqrt(y^2-1))"
             ),
             default_grid=_K3_WEYL_GRID,
-            lhs=_weyl_loop(_integrand("k3", "q"), decay=_k3_decay, scale=_rotation),
+            lhs=_weyl_loop(_integrand("k3", "q"), scale=_rotation),
             rhs=_shift("degree", "k3_up_q"),
         ),
         IdentityEntry(
@@ -691,11 +664,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.25, "lam": 1.9, "z": 1.7},
                 {"nu": 0.6, "mu": 0.15, "lam": 1.3, "z": 2.2},
             ),
-            lhs=_weyl_loop(
-                _integrand("p3", "p"),
-                decay=lambda p: -(p.nu.real + abs(p.mu.real)),
-                scale=_rotation,
-            ),
+            lhs=_weyl_loop(_integrand("p3", "p"), scale=_rotation),
             rhs=_shift("degree", "p3_down_p"),
         ),
         IdentityEntry(
@@ -717,9 +686,7 @@ def _build_catalog():
                 {"nu": 0.35, "mu": -0.3, "lam": 1.35, "z": 1.7},
                 {"nu": 0.7, "mu": 0.15, "lam": 0.55, "z": 2.1},
             ),
-            lhs=_riemann_loop(
-                _integrand("p3", "q"), scale=_cut_power, basepoint=lambda p: p.nu.real + 0.5
-            ),
+            lhs=_riemann_loop(_integrand("p3", "q"), scale=_cut_power),
             rhs=_shift("degree", "p3_riemann_q"),
         ),
         IdentityEntry(
@@ -734,11 +701,7 @@ def _build_catalog():
                 "(1-x^2)^(-(mu+lam)/2) FerrersP_nu^(mu+lam)(x)"
             ),
             default_grid=_FERRERS_LPLUS_GRID,
-            lhs=_on_cut(
-                _riemann_loop(
-                    _integrand("mplus", "ferrers_p"), basepoint=_minus_re_mu, scale=_segment_power
-                )
-            ),
+            lhs=_riemann_loop(_integrand("mplus", "ferrers_p"), scale=_segment_power),
             rhs=_shift("ferrers", "lplus_p"),
         ),
         IdentityEntry(
@@ -757,11 +720,7 @@ def _build_catalog():
                 "3F2(-nu+mu, nu+mu+1, 1; 1-lam, mu+1; (1-x)/2)"
             ),
             default_grid=_FERRERS_LPLUS_GRID,
-            lhs=_on_cut(
-                _riemann_loop(
-                    _integrand("mplus", "ferrers_q"), basepoint=_minus_re_mu, scale=_segment_power
-                )
-            ),
+            lhs=_riemann_loop(_integrand("mplus", "ferrers_q"), scale=_segment_power),
             rhs=_shift("ferrers", "lplus_q"),
         ),
         IdentityEntry(
@@ -783,7 +742,7 @@ def _build_catalog():
                 {"nu": 0.45, "mu": 0.35, "lam": 1.55, "z": 0.25},
                 {"nu": 1.3, "mu": -0.4, "lam": 0.6, "z": -0.3},
             ),
-            lhs=_on_cut(_riemann_loop(_integrand("mminus", "ferrers_p"), scale=_segment_power)),
+            lhs=_riemann_loop(_integrand("mminus", "ferrers_p"), scale=_segment_power),
             rhs=_shift("ferrers", "lminus_p"),
         ),
         IdentityEntry(
@@ -808,7 +767,6 @@ def _build_catalog():
             lhs=_riemann_loop(
                 lambda p: _rodrigues_primitive(p.nu, p.mu, p.lam),
                 order=lambda p: p.nu,
-                basepoint=lambda p: (p.nu + p.mu).real,
                 scale=lambda p: cpow(1.0 - p.z, -p.nu),
             ),
             rhs=_rhs_rodrigues(0),
@@ -835,7 +793,6 @@ def _build_catalog():
                 lambda p: _weighted("rodrigues", "jacobi", p.nu, (p.mu, p.lam)).terms,
                 order=lambda p: -p.nu,
                 scale=lambda p: cpow(1.0 - p.z, p.nu),
-                basepoint=lambda p: p.mu.real,
             ),
             rhs=_rhs_rodrigues(1),
         ),
@@ -857,8 +814,7 @@ def _build_catalog():
                 {"nu": 0.0, "mu": 0.45, "lam": -0.7, "z": 0.0},
                 {"nu": 0.0, "mu": 2.2, "lam": 3.7, "z": 0.0},
             ),
-            # (1-V)**(sigma-1) is singular only at V = 1
-            lhs=_riemann_loop(_beta_kernel, basepoint=lambda p: p.mu.real - 1.0, radius=1.0),
+            lhs=_riemann_loop(_beta_kernel),
             rhs=_rhs_beta_contour,
         ),
     ]

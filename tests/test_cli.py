@@ -344,6 +344,28 @@ def test_sweep_identity_through_integer_order():
     assert [r[-1] for r in rows[1:]] == ["True"] * 3
 
 
+def test_sweep_identity_exits_1_when_a_row_does_not_pass():
+    # the tolerance 1e-17 is below the rounding of any closed form
+    code, out, err = run_cli(
+        ["sweep", "--id", "WEYL_MMINUS_Q", "--nu", "0.6", "--mu", "0.3",
+         "--lam", "0.4:1.2:3", "--z", "2.0", "--tol", "1e-17"]
+    )
+    assert (code, err) == (EXIT_NUMERICAL, "")
+    assert [r[-1] for r in list(csv.reader(io.StringIO(out)))[1:]] == ["False"] * 3
+
+
+def test_sweep_identity_exits_1_after_invalid_rows_and_writes_nan_values():
+    # Re lam > 0 fails at lam = -0.4 and 0: invalid rows, not domain errors
+    code, out, err = run_cli(
+        ["sweep", "--id", "WEYL_MPLUS_Q", "--nu", "0.7", "--mu", "0.2",
+         "--lam=-0.4:0.4:3", "--z", "1.5"]
+    )
+    assert (code, err) == (EXIT_NUMERICAL, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[-1] for r in rows] == ["False", "False", "True"]
+    assert all(r[1] == r[2] == "nan" for r in rows[:2])
+
+
 def test_sweep_identity_names_the_missing_flags():
     code, out, err = run_cli(
         ["sweep", "--id", "WEYL_MPLUS_P", "--nu", "0.35", "--lam", "1.1:1.3:3"]

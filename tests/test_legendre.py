@@ -25,7 +25,7 @@ from legshift.legendre import (
     whipple_p_to_q,
     whipple_q_to_p,
 )
-from legshift.shifts import _rodrigues_primitive, _weighted, rodrigues_pair
+from legshift.shifts import _Powers, _rodrigues_primitive, _weighted, rodrigues_pair
 
 
 def test_legendre_p_frozen_oracle():
@@ -747,3 +747,46 @@ def test_term_lists_report_their_reflection_phase(build, centre, radius, phase):
         z = centre + radius * cmath.exp(2j * math.pi * j / 16)
         assert abs(W(z.conjugate()) - phi * W(z).conjugate()) <= 1e-13 * abs(W(z)), j
     assert build(mu + 0.1j).reflection() is None
+
+
+# integrand -> (W, side): side +1 for a cut-plane list, measured on (1, inf);
+# -1 for a list on (-1, 1), measured below 1 and, far out, along the
+# imaginary axis, off the cut of its x**2 series
+_END_POWER_CASES = {
+    "P mplus": (lambda: _weighted("mplus", "p", 0.6, 0.3).terms, 1),
+    "P mminus": (lambda: _weighted("mminus", "p", 0.6, -0.3).terms, 1),
+    "Q mplus": (lambda: _weighted("mplus", "q", 0.6, 0.3).terms, 1),
+    "Q mminus": (lambda: _weighted("mminus", "q", 0.6, -0.3).terms, 1),
+    "Olver Q mplus": (lambda: _weighted("mplus", "olver_q", 0.6, -0.3).terms, 1),
+    "Ferrers P mplus": (lambda: _weighted("mplus", "ferrers_p", 0.45, 0.3).terms, -1),
+    "Ferrers P mminus": (lambda: _weighted("mminus", "ferrers_p", 1.3, -0.4).terms, -1),
+    "Ferrers Q mplus": (lambda: _weighted("mplus", "ferrers_q", 0.45, 0.3).terms, -1),
+    # Ferrers Q's second branch leaves power 0, not -Re mu, at mu < 0
+    "Ferrers Q mplus, mu < 0": (lambda: _weighted("mplus", "ferrers_q", 0.45, -0.4).terms, -1),
+    # P's Whipple image decays like y**-(nu+1-mu), not y**-(nu+1-|Re mu|)
+    "Whipple P k3": (lambda: _weighted("k3", "p", 0.8, -0.3).terms, 1),
+    "Whipple P p3": (lambda: _weighted("p3", "p", 0.6, -0.25).terms, 1),
+    "Whipple Q k3": (lambda: _weighted("k3", "q", 0.8, -0.3).terms, 1),
+    "Whipple Q p3": (lambda: _weighted("p3", "q", 0.7, 0.15).terms, 1),
+    "Jacobi term": (lambda: _weighted("rodrigues", "jacobi", 1.6, (0.3, -0.2)).terms, -1),
+    "Jacobi recurrence": (lambda: _weighted("rodrigues", "jacobi", 3.0, (0.3, -0.2)).terms, -1),
+    "Rodrigues primitive": (lambda: _rodrigues_primitive(0.6, 0.3, -0.2), -1),
+    "beta kernel": (lambda: _Powers(1.0, -0.3, 0.0), -1),
+}
+
+
+@pytest.mark.parametrize("case", list(_END_POWER_CASES))
+def test_integrands_report_their_end_powers(case):
+    # the reported powers are the slopes of log|W| against log|V-1| next to
+    # V = 1 and against log|V| far out
+    build, side = _END_POWER_CASES[case]
+    W = build()
+    one, inf = W.end_powers()
+
+    def log_abs(d, far=False):
+        return math.log(abs(W(d * (1j if side < 0 else 1.0)) if far else W(1.0 + side * d, -side * d)))
+
+    near = (log_abs(1e-6) - log_abs(1e-9)) / math.log(1e3)
+    far = (log_abs(1e8, True) - log_abs(1e6, True)) / math.log(1e2)
+    assert abs(near - one) <= 0.02, (near, one)
+    assert abs(far - inf) <= 0.02, (far, inf)

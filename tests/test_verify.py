@@ -302,6 +302,27 @@ def test_rescaled_loop_circle_avoids_the_singularity_at_minus_one(identity, nu, 
         assert rep.passed and rep.abs_err <= rep.lhs.err_estimate, (x, rep.rel_err)
 
 
+@pytest.mark.parametrize(
+    "identity",
+    ["RIEMANN_MPLUS_P", "RIEMANN_MPLUS_Q", "RIEMANN_MMINUS_P", "K3_RIEMANN_Q_3F2", "P3_RIEMANN_Q"],
+)
+def test_riemann_loops_next_to_the_cut_stay_within_their_estimate(identity):
+    # at a complex z left of 1 the integrand's cut (-inf, 1] passes within
+    # |Im z| of z, so the Cauchy circle must shrink to it, and a node next to
+    # V = 1 must not round onto the cut; 1e-10 |rhs| covers the closed
+    # form's own rounding
+    entry = get_identity(identity)
+    rng = random.Random(31)
+    low = 0.05 if identity.startswith(("K3", "P3")) else -0.9
+    for _ in range(40):
+        p = rng.choice(entry.default_grid)
+        z = complex(rng.uniform(low, 0.9), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, -0.5))
+        rep = verify_identity(identity, p["nu"], p["mu"], p["lam"], z)
+        if rep.validity:
+            bound = rep.lhs.err_estimate + 1e-10 * abs(rep.rhs.value)
+            assert rep.passed and rep.abs_err <= bound, (p, z, rep.rel_err)
+
+
 # the identities whose quadrature side is a loop of order lam
 _LOOP_IDENTITIES = (
     "RIEMANN_MPLUS_P",

@@ -137,6 +137,12 @@ _Term = namedtuple("_Term", "K p q a b c wmap r", defaults=(0.0,))
 # cuts as rays (x0, d) = {x0 + d t : t >= 0}: (-inf, 1], and [1, inf), (-inf, -1]
 _CUT_PLANE = ((1.0, -1.0),)
 _SEGMENT_CUTS = ((1.0, 1.0), (-1.0, -1.0))
+_LEFT_CUT = _SEGMENT_CUTS[1:]
+
+
+def _whole(p):
+    """p is a non-negative integer: (z-1)**p is entire."""
+    return p.real > -0.5 and integer_within(p, _POLE_TOL) is not None
 
 
 def _power_cuts(sp, sq):
@@ -154,7 +160,7 @@ class _TermSum:
     w-derivatives are built only when a derivative order asks for them.
     """
 
-    __slots__ = ("_name", "_terms", "_ferrers", "_hyp", "cuts")
+    __slots__ = ("_name", "_terms", "_ferrers", "_hyp")
 
     def __init__(self, terms, name, ferrers=False):
         self._name = name
@@ -162,9 +168,19 @@ class _TermSum:
         terms = [t for t in terms if t.K != 0] or terms[:1]
         self._terms = terms
         self._ferrers = ferrers
-        self.cuts = _SEGMENT_CUTS if ferrers else _CUT_PLANE
         # per term: [F, (coef, F'), (coef, F'')], grown on demand
         self._hyp = [[_prepared_2f1(t.a, t.b, t.c)] for t in terms]
+
+    @property
+    def cuts(self):
+        """A cut-plane list whose every term is in w = (1-z)/2 with p a
+        non-negative integer is analytic across (-1, 1), cut on (-inf, -1]
+        alone; any other is cut on (-inf, 1]."""
+        if self._ferrers:
+            return _SEGMENT_CUTS
+        if all(t.wmap == "half" and _whole(t.p) for t in self._terms):
+            return _LEFT_CUT
+        return _CUT_PLANE
 
     @staticmethod
     def _derivative(t, hyp, n):
@@ -204,18 +220,25 @@ class _TermSum:
         return 1.0 if phase is None else phase
 
     def end_powers(self):
-        """(e1, einf), the weakest term's: |S| ~ |z-1|**e1 next to z = 1 and
-        |z|**einf at infinity.  The 2F1 grows like w**-min(a, b) as w grows,
-        w = (1-z)/2 or x**2, and has the power (1-w)**(c-a-b) at w = 1."""
-        one, inf = math.inf, -math.inf
+        """(ones, einf): ones lists every power (z-1)**e of a term next to
+        z = 1 as pairs (e, log), sorted by Re e, log True where log(z-1)
+        multiplies it; |S| ~ |z|**einf at infinity, the weakest term's.  A
+        term in w = (1-z)/2 has its p alone.  In w = 1/z**2 or x**2 the 2F1
+        has the powers 1 and (1-w)**(c-a-b) at w = 1, so the term has p and
+        p + c - a - b, the larger with a logarithm where c - a - b is an
+        integer; the 2F1 grows like w**-min(a, b) as w grows."""
+        ones, inf = set(), -math.inf
         for _K, p, q, a, b, c, wmap, r in self._terms:
             low = min(a.real, b.real)
             if wmap == "half":
-                one, inf = min(one, p.real), max(inf, (p + q).real - low)
+                ones.add((p, False))
+                inf = max(inf, (p + q).real - low)
             else:
-                one = min(one, p.real + min(0.0, (c - a - b).real))
+                s = c - a - b
+                lo, hi = (p, p + s) if s.real >= 0.0 else (p + s, p)
+                ones.update(((lo, False), (hi, integer_within(s, _POLE_TOL) is not None)))
                 inf = max(inf, (p + q + r).real - (2.0 * low if wmap == "sq" else 0.0))
-        return one, inf
+        return tuple(sorted(ones, key=lambda e: (e[0].real, e[1]))), inf
 
     def __call__(self, z, zc=None, order=0):
         """The order-th derivative (0, 1 or 2) of S at z.  ``zc`` is 1 - z,
@@ -348,7 +371,7 @@ class _JacobiRecurrence:
 
     def end_powers(self):
         """``_TermSum.end_powers``: the weight's, the degree added at infinity."""
-        return complex(self._weight[0]).real, complex(sum(self._weight)).real + self._n
+        return ((complex(self._weight[0]), False),), complex(sum(self._weight)).real + self._n
 
     def __call__(self, z, zc=None, order=0):
         n, alpha, beta = self._n, self._alpha, self._beta

@@ -1,8 +1,9 @@
-"""Double-exponential quadrature and contour integrals around the origin.
+"""Double-exponential and Jacobi-weighted quadrature, and contour integrals.
 
-Every integral in the identity layer runs through one double-exponential
-rule, ``integrate_segment``, or through the Cauchy rule for Taylor
-coefficients below.  The primitives:
+Every integral in the identity layer runs through the double-exponential
+rule ``integrate_segment``, through a Jacobi-weighted Fejér rule on the
+loop segments whose ends each carry one declared power, or through the
+Cauchy rule for Taylor coefficients below.  The primitives:
 
 * ``integrate_segment``: tanh-sinh rule on a finite segment, tolerant of
   integrable endpoint singularities (declared exponent > -1), the plain
@@ -25,6 +26,14 @@ coefficients below.  The primitives:
 the half-line directly for Re lam < -1/2, otherwise the loop on (0, c) plus
 its tail.  ``repeated_integral`` is either operator at lam = -n.
 
+The loop's segment, (0, c) at Re lam < -1/2 and (t_cut, c) beyond, first
+tries Fejér's second rule on cos(j pi/N), N = 8, 16, 32, in the Jacobi
+weight of its end powers, where each end carries one power up to
+non-negative integers: t**(-lam-1) at 0, g's ``basepoint_powers`` at c and,
+on (t_cut, c), the subtracted polynomial's 0.  Its weights come from
+Chebyshev moments (Piessens and Branders 1973); past N = 32 tanh-sinh
+takes the segment.
+
 The mass between each endpoint and its nearest node, from the declared
 power law there, joins the estimate, not the value.  Every integrand is
 called as f(x, xc), xc being the node's offset from the endpoint it is
@@ -38,7 +47,7 @@ level and the node index, so ``_NODES`` tabulates them once per level for
 every segment, growing a level's rows as a later call reaches further out
 in u: about 100 rows over the levels <= 4 that the identity catalog
 reaches, at most 24,984 (about 3 MB) for a rule run to level 12 at the
-widest reach u = asinh(700/pi).
+widest reach u = asinh(700/pi).  ``_FEJER`` keeps the Fejér rows per N.
 
 Regularization for Re lam >= 0 subtracts a Taylor polynomial of g at 0 and
 adds its integral back analytically; Taylor coefficients come from a Cauchy
@@ -63,10 +72,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
-from .complexfn import check_finite, cpow, integer_within, rgamma
+from .complexfn import check_finite, cpow, gamma_ratio, integer_within, rgamma
 from .errors import ConvergenceError, DomainError, NumericalError
 from typing import Callable
 
@@ -99,6 +109,9 @@ _INTEGER_LAM_TOL = 1e-12
 # (``_nodes``); the same for every segment, being offsets and weights per
 # unit span
 _NODES: dict = {}
+# Fejér's second rule at these N; N -> its rows (``_fejer_rows``)
+_FEJER_LEVELS = (8, 16, 32)
+_FEJER: dict = {}
 
 
 @dataclass(frozen=True)
@@ -277,6 +290,90 @@ def integrate_segment(
     return QuadratureResult(best, err + tails, evaluations)
 
 
+def _fejer_rows(n):
+    """Fejér's second rule on x_j = cos(theta_j), theta_j = j pi/n, 0 < j < n:
+    the shares (1 - x_j)/2 = sin(theta_j/2)**2, node j's offset from x = 1
+    and node n-j's from -1; the rows (2/n) sin(theta_j) sin(k theta_j), k < n,
+    a sine transform from the moments of U_(k-1) to weights; the weights at 1."""
+    if n not in _FEJER:
+        theta = [j * math.pi / n for j in range(n)]
+        rows = [[2.0 / n * math.sin(t) * math.sin(k * t) for k in range(1, n)] for t in theta[1:]]
+        shares = [math.sin(0.5 * t) ** 2 for t in theta]
+        _FEJER[n] = shares, rows, _fejer_weights(rows, _moments(0.0, 0.0))
+    return _FEJER[n]
+
+
+def _moments(alpha, beta, count=_FEJER_LEVELS[-1] - 1):
+    """M_k = int (1-x)**alpha (1+x)**beta T_k(x) dx over (-1, 1), k < count:
+    M_0 = 2**(alpha+beta+1) B(alpha+1, beta+1), M_1 = M_0 (beta-alpha) /
+    (alpha+beta+2) and (k+alpha+beta+2) M_(k+1) = 2 (beta-alpha) M_k +
+    (k-alpha-beta-2) M_(k-1), within 1.2e-15 M_0 for exponents in (-0.99, 3)."""
+    s, d = alpha + beta, beta - alpha
+    m0 = 2.0 ** (s + 1.0) * gamma_ratio([alpha + 1.0, beta + 1.0], [s + 2.0])
+    if not (s.imag or d.imag):  # floats at real exponents: a faster sum
+        s, d, m0 = s.real, d.real, m0.real
+    m = [m0, m0 * d / (s + 2.0)]
+    for k in range(1, count - 1):
+        m.append((2.0 * d * m[k] + (k - s - 2.0) * m[k - 1]) / (k + s + 2.0))
+    return m
+
+
+def _fejer_weights(rows, m):
+    u = [m[0], 2.0 * m[1]]  # the moments of U_k = U_(k-2) + 2 T_k
+    for k in range(2, len(rows)):
+        u.append(u[k - 2] + 2.0 * m[k])
+    return [sum(map(operator.mul, row, u)) for row in rows]
+
+
+def _weighted_segment(f, a, b, weight, exponent_a, exponent_b, target, absolute_floor=0.0):
+    """``integrate_segment`` of f over (a, b), tried first, where neither of
+    ``weight`` = (alpha, beta) is None, by Fejér's rule for f, which has the
+    powers (1-x)**alpha (1+x)**beta, x = -1 at a and 1 at b: f/weight on the
+    nodes of N = 8, 16, 32 in turn, accepted where two levels agree as in
+    ``integrate_segment``, the estimate |I_N - I_(N/2)| + 1e-14 sum |w f|.  A
+    non-finite level never agrees; the rule's evaluations join tanh-sinh's."""
+    span = b - a
+    values = {}  # f at each node, by its angle in units of pi/32
+    alpha, beta = weight
+    levels = () if None in weight else _FEJER_LEVELS
+    m = None if not levels or alpha == beta == 0.0 else _moments(alpha, beta)
+    prev = None
+    for n in levels:
+        shares, rows, weights = _fejer_rows(n)
+        if m is not None:
+            weights = [
+                w / ((2.0 * shares[j]) ** alpha * (2.0 * shares[n - j]) ** beta)
+                for j, w in enumerate(_fejer_weights(rows, m), 1)
+            ]
+        acc, size = 0j, 0.0
+        for j, w in enumerate(weights, 1):
+            key = j * (_FEJER_LEVELS[-1] // n)
+            if key not in values:
+                offset = span * shares[min(j, n - j)]
+                x = b - offset if 2 * j <= n else a + offset
+                values[key] = f(x, offset if 2 * j <= n else b - x)
+            acc += w * values[key]
+            size += abs(w * values[key])
+        cur, noise_floor = 0.5 * span * acc, 0.5e-14 * abs(span) * size
+        err = math.inf if prev is None else abs(cur - prev)
+        if err <= target * max(abs(cur), absolute_floor, 1e-30) + noise_floor + 1e-300:
+            return QuadratureResult(cur, err + noise_floor, len(values))
+        prev = cur
+    res = integrate_segment(f, a, b, exponent_a, exponent_b, target, absolute_floor)
+    return QuadratureResult(res.value, res.err_estimate, res.evaluations + len(values))
+
+
+def _one_power(powers):
+    """The integrable e with every (power, log) of known ``powers`` e plus a
+    non-negative integer, none with a logarithm; else None."""
+    if powers is None or any(log for _p, log in powers):
+        return None
+    e = min((p for p, _log in powers), key=lambda p: p.real)
+    if e.real <= -1.0 or any(integer_within(p - e, _INTEGER_LAM_TOL) is None for p, _log in powers):
+        return None
+    return e if (n := integer_within(e, _INTEGER_LAM_TOL)) is None else float(n)
+
+
 def integrate_semi_infinite(
     f: Callable[[float, float], complex],
     a: float,
@@ -411,6 +508,7 @@ def _regularized_lower(
     target: float,
     basepoint_exponent: float = 0.0,
     reflection=None,
+    basepoint_powers=None,
 ) -> QuadratureResult:
     """Regularized integral of t**(-lam-1) g(t) over (0, c).
 
@@ -419,8 +517,9 @@ def _regularized_lower(
     polynomial part from Re lam < 0; ``reflection`` as for
     ``_taylor_coefficients``.  Below t_cut, half the circle's radius, the
     remainder is the series from k = M on, integrated term by term, and
-    tanh-sinh takes (t_cut, c); where the circle is c itself
-    (``_cauchy_radius``), t_cut is c and the series alone is the integral.
+    tanh-sinh, or Fejér's rule (module docstring), takes (t_cut, c); where
+    the circle is c itself (``_cauchy_radius``), t_cut is c and the series
+    alone is the integral.
     """
     m_sub = max(int(math.ceil(lam.real)) + 1, 8)
     # at t_cut = radius/2 the terms fall like 8**-k, and like 4**-k at
@@ -463,13 +562,10 @@ def _regularized_lower(
     def integrand(t, tc):
         return (g(t, tc) - _poly_eval(head, t)) * cpow(t, -lam - 1.0)
 
-    seg = integrate_segment(
-        integrand,
-        t_cut,
-        c,
-        endpoint_exponent_b=basepoint_exponent,
-        target=target,
-        absolute_floor=abs(tail0 + addback),
+    # g - P adds the polynomial's power 0 to g's at c
+    at_c = _one_power(basepoint_powers and (*basepoint_powers, (0.0, False)))
+    seg = _weighted_segment(
+        integrand, t_cut, c, (at_c, 0.0), 0.0, basepoint_exponent, target, abs(tail0 + addback)
     )
     return QuadratureResult(
         seg.value + tail0 + addback,
@@ -497,6 +593,7 @@ def integrate_loop(
     basepoint_exponent: float = 0.0,
     target: float = 1e-9,
     reflection: complex | None = None,
+    basepoint_powers=None,
 ) -> QuadratureResult:
     """Riemann-Liouville operator (1/Gamma(-lam)) * int_0^c t**(-lam-1) g(t) dt,
     continued in lam: the loop of the module docstring.
@@ -517,6 +614,9 @@ def integrate_loop(
     that g(conj t, c - conj t) = phi conj(g(t, c - t)) on the Cauchy circle,
     as holds when g is real on the real axis up to that phase; the Cauchy
     rule then evaluates g on half the circle, N/2 + 1 samples in place of N.
+    ``basepoint_powers`` lists, where known, every power of g at c as pairs
+    (e, log), g being a sum of (c-t)**e, times log(c-t) where log, times
+    functions analytic at c; ``basepoint_exponent`` is their least Re e.
     """
     _check_arguments(
         target,
@@ -528,17 +628,19 @@ def integrate_loop(
     )
     lam = complex(lam)
     n = integer_within(lam, _INTEGER_LAM_TOL) if lam.real > -0.5 else None
-    return _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflection)
+    return _loop(
+        g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflection, basepoint_powers
+    )
 
 
-def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflection):
+def _loop(g, c, lam, n, analyticity_radius, exponent, target, reflection, powers):
     """``integrate_loop`` past its checks; n is lam taken as an integer >= 0, or None."""
     if c <= 0:
         raise DomainError(f"loop base point must be positive, got {c}")
-    if basepoint_exponent and analyticity_radius is not None and analyticity_radius > c:
+    if exponent and analyticity_radius is not None and analyticity_radius > c:
         raise DomainError(
             f"analyticity radius {analyticity_radius} reaches past c = {c}, where g has "
-            f"the power {basepoint_exponent}"
+            f"the power {exponent}"
         )
     radius = _cauchy_radius(c, analyticity_radius)
     if n is not None:
@@ -550,16 +652,13 @@ def _loop(g, c, lam, n, analyticity_radius, basepoint_exponent, target, reflecti
         rounding = _ADDBACK_ROUNDING * size / radius**n
         return QuadratureResult(coeffs[n], rounding, n_eval).scaled((-1) ** n * math.factorial(n))
     if lam.real < -0.5:
-        lower = integrate_segment(
-            lambda t, tc: cpow(t, -lam - 1.0) * g(t, tc),
-            0.0,
-            c,
-            endpoint_exponent_a=-lam.real - 1.0,
-            endpoint_exponent_b=basepoint_exponent,
-            target=target,
+        weight = (_one_power(powers), -lam - 1.0)
+        lower = _weighted_segment(
+            lambda t, tc: cpow(t, -lam - 1.0) * g(t, tc), 0.0, c, weight,
+            -lam.real - 1.0, exponent, target,
         )
     else:
-        lower = _regularized_lower(g, c, lam, radius, target, basepoint_exponent, reflection)
+        lower = _regularized_lower(g, c, lam, radius, target, exponent, reflection, powers)
     return lower.scaled(rgamma(-lam))
 
 
@@ -617,7 +716,8 @@ def integrate_weyl(
             target=target,
         ).scaled(rgamma(-lam))
     n = integer_within(lam, _INTEGER_LAM_TOL)
-    lower = _loop(g, c, lam, n, analyticity_radius, 0.0, target, reflection)
+    # c is inside the ray: g is analytic there
+    lower = _loop(g, c, lam, n, analyticity_radius, 0.0, target, reflection, ((0.0, False),))
     if n is not None:
         return lower
     upper = integrate_semi_infinite(kernel, c, decay_exponent=tail_decay, target=target)

@@ -451,8 +451,8 @@ class _Powers:
         return K / K.conjugate() if K else 1.0
 
     def end_powers(self):
-        """``legendre._TermSum.end_powers``: (Re a, Re(a+b))."""
-        return complex(self._a).real, complex(self._a + self._b).real
+        """``legendre._TermSum.end_powers``: (((a, False),), Re(a+b))."""
+        return ((complex(self._a), False),), complex(self._a + self._b).real
 
 
 def _rodrigues_primitive(nu, alpha, beta):

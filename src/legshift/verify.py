@@ -227,16 +227,19 @@ def _riemann_loop(p, W, target, reflection, order):
     fractional integral (1/Gamma(-order)) * int_z^1 (V-z)**(-order-1) W(V) dV.
     V is z + (1-z) v, or 1 - (1-z)(1-v) past v = 1/2, so no node next to 1
     rounds onto W's cut, and W takes 1 - V = (1-z)(1-v) exactly.  g is
-    analytic for |v| below min(1, the distance from z to W's cuts / |1-z|)."""
+    analytic for |v| below min(1, the distance from z to W's cuts / |1-z|),
+    and W's powers at 1 are g's at v = 1."""
     z, d = p.z, 1.0 - p.z
+    ones, _inf = W.end_powers()
     return integrate_loop(
         lambda v, vc: W(z + d * v if v.real < 0.5 else 1.0 - d * vc, d * vc),
         1.0,
         order,
         analyticity_radius=min(1.0, _cut_distance(z, W.cuts) / abs(d)),
-        basepoint_exponent=W.end_powers()[0],
+        basepoint_exponent=min(e.real for e, _log in ones),
         target=target,
         reflection=reflection,
+        basepoint_powers=ones,
     )
 
 

@@ -777,11 +777,12 @@ _END_POWER_CASES = {
 
 @pytest.mark.parametrize("case", list(_END_POWER_CASES))
 def test_integrands_report_their_end_powers(case):
-    # the reported powers are the slopes of log|W| against log|V-1| next to
-    # V = 1 and against log|V| far out
+    # the weakest reported power is the slope of log|W| against log|V-1|
+    # next to V = 1, and the growth its slope against log|V| far out
     build, side = _END_POWER_CASES[case]
     W = build()
-    one, inf = W.end_powers()
+    ones, inf = W.end_powers()
+    one = min(e.real for e, _log in ones)
 
     def log_abs(d, far=False):
         return math.log(abs(W(d * (1j if side < 0 else 1.0)) if far else W(1.0 + side * d, -side * d)))

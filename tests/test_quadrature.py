@@ -8,7 +8,11 @@ import pytest
 from legshift.complexfn import cpow, gamma, rgamma, sin_pi
 from legshift.errors import DomainError, NumericalError
 from legshift.quadrature import (
+    _FEJER_LEVELS,
     _HALF_PI,
+    _fejer_rows,
+    _fejer_weights,
+    _moments,
     integrate_loop,
     integrate_segment,
     integrate_semi_infinite,
@@ -17,7 +21,7 @@ from legshift.quadrature import (
     _nodes,
     _taylor_coefficients,
 )
-from legshift.legendre import weighted_evaluator
+from legshift.legendre import _Term, _TermSum, weighted_evaluator
 
 
 def _taylor_reference(g, radius, count, n_samples=128):
@@ -474,3 +478,87 @@ def test_quadrature_result_arithmetic():
     assert s.err_estimate >= max(a.err_estimate, b.err_estimate)
     d = a.scaled(2.0)
     assert abs(d.value - 1.0) < 1e-10
+
+
+def _exact_moment(alpha, beta, k):
+    # int (1-x)**alpha (1+x)**beta T_k(x) dx, T_k(1 - 2s) = 2F1(-k, k; 1/2; s)
+    # summed term by term against s**(alpha+j) (1-s)**beta at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        total = sum(
+            mpmath.rf(-k, j) * mpmath.rf(k, j) / (mpmath.rf(0.5, j) * mpmath.factorial(j))
+            * mpmath.beta(a + 1 + j, b + 1)
+            for j in range(k + 1)
+        )
+        return complex(2 ** (a + b + 1) * total)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (-0.985, 0.466), (-0.99, -0.99), (2.99, -0.99), (0.25, 2.5)]
+)
+def test_jacobi_moment_recurrence_matches_exact_moments(alpha, beta):
+    m = _moments(alpha, beta, 33)
+    for k in range(33):
+        assert abs(m[k] - _exact_moment(alpha, beta, k)) <= 2e-15 * abs(m[0]), k
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.7, 0.3), (1.5, -0.45)])
+def test_fejer_weights_integrate_weighted_polynomials_of_degree_n_minus_2(alpha, beta):
+    # sum_j w_j p(x_j) = int (1-x)**alpha (1+x)**beta p(x) dx for p of degree
+    # N - 2, here p = T_(N-2) + T_1 + T_0 at the nodes x_j = cos(j pi/N)
+    for n in _FEJER_LEVELS:
+        _shares, rows, _plain = _fejer_rows(n)
+        weights = _fejer_weights(rows, _moments(alpha, beta))
+        theta = [j * math.pi / n for j in range(1, n)]
+        got = sum(w * (math.cos((n - 2) * t) + math.cos(t) + 1.0) for w, t in zip(weights, theta))
+        exact = sum(_exact_moment(alpha, beta, k) for k in (n - 2, 1, 0))
+        assert abs(got - exact) <= 1e-14 * abs(_exact_moment(alpha, beta, 0)), n
+
+
+def _counted(g):
+    calls = []
+
+    def counted(t, tc):
+        calls.append(t)
+        return g(t, tc)
+
+    return counted, calls
+
+
+def test_jacobi_rule_reuses_its_nodes_and_stops_at_n_16():
+    # (1-v)**(sigma-1) is the rule's own weight at v = 1: N = 8 and 16 agree,
+    # and N = 16 calls g only at its 8 new nodes, 15 evaluations in all
+    lam, sigma = -0.7, 0.45
+    g, calls = _counted(lambda v, vc: cpow(vc, sigma - 1.0))
+    res = integrate_loop(
+        g, 1.0, lam, basepoint_exponent=sigma - 1.0, basepoint_powers=((sigma - 1.0, False),)
+    )
+    ref = gamma(lam + 1.0) * sin_pi(lam + 1.0) / math.pi * gamma(-lam) * gamma(sigma) / gamma(sigma - lam)
+    assert res.evaluations == len(calls) == len(set(calls)) == 15
+    assert abs(res.value - ref) <= res.err_estimate < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("lam", [-0.7, 0.4])
+def test_jacobi_rule_gives_way_to_a_hidden_second_end_power(lam):
+    # g = 1 + (1-v)**0.25 declared analytic at 1: no two Fejér levels agree,
+    # so tanh-sinh takes the segment, every evaluation counted, and its
+    # estimate bounds the error of (1/Gamma(-lam)) (1/(-lam) + B(-lam, 5/4))
+    g, calls = _counted(lambda v, vc: 1.0 + cpow(vc, 0.25))
+    res = integrate_loop(g, 1.0, lam, basepoint_powers=((0.0, False),))
+    ref = rgamma(-lam) * (1.0 / -lam + gamma(-lam) * gamma(1.25) / gamma(1.25 - lam))
+    plain = integrate_loop(lambda v, vc: 1.0 + cpow(vc, 0.25), 1.0, lam)
+    assert res.evaluations == len(calls) == plain.evaluations + 31
+    assert res.value == plain.value
+    assert abs(res.value - ref) <= res.err_estimate
+
+
+def test_end_powers_list_every_power_of_a_one_over_z_squared_term():
+    # 2F1(a, b; c; 1/z**2) has the powers 0 and c - a - b at z = 1, the larger
+    # with a logarithm where c - a - b is an integer
+    for c, powers in ((2.0, ((0.3, False), (0.6, False))), (2.7, ((0.3, False), (1.3, True))),
+                      (0.7, ((-0.7, False), (0.3, True)))):
+        W = _TermSum([_Term(1.0, 0.3 + 0j, 0j, 0.5 + 0j, 1.2 + 0j, complex(c), "inv")], "t")
+        got = W.end_powers()[0]
+        assert [log for _e, log in got] == [log for _e, log in powers], c
+        assert all(abs(e - want) < 1e-15 for (e, _), (want, _) in zip(got, powers)), c

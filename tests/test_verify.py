@@ -16,6 +16,7 @@ from legshift.shifts import _integrand, predict_degree_shift, predict_order_shif
 from legshift.verify import (
     GridSummary,
     _beta_kernel,
+    _cut_distance,
     _Point,
     get_identity,
     list_identities,
@@ -323,6 +324,97 @@ def test_riemann_loops_next_to_the_cut_stay_within_their_estimate(identity):
             assert rep.passed and rep.abs_err <= bound, (p, z, rep.rel_err)
 
 
+def test_mminus_p_integrand_is_cut_left_of_minus_one_alone():
+    # (z**2-1)**(mu/2) P_nu^mu(z) is one (1-z)/2 term with p = 0, analytic
+    # across (-1, 1): its cut is (-inf, -1], so the Weyl radius at real z is
+    # z + 1 and the Riemann circle at complex z left of 1 is not held to |Im z|
+    W = _integrand("mminus", "p")(_Point(0.35 + 0j, 0.15 + 0j, 1.4 + 0j, 1.5 + 0j))
+    assert W.cuts == ((-1.0, -1.0),)
+    assert _integrand("mplus", "p")(_Point(0.35 + 0j, 0.15 + 0j, 1.4 + 0j, 1.5 + 0j)).cuts == (
+        (1.0, -1.0),
+    )
+    assert _cut_distance(1.5 + 0j, W.cuts) == 2.5
+    assert _cut_distance(0.3 + 0.01j, W.cuts) == abs(1.3 + 0.01j)
+    # z + 1 = 2.5 >= 4 * 0.3: the loop head is its 17 reflected Cauchy samples
+    # and the tail 73 more (z - 1 = 0.5 took a (t_cut, c) segment: 103 in all)
+    rep = verify_identity("WEYL_MMINUS_P", 0.35, 0.15, 1.4, 1.5)
+    assert rep.passed and rep.abs_err <= rep.lhs.err_estimate
+    assert rep.lhs.evaluations == 90
+    # the seeded near-cut sample of the Riemann loop: a median of 120
+    # evaluations while the cut was reported on (-inf, 1]
+    entry, rng, counts = get_identity("RIEMANN_MMINUS_P"), random.Random(31), []
+    for _ in range(40):
+        p = rng.choice(entry.default_grid)
+        z = complex(rng.uniform(-0.9, 0.9), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, -0.5))
+        rep = verify_identity("RIEMANN_MMINUS_P", p["nu"], p["mu"], p["lam"], z)
+        assert rep.passed and rep.abs_err <= rep.lhs.err_estimate + 1e-10 * abs(rep.rhs.value)
+        counts.append(rep.lhs.evaluations)
+    assert sorted(counts)[len(counts) // 2] <= 60
+
+
+def test_beta_contour_strong_endpoint_power_is_the_rules_weight():
+    # (1-v)**(sigma-1) with sigma - 1 = -0.985: tanh-sinh's last node sits
+    # 1e-304 from v = 1 and misses (1e-304)**sigma/sigma ~ 1.8e-3 of the mass
+    # (2.8e-5 off after 35,142 evaluations); the Jacobi-weighted rule takes
+    # the power as its weight and integrates the kernel exactly
+    rep = verify_identity("BETA_CONTOUR", -0.081, 0.015, -1.466, -0.292)
+    assert rep.passed and rep.abs_err <= rep.lhs.err_estimate
+    assert rep.lhs.evaluations <= 31
+
+
+# the entries whose loop segments take the Jacobi-weighted rule, with boxes
+# of (nu, mu, lam, z); integer bounds draw integers
+_NU, _MU, _X, _Z = (0.3, 2.5), (-0.45, 0.6), (-0.5, 0.5), (1.4, 3.0)
+_JACOBI_RULE_BOXES = {
+    "RIEMANN_MMINUS_P": (_NU, _MU, (-0.4, 2.0), _Z),
+    "K3_RIEMANN_Q_3F2": (_NU, _MU, (-0.4, 2.0), _Z),
+    "FERRERS_LMINUS_P_3F2": (_NU, _MU, (-0.4, 2.0), _X),
+    "WEYL_MPLUS_Q": (_NU, _MU, (-0.5, 2.0), _Z),
+    "WEYL_MPLUS_P": (_NU, _MU, (-0.5, 2.0), _Z),
+    "WEYL_MMINUS_Q": (_NU, _MU, (-0.5, 2.0), _Z),
+    "WEYL_MMINUS_P": (_NU, _MU, (-0.5, 2.5), _Z),
+    "K3_WEYL_P": (_NU, _MU, (-0.5, 2.0), _Z),
+    "K3_WEYL_Q": (_NU, _MU, (-0.5, 2.0), _Z),
+    "P3_WEYL_P": (_NU, _MU, (-0.5, 2.0), _Z),
+    "MULTI_INT_MPLUS": (_NU, _MU, (1, 3), _Z),
+    "MULTI_INT_MMINUS": (_NU, _MU, (1, 3), _Z),
+    "MULTI_INT_K3": (_NU, _MU, (1, 3), _Z),
+    "MULTI_INT_P3": (_NU, _MU, (1, 3), _Z),
+    "MULTI_INT_LPLUS": (_NU, _MU, (1, 3), _X),
+    "MULTI_INT_RODRIGUES": ((1, 3), (-0.6, 1.0), (-0.6, 1.0), _X),
+    "RODRIGUES_FRAC": (_NU, (-0.6, 1.0), (-0.6, 1.0), _X),
+    "RODRIGUES_INVERSE": (_NU, (-0.6, 1.0), (-0.6, 1.0), _X),
+    "BETA_CONTOUR": ((0.0, 0.0), (0.01, 2.5), (-1.5, 4.0), _X),
+}
+# sampled points whose error exceeds the estimate at the parent of the rule
+# too, (identity, point rounded to 4 digits) -> cause
+_JACOBI_RULE_KNOWN_DEFECTS = {
+    ("WEYL_MMINUS_P", (2.1548, 0.0989, 2.3341, 2.8109)): (
+        "slow Weyl tail: t**(-lam-1) W falls like t**-1.08, and the half-line's "
+        "modelled mass past its last node misses (3.1e-7 off, estimate 8.5e-8)"
+    ),
+}
+
+
+@pytest.mark.parametrize("identity", list(_JACOBI_RULE_BOXES))
+def test_sampled_points_stay_within_their_estimates(identity):
+    # |lhs - rhs| <= lhs.err_estimate plus the closed form's rounding,
+    # 64 eps times its largest term, at every valid point of the box
+    rng = random.Random(32)
+    for _ in range(20):
+        point = tuple(
+            rng.randint(lo, hi) if isinstance(lo, int) else rng.uniform(lo, hi)
+            for lo, hi in _JACOBI_RULE_BOXES[identity]
+        )
+        rep = verify_identity(identity, *point)
+        if not rep.validity:
+            continue
+        terms = max(abs(rep.rhs.value), sum(abs(t) for t in rep.rhs.terms.values()))
+        if rep.abs_err > rep.lhs.err_estimate + 64 * 2.2e-16 * terms:
+            key = (identity, tuple(round(v, 4) for v in point))
+            assert key in _JACOBI_RULE_KNOWN_DEFECTS, (key, rep.abs_err, rep.lhs.err_estimate)
+
+
 # the identities whose quadrature side is a loop of order lam
 _LOOP_IDENTITIES = (
     "RIEMANN_MPLUS_P",
@@ -569,15 +661,15 @@ def test_real_points_take_half_the_cauchy_circle():
     # at real parameters and z the integrand is real on the real axis up to
     # Hobson's phase, so the loop's Cauchy rule calls it 17 times, not 32
     rep = verify_identity("WEYL_MPLUS_Q", 0.7, 0.2, 0.4, 1.5)
-    assert rep.passed and rep.lhs.evaluations == 142
+    assert rep.passed and rep.lhs.evaluations == 103
 
 
 def test_complex_points_keep_the_full_cauchy_circle():
     # a complex mu gives no reflection phase: 32 calls of the integrand, and
     # the value of the full rule, digit for digit
     rep = verify_identity("WEYL_MPLUS_Q", 0.7, 0.2 + 0.2j, 0.4, 1.5)
-    assert rep.passed and rep.lhs.evaluations == 157
-    assert repr(rep.lhs.value) == "(0.12956857548221812+0.09026103965236211j)"
+    assert rep.passed and rep.lhs.evaluations == 118
+    assert repr(rep.lhs.value) == "(0.1295685754822181+0.09026103965236211j)"
 
 
 def test_weyl_head_is_the_taylor_series_where_the_disc_reaches_c():

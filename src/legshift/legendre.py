@@ -224,9 +224,9 @@ class _TermSum:
         z = 1 as pairs (e, log), sorted by Re e, log True where log(z-1)
         multiplies it; |S| ~ |z|**einf at infinity, the weakest term's.  A
         term in w = (1-z)/2 has its p alone.  In w = 1/z**2 or x**2 the 2F1
-        has the powers 1 and (1-w)**(c-a-b) at w = 1, so the term has p and
-        p + c - a - b, the larger with a logarithm where c - a - b is an
-        integer; the 2F1 grows like w**-min(a, b) as w grows."""
+        has the powers (1-w)**0 and (1-w)**(c-a-b) at w = 1, so the term has
+        p and p + c - a - b, the larger with a logarithm where c - a - b is
+        an integer; the 2F1 grows like w**-min(a, b) as w grows."""
         ones, inf = set(), -math.inf
         for _K, p, q, a, b, c, wmap, r in self._terms:
             low = min(a.real, b.real)

@@ -326,12 +326,11 @@ def _fejer_weights(rows, m):
 
 
 def _weighted_segment(f, a, b, weight, exponent_a, exponent_b, target, absolute_floor=0.0):
-    """``integrate_segment`` of f over (a, b), tried first, where neither of
-    ``weight`` = (alpha, beta) is None, by Fejér's rule for f, which has the
-    powers (1-x)**alpha (1+x)**beta, x = -1 at a and 1 at b: f/weight on the
-    nodes of N = 8, 16, 32 in turn, accepted where two levels agree as in
-    ``integrate_segment``, the estimate |I_N - I_(N/2)| + 1e-14 sum |w f|.  A
-    non-finite level never agrees; the rule's evaluations join tanh-sinh's."""
+    """``integrate_segment`` of f over (a, b), first tried, where neither of
+    ``weight`` = (alpha, beta) is None, by Fejér's rule at N = 8, 16, 32 for f
+    with the powers (1-x)**alpha (1+x)**beta, x = -1 at a and 1 at b; it takes
+    two levels that agree as ``integrate_segment`` does (never non-finite
+    ones), estimate |I_N - I_(N/2)| + 1e-14 sum |w f|; its evaluations count."""
     span = b - a
     values = {}  # f at each node, by its angle in units of pi/32
     alpha, beta = weight
@@ -622,6 +621,7 @@ def integrate_loop(
         target,
         lam,
         reflection,
+        *(e for e, _log in basepoint_powers or ()),
         c=c,
         analyticity_radius=analyticity_radius,
         basepoint_exponent=basepoint_exponent,

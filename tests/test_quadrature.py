@@ -280,6 +280,7 @@ _POWER_EXP = lambda t, tc: cpow(-tc, -0.9) * cmath.exp(-t)
         lambda: repeated_integral(_G, 0.5, 2, endpoint_exponent=_NAN),
         lambda: repeated_integral(_G, 0.5, 2, target=-1.0),
         lambda: integrate_loop(_G, 1.0, 0.4, reflection=_NAN),
+        lambda: integrate_loop(_G, 1.0, -0.7, basepoint_powers=((_NAN, False),)),
         # c, the analyticity radius and every exponent must be real
         lambda: integrate_loop(_G, 1.0 + 0j, -0.7),
         lambda: integrate_loop(_G, 1.0, 0.3, analyticity_radius=2.0 + 0j),
